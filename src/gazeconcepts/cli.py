@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -21,27 +20,24 @@ from pathlib import Path
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import FIXATION, SACCADE, detect_fixations_ivt, detect_saccades_ek, retained
+from .detect import SACCADE, compute_event_properties, retained
 from .dissect import dissect_all
 from .errors import ConfigError, DataError, GazeError
-from .influence import (
-    aggregate_influence,
-    concept_influence,
-    concept_segmentation,
-    default_k,
-    squash_channels,
-    topk_segmentation,
-)
 from .pipeline import (
     ALL_CONCEPTS,
-    EVENT_CONCEPTS,
-    PHASE_CONCEPTS,
-    VALIDITY_RANGES,
     RunConfig,
-    normalized_windows,
+    _bin_all,
+    _counts,
+    _dissection_counts,
+    _preprocess_counts,
+    _reduce_concepts,
+    detect_window,
     preprocess_manifest,
     run,
-    window_segmentations,
+    window_influence,
+    window_topk,
+    write_charts,
+    write_influence,
 )
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
@@ -197,50 +193,51 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _windows_path(args, out: Path) -> Path:
+    return Path(args.windows) if args.windows else out / "windows.npz"
+
+
+def _manifest_windows(args, manifest, out: Path) -> list:
+    """(window, attribution path) per manifest entry, from the windows file."""
+    windows = {w.window_id: w for w in gio.read_windows(_windows_path(args, out))}
+    pairs = []
+    for entry in manifest.entries:
+        if entry.window_id not in windows:
+            raise DataError(f"manifest window {entry.window_id!r} not in windows file")
+        pairs.append((windows[entry.window_id], manifest.resolve(entry.attribution)))
+    return pairs
+
+
+def _events_by_window(out: Path, windows) -> dict:
+    """events.csv grouped by window, in window order."""
+    by_window = {w.window_id: [] for w in windows}
+    for e in gio.read_events(out / "events.csv"):
+        if e.window_id not in by_window:
+            raise DataError(f"event {e.event_id} references unknown window {e.window_id}")
+        by_window[e.window_id].append(e)
+    return by_window
+
+
 def cmd_preprocess(args) -> int:
     manifest = gio.load_manifest(args.manifest)
     cfg = resolve_config(args, extra_config=manifest.config)
     out = _out_dir(args, manifest)
     out.mkdir(parents=True, exist_ok=True)
     pre = preprocess_manifest(manifest, cfg)
-    gio.write_windows(pre.windows, out / "windows.csv")
-    if cfg.norm_scope != "none":
-        gio.write_windows(normalized_windows(pre, cfg), out / "windows_normalized.csv")
-    stats = {
-        "summaries": {
-            rec: {
-                "window_len": s.window_len,
-                "retained": s.retained,
-                "excluded": s.excluded,
-                "tail_samples": s.tail_samples,
-                "excluded_window_ids": s.excluded_window_ids,
-            }
-            for rec, s in sorted(pre.summaries.items())
-        },
-        "channel_stats": {
-            scope: {"mean_x": st.mean_x, "std_x": st.std_x,
-                    "mean_y": st.mean_y, "std_y": st.std_y, "n": st.n}
-            for scope, st in sorted(pre.channel_stats.items())
-        },
-    }
-    (out / "preprocess_stats.json").write_text(json.dumps(stats, indent=2) + "\n")
-    print(f"wrote {len(pre.windows)} windows to {out / 'windows.csv'}")
+    path = _windows_path(args, out)
+    gio.write_windows(pre.windows, path)
+    report_mod.write_report_json(_preprocess_counts(pre), out / "preprocess_stats.json")
+    print(f"wrote {len(pre.windows)} windows to {path}")
     return 0
-
-
-def _read_stage_windows(args, out: Path):
-    path = Path(args.windows) if getattr(args, "windows", None) else out / "windows.csv"
-    return gio.read_windows(path)
 
 
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(args)
     events = []
-    for w in _read_stage_windows(args, out):
-        params = cfg.detection_params()
-        events.extend(detect_fixations_ivt(w, params))
-        events.extend(detect_saccades_ek(w, params))
+    for w in gio.read_windows(_windows_path(args, out)):
+        fixations, saccades = detect_window(w, cfg)
+        events += fixations + saccades
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -250,105 +247,40 @@ def cmd_detect(args) -> int:
 def cmd_dissect(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(args)
-    windows = {w.window_id: w for w in _read_stage_windows(args, out)}
-    events = gio.read_events(out / "events.csv")
-    subs = []
-    disregarded = 0
-    n_saccades = 0
-    for e in retained(events):
-        if e.kind != SACCADE:
-            continue
-        if e.window_id not in windows:
-            raise DataError(f"event {e.event_id} references unknown window {e.window_id}")
-        d = dissect_all([e], windows[e.window_id], cfg.peak_ratio, cfg.flank_ratio)[0]
-        subs.extend(d.sub_events)
-        disregarded += d.disregarded
-        n_saccades += 1
+    windows = gio.read_windows(_windows_path(args, out))
+    by_window = _events_by_window(out, windows)
+    dissections = []
+    for w in windows:
+        saccades = [e for e in by_window[w.window_id] if e.kind == SACCADE]
+        dissections += dissect_all(saccades, w, cfg.peak_ratio, cfg.flank_ratio)
+    subs = [s for d in dissections for s in d.sub_events]
     gio.write_subevents(subs, out / "subevents.csv")
-    sacc_samples = sum(
-        e.n_samples for e in retained(events) if e.kind == SACCADE
-    )
-    stats = {
-        "saccades_dissected": n_saccades,
-        "disregarded_samples": disregarded,
-        "disregarded_fraction": disregarded / sacc_samples if sacc_samples else 0.0,
-    }
-    (out / "dissect_stats.json").write_text(json.dumps(stats, indent=2) + "\n")
+    events = [e for group in by_window.values() for e in group]
+    stats = _dissection_counts(events, dissections)
+    report_mod.write_report_json(stats, out / "dissect_stats.json")
     print(f"wrote {len(subs)} sub-events to {out / 'subevents.csv'}")
     return 0
-
-
-def _topk_for_manifest(manifest, windows_by_id, cfg):
-    topk = {}
-    for entry in manifest.entries:
-        attr = gio.load_attribution(manifest.resolve(entry.attribution), entry.window_id)
-        window = windows_by_id.get(entry.window_id)
-        if window is None:
-            raise DataError(f"manifest window {entry.window_id!r} not in windows file")
-        gio.validate_attribution(attr, window)
-        squashed = squash_channels(attr, cfg.squash)
-        topk[entry.window_id] = topk_segmentation(
-            squashed, default_k(window.length, cfg.top_frac), entry.window_id
-        )
-    return topk
-
-
-def _stage_segmentations(manifest, windows_by_id, events, subs):
-    """Per-window concept masks rebuilt from staged artifacts."""
-    events_by_window = {}
-    for e in retained(events):
-        events_by_window.setdefault(e.window_id, {}).setdefault(e.kind, []).append(e)
-    subs_by_window = {}
-    for s in subs:
-        wid = s.parent_event_id.rsplit(":", 1)[0]
-        subs_by_window.setdefault(wid, {}).setdefault(s.phase, []).append(s)
-
-    segs = {}
-    for entry in manifest.entries:
-        wid = entry.window_id
-        length = windows_by_id[wid].length
-        ev = events_by_window.get(wid, {})
-        sv = subs_by_window.get(wid, {})
-        per_concept = {}
-        for kind in (FIXATION, SACCADE):
-            per_concept[kind] = concept_segmentation(ev.get(kind, []), kind, length, wid)
-        for phase in ("pre", "rise", "peak", "fall", "post"):
-            label = f"saccade_{phase}"
-            per_concept[label] = concept_segmentation(sv.get(phase, []), label, length, wid)
-        segs[wid] = per_concept
-    return segs
 
 
 def cmd_influence(args) -> int:
     manifest = gio.load_manifest(args.manifest)
     cfg = resolve_config(args, extra_config=manifest.config)
     out = _out_dir(args, manifest)
-    windows_by_id = {w.window_id: w for w in _read_stage_windows(args, out)}
-    events = gio.read_events(out / "events.csv")
-    subs = gio.read_subevents(out / "subevents.csv")
-    topk = _topk_for_manifest(manifest, windows_by_id, cfg)
-    segs = _stage_segmentations(manifest, windows_by_id, events, subs)
-
-    rows = []
-    per_concept = {c: [] for c in ALL_CONCEPTS}
-    skipped = {c: 0 for c in ALL_CONCEPTS}
-    for entry in manifest.entries:
-        for concept in ALL_CONCEPTS:
-            seg = segs[entry.window_id][concept]
-            if seg.size == 0:
-                skipped[concept] += 1
-                continue
-            r = concept_influence(seg, topk[entry.window_id])
-            per_concept[concept].append(r)
-            rows.append(r)
-    for concept in ALL_CONCEPTS:
-        if per_concept[concept]:
-            corpus = aggregate_influence(per_concept[concept])
-            corpus.n_skipped = skipped[concept]
-            rows.append(corpus)
-    path = out / f"influence.{cfg.format}"
-    gio.write_report(rows, path, cfg.format)
-    print(f"wrote influence table to {path}")
+    pairs = _manifest_windows(args, manifest, out)
+    events = _events_by_window(out, [w for w, _ in pairs])
+    subs = {}
+    for s in gio.read_subevents(out / "subevents.csv"):
+        subs.setdefault(s.parent_event_id.rsplit(":", 1)[0], []).append(s)
+    window_results = [
+        window_influence(
+            w, events[w.window_id], subs.get(w.window_id, []), window_topk(w, attr, cfg)
+        )
+        for w, attr in pairs
+    ]
+    corpus_results = _reduce_concepts(window_results)
+    written = [write_influence(window_results, corpus_results, out, cfg)]
+    written += write_charts(out, cfg, corpus_results=corpus_results)
+    print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 
 
@@ -356,87 +288,40 @@ def cmd_bin(args) -> int:
     manifest = gio.load_manifest(args.manifest)
     cfg = resolve_config(args, extra_config=manifest.config)
     out = _out_dir(args, manifest)
-    windows_by_id = {w.window_id: w for w in _read_stage_windows(args, out)}
-    events = gio.read_events(out / "events.csv")
-    topk = _topk_for_manifest(manifest, windows_by_id, cfg)
-    binned = {}
-    for prop in cfg.properties:
-        kind, attr_name = binning_mod.PROPERTIES[prop]
-        pool = [
-            e for e in retained(events)
-            if e.kind == kind and math.isfinite(getattr(e, attr_name))
-        ]
-        if not pool:
-            binned[prop] = []
-            continue
-        spec = binning_mod.BinSpec(prop, cfg.bin_mode, cfg.bins, cfg.bin_edges)
-        validity = VALIDITY_RANGES[prop](cfg) if cfg.bin_mode == "width" else None
-        bins = binning_mod.bin_events(pool, spec, validity_range=validity)
-        binned[prop] = binning_mod.binned_influence(bins, spec, topk)
-    binning_mod.write_binned(binned, out / "binned.csv")
-    print(f"wrote binned influence to {out / 'binned.csv'}")
+    pairs = _manifest_windows(args, manifest, out)
+    events = _events_by_window(out, [w for w, _ in pairs])
+    # events.csv keeps 9 digits; bin on properties recomputed from the
+    # exact windows, as `run` does
+    kept = [
+        compute_event_properties(e, w) for w, _ in pairs for e in retained(events[w.window_id])
+    ]
+    topk = {w.window_id: window_topk(w, attr, cfg) for w, attr in pairs}
+    binned = _bin_all(kept, topk, cfg)
+    written = [out / "binned.csv"]
+    binning_mod.write_binned(binned, written[0])
+    written += write_charts(out, cfg, binned=binned)
+    print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 
 
 def cmd_report(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(args)
-    influence_path = out / f"influence.{cfg.format}"
-    results = gio.read_report(influence_path, cfg.format)
-    corpus = {}
-    for r in results:
+    counts = _counts(
+        json.loads((out / "preprocess_stats.json").read_text(encoding="utf-8")),
+        gio.read_events(out / "events.csv"),
+        json.loads((out / "dissect_stats.json").read_text(encoding="utf-8")),
+    )
+    # a concept absent from every window is skipped in all of them
+    corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
+    for r in gio.read_report(out / f"influence.{cfg.format}", cfg.format):
         if r.scope == "corpus":
             corpus[r.concept] = (r, r.n_skipped)
-    for concept in ALL_CONCEPTS:
-        corpus.setdefault(concept, (None, 0))
-    binned_path = out / "binned.csv"
-    binned = binning_mod.read_binned(binned_path) if binned_path.exists() else {}
-
-    counts = {}
-    pre_stats = out / "preprocess_stats.json"
-    if pre_stats.exists():
-        counts["preprocess"] = json.loads(pre_stats.read_text())
-    events_path = out / "events.csv"
-    if events_path.exists():
-        events = gio.read_events(events_path)
-        counts["events"] = {}
-        for kind in (FIXATION, SACCADE):
-            pool = [e for e in events if e.kind == kind]
-            excl = {}
-            for e in pool:
-                if e.excluded:
-                    excl[e.exclusion_reason] = excl.get(e.exclusion_reason, 0) + 1
-            counts["events"][kind] = {
-                "retained": len([e for e in pool if not e.excluded]),
-                "excluded": dict(sorted(excl.items())),
-            }
-    dis_stats = out / "dissect_stats.json"
-    if dis_stats.exists():
-        counts["dissection"] = json.loads(dis_stats.read_text())
-
+    binned = binning_mod.read_binned(out / "binned.csv")
+    binned = {prop: binned.get(prop, []) for prop in cfg.properties}
     doc = report_mod.summarize(cfg.analysis_dict(), counts, corpus, binned)
     report_mod.write_report_json(doc, out / "report.json")
-    written = [out / "report.json"]
-    if cfg.charts:
-        charts = out / "charts"
-        charts.mkdir(exist_ok=True)
-        value_attr = "c_mean" if cfg.aggregate == "mean" else "c"
-        event_results = [corpus[c][0] for c in EVENT_CONCEPTS if corpus[c][0]]
-        if event_results:
-            report_mod.render_bar_chart(event_results, charts / "concepts.svg", value_attr)
-            written.append(charts / "concepts.svg")
-        phase_results = [corpus[c][0] for c in PHASE_CONCEPTS if corpus[c][0]]
-        if phase_results:
-            report_mod.render_bar_chart(
-                phase_results, charts / "phases.svg", value_attr,
-                title="saccade phase influence",
-            )
-            written.append(charts / "phases.svg")
-        for prop, rows in sorted(binned.items()):
-            if any(b.label == "bin" and b.influence is not None for b in rows):
-                report_mod.render_line_chart(rows, charts / f"by_{prop}.svg", value_attr)
-                written.append(charts / f"by_{prop}.svg")
-    print(f"wrote {', '.join(str(p) for p in written)}")
+    print(f"wrote {out / 'report.json'}")
     return 0
 
 
@@ -464,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--manifest", required=True)
         sp.add_argument("--out")
         sp.add_argument("--config")
-        sp.add_argument("--windows", help="windows.csv path (default <out>/windows.csv)")
+        sp.add_argument("--windows", help="windows.npz path (default <out>/windows.npz)")
         _add_analysis_flags(sp)
         return sp
 
@@ -481,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_influence
     )
     stage("bin", "per-property binned influence", True).set_defaults(func=cmd_bin)
-    stage("report", "summary document and charts", False).set_defaults(func=cmd_report)
+    stage("report", "summary document", False).set_defaults(func=cmd_report)
 
     p = sub.add_parser("run", help="full pipeline from a manifest")
     p.add_argument("--manifest", required=True)

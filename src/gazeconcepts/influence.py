@@ -178,22 +178,3 @@ def aggregate_influence(per_window) -> InfluenceResult:
         n_windows=len(per_window),
     )
 
-
-def influence_over_windows(segmentations, topk_by_window):
-    """Per-window influences for one concept, skipping empty segmentations.
-
-    Returns (per-window results, skipped count). Windows without a top-k
-    segmentation are an error; windows where the concept is absent are
-    skipped and counted.
-    """
-    results = []
-    skipped = 0
-    for seg in segmentations:
-        topk = topk_by_window.get(seg.window_id)
-        if topk is None:
-            raise ConfigError(f"no top-k segmentation for window {seg.window_id!r}")
-        try:
-            results.append(concept_influence(seg, topk))
-        except EmptyConceptError:
-            skipped += 1
-    return results, skipped

@@ -9,8 +9,9 @@ Attribution maps are accepted in two forms: a dense text matrix with a
 short ``D=``/``L=`` header and one comma-separated row per channel, or a
 sparse CSV with header ``channel,index,value`` covering the full grid.
 
-Recordings and attributions round-trip exactly (shortest-repr floats);
-event and report files serialize reals with 9 significant digits.
+Recordings and attributions round-trip exactly (shortest-repr floats),
+as does the binary ``.npz`` windows stage file; event and report files
+serialize reals with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io as _io
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -416,67 +418,73 @@ def validate_attribution(attr: AttributionMap, window):
         )
 
 
-WINDOW_COLUMNS = (
-    "window_id,recording_id,start_index,sampling_rate_hz,idx,vx,vy,px,py,valid"
+WINDOW_ARRAYS = (
+    "window_id", "recording_id", "start_index", "sampling_rate_hz",
+    "vx", "vy", "px", "py", "valid",
 )
 
 
 def write_windows(windows, path):
-    """Long-form CSV of velocity windows (exact floats, staged-CLI food)."""
-    path = Path(path)
-    rows = [WINDOW_COLUMNS]
-    for w in windows:
-        head = f"{w.window_id},{w.recording_id},{w.start_index},{fmt_exact(w.sampling_rate_hz)}"
-        for i in range(w.length):
-            rows.append(
-                f"{head},{i},{fmt_exact(w.vx[i])},{fmt_exact(w.vy[i])},"
-                f"{fmt_exact(w.px[i])},{fmt_exact(w.py[i])},"
-                f"{'1' if w.valid_mask[i] else '0'}"
-            )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    """Stack equal-length velocity windows into one ``.npz`` stage file.
+
+    Arrays are stored in binary, so every float round-trips exactly. The
+    file is written to exactly ``path``, whatever its suffix.
+    """
+    lengths = {w.length for w in windows}
+    if len(lengths) > 1:
+        raise DataError(f"windows of mixed lengths {sorted(lengths)} cannot be stacked")
+    length = lengths.pop() if lengths else 0
+
+    def stack(name, dtype):
+        return np.array([getattr(w, name) for w in windows], dtype=dtype).reshape(-1, length)
+
+    arrays = {
+        "window_id": np.array([w.window_id for w in windows], dtype=str),
+        "recording_id": np.array([w.recording_id for w in windows], dtype=str),
+        "start_index": np.array([w.start_index for w in windows], dtype=np.int64),
+        "sampling_rate_hz": np.array([w.sampling_rate_hz for w in windows], dtype=float),
+        "vx": stack("vx", float),
+        "vy": stack("vy", float),
+        "px": stack("px", float),
+        "py": stack("py", float),
+        "valid": stack("valid_mask", bool),
+    }
+    with Path(path).open("wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def read_windows(path) -> list:
+    """Inverse of write_windows; rejects anything but a windows file."""
     path = Path(path)
-    windows = []
-    current = None
-
-    def flush():
-        if current is None:
-            return
-        wid, rid, start, fs, cols = current
-        windows.append(
-            VelocityWindow(
-                window_id=wid,
-                recording_id=rid,
-                start_index=start,
-                vx=np.array(cols[0]),
-                vy=np.array(cols[1]),
-                px=np.array(cols[2]),
-                py=np.array(cols[3]),
-                valid_mask=np.array(cols[4], dtype=bool),
-                sampling_rate_hz=fs,
-            )
+    with path.open("rb") as fh:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                if set(npz.files) != set(WINDOW_ARRAYS):
+                    raise ValueError("not the windows arrays")
+                a = {name: npz[name] for name in WINDOW_ARRAYS}
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            raise FormatError(f"{path}: not a windows file") from None
+    n = a["window_id"].size
+    shapes = {a[name].shape for name in WINDOW_ARRAYS[4:]}
+    if len(shapes) != 1 or len(shapes.pop()) != 2 or any(a[k].shape[:1] != (n,) for k in a):
+        raise FormatError(f"{path}: windows file arrays disagree in shape")
+    return [
+        VelocityWindow(
+            window_id=str(a["window_id"][i]),
+            recording_id=str(a["recording_id"][i]),
+            start_index=int(a["start_index"][i]),
+            vx=a["vx"][i],
+            vy=a["vy"][i],
+            px=a["px"][i],
+            py=a["py"][i],
+            valid_mask=a["valid"][i],
+            sampling_rate_hz=float(a["sampling_rate_hz"][i]),
         )
-
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WINDOW_COLUMNS.split(","):
-            raise FormatError(f"{path}: unexpected windows file header")
-        for row in reader:
-            wid = row[0]
-            if current is None or current[0] != wid:
-                flush()
-                current = (wid, row[1], int(row[2]), float(row[3]), [[], [], [], [], []])
-            cols = current[4]
-            cols[0].append(_parse_coord(row[5]))
-            cols[1].append(_parse_coord(row[6]))
-            cols[2].append(_parse_coord(row[7]))
-            cols[3].append(_parse_coord(row[8]))
-            cols[4].append(row[9] == "1")
-        flush()
-    return windows
+        for i in range(n)
+    ]
 
 
 EVENT_COLUMNS = (

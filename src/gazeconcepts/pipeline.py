@@ -249,58 +249,74 @@ def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
     return out
 
 
-def window_segmentations(window, fixations, saccades, dissections) -> dict:
-    """Concept masks for one window from its retained events and phases."""
+def window_segmentations(window, events, sub_events) -> dict:
+    """Concept masks for one window from its retained events and the
+    phase sub-events of its dissected saccades."""
+    kept = retained(events)
     segs = {
-        FIXATION: concept_segmentation(
-            retained(fixations), FIXATION, window.length, window.window_id
-        ),
-        SACCADE: concept_segmentation(
-            retained(saccades), SACCADE, window.length, window.window_id
-        ),
+        kind: concept_segmentation(
+            [e for e in kept if e.kind == kind], kind, window.length, window.window_id
+        )
+        for kind in EVENT_CONCEPTS
     }
     for phase in PHASES:
-        subs = [s for d in dissections for s in d.sub_events if s.phase == phase]
+        subs = [s for s in sub_events if s.phase == phase]
         segs[f"saccade_{phase}"] = concept_segmentation(
             subs, f"saccade_{phase}", window.length, window.window_id
         )
     return segs
 
 
-def process_window(window, attribution_path, cfg: RunConfig) -> WindowBundle:
-    """Detect, dissect and score one window against its attribution map."""
+def detect_window(window, cfg: RunConfig):
+    """Fixations and saccades of one window, excluded events included."""
     params = cfg.detection_params()
-    fixations = detect_fixations_ivt(window, params)
-    saccades = detect_saccades_ek(window, params)
-    dissections = dissect_all(saccades, window, cfg.peak_ratio, cfg.flank_ratio)
+    return detect_fixations_ivt(window, params), detect_saccades_ek(window, params)
 
+
+def window_topk(window, attribution_path, cfg: RunConfig):
+    """Top-k mask of the attribution map that explains one window."""
     attr = gio.load_attribution(attribution_path, window_id=window.window_id)
     gio.validate_attribution(attr, window)
     squashed = squash_channels(attr, cfg.squash)
-    topk = topk_segmentation(
+    return topk_segmentation(
         squashed, default_k(window.length, cfg.top_frac), window.window_id
     )
 
-    window_results = {}
-    for concept, seg in window_segmentations(window, fixations, saccades, dissections).items():
-        window_results[concept] = concept_influence(seg, topk) if seg.size else None
+
+def window_influence(window, events, sub_events, topk) -> dict:
+    """Influence of every concept on one window; None where it is absent."""
+    return {
+        concept: concept_influence(seg, topk) if seg.size else None
+        for concept, seg in window_segmentations(window, events, sub_events).items()
+    }
+
+
+def process_window(window, attribution_path, cfg: RunConfig) -> WindowBundle:
+    """Detect, dissect and score one window against its attribution map."""
+    fixations, saccades = detect_window(window, cfg)
+    dissections = dissect_all(saccades, window, cfg.peak_ratio, cfg.flank_ratio)
+    topk = window_topk(window, attribution_path, cfg)
+    subs = [s for d in dissections for s in d.sub_events]
     return WindowBundle(
         window_id=window.window_id,
         fixations=fixations,
         saccades=saccades,
         dissections=dissections,
         topk=topk,
-        window_results=window_results,
+        window_results=window_influence(window, fixations + saccades, subs, topk),
     )
 
 
-def _reduce_concepts(bundles) -> dict:
+def _reduce_concepts(window_results) -> dict:
+    """Per concept: (corpus result or None, windows where it is absent)."""
     out = {}
     for concept in ALL_CONCEPTS:
-        per_window = [b.window_results[concept] for b in bundles]
-        present = [r for r in per_window if r is not None]
-        skipped = len(per_window) - len(present)
-        out[concept] = (aggregate_influence(present) if present else None, skipped)
+        present = [r[concept] for r in window_results if r[concept] is not None]
+        skipped = len(window_results) - len(present)
+        corpus = aggregate_influence(present) if present else None
+        if corpus is not None:
+            corpus.n_skipped = skipped
+        out[concept] = (corpus, skipped)
     return out
 
 
@@ -317,51 +333,31 @@ def _exclusion_counts(events) -> dict:
     return counts
 
 
-def _bin_all(bundles, cfg: RunConfig) -> dict:
-    topk_by_window = {b.window_id: b.topk for b in bundles}
-    events_by_kind = {
-        FIXATION: [e for b in bundles for e in retained(b.fixations)],
-        SACCADE: [e for b in bundles for e in retained(b.saccades)],
-    }
+def _bin_all(events, topk_by_window, cfg: RunConfig) -> dict:
+    """Binned influence per configured property over retained events."""
     binned = {}
     for prop in cfg.properties:
         kind, attr = binning_mod.PROPERTIES[prop]
-        events = [e for e in events_by_kind[kind] if math.isfinite(getattr(e, attr))]
-        if not events:
+        pool = [e for e in events if e.kind == kind and math.isfinite(getattr(e, attr))]
+        if not pool:
             binned[prop] = []
             continue
         spec = binning_mod.BinSpec(
             property=prop, mode=cfg.bin_mode, n_bins=cfg.bins, edges=cfg.bin_edges
         )
         validity = VALIDITY_RANGES[prop](cfg) if cfg.bin_mode == "width" else None
-        bins = binning_mod.bin_events(events, spec, validity_range=validity)
+        bins = binning_mod.bin_events(pool, spec, validity_range=validity)
         binned[prop] = binning_mod.binned_influence(bins, spec, topk_by_window)
     return binned
 
 
-def _counts(pre: PreprocessResult, bundles, cfg: RunConfig) -> dict:
-    fixations = [e for b in bundles for e in b.fixations]
-    saccades = [e for b in bundles for e in b.saccades]
-    disregarded = sum(d.disregarded for b in bundles for d in b.dissections)
-    saccade_samples = sum(
-        e.n_samples for b in bundles for e in retained(b.saccades)
-    )
+def _preprocess_counts(pre: PreprocessResult) -> dict:
+    """The windows and channel_stats blocks of the counts."""
     return {
         "windows": {
             "evaluated": len(pre.windows),
             "excluded_missing": sum(s.excluded for s in pre.summaries.values()),
             "tail_samples_discarded": sum(s.tail_samples for s in pre.summaries.values()),
-        },
-        "events": {
-            FIXATION: _exclusion_counts(fixations),
-            SACCADE: _exclusion_counts(saccades),
-        },
-        "dissection": {
-            "saccades_dissected": sum(len(b.dissections) for b in bundles),
-            "disregarded_samples": disregarded,
-            "disregarded_fraction": (
-                disregarded / saccade_samples if saccade_samples else 0.0
-            ),
         },
         "channel_stats": {
             scope: {
@@ -374,6 +370,67 @@ def _counts(pre: PreprocessResult, bundles, cfg: RunConfig) -> dict:
             for scope, stats in sorted(pre.channel_stats.items())
         },
     }
+
+
+def _dissection_counts(events, dissections) -> dict:
+    """The dissection block of the counts."""
+    disregarded = sum(d.disregarded for d in dissections)
+    saccade_samples = sum(e.n_samples for e in retained(events) if e.kind == SACCADE)
+    return {
+        "saccades_dissected": len(dissections),
+        "disregarded_samples": disregarded,
+        "disregarded_fraction": (
+            disregarded / saccade_samples if saccade_samples else 0.0
+        ),
+    }
+
+
+def _counts(preprocess_counts: dict, events, dissection_counts: dict) -> dict:
+    """The report's counts from the blocks each stage produces."""
+    return {
+        "windows": preprocess_counts["windows"],
+        "events": {
+            kind: _exclusion_counts([e for e in events if e.kind == kind])
+            for kind in EVENT_CONCEPTS
+        },
+        "dissection": dissection_counts,
+        "channel_stats": preprocess_counts["channel_stats"],
+    }
+
+
+def write_influence(window_results, corpus_results, out_dir, cfg: RunConfig) -> Path:
+    """Write the per-window and corpus influence table."""
+    rows = [r for per_window in window_results for r in per_window.values() if r is not None]
+    rows += [corpus for corpus, _ in corpus_results.values() if corpus is not None]
+    path = Path(out_dir) / f"influence.{cfg.format}"
+    gio.write_report(rows, path, cfg.format)
+    return path
+
+
+def write_charts(out_dir, cfg: RunConfig, corpus_results=None, binned=None):
+    """Draw the charts that the given results support, yielding each path:
+    concept and phase bar charts from corpus results, one line chart per
+    binned property."""
+    if not cfg.charts:
+        return
+    charts_dir = Path(out_dir) / "charts"
+    charts_dir.mkdir(exist_ok=True)
+    value_attr = "c_mean" if cfg.aggregate == "mean" else "c"
+    corpus_results = corpus_results or {}
+    for name, concepts, title in (
+        ("concepts.svg", EVENT_CONCEPTS, "concept influence"),
+        ("phases.svg", PHASE_CONCEPTS, "saccade phase influence"),
+    ):
+        results = [corpus_results.get(c, (None, 0))[0] for c in concepts]
+        results = [r for r in results if r is not None]
+        if results:
+            report_mod.render_bar_chart(results, charts_dir / name, value_attr, title=title)
+            yield charts_dir / name
+    for prop, rows in sorted((binned or {}).items()):
+        if any(b.label == "bin" and b.influence is not None for b in rows):
+            path = charts_dir / f"by_{prop}.svg"
+            report_mod.render_line_chart(rows, path, value_attr)
+            yield path
 
 
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
@@ -403,13 +460,17 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
             bundles = [
                 process_window(w, p, cfg) for w, p in zip(pre.windows, attr_paths)
             ]
-        corpus_results = _reduce_concepts(bundles)
+        corpus_results = _reduce_concepts([b.window_results for b in bundles])
 
+    events = [e for b in bundles for e in b.fixations + b.saccades]
     with _stage("binning"):
-        binned = _bin_all(bundles, cfg)
+        binned = _bin_all(retained(events), {b.window_id: b.topk for b in bundles}, cfg)
 
     with _stage("report"):
-        counts = _counts(pre, bundles, cfg)
+        dissections = [d for b in bundles for d in b.dissections]
+        counts = _counts(
+            _preprocess_counts(pre), events, _dissection_counts(events, dissections)
+        )
         report_doc = report_mod.summarize(
             cfg.analysis_dict(), counts, corpus_results, binned
         )
@@ -438,18 +499,8 @@ def write_artifacts(result: RunResult, out_dir: Path):
             gio.write_subevents(subs, path)
             written.append(path)
 
-            influence_rows = []
-            for b in result.bundles:
-                influence_rows.extend(
-                    r for r in b.window_results.values() if r is not None
-                )
-            for concept in ALL_CONCEPTS:
-                corpus, skipped = result.corpus_results[concept]
-                if corpus is not None:
-                    corpus.n_skipped = skipped
-                    influence_rows.append(corpus)
-            path = out_dir / f"influence.{cfg.format}"
-            gio.write_report(influence_rows, path, cfg.format)
+            window_results = [b.window_results for b in result.bundles]
+            path = write_influence(window_results, result.corpus_results, out_dir, cfg)
             written.append(path)
 
             path = out_dir / "binned.csv"
@@ -460,35 +511,8 @@ def write_artifacts(result: RunResult, out_dir: Path):
             report_mod.write_report_json(result.report_doc, path)
             written.append(path)
 
-            if cfg.charts:
-                charts_dir = out_dir / "charts"
-                charts_dir.mkdir(exist_ok=True)
-                value_attr = "c_mean" if cfg.aggregate == "mean" else "c"
-                event_results = [
-                    result.corpus_results[c][0]
-                    for c in EVENT_CONCEPTS
-                    if result.corpus_results[c][0] is not None
-                ]
-                if event_results:
-                    path = charts_dir / "concepts.svg"
-                    report_mod.render_bar_chart(event_results, path, value_attr)
-                    written.append(path)
-                phase_results = [
-                    result.corpus_results[c][0]
-                    for c in PHASE_CONCEPTS
-                    if result.corpus_results[c][0] is not None
-                ]
-                if phase_results:
-                    path = charts_dir / "phases.svg"
-                    report_mod.render_bar_chart(
-                        phase_results, path, value_attr, title="saccade phase influence"
-                    )
-                    written.append(path)
-                for prop, rows in sorted(result.binned.items()):
-                    if any(b.label == "bin" and b.influence is not None for b in rows):
-                        path = charts_dir / f"by_{prop}.svg"
-                        report_mod.render_line_chart(rows, path, value_attr)
-                        written.append(path)
+            for path in write_charts(out_dir, cfg, result.corpus_results, result.binned):
+                written.append(path)
 
             run_log = {
                 "parameters": cfg.as_dict(),

@@ -72,8 +72,9 @@ def _evaluate(recordings, attr_mode, attr_seed=0, cfg_params=PARAMS):
             topk = topk_segmentation(
                 attr.values.max(axis=0), default_k(w.length), w.window_id
             )
+            subs = [s for d in dissections for s in d.sub_events]
             for concept, seg in window_segmentations(
-                w, fixations, saccades, dissections
+                w, fixations + saccades, subs
             ).items():
                 if seg.size:
                     per_concept.setdefault(concept, []).append(

@@ -5,7 +5,19 @@ from pathlib import Path
 import pytest
 
 from gazeconcepts.cli import main
-from gazeconcepts.synth import CorpusSpec, write_demo_corpus
+from gazeconcepts.io import write_attribution, write_gaze_csv
+from gazeconcepts.preprocess import SavGolParams
+from gazeconcepts.synth import (
+    CorpusSpec,
+    PlannedFixation,
+    ScanpathSpec,
+    gen_proxy_attributions,
+    gen_scanpath,
+    positional_noise_sigma,
+    write_demo_corpus,
+)
+
+from conftest import pipeline_windows
 
 
 @pytest.fixture(scope="module")
@@ -92,38 +104,59 @@ def test_env_var_default_out(tiny_corpus, tmp_path, monkeypatch):
     assert (out / "report.json").exists()
 
 
-def test_staged_pipeline_matches_run(tiny_corpus, tmp_path):
+def _run_and_staged(manifest, tmp_path, flags=()):
+    """Output directories of `run` and of the six staged subcommands."""
     run_out = tmp_path / "direct"
-    assert main(["run", "--manifest", str(tiny_corpus), "--out", str(run_out)]) == 0
-
+    m = str(manifest)
+    assert main(["run", "--manifest", m, "--out", str(run_out), *flags]) == 0
     staged = tmp_path / "staged"
-    m = str(tiny_corpus)
-    assert main(["preprocess", "--manifest", m, "--out", str(staged)]) == 0
-    assert main(["detect", "--out", str(staged)]) == 0
-    assert main(["dissect", "--out", str(staged)]) == 0
-    assert main(["influence", "--manifest", m, "--out", str(staged)]) == 0
-    assert main(["bin", "--manifest", m, "--out", str(staged)]) == 0
-    assert main(["report", "--out", str(staged)]) == 0
+    for sub, needs_manifest in (("preprocess", True), ("detect", False),
+                                ("dissect", False), ("influence", True),
+                                ("bin", True), ("report", False)):
+        argv = [sub, "--out", str(staged), *flags]
+        assert main(argv + (["--manifest", m] if needs_manifest else [])) == 0, sub
+    return run_out, staged
 
-    assert (staged / "windows.csv").exists()
-    assert (staged / "events.csv").read_bytes() == (run_out / "events.csv").read_bytes()
-    assert (staged / "subevents.csv").read_bytes() == (run_out / "subevents.csv").read_bytes()
-    assert (staged / "influence.csv").read_bytes() == (run_out / "influence.csv").read_bytes()
 
-    direct_doc = json.loads((run_out / "report.json").read_text())
-    staged_doc = json.loads((staged / "report.json").read_text())
-    assert staged_doc["concepts"] == direct_doc["concepts"]
-    # events pass through the 9-significant-digit CSV in staged mode, so
-    # data-derived bin edges can shift an edge-riding event by one bin;
-    # the bin structure and totals still agree
-    assert set(staged_doc["bins"]) == set(direct_doc["bins"])
-    for prop, rows in direct_doc["bins"].items():
-        staged_rows = staged_doc["bins"][prop]
-        assert len(staged_rows) == len(rows)
-        assert sum(r["event_count"] for r in staged_rows) == sum(
-            r["event_count"] for r in rows
-        )
-    assert (staged / "charts" / "concepts.svg").exists()
+def _run_artifacts(run_out):
+    return sorted(
+        p.relative_to(run_out) for p in run_out.rglob("*")
+        if p.is_file() and p.name != "run_log.json"
+    )
+
+
+def test_staged_pipeline_matches_run(tiny_corpus, tmp_path):
+    run_out, staged = _run_and_staged(tiny_corpus, tmp_path)
+    assert (staged / "windows.npz").exists()
+    written = _run_artifacts(run_out)
+    assert Path("charts", "by_saccade_amplitude_deg.svg") in written
+    for rel in written:
+        assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def test_staged_matches_run_with_absent_concepts(tmp_path):
+    # pure fixation noise: no saccade concept, empty saccade bins
+    sigma = positional_noise_sigma(0.5, SavGolParams())
+    spec = ScanpathSpec(segments=[PlannedFixation(3000.0)], noise_sigma_deg=sigma)
+    rec, _ = gen_scanpath(spec, seed=6, recording_id="noiseonly")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_gaze_csv(rec, corpus / "noiseonly.csv")
+    entries = []
+    for w in pipeline_windows(rec)[0]:
+        write_attribution(gen_proxy_attributions(w, "uniform_random", seed=3),
+                          corpus / f"{w.window_id}.csv")
+        entries.append({"recording": "noiseonly.csv",
+                        "attribution": f"{w.window_id}.csv", "window_id": w.window_id})
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+
+    run_out, staged = _run_and_staged(manifest, tmp_path, ["--format", "json"])
+    doc = json.loads((run_out / "report.json").read_text())
+    assert doc["concepts"]["saccade"] == {"windows": 0, "windows_skipped": 3}
+    assert doc["bins"]["saccade_duration_ms"] == []
+    for rel in _run_artifacts(run_out):
+        assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
 
 
 def test_synth_subcommand(tmp_path, capsys):

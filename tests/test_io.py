@@ -359,11 +359,24 @@ def test_windows_roundtrip_exact(tmp_path):
     w1.vx[7] = np.nan
     w1.valid_mask[7] = False
     w2 = build_window(rng.normal(0, 5, 50), rng.normal(0, 5, 50), window_id="r-w0001")
-    p = tmp_path / "w.csv"
+    p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
     write_windows([w1, w2], p)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
     back = read_windows(p)
     assert [w.window_id for w in back] == ["r-w0000", "r-w0001"]
-    np.testing.assert_array_equal(back[0].vx, w1.vx)
-    np.testing.assert_array_equal(back[0].valid_mask, w1.valid_mask)
-    np.testing.assert_array_equal(back[1].py, w2.py)
+    for w, b in ((w1, back[0]), (w2, back[1])):
+        for name in ("vx", "vy", "px", "py", "valid_mask"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(w, name))
+        assert (b.recording_id, b.start_index) == (w.recording_id, w.start_index)
     assert back[0].sampling_rate_hz == 1000.0
+
+    not_windows = tmp_path / "events.csv"
+    not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
+    other_npz = tmp_path / "other.npz"
+    np.savez(other_npz, vx=w1.vx)
+    for bad in (not_windows, other_npz):
+        with pytest.raises(FormatError, match=bad.name):
+            read_windows(bad)
+    short = build_window(np.zeros(10), window_id="r-w0002")
+    with pytest.raises(DataError, match="mixed lengths"):
+        write_windows([w1, short], tmp_path / "mixed.npz")

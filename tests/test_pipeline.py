@@ -10,7 +10,12 @@ from gazeconcepts.io import (
     write_attribution,
     write_gaze_csv,
 )
-from gazeconcepts.pipeline import RunConfig, preprocess_manifest, run
+from gazeconcepts.pipeline import (
+    RunConfig,
+    normalized_windows,
+    preprocess_manifest,
+    run,
+)
 from gazeconcepts.preprocess import SavGolParams
 from gazeconcepts.synth import (
     PlannedFixation,
@@ -117,6 +122,28 @@ def test_norm_scope_recording_stats_per_recording(tmp_path):
     assert set(pre_corpus.channel_stats) == {"corpus"}
     pre_none = preprocess_manifest(manifest, RunConfig(norm_scope="none"))
     assert pre_none.channel_stats == {}
+
+
+def test_normalized_windows_zscore_valid_samples(tmp_path):
+    plan = random_plan(12, 4.0, noise_sigma_deg=0.002)
+    rec, _ = gen_scanpath(plan, seed=12, recording_id="z")
+    manifest = _corpus_from_recording(tmp_path, rec)
+    cfg = RunConfig(norm_scope="corpus")
+    pre = preprocess_manifest(manifest, cfg)
+    normed = normalized_windows(pre, cfg)
+    assert [w.window_id for w in normed] == [w.window_id for w in pre.windows]
+    for channel in ("vx", "vy"):
+        values = np.concatenate([getattr(w, channel)[w.valid_mask] for w in normed])
+        assert abs(values.mean()) < 1e-9
+        assert abs(values.std() - 1.0) < 1e-9
+    assert all(w.normalized for w in normed)
+
+    cfg_none = RunConfig(norm_scope="none")
+    pre_none = preprocess_manifest(manifest, cfg_none)
+    same = normalized_windows(pre_none, cfg_none)
+    assert len(same) == len(pre_none.windows)
+    assert all(a is b for a, b in zip(same, pre_none.windows))
+    assert not any(w.normalized for w in same)
 
 
 def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
