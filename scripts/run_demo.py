@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--duration-s", type=float, default=30.0)
     ap.add_argument("--attr-mode", default="speed",
                     choices=("speed", "uniform_random", "fixation_biased"))
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="gazeconcepts_"))
@@ -39,8 +38,7 @@ def main():
     )
     manifest_path = write_demo_corpus(corpus, spec)
     manifest = load_manifest(manifest_path)
-    cfg = RunConfig(jobs=args.jobs)
-    result = run(manifest, cfg, root / "out")
+    result = run(manifest, RunConfig(), root / "out")
 
     print(f"windows evaluated: {len(result.bundles)}")
     print(f"{'concept':<18} {'c_pooled':>9} {'c_mean':>9} {'top-k hits':>10} {'|S|/L':>7}")

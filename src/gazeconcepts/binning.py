@@ -24,6 +24,7 @@ from .influence import (
     concept_influence,
     concept_segmentation,
 )
+from .io import fmt_sig9
 
 PROPERTIES = {
     "saccade_duration_ms": (SACCADE, "duration_ms"),
@@ -152,13 +153,6 @@ BINNED_COLUMNS = (
 )
 
 
-def _fmt_sig9(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    return "" if math.isnan(x) else f"{x:.9g}"
-
-
 def write_binned(binned_by_property: dict, path):
     """Per-bin influence table as CSV (empty bins keep empty cells)."""
     rows = [BINNED_COLUMNS]
@@ -170,13 +164,13 @@ def write_binned(binned_by_property: dict, path):
                     [
                         b.property,
                         b.label,
-                        _fmt_sig9(b.lo) if math.isfinite(b.lo) else "",
-                        _fmt_sig9(b.hi) if math.isfinite(b.hi) else "",
+                        fmt_sig9(b.lo) if math.isfinite(b.lo) else "",
+                        fmt_sig9(b.hi) if math.isfinite(b.hi) else "",
                         str(b.event_count),
                         str(b.segmentation_size),
                         str(inf.intersection) if inf else "",
-                        _fmt_sig9(inf.c) if inf else "",
-                        _fmt_sig9(inf.c_mean) if inf else "",
+                        fmt_sig9(inf.c) if inf else "",
+                        fmt_sig9(inf.c_mean) if inf else "",
                     ]
                 )
             )

@@ -1,9 +1,15 @@
 """Subcommand front-end: synth, preprocess, detect, dissect, influence,
 bin, report, and run.
 
-Precedence for every parameter is CLI flag over config file over
-built-in default. The config file is INI-style; keys may live in any
-section and must name RunConfig fields (e.g. sg_window, sacc_lambda).
+The analysis flags are the RunConfig fields (sg_window is --sg-window)
+and take the same values as config-file keys. Precedence for every
+parameter is CLI flag over config file over built-in default. The config
+file is INI-style; keys may live in any section and must name RunConfig
+fields. It is --config, else the manifest's `config`, resolved next to
+the manifest. Every subcommand but synth takes --manifest; preprocess,
+influence, bin and run require it. The output directory is --out, else
+$GAZECONCEPTS_OUT, else the manifest's `output_dir`, else ./out. --jobs
+is accepted and has no effect.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -25,6 +31,7 @@ from .dissect import dissect_all
 from .errors import ConfigError, DataError, GazeError
 from .pipeline import (
     ALL_CONCEPTS,
+    CHOICES,
     RunConfig,
     _bin_all,
     _counts,
@@ -73,7 +80,7 @@ def _coerce(name: str, raw: str, default):
             return tuple(items)
         return raw
     except ValueError:
-        raise ConfigError(f"config key {name}: cannot parse {raw!r}") from None
+        raise ConfigError(f"parameter {name}: cannot parse {raw!r}") from None
 
 
 def _load_ini(path) -> dict:
@@ -88,65 +95,40 @@ def _load_ini(path) -> dict:
     return flat
 
 
-def resolve_config(args, extra_config: str | None = None) -> RunConfig:
-    """defaults < config file < CLI flags."""
+def resolve_config(args, config_path) -> RunConfig:
+    """defaults < config file < CLI flags, every value parsed by _coerce."""
     defaults = _field_defaults()
     values = dict(defaults)
-    config_path = getattr(args, "config", None) or extra_config
     if config_path:
         for key, raw in _load_ini(config_path).items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, raw, defaults[key])
-    for name in defaults:
+    for name, default in defaults.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = tuple(flag) if isinstance(defaults[name], tuple) else flag
+        if isinstance(flag, str):
+            values[name] = _coerce(name, flag, default)
+        elif flag is not None:  # --charts/--no-charts, repeated --property
+            values[name] = tuple(flag) if isinstance(default, tuple) else flag
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("preprocess")
-    g.add_argument("--sg-window", dest="sg_window", type=int)
-    g.add_argument("--sg-order", dest="sg_order", type=int)
-    g.add_argument("--clamp", dest="clamp", type=float)
-    g.add_argument("--window-len", dest="window_len", type=int)
-    g.add_argument("--missing-max-frac", dest="missing_max_frac", type=float)
-    g.add_argument("--norm-scope", dest="norm_scope", choices=["corpus", "recording", "none"])
-    g.add_argument("--eye", dest="eye", choices=["left", "right"])
-    g = p.add_argument_group("detect")
-    g.add_argument("--fix-max-velocity", dest="fix_max_velocity", type=float)
-    g.add_argument("--fix-min-duration-ms", dest="fix_min_duration_ms", type=float)
-    g.add_argument("--fix-max-dispersion-deg", dest="fix_max_dispersion_deg", type=float)
-    g.add_argument("--sacc-lambda", dest="sacc_lambda", type=float)
-    g.add_argument("--sacc-min-duration-ms", dest="sacc_min_duration_ms", type=float)
-    g.add_argument("--sacc-max-duration-ms", dest="sacc_max_duration_ms", type=float)
-    g.add_argument("--sacc-min-peak-velocity", dest="sacc_min_peak_velocity", type=float)
-    g.add_argument("--sacc-max-peak-velocity", dest="sacc_max_peak_velocity", type=float)
-    g.add_argument("--eta-floor", dest="eta_floor", type=float)
-    g = p.add_argument_group("dissect")
-    g.add_argument("--peak-ratio", dest="peak_ratio", type=float)
-    g.add_argument("--flank-ratio", dest="flank_ratio", type=float)
-    g = p.add_argument_group("influence")
-    g.add_argument("--top-frac", dest="top_frac", type=float)
-    g.add_argument("--squash", dest="squash", choices=["signed", "abs"])
-    g.add_argument("--aggregate", dest="aggregate", choices=["pooled", "mean", "both"])
-    g = p.add_argument_group("binning")
-    g.add_argument("--bins", dest="bins", type=int)
-    g.add_argument("--bin-mode", dest="bin_mode", choices=["width", "quantile", "explicit"])
-    g.add_argument(
-        "--bin-edges", dest="bin_edges",
-        type=lambda s: [float(t) for t in s.split(",") if t.strip()],
-    )
-    g.add_argument(
-        "--property", dest="properties", action="append",
-        choices=sorted(binning_mod.PROPERTIES),
-    )
-    g = p.add_argument_group("report")
-    g.add_argument("--format", dest="format", choices=["csv", "json"])
-    g.add_argument("--charts", dest="charts", action=argparse.BooleanOptionalAction)
+    """One flag per RunConfig field but jobs: --field-name, read as a
+    string; bools as --x/--no-x and properties as repeatable --property."""
+    for name, default in _field_defaults().items():
+        if name == "jobs":
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name == "properties":
+            p.add_argument("--property", dest=name, action="append",
+                           choices=sorted(binning_mod.PROPERTIES))
+        elif isinstance(default, bool):
+            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, dest=name, choices=CHOICES.get(name))
 
 
 def _out_dir(args, manifest=None) -> Path:
@@ -158,6 +140,17 @@ def _out_dir(args, manifest=None) -> Path:
     if manifest is not None and manifest.output_dir:
         return manifest.resolve(manifest.output_dir)
     return Path("out")
+
+
+def _context(args):
+    """(manifest or None, RunConfig, output directory) of a subcommand.
+    The config file is --config, else the manifest's config resolved next
+    to the manifest."""
+    manifest = gio.load_manifest(args.manifest) if args.manifest else None
+    config_path = args.config
+    if not config_path and manifest is not None and manifest.config:
+        config_path = manifest.resolve(manifest.config)
+    return manifest, resolve_config(args, config_path), _out_dir(args, manifest)
 
 
 def cmd_synth(args) -> int:
@@ -179,11 +172,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = gio.load_manifest(args.manifest)
-    cfg = resolve_config(args, extra_config=manifest.config)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    out = _out_dir(args, manifest)
+    manifest, cfg, out = _context(args)
     result = run(manifest, cfg, out)
     n_events = sum(len(b.fixations) + len(b.saccades) for b in result.bundles)
     print(
@@ -219,9 +208,7 @@ def _events_by_window(out: Path, windows) -> dict:
 
 
 def cmd_preprocess(args) -> int:
-    manifest = gio.load_manifest(args.manifest)
-    cfg = resolve_config(args, extra_config=manifest.config)
-    out = _out_dir(args, manifest)
+    manifest, cfg, out = _context(args)
     out.mkdir(parents=True, exist_ok=True)
     pre = preprocess_manifest(manifest, cfg)
     path = _windows_path(args, out)
@@ -232,8 +219,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(args)
+    _, cfg, out = _context(args)
     events = []
     for w in gio.read_windows(_windows_path(args, out)):
         fixations, saccades = detect_window(w, cfg)
@@ -245,8 +231,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(args)
+    _, cfg, out = _context(args)
     windows = gio.read_windows(_windows_path(args, out))
     by_window = _events_by_window(out, windows)
     dissections = []
@@ -263,9 +248,7 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    manifest = gio.load_manifest(args.manifest)
-    cfg = resolve_config(args, extra_config=manifest.config)
-    out = _out_dir(args, manifest)
+    manifest, cfg, out = _context(args)
     pairs = _manifest_windows(args, manifest, out)
     events = _events_by_window(out, [w for w, _ in pairs])
     subs = {}
@@ -285,9 +268,7 @@ def cmd_influence(args) -> int:
 
 
 def cmd_bin(args) -> int:
-    manifest = gio.load_manifest(args.manifest)
-    cfg = resolve_config(args, extra_config=manifest.config)
-    out = _out_dir(args, manifest)
+    manifest, cfg, out = _context(args)
     pairs = _manifest_windows(args, manifest, out)
     events = _events_by_window(out, [w for w, _ in pairs])
     # events.csv keeps 9 digits; bin on properties recomputed from the
@@ -305,8 +286,7 @@ def cmd_bin(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(args)
+    _, cfg, out = _context(args)
     counts = _counts(
         json.loads((out / "preprocess_stats.json").read_text(encoding="utf-8")),
         gio.read_events(out / "events.csv"),
@@ -343,38 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixation-ms", nargs=2, type=float, default=[80.0, 250.0])
     p.set_defaults(func=cmd_synth)
 
-    def stage(name, help_, needs_manifest):
+    def stage(name, help_, func, manifest_required):
         sp = sub.add_parser(name, help=help_)
-        if needs_manifest:
-            sp.add_argument("--manifest", required=True)
+        sp.add_argument("--manifest", required=manifest_required)
         sp.add_argument("--out")
         sp.add_argument("--config")
-        sp.add_argument("--windows", help="windows.npz path (default <out>/windows.npz)")
         _add_analysis_flags(sp)
+        sp.set_defaults(func=func)
         return sp
 
-    stage("preprocess", "recordings to velocity windows", True).set_defaults(
-        func=cmd_preprocess
+    for name, help_, func, manifest_required in (
+        ("preprocess", "recordings to velocity windows", cmd_preprocess, True),
+        ("detect", "windows to fixation/saccade events", cmd_detect, False),
+        ("dissect", "saccades to phase sub-events", cmd_dissect, False),
+        ("influence", "concept influence per window and corpus", cmd_influence, True),
+        ("bin", "per-property binned influence", cmd_bin, True),
+        ("report", "summary document", cmd_report, False),
+    ):
+        stage(name, help_, func, manifest_required).add_argument(
+            "--windows", help="windows.npz path (default <out>/windows.npz)"
+        )
+    stage("run", "full pipeline from a manifest", cmd_run, True).add_argument(
+        "--jobs", help="accepted for compatibility; has no effect"
     )
-    stage("detect", "windows to fixation/saccade events", False).set_defaults(
-        func=cmd_detect
-    )
-    stage("dissect", "saccades to phase sub-events", False).set_defaults(
-        func=cmd_dissect
-    )
-    stage("influence", "concept influence per window and corpus", True).set_defaults(
-        func=cmd_influence
-    )
-    stage("bin", "per-property binned influence", True).set_defaults(func=cmd_bin)
-    stage("report", "summary document", False).set_defaults(func=cmd_report)
-
-    p = sub.add_parser("run", help="full pipeline from a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--jobs", type=int, default=None)
-    _add_analysis_flags(p)
-    p.set_defaults(func=cmd_run)
     return parser
 
 

@@ -1,9 +1,9 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-Per-window work is independent and may run on several threads; every
-reduction happens in manifest order afterwards, so outputs are identical
-for any --jobs value. All artifacts are written at the end of a run; if
+Windows are processed one after another and every reduction happens in
+manifest order, so outputs do not depend on the accepted but unused
+--jobs value. All artifacts are written at the end of a run; if
 that fails, partial files are removed and an INCOMPLETE marker is left.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -57,6 +56,16 @@ VALIDITY_RANGES = {
     "fixation_velocity_std": lambda cfg: (0.0, cfg.fix_max_velocity),
 }
 
+# allowed values of RunConfig's string fields
+CHOICES = {
+    "norm_scope": ("corpus", "recording", "none"),
+    "eye": ("left", "right"),
+    "squash": ("signed", "abs"),
+    "aggregate": ("pooled", "mean", "both"),
+    "bin_mode": ("width", "quantile", "explicit"),
+    "format": ("csv", "json"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -68,7 +77,7 @@ class RunConfig:
     clamp: float = 1000.0
     window_len: int = 1000
     missing_max_frac: float = 0.5
-    norm_scope: str = "corpus"  # corpus | recording | none
+    norm_scope: str = "corpus"
     eye: str = "right"  # eye picked from binocular recordings
     # detect
     fix_max_velocity: float = 20.0
@@ -85,17 +94,17 @@ class RunConfig:
     flank_ratio: float = 1.0 / 3.0
     # influence
     top_frac: float = 0.02
-    squash: str = "signed"  # signed | abs
-    aggregate: str = "both"  # pooled | mean | both
+    squash: str = "signed"
+    aggregate: str = "both"
     # binning
     bins: int = 20
-    bin_mode: str = "width"  # width | quantile | explicit
+    bin_mode: str = "width"
     bin_edges: tuple = ()
     properties: tuple = tuple(sorted(binning_mod.PROPERTIES))
     # report
-    format: str = "csv"  # csv | json (influence table)
+    format: str = "csv"  # influence table
     charts: bool = True
-    # execution
+    # execution (accepted, no effect)
     jobs: int = 1
 
     def savgol_params(self, sampling_rate_hz: float) -> SavGolParams:
@@ -115,14 +124,10 @@ class RunConfig:
         )
 
     def validate(self):
-        if self.norm_scope not in ("corpus", "recording", "none"):
-            raise ConfigError(f"norm_scope must be corpus/recording/none, got {self.norm_scope!r}")
-        if self.squash not in ("signed", "abs"):
-            raise ConfigError(f"squash must be signed/abs, got {self.squash!r}")
-        if self.aggregate not in ("pooled", "mean", "both"):
-            raise ConfigError(f"aggregate must be pooled/mean/both, got {self.aggregate!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv/json, got {self.format!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be {'/'.join(allowed)}, got {value!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         for prop in self.properties:
@@ -448,18 +453,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                bundles = list(
-                    pool.map(
-                        lambda pair: process_window(pair[0], pair[1], cfg),
-                        zip(pre.windows, attr_paths),
-                    )
-                )
-        else:
-            bundles = [
-                process_window(w, p, cfg) for w, p in zip(pre.windows, attr_paths)
-            ]
+        bundles = [process_window(w, p, cfg) for w, p in zip(pre.windows, attr_paths)]
         corpus_results = _reduce_concepts([b.window_results for b in bundles])
 
     events = [e for b in bundles for e in b.fixations + b.saccades]

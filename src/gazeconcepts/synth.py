@@ -13,7 +13,6 @@ in for model-derived saliency when exercising the influence pipeline.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -305,25 +304,6 @@ def write_ground_truth(events_by_recording: dict, path):
                 f"{fmt_sig9(e.amplitude_deg)},{fmt_sig9(e.peak_velocity)}"
             )
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def read_ground_truth(path) -> dict:
-    events = {}
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            events.setdefault(row[0], []).append(
-                TrueEvent(
-                    kind=row[1],
-                    onset=int(row[2]),
-                    offset=int(row[3]),
-                    duration_ms=float(row[4]),
-                    amplitude_deg=float(row[5]) if row[5] else math.nan,
-                    peak_velocity=float(row[6]) if row[6] else math.nan,
-                )
-            )
-    return events
 
 
 @dataclass

@@ -54,15 +54,24 @@ def test_run_deterministic_across_jobs(tiny_corpus, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_missing_attribution_names_stage_and_path(tiny_corpus, tmp_path, capsys):
-    manifest_doc = json.loads(Path(tiny_corpus).read_text())
-    victim = manifest_doc["entries"][3]["attribution"]
-    broken = tmp_path / "broken.json"
-    manifest_doc["entries"][3]["attribution"] = "attributions/gone.csv"
-    # keep paths resolvable relative to the original corpus
-    for e in manifest_doc["entries"]:
+def _relocated_manifest(tiny_corpus, root, **extra):
+    """A copy of the tiny manifest in `root`, with absolute data paths and
+    the given top-level keys."""
+    doc = json.loads(Path(tiny_corpus).read_text())
+    for e in doc["entries"]:
         e["recording"] = str(Path(tiny_corpus).parent / e["recording"])
         e["attribution"] = str(Path(tiny_corpus).parent / e["attribution"])
+    doc.update(extra)
+    root.mkdir()
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+def test_missing_attribution_names_stage_and_path(tiny_corpus, tmp_path, capsys):
+    broken = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    manifest_doc = json.loads(broken.read_text())
+    manifest_doc["entries"][3]["attribution"] = "attributions/gone.csv"
     broken.write_text(json.dumps(manifest_doc))
     out = tmp_path / "out"
     code = main(["run", "--manifest", str(broken), "--out", str(out)])
@@ -104,17 +113,21 @@ def test_env_var_default_out(tiny_corpus, tmp_path, monkeypatch):
     assert (out / "report.json").exists()
 
 
-def _run_and_staged(manifest, tmp_path, flags=()):
-    """Output directories of `run` and of the six staged subcommands."""
+STAGES = (("preprocess", True), ("detect", False), ("dissect", False),
+          ("influence", True), ("bin", True), ("report", False))
+
+
+def _run_and_staged(manifest, tmp_path, flags=(), manifest_everywhere=False):
+    """Output directories of `run` and of the six staged subcommands. By
+    default only the stages that require --manifest get it."""
     run_out = tmp_path / "direct"
     m = str(manifest)
     assert main(["run", "--manifest", m, "--out", str(run_out), *flags]) == 0
     staged = tmp_path / "staged"
-    for sub, needs_manifest in (("preprocess", True), ("detect", False),
-                                ("dissect", False), ("influence", True),
-                                ("bin", True), ("report", False)):
+    for sub, needs_manifest in STAGES:
         argv = [sub, "--out", str(staged), *flags]
-        assert main(argv + (["--manifest", m] if needs_manifest else [])) == 0, sub
+        with_manifest = needs_manifest or manifest_everywhere
+        assert main(argv + (["--manifest", m] if with_manifest else [])) == 0, sub
     return run_out, staged
 
 
@@ -185,3 +198,66 @@ def test_run_rerun_from_logged_parameters(tiny_corpus, tmp_path):
     assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out2),
                  "--config", str(cfg)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_manifest_config_resolves_next_to_manifest_for_every_stage(
+    tiny_corpus, tmp_path, monkeypatch
+):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m", config="cfg.ini")
+    (tmp_path / "m" / "cfg.ini").write_text("[detect]\nsacc_lambda = 9\n")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    run_out, staged = _run_and_staged(manifest, tmp_path, manifest_everywhere=True)
+    for rel in _run_artifacts(run_out):
+        assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+    for out in (run_out, staged):
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["parameters"]["sacc_lambda"] == 9.0
+    log = json.loads((run_out / "run_log.json").read_text())
+    assert log["parameters"]["sacc_lambda"] == 9.0
+
+
+def test_staged_chain_writes_to_manifest_output_dir(tiny_corpus, tmp_path, monkeypatch):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m", output_dir="results")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    monkeypatch.delenv("GAZECONCEPTS_OUT", raising=False)
+    for sub, _ in STAGES:
+        assert main([sub, "--manifest", str(manifest)]) == 0, sub
+    written = {p.name for p in (tmp_path / "m" / "results").iterdir()}
+    assert {"windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
+            "dissect_stats.json", "influence.csv", "binned.csv", "report.json"} <= written
+    assert not any((tmp_path / "elsewhere").iterdir())
+
+
+def test_flag_and_config_values_mean_the_same(tiny_corpus, tmp_path):
+    flags = ["--bin-mode", "explicit", "--bin-edges", "9, 20,50",
+             "--property", "saccade_duration_ms", "--property", "saccade_amplitude_deg",
+             "--sacc-lambda", "7", "--bins", "5", "--no-charts", "--eye", "left"]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[binning]\nbin_mode = explicit\nbin_edges = 9, 20,50\n"
+                   "properties = saccade_duration_ms,saccade_amplitude_deg\nbins = 5\n"
+                   "[run]\nsacc_lambda = 7\ncharts = no\neye = left\n")
+    logs = []
+    for name, argv in (("flags", flags), ("ini", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out), *argv]) == 0
+        logs.append(json.loads((out / "run_log.json").read_text())["parameters"])
+    assert logs[0] == logs[1]
+    assert logs[0]["bin_edges"] == [9.0, 20.0, 50.0]
+    assert logs[0]["properties"] == ["saccade_duration_ms", "saccade_amplitude_deg"]
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    ("--eye", "eye", "up"),
+    ("--bin-mode", "bin_mode", "bogus"),
+    ("--sg-window", "sg_window", "x"),
+])
+def test_bad_parameter_value_exits_1(tiny_corpus, tmp_path, capsys, flag, key, value):
+    base = ["run", "--manifest", str(tiny_corpus), "--out", str(tmp_path / "o")]
+    assert main(base + [flag, value]) == 1
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[run]\n{key} = {value}\n")
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "o").exists()
