@@ -43,7 +43,6 @@ from .io import (
     GazeRecording,
     RunManifest,
     load_attribution,
-    load_attributions,
     load_gaze_csv,
     load_manifest,
     read_events,

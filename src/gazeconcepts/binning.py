@@ -9,10 +9,8 @@ values above the last edge into an overflow bin.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .influence import (
     concept_influence,
     concept_segmentation,
 )
-from .io import fmt_sig9
+from .io import OPT_REAL, optional, read_table, write_table
 
 PROPERTIES = {
     "saccade_duration_ms": (SACCADE, "duration_ms"),
@@ -149,69 +147,45 @@ def bin_events(events, spec: BinSpec, edges=None, validity_range=None) -> list[B
 
 
 BINNED_COLUMNS = (
-    "property,label,lo,hi,event_count,segmentation_size,intersection,c,c_mean"
+    "property", "label", "lo", "hi", "event_count", "segmentation_size",
+    "intersection", "c", "c_mean",
 )
+_BINNED_PARSERS = {
+    "lo": optional(float, -math.inf), "hi": optional(float, math.inf), "event_count": int,
+    "segmentation_size": int, "intersection": optional(int, None), "c": OPT_REAL,
+    "c_mean": optional(float, None),
+}
 
 
 def write_binned(binned_by_property: dict, path):
     """Per-bin influence table as CSV (empty bins keep empty cells)."""
-    rows = [BINNED_COLUMNS]
-    for prop in sorted(binned_by_property):
-        for b in binned_by_property[prop]:
-            inf = b.influence
-            rows.append(
-                ",".join(
-                    [
-                        b.property,
-                        b.label,
-                        fmt_sig9(b.lo) if math.isfinite(b.lo) else "",
-                        fmt_sig9(b.hi) if math.isfinite(b.hi) else "",
-                        str(b.event_count),
-                        str(b.segmentation_size),
-                        str(inf.intersection) if inf else "",
-                        fmt_sig9(inf.c) if inf else "",
-                        fmt_sig9(inf.c_mean) if inf else "",
-                    ]
-                )
-            )
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    def row(b):
+        inf = b.influence
+        scores = (inf.intersection, inf.c, inf.c_mean) if inf else (None, None, None)
+        return (b.property, b.label, b.lo, b.hi, b.event_count, b.segmentation_size, *scores)
+    write_table(path, BINNED_COLUMNS, (
+        row(b) for prop in sorted(binned_by_property) for b in binned_by_property[prop]
+    ))
 
 
 def read_binned(path) -> dict:
     """Inverse of write_binned, for staged CLI use and round-trip tests."""
     out = {}
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BINNED_COLUMNS.split(","):
-            raise ConfigError(f"{path}: unexpected binned table header")
-        for row in reader:
-            prop, label = row[0], row[1]
-            lo = float(row[2]) if row[2] else -math.inf
-            hi = float(row[3]) if row[3] else math.inf
-            influence = None
-            if row[6]:
-                influence = InfluenceResult(
-                    concept=prop,
-                    scope="corpus",
-                    intersection=int(row[6]),
-                    c=float(row[7]),
-                    L_total=0,
-                    S_total=int(row[5]),
-                    k_total=0,
-                    c_mean=float(row[8]) if row[8] else None,
-                )
-            out.setdefault(prop, []).append(
-                BinnedInfluence(
-                    property=prop,
-                    lo=lo,
-                    hi=hi,
-                    label=label,
-                    event_count=int(row[4]),
-                    segmentation_size=int(row[5]),
-                    influence=influence,
-                )
+    for r in read_table(path, BINNED_COLUMNS, _BINNED_PARSERS):
+        influence = None
+        if r["intersection"] is not None:
+            influence = InfluenceResult(
+                concept=r["property"],
+                scope="corpus",
+                intersection=r["intersection"],
+                c=r["c"],
+                L_total=0,
+                S_total=r["segmentation_size"],
+                k_total=0,
+                c_mean=r["c_mean"],
             )
+        fields = {name: r[name] for name in BINNED_COLUMNS[:6]}  # before the scores
+        out.setdefault(r["property"], []).append(BinnedInfluence(**fields, influence=influence))
     return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import os
 import sys
 from dataclasses import fields
@@ -28,7 +27,7 @@ from . import io as gio
 from . import report as report_mod
 from .detect import SACCADE, compute_event_properties, retained
 from .dissect import dissect_all
-from .errors import ConfigError, DataError, GazeError
+from .errors import ConfigError, DataError, FormatError, GazeError
 from .pipeline import (
     ALL_CONCEPTS,
     CHOICES,
@@ -182,13 +181,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _windows_path(args, out: Path) -> Path:
-    return Path(args.windows) if args.windows else out / "windows.npz"
-
-
-def _manifest_windows(args, manifest, out: Path) -> list:
+def _manifest_windows(manifest, out: Path) -> list:
     """(window, attribution path) per manifest entry, from the windows file."""
-    windows = {w.window_id: w for w in gio.read_windows(_windows_path(args, out))}
+    windows = {w.window_id: w for w in gio.read_windows(out / "windows.npz")}
     pairs = []
     for entry in manifest.entries:
         if entry.window_id not in windows:
@@ -207,11 +202,24 @@ def _events_by_window(out: Path, windows) -> dict:
     return by_window
 
 
+def _read_stats(path: Path, *keys) -> dict:
+    """A stage's JSON stats file, which must hold every key in `keys`
+    ("a.b" is key b inside block a); FormatError naming the file if not."""
+    doc = gio.read_json(path)
+    for key in keys:
+        block = doc
+        for part in key.split("."):
+            if not isinstance(block, dict) or part not in block:
+                raise FormatError(f"{path}: no {key!r} entry")
+            block = block[part]
+    return doc
+
+
 def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     out.mkdir(parents=True, exist_ok=True)
     pre = preprocess_manifest(manifest, cfg)
-    path = _windows_path(args, out)
+    path = out / "windows.npz"
     gio.write_windows(pre.windows, path)
     report_mod.write_report_json(_preprocess_counts(pre), out / "preprocess_stats.json")
     print(f"wrote {len(pre.windows)} windows to {path}")
@@ -221,7 +229,7 @@ def cmd_preprocess(args) -> int:
 def cmd_detect(args) -> int:
     _, cfg, out = _context(args)
     events = []
-    for w in gio.read_windows(_windows_path(args, out)):
+    for w in gio.read_windows(out / "windows.npz"):
         fixations, saccades = detect_window(w, cfg)
         events += fixations + saccades
     gio.write_events(events, out / "events.csv")
@@ -232,7 +240,7 @@ def cmd_detect(args) -> int:
 
 def cmd_dissect(args) -> int:
     _, cfg, out = _context(args)
-    windows = gio.read_windows(_windows_path(args, out))
+    windows = gio.read_windows(out / "windows.npz")
     by_window = _events_by_window(out, windows)
     dissections = []
     for w in windows:
@@ -249,7 +257,7 @@ def cmd_dissect(args) -> int:
 
 def cmd_influence(args) -> int:
     manifest, cfg, out = _context(args)
-    pairs = _manifest_windows(args, manifest, out)
+    pairs = _manifest_windows(manifest, out)
     events = _events_by_window(out, [w for w, _ in pairs])
     subs = {}
     for s in gio.read_subevents(out / "subevents.csv"):
@@ -269,7 +277,7 @@ def cmd_influence(args) -> int:
 
 def cmd_bin(args) -> int:
     manifest, cfg, out = _context(args)
-    pairs = _manifest_windows(args, manifest, out)
+    pairs = _manifest_windows(manifest, out)
     events = _events_by_window(out, [w for w, _ in pairs])
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
@@ -288,9 +296,10 @@ def cmd_bin(args) -> int:
 def cmd_report(args) -> int:
     _, cfg, out = _context(args)
     counts = _counts(
-        json.loads((out / "preprocess_stats.json").read_text(encoding="utf-8")),
+        _read_stats(out / "preprocess_stats.json", "windows.evaluated", "channel_stats"),
         gio.read_events(out / "events.csv"),
-        json.loads((out / "dissect_stats.json").read_text(encoding="utf-8")),
+        _read_stats(out / "dissect_stats.json", "saccades_dissected",
+                    "disregarded_samples", "disregarded_fraction"),
     )
     # a concept absent from every window is skipped in all of them
     corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
@@ -332,17 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    for name, help_, func, manifest_required in (
-        ("preprocess", "recordings to velocity windows", cmd_preprocess, True),
-        ("detect", "windows to fixation/saccade events", cmd_detect, False),
-        ("dissect", "saccades to phase sub-events", cmd_dissect, False),
-        ("influence", "concept influence per window and corpus", cmd_influence, True),
-        ("bin", "per-property binned influence", cmd_bin, True),
-        ("report", "summary document", cmd_report, False),
-    ):
-        stage(name, help_, func, manifest_required).add_argument(
-            "--windows", help="windows.npz path (default <out>/windows.npz)"
-        )
+    stage("preprocess", "recordings to velocity windows", cmd_preprocess, True)
+    stage("detect", "windows to fixation/saccade events", cmd_detect, False)
+    stage("dissect", "saccades to phase sub-events", cmd_dissect, False)
+    stage("influence", "concept influence per window and corpus", cmd_influence, True)
+    stage("bin", "per-property binned influence", cmd_bin, True)
+    stage("report", "summary document", cmd_report, False)
     stage("run", "full pipeline from a manifest", cmd_run, True).add_argument(
         "--jobs", help="accepted for compatibility; has no effect"
     )

@@ -67,6 +67,14 @@ def _segments(indices: np.ndarray):
     return [(int(indices[a]), int(indices[b])) for a, b in zip(starts, ends)]
 
 
+def check_ratios(peak_ratio: float, flank_ratio: float):
+    """The dissection parameters' ranges."""
+    if not 0 < peak_ratio <= 1:
+        raise ConfigError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
+    if not 0 < flank_ratio:
+        raise ConfigError(f"flank_ratio must be positive, got {flank_ratio}")
+
+
 def dissect_saccade(
     saccade: GazeEvent,
     window: VelocityWindow,
@@ -80,10 +88,7 @@ def dissect_saccade(
     ratio. Flank length is round(flank_ratio * duration) samples,
     floored at one sample, then clipped at the window bounds.
     """
-    if not 0 < peak_ratio <= 1:
-        raise ConfigError(f"peak_ratio must be in (0, 1], got {peak_ratio}")
-    if not 0 < flank_ratio:
-        raise ConfigError(f"flank_ratio must be positive, got {flank_ratio}")
+    check_ratios(peak_ratio, flank_ratio)
     if not (0 <= saccade.onset <= saccade.offset < window.length):
         raise ConfigError("saccade interval outside window")
 

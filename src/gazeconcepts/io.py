@@ -10,24 +10,26 @@ short ``D=``/``L=`` header and one comma-separated row per channel, or a
 sparse CSV with header ``channel,index,value`` covering the full grid.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
-as does the binary ``.npz`` windows stage file; event and report files
-serialize reals with 9 significant digits.
+as does the binary ``.npz`` windows stage file. Every other CSV table
+(events, sub-events, influence, binned influence, synth ground truth)
+is written by ``write_table`` and read back by ``read_table``, with
+reals at 9 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
 import zipfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .detect import GazeEvent
-from .dissect import SubEvent
+from .dissect import PHASES, SubEvent
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import InfluenceResult
 from .preprocess import VelocityWindow
@@ -54,6 +56,82 @@ def fmt_sig9(x) -> str:
 def round9(x: float) -> float:
     """Round a float to 9 significant digits (for JSON documents)."""
     return float(f"{float(x):.9g}")
+
+
+def _cells(row) -> list:
+    """write_table's cell rule: reals at 9 significant digits; NaN, +/-inf
+    and None empty; booleans true/false; everything else str()."""
+    cells = []
+    for v in row:
+        t = type(v)
+        if t is str or t is int:
+            cells.append(v)
+        elif t is float or t is np.float64:
+            cells.append(f"{v:.9g}" if math.isfinite(v) else "")
+        elif t is bool or t is np.bool_:
+            cells.append("true" if v else "false")
+        else:
+            cells.append("" if v is None else str(v))
+    return cells
+
+
+def write_table(path, columns, rows):
+    """Write a CSV table: the header `columns`, then one line per row, a
+    sequence of values in column order."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(_cells, rows))
+
+
+def parse_bool(token: str) -> bool:
+    if token not in ("true", "false"):
+        raise ValueError(token)
+    return token == "true"
+
+
+def optional(parse, missing):
+    """Cell parser for a column whose empty cell means `missing`."""
+    return lambda token: parse(token) if token else missing
+
+
+OPT_REAL = optional(float, math.nan)
+
+
+def read_table(path, columns, parsers) -> list:
+    """Read a table written by write_table, one dict per row.
+
+    Each column named in `parsers` is converted by its parser; the rest
+    stay strings. A header other than exactly `columns`, a row with the
+    wrong number of fields or a cell that does not parse raises
+    FormatError naming the path and line.
+    """
+    path = Path(path)
+    typed = [(i, parsers[name]) for i, name in enumerate(columns) if name in parsers]
+    rows = []
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(columns):
+                raise FormatError(f"{path}: header is not {','.join(columns)}")
+            for fields in reader:
+                if len(fields) != len(columns):
+                    raise FormatError(
+                        f"{path}: line {reader.line_num}: {len(fields)} fields, "
+                        f"expected {len(columns)}"
+                    )
+                try:
+                    for i, parse in typed:
+                        fields[i] = parse(fields[i])
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {reader.line_num}: cannot parse "
+                        f"{columns[i]} {fields[i]!r}"
+                    ) from None
+                rows.append(dict(zip(columns, fields)))
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise FormatError(f"{path}: line {reader.line_num}: {e}") from None
+    return rows
 
 
 @dataclass
@@ -283,12 +361,17 @@ def select_eye(rec: GazeRecording, eye: str = "right") -> GazeRecording:
     )
 
 
-def load_manifest(path) -> RunManifest:
-    path = Path(path)
+def read_json(path):
+    """A JSON document; FormatError naming the path if it does not parse."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON: {e}") from None
+
+
+def load_manifest(path) -> RunManifest:
+    path = Path(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'entries'")
     entries = []
@@ -401,14 +484,6 @@ def write_attribution(attr: AttributionMap, path):
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def load_attributions(manifest: RunManifest) -> list:
-    """Load every attribution referenced by a manifest, in manifest order."""
-    return [
-        load_attribution(manifest.resolve(e.attribution), window_id=e.window_id)
-        for e in manifest.entries
-    ]
-
-
 def validate_attribution(attr: AttributionMap, window):
     """Check that an attribution's shape matches its window exactly."""
     if attr.length != window.length or attr.channels != 2:
@@ -488,184 +563,83 @@ def read_windows(path) -> list:
 
 
 EVENT_COLUMNS = (
-    "event_id,window_id,kind,onset,offset,duration_ms,peak_velocity,"
-    "amplitude_deg,dispersion_deg,velocity_std,excluded,exclusion_reason"
+    "event_id", "window_id", "kind", "onset", "offset", "duration_ms", "peak_velocity",
+    "amplitude_deg", "dispersion_deg", "velocity_std", "excluded", "exclusion_reason",
 )
+_EVENT_PARSERS = {
+    "onset": int, "offset": int, "duration_ms": OPT_REAL, "peak_velocity": OPT_REAL,
+    "amplitude_deg": OPT_REAL, "dispersion_deg": OPT_REAL, "velocity_std": OPT_REAL,
+    "excluded": parse_bool,
+}
 
 
 def write_events(events, path):
     """Write events sorted by (window_id, onset, kind); reals at 9 digits."""
-    path = Path(path)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVENT_COLUMNS.split(","))
-    for e in sorted(events, key=lambda e: (e.window_id, e.onset, e.kind, e.event_id)):
-        writer.writerow(
-            [
-                e.event_id,
-                e.window_id,
-                e.kind,
-                e.onset,
-                e.offset,
-                fmt_sig9(e.duration_ms),
-                fmt_sig9(e.peak_velocity),
-                fmt_sig9(e.amplitude_deg),
-                fmt_sig9(e.dispersion_deg),
-                fmt_sig9(e.velocity_std),
-                "true" if e.excluded else "false",
-                e.exclusion_reason,
-            ]
-        )
-    path.write_text(buf.getvalue(), encoding="utf-8")
-
-
-def _opt_float(token: str) -> float:
-    return float(token) if token else math.nan
+    events = sorted(events, key=attrgetter("window_id", "onset", "kind", "event_id"))
+    write_table(path, EVENT_COLUMNS, map(attrgetter(*EVENT_COLUMNS), events))
 
 
 def read_events(path) -> list:
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVENT_COLUMNS.split(","):
-            raise FormatError(f"{path}: unexpected event file header")
-        events = []
-        for row in reader:
-            events.append(
-                GazeEvent(
-                    event_id=row[0],
-                    window_id=row[1],
-                    kind=row[2],
-                    onset=int(row[3]),
-                    offset=int(row[4]),
-                    duration_ms=_opt_float(row[5]),
-                    peak_velocity=_opt_float(row[6]),
-                    amplitude_deg=_opt_float(row[7]),
-                    dispersion_deg=_opt_float(row[8]),
-                    velocity_std=_opt_float(row[9]),
-                    excluded=row[10] == "true",
-                    exclusion_reason=row[11],
-                )
-            )
-    return events
+    return [GazeEvent(**row) for row in read_table(path, EVENT_COLUMNS, _EVENT_PARSERS)]
 
 
-SUBEVENT_COLUMNS = "parent_event_id,window_id,phase,onset,offset"
-_PHASE_ORDER = {p: i for i, p in enumerate(("pre", "rise", "peak", "fall", "post"))}
+SUBEVENT_COLUMNS = ("parent_event_id", "window_id", "phase", "onset", "offset")
+_PHASE_ORDER = {p: i for i, p in enumerate(PHASES)}
 
 
 def write_subevents(sub_events, path):
     """Write phase segments; window_id is recovered from the parent id."""
-    path = Path(path)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUBEVENT_COLUMNS.split(","))
     def key(s):
         return (s.parent_event_id.rsplit(":", 1)[0], s.parent_event_id,
                 _PHASE_ORDER.get(s.phase, 9), s.onset)
-    for s in sorted(sub_events, key=key):
-        writer.writerow(
-            [s.parent_event_id, s.parent_event_id.rsplit(":", 1)[0], s.phase, s.onset, s.offset]
-        )
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    write_table(path, SUBEVENT_COLUMNS, (
+        (s.parent_event_id, s.parent_event_id.rsplit(":", 1)[0], s.phase, s.onset, s.offset)
+        for s in sorted(sub_events, key=key)
+    ))
 
 
 def read_subevents(path) -> list:
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SUBEVENT_COLUMNS.split(","):
-            raise FormatError(f"{path}: unexpected sub-event file header")
-        return [SubEvent(row[0], row[2], int(row[3]), int(row[4])) for row in reader]
+    rows = read_table(path, SUBEVENT_COLUMNS, {"onset": int, "offset": int})
+    return [SubEvent(r["parent_event_id"], r["phase"], r["onset"], r["offset"]) for r in rows]
 
 
 REPORT_COLUMNS = (
-    "concept,scope,window_id,L_total,S_total,k_total,intersection,c,c_mean,"
-    "n_windows,n_skipped"
+    "concept", "scope", "window_id", "L_total", "S_total", "k_total", "intersection",
+    "c", "c_mean", "n_windows", "n_skipped",
 )
-
-
-def _result_key(r: InfluenceResult):
-    return (r.concept, r.scope, r.window_id)
+_REPORT_PARSERS = {
+    "L_total": int, "S_total": int, "k_total": int, "intersection": int, "c": float,
+    "c_mean": optional(float, None), "n_windows": int, "n_skipped": int,
+}
 
 
 def write_report(results, path, format: str = "csv"):
     """Write influence results as CSV or JSON, deterministically ordered."""
-    path = Path(path)
-    results = sorted(results, key=_result_key)
+    results = sorted(results, key=attrgetter("concept", "scope", "window_id"))
+    values = map(attrgetter(*REPORT_COLUMNS), results)
     if format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS.split(","))
-        for r in results:
-            writer.writerow(
-                [
-                    r.concept,
-                    r.scope,
-                    r.window_id,
-                    r.L_total,
-                    r.S_total,
-                    r.k_total,
-                    r.intersection,
-                    fmt_sig9(r.c),
-                    fmt_sig9(r.c_mean),
-                    r.n_windows,
-                    r.n_skipped,
-                ]
-            )
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        write_table(path, REPORT_COLUMNS, values)
     elif format == "json":
         doc = [
-            {
-                "concept": r.concept,
-                "scope": r.scope,
-                "window_id": r.window_id,
-                "L_total": r.L_total,
-                "S_total": r.S_total,
-                "k_total": r.k_total,
-                "intersection": r.intersection,
-                "c": round9(r.c),
-                "c_mean": None if r.c_mean is None else round9(r.c_mean),
-                "n_windows": r.n_windows,
-                "n_skipped": r.n_skipped,
-            }
-            for r in results
+            dict(zip(REPORT_COLUMNS, row), c=round9(r.c),
+                 c_mean=None if r.c_mean is None else round9(r.c_mean))
+            for r, row in zip(results, values)
         ]
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
         raise ConfigError(f"unknown report format {format!r}")
 
 
 def read_report(path, format: str = "csv") -> list:
-    path = Path(path)
-    results = []
     if format == "csv":
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != REPORT_COLUMNS.split(","):
-                raise FormatError(f"{path}: unexpected report header")
-            for row in reader:
-                results.append(
-                    InfluenceResult(
-                        concept=row[0],
-                        scope=row[1],
-                        window_id=row[2],
-                        L_total=int(row[3]),
-                        S_total=int(row[4]),
-                        k_total=int(row[5]),
-                        intersection=int(row[6]),
-                        c=float(row[7]),
-                        c_mean=float(row[8]) if row[8] else None,
-                        n_windows=int(row[9]),
-                        n_skipped=int(row[10]),
-                    )
-                )
+        rows = read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)
     elif format == "json":
-        for r in json.loads(path.read_text(encoding="utf-8")):
-            results.append(InfluenceResult(**r))
+        rows = read_json(path)
+        if not isinstance(rows, list):
+            raise FormatError(f"{path}: expected a list of influence rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict) or set(row) != set(REPORT_COLUMNS):
+                raise FormatError(f"{path}: row {i} keys are not {','.join(REPORT_COLUMNS)}")
     else:
         raise ConfigError(f"unknown report format {format!r}")
-    return results
+    return [InfluenceResult(**row) for row in rows]

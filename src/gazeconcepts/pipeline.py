@@ -26,7 +26,7 @@ from .detect import (
     detect_saccades_ek,
     retained,
 )
-from .dissect import PHASES, dissect_all
+from .dissect import PHASES, check_ratios, dissect_all
 from .errors import AlignmentError, ConfigError, DataError, GazeError
 from .influence import (
     aggregate_influence,
@@ -128,12 +128,23 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be {'/'.join(allowed)}, got {value!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        for prop in self.properties:
-            if prop not in binning_mod.PROPERTIES:
-                raise ConfigError(f"unknown property {prop!r}")
+        for name, ok, rule in (
+            ("clamp", self.clamp > 0, "positive"),
+            ("window_len", self.window_len >= 1, ">= 1"),
+            ("missing_max_frac", 0 <= self.missing_max_frac <= 1, "in [0, 1]"),
+            ("jobs", self.jobs >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        try:
+            SavGolParams(self.sg_window, self.sg_order).validate()
+        except ConfigError as e:
+            raise ConfigError(f"sg_window/sg_order: {e}") from None
         self.detection_params().validate()
+        check_ratios(self.peak_ratio, self.flank_ratio)
+        default_k(self.window_len, self.top_frac)
+        for prop in self.properties:
+            binning_mod.BinSpec(prop, self.bin_mode, self.bins, self.bin_edges).validate()
 
     def as_dict(self) -> dict:
         d = asdict(self)

@@ -15,20 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from .detect import FIXATION, SACCADE
 from .errors import ConfigError
 from .io import (
     AttributionMap,
     GazeRecording,
     ManifestEntry,
     RunManifest,
-    fmt_sig9,
     write_attribution,
     write_gaze_csv,
     write_manifest,
+    write_table,
 )
 from .preprocess import (
     SavGolParams,
@@ -38,9 +40,6 @@ from .preprocess import (
     savgol_weights,
     window_sequence,
 )
-
-FIXATION = "fixation"
-SACCADE = "saccade"
 
 
 @dataclass(frozen=True)
@@ -292,18 +291,17 @@ def gen_proxy_attributions(window: VelocityWindow, mode: str, seed: int = 0) -> 
     return AttributionMap(window_id=window.window_id, values=values)
 
 
-GROUND_TRUTH_COLUMNS = "recording_id,kind,onset,offset,duration_ms,amplitude_deg,peak_velocity"
+GROUND_TRUTH_COLUMNS = (
+    "recording_id", "kind", "onset", "offset", "duration_ms", "amplitude_deg", "peak_velocity",
+)
 
 
 def write_ground_truth(events_by_recording: dict, path):
-    rows = [GROUND_TRUTH_COLUMNS]
-    for rec_id in sorted(events_by_recording):
-        for e in events_by_recording[rec_id]:
-            rows.append(
-                f"{rec_id},{e.kind},{e.onset},{e.offset},{fmt_sig9(e.duration_ms)},"
-                f"{fmt_sig9(e.amplitude_deg)},{fmt_sig9(e.peak_velocity)}"
-            )
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    values = attrgetter(*GROUND_TRUTH_COLUMNS[1:])
+    write_table(path, GROUND_TRUTH_COLUMNS, (
+        (rec_id, *values(e))
+        for rec_id in sorted(events_by_recording) for e in events_by_recording[rec_id]
+    ))
 
 
 @dataclass

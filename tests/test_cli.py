@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -252,6 +254,15 @@ def test_flag_and_config_values_mean_the_same(tiny_corpus, tmp_path):
     ("--eye", "eye", "up"),
     ("--bin-mode", "bin_mode", "bogus"),
     ("--sg-window", "sg_window", "x"),
+    ("--sg-window", "sg_window", "4"),
+    ("--peak-ratio", "peak_ratio", "5"),
+    ("--flank-ratio", "flank_ratio", "0"),
+    ("--missing-max-frac", "missing_max_frac", "-1"),
+    ("--missing-max-frac", "missing_max_frac", "7"),
+    ("--top-frac", "top_frac", "0"),
+    ("--bins", "bins", "0"),
+    ("--clamp", "clamp", "0"),
+    ("--window-len", "window_len", "0"),
 ])
 def test_bad_parameter_value_exits_1(tiny_corpus, tmp_path, capsys, flag, key, value):
     base = ["run", "--manifest", str(tiny_corpus), "--out", str(tmp_path / "o")]
@@ -261,3 +272,43 @@ def test_bad_parameter_value_exits_1(tiny_corpus, tmp_path, capsys, flag, key, v
     assert main(base + ["--config", str(cfg)]) == 1
     assert key in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "o").exists()
+    # a stage rejects the value before it reads any stage file
+    staged = ["report", "--out", str(tmp_path / "o")]
+    assert main(staged + [flag, value]) == 1
+    assert main(staged + ["--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def staged_out(tiny_corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("staged") / "out"
+    for sub, needs_manifest in STAGES:
+        argv = [sub, "--out", str(out)]
+        assert main(argv + (["--manifest", str(tiny_corpus)] if needs_manifest else [])) == 0
+    return out
+
+
+def _truncate_events(text):
+    return text[: text.index("\n", len(text) // 2) + 12]
+
+
+@pytest.mark.parametrize("stage,name,damage,message", [
+    ("dissect", "events.csv", _truncate_events, r"events\.csv: line \d+: \d+ fields"),
+    ("report", "binned.csv", lambda t: t.replace("label", "kind", 1), r"binned\.csv: header"),
+    ("report", "influence.csv", lambda t: t.replace(",corpus,", ",corpus", 1),
+     r"influence\.csv: line \d+: 10 fields"),
+    ("influence", "subevents.csv", lambda t: t.replace(",peak,", ",peak,x", 1),
+     r"subevents\.csv: line \d+: cannot parse onset"),
+    ("report", "preprocess_stats.json", lambda t: '{"windows": 1}',
+     r"preprocess_stats\.json: no 'windows\.evaluated'"),
+    ("report", "preprocess_stats.json", lambda t: t[:-5], r"preprocess_stats\.json: not valid"),
+    ("report", "dissect_stats.json", lambda t: "{}", r"dissect_stats\.json: no"),
+])
+def test_malformed_stage_file_exits_2(tiny_corpus, staged_out, tmp_path, capsys,
+                                      stage, name, damage, message):
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    (out / name).write_text(damage((out / name).read_text()))
+    argv = [stage, "--out", str(out)]
+    assert main(argv + ["--manifest", str(tiny_corpus)]) == 2
+    assert re.search(message, capsys.readouterr().err.splitlines()[-1])

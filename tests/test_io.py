@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gazeconcepts.binning import BinnedInfluence, read_binned, write_binned
 from gazeconcepts.detect import GazeEvent
 from gazeconcepts.errors import (
     AlignmentError,
@@ -14,12 +16,12 @@ from gazeconcepts.influence import InfluenceResult
 from gazeconcepts.io import (
     AttributionMap,
     load_attribution,
-    load_attributions,
     load_gaze_csv,
     load_manifest,
     read_events,
     read_report,
     read_subevents,
+    read_table,
     read_windows,
     select_eye,
     validate_attribution,
@@ -28,6 +30,7 @@ from gazeconcepts.io import (
     write_gaze_csv,
     write_report,
     write_subevents,
+    write_table,
     write_windows,
 )
 from gazeconcepts.dissect import SubEvent
@@ -224,22 +227,6 @@ def test_manifest_load_and_errors(tmp_path):
         load_manifest(p)
 
 
-def test_load_attributions_manifest_order(tmp_path):
-    for i in range(3):
-        write_attribution(
-            AttributionMap(f"w{i}", np.full((2, 4), float(i))), tmp_path / f"a{i}.csv"
-        )
-    p = tmp_path / "m.json"
-    entries = ",".join(
-        f'{{"recording": "r.csv", "attribution": "a{i}.csv", "window_id": "w{i}"}}'
-        for i in (2, 0, 1)
-    )
-    p.write_text(f'{{"entries": [{entries}]}}')
-    maps = load_attributions(load_manifest(p))
-    assert [a.window_id for a in maps] == ["w2", "w0", "w1"]
-    assert maps[0].values[0, 0] == 2.0
-
-
 def _events(n=100):
     rng = np.random.default_rng(3)
     out = []
@@ -380,3 +367,109 @@ def test_windows_roundtrip_exact(tmp_path):
     short = build_window(np.zeros(10), window_id="r-w0002")
     with pytest.raises(DataError, match="mixed lengths"):
         write_windows([w1, short], tmp_path / "mixed.npz")
+
+
+def test_table_cell_rule(tmp_path):
+    p = tmp_path / "t.csv"
+    write_table(p, ("s", "i", "x", "y", "b", "n"), [
+        ("a b", 3, 0.1 + 0.2, np.float64(1e-7), True, None),
+        ("", np.int64(-4), math.inf, math.nan, np.bool_(False), -math.inf),
+    ])
+    assert p.read_text() == "s,i,x,y,b,n\na b,3,0.3,1e-07,true,\n,-4,,,false,\n"
+
+
+def _tables(tmp_path):
+    """Per table reader: (reader, valid file from its writer, an int column)."""
+    events, subs, report, binned = (tmp_path / n for n in ("e.csv", "s.csv", "r.csv", "b.csv"))
+    write_events(_events(3), events)
+    write_subevents([SubEvent("w0:sac000", "peak", 4, 9)], subs)
+    write_report(_results(), report)
+    write_binned({"saccade_duration_ms": [
+        BinnedInfluence("saccade_duration_ms", 9.0, 30.0, "bin", 1, 20, _results()[0]),
+        BinnedInfluence("saccade_duration_ms", 30.0, math.inf, "overflow", 0, 0, None),
+    ]}, binned)
+    return {
+        "events": (read_events, events, "onset"),
+        "subevents": (read_subevents, subs, "offset"),
+        "report": (read_report, report, "n_windows"),
+        "binned": (read_binned, binned, "event_count"),
+    }
+
+
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("table", ["events", "subevents", "report", "binned"])
+def test_table_readers_reject_malformed_rows(tmp_path, table):
+    read, path, int_column = _tables(tmp_path)[table]
+    assert read(path)
+    good = path.read_text()
+    column = good.splitlines()[0].split(",").index(int_column)
+
+    def set_cell(value):
+        return lambda line: ",".join(value if i == column else c
+                                     for i, c in enumerate(line.split(",")))
+
+    for edit, message in (
+        (lambda line: line.rsplit(",", 1)[0], "line 2: .* fields, expected"),  # short row
+        (lambda line: line + ",x", "line 2: .* fields, expected"),  # extra field
+        (set_cell("x"), f"line 2: cannot parse {int_column} 'x'"),
+        (set_cell("1.5"), f"line 2: cannot parse {int_column} '1.5'"),
+    ):
+        path.write_text(good)
+        _edit_line(path, 2, edit)
+        with pytest.raises(FormatError, match=f"{path.name}: {message}"):
+            read(path)
+    path.write_text(good)
+    _edit_line(path, 1, lambda line: line.replace(int_column, "bogus"))
+    with pytest.raises(FormatError, match=f"{path.name}: header"):
+        read(path)
+    path.write_text("")
+    with pytest.raises(FormatError, match=f"{path.name}: header"):
+        read(path)
+
+
+def test_event_reader_rejects_bad_boolean_and_real(tmp_path):
+    p = tmp_path / "e.csv"
+    write_events(_events(3), p)
+    good = p.read_text()
+    p.write_text(good.replace(",false,", ",no,", 1))
+    with pytest.raises(FormatError, match="e.csv: line .*: cannot parse excluded 'no'"):
+        read_events(p)
+    lines = good.splitlines()
+    lines[1] = lines[1].replace(lines[1].split(",")[5], "fast", 1)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="e.csv: line 2: cannot parse duration_ms 'fast'"):
+        read_events(p)
+
+
+def test_read_table_parses_optional_cells(tmp_path):
+    p = tmp_path / "b.csv"
+    write_binned({"saccade_duration_ms": [
+        BinnedInfluence("saccade_duration_ms", -math.inf, 9.0, "underflow", 0, 0, None),
+    ]}, p)
+    (row,) = read_binned(p)["saccade_duration_ms"]
+    assert (row.lo, row.hi, row.influence) == (-math.inf, 9.0, None)
+    rows = read_table(p, ("property", "label", "lo", "hi", "event_count",
+                          "segmentation_size", "intersection", "c", "c_mean"), {})
+    assert rows[0]["lo"] == "" and rows[0]["event_count"] == "0"
+
+
+def test_json_report_rejects_other_keys(tmp_path):
+    p = tmp_path / "r.json"
+    write_report(_results(), p, "json")
+    doc = json.loads(p.read_text())
+    doc[1]["extra"] = 1
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="r.json: row 1"):
+        read_report(p, "json")
+    del doc[1]["extra"], doc[1]["c_mean"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="r.json: row 1"):
+        read_report(p, "json")
+    p.write_text("[{")
+    with pytest.raises(FormatError, match="r.json"):
+        read_report(p, "json")
