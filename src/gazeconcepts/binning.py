@@ -22,7 +22,7 @@ from .influence import (
     concept_influence,
     concept_segmentation,
 )
-from .io import OPT_REAL, optional, read_table, write_table
+from .io import OPT_REAL, one_of, optional, read_table, write_table
 
 PROPERTIES = {
     "saccade_duration_ms": (SACCADE, "duration_ms"),
@@ -151,9 +151,9 @@ BINNED_COLUMNS = (
     "intersection", "c", "c_mean",
 )
 _BINNED_PARSERS = {
-    "lo": optional(float, -math.inf), "hi": optional(float, math.inf), "event_count": int,
-    "segmentation_size": int, "intersection": optional(int, None), "c": OPT_REAL,
-    "c_mean": optional(float, None),
+    "property": one_of(PROPERTIES), "lo": optional(float, -math.inf),
+    "hi": optional(float, math.inf), "event_count": int, "segmentation_size": int,
+    "intersection": optional(int, None), "c": OPT_REAL, "c_mean": optional(float, None),
 }
 
 

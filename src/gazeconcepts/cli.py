@@ -28,6 +28,7 @@ from . import report as report_mod
 from .detect import SACCADE, compute_event_properties, retained
 from .dissect import dissect_all
 from .errors import ConfigError, DataError, FormatError, GazeError
+from .influence import default_k
 from .pipeline import (
     ALL_CONCEPTS,
     CHOICES,
@@ -262,30 +263,50 @@ def cmd_influence(args) -> int:
     subs = {}
     for s in gio.read_subevents(out / "subevents.csv"):
         subs.setdefault(s.parent_event_id.rsplit(":", 1)[0], []).append(s)
+    topks = [window_topk(w, attr, cfg) for w, attr in pairs]
     window_results = [
-        window_influence(
-            w, events[w.window_id], subs.get(w.window_id, []), window_topk(w, attr, cfg)
-        )
-        for w, attr in pairs
+        window_influence(w, events[w.window_id], subs.get(w.window_id, []), topk)
+        for (w, _), topk in zip(pairs, topks)
     ]
     corpus_results = _reduce_concepts(window_results)
-    written = [write_influence(window_results, corpus_results, out, cfg)]
+    written = [out / "topk.npz"]
+    gio.write_topk(topks, written[0], cfg.squash)
+    written.append(write_influence(window_results, corpus_results, out, cfg))
     written += write_charts(out, cfg, corpus_results=corpus_results)
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 
 
+def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
+    """topk.npz by window id. DataError naming the file if `influence`
+    wrote it for other windows, another k or another squash mode."""
+    length = windows[0].length if windows else 0
+    topks, k, squash = gio.read_topk(path, length)
+    if [t.window_id for t in topks] != [w.window_id for w in windows]:
+        raise DataError(f"{path}: window ids differ from the manifest's; rerun influence")
+    want_k = default_k(length, cfg.top_frac)
+    if windows and k != want_k:
+        raise DataError(
+            f"{path}: k={k}, but top_frac {cfg.top_frac} of {length} steps gives "
+            f"k={want_k}; rerun influence"
+        )
+    if squash != cfg.squash:
+        raise DataError(
+            f"{path}: squash {squash!r}, but this run uses {cfg.squash!r}; rerun influence"
+        )
+    return {t.window_id: t for t in topks}
+
+
 def cmd_bin(args) -> int:
     manifest, cfg, out = _context(args)
-    pairs = _manifest_windows(manifest, out)
-    events = _events_by_window(out, [w for w, _ in pairs])
+    windows = [w for w, _ in _manifest_windows(manifest, out)]
+    events = _events_by_window(out, windows)
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
     kept = [
-        compute_event_properties(e, w) for w, _ in pairs for e in retained(events[w.window_id])
+        compute_event_properties(e, w) for w in windows for e in retained(events[w.window_id])
     ]
-    topk = {w.window_id: window_topk(w, attr, cfg) for w, attr in pairs}
-    binned = _bin_all(kept, topk, cfg)
+    binned = _bin_all(kept, _read_topk(out / "topk.npz", windows, cfg), cfg)
     written = [out / "binned.csv"]
     binning_mod.write_binned(binned, written[0])
     written += write_charts(out, cfg, binned=binned)

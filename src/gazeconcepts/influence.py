@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissect import round_half_away
+from .detect import FIXATION, SACCADE
+from .dissect import PHASES, round_half_away
 from .errors import ConfigError, EmptyConceptError
+
+EVENT_CONCEPTS = (FIXATION, SACCADE)
+PHASE_CONCEPTS = tuple(f"saccade_{p}" for p in PHASES)
+ALL_CONCEPTS = EVENT_CONCEPTS + PHASE_CONCEPTS
 
 
 @dataclass

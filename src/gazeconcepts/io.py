@@ -10,10 +10,10 @@ short ``D=``/``L=`` header and one comma-separated row per channel, or a
 sparse CSV with header ``channel,index,value`` covering the full grid.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
-as does the binary ``.npz`` windows stage file. Every other CSV table
-(events, sub-events, influence, binned influence, synth ground truth)
-is written by ``write_table`` and read back by ``read_table``, with
-reals at 9 significant digits.
+as do the binary ``.npz`` windows and top-k stage files. Every other
+CSV table (events, sub-events, influence, binned influence, synth
+ground truth) is written by ``write_table`` and read back by
+``read_table``, with reals at 9 significant digits.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .detect import GazeEvent
 from .dissect import PHASES, SubEvent
 from .errors import AlignmentError, ConfigError, DataError, FormatError
-from .influence import InfluenceResult
+from .influence import ALL_CONCEPTS, InfluenceResult, TopKSegmentation
 from .preprocess import VelocityWindow
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
@@ -96,6 +96,17 @@ def optional(parse, missing):
 
 
 OPT_REAL = optional(float, math.nan)
+
+
+def one_of(names):
+    """Cell parser that accepts only the given names."""
+    names = frozenset(names)
+
+    def parse(token: str) -> str:
+        if token not in names:
+            raise ValueError(token)
+        return token
+    return parse
 
 
 def read_table(path, columns, parsers) -> list:
@@ -235,11 +246,68 @@ def _check_monotone(t: np.ndarray, line_of_sample, path):
             )
 
 
+def _gaze_columns(body, ncol: int, idx):
+    """Columnar parse of the gaze rows: (t_ms, coords) or None.
+
+    Applies when every line has exactly ncol - 1 commas and no quote, so
+    that splitting on commas gives the fields csv.reader gives, and when
+    int() parses every timestamp and float() every coordinate, as in the
+    line parser (NaN and inf are coupled into missing samples later, as
+    there). Anything else (blank lines, empty or "." cells, quoted cells,
+    wrong field counts) returns None and takes the line parser.
+    """
+    if any(line.count(",") != ncol - 1 for line in body):
+        return None
+    joined = ",".join(body)
+    if '"' in joined:
+        return None
+    flat = joined.split(",")
+    n = len(body)
+    try:
+        t = np.fromiter(map(int, flat[idx[0]::ncol]), dtype=np.int64, count=n)
+        coords = np.array([
+            np.fromiter(map(float, flat[i::ncol]), dtype=float, count=n) for i in idx[1:]
+        ])
+    except (ValueError, OverflowError):
+        return None
+    return t, coords.T
+
+
+def _gaze_lines(body, header, idx, path):
+    """Line-by-line parse of the gaze rows: (t_ms, coords, file line of
+    each sample, blank lines skipped). Missing-value tokens and
+    unparseable coordinates become NaN."""
+    kept_lines = []  # 1-based file line numbers of parsed samples
+    rows = []
+    skipped = 0
+    for lineno, line in enumerate(body, start=2):
+        if not line.strip():
+            skipped += 1
+            continue
+        fields = next(csv.reader([line]))
+        if len(fields) != len(header):
+            raise FormatError(
+                f"{path}: line {lineno} has {len(fields)} fields, expected {len(header)}"
+            )
+        try:
+            t = int(fields[idx[0]].strip())
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: timestamp {fields[idx[0]]!r} is not an integer"
+            ) from None
+        rows.append((t, [_parse_coord(fields[i]) for i in idx[1:]]))
+        kept_lines.append(lineno)
+    t = np.array([r[0] for r in rows], dtype=np.int64)
+    coords = np.array([r[1] for r in rows], dtype=float).reshape(len(rows), len(idx) - 1)
+    return t, coords, kept_lines, skipped
+
+
 def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     """Load a gaze recording, normalizing missing-value encodings.
 
     ``schema`` optionally maps the logical column names to the file's
-    actual header names. Blank lines are skipped and counted in
+    actual header names. Every row must have exactly as many fields as
+    the header. Blank lines are skipped and counted in
     ``source_meta['skipped_rows']``; no other row is ever dropped.
     """
     path = Path(path)
@@ -275,29 +343,12 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     idx = [col(c) for c in columns]
 
     body = lines[1:]
-    kept_lines = []  # 1-based file line numbers of parsed samples
-    rows = []
-    skipped = 0
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            skipped += 1
-            continue
-        fields = next(csv.reader([line]))
-        if len(fields) < len(header):
-            raise FormatError(
-                f"{path}: line {lineno} has {len(fields)} fields, expected {len(header)}"
-            )
-        try:
-            t = int(fields[idx[0]].strip())
-        except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}: timestamp {fields[idx[0]]!r} is not an integer"
-            ) from None
-        rows.append((t, [_parse_coord(fields[i]) for i in idx[1:]]))
-        kept_lines.append(lineno)
-
-    t = np.array([r[0] for r in rows], dtype=np.int64)
-    coords = np.array([r[1] for r in rows], dtype=float).reshape(len(rows), -1)
+    parsed = _gaze_columns(body, len(header), idx)
+    if parsed is not None:
+        t, coords = parsed
+        kept_lines, skipped = range(2, len(body) + 2), 0
+    else:
+        t, coords, kept_lines, skipped = _gaze_lines(body, header, idx, path)
     _check_monotone(t, lambda i: kept_lines[i], path)
 
     if eye == "mono":
@@ -437,7 +488,7 @@ def load_attribution(path, window_id: str | None = None) -> AttributionMap:
         values = np.empty((d, l), dtype=float)
         for ch, row in enumerate(body):
             try:
-                vals = np.fromiter((float(tok) for tok in row.split(",")), dtype=float)
+                vals = np.array(row.split(","), dtype=float)
             except ValueError:
                 raise FormatError(f"{path}: channel {ch} has a non-numeric value") from None
             if len(vals) != l:
@@ -528,8 +579,9 @@ def write_windows(windows, path):
         np.savez(fh, **arrays)
 
 
-def read_windows(path) -> list:
-    """Inverse of write_windows; rejects anything but a windows file."""
+def _load_npz(path, names, what: str) -> dict:
+    """The arrays of a stage ``.npz`` file that holds exactly `names`;
+    FormatError naming the path for any other file."""
     path = Path(path)
     with path.open("rb") as fh:
         try:
@@ -537,11 +589,16 @@ def read_windows(path) -> list:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                if set(npz.files) != set(WINDOW_ARRAYS):
-                    raise ValueError("not the windows arrays")
-                a = {name: npz[name] for name in WINDOW_ARRAYS}
+                if set(npz.files) != set(names):
+                    raise ValueError(f"not the {what} arrays")
+                return {name: npz[name] for name in names}
         except (ValueError, EOFError, zipfile.BadZipFile):
-            raise FormatError(f"{path}: not a windows file") from None
+            raise FormatError(f"{path}: not a {what}") from None
+
+
+def read_windows(path) -> list:
+    """Inverse of write_windows; rejects anything but a windows file."""
+    a = _load_npz(path, WINDOW_ARRAYS, "windows file")
     n = a["window_id"].size
     shapes = {a[name].shape for name in WINDOW_ARRAYS[4:]}
     if len(shapes) != 1 or len(shapes.pop()) != 2 or any(a[k].shape[:1] != (n,) for k in a):
@@ -560,6 +617,54 @@ def read_windows(path) -> list:
         )
         for i in range(n)
     ]
+
+
+TOPK_ARRAYS = ("window_id", "indices", "k", "squash")
+
+
+def write_topk(topks, path, squash: str):
+    """Store top-k segmentations as one ``.npz`` stage file: the window
+    ids, the k masked steps of each window as ascending int32 indices,
+    k, and the squash mode the attributions were collapsed with. The
+    file is written to exactly ``path``, whatever its suffix.
+    """
+    ks = {t.k for t in topks}
+    if len(ks) > 1:
+        raise DataError(f"top-k segmentations of mixed k {sorted(ks)} cannot be stacked")
+    k = ks.pop() if ks else 0
+    arrays = {
+        "window_id": np.array([t.window_id for t in topks], dtype=str),
+        "indices": np.array(
+            [np.flatnonzero(t.mask) for t in topks], dtype=np.int32
+        ).reshape(-1, k),
+        "k": np.array(k, dtype=np.int64),
+        "squash": np.array(squash, dtype=str),
+    }
+    with Path(path).open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def read_topk(path, length: int):
+    """Inverse of write_topk for windows of `length` steps: (top-k
+    segmentations in file order, k, squash mode). Rejects anything but a
+    top-k file, and indices that are not k ascending steps of a window."""
+    a = _load_npz(path, TOPK_ARRAYS, "top-k file")
+    ids, indices, k, squash = (a[name] for name in TOPK_ARRAYS)
+    if (
+        ids.ndim != 1 or k.shape != () or k.dtype.kind != "i"
+        or squash.shape != () or squash.dtype.kind != "U"
+        or indices.dtype.kind != "i" or indices.shape != (ids.size, int(k))
+    ):
+        raise FormatError(f"{path}: top-k file arrays disagree in shape")
+    k = int(k)
+    if indices.size and (
+        indices.min() < 0 or indices.max() >= length or (np.diff(indices, axis=1) <= 0).any()
+    ):
+        raise FormatError(f"{path}: indices are not {k} ascending steps of {length}")
+    masks = np.zeros((ids.size, length), dtype=bool)
+    np.put_along_axis(masks, indices, True, axis=1)
+    topks = [TopKSegmentation(str(w), k, mask) for w, mask in zip(ids, masks)]
+    return topks, k, str(squash)
 
 
 EVENT_COLUMNS = (
@@ -608,8 +713,9 @@ REPORT_COLUMNS = (
     "c", "c_mean", "n_windows", "n_skipped",
 )
 _REPORT_PARSERS = {
-    "L_total": int, "S_total": int, "k_total": int, "intersection": int, "c": float,
-    "c_mean": optional(float, None), "n_windows": int, "n_skipped": int,
+    "concept": one_of(ALL_CONCEPTS), "L_total": int, "S_total": int, "k_total": int,
+    "intersection": int, "c": float, "c_mean": optional(float, None), "n_windows": int,
+    "n_skipped": int,
 }
 
 
@@ -640,6 +746,8 @@ def read_report(path, format: str = "csv") -> list:
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or set(row) != set(REPORT_COLUMNS):
                 raise FormatError(f"{path}: row {i} keys are not {','.join(REPORT_COLUMNS)}")
+            if row["concept"] not in ALL_CONCEPTS:
+                raise FormatError(f"{path}: row {i}: unknown concept {row['concept']!r}")
     else:
         raise ConfigError(f"unknown report format {format!r}")
     return [InfluenceResult(**row) for row in rows]

@@ -19,7 +19,6 @@ from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
 from .detect import (
-    FIXATION,
     SACCADE,
     DetectionParams,
     detect_fixations_ivt,
@@ -29,6 +28,9 @@ from .detect import (
 from .dissect import PHASES, check_ratios, dissect_all
 from .errors import AlignmentError, ConfigError, DataError, GazeError
 from .influence import (
+    ALL_CONCEPTS,
+    EVENT_CONCEPTS,
+    PHASE_CONCEPTS,
     aggregate_influence,
     concept_influence,
     concept_segmentation,
@@ -44,10 +46,6 @@ from .preprocess import (
     window_sequence,
     zscore_normalize,
 )
-
-EVENT_CONCEPTS = (FIXATION, SACCADE)
-PHASE_CONCEPTS = tuple(f"saccade_{p}" for p in PHASES)
-ALL_CONCEPTS = EVENT_CONCEPTS + PHASE_CONCEPTS
 
 VALIDITY_RANGES = {
     "saccade_duration_ms": lambda cfg: (cfg.sacc_min_duration_ms, cfg.sacc_max_duration_ms),

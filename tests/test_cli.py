@@ -4,8 +4,10 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gazeconcepts import io as gio
 from gazeconcepts.cli import main
 from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import SavGolParams
@@ -228,7 +230,8 @@ def test_staged_chain_writes_to_manifest_output_dir(tiny_corpus, tmp_path, monke
         assert main([sub, "--manifest", str(manifest)]) == 0, sub
     written = {p.name for p in (tmp_path / "m" / "results").iterdir()}
     assert {"windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
-            "dissect_stats.json", "influence.csv", "binned.csv", "report.json"} <= written
+            "dissect_stats.json", "topk.npz", "influence.csv", "binned.csv",
+            "report.json"} <= written
     assert not any((tmp_path / "elsewhere").iterdir())
 
 
@@ -303,6 +306,10 @@ def _truncate_events(text):
      r"preprocess_stats\.json: no 'windows\.evaluated'"),
     ("report", "preprocess_stats.json", lambda t: t[:-5], r"preprocess_stats\.json: not valid"),
     ("report", "dissect_stats.json", lambda t: "{}", r"dissect_stats\.json: no"),
+    ("report", "influence.csv", lambda t: t + "bogus,corpus,,1000,10,20,5,25,25,1,0\n",
+     r"influence\.csv: line \d+: cannot parse concept 'bogus'"),
+    ("report", "binned.csv", lambda t: t.replace("\nsaccade_duration_ms,", "\nbogus,", 1),
+     r"binned\.csv: line \d+: cannot parse property 'bogus'"),
 ])
 def test_malformed_stage_file_exits_2(tiny_corpus, staged_out, tmp_path, capsys,
                                       stage, name, damage, message):
@@ -312,3 +319,47 @@ def test_malformed_stage_file_exits_2(tiny_corpus, staged_out, tmp_path, capsys,
     argv = [stage, "--out", str(out)]
     assert main(argv + ["--manifest", str(tiny_corpus)]) == 2
     assert re.search(message, capsys.readouterr().err.splitlines()[-1])
+
+
+def _bin(manifest, staged_out, tmp_path, *flags):
+    """Exit code of `bin` on a copy of the staged outputs, and the copy."""
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    return main(["bin", "--out", str(out), "--manifest", str(manifest), *flags]), out
+
+
+def test_bin_reads_topk_not_attributions(tiny_corpus, staged_out, tmp_path, monkeypatch):
+    def parse(*args, **kwargs):
+        raise AssertionError("bin parsed an attribution file")
+    monkeypatch.setattr(gio, "load_attribution", parse)
+    code, out = _bin(tiny_corpus, staged_out, tmp_path)
+    assert code == 0
+    assert (out / "binned.csv").read_bytes() == (staged_out / "binned.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--top-frac", "0.05"], r"topk\.npz: k=20, but top_frac 0\.05 of 1000 steps gives k=50"),
+    (["--squash", "abs"], r"topk\.npz: squash 'signed', but this run uses 'abs'"),
+])
+def test_bin_rejects_stale_topk(tiny_corpus, staged_out, tmp_path, capsys, flags, message):
+    assert _bin(tiny_corpus, staged_out, tmp_path, *flags)[0] == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(message, err) and err.endswith("rerun influence")
+
+
+def test_bin_rejects_topk_of_other_windows(tiny_corpus, staged_out, tmp_path, capsys):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"].reverse()
+    manifest.write_text(json.dumps(doc))
+    assert _bin(manifest, staged_out, tmp_path)[0] == 2
+    assert re.search(r"topk\.npz: window ids differ", capsys.readouterr().err)
+
+
+def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys):
+    foreign = tmp_path / "foreign"
+    shutil.copytree(staged_out, foreign)
+    with (foreign / "topk.npz").open("wb") as fh:
+        np.savez(fh, indices=np.zeros((2, 20), dtype=np.int32))
+    assert _bin(tiny_corpus, foreign, tmp_path)[0] == 2
+    assert re.search(r"topk\.npz: not a top-k file", capsys.readouterr().err)

@@ -23,8 +23,9 @@ SPEC = CorpusSpec(seed=1, n_recordings=2, duration_s=20, window_len=250)
 FLAGS = ("--window-len", "250")
 STAGES = (("preprocess", True), ("detect", False), ("dissect", False),
           ("influence", True), ("bin", True), ("report", False))
-# stage files only the staged chain writes; windows.npz is exact binary
-# and checked against `run` through the artifacts computed from it
+# stage files only the staged chain writes; windows.npz and topk.npz are
+# exact binary and checked against `run` through the artifacts computed
+# from them
 STAGE_ONLY = ("preprocess_stats.json", "dissect_stats.json")
 
 
@@ -103,7 +104,9 @@ def test_run_matches_golden(produced):
 def test_staged_chain_matches_golden(produced):
     _, run_out, staged = produced
     expected = [n for n in files_under(GOLDEN / "run") if n != "run_log.json"]
-    assert files_under(staged) == sorted(expected + list(STAGE_ONLY) + ["windows.npz"])
+    assert files_under(staged) == sorted(
+        expected + list(STAGE_ONLY) + ["topk.npz", "windows.npz"]
+    )
     pairs = [(n, GOLDEN / "run" / n, staged / n) for n in expected]
     pairs += [(n, GOLDEN / "staged" / n, staged / n) for n in STAGE_ONLY]
     assert_same_files(pairs)

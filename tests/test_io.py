@@ -1,8 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gazeconcepts import io as gio
 
 from gazeconcepts.binning import BinnedInfluence, read_binned, write_binned
 from gazeconcepts.detect import GazeEvent
@@ -12,7 +17,7 @@ from gazeconcepts.errors import (
     DataError,
     FormatError,
 )
-from gazeconcepts.influence import InfluenceResult
+from gazeconcepts.influence import InfluenceResult, topk_segmentation
 from gazeconcepts.io import (
     AttributionMap,
     load_attribution,
@@ -22,6 +27,7 @@ from gazeconcepts.io import (
     read_report,
     read_subevents,
     read_table,
+    read_topk,
     read_windows,
     select_eye,
     validate_attribution,
@@ -31,6 +37,7 @@ from gazeconcepts.io import (
     write_report,
     write_subevents,
     write_table,
+    write_topk,
     write_windows,
 )
 from gazeconcepts.dissect import SubEvent
@@ -47,6 +54,13 @@ def test_trivial_three_rows(tmp_path):
     assert rec.eye == "mono"
     assert not np.isnan(rec.x_deg).any()
     np.testing.assert_array_equal(rec.t_ms, [0, 1, 2])
+
+
+def test_header_only_file_has_no_samples(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n")
+    rec = load_gaze_csv(p)
+    assert rec.n_samples == 0 and rec.x_deg.shape == (0,)
 
 
 @pytest.mark.parametrize("token", ["NaN", "nan", ".", ""])
@@ -121,6 +135,112 @@ def test_short_row_is_format_error(tmp_path):
     p.write_text("t_ms,x_deg,y_deg\n0,0\n")
     with pytest.raises(FormatError, match="line 2"):
         load_gaze_csv(p)
+
+
+def test_extra_field_is_format_error(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,1.0,2.0,99\n")
+    with pytest.raises(FormatError, match="line 3 has 4 fields, expected 3"):
+        load_gaze_csv(p)
+
+
+def _load_outcome(path, schema):
+    """What load_gaze_csv gives: the exception's type and message, or
+    the eye, t_ms, every eye's coordinates (bitwise) and skipped rows."""
+    try:
+        rec = load_gaze_csv(path, schema)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e)
+    eyes = {k: (x.tobytes(), y.tobytes()) for k, (x, y) in rec.eyes.items()}
+    return rec.eye, rec.t_ms.dtype, rec.t_ms.tobytes(), eyes, rec.source_meta
+
+
+COORD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, width=64).map(repr),
+    st.sampled_from(["", ".", "nan", "NaN", "inf", "-inf", " 1.5 ", "2e3", "abc",
+                     '"2.0"', '"1,5"', "1_0", "-0"]),
+)
+TIME_TOKENS = st.one_of(
+    st.integers(-10, 20).map(str),
+    st.sampled_from(["1.5", "x", "", " 7 ", "+3", "99999999999999999999"]),
+)
+EXTRA_TOKENS = st.sampled_from(['"x', '"', '"q,r"', 'b"c', ""])
+PERTURBATIONS = ("coord", "time", "extra", "short", "long", "blank")
+
+
+@st.composite
+def gaze_files(draw):
+    """(file text, schema): a well-formed gaze file (monocular or
+    binocular, optionally renamed through a schema, optionally with an
+    extra column) with up to three perturbed lines: a missing-value,
+    whitespace, quoted or unparseable coordinate, a non-integer,
+    overflowing or non-monotone timestamp, a quoted extra cell, a short
+    or long row, a blank line."""
+    columns = list(draw(st.sampled_from([gio.MONO_COLUMNS, gio.BINOCULAR_COLUMNS])))
+    schema = None
+    if draw(st.booleans()):
+        schema = {c: c.upper() for c in columns}
+        columns = [c.upper() for c in columns]
+    extra = draw(st.one_of(st.none(), st.integers(0, len(columns))))
+    if extra is not None:
+        columns.insert(extra, "note")
+    time_col = columns.index("T_MS" if schema else "t_ms")
+    coord_cols = [i for i in range(len(columns)) if i not in (time_col, extra)]
+    t0 = draw(st.integers(-5, 5))
+    rows = []
+    for i in range(draw(st.integers(0, 10))):
+        cells = [draw(st.floats(-1e3, 1e3).map(repr)) for _ in columns]
+        cells[time_col] = str(t0 + i)
+        if extra is not None:
+            cells[extra] = "n"
+        rows.append(cells)
+    kinds = draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=3)) if rows else []
+    for kind in sorted(kinds, key=PERTURBATIONS.index):  # cell edits before row edits
+        i = draw(st.integers(0, len(rows) - 1))
+        cells = rows[i]
+        if kind == "coord":
+            cells[draw(st.sampled_from(coord_cols))] = draw(COORD_TOKENS)
+        elif kind == "time":
+            cells[time_col] = draw(TIME_TOKENS)
+        elif kind == "extra" and extra is not None:
+            cells[extra] = draw(EXTRA_TOKENS)
+        elif kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append(draw(st.sampled_from(["9", ""])))
+        elif kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  ", "\t"]))])
+    lines = [",".join(columns)] + [",".join(cells) for cells in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), schema
+
+
+@pytest.fixture(scope="module")
+def gaze_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("gaze") / "g.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(gaze_files())
+@example(('t_ms,note,x_deg,y_deg\n0,"x,1.0,2.0\n', None))  # csv quoting swallows commas
+def test_columnar_parse_matches_line_parser(gaze_path, case):
+    text, schema = case
+    gaze_path.write_bytes(text.encode())
+    fast = _load_outcome(gaze_path, schema)
+    with mock.patch.object(gio, "_gaze_columns", return_value=None):
+        lines = _load_outcome(gaze_path, schema)
+    assert fast == lines
+
+
+def test_plain_rows_take_columnar_path(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\r\n0, 1.5,-2e3\r\n1,nan,+7\r\n2,inf,0\r\n")
+    with mock.patch.object(gio, "_gaze_lines", side_effect=AssertionError("line parser")):
+        rec = load_gaze_csv(p)
+    np.testing.assert_array_equal(rec.t_ms, [0, 1, 2])
+    np.testing.assert_array_equal(rec.x_deg, [1.5, np.nan, np.nan])
+    np.testing.assert_array_equal(rec.y_deg, [-2000.0, np.nan, np.nan])
+    assert rec.source_meta["skipped_rows"] == "0"
 
 
 def _binocular_file(tmp_path):
@@ -369,6 +489,33 @@ def test_windows_roundtrip_exact(tmp_path):
         write_windows([w1, short], tmp_path / "mixed.npz")
 
 
+def test_topk_roundtrip_exact(tmp_path):
+    rng = np.random.default_rng(5)
+    topks = [topk_segmentation(rng.normal(size=50), 4, f"r-w{i:04d}") for i in range(3)]
+    p = tmp_path / "t.stage"  # written to exactly this path, no .npz added
+    write_topk(topks, p, "abs")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["t.stage"]
+    back, k, squash = read_topk(p, 50)
+    assert (k, squash) == (4, "abs")
+    assert [t.window_id for t in back] == ["r-w0000", "r-w0001", "r-w0002"]
+    for t, b in zip(topks, back):
+        np.testing.assert_array_equal(b.mask, t.mask)
+        assert b.k == 4
+    with pytest.raises(FormatError, match="t.stage: indices are not 4 ascending steps of 40"):
+        read_topk(p, 40)
+
+    windows = tmp_path / "w.npz"
+    write_windows([build_window(np.zeros(50))], windows)
+    duplicated = tmp_path / "dup.npz"
+    np.savez(duplicated, window_id=np.array(["a"]), k=np.array(2), squash=np.array("abs"),
+             indices=np.array([[3, 3]], dtype=np.int32))
+    for bad, message in ((windows, "not a top-k file"), (duplicated, "indices are not 2 ascending")):
+        with pytest.raises(FormatError, match=f"{bad.name}: {message}"):
+            read_topk(bad, 50)
+    with pytest.raises(DataError, match="mixed k"):
+        write_topk(topks + [topk_segmentation(np.zeros(50), 5)], tmp_path / "m.npz", "abs")
+
+
 def test_table_cell_rule(tmp_path):
     p = tmp_path / "t.csv"
     write_table(p, ("s", "i", "x", "y", "b", "n"), [
@@ -469,6 +616,11 @@ def test_json_report_rejects_other_keys(tmp_path):
     del doc[1]["extra"], doc[1]["c_mean"]
     p.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="r.json: row 1"):
+        read_report(p, "json")
+    doc[1]["c_mean"] = None
+    doc[0]["concept"] = "bogus"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="r.json: row 0: unknown concept 'bogus'"):
         read_report(p, "json")
     p.write_text("[{")
     with pytest.raises(FormatError, match="r.json"):
