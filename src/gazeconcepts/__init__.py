@@ -56,6 +56,7 @@ from .preprocess import (
     ChannelStats,
     SavGolParams,
     VelocityWindow,
+    WindowStack,
     clamp_velocities,
     compute_channel_stats,
     savgol_derivative,

@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detect import FIXATION, SACCADE
-from .errors import ConfigError, EmptyConceptError
-from .influence import (
-    InfluenceResult,
-    aggregate_influence,
-    concept_influence,
-    concept_segmentation,
-)
+from .errors import ConfigError
+from .influence import InfluenceResult, aggregate_influence, influence_rows, segment_masks
 from .io import OPT_REAL, one_of, optional, read_table, write_table
 
 PROPERTIES = {
@@ -194,27 +189,32 @@ def binned_influence(bins, spec: BinSpec, topk_by_window) -> list[BinnedInfluenc
 
     Each bin's events form their own concept segmentation per window,
     evaluated against that window's top-k mask and pooled across
-    windows exactly like an unbinned concept.
+    windows exactly like an unbinned concept. The windows of one bin are
+    scored together, in window id order, as one (windows, L) mask.
     """
+    row_of = {window_id: i for i, window_id in enumerate(topk_by_window)}
+    topks = list(topk_by_window.values())
+    topk_stack = np.array([t.mask for t in topks], dtype=bool)
+    length = topk_stack.shape[1] if topks else 0
     out = []
     for b in bins:
         by_window = {}
         for event in b.events:
             by_window.setdefault(event.window_id, []).append(event)
-        results = []
-        size = 0
-        for window_id in sorted(by_window):
-            topk = topk_by_window.get(window_id)
-            if topk is None:
-                raise ConfigError(f"no top-k segmentation for window {window_id!r}")
-            seg = concept_segmentation(
-                by_window[window_id], spec.property, topk.length, window_id
-            )
-            size += seg.size
-            try:
-                results.append(concept_influence(seg, topk))
-            except EmptyConceptError:  # zero-length intervals cannot occur
-                continue
+        window_ids = sorted(by_window)
+        n_known = next(
+            (i for i, w in enumerate(window_ids) if w not in row_of), len(window_ids)
+        )
+        # the windows before one without top-k are segmented, and so checked, first
+        masks = segment_masks([by_window[w] for w in window_ids[:n_known]], length)
+        if n_known < len(window_ids):
+            raise ConfigError(f"no top-k segmentation for window {window_ids[n_known]!r}")
+        topk_rows = [row_of[w] for w in window_ids]
+        results = influence_rows(
+            spec.property, masks, topk_stack[topk_rows],
+            [topks[r].k for r in topk_rows], window_ids,
+        )
+        results = [r for r in results if r is not None]  # |S| = 0 cannot occur here
         out.append(
             BinnedInfluence(
                 property=spec.property,
@@ -222,7 +222,7 @@ def binned_influence(bins, spec: BinSpec, topk_by_window) -> list[BinnedInfluenc
                 hi=b.hi,
                 label=b.label,
                 event_count=b.event_count,
-                segmentation_size=size,
+                segmentation_size=int(masks.sum()),
                 influence=aggregate_influence(results) if results else None,
             )
         )

@@ -25,8 +25,8 @@ from pathlib import Path
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import SACCADE, compute_event_properties, retained
-from .dissect import dissect_all
+from .detect import SACCADE, detect_events, event_properties, retained
+from .dissect import dissect_saccades
 from .errors import ConfigError, DataError, FormatError, GazeError
 from .influence import default_k
 from .pipeline import (
@@ -38,14 +38,14 @@ from .pipeline import (
     _dissection_counts,
     _preprocess_counts,
     _reduce_concepts,
-    detect_window,
     preprocess_manifest,
     run,
-    window_influence,
-    window_topk,
+    windows_influence,
+    windows_topk,
     write_charts,
     write_influence,
 )
+from .preprocess import WindowStack
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 ENV_OUT = "GAZECONCEPTS_OUT"
@@ -182,20 +182,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _manifest_windows(manifest, out: Path) -> list:
-    """(window, attribution path) per manifest entry, from the windows file."""
-    windows = {w.window_id: w for w in gio.read_windows(out / "windows.npz")}
-    pairs = []
+def _manifest_windows(manifest, out: Path):
+    """The windows file's windows in manifest order (the file's own stack
+    when the orders agree) and each one's attribution path."""
+    windows = gio.read_windows(out / "windows.npz")
+    row_of = {window_id: row for row, window_id in enumerate(windows.window_ids)}
+    rows = []
     for entry in manifest.entries:
-        if entry.window_id not in windows:
+        if entry.window_id not in row_of:
             raise DataError(f"manifest window {entry.window_id!r} not in windows file")
-        pairs.append((windows[entry.window_id], manifest.resolve(entry.attribution)))
-    return pairs
+        rows.append(row_of[entry.window_id])
+    if rows != list(range(len(windows))):
+        windows = WindowStack.of([windows[row] for row in rows])
+    return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
 
 
-def _events_by_window(out: Path, windows) -> dict:
+def _events_by_window(out: Path, window_ids) -> dict:
     """events.csv grouped by window, in window order."""
-    by_window = {w.window_id: [] for w in windows}
+    by_window = {window_id: [] for window_id in window_ids}
     for e in gio.read_events(out / "events.csv"):
         if e.window_id not in by_window:
             raise DataError(f"event {e.event_id} references unknown window {e.window_id}")
@@ -229,10 +233,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_detect(args) -> int:
     _, cfg, out = _context(args)
-    events = []
-    for w in gio.read_windows(out / "windows.npz"):
-        fixations, saccades = detect_window(w, cfg)
-        events += fixations + saccades
+    detected = detect_events(gio.read_windows(out / "windows.npz"), cfg.detection_params())
+    events = [e for fixations, saccades in detected for e in fixations + saccades]
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -242,11 +244,14 @@ def cmd_detect(args) -> int:
 def cmd_dissect(args) -> int:
     _, cfg, out = _context(args)
     windows = gio.read_windows(out / "windows.npz")
-    by_window = _events_by_window(out, windows)
-    dissections = []
-    for w in windows:
-        saccades = [e for e in by_window[w.window_id] if e.kind == SACCADE]
-        dissections += dissect_all(saccades, w, cfg.peak_ratio, cfg.flank_ratio)
+    by_window = _events_by_window(out, windows.window_ids)
+    # peaks come from the windows' exact speeds, not events.csv's 9 digits
+    dissections = dissect_saccades(
+        [[e for e in events if e.kind == SACCADE and not e.excluded]
+         for events in by_window.values()],
+        windows, cfg.peak_ratio, cfg.flank_ratio,
+    )
+    dissections = [d for row in dissections for d in row]
     subs = [s for d in dissections for s in d.sub_events]
     gio.write_subevents(subs, out / "subevents.csv")
     events = [e for group in by_window.values() for e in group]
@@ -258,16 +263,15 @@ def cmd_dissect(args) -> int:
 
 def cmd_influence(args) -> int:
     manifest, cfg, out = _context(args)
-    pairs = _manifest_windows(manifest, out)
-    events = _events_by_window(out, [w for w, _ in pairs])
+    windows, attribution_paths = _manifest_windows(manifest, out)
+    by_window = _events_by_window(out, windows.window_ids)
     subs = {}
     for s in gio.read_subevents(out / "subevents.csv"):
         subs.setdefault(s.parent_event_id.rsplit(":", 1)[0], []).append(s)
-    topks = [window_topk(w, attr, cfg) for w, attr in pairs]
-    window_results = [
-        window_influence(w, events[w.window_id], subs.get(w.window_id, []), topk)
-        for (w, _), topk in zip(pairs, topks)
-    ]
+    topks = windows_topk(windows, attribution_paths, cfg)
+    window_results = windows_influence(
+        windows, list(by_window.values()), [subs.get(w, []) for w in by_window], topks
+    )
     corpus_results = _reduce_concepts(window_results)
     written = [out / "topk.npz"]
     gio.write_topk(topks, written[0], cfg.squash)
@@ -280,9 +284,9 @@ def cmd_influence(args) -> int:
 def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
     """topk.npz by window id. DataError naming the file if `influence`
     wrote it for other windows, another k or another squash mode."""
-    length = windows[0].length if windows else 0
+    length = windows.length
     topks, k, squash = gio.read_topk(path, length)
-    if [t.window_id for t in topks] != [w.window_id for w in windows]:
+    if [t.window_id for t in topks] != windows.window_ids:
         raise DataError(f"{path}: window ids differ from the manifest's; rerun influence")
     want_k = default_k(length, cfg.top_frac)
     if windows and k != want_k:
@@ -299,13 +303,12 @@ def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
 
 def cmd_bin(args) -> int:
     manifest, cfg, out = _context(args)
-    windows = [w for w, _ in _manifest_windows(manifest, out)]
-    events = _events_by_window(out, windows)
+    windows, _ = _manifest_windows(manifest, out)
+    by_window = _events_by_window(out, windows.window_ids)
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
-    kept = [
-        compute_event_properties(e, w) for w in windows for e in retained(events[w.window_id])
-    ]
+    kept = event_properties([retained(group) for group in by_window.values()], windows)
+    kept = [e for row in kept for e in row]
     binned = _bin_all(kept, _read_topk(out / "topk.npz", windows, cfg), cfg)
     written = [out / "binned.csv"]
     binning_mod.write_binned(binned, written[0])

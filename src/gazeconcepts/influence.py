@@ -10,6 +10,9 @@ overlap
 
 which is 1 in expectation for attribution placement that ignores the
 concept, and above 1 for concepts the attributions concentrate on.
+
+Masks of many windows are computed at once as (n, L) arrays (segment_masks,
+topk_masks, influence_rows); the one-window functions are batches of one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .detect import FIXATION, SACCADE
 from .dissect import PHASES, round_half_away
 from .errors import ConfigError, EmptyConceptError
+from .preprocess import flatten_rows, interval_bounds
 
 EVENT_CONCEPTS = (FIXATION, SACCADE)
 PHASE_CONCEPTS = tuple(f"saccade_{p}" for p in PHASES)
@@ -95,36 +99,84 @@ def default_k(length: int, top_frac: float = 0.02) -> int:
     return max(1, round_half_away(top_frac * length))
 
 
-def topk_segmentation(squashed, k: int, window_id: str = "") -> TopKSegmentation:
-    """Mask the k largest values; cutoff ties resolve to the lower index."""
+def topk_masks(squashed, k: int) -> np.ndarray:
+    """(n, L) masks of the k largest values of each row of an (n, L)
+    array; cutoff ties resolve to the lower index (stable sort)."""
     squashed = np.asarray(squashed, dtype=float)
-    length = len(squashed)
+    length = squashed.shape[1]
     if not 1 <= k <= length:
         raise ConfigError(f"k must be in [1, {length}], got {k}")
-    order = np.argsort(-squashed, kind="stable")
-    mask = np.zeros(length, dtype=bool)
-    mask[order[:k]] = True
+    order = np.argsort(-squashed, axis=1, kind="stable")[:, :k]
+    mask = np.zeros(squashed.shape, dtype=bool)
+    np.put_along_axis(mask, order, True, axis=1)
+    return mask
+
+
+def topk_segmentation(squashed, k: int, window_id: str = "") -> TopKSegmentation:
+    """Mask the k largest values of one window (a batch of one for
+    topk_masks)."""
+    mask = topk_masks(np.asarray(squashed, dtype=float)[None], k)[0]
     return TopKSegmentation(window_id=window_id, k=k, mask=mask)
 
 
+def segment_masks(groups, length: int) -> np.ndarray:
+    """Union of inclusive index intervals per row, as a (len(groups),
+    length) mask; groups[r] are the items (anything with onset/offset)
+    of row r. Overlapping intervals count once. ConfigError for the first
+    interval outside the window.
+    """
+    items, rows = flatten_rows(groups)
+    onsets, offsets, outside = interval_bounds(items, length)
+    if outside.any():
+        item = items[int(np.argmax(outside))]
+        raise ConfigError(
+            f"interval [{item.onset}, {item.offset}] outside window of length {length}"
+        )
+    # +1 where an interval opens, -1 after it closes: covered where the
+    # running sum is positive
+    diff = np.zeros((len(groups), length + 1), dtype=np.int32)
+    np.add.at(diff, (rows, onsets), 1)
+    np.add.at(diff, (rows, offsets + 1), -1)
+    return np.cumsum(diff, axis=1, dtype=np.int32)[:, :length] > 0
+
+
 def concept_segmentation(items, concept: str, length: int, window_id: str = ""):
-    """Union of the items' inclusive index intervals as a binary mask.
+    """Union of the items' inclusive index intervals as a binary mask (a
+    batch of one for segment_masks).
 
     Items are events or sub-events carrying onset/offset; overlapping
     intervals count once.
     """
-    mask = np.zeros(length, dtype=bool)
-    for item in items:
-        if not (0 <= item.onset <= item.offset < length):
-            raise ConfigError(
-                f"interval [{item.onset}, {item.offset}] outside window of length {length}"
-            )
-        mask[item.onset : item.offset + 1] = True
+    mask = segment_masks([list(items)], length)[0]
     return ConceptSegmentation(window_id=window_id, concept=concept, mask=mask)
 
 
+def influence_rows(concept: str, masks, topk, ks, window_ids) -> list:
+    """Window-scope influence of one concept on every row of (n, L)
+    concept masks and top-k masks ``topk`` (k = ks[row]), evaluated as
+    (L * intersection) / (|S| * k); None where the concept is absent
+    (|S| = 0)."""
+    length = masks.shape[1]
+    sizes = masks.sum(axis=1).tolist()
+    intersections = (masks & topk).sum(axis=1).tolist()
+    return [
+        None if size == 0 else InfluenceResult(
+            concept=concept,
+            scope="window",
+            intersection=inter,
+            c=(length * inter) / (size * k),
+            L_total=length,
+            S_total=size,
+            k_total=k,
+            window_id=window_id,
+        )
+        for size, inter, k, window_id in zip(sizes, intersections, ks, window_ids)
+    ]
+
+
 def concept_influence(S: ConceptSegmentation, T: TopKSegmentation) -> InfluenceResult:
-    """Top-k intersection and concept influence for one window.
+    """Top-k intersection and concept influence for one window (a batch of
+    one for influence_rows).
 
     The influence is evaluated as (L * intersection) / (|S| * k), which
     equals the defining formula exactly and keeps the arithmetic exact
@@ -136,22 +188,11 @@ def concept_influence(S: ConceptSegmentation, T: TopKSegmentation) -> InfluenceR
         )
     if S.window_id and T.window_id and S.window_id != T.window_id:
         raise ConfigError(f"window mismatch: {S.window_id} vs {T.window_id}")
-    size = S.size
-    if size == 0:
+    if S.size == 0:
         raise EmptyConceptError(
             f"concept {S.concept!r} absent from window {S.window_id!r}"
         )
-    intersection = int((S.mask & T.mask).sum())
-    return InfluenceResult(
-        concept=S.concept,
-        scope="window",
-        intersection=intersection,
-        c=(S.length * intersection) / (size * T.k),
-        L_total=S.length,
-        S_total=size,
-        k_total=T.k,
-        window_id=S.window_id,
-    )
+    return influence_rows(S.concept, S.mask[None], T.mask[None], [T.k], [S.window_id])[0]
 
 
 def aggregate_influence(per_window) -> InfluenceResult:

@@ -32,17 +32,11 @@ from .detect import GazeEvent
 from .dissect import PHASES, SubEvent
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS, InfluenceResult, TopKSegmentation
-from .preprocess import VelocityWindow
+from .preprocess import WindowStack
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
 BINOCULAR_COLUMNS = ("t_ms", "x_left_deg", "y_left_deg", "x_right_deg", "y_right_deg")
 MISSING_TOKENS = {"", ".", "nan"}
-
-
-def fmt_exact(x) -> str:
-    """Shortest decimal that parses back to the same float; NaN spelled out."""
-    x = float(x)
-    return "NaN" if math.isnan(x) else repr(x)
 
 
 def fmt_sig9(x) -> str:
@@ -367,25 +361,23 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     )
 
 
+def _exact_column(values) -> list:
+    """Each value as the shortest decimal that parses back to the same
+    float, NaN spelled out; one pass over the column."""
+    return ["NaN" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
 def write_gaze_csv(rec: GazeRecording, path):
     """Write a recording; floats use exact round-trip formatting."""
-    path = Path(path)
-    out = []
     if rec.eye == "binocular":
-        out.append(",".join(BINOCULAR_COLUMNS))
-        xl, yl = rec.eyes["left"]
-        xr, yr = rec.eyes["right"]
-        for i in range(rec.n_samples):
-            out.append(
-                f"{rec.t_ms[i]},{fmt_exact(xl[i])},{fmt_exact(yl[i])},"
-                f"{fmt_exact(xr[i])},{fmt_exact(yr[i])}"
-            )
+        header = BINOCULAR_COLUMNS
+        coords = (*rec.eyes["left"], *rec.eyes["right"])
     else:
-        out.append(",".join(MONO_COLUMNS))
-        x, y = rec.x_deg, rec.y_deg
-        for i in range(rec.n_samples):
-            out.append(f"{rec.t_ms[i]},{fmt_exact(x[i])},{fmt_exact(y[i])}")
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+        header = MONO_COLUMNS
+        coords = (rec.x_deg, rec.y_deg)
+    columns = [map(str, np.asarray(rec.t_ms).tolist()), *map(_exact_column, coords)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def select_eye(rec: GazeRecording, eye: str = "right") -> GazeRecording:
@@ -531,7 +523,7 @@ def write_attribution(attr: AttributionMap, path):
     if attr.target_label is not None:
         out.append(f"target={attr.target_label}")
     for ch in range(attr.channels):
-        out.append(",".join(fmt_exact(v) for v in attr.values[ch]))
+        out.append(",".join(_exact_column(attr.values[ch])))
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -556,24 +548,17 @@ def write_windows(windows, path):
     Arrays are stored in binary, so every float round-trips exactly. The
     file is written to exactly ``path``, whatever its suffix.
     """
-    lengths = {w.length for w in windows}
-    if len(lengths) > 1:
-        raise DataError(f"windows of mixed lengths {sorted(lengths)} cannot be stacked")
-    length = lengths.pop() if lengths else 0
-
-    def stack(name, dtype):
-        return np.array([getattr(w, name) for w in windows], dtype=dtype).reshape(-1, length)
-
+    stack = WindowStack.of(windows)
     arrays = {
-        "window_id": np.array([w.window_id for w in windows], dtype=str),
-        "recording_id": np.array([w.recording_id for w in windows], dtype=str),
-        "start_index": np.array([w.start_index for w in windows], dtype=np.int64),
-        "sampling_rate_hz": np.array([w.sampling_rate_hz for w in windows], dtype=float),
-        "vx": stack("vx", float),
-        "vy": stack("vy", float),
-        "px": stack("px", float),
-        "py": stack("py", float),
-        "valid": stack("valid_mask", bool),
+        "window_id": np.array(stack.window_ids, dtype=str),
+        "recording_id": np.array(stack.recording_ids, dtype=str),
+        "start_index": np.array(stack.start_index, dtype=np.int64),
+        "sampling_rate_hz": stack.sampling_rate_hz,
+        "vx": stack.vx,
+        "vy": stack.vy,
+        "px": stack.px,
+        "py": stack.py,
+        "valid": stack.valid,
     }
     with Path(path).open("wb") as fh:
         np.savez(fh, **arrays)
@@ -596,27 +581,28 @@ def _load_npz(path, names, what: str) -> dict:
             raise FormatError(f"{path}: not a {what}") from None
 
 
-def read_windows(path) -> list:
-    """Inverse of write_windows; rejects anything but a windows file."""
+def read_windows(path) -> WindowStack:
+    """Inverse of write_windows, as one stack whose windows are row views
+    of the file's arrays; rejects anything but a windows file."""
     a = _load_npz(path, WINDOW_ARRAYS, "windows file")
     n = a["window_id"].size
     shapes = {a[name].shape for name in WINDOW_ARRAYS[4:]}
     if len(shapes) != 1 or len(shapes.pop()) != 2 or any(a[k].shape[:1] != (n,) for k in a):
         raise FormatError(f"{path}: windows file arrays disagree in shape")
-    return [
-        VelocityWindow(
-            window_id=str(a["window_id"][i]),
-            recording_id=str(a["recording_id"][i]),
-            start_index=int(a["start_index"][i]),
-            vx=a["vx"][i],
-            vy=a["vy"][i],
-            px=a["px"][i],
-            py=a["py"][i],
-            valid_mask=a["valid"][i],
-            sampling_rate_hz=float(a["sampling_rate_hz"][i]),
-        )
-        for i in range(n)
-    ]
+    window_ids = [str(w) for w in a["window_id"]]
+    if len(set(window_ids)) != n:
+        raise FormatError(f"{path}: window ids are not unique")
+    return WindowStack(
+        window_ids=window_ids,
+        recording_ids=[str(r) for r in a["recording_id"]],
+        start_index=a["start_index"].tolist(),
+        sampling_rate_hz=a["sampling_rate_hz"].astype(float),
+        vx=a["vx"],
+        vy=a["vy"],
+        px=a["px"],
+        py=a["py"],
+        valid=a["valid"],
+    )
 
 
 TOPK_ARRAYS = ("window_id", "indices", "k", "squash")

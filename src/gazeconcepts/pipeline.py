@@ -1,9 +1,12 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-Windows are processed one after another and every reduction happens in
-manifest order, so outputs do not depend on the accepted but unused
---jobs value. All artifacts are written at the end of a run; if
+The evaluation windows are stacked into (n, L) arrays once, and each
+step (detection, dissection, top-k, influence, binning) runs over the
+whole stack in one batched pass; every reduction happens in manifest
+order, so outputs do not depend on the accepted but unused --jobs
+value. The one-window functions (process_window, window_segmentations)
+are batches of one. All artifacts are written at the end of a run; if
 that fails, partial files are removed and an INCOMPLETE marker is left.
 """
 
@@ -15,31 +18,30 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import (
-    SACCADE,
-    DetectionParams,
-    detect_fixations_ivt,
-    detect_saccades_ek,
-    retained,
-)
-from .dissect import PHASES, check_ratios, dissect_all
+from .detect import SACCADE, DetectionParams, detect_events, retained
+from .dissect import PHASES, check_ratios, dissect_saccades
 from .errors import AlignmentError, ConfigError, DataError, GazeError
 from .influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
     PHASE_CONCEPTS,
+    ConceptSegmentation,
+    TopKSegmentation,
     aggregate_influence,
-    concept_influence,
-    concept_segmentation,
     default_k,
+    influence_rows,
+    segment_masks,
     squash_channels,
-    topk_segmentation,
+    topk_masks,
 )
 from .preprocess import (
     SavGolParams,
+    WindowStack,
     clamp_velocities,
     compute_channel_stats,
     savgol_derivative,
@@ -172,8 +174,7 @@ def _stage(name: str):
 
 @dataclass
 class PreprocessResult:
-    windows: list  # evaluation windows, manifest order
-    windows_by_id: dict
+    windows: WindowStack  # evaluation windows, manifest order
     summaries: dict  # recording_id -> WindowingSummary
     channel_stats: dict  # scope label -> ChannelStats
 
@@ -204,50 +205,56 @@ class RunResult:
 
 
 def preprocess_manifest(manifest, cfg: RunConfig) -> PreprocessResult:
-    """Load manifest recordings, differentiate, clamp, and window them."""
+    """Load manifest recordings, differentiate, clamp, and window them.
+
+    The evaluation windows are gathered, in manifest order, into one
+    stack that holds their only copy once the recordings are released.
+    """
     recordings = {}
     for entry in manifest.entries:
         if entry.recording not in recordings:
             recordings[entry.recording] = gio.load_gaze_csv(manifest.resolve(entry.recording))
 
-    windows_by_id = {}
+    located = {}  # window id -> (recording's stack, row)
     summaries = {}
-    per_recording_windows = {}
+    per_recording = {}
     for relpath, rec in recordings.items():
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
         sg = cfg.savgol_params(mono.sampling_rate_hz)
         vx = clamp_velocities(savgol_derivative(mono.x_deg, sg), cfg.clamp)
         vy = clamp_velocities(savgol_derivative(mono.y_deg, sg), cfg.clamp)
-        windows, summary = window_sequence(
+        stack, summary = window_sequence(
             vx, vy, mono.x_deg, mono.y_deg, cfg.window_len,
             recording_id=mono.recording_id,
             sampling_rate_hz=mono.sampling_rate_hz,
             missing_max_frac=cfg.missing_max_frac,
         )
         summaries[mono.recording_id] = summary
-        per_recording_windows[mono.recording_id] = windows
-        for w in windows:
-            if w.window_id in windows_by_id:
-                raise DataError(f"window id {w.window_id!r} produced twice")
-            windows_by_id[w.window_id] = w
+        per_recording[mono.recording_id] = stack
+        for row, window_id in enumerate(stack.window_ids):
+            if window_id in located:
+                raise DataError(f"window id {window_id!r} produced twice")
+            located[window_id] = (stack, row)
 
     ordered = []
     for entry in manifest.entries:
-        if entry.window_id not in windows_by_id:
+        if entry.window_id not in located:
             raise AlignmentError(
                 f"window_id {entry.window_id!r} does not resolve to any window "
                 f"produced from the manifest recordings"
             )
-        ordered.append(windows_by_id[entry.window_id])
+        stack, row = located[entry.window_id]
+        ordered.append(stack[row])
+    windows = WindowStack.of(ordered)
 
     channel_stats = {}
-    if cfg.norm_scope == "corpus" and ordered:
-        channel_stats["corpus"] = compute_channel_stats(ordered)
+    if cfg.norm_scope == "corpus" and len(windows):
+        channel_stats["corpus"] = compute_channel_stats(windows)
     elif cfg.norm_scope == "recording":
-        for rec_id, windows in sorted(per_recording_windows.items()):
-            if windows:
-                channel_stats[rec_id] = compute_channel_stats(windows)
-    return PreprocessResult(ordered, windows_by_id, summaries, channel_stats)
+        for rec_id, stack in sorted(per_recording.items()):
+            if len(stack):
+                channel_stats[rec_id] = compute_channel_stats(stack)
+    return PreprocessResult(windows, summaries, channel_stats)
 
 
 def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
@@ -263,62 +270,92 @@ def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
     return out
 
 
-def window_segmentations(window, events, sub_events) -> dict:
-    """Concept masks for one window from its retained events and the
-    phase sub-events of its dissected saccades."""
-    kept = retained(events)
-    segs = {
-        kind: concept_segmentation(
-            [e for e in kept if e.kind == kind], kind, window.length, window.window_id
+def concept_masks(events_by_row, subs_by_row, length: int) -> dict:
+    """(n, length) mask of every concept over n windows: the retained
+    events of each kind and the phase sub-events of the dissected
+    saccades; events_by_row[r] and subs_by_row[r] belong to window r."""
+    masks = {
+        kind: segment_masks(
+            [[e for e in events if e.kind == kind and not e.excluded] for events in events_by_row],
+            length,
         )
         for kind in EVENT_CONCEPTS
     }
     for phase in PHASES:
-        subs = [s for s in sub_events if s.phase == phase]
-        segs[f"saccade_{phase}"] = concept_segmentation(
-            subs, f"saccade_{phase}", window.length, window.window_id
+        masks[f"saccade_{phase}"] = segment_masks(
+            [[s for s in subs if s.phase == phase] for subs in subs_by_row], length
         )
-    return segs
+    return masks
 
 
-def detect_window(window, cfg: RunConfig):
-    """Fixations and saccades of one window, excluded events included."""
-    params = cfg.detection_params()
-    return detect_fixations_ivt(window, params), detect_saccades_ek(window, params)
-
-
-def window_topk(window, attribution_path, cfg: RunConfig):
-    """Top-k mask of the attribution map that explains one window."""
-    attr = gio.load_attribution(attribution_path, window_id=window.window_id)
-    gio.validate_attribution(attr, window)
-    squashed = squash_channels(attr, cfg.squash)
-    return topk_segmentation(
-        squashed, default_k(window.length, cfg.top_frac), window.window_id
-    )
-
-
-def window_influence(window, events, sub_events, topk) -> dict:
-    """Influence of every concept on one window; None where it is absent."""
+def window_segmentations(window, events, sub_events) -> dict:
+    """Concept masks for one window from its retained events and the
+    phase sub-events of its dissected saccades (a batch of one for
+    concept_masks)."""
     return {
-        concept: concept_influence(seg, topk) if seg.size else None
-        for concept, seg in window_segmentations(window, events, sub_events).items()
+        concept: ConceptSegmentation(window.window_id, concept, mask[0])
+        for concept, mask in concept_masks([events], [sub_events], window.length).items()
     }
 
 
-def process_window(window, attribution_path, cfg: RunConfig) -> WindowBundle:
-    """Detect, dissect and score one window against its attribution map."""
-    fixations, saccades = detect_window(window, cfg)
-    dissections = dissect_all(saccades, window, cfg.peak_ratio, cfg.flank_ratio)
-    topk = window_topk(window, attribution_path, cfg)
-    subs = [s for d in dissections for s in d.sub_events]
-    return WindowBundle(
-        window_id=window.window_id,
-        fixations=fixations,
-        saccades=saccades,
-        dissections=dissections,
-        topk=topk,
-        window_results=window_influence(window, fixations + saccades, subs, topk),
+def windows_topk(windows, attribution_paths, cfg: RunConfig) -> list:
+    """Top-k segmentation of the attribution map that explains each
+    window; each map is parsed and squashed on its own, the top-k masks
+    come from one stable row-wise sort."""
+    windows = WindowStack.of(windows)
+    if not len(windows):
+        return []
+    squashed = np.empty((len(windows), windows.length))
+    for row, (window, path) in enumerate(zip(windows, attribution_paths)):
+        attr = gio.load_attribution(path, window_id=window.window_id)
+        gio.validate_attribution(attr, window)
+        squashed[row] = squash_channels(attr, cfg.squash)
+    k = default_k(windows.length, cfg.top_frac)
+    masks = topk_masks(squashed, k)
+    return [TopKSegmentation(w, k, mask) for w, mask in zip(windows.window_ids, masks)]
+
+
+def windows_influence(windows, events_by_row, subs_by_row, topks) -> list:
+    """Influence of every concept on every window, one dict per window;
+    None where a concept is absent."""
+    windows = WindowStack.of(windows)
+    topk_stack = np.array([t.mask for t in topks], dtype=bool).reshape(
+        len(windows), windows.length
     )
+    ks = [t.k for t in topks]
+    scores = {
+        concept: influence_rows(concept, mask, topk_stack, ks, windows.window_ids)
+        for concept, mask in concept_masks(events_by_row, subs_by_row, windows.length).items()
+    }
+    return [{concept: scores[concept][row] for concept in scores} for row in range(len(windows))]
+
+
+def process_windows(windows, attribution_paths, cfg: RunConfig) -> list:
+    """Detect, dissect and score windows against their attribution maps,
+    each step in one batched pass over the stacked windows; one
+    WindowBundle per window, in order."""
+    windows = WindowStack.of(windows)
+    detected = detect_events(windows, cfg.detection_params())
+    events = [fixations + saccades for fixations, saccades in detected]
+    dissections = dissect_saccades(
+        [[s for s in saccades if not s.excluded] for _, saccades in detected],
+        windows, cfg.peak_ratio, cfg.flank_ratio,
+    )
+    subs = [[s for d in row for s in d.sub_events] for row in dissections]
+    topks = windows_topk(windows, attribution_paths, cfg)
+    window_results = windows_influence(windows, events, subs, topks)
+    return [
+        WindowBundle(window_id, fixations, saccades, row_dissections, topk, results)
+        for window_id, (fixations, saccades), row_dissections, topk, results in zip(
+            windows.window_ids, detected, dissections, topks, window_results
+        )
+    ]
+
+
+def process_window(window, attribution_path, cfg: RunConfig) -> WindowBundle:
+    """Detect, dissect and score one window against its attribution map
+    (a batch of one for process_windows)."""
+    return process_windows([window], [attribution_path], cfg)[0]
 
 
 def _reduce_concepts(window_results) -> dict:
@@ -462,7 +499,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        bundles = [process_window(w, p, cfg) for w, p in zip(pre.windows, attr_paths)]
+        bundles = process_windows(pre.windows, attr_paths, cfg)
         corpus_results = _reduce_concepts([b.window_results for b in bundles])
 
     events = [e for b in bundles for e in b.fixations + b.saccades]

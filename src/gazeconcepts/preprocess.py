@@ -11,10 +11,11 @@ clamped velocities in deg/s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, SizeError
+from .errors import ConfigError, DataError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,122 @@ class VelocityWindow:
     def speed(self) -> np.ndarray:
         """Velocity magnitude per sample (NaN where invalid)."""
         return np.hypot(self.vx, self.vy)
+
+
+@dataclass
+class WindowStack:
+    """Equal-length velocity windows as (n, L) arrays, one row per window.
+
+    The batched stages compute on the arrays. The stack is also the
+    sequence of its windows: each VelocityWindow it yields is a set of row
+    views, so a window's data is stored once. ``speed`` is computed once,
+    on first use.
+    """
+
+    window_ids: list
+    recording_ids: list
+    start_index: list
+    sampling_rate_hz: np.ndarray  # (n,)
+    vx: np.ndarray  # (n, L) deg/s
+    vy: np.ndarray
+    px: np.ndarray  # (n, L) deg
+    py: np.ndarray
+    valid: np.ndarray  # (n, L) bool
+
+    @classmethod
+    def of(cls, windows) -> "WindowStack":
+        """``windows`` itself if it is a stack, else its windows stacked
+        (a copy); DataError if their lengths differ."""
+        if isinstance(windows, cls):
+            return windows
+        windows = list(windows)
+        lengths = {w.length for w in windows}
+        if len(lengths) > 1:
+            raise DataError(f"windows of mixed lengths {sorted(lengths)} cannot be stacked")
+        length = lengths.pop() if lengths else 0
+
+        def stack(name, dtype):
+            return np.array([getattr(w, name) for w in windows], dtype=dtype).reshape(-1, length)
+
+        return cls(
+            window_ids=[w.window_id for w in windows],
+            recording_ids=[w.recording_id for w in windows],
+            start_index=[w.start_index for w in windows],
+            sampling_rate_hz=np.array([w.sampling_rate_hz for w in windows], dtype=float),
+            vx=stack("vx", float),
+            vy=stack("vy", float),
+            px=stack("px", float),
+            py=stack("py", float),
+            valid=stack("valid_mask", bool),
+        )
+
+    @property
+    def length(self) -> int:
+        return self.vx.shape[1]
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        """Velocity magnitude per sample (NaN where a component is)."""
+        return np.hypot(self.vx, self.vy)
+
+    @cached_property
+    def windows(self) -> list:
+        return [
+            VelocityWindow(
+                window_id=wid,
+                recording_id=rec,
+                start_index=start,
+                vx=self.vx[i],
+                vy=self.vy[i],
+                px=self.px[i],
+                py=self.py[i],
+                valid_mask=self.valid[i],
+                sampling_rate_hz=float(self.sampling_rate_hz[i]),
+            )
+            for i, (wid, rec, start) in enumerate(
+                zip(self.window_ids, self.recording_ids, self.start_index)
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self.window_ids)
+
+    def __getitem__(self, i) -> VelocityWindow:
+        return self.windows[i]
+
+    def __iter__(self):
+        return iter(self.windows)
+
+
+def flatten_rows(groups):
+    """Items of per-row groups in order, and each item's row as an int64
+    array (the batched kernels' input form)."""
+    items = [item for group in groups for item in group]
+    rows = np.repeat(np.arange(len(groups), dtype=np.int64), [len(g) for g in groups])
+    return items, rows
+
+
+def interval_bounds(items, length: int):
+    """(onsets, offsets, outside) of items with inclusive onset/offset
+    indices: int64 arrays, and where an interval is not inside
+    [0, length). Indices are clipped to [-1, length] first, which keeps
+    every in-window interval and every verdict, so that no index can
+    overflow int64."""
+    def clipped(name):
+        values = (min(max(getattr(it, name), -1), length) for it in items)
+        return np.fromiter(values, dtype=np.int64, count=len(items))
+
+    onsets, offsets = clipped("onset"), clipped("offset")
+    return onsets, offsets, (onsets < 0) | (onsets > offsets) | (offsets >= length)
+
+
+def split_rows(items, groups) -> list:
+    """Inverse of flatten_rows: items regrouped like ``groups``."""
+    out, start = [], 0
+    for group in groups:
+        out.append(items[start : start + len(group)])
+        start += len(group)
+    return out
 
 
 @dataclass
@@ -162,48 +279,49 @@ def window_sequence(
     recording_id: str = "",
     sampling_rate_hz: float = 1000.0,
     missing_max_frac: float = 0.5,
-) -> tuple[list[VelocityWindow], WindowingSummary]:
+) -> tuple[WindowStack, WindowingSummary]:
     """Cut velocity/position traces into non-overlapping windows.
 
     The trailing remainder shorter than window_len is discarded; windows
     whose missing fraction exceeds missing_max_frac (strict) are excluded
     and counted. A sample is missing when either velocity component is
-    non-finite.
+    non-finite. When no window is excluded the stack's rows are views of
+    the input traces, otherwise a copy of the retained rows.
     """
     if window_len < 1:
         raise ConfigError(f"window_len must be >= 1, got {window_len}")
-    vx = np.asarray(vx, dtype=float)
-    vy = np.asarray(vy, dtype=float)
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
     n = len(vx)
-    summary = WindowingSummary(window_len=window_len, tail_samples=n % window_len)
-    windows = []
-    for slot in range(n // window_len):
-        lo = slot * window_len
-        hi = lo + window_len
-        valid = np.isfinite(vx[lo:hi]) & np.isfinite(vy[lo:hi])
-        window_id = f"{recording_id}-w{slot:04d}" if recording_id else f"w{slot:04d}"
-        n_missing = window_len - int(valid.sum())
-        if n_missing > missing_max_frac * window_len:
-            summary.excluded += 1
-            summary.excluded_window_ids.append(window_id)
-            continue
-        summary.retained += 1
-        windows.append(
-            VelocityWindow(
-                window_id=window_id,
-                recording_id=recording_id,
-                start_index=lo,
-                vx=vx[lo:hi].copy(),
-                vy=vy[lo:hi].copy(),
-                px=px[lo:hi].copy(),
-                py=py[lo:hi].copy(),
-                valid_mask=valid,
-                sampling_rate_hz=sampling_rate_hz,
-            )
-        )
-    return windows, summary
+    n_slots = n // window_len
+
+    def slots(a):
+        return np.asarray(a, dtype=float)[: n_slots * window_len].reshape(n_slots, window_len)
+
+    vx, vy, px, py = slots(vx), slots(vy), slots(px), slots(py)
+    valid = np.isfinite(vx) & np.isfinite(vy)
+    n_missing = window_len - valid.sum(axis=1)
+    keep = ~(n_missing > missing_max_frac * window_len)
+    ids = [f"{recording_id}-w{slot:04d}" if recording_id else f"w{slot:04d}"
+           for slot in range(n_slots)]
+    summary = WindowingSummary(
+        window_len=window_len,
+        retained=int(keep.sum()),
+        excluded=int(n_slots - keep.sum()),
+        tail_samples=n % window_len,
+        excluded_window_ids=[wid for wid, k in zip(ids, keep.tolist()) if not k],
+    )
+    take = slice(None) if keep.all() else keep
+    stack = WindowStack(
+        window_ids=[wid for wid, k in zip(ids, keep.tolist()) if k],
+        recording_ids=[recording_id] * summary.retained,
+        start_index=(np.flatnonzero(keep) * window_len).tolist(),
+        sampling_rate_hz=np.full(summary.retained, sampling_rate_hz, dtype=float),
+        vx=vx[take],
+        vy=vy[take],
+        px=px[take],
+        py=py[take],
+        valid=valid[take],
+    )
+    return stack, summary
 
 
 def compute_channel_stats(windows) -> ChannelStats:
@@ -212,10 +330,11 @@ def compute_channel_stats(windows) -> ChannelStats:
     Windows are reduced in list order so the result does not depend on
     any parallel evaluation schedule.
     """
-    if not windows:
+    stack = WindowStack.of(windows)
+    if not len(stack):
         raise DegenerateDataError("no windows to compute statistics over")
-    vxs = np.concatenate([w.vx[w.valid_mask] for w in windows])
-    vys = np.concatenate([w.vy[w.valid_mask] for w in windows])
+    vxs = stack.vx[stack.valid]
+    vys = stack.vy[stack.valid]
     if len(vxs) == 0:
         raise DegenerateDataError("all samples missing; no statistics")
     return ChannelStats(

@@ -481,7 +481,9 @@ def test_windows_roundtrip_exact(tmp_path):
     not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
     other_npz = tmp_path / "other.npz"
     np.savez(other_npz, vx=w1.vx)
-    for bad in (not_windows, other_npz):
+    repeated = tmp_path / "repeated.npz"
+    write_windows([w1, w1], repeated)
+    for bad in (not_windows, other_npz, repeated):
         with pytest.raises(FormatError, match=bad.name):
             read_windows(bad)
     short = build_window(np.zeros(10), window_id="r-w0002")
