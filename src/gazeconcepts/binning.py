@@ -202,16 +202,13 @@ def binned_influence(bins, spec: BinSpec, topk_by_window) -> list[BinnedInfluenc
         for event in b.events:
             by_window.setdefault(event.window_id, []).append(event)
         window_ids = sorted(by_window)
-        n_known = next(
-            (i for i, w in enumerate(window_ids) if w not in row_of), len(window_ids)
-        )
-        # the windows before one without top-k are segmented, and so checked, first
-        masks = segment_masks([by_window[w] for w in window_ids[:n_known]], length)
-        if n_known < len(window_ids):
-            raise ConfigError(f"no top-k segmentation for window {window_ids[n_known]!r}")
+        for window_id in window_ids:
+            if window_id not in row_of:
+                raise ConfigError(f"no top-k segmentation for window {window_id!r}")
+        masks = segment_masks([by_window[w] for w in window_ids], length)
         topk_rows = [row_of[w] for w in window_ids]
         results = influence_rows(
-            spec.property, masks, topk_stack[topk_rows],
+            [spec.property] * len(window_ids), masks, topk_stack[topk_rows],
             [topks[r].k for r in topk_rows], window_ids,
         )
         results = [r for r in results if r is not None]  # |S| = 0 cannot occur here

@@ -38,10 +38,11 @@ from .pipeline import (
     _dissection_counts,
     _preprocess_counts,
     _reduce_concepts,
+    concept_masks,
     preprocess_manifest,
     run,
-    windows_influence,
-    windows_topk,
+    window_influence,
+    window_topk,
     write_charts,
     write_influence,
 )
@@ -268,10 +269,11 @@ def cmd_influence(args) -> int:
     subs = {}
     for s in gio.read_subevents(out / "subevents.csv"):
         subs.setdefault(s.parent_event_id.rsplit(":", 1)[0], []).append(s)
-    topks = windows_topk(windows, attribution_paths, cfg)
-    window_results = windows_influence(
-        windows, list(by_window.values()), [subs.get(w, []) for w in by_window], topks
+    topks = [window_topk(w, path, cfg) for w, path in zip(windows, attribution_paths)]
+    masks = concept_masks(
+        list(by_window.values()), [subs.get(w, []) for w in by_window], windows.length
     )
+    window_results = [window_influence(m, topk) for m, topk in zip(masks, topks)]
     corpus_results = _reduce_concepts(window_results)
     written = [out / "topk.npz"]
     gio.write_topk(topks, written[0], cfg.squash)

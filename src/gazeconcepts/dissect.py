@@ -83,8 +83,9 @@ def dissect_saccades(saccades_by_row, windows, peak_ratio=0.8, flank_ratio=1.0 /
     saccade's peak speed, taken from the window's speed (never from a
     stored peak_velocity), so the comparison is exact at the stated
     ratio. Flank length is round(flank_ratio * duration) samples, floored
-    at one sample, then clipped at the window bounds. ConfigError for the
-    first saccade outside its window or without a valid sample.
+    at one sample, then clipped at the window bounds. ConfigError if any
+    saccade lies outside its window, else for the first one without a
+    valid sample.
     """
     check_ratios(peak_ratio, flank_ratio)
     saccades, rows = flatten_rows(saccades_by_row)
@@ -93,23 +94,19 @@ def dissect_saccades(saccades_by_row, windows, peak_ratio=0.8, flank_ratio=1.0 /
     stack = WindowStack.of(windows)
     length, m = stack.length, len(saccades)
     onsets, offsets, outside = interval_bounds(saccades, length)
-    # an interval outside its window stands for one in-bounds sample
-    # until the check below raises for it
-    n_samples = np.where(outside, 1, offsets - onsets + 1)
+    if outside.any():
+        raise ConfigError("saccade interval outside window")
+    n_samples = offsets - onsets + 1
     # every sample of every saccade, concatenated in saccade order
     first = np.cumsum(n_samples) - n_samples
     owner = np.repeat(np.arange(m), n_samples)
-    flat = np.arange(int(n_samples.sum())) + np.repeat(
-        np.where(outside, 0, rows * length + onsets) - first, n_samples
-    )
+    flat = np.arange(int(n_samples.sum())) + np.repeat(rows * length + onsets - first, n_samples)
     speed = stack.speed.ravel()[flat]
     valid = stack.valid.ravel()[flat]
-    bad = outside | ~np.logical_or.reduceat(valid, first)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if outside[i]:
-            raise ConfigError("saccade interval outside window")
-        raise ConfigError(f"saccade {saccades[i].event_id} has no valid samples")
+    blind = ~np.logical_or.reduceat(valid, first)
+    if blind.any():
+        saccade = saccades[int(np.argmax(blind))]
+        raise ConfigError(f"saccade {saccade.event_id} has no valid samples")
 
     peak = np.maximum.reduceat(np.where(valid & ~np.isnan(speed), speed, -np.inf), first)
     with np.errstate(invalid="ignore", divide="ignore"):

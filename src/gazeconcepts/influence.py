@@ -151,9 +151,10 @@ def concept_segmentation(items, concept: str, length: int, window_id: str = ""):
     return ConceptSegmentation(window_id=window_id, concept=concept, mask=mask)
 
 
-def influence_rows(concept: str, masks, topk, ks, window_ids) -> list:
-    """Window-scope influence of one concept on every row of (n, L)
-    concept masks and top-k masks ``topk`` (k = ks[row]), evaluated as
+def influence_rows(concepts, masks, topk, ks, window_ids) -> list:
+    """Window-scope influence of concept masks: row r of the (n, L) masks
+    is concept concepts[r] on window window_ids[r], scored against row r
+    of the top-k masks ``topk`` (one row broadcasts) with k = ks[r], as
     (L * intersection) / (|S| * k); None where the concept is absent
     (|S| = 0)."""
     length = masks.shape[1]
@@ -170,7 +171,9 @@ def influence_rows(concept: str, masks, topk, ks, window_ids) -> list:
             k_total=k,
             window_id=window_id,
         )
-        for size, inter, k, window_id in zip(sizes, intersections, ks, window_ids)
+        for concept, size, inter, k, window_id in zip(
+            concepts, sizes, intersections, ks, window_ids
+        )
     ]
 
 
@@ -192,7 +195,7 @@ def concept_influence(S: ConceptSegmentation, T: TopKSegmentation) -> InfluenceR
         raise EmptyConceptError(
             f"concept {S.concept!r} absent from window {S.window_id!r}"
         )
-    return influence_rows(S.concept, S.mask[None], T.mask[None], [T.k], [S.window_id])[0]
+    return influence_rows([S.concept], S.mask[None], T.mask[None], [T.k], [S.window_id])[0]
 
 
 def aggregate_influence(per_window) -> InfluenceResult:

@@ -2,11 +2,12 @@
 report.
 
 The evaluation windows are stacked into (n, L) arrays once, and each
-step (detection, dissection, top-k, influence, binning) runs over the
-whole stack in one batched pass; every reduction happens in manifest
-order, so outputs do not depend on the accepted but unused --jobs
-value. The one-window functions (process_window, window_segmentations)
-are batches of one. All artifacts are written at the end of a run; if
+gaze-side step (detection, dissection, concept masks) runs over the
+whole stack in one batched pass (analyse_windows). Each window's
+attribution map is then parsed and scored by process_window, and
+binning again runs per bin over the stacked top-k masks. Every reduction
+happens in manifest order, so outputs do not depend on the accepted but
+unused --jobs value. All artifacts are written at the end of a run; if
 that fails, partial files are removed and an INCOMPLETE marker is left.
 """
 
@@ -37,7 +38,7 @@ from .influence import (
     influence_rows,
     segment_masks,
     squash_channels,
-    topk_masks,
+    topk_segmentation,
 )
 from .preprocess import (
     SavGolParams,
@@ -270,92 +271,106 @@ def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
     return out
 
 
-def concept_masks(events_by_row, subs_by_row, length: int) -> dict:
-    """(n, length) mask of every concept over n windows: the retained
-    events of each kind and the phase sub-events of the dissected
-    saccades; events_by_row[r] and subs_by_row[r] belong to window r."""
-    masks = {
-        kind: segment_masks(
+def concept_masks(events_by_row, subs_by_row, length: int) -> np.ndarray:
+    """(n, len(ALL_CONCEPTS), length) masks of every concept over n
+    windows, concepts in ALL_CONCEPTS order: the retained events of each
+    kind and the phase sub-events of the dissected saccades;
+    events_by_row[r] and subs_by_row[r] belong to window r."""
+    masks = [
+        segment_masks(
             [[e for e in events if e.kind == kind and not e.excluded] for events in events_by_row],
             length,
         )
         for kind in EVENT_CONCEPTS
-    }
-    for phase in PHASES:
-        masks[f"saccade_{phase}"] = segment_masks(
-            [[s for s in subs if s.phase == phase] for subs in subs_by_row], length
-        )
-    return masks
+    ]
+    masks += [
+        segment_masks([[s for s in subs if s.phase == phase] for subs in subs_by_row], length)
+        for phase in PHASES
+    ]
+    return np.stack(masks, axis=1)
 
 
 def window_segmentations(window, events, sub_events) -> dict:
     """Concept masks for one window from its retained events and the
     phase sub-events of its dissected saccades (a batch of one for
     concept_masks)."""
+    masks = concept_masks([events], [sub_events], window.length)[0]
     return {
-        concept: ConceptSegmentation(window.window_id, concept, mask[0])
-        for concept, mask in concept_masks([events], [sub_events], window.length).items()
+        concept: ConceptSegmentation(window.window_id, concept, mask)
+        for concept, mask in zip(ALL_CONCEPTS, masks)
     }
 
 
-def windows_topk(windows, attribution_paths, cfg: RunConfig) -> list:
-    """Top-k segmentation of the attribution map that explains each
-    window; each map is parsed and squashed on its own, the top-k masks
-    come from one stable row-wise sort."""
-    windows = WindowStack.of(windows)
-    if not len(windows):
-        return []
-    squashed = np.empty((len(windows), windows.length))
-    for row, (window, path) in enumerate(zip(windows, attribution_paths)):
-        attr = gio.load_attribution(path, window_id=window.window_id)
-        gio.validate_attribution(attr, window)
-        squashed[row] = squash_channels(attr, cfg.squash)
-    k = default_k(windows.length, cfg.top_frac)
-    masks = topk_masks(squashed, k)
-    return [TopKSegmentation(w, k, mask) for w, mask in zip(windows.window_ids, masks)]
+@dataclass
+class GazeAnalysis:
+    """The gaze side of one window: what does not depend on the model."""
+
+    fixations: list
+    saccades: list
+    dissections: list
+    masks: np.ndarray  # (len(ALL_CONCEPTS), L) concept masks
 
 
-def windows_influence(windows, events_by_row, subs_by_row, topks) -> list:
-    """Influence of every concept on every window, one dict per window;
-    None where a concept is absent."""
-    windows = WindowStack.of(windows)
-    topk_stack = np.array([t.mask for t in topks], dtype=bool).reshape(
-        len(windows), windows.length
-    )
-    ks = [t.k for t in topks]
-    scores = {
-        concept: influence_rows(concept, mask, topk_stack, ks, windows.window_ids)
-        for concept, mask in concept_masks(events_by_row, subs_by_row, windows.length).items()
-    }
-    return [{concept: scores[concept][row] for concept in scores} for row in range(len(windows))]
-
-
-def process_windows(windows, attribution_paths, cfg: RunConfig) -> list:
-    """Detect, dissect and score windows against their attribution maps,
-    each step in one batched pass over the stacked windows; one
-    WindowBundle per window, in order."""
+def analyse_windows(windows, cfg: RunConfig) -> list:
+    """Detect, dissect and segment every window, each step in one batched
+    pass over the stacked windows; one GazeAnalysis per window, in order."""
     windows = WindowStack.of(windows)
     detected = detect_events(windows, cfg.detection_params())
-    events = [fixations + saccades for fixations, saccades in detected]
     dissections = dissect_saccades(
         [[s for s in saccades if not s.excluded] for _, saccades in detected],
         windows, cfg.peak_ratio, cfg.flank_ratio,
     )
-    subs = [[s for d in row for s in d.sub_events] for row in dissections]
-    topks = windows_topk(windows, attribution_paths, cfg)
-    window_results = windows_influence(windows, events, subs, topks)
+    masks = concept_masks(
+        [fixations + saccades for fixations, saccades in detected],
+        [[s for d in row for s in d.sub_events] for row in dissections],
+        windows.length,
+    )
     return [
-        WindowBundle(window_id, fixations, saccades, row_dissections, topk, results)
-        for window_id, (fixations, saccades), row_dissections, topk, results in zip(
-            windows.window_ids, detected, dissections, topks, window_results
+        GazeAnalysis(fixations, saccades, row_dissections, row_masks)
+        for (fixations, saccades), row_dissections, row_masks in zip(
+            detected, dissections, masks
         )
     ]
 
 
-def process_window(window, attribution_path, cfg: RunConfig) -> WindowBundle:
-    """Detect, dissect and score one window against its attribution map
-    (a batch of one for process_windows)."""
-    return process_windows([window], [attribution_path], cfg)[0]
+def window_topk(window, attribution_path, cfg: RunConfig) -> TopKSegmentation:
+    """Top-k mask of the attribution map that explains one window."""
+    attr = gio.load_attribution(attribution_path, window_id=window.window_id)
+    gio.validate_attribution(attr, window)
+    squashed = squash_channels(attr, cfg.squash)
+    return topk_segmentation(
+        squashed, default_k(window.length, cfg.top_frac), window.window_id
+    )
+
+
+def window_influence(masks, topk: TopKSegmentation) -> dict:
+    """Influence of every concept on one window from its concept masks
+    (concept_masks' row) and top-k mask; None where a concept is absent."""
+    n = len(ALL_CONCEPTS)
+    results = influence_rows(
+        ALL_CONCEPTS, masks, topk.mask[None], [topk.k] * n, [topk.window_id] * n
+    )
+    return dict(zip(ALL_CONCEPTS, results))
+
+
+def process_window(window, attribution_path, cfg: RunConfig, analysis=None) -> WindowBundle:
+    """Detect, dissect and score one window against its attribution map.
+
+    ``analysis`` is the window's GazeAnalysis when analyse_windows has
+    already run over a whole stack; without it the gaze side is computed
+    as a batch of one.
+    """
+    if analysis is None:
+        (analysis,) = analyse_windows([window], cfg)
+    topk = window_topk(window, attribution_path, cfg)
+    return WindowBundle(
+        window_id=window.window_id,
+        fixations=analysis.fixations,
+        saccades=analysis.saccades,
+        dissections=analysis.dissections,
+        topk=topk,
+        window_results=window_influence(analysis.masks, topk),
+    )
 
 
 def _reduce_concepts(window_results) -> dict:
@@ -499,7 +514,11 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        bundles = process_windows(pre.windows, attr_paths, cfg)
+        analyses = analyse_windows(pre.windows, cfg)
+        bundles = [
+            process_window(window, path, cfg, analysis)
+            for window, path, analysis in zip(pre.windows, attr_paths, analyses)
+        ]
         corpus_results = _reduce_concepts([b.window_results for b in bundles])
 
     events = [e for b in bundles for e in b.fixations + b.saccades]

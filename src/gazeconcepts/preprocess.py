@@ -110,8 +110,9 @@ class WindowStack:
 
     @classmethod
     def of(cls, windows) -> "WindowStack":
-        """``windows`` itself if it is a stack, else its windows stacked
-        (a copy); DataError if their lengths differ."""
+        """``windows`` itself if it is a stack, else its windows stacked:
+        a copy, or views of the arrays of a lone window; DataError if
+        their lengths differ."""
         if isinstance(windows, cls):
             return windows
         windows = list(windows)
@@ -121,6 +122,8 @@ class WindowStack:
         length = lengths.pop() if lengths else 0
 
         def stack(name, dtype):
+            if len(windows) == 1:
+                return np.asarray(getattr(windows[0], name), dtype=dtype)[None]
             return np.array([getattr(w, name) for w in windows], dtype=dtype).reshape(-1, length)
 
         return cls(

@@ -28,12 +28,19 @@ from gazeconcepts.detect import (
 from gazeconcepts.dissect import SubEvent, dissect_saccades
 from gazeconcepts.errors import ConfigError, DegenerateDataError
 from gazeconcepts.influence import TopKSegmentation, concept_segmentation, topk_masks
-from gazeconcepts.pipeline import windows_influence
+from gazeconcepts.pipeline import concept_masks, window_influence
 from gazeconcepts.preprocess import WindowStack
 
 from conftest import build_window
 
 MISSING = ("none", "mid", "start", "end", "two_valid")
+
+
+def windows_influence(windows, events_by_row, subs_by_row, topks) -> list:
+    """Influence per window as run and staged influence compute it: concept
+    masks in one batched pass, then each window scored on its own."""
+    masks = concept_masks(events_by_row, subs_by_row, WindowStack.of(windows).length)
+    return [window_influence(m, topk) for m, topk in zip(masks, topks)]
 
 
 def same(a, b) -> bool:
@@ -300,6 +307,33 @@ def test_saccade_without_valid_samples_raises_as_reference():
                             ref.dissect_saccade(blind, windows[1])])
     assert want[:2] == ("raised", ConfigError)
     assert_same_outcome(want, outcome(dissect_saccades, [[good], [blind]], windows))
+
+
+def test_bounds_are_checked_before_samples_or_masks():
+    """The one order that differs from the reference loops, when two
+    faults meet: dissect_saccades checks every saccade's interval before
+    it reads a sample, and binned_influence every window's top-k before
+    it builds a mask."""
+    windows = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
+    windows[0].vx[5:12] = np.nan
+    windows[0].valid_mask[5:12] = False
+    blind = GazeEvent("a:sac000", SACCADE, windows[0].window_id, 6, 10)
+    outside = GazeEvent("b:sac000", SACCADE, windows[1].window_id, 20, 30)
+    want = outcome(ref.dissect_saccade, blind, windows[0])
+    assert want[2] == "saccade a:sac000 has no valid samples"
+    assert outcome(dissect_saccades, [[blind], [outside]], windows) == (
+        "raised", ConfigError, "saccade interval outside window"
+    )
+
+    spec = BinSpec("fixation_dispersion_deg", "explicit", edges=(0.0, 1.0))
+    beyond = GazeEvent("a:fix000", FIXATION, "a", 20, 30, dispersion_deg=0.5)
+    unscored = GazeEvent("b:fix000", FIXATION, "b", 0, 4, dispersion_deg=0.5)
+    topk_by_window = {"a": TopKSegmentation("a", 3, topk_masks(np.ones((1, 30)), 3)[0])}
+    bins = bin_events([beyond, unscored], spec)
+    assert outcome(ref.binned_influence, bins, spec, topk_by_window)[2].startswith("interval")
+    assert outcome(binned_influence, bins, spec, topk_by_window) == (
+        "raised", ConfigError, "no top-k segmentation for window 'b'"
+    )
 
 
 @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [np.nan, 0.0, -0.0, np.inf, -1e-300]])
