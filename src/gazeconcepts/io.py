@@ -9,6 +9,11 @@ Attribution maps are accepted in two forms: a dense text matrix with a
 short ``D=``/``L=`` header and one comma-separated row per channel, or a
 sparse CSV with header ``channel,index,value`` covering the full grid.
 
+Gaze rows and dense attribution rows that numpy's C text reader
+(``np.loadtxt``) reads row for row, as the line parser would, are parsed
+by it in one call; all others are parsed line by line, with the same
+values and the same errors.
+
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
 CSV table (events, sub-events, influence, binned influence, synth
@@ -240,37 +245,53 @@ def _check_monotone(t: np.ndarray, line_of_sample, path):
             )
 
 
-def _gaze_columns(body, ncol: int, idx):
-    """Columnar parse of the gaze rows: (t_ms, coords) or None.
+# str.splitlines' line breaks other than "\n": numpy's text reader does not
+# split on them (read_text has already turned "\r\n" and "\r" into "\n").
+_OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
-    Applies when every line has exactly ncol - 1 commas and no quote, so
-    that splitting on commas gives the fields csv.reader gives, and when
-    int() parses every timestamp and float() every coordinate, as in the
-    line parser (NaN and inf are coupled into missing samples later, as
-    there). Anything else (blank lines, empty or "." cells, quoted cells,
-    wrong field counts) returns None and takes the line parser.
+
+def _first_line(text: str) -> str:
+    """text.splitlines()[0] ("" for no line), without splitting the rest."""
+    end = text.find("\n")
+    head = text if end < 0 else text[:end]
+    return head.splitlines()[0] if head else ""
+
+
+def _gaze_columns(path, raw: str, ncol: int, idx):
+    """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
+    coordinate columns) or None.
+
+    `raw` is the file's text. Applies when every header column is in the
+    schema and the file's lines are exactly str.splitlines' lines with no
+    blank one, so that loadtxt sees the rows and fields csv.reader sees;
+    its int64 and float64 conversions accept a subset of what int() and
+    float() accept, with the same values (NaN and inf are coupled into
+    missing samples later, as in the line parser). Anything loadtxt
+    declines (empty or "." cells, quoted cells, wrong field counts, ...)
+    returns None and takes the line parser.
     """
-    if any(line.count(",") != ncol - 1 for line in body):
+    if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
         return None
-    joined = ",".join(body)
-    if '"' in joined:
-        return None
-    flat = joined.split(",")
-    n = len(body)
+    end = raw.find("\n")
+    if end < 0 or raw[end + 1:end + 2] in ("", "\n"):
+        return None  # no rows, or a blank line that loadtxt would skip
+    dtype = np.dtype([(str(i), np.int64 if i == idx[0] else np.float64) for i in range(ncol)])
     try:
-        t = np.fromiter(map(int, flat[idx[0]::ncol]), dtype=np.int64, count=n)
-        coords = np.array([
-            np.fromiter(map(float, flat[i::ncol]), dtype=float, count=n) for i in idx[1:]
-        ])
-    except (ValueError, OverflowError):
+        table = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+            skiprows=1, encoding="utf-8", ndmin=1,
+        )
+    except ValueError:
         return None
-    return t, coords.T
+    if len(table) != raw.count("\n") - raw.endswith("\n"):
+        return None  # loadtxt skipped blank lines, which the line parser counts
+    return table[str(idx[0])].copy(), [table[str(i)] for i in idx[1:]]
 
 
 def _gaze_lines(body, header, idx, path):
-    """Line-by-line parse of the gaze rows: (t_ms, coords, file line of
-    each sample, blank lines skipped). Missing-value tokens and
-    unparseable coordinates become NaN."""
+    """Line-by-line parse of the gaze rows: (t_ms, coordinate columns,
+    file line of each sample, blank lines skipped). Missing-value tokens
+    and unparseable coordinates become NaN."""
     kept_lines = []  # 1-based file line numbers of parsed samples
     rows = []
     skipped = 0
@@ -293,7 +314,7 @@ def _gaze_lines(body, header, idx, path):
         kept_lines.append(lineno)
     t = np.array([r[0] for r in rows], dtype=np.int64)
     coords = np.array([r[1] for r in rows], dtype=float).reshape(len(rows), len(idx) - 1)
-    return t, coords, kept_lines, skipped
+    return t, coords.T, kept_lines, skipped
 
 
 def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
@@ -306,10 +327,9 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     """
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
-    if not raw.strip():
+    if not raw or raw.isspace():
         raise DataError(f"{path}: empty file")
-    lines = raw.splitlines()
-    header = next(csv.reader([lines[0]]))
+    header = next(csv.reader([_first_line(raw)]))
     header = [h.strip() for h in header]
 
     schema = schema or {}
@@ -336,21 +356,20 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
         )
     idx = [col(c) for c in columns]
 
-    body = lines[1:]
-    parsed = _gaze_columns(body, len(header), idx)
+    parsed = _gaze_columns(path, raw, len(header), idx)
     if parsed is not None:
         t, coords = parsed
-        kept_lines, skipped = range(2, len(body) + 2), 0
+        kept_lines, skipped = range(2, len(t) + 2), 0
     else:
-        t, coords, kept_lines, skipped = _gaze_lines(body, header, idx, path)
+        t, coords, kept_lines, skipped = _gaze_lines(raw.splitlines()[1:], header, idx, path)
     _check_monotone(t, lambda i: kept_lines[i], path)
 
     if eye == "mono":
-        x, y = _couple_missing(coords[:, 0], coords[:, 1])
+        x, y = _couple_missing(coords[0], coords[1])
         eyes = {"mono": (x, y)}
     else:
-        xl, yl = _couple_missing(coords[:, 0], coords[:, 1])
-        xr, yr = _couple_missing(coords[:, 2], coords[:, 3])
+        xl, yl = _couple_missing(coords[0], coords[1])
+        xr, yr = _couple_missing(coords[2], coords[3])
         eyes = {"left": (xl, yl), "right": (xr, yr)}
     return GazeRecording(
         recording_id=path.stem,
@@ -454,14 +473,68 @@ def _require_finite(values: np.ndarray, path):
         raise DataError(f"{path}: non-finite attribution value at channel {ch}, index {i}")
 
 
+def _dense_rows(body, length: int):
+    """The dense form's channel rows as one (D, L) array parsed by numpy's
+    C text reader, or None when it declines them (a token it does not
+    take, such as "1_0", or rows of unequal length) or they are not
+    `length` values long; the per-row parse then gives the value or the
+    error."""
+    try:
+        values = np.loadtxt(
+            body, dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if values.shape == (len(body), length) else None
+
+
+def _sparse_values(path, rows) -> np.ndarray:
+    """The (D, L) grid of a sparse attribution file from its (file line,
+    line) data rows, which must give every cell of the grid exactly once."""
+    cells = {}  # (channel, index) -> (file line, value)
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise FormatError(f"{path}: line {lineno}: expected 3 fields")
+        try:
+            cell = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: channel {fields[0]!r} and index {fields[1]!r} "
+                f"must be integers"
+            ) from None
+        try:
+            value = float(fields[2])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: value {fields[2]!r} is not a number"
+            ) from None
+        where = f"{path}: line {lineno}: channel {cell[0]}, index {cell[1]}"
+        if min(cell) < 0:
+            raise FormatError(f"{where} is negative")
+        if cell in cells:
+            raise FormatError(f"{where} repeats line {cells[cell][0]}")
+        cells[cell] = lineno, value
+    d = max((ch for ch, _ in cells), default=-1) + 1
+    l = max((i for _, i in cells), default=-1) + 1
+    if len(cells) != d * l:
+        raise FormatError(f"{path}: sparse file covers {len(cells)} cells, grid needs {d * l}")
+    values = np.empty((d, l))
+    for (ch, i), (_, value) in cells.items():
+        values[ch, i] = value
+    return values
+
+
 def load_attribution(path, window_id: str | None = None) -> AttributionMap:
     """Load one attribution file (dense or sparse form)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not rows:
         raise DataError(f"{path}: empty attribution file")
+    lines = [ln for _, ln in rows]
 
+    target = None
     if lines[0].startswith("D="):
         try:
             d = int(lines[0][2:])
@@ -470,42 +543,29 @@ def load_attribution(path, window_id: str | None = None) -> AttributionMap:
             raise FormatError(f"{path}: malformed dense header") from None
         if l is None:
             raise FormatError(f"{path}: dense header must declare D= then L=")
+        if d < 0 or l < 0:
+            raise FormatError(f"{path}: malformed dense header")
         body = lines[2:]
-        target = None
         if body and body[0].startswith("target="):
             target = body[0][len("target="):]
             body = body[1:]
         if len(body) != d:
             raise FormatError(f"{path}: expected {d} channel rows, found {len(body)}")
-        values = np.empty((d, l), dtype=float)
-        for ch, row in enumerate(body):
-            try:
-                vals = np.array(row.split(","), dtype=float)
-            except ValueError:
-                raise FormatError(f"{path}: channel {ch} has a non-numeric value") from None
-            if len(vals) != l:
-                raise FormatError(
-                    f"{path}: channel {ch} has {len(vals)} values, declared L={l}"
-                )
-            values[ch] = vals
+        values = _dense_rows(body, l) if body else None
+        if values is None:
+            values = np.empty((d, l), dtype=float)
+            for ch, row in enumerate(body):
+                try:
+                    vals = np.array(row.split(","), dtype=float)
+                except ValueError:
+                    raise FormatError(f"{path}: channel {ch} has a non-numeric value") from None
+                if len(vals) != l:
+                    raise FormatError(
+                        f"{path}: channel {ch} has {len(vals)} values, declared L={l}"
+                    )
+                values[ch] = vals
     elif lines[0].replace(" ", "") == "channel,index,value":
-        chs, idxs, vals = [], [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields")
-            chs.append(int(fields[0]))
-            idxs.append(int(fields[1]))
-            vals.append(float(fields[2]))
-        d = max(chs) + 1
-        l = max(idxs) + 1
-        if len(lines) - 1 != d * l:
-            raise FormatError(
-                f"{path}: sparse file covers {len(lines) - 1} cells, grid needs {d * l}"
-            )
-        values = np.full((d, l), np.nan)
-        values[chs, idxs] = vals
-        target = None
+        values = _sparse_values(path, rows[1:])
     else:
         raise FormatError(
             f"{path}: expected a dense 'D='/'L=' header or a 'channel,index,value' header"

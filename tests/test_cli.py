@@ -86,6 +86,17 @@ def test_missing_attribution_names_stage_and_path(tiny_corpus, tmp_path, capsys)
     assert not (out / "report.json").exists()
 
 
+def test_malformed_sparse_attribution_exits_2(tiny_corpus, tmp_path, capsys):
+    broken = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    manifest_doc = json.loads(broken.read_text())
+    bad = tmp_path / "m" / "bad.csv"
+    bad.write_text("channel,index,value\n0,0,x\n")
+    manifest_doc["entries"][3]["attribution"] = str(bad)
+    broken.write_text(json.dumps(manifest_doc))
+    assert main(["run", "--manifest", str(broken), "--out", str(tmp_path / "out")]) == 2
+    assert "bad.csv: line 2: value 'x' is not a number" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert main(["run"]) == 1  # missing --manifest
     assert main(["nonsense"]) == 1

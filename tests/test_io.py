@@ -158,24 +158,31 @@ def _load_outcome(path, schema):
 COORD_TOKENS = st.one_of(
     st.floats(allow_nan=False, width=64).map(repr),
     st.sampled_from(["", ".", "nan", "NaN", "inf", "-inf", " 1.5 ", "2e3", "abc",
-                     '"2.0"', '"1,5"', "1_0", "-0"]),
+                     '"2.0"', '"1,5"', "1_0", "-0", "\uff11", "0x10", "Infinity",
+                     "+inf", "1e400", "#", "\t1.5\t"]),
 )
 TIME_TOKENS = st.one_of(
     st.integers(-10, 20).map(str),
-    st.sampled_from(["1.5", "x", "", " 7 ", "+3", "99999999999999999999"]),
+    st.sampled_from(["1.5", "x", "", " 7 ", "+3", "99999999999999999999", "\uff17",
+                     "0x10", "1_0", "#", "\t7\t", "1e3"]),
 )
 EXTRA_TOKENS = st.sampled_from(['"x', '"', '"q,r"', 'b"c', ""])
-PERTURBATIONS = ("coord", "time", "extra", "short", "long", "blank")
+# str.splitlines breaks other than "\n" and "\r\n" (read_text turns a bare
+# "\r" into "\n"; numpy's text reader splits on none of the others)
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+PERTURBATIONS = ("coord", "time", "extra", "short", "long", "shift", "break", "blank")
 
 
 @st.composite
 def gaze_files(draw):
     """(file text, schema): a well-formed gaze file (monocular or
     binocular, optionally renamed through a schema, optionally with an
-    extra column) with up to three perturbed lines: a missing-value,
-    whitespace, quoted or unparseable coordinate, a non-integer,
-    overflowing or non-monotone timestamp, a quoted extra cell, a short
-    or long row, a blank line."""
+    extra column, lines ended by "\n", "\r\n", "\r" or "\x0b") with up
+    to three perturbed lines: a missing-value, whitespace, quoted,
+    full-width, hex, infinite, overflowing or unparseable coordinate, a
+    non-integer, overflowing or non-monotone timestamp, a quoted extra
+    cell, a short or long row, a short row offset by a long one, a line
+    break that only str.splitlines knows, a blank line."""
     columns = list(draw(st.sampled_from([gio.MONO_COLUMNS, gio.BINOCULAR_COLUMNS])))
     schema = None
     if draw(st.booleans()):
@@ -208,10 +215,14 @@ def gaze_files(draw):
             cells.pop()
         elif kind == "long":
             cells.append(draw(st.sampled_from(["9", ""])))
+        elif kind == "shift":
+            rows[draw(st.integers(0, len(rows) - 1))].append(cells.pop())
+        elif kind == "break":
+            cells[-1] += draw(st.sampled_from(LINE_BREAKS))
         elif kind == "blank":
             rows.insert(i, [draw(st.sampled_from(["", "  ", "\t"]))])
     lines = [",".join(columns)] + [",".join(cells) for cells in rows]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
     return newline.join(lines) + draw(st.sampled_from([newline, ""])), schema
 
 
@@ -223,6 +234,10 @@ def gaze_path(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 @given(gaze_files())
 @example(('t_ms,note,x_deg,y_deg\n0,"x,1.0,2.0\n', None))  # csv quoting swallows commas
+@example(("t_ms,note,x_deg,y_deg\n0,n,1.0\n1,n,1.0,2.0,3.0\n", None))  # short row offset by long
+@example(("t_ms,x_deg,y_deg\n0,1.0,2.0\x0b\n1,1.0,2.0\n", None))  # a blank line to splitlines only
+@example(("t_ms,x_deg,y_deg\n\n", None))  # no rows for numpy's text reader
+@example(("a,b\n0,1.5\n1,2.5\n", {"t_ms": "a", "x_deg": "a", "y_deg": "b"}))  # t_ms is x_deg
 def test_columnar_parse_matches_line_parser(gaze_path, case):
     text, schema = case
     gaze_path.write_bytes(text.encode())
@@ -294,6 +309,11 @@ def test_attribution_sparse_form(tmp_path):
     p.write_text("\n".join(rows) + "\n")
     attr = load_attribution(p)
     np.testing.assert_array_equal(attr.values, [[0, 1, 2], [10, 11, 12]])
+    p.write_text("channel,index,value\n0,0,1\n1,1,1\n")
+    with pytest.raises(FormatError, match="covers 2 cells, grid needs 4"):
+        load_attribution(p)
+    p.write_text("channel,index,value\n")
+    assert load_attribution(p).values.shape == (0, 0)
 
 
 def test_attribution_shape_declaration_mismatch(tmp_path):
@@ -305,6 +325,9 @@ def test_attribution_shape_declaration_mismatch(tmp_path):
     p.write_text("D=2\nL=3\n1,2,3\n")
     with pytest.raises(FormatError, match="channel rows"):
         load_attribution(p)
+    p.write_text("D=1\nL=-1\n1\n")
+    with pytest.raises(FormatError, match="malformed dense header"):
+        load_attribution(p)
 
 
 def test_attribution_non_finite_named(tmp_path):
@@ -312,6 +335,92 @@ def test_attribution_non_finite_named(tmp_path):
     p.write_text("D=2\nL=3\n1,2,3\n4,nan,6\n")
     with pytest.raises(DataError, match="channel 1, index 1"):
         load_attribution(p)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,0,1", "line 3: channel 'a' and index '0' must be integers"),
+    ("0,1.5,1", "line 3: channel '0' and index '1.5' must be integers"),
+    ("0,1,x", "line 3: value 'x' is not a number"),
+    ("-1,1,1", "line 3: channel -1, index 1 is negative"),
+    ("0,-1,1", "line 3: channel 0, index -1 is negative"),
+    ("0,0,1", "line 3: channel 0, index 0 repeats line 2"),
+], ids=["channel", "index", "value", "negative-channel", "negative-index", "repeated"])
+def test_attribution_sparse_bad_cell_named(tmp_path, row, message):
+    p = tmp_path / "a.csv"
+    p.write_text(f"channel,index,value\n0,0,1\n{row}\n\n1,0,1\n1,1,1\n")
+    with pytest.raises(FormatError, match=f"a.csv: {message}"):
+        load_attribution(p)
+
+
+def _attribution_outcome(path):
+    """What load_attribution gives: the exception's type and message, or
+    the values (bitwise), their shape and the target label."""
+    try:
+        attr = load_attribution(path)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e)
+    return attr.values.shape, attr.values.tobytes(), attr.target_label
+
+
+ATTR_TOKENS = st.sampled_from([
+    "1_0", "\uff11", " 2.5 ", "\t1\t", "0x10", "1e400", "-0", "#", "", "abc",
+    "Infinity", "nan", "-inf", "1.", '"1"',
+])
+ATTR_PERTURBATIONS = ("token", "short", "long", "length", "rows", "blank")
+
+
+@st.composite
+def dense_files(draw):
+    """A well-formed dense attribution file (optionally with a target
+    line) with up to three perturbations: an underscored, full-width,
+    padded, hex, overflowing, non-finite or unparseable value, a short
+    or long row, a wrong L, a missing or extra row, a blank line."""
+    d, length = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    rows = [[repr(draw(st.floats(-1e3, 1e3))) for _ in range(length)] for _ in range(d)]
+    lines = [f"D={d}", f"L={length}"] + (["target=s01"] if draw(st.booleans()) else [])
+    for kind in sorted(draw(st.lists(st.sampled_from(ATTR_PERTURBATIONS), max_size=3)),
+                       key=ATTR_PERTURBATIONS.index):
+        row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+        if kind == "token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(ATTR_TOKENS)
+        elif kind == "short" and row:
+            row.pop()
+        elif kind == "long" and row is not None:
+            row.append("0.5")
+        elif kind == "length":
+            lines[1] = f"L={length + draw(st.sampled_from([-1, 1]))}"
+        elif kind == "rows":
+            rows = rows[:-1] if rows and draw(st.booleans()) else rows + [["0.5"] * length]
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+    lines += [",".join(row) for row in rows]
+    if "" in lines and draw(st.booleans()):
+        lines.insert(0, lines.pop(lines.index("")))  # a blank line before the header
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_files())
+@example("D=2\nL=2\n1_0,2\n\n3,4\n")
+@example("D=0\nL=3\n")
+def test_dense_attribution_rows_match_per_row_parse(gaze_path, text):
+    path = gaze_path.with_name("a.csv")
+    path.write_bytes(text.encode())
+    fast = _attribution_outcome(path)
+    with mock.patch.object(gio, "_dense_rows", return_value=None):
+        rows = _attribution_outcome(path)
+    assert fast == rows
+
+
+def test_plain_dense_rows_take_columnar_path(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("D=2\nL=3\n1, 2.5,-3e2\n0,inf,1\n")
+    with mock.patch.object(gio.np, "array", side_effect=AssertionError("per-row parse")):
+        with pytest.raises(DataError, match="channel 1, index 1"):
+            load_attribution(p)
+    p.write_text("D=2\nL=3\n1, 2.5,-3e2\n0,7,1\n")
+    with mock.patch.object(gio.np, "array", side_effect=AssertionError("per-row parse")):
+        np.testing.assert_array_equal(load_attribution(p).values, [[1, 2.5, -300], [0, 7, 1]])
 
 
 def test_attribution_window_alignment():
