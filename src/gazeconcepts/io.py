@@ -261,14 +261,14 @@ def _gaze_columns(path, raw: str, ncol: int, idx):
     """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
     coordinate columns) or None.
 
-    `raw` is the file's text. Applies when every header column is in the
-    schema and the file's lines are exactly str.splitlines' lines with no
-    blank one, so that loadtxt sees the rows and fields csv.reader sees;
-    its int64 and float64 conversions accept a subset of what int() and
-    float() accept, with the same values (NaN and inf are coupled into
-    missing samples later, as in the line parser). Anything loadtxt
-    declines (empty or "." cells, quoted cells, wrong field counts, ...)
-    returns None and takes the line parser.
+    `raw` is the file's text. Applies when the header's columns are the
+    schema's, each once, and the file's lines are exactly str.splitlines'
+    lines with no blank one, so that loadtxt sees the rows and fields
+    csv.reader sees; its int64 and float64 conversions accept a subset of
+    what int() and float() accept, with the same values (NaN and inf are
+    coupled into missing samples later, as in the line parser). Anything
+    loadtxt declines (empty or "." cells, quoted cells, wrong field
+    counts, ...) returns None and takes the line parser.
     """
     if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
         return None
