@@ -26,6 +26,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
+import warnings
 import zipfile
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -257,18 +259,35 @@ def _first_line(text: str) -> str:
     return head.splitlines()[0] if head else ""
 
 
-def _gaze_columns(path, raw: str, ncol: int, idx):
+# From numpy 1.23 until that deprecation expired, loadtxt parses an int64
+# token that is not an integer ("1.5", "1e3", "99999999999999999999") through
+# a float, warning only (DeprecationWarning) and truncating; raised as an
+# error, the warning makes loadtxt raise ValueError instead. catch_warnings
+# swaps the process-wide filters, so concurrent loads take turns.
+_STRICT_LOADTXT = threading.Lock()
+
+
+def _file_stamp(path):
+    st = path.stat()
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
     coordinate columns) or None.
 
-    `raw` is the file's text. Applies when the header's columns are the
-    schema's, each once, and the file's lines are exactly str.splitlines'
-    lines with no blank one, so that loadtxt sees the rows and fields
-    csv.reader sees; its int64 and float64 conversions accept a subset of
-    what int() and float() accept, with the same values (NaN and inf are
-    coupled into missing samples later, as in the line parser). Anything
-    loadtxt declines (empty or "." cells, quoted cells, wrong field
-    counts, ...) returns None and takes the line parser.
+    `raw` is the file's text as read when the file had `stamp`. Applies
+    when the header's columns are the schema's, each once, and the file's
+    lines are exactly str.splitlines' lines with no blank one, so that
+    loadtxt sees the rows and fields csv.reader sees. With every warning
+    raised as an error, its int64 column takes only an optionally signed,
+    space-padded run of ASCII digits in the int64 range, valued as int()
+    values it; its float64 columns take a subset of what float() takes,
+    with the same values (NaN and inf are coupled into missing samples
+    later, as in the line parser). Anything loadtxt declines (empty or "."
+    cells, quoted cells, wrong field counts, out-of-range timestamps, ...)
+    and a file that changed after `raw` was read return None: the line
+    parser then parses `raw`.
     """
     if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
         return None
@@ -276,15 +295,19 @@ def _gaze_columns(path, raw: str, ncol: int, idx):
     if end < 0 or raw[end + 1:end + 2] in ("", "\n"):
         return None  # no rows, or a blank line that loadtxt would skip
     dtype = np.dtype([(str(i), np.int64 if i == idx[0] else np.float64) for i in range(ncol)])
-    try:
-        table = np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-            skiprows=1, encoding="utf-8", ndmin=1,
-        )
-    except ValueError:
-        return None
+    with _STRICT_LOADTXT, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                skiprows=1, encoding="utf-8", ndmin=1,
+            )
+        except (ValueError, Warning):
+            return None
     if len(table) != raw.count("\n") - raw.endswith("\n"):
         return None  # loadtxt skipped blank lines, which the line parser counts
+    if _file_stamp(path) != stamp:
+        return None  # loadtxt read another text than `raw`
     return table[str(idx[0])].copy(), [table[str(i)] for i in idx[1:]]
 
 
@@ -310,6 +333,10 @@ def _gaze_lines(body, header, idx, path):
             raise DataError(
                 f"{path}: line {lineno}: timestamp {fields[idx[0]]!r} is not an integer"
             ) from None
+        if not -2**63 <= t < 2**63:
+            raise DataError(
+                f"{path}: line {lineno}: timestamp {fields[idx[0]]!r} is out of the int64 range"
+            )
         rows.append((t, [_parse_coord(fields[i]) for i in idx[1:]]))
         kept_lines.append(lineno)
     t = np.array([r[0] for r in rows], dtype=np.int64)
@@ -326,6 +353,7 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     ``source_meta['skipped_rows']``; no other row is ever dropped.
     """
     path = Path(path)
+    stamp = _file_stamp(path)
     raw = path.read_text(encoding="utf-8")
     if not raw or raw.isspace():
         raise DataError(f"{path}: empty file")
@@ -356,7 +384,7 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
         )
     idx = [col(c) for c in columns]
 
-    parsed = _gaze_columns(path, raw, len(header), idx)
+    parsed = _gaze_columns(path, raw, len(header), idx, stamp)
     if parsed is not None:
         t, coords = parsed
         kept_lines, skipped = range(2, len(t) + 2), 0

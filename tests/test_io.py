@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,6 +140,90 @@ def test_short_row_is_format_error(tmp_path):
         load_gaze_csv(p)
 
 
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("token, message", [
+    ("1.5", "is not an integer"),
+    ("1e3", "is not an integer"),
+    ("99999999999999999999", "is out of the int64 range"),
+    ("-9223372036854775809", "is out of the int64 range"),
+])
+def test_non_integer_timestamp_is_data_error_under_default_filters(tmp_path, token, message):
+    p = tmp_path / "g.csv"
+    p.write_text(f"t_ms,x_deg,y_deg\n0,1.0,2.0\n{token},1.0,2.0\n")
+    with pytest.raises(DataError, match=f"line 3: timestamp '{token}' {message}"):
+        load_gaze_csv(p)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_columnar_parse_declines_on_any_warning(tmp_path):
+    # numpy releases with the float-for-int deprecation truncate "1.5" to 1
+    # and only warn; the fast path must decline whatever the global filters
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1.5,1.0,2.0\n")
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(fname, dtype, **kwargs):
+        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        lines = p.read_text().replace("1.5,", "1,")
+        return real_loadtxt(lines.splitlines(), dtype=dtype, **kwargs)
+
+    with mock.patch.object(gio.np, "loadtxt", truncating_loadtxt):
+        with pytest.raises(DataError, match="timestamp '1.5' is not an integer"):
+            load_gaze_csv(p)
+
+
+def test_columnar_parse_declines_when_file_changes(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,1.0,2.0\n")
+    real_loadtxt = np.loadtxt
+
+    def loadtxt_after_rewrite(fname, **kwargs):
+        p.write_text("t_ms,x_deg,y_deg\n0,9.0,9.0\n1,9.0,9.0\n\n")
+        return real_loadtxt(fname, **kwargs)
+
+    with mock.patch.object(gio.np, "loadtxt", loadtxt_after_rewrite):
+        rec = load_gaze_csv(p)
+    np.testing.assert_array_equal(rec.x_deg, [1.0, 1.0])
+
+
+def test_concurrent_gaze_loads_take_turns(tmp_path):
+    # each fast-path parse swaps the process-wide warning filters; two that
+    # overlap can leave the other's filters installed when both are done
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n" + "".join(f"{i},1.5,2.5\n" for i in range(50)))
+    before = list(warnings.filters)
+    real_loadtxt = np.loadtxt
+    inside, most_inside, loaded = [], [], []
+
+    def counting_loadtxt(*args, **kwargs):
+        inside.append(None)
+        most_inside.append(len(inside))
+        try:
+            return real_loadtxt(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def load_many():
+        for _ in range(300):
+            loaded.append(load_gaze_csv(p).n_samples)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(gio.np, "loadtxt", counting_loadtxt):
+            threads = [threading.Thread(target=load_many) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert loaded == [50] * 1800
+    assert max(most_inside) == 1
+    assert warnings.filters == before
+
+
 def test_extra_field_is_format_error(tmp_path):
     p = tmp_path / "g.csv"
     p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,1.0,2.0,99\n")
@@ -231,6 +318,15 @@ def gaze_path(tmp_path_factory):
     return tmp_path_factory.mktemp("gaze") / "g.csv"
 
 
+def _gaze_paths_agree(gaze_path, case):
+    text, schema = case
+    gaze_path.write_bytes(text.encode())
+    fast = _load_outcome(gaze_path, schema)
+    with mock.patch.object(gio, "_gaze_columns", return_value=None):
+        lines = _load_outcome(gaze_path, schema)
+    assert fast == lines
+
+
 @settings(max_examples=400, deadline=None)
 @given(gaze_files())
 @example(('t_ms,note,x_deg,y_deg\n0,"x,1.0,2.0\n', None))  # csv quoting swallows commas
@@ -239,12 +335,14 @@ def gaze_path(tmp_path_factory):
 @example(("t_ms,x_deg,y_deg\n\n", None))  # no rows for numpy's text reader
 @example(("a,b\n0,1.5\n1,2.5\n", {"t_ms": "a", "x_deg": "a", "y_deg": "b"}))  # t_ms is x_deg
 def test_columnar_parse_matches_line_parser(gaze_path, case):
-    text, schema = case
-    gaze_path.write_bytes(text.encode())
-    fast = _load_outcome(gaze_path, schema)
-    with mock.patch.object(gio, "_gaze_columns", return_value=None):
-        lines = _load_outcome(gaze_path, schema)
-    assert fast == lines
+    _gaze_paths_agree(gaze_path, case)
+
+
+@pytest.mark.filterwarnings("ignore")  # as Python's defaults do for numpy's DeprecationWarnings
+@settings(max_examples=400, deadline=None)
+@given(gaze_files())
+def test_columnar_parse_matches_line_parser_ignoring_warnings(gaze_path, case):
+    _gaze_paths_agree(gaze_path, case)
 
 
 def test_plain_rows_take_columnar_path(tmp_path):
@@ -399,17 +497,28 @@ def dense_files(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
-@given(dense_files())
-@example("D=2\nL=2\n1_0,2\n\n3,4\n")
-@example("D=0\nL=3\n")
-def test_dense_attribution_rows_match_per_row_parse(gaze_path, text):
+def _dense_paths_agree(gaze_path, text):
     path = gaze_path.with_name("a.csv")
     path.write_bytes(text.encode())
     fast = _attribution_outcome(path)
     with mock.patch.object(gio, "_dense_rows", return_value=None):
         rows = _attribution_outcome(path)
     assert fast == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_files())
+@example("D=2\nL=2\n1_0,2\n\n3,4\n")
+@example("D=0\nL=3\n")
+def test_dense_attribution_rows_match_per_row_parse(gaze_path, text):
+    _dense_paths_agree(gaze_path, text)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=300, deadline=None)
+@given(dense_files())
+def test_dense_attribution_rows_match_per_row_parse_ignoring_warnings(gaze_path, text):
+    _dense_paths_agree(gaze_path, text)
 
 
 def test_plain_dense_rows_take_columnar_path(tmp_path):
