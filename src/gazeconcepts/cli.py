@@ -25,8 +25,7 @@ from pathlib import Path
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import SACCADE, detect_events, event_properties, retained
-from .dissect import dissect_saccades
+from .detect import event_properties, retained
 from .errors import ConfigError, DataError, FormatError, GazeError
 from .influence import default_k
 from .pipeline import (
@@ -37,12 +36,12 @@ from .pipeline import (
     _counts,
     _dissection_counts,
     _preprocess_counts,
-    _reduce_concepts,
-    concept_masks,
+    detect_windows,
+    dissect_windows,
     preprocess_manifest,
+    retained_saccades,
     run,
-    window_influence,
-    window_topk,
+    score_windows,
     write_charts,
     write_influence,
 )
@@ -175,10 +174,9 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     manifest, cfg, out = _context(args)
     result = run(manifest, cfg, out)
-    n_events = sum(len(b.fixations) + len(b.saccades) for b in result.bundles)
     print(
-        f"run complete: {len(result.bundles)} windows, {n_events} events, "
-        f"artifacts in {out}"
+        f"run complete: {len(result.window_results)} windows, {len(result.events)} "
+        f"events, artifacts in {out}"
     )
     return 0
 
@@ -234,8 +232,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_detect(args) -> int:
     _, cfg, out = _context(args)
-    detected = detect_events(gio.read_windows(out / "windows.npz"), cfg.detection_params())
-    events = [e for fixations, saccades in detected for e in fixations + saccades]
+    windows = gio.read_windows(out / "windows.npz")
+    events = [e for row in detect_windows(windows, cfg) for e in row]
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -245,36 +243,40 @@ def cmd_detect(args) -> int:
 def cmd_dissect(args) -> int:
     _, cfg, out = _context(args)
     windows = gio.read_windows(out / "windows.npz")
-    by_window = _events_by_window(out, windows.window_ids)
+    events_by_row = list(_events_by_window(out, windows.window_ids).values())
     # peaks come from the windows' exact speeds, not events.csv's 9 digits
-    dissections = dissect_saccades(
-        [[e for e in events if e.kind == SACCADE and not e.excluded]
-         for events in by_window.values()],
-        windows, cfg.peak_ratio, cfg.flank_ratio,
-    )
-    dissections = [d for row in dissections for d in row]
+    dissections = [d for row in dissect_windows(windows, events_by_row, cfg) for d in row]
     subs = [s for d in dissections for s in d.sub_events]
     gio.write_subevents(subs, out / "subevents.csv")
-    events = [e for group in by_window.values() for e in group]
+    events = [e for row in events_by_row for e in row]
     stats = _dissection_counts(events, dissections)
     report_mod.write_report_json(stats, out / "dissect_stats.json")
     print(f"wrote {len(subs)} sub-events to {out / 'subevents.csv'}")
     return 0
 
 
+def _subevents_by_window(out: Path, by_window: dict) -> list:
+    """subevents.csv grouped by window, in window order; DataError naming
+    the file for a sub-event whose parent is not a retained saccade."""
+    path = out / "subevents.csv"
+    window_of = {e.event_id: w for w, group in by_window.items() for e in retained_saccades(group)}
+    subs = {w: [] for w in by_window}
+    for s in gio.read_subevents(path):
+        if s.parent_event_id not in window_of:
+            raise DataError(f"{path}: sub-event parent {s.parent_event_id!r} is not a "
+                            f"retained saccade in events.csv")
+        subs[window_of[s.parent_event_id]].append(s)
+    return list(subs.values())
+
+
 def cmd_influence(args) -> int:
     manifest, cfg, out = _context(args)
     windows, attribution_paths = _manifest_windows(manifest, out)
     by_window = _events_by_window(out, windows.window_ids)
-    subs = {}
-    for s in gio.read_subevents(out / "subevents.csv"):
-        subs.setdefault(s.parent_event_id.rsplit(":", 1)[0], []).append(s)
-    topks = [window_topk(w, path, cfg) for w, path in zip(windows, attribution_paths)]
-    masks = concept_masks(
-        list(by_window.values()), [subs.get(w, []) for w in by_window], windows.length
+    topks, window_results, corpus_results = score_windows(
+        windows, attribution_paths, list(by_window.values()),
+        _subevents_by_window(out, by_window), cfg,
     )
-    window_results = [window_influence(m, topk) for m, topk in zip(masks, topks)]
-    corpus_results = _reduce_concepts(window_results)
     written = [out / "topk.npz"]
     gio.write_topk(topks, written[0], cfg.squash)
     written.append(write_influence(window_results, corpus_results, out, cfg))

@@ -778,7 +778,9 @@ def write_subevents(sub_events, path):
 
 
 def read_subevents(path) -> list:
-    rows = read_table(path, SUBEVENT_COLUMNS, {"onset": int, "offset": int})
+    rows = read_table(
+        path, SUBEVENT_COLUMNS, {"phase": one_of(PHASES), "onset": int, "offset": int}
+    )
     return [SubEvent(r["parent_event_id"], r["phase"], r["onset"], r["offset"]) for r in rows]
 
 

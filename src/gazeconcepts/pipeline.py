@@ -1,15 +1,17 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-The evaluation windows are stacked into (n, L) arrays once, and each
-gaze-side step (detection, dissection, concept masks) runs over the
-whole stack in one batched pass (analyse_windows). Each window's
-attribution map is then parsed and scored by process_window, and
-binning again runs per bin over the stacked top-k masks. Every reduction
-happens in manifest order, so outputs do not depend on the accepted but
-unused --jobs value. All artifacts are written at the end of a run; if
-that fails, partial files are removed and an INCOMPLETE marker is left.
-"""
+Each stage has one function, which `run` chains and the staged
+subcommands call: preprocess_manifest, detect_windows, dissect_windows,
+score_windows and _bin_all. The evaluation windows are stacked into
+(n, L) arrays once, and each gaze-side step (detection, dissection,
+concept masks) runs over the whole stack in one batched pass. Each
+window's attribution map is then parsed and scored by process_window,
+and binning again runs per bin over the stacked top-k masks. Every
+reduction happens in manifest order, so outputs do not depend on the
+accepted but unused --jobs value. All artifacts are written at the end
+of a run; if that fails, partial files are removed and an INCOMPLETE
+marker is left."""
 
 from __future__ import annotations
 
@@ -181,22 +183,13 @@ class PreprocessResult:
 
 
 @dataclass
-class WindowBundle:
-    """Everything computed per window before corpus-level reduction."""
-
-    window_id: str
-    fixations: list
-    saccades: list
-    dissections: list
-    topk: object
-    window_results: dict  # concept -> InfluenceResult | None (absent concept)
-
-
-@dataclass
 class RunResult:
     config: RunConfig
     preprocess: PreprocessResult
-    bundles: list
+    events: list  # every window's fixations then saccades, manifest order
+    dissections: list  # of the retained saccades, manifest order
+    topks: list  # TopKSegmentation per window
+    window_results: list  # per window: concept -> InfluenceResult | None
     corpus_results: dict  # concept -> (InfluenceResult | None, skipped count)
     binned: dict  # property -> list[BinnedInfluence]
     counts: dict
@@ -301,45 +294,27 @@ def window_segmentations(window, events, sub_events) -> dict:
     }
 
 
-@dataclass
-class GazeAnalysis:
-    """The gaze side of one window: what does not depend on the model."""
-
-    fixations: list
-    saccades: list
-    dissections: list
-    masks: np.ndarray  # (len(ALL_CONCEPTS), L) concept masks
-
-
-def analyse_windows(windows, cfg: RunConfig) -> list:
-    """Detect, dissect and segment every window, each step in one batched
-    pass over the stacked windows; one GazeAnalysis per window, in order."""
-    windows = WindowStack.of(windows)
-    detected = detect_events(windows, cfg.detection_params())
-    dissections = dissect_saccades(
-        [[s for s in saccades if not s.excluded] for _, saccades in detected],
-        windows, cfg.peak_ratio, cfg.flank_ratio,
-    )
-    masks = concept_masks(
-        [fixations + saccades for fixations, saccades in detected],
-        [[s for d in row for s in d.sub_events] for row in dissections],
-        windows.length,
-    )
+def detect_windows(windows, cfg: RunConfig) -> list:
+    """Per window, its fixations then its saccades, excluded events
+    included: both detectors in one batched pass over the stack."""
     return [
-        GazeAnalysis(fixations, saccades, row_dissections, row_masks)
-        for (fixations, saccades), row_dissections, row_masks in zip(
-            detected, dissections, masks
-        )
+        fixations + saccades
+        for fixations, saccades in detect_events(windows, cfg.detection_params())
     ]
 
 
-def window_topk(window, attribution_path, cfg: RunConfig) -> TopKSegmentation:
-    """Top-k mask of the attribution map that explains one window."""
-    attr = gio.load_attribution(attribution_path, window_id=window.window_id)
-    gio.validate_attribution(attr, window)
-    squashed = squash_channels(attr, cfg.squash)
-    return topk_segmentation(
-        squashed, default_k(window.length, cfg.top_frac), window.window_id
+def retained_saccades(events) -> list:
+    """The saccades among `events` that survived the validity filters:
+    the ones dissect_windows dissects."""
+    return [e for e in events if e.kind == SACCADE and not e.excluded]
+
+
+def dissect_windows(windows, events_by_row, cfg: RunConfig) -> list:
+    """Per window, the dissections of its retained saccades, all in one
+    batched pass; events_by_row[r] are the events of window r."""
+    return dissect_saccades(
+        [retained_saccades(events) for events in events_by_row],
+        windows, cfg.peak_ratio, cfg.flank_ratio,
     )
 
 
@@ -353,24 +328,31 @@ def window_influence(masks, topk: TopKSegmentation) -> dict:
     return dict(zip(ALL_CONCEPTS, results))
 
 
-def process_window(window, attribution_path, cfg: RunConfig, analysis=None) -> WindowBundle:
-    """Detect, dissect and score one window against its attribution map.
-
-    ``analysis`` is the window's GazeAnalysis when analyse_windows has
-    already run over a whole stack; without it the gaze side is computed
-    as a batch of one.
-    """
-    if analysis is None:
-        (analysis,) = analyse_windows([window], cfg)
-    topk = window_topk(window, attribution_path, cfg)
-    return WindowBundle(
-        window_id=window.window_id,
-        fixations=analysis.fixations,
-        saccades=analysis.saccades,
-        dissections=analysis.dissections,
-        topk=topk,
-        window_results=window_influence(analysis.masks, topk),
+def process_window(window, attribution_path, cfg: RunConfig, masks):
+    """(top-k mask, concept -> InfluenceResult or None) of one window:
+    its attribution map parsed and scored against its concept masks."""
+    attr = gio.load_attribution(attribution_path, window_id=window.window_id)
+    gio.validate_attribution(attr, window)
+    topk = topk_segmentation(
+        squash_channels(attr, cfg.squash),
+        default_k(window.length, cfg.top_frac),
+        window.window_id,
     )
+    return topk, window_influence(masks, topk)
+
+
+def score_windows(windows, attribution_paths, events_by_row, subs_by_row, cfg: RunConfig):
+    """(top-k masks, per-window results, corpus results) of every window:
+    the concept masks of the whole stack in one batched pass, then one
+    process_window call per window, in order."""
+    windows = WindowStack.of(windows)
+    masks = concept_masks(events_by_row, subs_by_row, windows.length)
+    topks, window_results = [], []
+    for window, path, row in zip(windows, attribution_paths, masks):
+        topk, results = process_window(window, path, cfg, row)
+        topks.append(topk)
+        window_results.append(results)
+    return topks, window_results, _reduce_concepts(window_results)
 
 
 def _reduce_concepts(window_results) -> dict:
@@ -441,7 +423,7 @@ def _preprocess_counts(pre: PreprocessResult) -> dict:
 def _dissection_counts(events, dissections) -> dict:
     """The dissection block of the counts."""
     disregarded = sum(d.disregarded for d in dissections)
-    saccade_samples = sum(e.n_samples for e in retained(events) if e.kind == SACCADE)
+    saccade_samples = sum(e.n_samples for e in retained_saccades(events))
     return {
         "saccades_dissected": len(dissections),
         "disregarded_samples": disregarded,
@@ -509,24 +491,28 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         if not pre.windows:
             raise DataError("manifest yields no evaluation windows")
 
+    with _stage("detect"):
+        events_by_row = detect_windows(pre.windows, cfg)
+
+    with _stage("dissect"):
+        dissected = dissect_windows(pre.windows, events_by_row, cfg)
+
     with _stage("influence"):
         attr_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        analyses = analyse_windows(pre.windows, cfg)
-        bundles = [
-            process_window(window, path, cfg, analysis)
-            for window, path, analysis in zip(pre.windows, attr_paths, analyses)
-        ]
-        corpus_results = _reduce_concepts([b.window_results for b in bundles])
+        subs_by_row = [[s for d in row for s in d.sub_events] for row in dissected]
+        topks, window_results, corpus_results = score_windows(
+            pre.windows, attr_paths, events_by_row, subs_by_row, cfg
+        )
 
-    events = [e for b in bundles for e in b.fixations + b.saccades]
+    events = [e for row in events_by_row for e in row]
+    dissections = [d for row in dissected for d in row]
     with _stage("binning"):
-        binned = _bin_all(retained(events), {b.window_id: b.topk for b in bundles}, cfg)
+        binned = _bin_all(retained(events), {t.window_id: t for t in topks}, cfg)
 
     with _stage("report"):
-        dissections = [d for b in bundles for d in b.dissections]
         counts = _counts(
             _preprocess_counts(pre), events, _dissection_counts(events, dissections)
         )
@@ -534,7 +520,10 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
             cfg.analysis_dict(), counts, corpus_results, binned
         )
 
-    result = RunResult(cfg, pre, bundles, corpus_results, binned, counts, report_doc)
+    result = RunResult(
+        cfg, pre, events, dissections, topks, window_results, corpus_results, binned,
+        counts, report_doc,
+    )
     write_artifacts(result, out_dir)
     return result
 
@@ -548,18 +537,16 @@ def write_artifacts(result: RunResult, out_dir: Path):
     try:
         with _stage("report"):
             out_dir.mkdir(parents=True, exist_ok=True)
-            events = [e for b in result.bundles for e in b.fixations + b.saccades]
             path = out_dir / "events.csv"
-            gio.write_events(events, path)
+            gio.write_events(result.events, path)
             written.append(path)
 
-            subs = [s for b in result.bundles for d in b.dissections for s in d.sub_events]
+            subs = [s for d in result.dissections for s in d.sub_events]
             path = out_dir / "subevents.csv"
             gio.write_subevents(subs, path)
             written.append(path)
 
-            window_results = [b.window_results for b in result.bundles]
-            path = write_influence(window_results, result.corpus_results, out_dir, cfg)
+            path = write_influence(result.window_results, result.corpus_results, out_dir, cfg)
             written.append(path)
 
             path = out_dir / "binned.csv"

@@ -313,6 +313,10 @@ def _truncate_events(text):
      r"influence\.csv: line \d+: 10 fields"),
     ("influence", "subevents.csv", lambda t: t.replace(",peak,", ",peak,x", 1),
      r"subevents\.csv: line \d+: cannot parse onset"),
+    ("influence", "subevents.csv", lambda t: t.replace(",peak,", ",peek,", 1),
+     r"subevents\.csv: line \d+: cannot parse phase 'peek'"),
+    ("influence", "subevents.csv", lambda t: t.replace(":sac000,", ":sac999,", 1),
+     r"subevents\.csv: sub-event parent '[^']+:sac999' is not a retained saccade"),
     ("report", "preprocess_stats.json", lambda t: '{"windows": 1}',
      r"preprocess_stats\.json: no 'windows\.evaluated'"),
     ("report", "preprocess_stats.json", lambda t: t[:-5], r"preprocess_stats\.json: not valid"),

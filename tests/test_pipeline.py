@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gazeconcepts.errors import AlignmentError, DataError
+from gazeconcepts.errors import AlignmentError, DataError, DegenerateDataError
 from gazeconcepts.io import (
+    AttributionMap,
     GazeRecording,
     load_manifest,
     write_attribution,
@@ -159,3 +160,19 @@ def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="produced twice"):
         preprocess_manifest(manifest, RunConfig())
+
+
+def test_run_names_the_stage_a_detection_error_comes_from(tmp_path):
+    t = np.arange(400)
+    x = np.where(t < 200, 0.001 * t, np.nan)  # the second window is all missing
+    rec = GazeRecording("gap", t, {"mono": (x, np.where(t < 200, 0.0, np.nan))})
+    write_gaze_csv(rec, tmp_path / "gap.csv")
+    entries = []
+    for i in range(2):
+        window_id = f"gap-w{i:04d}"
+        write_attribution(AttributionMap(window_id, np.ones((2, 200))), tmp_path / f"{i}.csv")
+        entries.append(("gap.csv", f"{i}.csv", window_id))
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    cfg = RunConfig(window_len=200, missing_max_frac=1.0, charts=False)
+    with pytest.raises(DegenerateDataError, match=r"^\[stage detect\] need at least 2 valid"):
+        run(manifest, cfg, tmp_path / "out")
