@@ -8,13 +8,12 @@ values above the last edge into an overflow bin.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import FIXATION, SACCADE
+from .detect import FIXATION, KINDS, SACCADE, EventTable
 from .errors import ConfigError
 from .influence import InfluenceResult, aggregate_influence, influence_rows, segment_masks
 from .io import OPT_REAL, one_of, optional, read_table, write_table
@@ -59,8 +58,8 @@ class BinSpec:
 class Bin:
     lo: float
     hi: float
+    events: EventTable  # the events that fall into the bin
     label: str = "bin"  # "bin" | "underflow" | "overflow"
-    events: list = field(default_factory=list)
 
     @property
     def event_count(self) -> int:
@@ -78,14 +77,14 @@ class BinnedInfluence:
     influence: InfluenceResult | None  # None when the bin is empty
 
 
-def property_values(events, prop: str) -> np.ndarray:
+def property_values(events: EventTable, prop: str) -> np.ndarray:
     kind, attr = PROPERTIES[prop]
-    bad = [e for e in events if e.kind != kind]
-    if bad:
+    bad = np.flatnonzero(~events.is_kind(kind))
+    if len(bad):
         raise ConfigError(
-            f"property {prop!r} applies to {kind} events, got {bad[0].kind}"
+            f"property {prop!r} applies to {kind} events, got {KINDS[events.kind[bad[0]]]}"
         )
-    return np.array([getattr(e, attr) for e in events], dtype=float)
+    return getattr(events, attr)
 
 
 def resolve_edges(spec: BinSpec, events, validity_range=None) -> list[float]:
@@ -116,7 +115,7 @@ def resolve_edges(spec: BinSpec, events, validity_range=None) -> list[float]:
     return edges
 
 
-def bin_events(events, spec: BinSpec, edges=None, validity_range=None) -> list[Bin]:
+def bin_events(events: EventTable, spec: BinSpec, edges=None, validity_range=None) -> list[Bin]:
     """Assign events to (lo, hi] bins plus underflow/overflow.
 
     Events with a NaN property value are left out entirely (they have no
@@ -124,21 +123,15 @@ def bin_events(events, spec: BinSpec, edges=None, validity_range=None) -> list[B
     """
     if edges is None:
         edges = resolve_edges(spec, events, validity_range)
-    bins = [Bin(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    under = Bin(-math.inf, edges[0], UNDERFLOW)
-    over = Bin(edges[-1], math.inf, OVERFLOW)
     values = property_values(events, spec.property)
-    for event, value in zip(events, values):
-        if not np.isfinite(value):
-            continue
-        idx = bisect.bisect_left(edges, value)
-        if idx == 0:
-            under.events.append(event)
-        elif idx == len(edges):
-            over.events.append(event)
-        else:
-            bins[idx - 1].events.append(event)
-    return [under] + bins + [over]
+    # bisect_left: a value on an edge goes to the bin below it
+    slot = np.searchsorted(np.asarray(edges, dtype=float), values, side="left")
+    slot[~np.isfinite(values)] = -1
+    labels = [UNDERFLOW, *["bin"] * (len(edges) - 1), OVERFLOW]
+    return [
+        Bin(lo, hi, events.take(slot == i), label)
+        for i, (lo, hi, label) in enumerate(zip([-math.inf, *edges], [*edges, math.inf], labels))
+    ]
 
 
 BINNED_COLUMNS = (
@@ -154,31 +147,24 @@ _BINNED_PARSERS = {
 
 def write_binned(binned_by_property: dict, path):
     """Per-bin influence table as CSV (empty bins keep empty cells)."""
-    def row(b):
-        inf = b.influence
-        scores = (inf.intersection, inf.c, inf.c_mean) if inf else (None, None, None)
-        return (b.property, b.label, b.lo, b.hi, b.event_count, b.segmentation_size, *scores)
-    write_table(path, BINNED_COLUMNS, (
-        row(b) for prop in sorted(binned_by_property) for b in binned_by_property[prop]
-    ))
+    rows = [b for prop in sorted(binned_by_property) for b in binned_by_property[prop]]
+    influence = [b.influence for b in rows]
+    write_table(path, BINNED_COLUMNS, [
+        *([getattr(b, name) for b in rows] for name in BINNED_COLUMNS[:6]),
+        *([None if i is None else getattr(i, name) for i in influence]
+          for name in BINNED_COLUMNS[6:]),
+    ])
 
 
 def read_binned(path) -> dict:
     """Inverse of write_binned, for staged CLI use and round-trip tests."""
     out = {}
-    for r in read_table(path, BINNED_COLUMNS, _BINNED_PARSERS):
-        influence = None
-        if r["intersection"] is not None:
-            influence = InfluenceResult(
-                concept=r["property"],
-                scope="corpus",
-                intersection=r["intersection"],
-                c=r["c"],
-                L_total=0,
-                S_total=r["segmentation_size"],
-                k_total=0,
-                c_mean=r["c_mean"],
-            )
+    table, _ = read_table(path, BINNED_COLUMNS, _BINNED_PARSERS)
+    for r in (dict(zip(BINNED_COLUMNS, row)) for row in zip(*table.values())):
+        influence = None if r["intersection"] is None else InfluenceResult(
+            r["property"], "corpus", r["intersection"], r["c"], 0, r["segmentation_size"], 0,
+            c_mean=r["c_mean"],
+        )
         fields = {name: r[name] for name in BINNED_COLUMNS[:6]}  # before the scores
         out.setdefault(r["property"], []).append(BinnedInfluence(**fields, influence=influence))
     return out
@@ -196,31 +182,27 @@ def binned_influence(bins, spec: BinSpec, topk_by_window) -> list[BinnedInfluenc
     topks = list(topk_by_window.values())
     topk_stack = np.array([t.mask for t in topks], dtype=bool)
     length = topk_stack.shape[1] if topks else 0
+    ids = bins[0].events.window_ids if bins else []  # bin_events' bins share them
+    by_rank = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)  # of each window row in window id order
+    rank[by_rank] = np.arange(len(ids))
     out = []
     for b in bins:
-        by_window = {}
-        for event in b.events:
-            by_window.setdefault(event.window_id, []).append(event)
-        window_ids = sorted(by_window)
+        # the bin's windows in id order, and each event's place among them
+        ranks, group = np.unique(rank[b.events.row], return_inverse=True)
+        window_ids = [ids[by_rank[r]] for r in ranks.tolist()]
         for window_id in window_ids:
             if window_id not in row_of:
                 raise ConfigError(f"no top-k segmentation for window {window_id!r}")
-        masks = segment_masks([by_window[w] for w in window_ids], length)
+        masks = segment_masks(group, b.events.onset, b.events.offset, len(window_ids), length)
         topk_rows = [row_of[w] for w in window_ids]
         results = influence_rows(
             [spec.property] * len(window_ids), masks, topk_stack[topk_rows],
             [topks[r].k for r in topk_rows], window_ids,
         )
         results = [r for r in results if r is not None]  # |S| = 0 cannot occur here
-        out.append(
-            BinnedInfluence(
-                property=spec.property,
-                lo=b.lo,
-                hi=b.hi,
-                label=b.label,
-                event_count=b.event_count,
-                segmentation_size=int(masks.sum()),
-                influence=aggregate_influence(results) if results else None,
-            )
-        )
+        out.append(BinnedInfluence(
+            spec.property, b.lo, b.hi, b.label, b.event_count, int(masks.sum()),
+            aggregate_influence(results) if results else None,
+        ))
     return out

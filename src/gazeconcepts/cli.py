@@ -39,7 +39,6 @@ from .pipeline import (
     detect_windows,
     dissect_windows,
     preprocess_manifest,
-    retained_saccades,
     run,
     score_windows,
     write_charts,
@@ -196,16 +195,6 @@ def _manifest_windows(manifest, out: Path):
     return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
 
 
-def _events_by_window(out: Path, window_ids) -> dict:
-    """events.csv grouped by window, in window order."""
-    by_window = {window_id: [] for window_id in window_ids}
-    for e in gio.read_events(out / "events.csv"):
-        if e.window_id not in by_window:
-            raise DataError(f"event {e.event_id} references unknown window {e.window_id}")
-        by_window[e.window_id].append(e)
-    return by_window
-
-
 def _read_stats(path: Path, *keys) -> dict:
     """A stage's JSON stats file, which must hold every key in `keys`
     ("a.b" is key b inside block a); FormatError naming the file if not."""
@@ -233,7 +222,7 @@ def cmd_preprocess(args) -> int:
 def cmd_detect(args) -> int:
     _, cfg, out = _context(args)
     windows = gio.read_windows(out / "windows.npz")
-    events = [e for row in detect_windows(windows, cfg) for e in row]
+    events = detect_windows(windows, cfg)
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -243,39 +232,22 @@ def cmd_detect(args) -> int:
 def cmd_dissect(args) -> int:
     _, cfg, out = _context(args)
     windows = gio.read_windows(out / "windows.npz")
-    events_by_row = list(_events_by_window(out, windows.window_ids).values())
+    events = gio.read_events(out / "events.csv", windows)
     # peaks come from the windows' exact speeds, not events.csv's 9 digits
-    dissections = [d for row in dissect_windows(windows, events_by_row, cfg) for d in row]
-    subs = [s for d in dissections for s in d.sub_events]
+    subs = dissect_windows(windows, events, cfg)
     gio.write_subevents(subs, out / "subevents.csv")
-    events = [e for row in events_by_row for e in row]
-    stats = _dissection_counts(events, dissections)
-    report_mod.write_report_json(stats, out / "dissect_stats.json")
+    report_mod.write_report_json(_dissection_counts(subs), out / "dissect_stats.json")
     print(f"wrote {len(subs)} sub-events to {out / 'subevents.csv'}")
     return 0
-
-
-def _subevents_by_window(out: Path, by_window: dict) -> list:
-    """subevents.csv grouped by window, in window order; DataError naming
-    the file for a sub-event whose parent is not a retained saccade."""
-    path = out / "subevents.csv"
-    window_of = {e.event_id: w for w, group in by_window.items() for e in retained_saccades(group)}
-    subs = {w: [] for w in by_window}
-    for s in gio.read_subevents(path):
-        if s.parent_event_id not in window_of:
-            raise DataError(f"{path}: sub-event parent {s.parent_event_id!r} is not a "
-                            f"retained saccade in events.csv")
-        subs[window_of[s.parent_event_id]].append(s)
-    return list(subs.values())
 
 
 def cmd_influence(args) -> int:
     manifest, cfg, out = _context(args)
     windows, attribution_paths = _manifest_windows(manifest, out)
-    by_window = _events_by_window(out, windows.window_ids)
+    events = gio.read_events(out / "events.csv", windows)
+    subs = gio.read_subevents(out / "subevents.csv", events, windows.length)
     topks, window_results, corpus_results = score_windows(
-        windows, attribution_paths, list(by_window.values()),
-        _subevents_by_window(out, by_window), cfg,
+        windows, attribution_paths, events, subs, cfg
     )
     written = [out / "topk.npz"]
     gio.write_topk(topks, written[0], cfg.squash)
@@ -308,11 +280,9 @@ def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
 def cmd_bin(args) -> int:
     manifest, cfg, out = _context(args)
     windows, _ = _manifest_windows(manifest, out)
-    by_window = _events_by_window(out, windows.window_ids)
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
-    kept = event_properties([retained(group) for group in by_window.values()], windows)
-    kept = [e for row in kept for e in row]
+    kept = event_properties(retained(gio.read_events(out / "events.csv", windows)), windows)
     binned = _bin_all(kept, _read_topk(out / "topk.npz", windows, cfg), cfg)
     written = [out / "binned.csv"]
     binning_mod.write_binned(binned, written[0])

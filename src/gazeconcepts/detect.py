@@ -8,28 +8,45 @@ bounds are kept but marked excluded so downstream stages can drop them
 from evaluation while reports still account for them.
 
 Both detectors run on a whole WindowStack at once: thresholds, runs,
-properties and exclusions are computed over the stacked (n, L) arrays.
-The per-window functions are batches of one.
+properties and exclusions are computed over the stacked (n, L) arrays,
+and the events come back as one EventTable of equal-length columns (no
+object per event). The per-window functions are batches of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .preprocess import (
-    VelocityWindow,
-    WindowStack,
-    flatten_rows,
-    interval_bounds,
-    split_rows,
-)
+from .preprocess import VelocityWindow, WindowStack, outside_window
 
 FIXATION = "fixation"
 SACCADE = "saccade"
+KINDS = (FIXATION, SACCADE)  # an event's kind code indexes this
+
+# The validity bounds an event can fail, one bit each of its exclusion
+# code; a reason names the failed bounds in this order.
+EXCLUSION_BOUNDS = (
+    "min duration", "max duration", "min peak velocity", "max peak velocity", "max dispersion",
+)
+
+
+def exclusion_reason(code: int) -> str:
+    """The reason an exclusion code stands for ("" for a retained event)."""
+    return "; ".join(name for bit, name in enumerate(EXCLUSION_BOUNDS) if code >> bit & 1)
+
+
+def exclusion_code(reason: str) -> int:
+    """Inverse of exclusion_reason; ValueError for any other text."""
+    if not reason:
+        return 0
+    bits = [EXCLUSION_BOUNDS.index(name) for name in reason.split("; ")]
+    if bits != sorted(set(bits)):
+        raise ValueError(reason)
+    return sum(1 << bit for bit in bits)
 
 
 @dataclass(frozen=True)
@@ -67,31 +84,48 @@ class DetectionParams:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
 
-@dataclass
-class GazeEvent:
-    """A detected fixation or saccade as an inclusive sample interval.
+PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",
+                   "velocity_std")
+EVENT_ARRAYS = ("row", "kind", "onset", "offset", *PROPERTY_FIELDS, "exclusion", "event_id")
 
-    Properties that do not apply to the event kind (or could not be
-    computed) are NaN. Excluded events carry the reason they failed the
-    validity filters.
+
+@dataclass
+class EventTable:
+    """Detected fixations and saccades as equal-length columns, one entry
+    per event.
+
+    An event is the inclusive sample interval [onset, offset] of window
+    window_ids[row]. Properties that do not apply to the event kind (or
+    could not be computed) are NaN. Excluded events carry the validity
+    bounds they failed as a nonzero exclusion code.
     """
 
-    event_id: str
-    kind: str
-    window_id: str
-    onset: int
-    offset: int
-    duration_ms: float = math.nan
-    peak_velocity: float = math.nan
-    amplitude_deg: float = math.nan
-    dispersion_deg: float = math.nan
-    velocity_std: float = math.nan
-    excluded: bool = False
-    exclusion_reason: str = ""
+    window_ids: list  # id of each window row
+    row: np.ndarray  # int64
+    kind: np.ndarray  # int8 index into KINDS
+    onset: np.ndarray  # int64
+    offset: np.ndarray  # int64
+    duration_ms: np.ndarray  # float64
+    peak_velocity: np.ndarray
+    amplitude_deg: np.ndarray
+    dispersion_deg: np.ndarray
+    velocity_std: np.ndarray
+    exclusion: np.ndarray  # uint8 bit set over EXCLUSION_BOUNDS, 0 when retained
+    event_id: np.ndarray  # object array of str
+
+    def __len__(self) -> int:
+        return len(self.row)
 
     @property
-    def n_samples(self) -> int:
-        return self.offset - self.onset + 1
+    def excluded(self) -> np.ndarray:
+        return self.exclusion != 0
+
+    def is_kind(self, kind: str) -> np.ndarray:
+        return self.kind == KINDS.index(kind)
+
+    def take(self, index) -> "EventTable":
+        """The events selected by a mask or index array, same windows."""
+        return replace(self, **{name: getattr(self, name)[index] for name in EVENT_ARRAYS})
 
 
 def _ek_thresholds(vx, vy, valid, lam: float, eta_floor: float) -> np.ndarray:
@@ -166,128 +200,114 @@ def _interval_reduce(ufunc, flat, starts, stops):
     return ufunc.reduceat(flat, bounds)[0::2]
 
 
-PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",
-                   "velocity_std")
+def _properties(stack: WindowStack, rows, onsets, offsets, kinds):
+    """(values, computed): PROPERTY_FIELDS of intervals of a stack (events
+    of the given kind codes) as float64 arrays aligned with the intervals,
+    NaN where not computed, and per field the mask of the intervals it was
+    computed for (not without a valid sample, nor for another kind).
 
-
-def _properties(stack: WindowStack, rows, onsets, offsets, kinds) -> dict:
-    """PROPERTY_FIELDS of intervals of a stack (events of the given
-    kinds), as lists aligned with the intervals; None where a value is
-    not computed (no valid sample, or a property of another kind).
-
-    Saccade amplitude is the onset-to-offset displacement; fixation
-    dispersion is x-range plus y-range over valid samples; fixation
-    velocity_std is the population standard deviation of the speed
-    magnitude, taken with np.std per fixation (a segmented sum would
-    round differently).
+    Saccade amplitude is the onset-to-offset displacement, taken with
+    math.hypot; fixation dispersion is x-range plus y-range over valid
+    samples; fixation velocity_std is the population standard deviation
+    of the speed magnitude, taken with np.std per fixation (a segmented
+    sum, or np.hypot, would round differently).
     """
     m = len(rows)
-    out = {name: [None] * m for name in PROPERTY_FIELDS}
+    values = {name: np.full(m, math.nan) for name in PROPERTY_FIELDS}
+    computed = {name: np.zeros(m, dtype=bool) for name in PROPERTY_FIELDS}
     if m == 0:
-        return out
-    kinds = np.asarray(kinds)
+        return values, computed
     length = stack.length
     n_samples = offsets - onsets + 1
-    out["duration_ms"] = (n_samples * 1000.0 / stack.sampling_rate_hz[rows]).tolist()
+    values["duration_ms"] = n_samples * 1000.0 / stack.sampling_rate_hz[rows]
+    computed["duration_ms"][:] = True
     starts = rows * length + onsets
     stops = starts + n_samples
     valid = stack.valid
-    any_valid = _interval_reduce(np.logical_or, np.append(valid.ravel(), False), starts, stops)
+    flat_valid = np.append(valid.ravel(), False)
+    any_valid = _interval_reduce(np.logical_or, flat_valid, starts, stops)
+    all_valid = _interval_reduce(np.logical_and, flat_valid, starts, stops)
     peak = _interval_reduce(np.maximum, _masked(stack.speed, valid, -np.inf), starts, stops)
-    for i in np.flatnonzero(any_valid).tolist():
-        out["peak_velocity"][i] = float(peak[i])
+    values["peak_velocity"] = np.where(any_valid, peak, math.nan)
+    computed["peak_velocity"] = any_valid
 
-    sacc = np.flatnonzero(any_valid & (kinds == SACCADE))
-    if len(sacc):
+    sacc = any_valid & (kinds == KINDS.index(SACCADE))
+    if sacc.any():
         px, py = stack.px.ravel(), stack.py.ravel()
         first, last = starts[sacc], stops[sacc] - 1
+        finite = np.isfinite(px[first]) & np.isfinite(px[last])
+        first, last = first[finite], last[finite]
+        at = np.flatnonzero(sacc)[finite]
         dx, dy = (px[last] - px[first]).tolist(), (py[last] - py[first]).tolist()
-        finite = (np.isfinite(px[first]) & np.isfinite(px[last])).tolist()
-        for j, i in enumerate(sacc.tolist()):
-            if finite[j]:
-                out["amplitude_deg"][i] = math.hypot(dx[j], dy[j])
+        values["amplitude_deg"][at] = list(map(math.hypot, dx, dy))
+        computed["amplitude_deg"][at] = True
 
-    fix = np.flatnonzero(any_valid & (kinds == FIXATION))
-    if len(fix):
+    fix = any_valid & (kinds == KINDS.index(FIXATION))
+    if fix.any():
         a, b = starts[fix], stops[fix]
         extent = [
             _interval_reduce(np.maximum, _masked(pos, valid, -np.inf), a, b)
             - _interval_reduce(np.minimum, _masked(pos, valid, np.inf), a, b)
             for pos in (stack.px, stack.py)
         ]
-        dispersion = (extent[0] + extent[1]).tolist()
-        speed, rows_l = stack.speed, rows[fix].tolist()
-        for j, (i, r, lo, hi) in enumerate(
-            zip(fix.tolist(), rows_l, onsets[fix].tolist(), (offsets[fix] + 1).tolist())
-        ):
-            out["dispersion_deg"][i] = dispersion[j]
-            out["velocity_std"][i] = float(np.std(speed[r, lo:hi][valid[r, lo:hi]]))
-    return out
+        values["dispersion_deg"][fix] = extent[0] + extent[1]
+        speed, vmask = stack.speed.ravel(), valid.ravel()
+        values["velocity_std"][fix] = [
+            speed[lo:hi].std() if full else speed[lo:hi][vmask[lo:hi]].std()
+            for lo, hi, full in zip(a.tolist(), b.tolist(), all_valid[fix].tolist())
+        ]
+        computed["dispersion_deg"] = computed["velocity_std"] = fix
+    return values, computed
 
 
-def event_properties(events_by_row, windows) -> list:
-    """Per window, its events with duration, peak velocity and
-    kind-specific properties recomputed, in one batched pass.
+def event_properties(events: EventTable, windows) -> EventTable:
+    """The events with duration, peak velocity and kind-specific
+    properties recomputed from the windows, in one batched pass.
 
-    events_by_row[r] are events of window r of ``windows``. A property
-    that cannot be computed (no valid sample, or non-finite saccade
-    endpoints) keeps the event's value; every other field is kept.
-    ConfigError for the first event outside its window.
+    events.row indexes the rows of ``windows``. A property that cannot be
+    computed (no valid sample, or non-finite saccade endpoints) keeps the
+    event's value; every other column is kept. ConfigError for the first
+    event outside its window.
     """
     stack = WindowStack.of(windows)
-    events, rows = flatten_rows(events_by_row)
-    onsets, offsets, outside = interval_bounds(events, stack.length)
+    outside = outside_window(events.onset, events.offset, stack.length)
     if outside.any():
-        e = events[int(np.argmax(outside))]
+        i = int(np.argmax(outside))
         raise ConfigError(
-            f"event [{e.onset}, {e.offset}] outside window of length {stack.length}"
+            f"event [{events.onset[i]}, {events.offset[i]}] outside window of length {stack.length}"
         )
-    props = _properties(stack, rows, onsets, offsets, [e.kind for e in events])
-    updated = [
-        GazeEvent(
-            e.event_id, e.kind, e.window_id, e.onset, e.offset,
-            *(getattr(e, name) if value is None else value
-              for name, value in zip(PROPERTY_FIELDS, values)),
-            e.excluded, e.exclusion_reason,
-        )
-        for e, values in zip(events, zip(*(props[name] for name in PROPERTY_FIELDS)))
-    ]
-    return split_rows(updated, events_by_row)
+    values, computed = _properties(stack, events.row, events.onset, events.offset, events.kind)
+    return replace(events, **{
+        name: np.where(computed[name], values[name], getattr(events, name))
+        for name in PROPERTY_FIELDS
+    })
 
 
-def compute_event_properties(event: GazeEvent, window: VelocityWindow) -> GazeEvent:
-    """Fill in duration, peak velocity and kind-specific properties of one
-    event (a batch of one for event_properties)."""
-    return event_properties([[event]], [window])[0][0]
-
-
-def _exclusions(kind: str, props: dict, params: DetectionParams) -> list:
-    """Exclusion reason per event ("" for a retained one), in the order
-    the validity bounds are listed."""
-    duration = np.array(props["duration_ms"], dtype=float)
-    peak = np.array(props["peak_velocity"], dtype=float)
-    if kind == SACCADE:
-        tests = (
-            ("min duration", duration < params.sacc_min_duration_ms),
-            ("max duration", duration > params.sacc_max_duration_ms),
-            ("min peak velocity", ~(peak >= params.sacc_min_peak_velocity)),
-            ("max peak velocity", peak > params.sacc_max_peak_velocity),
-        )
+def _exclusions(kind: str, values: dict, params: DetectionParams) -> np.ndarray:
+    """Exclusion code per event (0 for a retained one)."""
+    duration, peak = values["duration_ms"], values["peak_velocity"]
+    if kind == SACCADE:  # bit -> failed, bits as in EXCLUSION_BOUNDS
+        failed = {
+            0: duration < params.sacc_min_duration_ms,
+            1: duration > params.sacc_max_duration_ms,
+            2: ~(peak >= params.sacc_min_peak_velocity),
+            3: peak > params.sacc_max_peak_velocity,
+        }
     else:
-        dispersion = np.array(props["dispersion_deg"], dtype=float)
-        tests = (
-            ("min duration", duration < params.fix_min_duration_ms),
-            ("max dispersion", dispersion > params.fix_max_dispersion_deg),
-        )
-    reasons = [""] * len(duration)
-    failed = np.column_stack([hit for _, hit in tests])
-    for i in np.flatnonzero(failed.any(axis=1)).tolist():
-        reasons[i] = "; ".join(name for (name, _), hit in zip(tests, failed[i]) if hit)
-    return reasons
+        failed = {
+            0: duration < params.fix_min_duration_ms,
+            4: values["dispersion_deg"] > params.fix_max_dispersion_deg,
+        }
+    code = np.zeros(len(duration), dtype=np.uint8)
+    for bit, hit in failed.items():
+        code |= hit.astype(np.uint8) << bit
+    return code
 
 
-def _detect(stack: WindowStack, params: DetectionParams, kind: str) -> list:
-    """Events of one kind in every window of a stack: a list per row."""
+def _detect(stack: WindowStack, params: DetectionParams, kind: str) -> dict:
+    """The columns of the events of one kind in every window of a stack,
+    row-major, with each event's number among its window's events of
+    that kind under "number"."""
     params.validate()
     valid = stack.valid
     with np.errstate(invalid="ignore"):
@@ -301,31 +321,34 @@ def _detect(stack: WindowStack, params: DetectionParams, kind: str) -> list:
         else:
             candidates = stack.speed <= params.fix_max_velocity
     rows, onsets, offsets = _runs(candidates & valid)
-    props = _properties(stack, rows, onsets, offsets, [kind] * len(rows))
-    reasons = _exclusions(kind, props, params)
-    values = zip(*([math.nan if v is None else v for v in props[name]]
-                   for name in PROPERTY_FIELDS))
-    tag = "sac" if kind == SACCADE else "fix"
-    ids = stack.window_ids
-    first = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(stack))))).tolist()
-    events = [
-        GazeEvent(f"{ids[r]}:{tag}{i - first[r]:03d}", kind, ids[r], onset, offset,
-                  *v, bool(reason), reason)
-        for i, (r, onset, offset, v, reason) in enumerate(
-            zip(rows.tolist(), onsets.tolist(), offsets.tolist(), values, reasons)
-        )
-    ]
-    return [events[first[r] : first[r + 1]] for r in range(len(stack))]
+    kinds = np.full(len(rows), KINDS.index(kind), dtype=np.int8)
+    values, _ = _properties(stack, rows, onsets, offsets, kinds)
+    first = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(stack)))))
+    return dict(
+        row=rows, kind=kinds, onset=onsets, offset=offsets, **values,
+        exclusion=_exclusions(kind, values, params), number=np.arange(len(rows)) - first[rows],
+    )
 
 
-def detect_events(windows, params: DetectionParams) -> list:
-    """(fixations, saccades) of every window, excluded events included:
-    both detectors in one batched pass over the stacked windows."""
+def detect_events(windows, params: DetectionParams, kinds=KINDS) -> EventTable:
+    """The events of the given kinds in every window, excluded events
+    included, in one batched pass over the stacked windows: ordered by
+    window row, then kind in `kinds` order, then onset, with ids
+    "<window id>:fix003" or "<window id>:sac000"."""
     stack = WindowStack.of(windows)
-    return list(zip(_detect(stack, params, FIXATION), _detect(stack, params, SACCADE)))
+    parts = [_detect(stack, params, kind) for kind in kinds]
+    order = np.argsort(np.concatenate([p["row"] for p in parts]), kind="stable")
+    columns = {name: np.concatenate([p[name] for p in parts])[order] for name in parts[0]}
+    ids, tags = stack.window_ids, ("fix", "sac")
+    columns["event_id"] = np.array([
+        f"{ids[r]}:{tags[k]}{n:03d}" for r, k, n in zip(
+            columns["row"].tolist(), columns["kind"].tolist(), columns.pop("number").tolist()
+        )
+    ], dtype=object)
+    return EventTable(window_ids=ids, **columns)
 
 
-def detect_saccades_ek(window: VelocityWindow, params: DetectionParams) -> list[GazeEvent]:
+def detect_saccades_ek(window: VelocityWindow, params: DetectionParams) -> EventTable:
     """Engbert-Kliegl saccade detection on one window.
 
     Candidate samples satisfy (vx/eta_x)^2 + (vy/eta_y)^2 > 1; missing
@@ -333,19 +356,19 @@ def detect_saccades_ek(window: VelocityWindow, params: DetectionParams) -> list[
     becomes an event; runs violating the duration or peak-velocity
     bounds are marked excluded rather than dropped.
     """
-    return _detect(WindowStack.of([window]), params, SACCADE)[0]
+    return detect_events([window], params, (SACCADE,))
 
 
-def detect_fixations_ivt(window: VelocityWindow, params: DetectionParams) -> list[GazeEvent]:
+def detect_fixations_ivt(window: VelocityWindow, params: DetectionParams) -> EventTable:
     """I-VT fixation detection on one window.
 
     Candidate samples have speed at or below fix_max_velocity; maximal
     runs become fixations, and runs that are too short or too dispersed
     are marked excluded with the failed bound as reason.
     """
-    return _detect(WindowStack.of([window]), params, FIXATION)[0]
+    return detect_events([window], params, (FIXATION,))
 
 
-def retained(events) -> list[GazeEvent]:
+def retained(events: EventTable) -> EventTable:
     """The events that survived the validity filters."""
-    return [e for e in events if not e.excluded]
+    return events.take(~events.excluded)

@@ -9,56 +9,55 @@ to saccade offset. Pre and post are flanks of one third of the saccade
 duration chained immediately before and after the event, clipped at the
 window bounds.
 
-All saccades of a WindowStack are dissected in one batched pass over
-their samples; dissect_saccade and dissect_all are batches of one.
+All saccades of an EventTable are dissected in one batched pass over
+their samples, into one SubEventTable of equal-length columns;
+dissect_all is a batch of one window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import GazeEvent
+from .detect import EventTable, retained
 from .errors import ConfigError
-from .preprocess import (
-    VelocityWindow,
-    WindowStack,
-    flatten_rows,
-    interval_bounds,
-    split_rows,
-)
+from .preprocess import VelocityWindow, WindowStack, outside_window
 
-PHASES = ("pre", "rise", "peak", "fall", "post")
+PHASES = ("pre", "rise", "peak", "fall", "post")  # a sub-event's phase code indexes this
 
 
 @dataclass
-class SubEvent:
-    """One contiguous phase segment, inclusive window indices.
+class SubEventTable:
+    """Phase segments of saccades as equal-length columns, one entry per
+    contiguous segment, inclusive window indices.
 
-    A phase with interior gaps (only possible for peak) is emitted as
-    several SubEvents sharing the same phase label.
+    parent indexes the events of ``events``. A phase with interior gaps
+    (only possible for peak) is several segments sharing its phase.
     """
 
-    parent_event_id: str
-    phase: str
-    onset: int
-    offset: int
+    events: EventTable
+    parent: np.ndarray  # int64
+    phase: np.ndarray  # int8 index into PHASES
+    onset: np.ndarray  # int64
+    offset: np.ndarray  # int64
+    # per event of `events`: the samples its dissection left out (None
+    # when read from subevents.csv, which does not hold them)
+    disregarded: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.parent)
 
     @property
-    def n_samples(self) -> int:
-        return self.offset - self.onset + 1
+    def row(self) -> np.ndarray:
+        """Window row of each segment."""
+        return self.events.row[self.parent]
 
-
-@dataclass
-class SaccadeDissection:
-    parent_event_id: str
-    sub_events: list[SubEvent]
-    disregarded: int
-
-    def phase_samples(self, phase: str) -> int:
-        return sum(s.n_samples for s in self.sub_events if s.phase == phase)
+    def take(self, index) -> "SubEventTable":
+        """The segments selected by a mask or index array."""
+        return replace(self, parent=self.parent[index], phase=self.phase[index],
+                       onset=self.onset[index], offset=self.offset[index])
 
 
 def round_half_away(x: float) -> int:
@@ -74,27 +73,28 @@ def check_ratios(peak_ratio: float, flank_ratio: float):
         raise ConfigError(f"flank_ratio must be positive, got {flank_ratio}")
 
 
-def dissect_saccades(saccades_by_row, windows, peak_ratio=0.8, flank_ratio=1.0 / 3.0):
-    """Per window, its saccades dissected into their five phases, all in
-    one batched pass; saccades_by_row[r] are saccades of window r of
-    ``windows``.
+def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=1.0 / 3.0):
+    """Every saccade of a table dissected into its five phases, all in one
+    batched pass; saccades.row indexes the rows of ``windows``.
 
     Membership in the peak phase is decided on speed relative to the
     saccade's peak speed, taken from the window's speed (never from a
     stored peak_velocity), so the comparison is exact at the stated
     ratio. Flank length is round(flank_ratio * duration) samples, floored
-    at one sample, then clipped at the window bounds. ConfigError if any
-    saccade lies outside its window, else for the first one without a
-    valid sample.
+    at one sample, then clipped at the window bounds. The segments come
+    in saccade order, then phase order, then onset order. ConfigError if
+    any saccade lies outside its window, else for the first one without
+    a valid sample.
     """
     check_ratios(peak_ratio, flank_ratio)
-    saccades, rows = flatten_rows(saccades_by_row)
-    if not saccades:
-        return [[] for _ in saccades_by_row]
+    m = len(saccades)
+    empty = np.zeros(0, dtype=np.int64)
+    if m == 0:
+        return SubEventTable(saccades, empty, empty.astype(np.int8), empty, empty, empty)
     stack = WindowStack.of(windows)
-    length, m = stack.length, len(saccades)
-    onsets, offsets, outside = interval_bounds(saccades, length)
-    if outside.any():
+    length, rows = stack.length, saccades.row
+    onsets, offsets = saccades.onset, saccades.offset
+    if outside_window(onsets, offsets, length).any():
         raise ConfigError("saccade interval outside window")
     n_samples = offsets - onsets + 1
     # every sample of every saccade, concatenated in saccade order
@@ -105,8 +105,9 @@ def dissect_saccades(saccades_by_row, windows, peak_ratio=0.8, flank_ratio=1.0 /
     valid = stack.valid.ravel()[flat]
     blind = ~np.logical_or.reduceat(valid, first)
     if blind.any():
-        saccade = saccades[int(np.argmax(blind))]
-        raise ConfigError(f"saccade {saccade.event_id} has no valid samples")
+        raise ConfigError(
+            f"saccade {saccades.event_id[int(np.argmax(blind))]} has no valid samples"
+        )
 
     peak = np.maximum.reduceat(np.where(valid & ~np.isnan(speed), speed, -np.inf), first)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -118,47 +119,34 @@ def dissect_saccades(saccades_by_row, windows, peak_ratio=0.8, flank_ratio=1.0 /
     run_lo = np.flatnonzero(supra & ~np.concatenate(([False], joined)))
     run_hi = np.flatnonzero(supra & ~np.concatenate((joined, [False])))
     window_pos = flat - rows.repeat(n_samples) * length  # index within the window
-    bounds = np.searchsorted(owner[run_lo], np.arange(m + 1)).tolist()  # runs per saccade
-    runs_lo, runs_hi = window_pos[run_lo].tolist(), window_pos[run_hi].tolist()
-    n_supra = np.add.reduceat(supra.astype(np.int64), first).tolist()
+    bounds = np.searchsorted(owner[run_lo], np.arange(m + 1))  # runs per saccade
+    first_peak = window_pos[run_lo[bounds[:-1]]]
+    last_peak = window_pos[run_hi[bounds[1:] - 1]]
+    disregarded = (last_peak - first_peak + 1) - np.add.reduceat(supra.astype(np.int64), first)
 
-    out = []
-    for i, (saccade, onset, offset) in enumerate(zip(saccades, onsets.tolist(), offsets.tolist())):
-        lo, hi = bounds[i], bounds[i + 1]
-        peaks = list(zip(runs_lo[lo:hi], runs_hi[lo:hi]))
-        first_peak, last_peak = peaks[0][0], peaks[-1][1]
-        sid = saccade.event_id
-        subs = []
-        flank = max(1, round_half_away(flank_ratio * saccade.n_samples))
-        pre_lo = max(0, onset - flank)
-        if pre_lo <= onset - 1:
-            subs.append(SubEvent(sid, "pre", pre_lo, onset - 1))
-        if onset <= first_peak - 1:
-            subs.append(SubEvent(sid, "rise", onset, first_peak - 1))
-        subs += [SubEvent(sid, "peak", a, b) for a, b in peaks]
-        if last_peak + 1 <= offset:
-            subs.append(SubEvent(sid, "fall", last_peak + 1, offset))
-        post_hi = min(length - 1, offset + flank)
-        if offset + 1 <= post_hi:
-            subs.append(SubEvent(sid, "post", offset + 1, post_hi))
-        disregarded = (last_peak - first_peak + 1) - n_supra[i]
-        out.append(SaccadeDissection(sid, subs, disregarded))
-    return split_rows(out, saccades_by_row)
-
-
-def dissect_saccade(
-    saccade: GazeEvent,
-    window: VelocityWindow,
-    peak_ratio: float = 0.8,
-    flank_ratio: float = 1.0 / 3.0,
-) -> SaccadeDissection:
-    """Dissect one saccade into its five phases (a batch of one for
-    dissect_saccades)."""
-    return dissect_saccades([[saccade]], [window], peak_ratio, flank_ratio)[0][0]
+    flank = np.maximum(1, np.floor(flank_ratio * n_samples + 0.5).astype(np.int64))
+    pre_lo = np.maximum(0, onsets - flank)
+    post_hi = np.minimum(length - 1, offsets + flank)
+    saccade = np.arange(m)
+    segments = [  # (phase, parents, onsets, offsets, present)
+        (0, saccade, pre_lo, onsets - 1, pre_lo <= onsets - 1),
+        (1, saccade, onsets, first_peak - 1, onsets <= first_peak - 1),
+        (2, owner[run_lo], window_pos[run_lo], window_pos[run_hi], slice(None)),
+        (3, saccade, last_peak + 1, offsets, last_peak + 1 <= offsets),
+        (4, saccade, offsets + 1, post_hi, offsets + 1 <= post_hi),
+    ]
+    parent, phase, onset, offset = (
+        np.concatenate(column) for column in zip(*(
+            (parents[present], np.full(len(parents[present]), code, dtype=np.int8),
+             lo[present], hi[present])
+            for code, parents, lo, hi, present in segments
+        ))
+    )
+    table = SubEventTable(saccades, parent, phase, onset, offset, disregarded)
+    return table.take(np.lexsort((onset, phase, parent)))
 
 
-def dissect_all(saccades, window, peak_ratio=0.8, flank_ratio=1.0 / 3.0):
-    """Dissect every retained saccade of a window; returns the list of
-    dissections in event order."""
-    kept = [s for s in saccades if not s.excluded]
-    return dissect_saccades([kept], [window], peak_ratio, flank_ratio)[0]
+def dissect_all(saccades: EventTable, window: VelocityWindow, peak_ratio=0.8,
+                flank_ratio=1.0 / 3.0) -> SubEventTable:
+    """Dissect every retained saccade of one window."""
+    return dissect_saccades(retained(saccades), [window], peak_ratio, flank_ratio)

@@ -24,7 +24,7 @@ import numpy as np
 from .detect import FIXATION, SACCADE
 from .dissect import PHASES, round_half_away
 from .errors import ConfigError, EmptyConceptError
-from .preprocess import flatten_rows, interval_bounds
+from .preprocess import outside_window
 
 EVENT_CONCEPTS = (FIXATION, SACCADE)
 PHASE_CONCEPTS = tuple(f"saccade_{p}" for p in PHASES)
@@ -119,35 +119,32 @@ def topk_segmentation(squashed, k: int, window_id: str = "") -> TopKSegmentation
     return TopKSegmentation(window_id=window_id, k=k, mask=mask)
 
 
-def segment_masks(groups, length: int) -> np.ndarray:
-    """Union of inclusive index intervals per row, as a (len(groups),
-    length) mask; groups[r] are the items (anything with onset/offset)
-    of row r. Overlapping intervals count once. ConfigError for the first
-    interval outside the window.
+def segment_masks(rows, onsets, offsets, n_rows: int, length: int) -> np.ndarray:
+    """Union of inclusive index intervals per row, as an (n_rows, length)
+    mask: interval i is [onsets[i], offsets[i]] of row rows[i]. Overlapping
+    intervals count once. ConfigError for the first interval outside the
+    window.
     """
-    items, rows = flatten_rows(groups)
-    onsets, offsets, outside = interval_bounds(items, length)
+    outside = outside_window(onsets, offsets, length)
     if outside.any():
-        item = items[int(np.argmax(outside))]
+        i = int(np.argmax(outside))
         raise ConfigError(
-            f"interval [{item.onset}, {item.offset}] outside window of length {length}"
+            f"interval [{onsets[i]}, {offsets[i]}] outside window of length {length}"
         )
     # +1 where an interval opens, -1 after it closes: covered where the
     # running sum is positive
-    diff = np.zeros((len(groups), length + 1), dtype=np.int32)
+    diff = np.zeros((n_rows, length + 1), dtype=np.int32)
     np.add.at(diff, (rows, onsets), 1)
     np.add.at(diff, (rows, offsets + 1), -1)
     return np.cumsum(diff, axis=1, dtype=np.int32)[:, :length] > 0
 
 
 def concept_segmentation(items, concept: str, length: int, window_id: str = ""):
-    """Union of the items' inclusive index intervals as a binary mask (a
-    batch of one for segment_masks).
-
-    Items are events or sub-events carrying onset/offset; overlapping
-    intervals count once.
-    """
-    mask = segment_masks([list(items)], length)[0]
+    """Union of the inclusive index intervals of a table (anything with
+    onset and offset columns) as a binary mask (a batch of one for
+    segment_masks)."""
+    rows = np.zeros(len(items.onset), dtype=np.int64)
+    mask = segment_masks(rows, items.onset, items.offset, 1, length)[0]
     return ConceptSegmentation(window_id=window_id, concept=concept, mask=mask)
 
 
@@ -162,14 +159,7 @@ def influence_rows(concepts, masks, topk, ks, window_ids) -> list:
     intersections = (masks & topk).sum(axis=1).tolist()
     return [
         None if size == 0 else InfluenceResult(
-            concept=concept,
-            scope="window",
-            intersection=inter,
-            c=(length * inter) / (size * k),
-            L_total=length,
-            S_total=size,
-            k_total=k,
-            window_id=window_id,
+            concept, "window", inter, (length * inter) / (size * k), length, size, k, window_id
         )
         for concept, size, inter, k, window_id in zip(
             concepts, sizes, intersections, ks, window_ids
@@ -216,14 +206,7 @@ def aggregate_influence(per_window) -> InfluenceResult:
     k = sum(r.k_total for r in per_window)
     inter = sum(r.intersection for r in per_window)
     return InfluenceResult(
-        concept=per_window[0].concept,
-        scope="corpus",
-        intersection=inter,
-        c=(L * inter) / (S * k),
-        L_total=L,
-        S_total=S,
-        k_total=k,
-        c_mean=float(np.mean([r.c for r in per_window])),
-        n_windows=len(per_window),
+        per_window[0].concept, "corpus", inter, (L * inter) / (S * k), L, S, k,
+        c_mean=float(np.mean([r.c for r in per_window])), n_windows=len(per_window),
     )
 

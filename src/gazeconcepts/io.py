@@ -18,7 +18,9 @@ Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
 CSV table (events, sub-events, influence, binned influence, synth
 ground truth) is written by ``write_table`` and read back by
-``read_table``, with reals at 9 significant digits.
+``read_table``, a column at a time, with reals at 9 significant digits.
+Events and sub-events are read into the columnar EventTable and
+SubEventTable, checked against the windows they belong to.
 """
 
 from __future__ import annotations
@@ -29,17 +31,25 @@ import math
 import threading
 import warnings
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from io import StringIO
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .detect import GazeEvent
-from .dissect import PHASES, SubEvent
+from .detect import (
+    EXCLUSION_BOUNDS,
+    KINDS,
+    SACCADE,
+    EventTable,
+    exclusion_code,
+    exclusion_reason,
+)
+from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS, InfluenceResult, TopKSegmentation
-from .preprocess import WindowStack
+from .preprocess import WindowStack, outside_window
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
 BINOCULAR_COLUMNS = ("t_ms", "x_left_deg", "y_left_deg", "x_right_deg", "y_right_deg")
@@ -59,30 +69,62 @@ def round9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _cells(row) -> list:
-    """write_table's cell rule: reals at 9 significant digits; NaN, +/-inf
-    and None empty; booleans true/false; everything else str()."""
-    cells = []
-    for v in row:
-        t = type(v)
-        if t is str or t is int:
-            cells.append(v)
-        elif t is float or t is np.float64:
-            cells.append(f"{v:.9g}" if math.isfinite(v) else "")
-        elif t is bool or t is np.bool_:
-            cells.append("true" if v else "false")
-        else:
-            cells.append("" if v is None else str(v))
+def _cell(v) -> str:
+    """The cell rule for one value: reals at 9 significant digits; NaN,
+    +/-inf and None empty; booleans true/false; everything else str()."""
+    t = type(v)
+    if t is float or t is np.float64:
+        return f"{v:.9g}" if math.isfinite(v) else ""
+    if t is bool or t is np.bool_:
+        return "true" if v else "false"
+    return "" if v is None else str(v)
+
+
+_SPECIAL = (",", '"', "\n", "\r")  # csv.writer may quote a cell holding one
+
+
+def _quoted(text: str) -> str:
+    """A cell as csv.writer writes it among other fields."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _column(values) -> list:
+    """The cells of one column under the cell rule, formatted a column at
+    a time when every value is an int, or a real or None, or a string."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    types = set(map(type, values))
+    if types <= {int}:
+        return list(map(str, values))
+    if types <= {float, type(None)}:
+        reals = np.array(values, dtype=float)
+        cells = list(map("{:.9g}".format, reals.tolist()))
+        for i in np.flatnonzero(~np.isfinite(reals)).tolist():
+            cells[i] = ""
+        return cells
+    cells = values if types <= {str} else list(map(_cell, values))
+    if any(c in "".join(cells) for c in _SPECIAL):
+        cells = [_quoted(c) if any(s in c for s in _SPECIAL) else c for c in cells]
     return cells
 
 
-def write_table(path, columns, rows):
-    """Write a CSV table: the header `columns`, then one line per row, a
-    sequence of values in column order."""
+def write_table(path, columns, data):
+    """Write a CSV table: the header `columns`, then one line per row.
+
+    ``data`` holds one sequence of values per column (numpy arrays or
+    lists), each formatted a column at a time by the cell rule (see
+    _cell). The bytes are those csv.writer (with "\\n" line ends)
+    writes for the rows.
+    """
+    body = [_column(values) for values in data]
+    if len(body) != len(columns) or len({len(cells) for cells in body}) > 1:
+        raise ValueError(f"{len(columns)} columns need as many equal-length sequences")
+    lines = [",".join(_column(columns)), *map(",".join, zip(*body))]
+    if len(columns) == 1:  # csv.writer quotes a record's lone empty field
+        lines = ['""' if line == "" else line for line in lines]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(map(_cells, rows))
+        fh.write("\n".join(lines) + "\n")
 
 
 def parse_bool(token: str) -> bool:
@@ -110,40 +152,57 @@ def one_of(names):
     return parse
 
 
-def read_table(path, columns, parsers) -> list:
-    """Read a table written by write_table, one dict per row.
+def int64(token: str) -> int:
+    """Cell parser for an integer in the int64 range."""
+    value = int(token)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(token)
+    return value
 
-    Each column named in `parsers` is converted by its parser; the rest
-    stay strings. A header other than exactly `columns`, a row with the
-    wrong number of fields or a cell that does not parse raises
-    FormatError naming the path and line.
+
+def read_table(path, columns, parsers):
+    """Read a table written by write_table: ({column: list of values},
+    file line of each row).
+
+    Each column named in `parsers` is converted by its parser, a column
+    at a time; the rest stay strings. A header other than exactly
+    `columns`, a row with the wrong number of fields or a cell that does
+    not parse raises FormatError naming the path and the line of the
+    first fault.
     """
     path = Path(path)
-    typed = [(i, parsers[name]) for i, name in enumerate(columns) if name in parsers]
-    rows = []
+    rows, lines = [], []
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(columns):
                 raise FormatError(f"{path}: header is not {','.join(columns)}")
             for fields in reader:
-                if len(fields) != len(columns):
-                    raise FormatError(
-                        f"{path}: line {reader.line_num}: {len(fields)} fields, "
-                        f"expected {len(columns)}"
-                    )
-                try:
-                    for i, parse in typed:
-                        fields[i] = parse(fields[i])
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {reader.line_num}: cannot parse "
-                        f"{columns[i]} {fields[i]!r}"
-                    ) from None
-                rows.append(dict(zip(columns, fields)))
+                rows.append(fields)
+                lines.append(reader.line_num)
         except (csv.Error, UnicodeDecodeError) as e:
             raise FormatError(f"{path}: line {reader.line_num}: {e}") from None
-    return rows
+    width, whole = len(columns), len(rows)  # rows before the first of another width
+    if set(map(len, rows)) - {width}:
+        whole = next(i for i, fields in enumerate(rows) if len(fields) != width)
+    table = dict(zip(columns, map(list, zip(*rows[:whole]) if whole else [[]] * width)))
+    try:
+        for name, parse in parsers.items():
+            table[name] = list(map(parse, table[name]))
+    except ValueError:
+        for fields, line in zip(rows[:whole], lines):  # the first cell that does not parse
+            for i, name in enumerate(columns):
+                try:
+                    parsers.get(name, str)(fields[i])
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {line}: cannot parse {name} {fields[i]!r}"
+                    ) from None
+    if whole < len(rows):
+        raise FormatError(
+            f"{path}: line {lines[whole]}: {len(rows[whole])} fields, expected {width}"
+        )
+    return table, lines
 
 
 @dataclass
@@ -399,13 +458,8 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
         xl, yl = _couple_missing(coords[0], coords[1])
         xr, yr = _couple_missing(coords[2], coords[3])
         eyes = {"left": (xl, yl), "right": (xr, yr)}
-    return GazeRecording(
-        recording_id=path.stem,
-        t_ms=t,
-        eyes=eyes,
-        eye=eye,
-        source_meta={"path": str(path), "skipped_rows": str(skipped)},
-    )
+    return GazeRecording(path.stem, t, eyes, eye,
+                         source_meta={"path": str(path), "skipped_rows": str(skipped)})
 
 
 def _exact_column(values) -> list:
@@ -435,14 +489,7 @@ def select_eye(rec: GazeRecording, eye: str = "right") -> GazeRecording:
                 f"recording {rec.recording_id!r} has eyes {sorted(rec.eyes)}, "
                 f"requested {eye!r}"
             )
-        return GazeRecording(
-            recording_id=rec.recording_id,
-            t_ms=rec.t_ms,
-            eyes={eye: rec.eyes[eye]},
-            eye=eye,
-            sampling_rate_hz=rec.sampling_rate_hz,
-            source_meta=dict(rec.source_meta),
-        )
+        return replace(rec, eyes={eye: rec.eyes[eye]}, eye=eye, source_meta=dict(rec.source_meta))
     if eye == "mono" or eye == rec.eye:
         return rec
     raise ConfigError(
@@ -746,42 +793,122 @@ EVENT_COLUMNS = (
     "amplitude_deg", "dispersion_deg", "velocity_std", "excluded", "exclusion_reason",
 )
 _EVENT_PARSERS = {
-    "onset": int, "offset": int, "duration_ms": OPT_REAL, "peak_velocity": OPT_REAL,
-    "amplitude_deg": OPT_REAL, "dispersion_deg": OPT_REAL, "velocity_std": OPT_REAL,
-    "excluded": parse_bool,
+    "kind": KINDS.index, "onset": int64, "offset": int64, "duration_ms": OPT_REAL,
+    "peak_velocity": OPT_REAL, "amplitude_deg": OPT_REAL, "dispersion_deg": OPT_REAL,
+    "velocity_std": OPT_REAL, "excluded": parse_bool, "exclusion_reason": exclusion_code,
 }
+_REASONS = np.array([exclusion_reason(c) for c in range(1 << len(EXCLUSION_BOUNDS))],
+                    dtype=object)
 
 
-def write_events(events, path):
-    """Write events sorted by (window_id, onset, kind); reals at 9 digits."""
-    events = sorted(events, key=attrgetter("window_id", "onset", "kind", "event_id"))
-    write_table(path, EVENT_COLUMNS, map(attrgetter(*EVENT_COLUMNS), events))
+def _ranks(strings) -> np.ndarray:
+    """Each string's place in sorted order, ties in list order."""
+    rank = np.empty(len(strings), dtype=np.int64)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return rank
 
 
-def read_events(path) -> list:
-    return [GazeEvent(**row) for row in read_table(path, EVENT_COLUMNS, _EVENT_PARSERS)]
+def write_events(events: EventTable, path):
+    """Write events sorted by (window_id, onset, kind, event_id); reals at 9 digits."""
+    window_rank = _ranks(events.window_ids)[events.row]
+    e = events.take(np.lexsort(
+        (_ranks(events.event_id.tolist()), events.kind, events.onset, window_rank)
+    ))
+    write_table(path, EVENT_COLUMNS, [
+        e.event_id, np.array(e.window_ids, dtype=object)[e.row],
+        np.array(KINDS, dtype=object)[e.kind], e.onset, e.offset, e.duration_ms,
+        e.peak_velocity, e.amplitude_deg, e.dispersion_deg, e.velocity_std, e.excluded,
+        _REASONS[e.exclusion],
+    ])
 
 
-SUBEVENT_COLUMNS = ("parent_event_id", "window_id", "phase", "onset", "offset")
-_PHASE_ORDER = {p: i for i, p in enumerate(PHASES)}
+def _first(path, lines, bad, message, error=DataError):
+    """error naming the file and the line of the first row where `bad`
+    holds, with the text message(i) for row i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"{path}: line {lines[i]}: {message(i)}")
 
 
-def write_subevents(sub_events, path):
-    """Write phase segments; window_id is recovered from the parent id."""
-    def key(s):
-        return (s.parent_event_id.rsplit(":", 1)[0], s.parent_event_id,
-                _PHASE_ORDER.get(s.phase, 9), s.onset)
-    write_table(path, SUBEVENT_COLUMNS, (
-        (s.parent_event_id, s.parent_event_id.rsplit(":", 1)[0], s.phase, s.onset, s.offset)
-        for s in sorted(sub_events, key=key)
+def _check_intervals(path, lines, onset, offset, length, window_ids):
+    _first(path, lines, outside_window(onset, offset, length), lambda i: (
+        f"interval [{onset[i]}, {offset[i]}] outside window {window_ids[i]!r} of length {length}"
     ))
 
 
-def read_subevents(path) -> list:
-    rows = read_table(
-        path, SUBEVENT_COLUMNS, {"phase": one_of(PHASES), "onset": int, "offset": int}
+def read_events(path, windows=None) -> EventTable:
+    """Inverse of write_events. With ``windows`` (a WindowStack) the
+    table's rows index its windows, and an event of another window or an
+    interval outside its window is a DataError naming the file and line;
+    without, the window ids are the file's, in order of first appearance.
+    A repeated event_id, or an excluded flag that disagrees with the
+    exclusion reason, is a FormatError naming the file and line."""
+    path = Path(path)
+    t, lines = read_table(path, EVENT_COLUMNS, _EVENT_PARSERS)
+    ids = np.array(t["event_id"], dtype=object)
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    _first(path, lines, repeated, lambda i: f"event_id {ids[i]!r} repeats", FormatError)
+    exclusion = np.array(t["exclusion_reason"], dtype=np.uint8)
+    excluded = np.array(t["excluded"], dtype=bool)
+    _first(path, lines, excluded != (exclusion != 0), lambda i: (
+        f"excluded is {str(excluded[i]).lower()} but exclusion_reason is "
+        f"{exclusion_reason(exclusion[i])!r}"
+    ), FormatError)
+    window_ids = list(dict.fromkeys(t["window_id"])) if windows is None else windows.window_ids
+    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
+    rows = np.array([row_of.get(w, -1) for w in t["window_id"]], dtype=np.int64)
+    _first(path, lines, rows < 0, lambda i: (
+        f"event {ids[i]} references unknown window {t['window_id'][i]}"
+    ))
+    onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
+    if windows is not None:
+        _check_intervals(path, lines, onset, offset, windows.length, t["window_id"])
+    return EventTable(
+        window_ids, rows, np.array(t["kind"], dtype=np.int8), onset, offset,
+        *(np.array(t[name], dtype=float) for name in EVENT_COLUMNS[5:10]), exclusion, ids,
     )
-    return [SubEvent(r["parent_event_id"], r["phase"], r["onset"], r["offset"]) for r in rows]
+
+
+SUBEVENT_COLUMNS = ("parent_event_id", "window_id", "phase", "onset", "offset")
+
+
+def write_subevents(subs: SubEventTable, path):
+    """Write phase segments sorted by (window_id, parent_event_id, phase,
+    onset); window_id is the parent's window."""
+    parents = subs.events
+    s = subs.take(np.lexsort((
+        subs.onset, subs.phase, _ranks(parents.event_id.tolist())[subs.parent],
+        _ranks(parents.window_ids)[subs.row],
+    )))
+    write_table(path, SUBEVENT_COLUMNS, [
+        parents.event_id[s.parent], np.array(parents.window_ids, dtype=object)[s.row],
+        np.array(PHASES, dtype=object)[s.phase], s.onset, s.offset,
+    ])
+
+
+def read_subevents(path, events: EventTable, length: int) -> SubEventTable:
+    """Inverse of write_subevents, the parents found among ``events``,
+    in windows of `length` samples. A parent that is not a retained
+    saccade, a window_id other than the parent's window or an interval
+    outside the window is a DataError naming the file and line."""
+    path = Path(path)
+    t, lines = read_table(
+        path, SUBEVENT_COLUMNS, {"phase": PHASES.index, "onset": int64, "offset": int64}
+    )
+    saccades = np.flatnonzero(events.is_kind(SACCADE) & ~events.excluded)
+    index_of = dict(zip(events.event_id[saccades].tolist(), saccades.tolist()))
+    parent = np.array([index_of.get(p, -1) for p in t["parent_event_id"]], dtype=np.int64)
+    _first(path, lines, parent < 0, lambda i: (
+        f"sub-event parent {t['parent_event_id'][i]!r} is not a retained saccade in events.csv"
+    ))
+    window = np.array(events.window_ids, dtype=object)[events.row[parent]]
+    _first(path, lines, window != np.array(t["window_id"], dtype=object), lambda i: (
+        f"window_id {t['window_id'][i]!r} is not {window[i]!r}, the window of its parent"
+    ))
+    onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
+    _check_intervals(path, lines, onset, offset, length, window)
+    return SubEventTable(events, parent, np.array(t["phase"], dtype=np.int8), onset, offset)
 
 
 REPORT_COLUMNS = (
@@ -798,14 +925,15 @@ _REPORT_PARSERS = {
 def write_report(results, path, format: str = "csv"):
     """Write influence results as CSV or JSON, deterministically ordered."""
     results = sorted(results, key=attrgetter("concept", "scope", "window_id"))
-    values = map(attrgetter(*REPORT_COLUMNS), results)
     if format == "csv":
-        write_table(path, REPORT_COLUMNS, values)
+        write_table(path, REPORT_COLUMNS, [
+            list(map(attrgetter(name), results)) for name in REPORT_COLUMNS
+        ])
     elif format == "json":
         doc = [
             dict(zip(REPORT_COLUMNS, row), c=round9(r.c),
                  c_mean=None if r.c_mean is None else round9(r.c_mean))
-            for r, row in zip(results, values)
+            for r, row in zip(results, map(attrgetter(*REPORT_COLUMNS), results))
         ]
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
@@ -814,7 +942,8 @@ def write_report(results, path, format: str = "csv"):
 
 def read_report(path, format: str = "csv") -> list:
     if format == "csv":
-        rows = read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)
+        table, _ = read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)
+        rows = [dict(zip(REPORT_COLUMNS, row)) for row in zip(*table.values())]
     elif format == "json":
         rows = read_json(path)
         if not isinstance(rows, list):

@@ -4,21 +4,21 @@ report.
 Each stage has one function, which `run` chains and the staged
 subcommands call: preprocess_manifest, detect_windows, dissect_windows,
 score_windows and _bin_all. The evaluation windows are stacked into
-(n, L) arrays once, and each gaze-side step (detection, dissection,
-concept masks) runs over the whole stack in one batched pass. Each
-window's attribution map is then parsed and scored by process_window,
-and binning again runs per bin over the stacked top-k masks. Every
-reduction happens in manifest order, so outputs do not depend on the
-accepted but unused --jobs value. All artifacts are written at the end
-of a run; if that fails, partial files are removed and an INCOMPLETE
-marker is left."""
+(n, L) arrays once. Events and sub-events are columnar tables
+(detect.EventTable, dissect.SubEventTable): equal-length arrays with a
+window row, a kind or phase code and an interval per entry, which every
+later step (dissection, concept masks, binning, counts, the CSV writers)
+reads column by column. Each window's attribution map is parsed and
+scored by process_window. Every reduction happens in manifest order, so
+outputs do not depend on the accepted but unused --jobs value. All
+artifacts are written at the end of a run; if that fails, partial files
+are removed and an INCOMPLETE marker is left."""
 
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,16 @@ import numpy as np
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import SACCADE, DetectionParams, detect_events, retained
-from .dissect import PHASES, check_ratios, dissect_saccades
+from .detect import (
+    KINDS,
+    SACCADE,
+    DetectionParams,
+    EventTable,
+    detect_events,
+    exclusion_reason,
+    retained,
+)
+from .dissect import PHASES, SubEventTable, check_ratios, dissect_saccades
 from .errors import AlignmentError, ConfigError, DataError, GazeError
 from .influence import (
     ALL_CONCEPTS,
@@ -114,17 +122,7 @@ class RunConfig:
         return SavGolParams(self.sg_window, self.sg_order, 1.0 / sampling_rate_hz)
 
     def detection_params(self) -> DetectionParams:
-        return DetectionParams(
-            fix_max_velocity=self.fix_max_velocity,
-            fix_min_duration_ms=self.fix_min_duration_ms,
-            fix_max_dispersion_deg=self.fix_max_dispersion_deg,
-            sacc_lambda=self.sacc_lambda,
-            sacc_min_duration_ms=self.sacc_min_duration_ms,
-            sacc_max_duration_ms=self.sacc_max_duration_ms,
-            sacc_min_peak_velocity=self.sacc_min_peak_velocity,
-            sacc_max_peak_velocity=self.sacc_max_peak_velocity,
-            eta_floor=self.eta_floor,
-        )
+        return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
 
     def validate(self):
         for name, allowed in CHOICES.items():
@@ -186,8 +184,8 @@ class PreprocessResult:
 class RunResult:
     config: RunConfig
     preprocess: PreprocessResult
-    events: list  # every window's fixations then saccades, manifest order
-    dissections: list  # of the retained saccades, manifest order
+    events: EventTable  # every window's fixations then saccades, manifest order
+    subevents: SubEventTable  # phases of the retained saccades, manifest order
     topks: list  # TopKSegmentation per window
     window_results: list  # per window: concept -> InfluenceResult | None
     corpus_results: dict  # concept -> (InfluenceResult | None, skipped count)
@@ -201,54 +199,70 @@ class RunResult:
 def preprocess_manifest(manifest, cfg: RunConfig) -> PreprocessResult:
     """Load manifest recordings, differentiate, clamp, and window them.
 
-    The evaluation windows are gathered, in manifest order, into one
-    stack that holds their only copy once the recordings are released.
+    Recordings are loaded one at a time and released once windowed. The
+    evaluation windows are then gathered, in manifest order, into one
+    stack one field at a time, each field of the per-recording windows
+    released once gathered: at most one field is ever held twice.
     """
-    recordings = {}
-    for entry in manifest.entries:
-        if entry.recording not in recordings:
-            recordings[entry.recording] = gio.load_gaze_csv(manifest.resolve(entry.recording))
-
-    located = {}  # window id -> (recording's stack, row)
+    located = {}  # window id -> (recording id, row)
     summaries = {}
     per_recording = {}
-    for relpath, rec in recordings.items():
+    channel_stats = {}
+    for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
+        rec = gio.load_gaze_csv(manifest.resolve(relpath))
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
         sg = cfg.savgol_params(mono.sampling_rate_hz)
-        vx = clamp_velocities(savgol_derivative(mono.x_deg, sg), cfg.clamp)
-        vy = clamp_velocities(savgol_derivative(mono.y_deg, sg), cfg.clamp)
         stack, summary = window_sequence(
-            vx, vy, mono.x_deg, mono.y_deg, cfg.window_len,
+            clamp_velocities(savgol_derivative(mono.x_deg, sg), cfg.clamp),
+            clamp_velocities(savgol_derivative(mono.y_deg, sg), cfg.clamp),
+            mono.x_deg, mono.y_deg, cfg.window_len,
             recording_id=mono.recording_id,
             sampling_rate_hz=mono.sampling_rate_hz,
             missing_max_frac=cfg.missing_max_frac,
         )
-        summaries[mono.recording_id] = summary
-        per_recording[mono.recording_id] = stack
+        rec_id = mono.recording_id
+        del rec, mono
+        summaries[rec_id] = summary
+        per_recording[rec_id] = stack
         for row, window_id in enumerate(stack.window_ids):
             if window_id in located:
                 raise DataError(f"window id {window_id!r} produced twice")
-            located[window_id] = (stack, row)
+            located[window_id] = (rec_id, row)
+        if cfg.norm_scope == "recording" and len(stack):
+            channel_stats[rec_id] = compute_channel_stats(stack)
 
-    ordered = []
+    order = []
     for entry in manifest.entries:
         if entry.window_id not in located:
             raise AlignmentError(
                 f"window_id {entry.window_id!r} does not resolve to any window "
                 f"produced from the manifest recordings"
             )
-        stack, row = located[entry.window_id]
-        ordered.append(stack[row])
-    windows = WindowStack.of(ordered)
-
-    channel_stats = {}
+        order.append(located[entry.window_id])
+    windows = _gather(per_recording, order, cfg.window_len)
     if cfg.norm_scope == "corpus" and len(windows):
         channel_stats["corpus"] = compute_channel_stats(windows)
-    elif cfg.norm_scope == "recording":
-        for rec_id, stack in sorted(per_recording.items()):
-            if len(stack):
-                channel_stats[rec_id] = compute_channel_stats(stack)
-    return PreprocessResult(windows, summaries, channel_stats)
+    return PreprocessResult(windows, summaries, dict(sorted(channel_stats.items())))
+
+
+def _gather(stacks: dict, order, length: int) -> WindowStack:
+    """Rows of per-recording stacks, ``order`` [(recording id, row)], as one
+    stack, built one array field at a time; each field of ``stacks`` is
+    dropped once gathered."""
+    if not order:
+        return WindowStack.of([])
+    picked = [(stacks[rec_id], row) for rec_id, row in order]
+
+    def gather(name):
+        return [getattr(stack, name)[row] for stack, row in picked]
+
+    columns = {name: gather(name) for name in ("window_ids", "recording_ids", "start_index")}
+    columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
+    for name in ("vx", "vy", "px", "py", "valid"):
+        columns[name] = np.array(gather(name)).reshape(len(order), length)
+        for stack in stacks.values():
+            setattr(stack, name, None)
+    return WindowStack(**columns)
 
 
 def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
@@ -264,58 +278,42 @@ def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
     return out
 
 
-def concept_masks(events_by_row, subs_by_row, length: int) -> np.ndarray:
-    """(n, len(ALL_CONCEPTS), length) masks of every concept over n
-    windows, concepts in ALL_CONCEPTS order: the retained events of each
-    kind and the phase sub-events of the dissected saccades;
-    events_by_row[r] and subs_by_row[r] belong to window r."""
-    masks = [
-        segment_masks(
-            [[e for e in events if e.kind == kind and not e.excluded] for events in events_by_row],
-            length,
-        )
-        for kind in EVENT_CONCEPTS
-    ]
-    masks += [
-        segment_masks([[s for s in subs if s.phase == phase] for subs in subs_by_row], length)
-        for phase in PHASES
-    ]
-    return np.stack(masks, axis=1)
+def concept_masks(events: EventTable, subs: SubEventTable, length: int) -> np.ndarray:
+    """(n, len(ALL_CONCEPTS), length) masks of every concept over the n
+    windows of events.window_ids, concepts in ALL_CONCEPTS order: the
+    retained events of each kind and the phase segments of ``subs``."""
+    kept = retained(events)
+    groups = [(kept.row, kept, kept.kind == code) for code in range(len(KINDS))]
+    groups += [(subs.row, subs, subs.phase == code) for code in range(len(PHASES))]
+    n = len(events.window_ids)
+    masks = np.empty((n, len(ALL_CONCEPTS), length), dtype=bool)
+    for i, (rows, table, at) in enumerate(groups):
+        masks[:, i] = segment_masks(rows[at], table.onset[at], table.offset[at], n, length)
+    return masks
 
 
-def window_segmentations(window, events, sub_events) -> dict:
+def window_segmentations(window, events: EventTable, sub_events: SubEventTable) -> dict:
     """Concept masks for one window from its retained events and the
-    phase sub-events of its dissected saccades (a batch of one for
+    phase segments of its dissected saccades (a batch of one for
     concept_masks)."""
-    masks = concept_masks([events], [sub_events], window.length)[0]
+    masks = concept_masks(events, sub_events, window.length)[0]
     return {
         concept: ConceptSegmentation(window.window_id, concept, mask)
         for concept, mask in zip(ALL_CONCEPTS, masks)
     }
 
 
-def detect_windows(windows, cfg: RunConfig) -> list:
-    """Per window, its fixations then its saccades, excluded events
+def detect_windows(windows, cfg: RunConfig) -> EventTable:
+    """Every window's fixations then its saccades, excluded events
     included: both detectors in one batched pass over the stack."""
-    return [
-        fixations + saccades
-        for fixations, saccades in detect_events(windows, cfg.detection_params())
-    ]
+    return detect_events(windows, cfg.detection_params())
 
 
-def retained_saccades(events) -> list:
-    """The saccades among `events` that survived the validity filters:
-    the ones dissect_windows dissects."""
-    return [e for e in events if e.kind == SACCADE and not e.excluded]
-
-
-def dissect_windows(windows, events_by_row, cfg: RunConfig) -> list:
-    """Per window, the dissections of its retained saccades, all in one
-    batched pass; events_by_row[r] are the events of window r."""
-    return dissect_saccades(
-        [retained_saccades(events) for events in events_by_row],
-        windows, cfg.peak_ratio, cfg.flank_ratio,
-    )
+def dissect_windows(windows, events: EventTable, cfg: RunConfig) -> SubEventTable:
+    """The phase segments of every retained saccade, all in one batched
+    pass; events.row indexes the rows of ``windows``."""
+    saccades = events.take(events.is_kind(SACCADE) & ~events.excluded)
+    return dissect_saccades(saccades, windows, cfg.peak_ratio, cfg.flank_ratio)
 
 
 def window_influence(masks, topk: TopKSegmentation) -> dict:
@@ -341,12 +339,13 @@ def process_window(window, attribution_path, cfg: RunConfig, masks):
     return topk, window_influence(masks, topk)
 
 
-def score_windows(windows, attribution_paths, events_by_row, subs_by_row, cfg: RunConfig):
+def score_windows(windows, attribution_paths, events: EventTable, subs: SubEventTable,
+                  cfg: RunConfig):
     """(top-k masks, per-window results, corpus results) of every window:
     the concept masks of the whole stack in one batched pass, then one
     process_window call per window, in order."""
     windows = WindowStack.of(windows)
-    masks = concept_masks(events_by_row, subs_by_row, windows.length)
+    masks = concept_masks(events, subs, windows.length)
     topks, window_results = [], []
     for window, path, row in zip(windows, attribution_paths, masks):
         topk, results = process_window(window, path, cfg, row)
@@ -368,26 +367,22 @@ def _reduce_concepts(window_results) -> dict:
     return out
 
 
-def _exclusion_counts(events) -> dict:
-    counts = {"retained": 0, "excluded": {}}
-    for e in events:
-        if e.excluded:
-            counts["excluded"][e.exclusion_reason] = (
-                counts["excluded"].get(e.exclusion_reason, 0) + 1
-            )
-        else:
-            counts["retained"] += 1
-    counts["excluded"] = dict(sorted(counts["excluded"].items()))
-    return counts
+def _exclusion_counts(events: EventTable) -> dict:
+    codes, counts = np.unique(events.exclusion, return_counts=True)
+    excluded = {exclusion_reason(c): n for c, n in zip(codes.tolist(), counts.tolist()) if c}
+    return {
+        "retained": int((events.exclusion == 0).sum()),
+        "excluded": dict(sorted(excluded.items())),
+    }
 
 
-def _bin_all(events, topk_by_window, cfg: RunConfig) -> dict:
+def _bin_all(events: EventTable, topk_by_window, cfg: RunConfig) -> dict:
     """Binned influence per configured property over retained events."""
     binned = {}
     for prop in cfg.properties:
         kind, attr = binning_mod.PROPERTIES[prop]
-        pool = [e for e in events if e.kind == kind and math.isfinite(getattr(e, attr))]
-        if not pool:
+        pool = events.take(events.is_kind(kind) & np.isfinite(getattr(events, attr)))
+        if not len(pool):
             binned[prop] = []
             continue
         spec = binning_mod.BinSpec(
@@ -420,12 +415,13 @@ def _preprocess_counts(pre: PreprocessResult) -> dict:
     }
 
 
-def _dissection_counts(events, dissections) -> dict:
-    """The dissection block of the counts."""
-    disregarded = sum(d.disregarded for d in dissections)
-    saccade_samples = sum(e.n_samples for e in retained_saccades(events))
+def _dissection_counts(subs: SubEventTable) -> dict:
+    """The dissection block of the counts, from the sub-events of every
+    retained saccade."""
+    disregarded = int(subs.disregarded.sum())
+    saccade_samples = int((subs.events.offset - subs.events.onset + 1).sum())
     return {
-        "saccades_dissected": len(dissections),
+        "saccades_dissected": len(subs.events),
         "disregarded_samples": disregarded,
         "disregarded_fraction": (
             disregarded / saccade_samples if saccade_samples else 0.0
@@ -433,12 +429,12 @@ def _dissection_counts(events, dissections) -> dict:
     }
 
 
-def _counts(preprocess_counts: dict, events, dissection_counts: dict) -> dict:
+def _counts(preprocess_counts: dict, events: EventTable, dissection_counts: dict) -> dict:
     """The report's counts from the blocks each stage produces."""
     return {
         "windows": preprocess_counts["windows"],
         "events": {
-            kind: _exclusion_counts([e for e in events if e.kind == kind])
+            kind: _exclusion_counts(events.take(events.is_kind(kind)))
             for kind in EVENT_CONCEPTS
         },
         "dissection": dissection_counts,
@@ -492,36 +488,33 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
             raise DataError("manifest yields no evaluation windows")
 
     with _stage("detect"):
-        events_by_row = detect_windows(pre.windows, cfg)
+        events = detect_windows(pre.windows, cfg)
 
     with _stage("dissect"):
-        dissected = dissect_windows(pre.windows, events_by_row, cfg)
+        subs = dissect_windows(pre.windows, events, cfg)
 
     with _stage("influence"):
         attr_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        subs_by_row = [[s for d in row for s in d.sub_events] for row in dissected]
         topks, window_results, corpus_results = score_windows(
-            pre.windows, attr_paths, events_by_row, subs_by_row, cfg
+            pre.windows, attr_paths, events, subs, cfg
         )
 
-    events = [e for row in events_by_row for e in row]
-    dissections = [d for row in dissected for d in row]
     with _stage("binning"):
         binned = _bin_all(retained(events), {t.window_id: t for t in topks}, cfg)
 
     with _stage("report"):
         counts = _counts(
-            _preprocess_counts(pre), events, _dissection_counts(events, dissections)
+            _preprocess_counts(pre), events, _dissection_counts(subs)
         )
         report_doc = report_mod.summarize(
             cfg.analysis_dict(), counts, corpus_results, binned
         )
 
     result = RunResult(
-        cfg, pre, events, dissections, topks, window_results, corpus_results, binned,
+        cfg, pre, events, subs, topks, window_results, corpus_results, binned,
         counts, report_doc,
     )
     write_artifacts(result, out_dir)
@@ -537,28 +530,19 @@ def write_artifacts(result: RunResult, out_dir: Path):
     try:
         with _stage("report"):
             out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "events.csv"
-            gio.write_events(result.events, path)
-            written.append(path)
 
-            subs = [s for d in result.dissections for s in d.sub_events]
-            path = out_dir / "subevents.csv"
-            gio.write_subevents(subs, path)
-            written.append(path)
+            def write(name, writer, value):
+                writer(value, out_dir / name)
+                written.append(out_dir / name)
 
-            path = write_influence(result.window_results, result.corpus_results, out_dir, cfg)
-            written.append(path)
-
-            path = out_dir / "binned.csv"
-            binning_mod.write_binned(result.binned, path)
-            written.append(path)
-
-            path = out_dir / "report.json"
-            report_mod.write_report_json(result.report_doc, path)
-            written.append(path)
-
-            for path in write_charts(out_dir, cfg, result.corpus_results, result.binned):
-                written.append(path)
+            write("events.csv", gio.write_events, result.events)
+            write("subevents.csv", gio.write_subevents, result.subevents)
+            written.append(
+                write_influence(result.window_results, result.corpus_results, out_dir, cfg)
+            )
+            write("binned.csv", binning_mod.write_binned, result.binned)
+            write("report.json", report_mod.write_report_json, result.report_doc)
+            written += write_charts(out_dir, cfg, result.corpus_results, result.binned)
 
             run_log = {
                 "parameters": cfg.as_dict(),

@@ -150,17 +150,8 @@ class WindowStack:
     @cached_property
     def windows(self) -> list:
         return [
-            VelocityWindow(
-                window_id=wid,
-                recording_id=rec,
-                start_index=start,
-                vx=self.vx[i],
-                vy=self.vy[i],
-                px=self.px[i],
-                py=self.py[i],
-                valid_mask=self.valid[i],
-                sampling_rate_hz=float(self.sampling_rate_hz[i]),
-            )
+            VelocityWindow(wid, rec, start, self.vx[i], self.vy[i], self.px[i], self.py[i],
+                           self.valid[i], float(self.sampling_rate_hz[i]))
             for i, (wid, rec, start) in enumerate(
                 zip(self.window_ids, self.recording_ids, self.start_index)
             )
@@ -176,35 +167,9 @@ class WindowStack:
         return iter(self.windows)
 
 
-def flatten_rows(groups):
-    """Items of per-row groups in order, and each item's row as an int64
-    array (the batched kernels' input form)."""
-    items = [item for group in groups for item in group]
-    rows = np.repeat(np.arange(len(groups), dtype=np.int64), [len(g) for g in groups])
-    return items, rows
-
-
-def interval_bounds(items, length: int):
-    """(onsets, offsets, outside) of items with inclusive onset/offset
-    indices: int64 arrays, and where an interval is not inside
-    [0, length). Indices are clipped to [-1, length] first, which keeps
-    every in-window interval and every verdict, so that no index can
-    overflow int64."""
-    def clipped(name):
-        values = (min(max(getattr(it, name), -1), length) for it in items)
-        return np.fromiter(values, dtype=np.int64, count=len(items))
-
-    onsets, offsets = clipped("onset"), clipped("offset")
-    return onsets, offsets, (onsets < 0) | (onsets > offsets) | (offsets >= length)
-
-
-def split_rows(items, groups) -> list:
-    """Inverse of flatten_rows: items regrouped like ``groups``."""
-    out, start = [], 0
-    for group in groups:
-        out.append(items[start : start + len(group)])
-        start += len(group)
-    return out
+def outside_window(onsets, offsets, length: int) -> np.ndarray:
+    """Where an inclusive interval is not inside [0, length)."""
+    return (onsets < 0) | (onsets > offsets) | (offsets >= length)
 
 
 @dataclass
@@ -314,15 +279,10 @@ def window_sequence(
     )
     take = slice(None) if keep.all() else keep
     stack = WindowStack(
-        window_ids=[wid for wid, k in zip(ids, keep.tolist()) if k],
-        recording_ids=[recording_id] * summary.retained,
-        start_index=(np.flatnonzero(keep) * window_len).tolist(),
-        sampling_rate_hz=np.full(summary.retained, sampling_rate_hz, dtype=float),
-        vx=vx[take],
-        vy=vy[take],
-        px=px[take],
-        py=py[take],
-        valid=valid[take],
+        [wid for wid, k in zip(ids, keep.tolist()) if k], [recording_id] * summary.retained,
+        (np.flatnonzero(keep) * window_len).tolist(),
+        np.full(summary.retained, sampling_rate_hz, dtype=float),
+        *(a[take] for a in (vx, vy, px, py, valid)),
     )
     return stack, summary
 

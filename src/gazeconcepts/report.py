@@ -47,29 +47,23 @@ def summarize(parameters: dict, counts: dict, concepts: dict, binned: dict) -> d
             "windows_skipped": skipped,
         }
     for prop in sorted(binned):
-        rows = []
-        for b in binned[prop]:
-            row = {
-                "lo": None if b.lo == float("-inf") else round9(b.lo),
-                "hi": None if b.hi == float("inf") else round9(b.hi),
-                "label": b.label,
-                "event_count": b.event_count,
-                "segmentation_size": b.segmentation_size,
-            }
-            if b.influence is None:
-                row.update({"c_pooled": None, "c_mean": None, "top_k_intersection": None})
-            else:
-                row.update(
-                    {
-                        "c_pooled": round9(b.influence.c),
-                        "c_mean": None if b.influence.c_mean is None
-                        else round9(b.influence.c_mean),
-                        "top_k_intersection": b.influence.intersection,
-                    }
-                )
-            rows.append(row)
-        doc["bins"][prop] = rows
+        doc["bins"][prop] = [_bin_row(b) for b in binned[prop]]
     return doc
+
+
+def _bin_row(b) -> dict:
+    """One BinnedInfluence as a report row."""
+    inf = b.influence
+    return {
+        "lo": None if b.lo == float("-inf") else round9(b.lo),
+        "hi": None if b.hi == float("inf") else round9(b.hi),
+        "label": b.label,
+        "event_count": b.event_count,
+        "segmentation_size": b.segmentation_size,
+        "c_pooled": None if inf is None else round9(inf.c),
+        "c_mean": None if inf is None or inf.c_mean is None else round9(inf.c_mean),
+        "top_k_intersection": None if inf is None else inf.intersection,
+    }
 
 
 def write_report_json(doc: dict, path):

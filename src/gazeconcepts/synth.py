@@ -14,8 +14,7 @@ in for model-derived saliency when exercising the influence pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,20 +160,12 @@ def gen_scanpath(spec: ScanpathSpec, seed: int, recording_id: str = "synth"):
             frac = (1.0 - np.cos(np.pi * np.arange(n) / n)) / 2.0
             xs.append(pos[0] + seg.amplitude_deg * math.cos(theta) * frac)
             ys.append(pos[1] + seg.amplitude_deg * math.sin(theta) * frac)
-            truth.append(
-                TrueEvent(
-                    SACCADE,
-                    cursor,
-                    cursor + n,
-                    n * 1000.0 / fs,
-                    amplitude_deg=seg.amplitude_deg,
-                    peak_velocity=raised_cosine_peak(seg.amplitude_deg, d),
-                )
-            )
-            pos = (
-                pos[0] + seg.amplitude_deg * math.cos(theta),
-                pos[1] + seg.amplitude_deg * math.sin(theta),
-            )
+            truth.append(TrueEvent(
+                SACCADE, cursor, cursor + n, n * 1000.0 / fs, amplitude_deg=seg.amplitude_deg,
+                peak_velocity=raised_cosine_peak(seg.amplitude_deg, d),
+            ))
+            pos = (pos[0] + seg.amplitude_deg * math.cos(theta),
+                   pos[1] + seg.amplitude_deg * math.sin(theta))
         else:
             raise ConfigError(f"unknown plan segment {type(seg).__name__}")
         cursor += n
@@ -248,20 +239,8 @@ def positional_noise_sigma(velocity_sigma_dps: float, params: SavGolParams) -> f
 def ground_truth_in_window(truth, start: int, length: int):
     """Ground-truth events fully contained in [start, start+length), in
     window coordinates."""
-    out = []
-    for e in truth:
-        if e.onset >= start and e.offset < start + length:
-            out.append(
-                TrueEvent(
-                    e.kind,
-                    e.onset - start,
-                    e.offset - start,
-                    e.duration_ms,
-                    e.amplitude_deg,
-                    e.peak_velocity,
-                )
-            )
-    return out
+    return [replace(e, onset=e.onset - start, offset=e.offset - start)
+            for e in truth if e.onset >= start and e.offset < start + length]
 
 
 ATTRIBUTION_MODES = ("speed", "uniform_random", "fixation_biased")
@@ -297,11 +276,12 @@ GROUND_TRUTH_COLUMNS = (
 
 
 def write_ground_truth(events_by_recording: dict, path):
-    values = attrgetter(*GROUND_TRUTH_COLUMNS[1:])
-    write_table(path, GROUND_TRUTH_COLUMNS, (
-        (rec_id, *values(e))
-        for rec_id in sorted(events_by_recording) for e in events_by_recording[rec_id]
-    ))
+    rows = [(rec_id, e) for rec_id in sorted(events_by_recording)
+            for e in events_by_recording[rec_id]]
+    write_table(path, GROUND_TRUTH_COLUMNS, [
+        [rec_id for rec_id, _ in rows],
+        *([getattr(e, name) for _, e in rows] for name in GROUND_TRUTH_COLUMNS[1:]),
+    ])
 
 
 @dataclass
@@ -367,13 +347,9 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
             attr = gen_proxy_attributions(w, spec.attribution_mode, seed=attr_seed)
             attr_seed += 1
             write_attribution(attr, out / "attributions" / f"{w.window_id}.csv")
-            entries.append(
-                ManifestEntry(
-                    recording=f"recordings/{rec_id}.csv",
-                    attribution=f"attributions/{w.window_id}.csv",
-                    window_id=w.window_id,
-                )
-            )
+            entries.append(ManifestEntry(
+                f"recordings/{rec_id}.csv", f"attributions/{w.window_id}.csv", w.window_id
+            ))
 
     write_ground_truth(truth_by_rec, out / "gt_events.csv")
     manifest = RunManifest(entries=entries, base_dir=out, output_dir="out")

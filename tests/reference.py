@@ -2,26 +2,33 @@
 
 These are the loops the package ran before window compute was batched
 over stacked (n, L) arrays: one window, one event, one interval at a
-time. tests/test_batched.py requires the package's batched kernels to
-reproduce them field for field, bit for bit.
+time, with one object per event (GazeEvent), per phase segment
+(SubEvent) and per dissected saccade (SaccadeDissection).
+tests/test_batched.py requires the package's batched kernels to
+reproduce them field for field, bit for bit, turning the package's
+columnar EventTable and SubEventTable into these rows (event_rows,
+events_by_row, dissections) and back (event_table, subevent_table).
+_cells is the row-wise cell rule the column-wise table writer must
+reproduce byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from gazeconcepts.binning import BinnedInfluence
-from gazeconcepts.detect import FIXATION, SACCADE, GazeEvent
-from gazeconcepts.dissect import (
-    PHASES,
-    SaccadeDissection,
-    SubEvent,
-    check_ratios,
-    round_half_away,
+from gazeconcepts.detect import (
+    FIXATION,
+    KINDS,
+    SACCADE,
+    EventTable,
+    exclusion_code,
+    exclusion_reason,
 )
+from gazeconcepts.dissect import PHASES, SubEventTable, check_ratios, round_half_away
 from gazeconcepts.errors import ConfigError, DegenerateDataError, EmptyConceptError
 from gazeconcepts.influence import (
     EVENT_CONCEPTS,
@@ -30,6 +37,143 @@ from gazeconcepts.influence import (
     TopKSegmentation,
     aggregate_influence,
 )
+
+
+@dataclass
+class GazeEvent:
+    """A detected fixation or saccade as an inclusive sample interval."""
+
+    event_id: str
+    kind: str
+    window_id: str
+    onset: int
+    offset: int
+    duration_ms: float = math.nan
+    peak_velocity: float = math.nan
+    amplitude_deg: float = math.nan
+    dispersion_deg: float = math.nan
+    velocity_std: float = math.nan
+    excluded: bool = False
+    exclusion_reason: str = ""
+
+    @property
+    def n_samples(self) -> int:
+        return self.offset - self.onset + 1
+
+
+@dataclass
+class SubEvent:
+    """One contiguous phase segment, inclusive window indices."""
+
+    parent_event_id: str
+    phase: str
+    onset: int
+    offset: int
+
+    @property
+    def n_samples(self) -> int:
+        return self.offset - self.onset + 1
+
+
+@dataclass
+class SaccadeDissection:
+    parent_event_id: str
+    sub_events: list
+    disregarded: int
+
+    def phase_samples(self, phase: str) -> int:
+        return sum(s.n_samples for s in self.sub_events if s.phase == phase)
+
+
+PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",
+                   "velocity_std")
+
+
+def event_rows(events: EventTable) -> list:
+    """The events of a table as GazeEvents, in table order."""
+    columns = [getattr(events, name).tolist() for name in PROPERTY_FIELDS]
+    return [
+        GazeEvent(event_id, KINDS[kind], events.window_ids[row], onset, offset, *values,
+                  bool(code), exclusion_reason(code))
+        for event_id, row, kind, onset, offset, code, *values in zip(
+            events.event_id.tolist(), events.row.tolist(), events.kind.tolist(),
+            events.onset.tolist(), events.offset.tolist(), events.exclusion.tolist(), *columns,
+        )
+    ]
+
+
+def events_by_row(events: EventTable) -> list:
+    """event_rows grouped by window row, one list per window."""
+    out = [[] for _ in events.window_ids]
+    for row, event in zip(events.row.tolist(), event_rows(events)):
+        out[row].append(event)
+    return out
+
+
+def event_table(events, window_ids=None) -> EventTable:
+    """GazeEvents as a table whose rows index window_ids (by default the
+    events' window ids in order of first appearance)."""
+    events = list(events)
+    if window_ids is None:
+        window_ids = list(dict.fromkeys(e.window_id for e in events))
+
+    def column(values, dtype):
+        return np.array(list(values), dtype=dtype)
+
+    return EventTable(
+        window_ids=window_ids,
+        row=column((window_ids.index(e.window_id) for e in events), np.int64),
+        kind=column((KINDS.index(e.kind) for e in events), np.int8),
+        onset=column((e.onset for e in events), np.int64),
+        offset=column((e.offset for e in events), np.int64),
+        **{name: column((getattr(e, name) for e in events), float) for name in PROPERTY_FIELDS},
+        exclusion=column((exclusion_code(e.exclusion_reason) for e in events), np.uint8),
+        event_id=column((e.event_id for e in events), object),
+    )
+
+
+def subevent_table(sub_events, events: EventTable) -> SubEventTable:
+    """SubEvents as a table whose parents are found among ``events``."""
+    index_of = {event_id: i for i, event_id in enumerate(events.event_id.tolist())}
+    return SubEventTable(
+        events,
+        np.array([index_of[s.parent_event_id] for s in sub_events], dtype=np.int64),
+        np.array([PHASES.index(s.phase) for s in sub_events], dtype=np.int8),
+        np.array([s.onset for s in sub_events], dtype=np.int64),
+        np.array([s.offset for s in sub_events], dtype=np.int64),
+    )
+
+
+def dissections(subs: SubEventTable) -> list:
+    """The SaccadeDissection of every event of subs.events, grouped by
+    window row, one list per window."""
+    segments = [[] for _ in range(len(subs.events))]
+    ids = subs.events.event_id.tolist()
+    for parent, phase, onset, offset in zip(subs.parent.tolist(), subs.phase.tolist(),
+                                            subs.onset.tolist(), subs.offset.tolist()):
+        segments[parent].append(SubEvent(ids[parent], PHASES[phase], onset, offset))
+    out = [[] for _ in subs.events.window_ids]
+    for i, row in enumerate(subs.events.row.tolist()):
+        out[row].append(SaccadeDissection(ids[i], segments[i], int(subs.disregarded[i])))
+    return out
+
+
+def _cells(row) -> list:
+    """The cell rule, one row at a time: reals at 9 significant digits;
+    NaN, +/-inf and None empty; booleans true/false; everything else
+    str()."""
+    cells = []
+    for v in row:
+        t = type(v)
+        if t is str or t is int:
+            cells.append(v)
+        elif t is float or t is np.float64:
+            cells.append(f"{v:.9g}" if math.isfinite(v) else "")
+        elif t is bool or t is np.bool_:
+            cells.append("true" if v else "false")
+        else:
+            cells.append("" if v is None else str(v))
+    return cells
 
 
 def ek_noise_threshold(vx, vy, lam, eta_floor=1e-6, valid=None):
@@ -277,7 +421,7 @@ def binned_influence(bins, spec, topk_by_window):
     out = []
     for b in bins:
         by_window = {}
-        for event in b.events:
+        for event in event_rows(b.events):
             by_window.setdefault(event.window_id, []).append(event)
         results = []
         size = 0

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 from gazeconcepts.cli import main
+import reference as ref
 from gazeconcepts.detect import (
+    SACCADE,
     DetectionParams,
-    GazeEvent,
+    detect_events,
     detect_fixations_ivt,
     detect_saccades_ek,
     retained,
 )
-from gazeconcepts.dissect import dissect_saccade
+from gazeconcepts.dissect import dissect_all, dissect_saccades
 from gazeconcepts.influence import (
     aggregate_influence,
     concept_influence,
@@ -44,6 +46,7 @@ from gazeconcepts.synth import (
 from conftest import build_window, match_events, pipeline_windows, raised_cosine_speeds
 
 PARAMS = DetectionParams()
+GazeEvent = ref.GazeEvent
 NOISE_VEL_SIGMA = 0.5  # deg/s
 
 
@@ -63,19 +66,13 @@ def _evaluate(recordings, attr_mode, attr_seed=0, cfg_params=PARAMS):
         windows, _ = pipeline_windows(rec)
         for w in windows:
             window_count += 1
-            fixations = detect_fixations_ivt(w, cfg_params)
-            saccades = detect_saccades_ek(w, cfg_params)
-            dissections = [
-                dissect_saccade(s, w) for s in retained(saccades)
-            ]
+            events = detect_events([w], cfg_params)
+            subs = dissect_all(events.take(events.is_kind(SACCADE)), w)
             attr = gen_proxy_attributions(w, attr_mode, seed=attr_seed + window_count)
             topk = topk_segmentation(
                 attr.values.max(axis=0), default_k(w.length), w.window_id
             )
-            subs = [s for d in dissections for s in d.sub_events]
-            for concept, seg in window_segmentations(
-                w, fixations + saccades, subs
-            ).items():
+            for concept, seg in window_segmentations(w, events, subs).items():
                 if seg.size:
                     per_concept.setdefault(concept, []).append(
                         concept_influence(seg, topk)
@@ -121,8 +118,8 @@ def test_criterion_2_detector_fidelity():
         for w in windows:
             gt = ground_truth_in_window(truth, w.start_index, w.length)
             detected = {
-                "fixation": detect_fixations_ivt(w, PARAMS),
-                "saccade": detect_saccades_ek(w, PARAMS),
+                "fixation": ref.event_rows(detect_fixations_ivt(w, PARAMS)),
+                "saccade": ref.event_rows(detect_saccades_ek(w, PARAMS)),
             }
             for kind in ("fixation", "saccade"):
                 kind_gt = [t for t in gt if t.kind == kind]
@@ -148,7 +145,9 @@ def test_criterion_2_detector_fidelity():
     for n_burst, reason in ((4, "min duration"), (120, "max duration")):
         vx = rng.normal(0, NOISE_VEL_SIGMA, 1000)
         vx[300 : 300 + n_burst] = 200.0
-        events = detect_saccades_ek(build_window(vx, rng.normal(0, 0.5, 1000)), PARAMS)
+        events = ref.event_rows(
+            detect_saccades_ek(build_window(vx, rng.normal(0, 0.5, 1000)), PARAMS)
+        )
         burst = [e for e in events if e.onset <= 300 <= e.offset]
         assert len(burst) == 1 and burst[0].excluded
         assert reason in burst[0].exclusion_reason
@@ -207,7 +206,7 @@ def test_criterion_4_dissection_partition():
         vy[margin : margin + n] += profile * np.sin(theta)
         w = build_window(vx, vy)
         sacc = GazeEvent(f"s{i}", "saccade", "w0000", margin, margin + n - 1)
-        d = dissect_saccade(sacc, w)
+        d = ref.dissections(dissect_saccades(ref.event_table([sacc]), [w]))[0][0]
         counted = sum(d.phase_samples(p) for p in ("rise", "peak", "fall"))
         assert counted + d.disregarded == n, f"saccade {i}: partition broken"
         total_samples += n
@@ -293,9 +292,9 @@ def test_criterion_7_binning_consistency():
             )
             cursor += width + int(rng.integers(2, 20))
         spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(4.0, 10.0, 16.0, 25.0))
-        out = binned_influence(bin_events(events, spec), spec, {"w0": topk})
+        out = binned_influence(bin_events(ref.event_table(events), spec), spec, {"w0": topk})
         union = concept_influence(
-            concept_segmentation(events, "saccade", L, "w0"), topk
+            concept_segmentation(ref.event_table(events), "saccade", L, "w0"), topk
         )
         assert sum(b.influence.intersection for b in out if b.influence) == union.intersection
 
@@ -306,6 +305,7 @@ def test_criterion_7_binning_consistency():
         for i, d in enumerate(durations)
     ]
     spec = BinSpec("saccade_duration_ms", mode="quantile", n_bins=4)
+    events = ref.event_table(events)
     bins = bin_events(events, spec, edges=resolve_edges(spec, events))
     for b in bins:
         if b.label == "bin":

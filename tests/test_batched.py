@@ -2,7 +2,8 @@
 tests/reference.py: every GazeEvent, SubEvent, SaccadeDissection,
 InfluenceResult and BinnedInfluence field must be equal bit for bit
 (NaN equals NaN), and a failing input must raise the same exception type
-with the same message."""
+with the same message. The kernels' EventTable and SubEventTable are
+turned into those rows (and rows into tables) by tests/reference.py."""
 
 import math
 import struct
@@ -19,28 +20,34 @@ from gazeconcepts.detect import (
     FIXATION,
     SACCADE,
     DetectionParams,
-    GazeEvent,
-    compute_event_properties,
     detect_events,
     ek_noise_threshold,
     event_properties,
 )
-from gazeconcepts.dissect import SubEvent, dissect_saccades
-from gazeconcepts.errors import ConfigError, DegenerateDataError
+from gazeconcepts.dissect import dissect_saccades
+from gazeconcepts.errors import ConfigError, DegenerateDataError, FormatError
 from gazeconcepts.influence import TopKSegmentation, concept_segmentation, topk_masks
+from gazeconcepts.io import read_events, write_events
 from gazeconcepts.pipeline import concept_masks, window_influence
 from gazeconcepts.preprocess import WindowStack
 
 from conftest import build_window
 
 MISSING = ("none", "mid", "start", "end", "two_valid")
+GazeEvent = ref.GazeEvent
 
 
-def windows_influence(windows, events_by_row, subs_by_row, topks) -> list:
+def windows_influence(windows, events, subs, topks) -> list:
     """Influence per window as run and staged influence compute it: concept
     masks in one batched pass, then each window scored on its own."""
-    masks = concept_masks(events_by_row, subs_by_row, WindowStack.of(windows).length)
+    masks = concept_masks(events, subs, WindowStack.of(windows).length)
     return [window_influence(m, topk) for m, topk in zip(masks, topks)]
+
+
+def table(events_by_row, windows):
+    """Per-window GazeEvent lists as one table over the windows."""
+    ids = WindowStack.of(windows).window_ids
+    return ref.event_table([e for row in events_by_row for e in row], ids)
 
 
 def same(a, b) -> bool:
@@ -177,8 +184,8 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
         assert_same_outcome(outcome(ref.ek_noise_threshold, *args),
                             outcome(ek_noise_threshold, *args))
     stack = WindowStack.of(windows)
-    got = outcome(lambda: [tuple(p) for p in detect_events(stack, params)])
-    assert_same_outcome(want, got)
+    got = outcome(lambda: ref.events_by_row(detect_events(stack, params)))
+    assert_same_outcome(("ok", [f + s for f, s in want[1]]) if want[0] == "ok" else want, got)
     if want[0] == "raised":
         return
     detected = want[1]
@@ -191,19 +198,21 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
         onset = int(rng.integers(length))
         offset = int(rng.integers(onset, length))
         arbitrary[row].append(GazeEvent(
-            f"x{i}", str(rng.choice([FIXATION, SACCADE, "blink"])), windows[row].window_id,
+            f"x{i}", str(rng.choice([FIXATION, SACCADE])), windows[row].window_id,
             onset, offset, peak_velocity=1.5, amplitude_deg=2.5, dispersion_deg=3.5,
-            velocity_std=4.5, excluded=True, exclusion_reason="r",
+            velocity_std=4.5, excluded=True, exclusion_reason="min duration",
         ))
     assert same(
         [[ref.compute_event_properties(e, w) for e in row] for row, w in zip(arbitrary, windows)],
-        event_properties(arbitrary, stack),
+        ref.events_by_row(event_properties(table(arbitrary, stack), stack)),
     )
 
     # dissection of every retained saccade
     want_d = [ref.dissect_all(s, w) for w, (_, s) in zip(windows, detected)]
-    got_d = dissect_saccades([[s for s in sacs if not s.excluded] for _, sacs in detected], stack)
-    assert same(want_d, got_d)
+    subs = dissect_saccades(
+        table([[s for s in sacs if not s.excluded] for _, sacs in detected], stack), stack
+    )
+    assert same(want_d, ref.dissections(subs))
 
     # influence: ties in the squashed maps exercise the lower-index rule
     squashed = rng.integers(0, 4, (len(windows), length)).astype(float)
@@ -211,9 +220,10 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
     ref_topk = [ref.topk_segmentation(row, k, w.window_id) for row, w in zip(squashed, windows)]
     topks = [TopKSegmentation(w.window_id, k, m) for w, m in zip(windows, topk_masks(squashed, k))]
     assert same(ref_topk, topks)
-    subs = [[sub for d in row for sub in d.sub_events] for row in want_d]
-    want_i = [ref.window_influence(w, e, s, t) for w, e, s, t in zip(windows, events, subs, ref_topk)]
-    assert same(want_i, windows_influence(stack, events, subs, topks))
+    subs_by_row = [[sub for d in row for sub in d.sub_events] for row in want_d]
+    want_i = [ref.window_influence(w, e, s, t)
+              for w, e, s, t in zip(windows, events, subs_by_row, ref_topk)]
+    assert same(want_i, windows_influence(stack, table(events, stack), subs, topks))
 
     # binned influence per property, over the retained detected events
     topk_by_window = {t.window_id: t for t in topks}
@@ -223,7 +233,7 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
         if not pool:
             continue
         spec = BinSpec(prop, "width", n_bins=1 + seed % 5)
-        bins = bin_events(pool, spec)
+        bins = bin_events(ref.event_table(pool, stack.window_ids), spec)
         assert same(ref.binned_influence(bins, spec, topk_by_window),
                     binned_influence(bins, spec, topk_by_window))
 
@@ -242,7 +252,7 @@ def test_properties_of_many_intervals_match_reference():
         by_row[row].append(GazeEvent(f"e{i}", (FIXATION, SACCADE)[i % 2],
                                      windows[row].window_id, onset, offset))
     want = [[ref.compute_event_properties(e, w) for e in row] for row, w in zip(by_row, windows)]
-    assert same(want, event_properties(by_row, windows))
+    assert same(want, ref.events_by_row(event_properties(table(by_row, windows), windows)))
 
 
 def test_degenerate_window_in_a_stack_raises_as_reference():
@@ -252,39 +262,56 @@ def test_degenerate_window_in_a_stack_raises_as_reference():
     params = DetectionParams()
     want = outcome(reference_detect, windows, params)
     assert want[:2] == ("raised", DegenerateDataError)
-    assert_same_outcome(want, outcome(lambda: [tuple(p) for p in detect_events(windows, params)]))
+    assert_same_outcome(want, outcome(detect_events, windows, params))
+
+
+INT64 = range(-(2**63), 2**63)
 
 
 @pytest.mark.parametrize("onset, offset", [(20, 30), (-1, 3), (5, 4), (2**70, 2**70 + 3),
                                            (-(2**70), 3), (3, 2**64)])
-def test_interval_outside_window_raises_as_reference(onset, offset):
-    """Also for indices beyond int64, which the table reader can return."""
+def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
+    """Indices beyond int64 cannot enter a table: the reference rejects
+    them as outside the window, and the event table reader as unparseable,
+    naming the line."""
     windows = make_windows(4, 30, ["none", "mid"], [1000.0, 500.0])
+    ids = [w.window_id for w in windows]
     outside = GazeEvent("w:fix000", FIXATION, windows[1].window_id, onset, offset)
     inside = GazeEvent("w:fix001", FIXATION, windows[0].window_id, 0, 4)
-    assert_same_outcome(
-        outcome(lambda: [ref.compute_event_properties(e, windows[r])
-                         for e, r in ((inside, 0), (outside, 1))]),
-        outcome(event_properties, [[inside], [outside]], windows),
-    )
+    want = outcome(lambda: [ref.compute_event_properties(e, windows[r])
+                            for e, r in ((inside, 0), (outside, 1))])
+    assert want[:2] == ("raised", ConfigError)
+    if onset not in INT64 or offset not in INT64:
+        path = tmp_path / "events.csv"
+        write_events(ref.event_table([inside], ids), path)
+        text = path.read_text().replace(",0,4,", f",{onset},{offset},")
+        path.write_text(text)
+        with pytest.raises(FormatError, match="events.csv: line 2: cannot parse (onset|offset)"):
+            read_events(path, WindowStack.of(windows))
+        return
+    assert_same_outcome(want, outcome(event_properties, ref.event_table([inside, outside], ids),
+                                      windows))
     assert_same_outcome(
         outcome(lambda: [ref.compute_event_properties(outside, windows[1])]),
-        outcome(lambda: [compute_event_properties(outside, windows[1])]),
+        outcome(lambda: ref.event_rows(event_properties(ref.event_table([outside]),
+                                                        [windows[1]]))),
     )
-    sub = SubEvent("w:sac000", "post", onset, offset)
+    sub = ref.SubEvent("w:sac000", "post", onset, offset)
+    parent = ref.event_table([GazeEvent("w:sac000", SACCADE, windows[1].window_id, 0, 4)], ids)
     assert_same_outcome(
         outcome(ref.concept_segmentation, [sub], "saccade_post", 30, "w"),
-        outcome(concept_segmentation, [sub], "saccade_post", 30, "w"),
+        outcome(concept_segmentation, ref.subevent_table([sub], parent), "saccade_post", 30, "w"),
     )
     topks = [TopKSegmentation(w.window_id, 3, m)
              for w, m in zip(windows, topk_masks(np.ones((2, 30)), 3))]
     assert_same_outcome(
         outcome(ref.window_influence, windows[1], [], [sub], topks[1]),
-        outcome(windows_influence, windows, [[inside], []], [[], [sub]], topks),
+        outcome(windows_influence, windows, ref.event_table([inside], ids),
+                ref.subevent_table([sub], parent), topks),
     )
     spec = BinSpec("fixation_dispersion_deg", "explicit", edges=(0.0, 1.0))
     inside.dispersion_deg = outside.dispersion_deg = 0.5
-    bins = bin_events([inside, outside], spec)
+    bins = bin_events(ref.event_table([inside, outside], ids), spec)
     topk_by_window = {t.window_id: t for t in topks}
     assert_same_outcome(
         outcome(ref.binned_influence, bins, spec, topk_by_window),
@@ -293,7 +320,8 @@ def test_interval_outside_window_raises_as_reference(onset, offset):
     saccade = GazeEvent("w:sac000", SACCADE, windows[0].window_id, onset, offset)
     assert_same_outcome(
         outcome(ref.dissect_saccade, saccade, windows[0]),
-        outcome(lambda: dissect_saccades([[saccade], []], windows)[0][0]),
+        outcome(lambda: ref.dissections(dissect_saccades(ref.event_table([saccade], ids),
+                                                         windows))[0][0]),
     )
 
 
@@ -306,7 +334,7 @@ def test_saccade_without_valid_samples_raises_as_reference():
     want = outcome(lambda: [ref.dissect_saccade(good, windows[0]),
                             ref.dissect_saccade(blind, windows[1])])
     assert want[:2] == ("raised", ConfigError)
-    assert_same_outcome(want, outcome(dissect_saccades, [[good], [blind]], windows))
+    assert_same_outcome(want, outcome(dissect_saccades, table([[good], [blind]], windows), windows))
 
 
 def test_bounds_are_checked_before_samples_or_masks():
@@ -321,7 +349,7 @@ def test_bounds_are_checked_before_samples_or_masks():
     outside = GazeEvent("b:sac000", SACCADE, windows[1].window_id, 20, 30)
     want = outcome(ref.dissect_saccade, blind, windows[0])
     assert want[2] == "saccade a:sac000 has no valid samples"
-    assert outcome(dissect_saccades, [[blind], [outside]], windows) == (
+    assert outcome(dissect_saccades, table([[blind], [outside]], windows), windows) == (
         "raised", ConfigError, "saccade interval outside window"
     )
 
@@ -329,7 +357,7 @@ def test_bounds_are_checked_before_samples_or_masks():
     beyond = GazeEvent("a:fix000", FIXATION, "a", 20, 30, dispersion_deg=0.5)
     unscored = GazeEvent("b:fix000", FIXATION, "b", 0, 4, dispersion_deg=0.5)
     topk_by_window = {"a": TopKSegmentation("a", 3, topk_masks(np.ones((1, 30)), 3)[0])}
-    bins = bin_events([beyond, unscored], spec)
+    bins = bin_events(ref.event_table([beyond, unscored]), spec)
     assert outcome(ref.binned_influence, bins, spec, topk_by_window)[2].startswith("interval")
     assert outcome(binned_influence, bins, spec, topk_by_window) == (
         "raised", ConfigError, "no top-k segmentation for window 'b'"

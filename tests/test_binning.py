@@ -11,9 +11,10 @@ from gazeconcepts.binning import (
     resolve_edges,
     write_binned,
 )
-from gazeconcepts.detect import GazeEvent
 from gazeconcepts.errors import ConfigError
 from gazeconcepts.influence import concept_influence, concept_segmentation, topk_segmentation
+from reference import GazeEvent
+from reference import event_table as table
 
 
 def _sacc(onset, offset, duration_ms, window_id="w0"):
@@ -26,16 +27,16 @@ def _sacc(onset, offset, duration_ms, window_id="w0"):
 def test_two_bin_assignment():
     events = [_sacc(0, 4, 5.0), _sacc(10, 24, 15.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 10.0, 20.0))
-    bins = bin_events(events, spec)
+    bins = bin_events(table(events), spec)
     regular = [b for b in bins if b.label == "bin"]
     assert [b.event_count for b in regular] == [1, 1]
-    assert regular[0].events[0].duration_ms == 5.0
+    assert regular[0].events.duration_ms[0] == 5.0
 
 
 def test_value_on_interior_edge_goes_low():
     events = [_sacc(0, 9, 10.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 10.0, 20.0))
-    bins = bin_events(events, spec)
+    bins = bin_events(table(events), spec)
     regular = [b for b in bins if b.label == "bin"]
     assert regular[0].event_count == 1
     assert regular[1].event_count == 0
@@ -44,7 +45,7 @@ def test_value_on_interior_edge_goes_low():
 def test_underflow_overflow_reported():
     events = [_sacc(0, 1, 2.0), _sacc(5, 55, 50.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(10.0, 20.0))
-    bins = bin_events(events, spec)
+    bins = bin_events(table(events), spec)
     assert bins[0].label == "underflow" and bins[0].event_count == 1
     assert bins[-1].label == "overflow" and bins[-1].event_count == 1
 
@@ -54,10 +55,10 @@ def test_quantile_bins_balanced():
     durations = rng.uniform(9.0, 100.0, 100)
     events = [_sacc(i, i, d) for i, d in enumerate(durations)]
     spec = BinSpec("saccade_duration_ms", mode="quantile", n_bins=4)
-    edges = resolve_edges(spec, events)
+    edges = resolve_edges(spec, table(events))
     # sort-based oracle: edges must match plain quantiles of the sorted data
     np.testing.assert_allclose(edges, np.quantile(np.sort(durations), [0, 0.25, 0.5, 0.75, 1.0]))
-    bins = bin_events(events, spec, edges=edges)
+    bins = bin_events(table(events), spec, edges=edges)
     for b in bins:
         if b.label == "bin":
             assert abs(b.event_count - 25) <= 1
@@ -67,7 +68,7 @@ def test_nan_property_values_left_out():
     e = _sacc(0, 4, 5.0)
     e_nan = GazeEvent("x", "saccade", "w0", 6, 8, duration_ms=math.nan)
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 10.0))
-    bins = bin_events([e, e_nan], spec)
+    bins = bin_events(table([e, e_nan]), spec)
     assert sum(b.event_count for b in bins) == 1
 
 
@@ -75,7 +76,7 @@ def test_kind_mismatch_errors():
     fix = GazeEvent("f", "fixation", "w0", 0, 49, duration_ms=50.0)
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 10.0))
     with pytest.raises(ConfigError):
-        bin_events([fix], spec)
+        bin_events(table([fix]), spec)
 
 
 def test_bad_specs_rejected():
@@ -97,10 +98,10 @@ def test_single_bin_equals_unbinned():
     topk = _window_setup()
     events = [_sacc(10, 29, 20.0), _sacc(60, 99, 40.0), _sacc(150, 169, 20.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 100.0))
-    bins = bin_events(events, spec)
+    bins = bin_events(table(events), spec)
     out = binned_influence(bins, spec, {"w0": topk})
     full = concept_influence(
-        concept_segmentation(events, "saccade", 200, "w0"), topk
+        concept_segmentation(table(events), "saccade", 200, "w0"), topk
     )
     one = [b for b in out if b.label == "bin"][0]
     assert one.influence.intersection == full.intersection
@@ -111,8 +112,8 @@ def test_disjoint_bins_sum_to_union_intersection():
     topk = _window_setup(seed=8)
     events = [_sacc(10, 29, 15.0), _sacc(60, 99, 40.0), _sacc(150, 169, 95.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 60.0, 100.0))
-    out = binned_influence(bin_events(events, spec), spec, {"w0": topk})
-    union = concept_influence(concept_segmentation(events, "saccade", 200, "w0"), topk)
+    out = binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
+    union = concept_influence(concept_segmentation(table(events), "saccade", 200, "w0"), topk)
     per_bin = sum(b.influence.intersection for b in out if b.influence is not None)
     assert per_bin == union.intersection
 
@@ -124,7 +125,7 @@ def test_refinement_preserves_total_intersection():
     fine = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 25.0, 50.0, 70.0, 100.0))
     total = lambda spec: sum(
         b.influence.intersection
-        for b in binned_influence(bin_events(events, spec), spec, {"w0": topk})
+        for b in binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
         if b.influence is not None
     )
     assert total(coarse) == total(fine)
@@ -137,7 +138,7 @@ def test_concentrated_bin_dominates():
     topk = topk_segmentation(v, k, "w0")
     events = [_sacc(10, 19, 15.0), _sacc(100, 139, 45.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
-    out = [b for b in binned_influence(bin_events(events, spec), spec, {"w0": topk})
+    out = [b for b in binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
            if b.label == "bin"]
     assert out[0].influence.c >= out[1].influence.c
 
@@ -146,7 +147,7 @@ def test_empty_bin_influence_omitted():
     topk = _window_setup()
     events = [_sacc(10, 29, 15.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
-    out = binned_influence(bin_events(events, spec), spec, {"w0": topk})
+    out = binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
     regular = [b for b in out if b.label == "bin"]
     assert regular[0].event_count == 1 and regular[0].influence is not None
     assert regular[1].event_count == 0 and regular[1].influence is None
@@ -156,7 +157,8 @@ def test_binned_roundtrip(tmp_path):
     topk = _window_setup()
     events = [_sacc(10, 29, 15.0), _sacc(60, 99, 40.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
-    binned = {"saccade_duration_ms": binned_influence(bin_events(events, spec), spec, {"w0": topk})}
+    bins = bin_events(table(events), spec)
+    binned = {"saccade_duration_ms": binned_influence(bins, spec, {"w0": topk})}
     path = tmp_path / "binned.csv"
     write_binned(binned, path)
     back = read_binned(path)

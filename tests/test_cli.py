@@ -306,6 +306,22 @@ def _truncate_events(text):
     return text[: text.index("\n", len(text) // 2) + 12]
 
 
+def _set_cell(column, value, predicate=lambda fields: True):
+    """Damage: `column` set to `value` in the first data row that
+    satisfies `predicate` (a dict of the row's cells)."""
+    def damage(text):
+        lines = text.split("\n")
+        header = lines[0].split(",")
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            if predicate(dict(zip(header, fields))):
+                fields[header.index(column)] = value
+                lines[i] = ",".join(fields)
+                return "\n".join(lines)
+        raise AssertionError(f"no row to damage in {header}")
+    return damage
+
+
 @pytest.mark.parametrize("stage,name,damage,message", [
     ("dissect", "events.csv", _truncate_events, r"events\.csv: line \d+: \d+ fields"),
     ("report", "binned.csv", lambda t: t.replace("label", "kind", 1), r"binned\.csv: header"),
@@ -316,7 +332,15 @@ def _truncate_events(text):
     ("influence", "subevents.csv", lambda t: t.replace(",peak,", ",peek,", 1),
      r"subevents\.csv: line \d+: cannot parse phase 'peek'"),
     ("influence", "subevents.csv", lambda t: t.replace(":sac000,", ":sac999,", 1),
-     r"subevents\.csv: sub-event parent '[^']+:sac999' is not a retained saccade"),
+     r"subevents\.csv: line \d+: sub-event parent '[^']+:sac999' is not a retained saccade"),
+    ("dissect", "events.csv", _set_cell("offset", "5000"),
+     r"events\.csv: line 2: interval \[\d+, 5000\] outside window '[^']+' of length 1000"),
+    ("influence", "events.csv", _set_cell("onset", "-1"),
+     r"events\.csv: line 2: interval \[-1, \d+\] outside window '[^']+' of length 1000"),
+    ("influence", "subevents.csv", _set_cell("offset", "5000", lambda r: r["phase"] == "pre"),
+     r"subevents\.csv: line \d+: interval \[\d+, 5000\] outside window '[^']+' of length 1000"),
+    ("influence", "subevents.csv", _set_cell("window_id", "rec00-w9999"),
+     r"subevents\.csv: line 2: window_id 'rec00-w9999' is not '[^']+', the window of its parent"),
     ("report", "preprocess_stats.json", lambda t: '{"windows": 1}',
      r"preprocess_stats\.json: no 'windows\.evaluated'"),
     ("report", "preprocess_stats.json", lambda t: t[:-5], r"preprocess_stats\.json: not valid"),

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from gazeconcepts.detect import (
     DetectionParams,
-    GazeEvent,
-    compute_event_properties,
     detect_fixations_ivt,
     detect_saccades_ek,
     ek_noise_threshold,
+    event_properties,
     retained,
 )
 from gazeconcepts.errors import DegenerateDataError
@@ -27,6 +27,24 @@ from gazeconcepts.preprocess import SavGolParams
 from conftest import build_window, match_events, pipeline_windows, raised_cosine_speeds
 
 PARAMS = DetectionParams()
+GazeEvent = ref.GazeEvent
+
+
+def saccades(window, params, kept=False):
+    """The detected saccades of one window as rows (only the retained
+    ones with kept=True)."""
+    events = detect_saccades_ek(window, params)
+    return ref.event_rows(retained(events) if kept else events)
+
+
+def fixations(window, params, kept=False):
+    events = detect_fixations_ivt(window, params)
+    return ref.event_rows(retained(events) if kept else events)
+
+
+def compute_event_properties(event, window):
+    """One event's properties, recomputed as a table of one."""
+    return ref.event_rows(event_properties(ref.event_table([event]), [window]))[0]
 
 
 def median_oracle(values):
@@ -75,8 +93,7 @@ def test_ek_threshold_all_missing_errors():
 def test_no_saccades_on_pure_noise():
     rng = np.random.default_rng(5)
     w = build_window(rng.normal(0, 0.5, 1000), rng.normal(0, 0.5, 1000))
-    events = detect_saccades_ek(w, PARAMS)
-    assert retained(events) == []
+    assert saccades(w, PARAMS, kept=True) == []
 
 
 def test_single_injected_saccade_recovered():
@@ -90,7 +107,7 @@ def test_single_injected_saccade_recovered():
     )
     rec, truth = gen_scanpath(spec, seed=21)
     windows, _ = pipeline_windows(rec)
-    events = retained(detect_saccades_ek(windows[0], PARAMS))
+    events = saccades(windows[0], PARAMS, kept=True)
     assert len(events) == 1
     gt = [t for t in truth if t.kind == "saccade"]
     assert abs(events[0].onset - gt[0].onset) <= 2
@@ -107,16 +124,16 @@ def _burst_window(n_burst, level, n=1000, seed=2):
 
 
 def test_short_burst_excluded_min_duration():
-    events = detect_saccades_ek(_burst_window(4, 200.0), PARAMS)
+    events = saccades(_burst_window(4, 200.0), PARAMS)
     burst = [e for e in events if e.onset <= 400 <= e.offset]
     assert len(burst) == 1
     assert burst[0].excluded
     assert "min duration" in burst[0].exclusion_reason
-    assert retained(events) == []
+    assert saccades(_burst_window(4, 200.0), PARAMS, kept=True) == []
 
 
 def test_long_burst_excluded_max_duration():
-    events = detect_saccades_ek(_burst_window(120, 200.0), PARAMS)
+    events = saccades(_burst_window(120, 200.0), PARAMS)
     burst = [e for e in events if e.onset <= 400 <= e.offset]
     assert len(burst) == 1
     assert burst[0].excluded
@@ -124,10 +141,10 @@ def test_long_burst_excluded_max_duration():
 
 
 def test_peak_velocity_bounds_excluded():
-    slow = detect_saccades_ek(_burst_window(20, 30.0), PARAMS)
+    slow = saccades(_burst_window(20, 30.0), PARAMS)
     ev = [e for e in slow if e.onset <= 400 <= e.offset][0]
     assert ev.excluded and "min peak velocity" in ev.exclusion_reason
-    fast = detect_saccades_ek(_burst_window(20, 1500.0), PARAMS)
+    fast = saccades(_burst_window(20, 1500.0), PARAMS)
     ev = [e for e in fast if e.onset <= 400 <= e.offset][0]
     assert ev.excluded and "max peak velocity" in ev.exclusion_reason
 
@@ -137,7 +154,7 @@ def test_missing_samples_break_runs():
     vx[40:60] = 300.0
     vx[50] = np.nan
     w = build_window(vx, np.zeros(100))
-    events = detect_saccades_ek(w, DetectionParams(sacc_min_duration_ms=1.0))
+    events = saccades(w, DetectionParams(sacc_min_duration_ms=1.0))
     intervals = [(e.onset, e.offset) for e in events]
     assert (40, 49) in intervals and (51, 59) in intervals
 
@@ -147,7 +164,7 @@ def test_fixation_single_run():
     px = np.zeros(100)
     px[50:] = 0.1
     w = build_window(vx, np.zeros(100), px=px)
-    events = detect_fixations_ivt(w, PARAMS)
+    events = fixations(w, PARAMS)
     assert len(events) == 1
     e = events[0]
     assert not e.excluded
@@ -159,16 +176,16 @@ def test_fixation_single_run():
 def test_alternating_speed_all_excluded():
     vx = np.tile([5.0, 30.0], 50)
     w = build_window(vx, np.zeros(100))
-    events = detect_fixations_ivt(w, PARAMS)
+    events = fixations(w, PARAMS)
     assert len(events) == 50
-    assert retained(events) == []
+    assert fixations(w, PARAMS, kept=True) == []
     assert all("min duration" in e.exclusion_reason for e in events)
 
 
 def test_fixation_dispersion_exclusion():
     px = np.linspace(0, 3.0, 200)  # 3 deg of drift > 2.7
     w = build_window(np.full(200, 5.0), np.zeros(200), px=px)
-    events = detect_fixations_ivt(w, PARAMS)
+    events = fixations(w, PARAMS)
     assert len(events) == 1
     assert events[0].excluded
     assert "max dispersion" in events[0].exclusion_reason
@@ -187,7 +204,7 @@ def test_scanpath_fixations_recovered():
     )
     rec, truth = gen_scanpath(spec, seed=8)
     windows, _ = pipeline_windows(rec)
-    events = detect_fixations_ivt(windows[0], PARAMS)
+    events = fixations(windows[0], PARAMS)
     gt = [t for t in truth if t.kind == "fixation"]
     assert match_events(gt, events, tol=2) >= math.ceil(0.95 * len(gt))
 
@@ -246,8 +263,8 @@ def test_ek_scale_invariance(gamma, seed):
     vx[100:130] += raised_cosine_speeds(30, 80.0)
     w1 = build_window(vx, vy)
     w2 = build_window(vx * gamma, vy * gamma)
-    runs1 = [(e.onset, e.offset) for e in detect_saccades_ek(w1, PARAMS)]
-    runs2 = [(e.onset, e.offset) for e in detect_saccades_ek(w2, PARAMS)]
+    runs1 = [(e.onset, e.offset) for e in saccades(w1, PARAMS)]
+    runs2 = [(e.onset, e.offset) for e in saccades(w2, PARAMS)]
     assert runs1 == runs2
 
 
@@ -262,17 +279,15 @@ def test_events_sorted_disjoint_and_within_threshold(seed):
     w = build_window(vx, vy)
     speed = np.sqrt(vx**2 + vy**2)
 
-    fixations = detect_fixations_ivt(w, PARAMS)
-    saccades = detect_saccades_ek(w, PARAMS)
-    for events in (fixations, saccades):
+    for events in (fixations(w, PARAMS), saccades(w, PARAMS)):
         for a, b in zip(events, events[1:]):
             assert a.offset < b.onset
-    for e in retained(fixations):
+    for e in fixations(w, PARAMS, kept=True):
         assert (speed[e.onset : e.offset + 1] <= PARAMS.fix_max_velocity).all()
     from gazeconcepts.detect import ek_noise_threshold as _th
 
     eta_x, eta_y = _th(vx, vy, PARAMS.sacc_lambda, PARAMS.eta_floor)
-    for e in retained(saccades):
+    for e in saccades(w, PARAMS, kept=True):
         crit = (vx[e.onset : e.offset + 1] / eta_x) ** 2 + (
             vy[e.onset : e.offset + 1] / eta_y
         ) ** 2
@@ -285,7 +300,7 @@ def test_exclusion_monotone_in_min_duration():
     for lo, n in ((50, 12), (200, 25), (400, 40)):
         vx[lo : lo + n] += raised_cosine_speeds(n, 150.0)
     w = build_window(vx, rng.normal(0, 1.0, 600))
-    loose = {(e.onset, e.offset) for e in retained(detect_saccades_ek(w, PARAMS))}
+    loose = {(e.onset, e.offset) for e in saccades(w, PARAMS, kept=True)}
     tight_params = DetectionParams(sacc_min_duration_ms=30.0)
-    tight = {(e.onset, e.offset) for e in retained(detect_saccades_ek(w, tight_params))}
+    tight = {(e.onset, e.offset) for e in saccades(w, tight_params, kept=True)}
     assert tight <= loose

@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeconcepts.detect import GazeEvent
-from gazeconcepts.dissect import dissect_saccade, round_half_away
+import reference as ref
+from gazeconcepts.dissect import dissect_saccades, round_half_away
 
 from conftest import build_window, raised_cosine_speeds
 
 
 def _saccade(onset, offset, window_id="w0000"):
-    return GazeEvent("w0000:sac000", "saccade", window_id, onset, offset)
+    return ref.GazeEvent("w0000:sac000", "saccade", window_id, onset, offset)
+
+
+def dissect_saccade(saccade, window, **kw):
+    """The dissection of one saccade, as a table of one."""
+    return ref.dissections(dissect_saccades(ref.event_table([saccade]), [window], **kw))[0][0]
 
 
 def _dissect_speeds(speeds, onset, offset, n=None, **kw):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeconcepts.detect import GazeEvent
 from gazeconcepts.errors import ConfigError, EmptyConceptError
 from gazeconcepts.influence import (
     ConceptSegmentation,
@@ -16,6 +15,8 @@ from gazeconcepts.influence import (
     topk_segmentation,
 )
 from gazeconcepts.io import AttributionMap
+from reference import GazeEvent
+from reference import event_table as table
 
 
 def seg(mask, window_id="w", concept="c"):
@@ -98,19 +99,19 @@ def _ev(onset, offset):
 
 
 def test_concept_segmentation_single_interval():
-    s = concept_segmentation([_ev(10, 19)], "saccade", 100, "w")
+    s = concept_segmentation(table([_ev(10, 19)]), "saccade", 100, "w")
     assert s.size == 10
     assert s.mask[10] and s.mask[19] and not s.mask[20]
 
 
 def test_concept_segmentation_union_once():
-    s = concept_segmentation([_ev(10, 19), _ev(15, 24)], "saccade", 100, "w")
+    s = concept_segmentation(table([_ev(10, 19), _ev(15, 24)]), "saccade", 100, "w")
     assert s.size == 15
 
 
 def test_concept_segmentation_out_of_range():
     with pytest.raises(ConfigError):
-        concept_segmentation([_ev(95, 105)], "saccade", 100, "w")
+        concept_segmentation(table([_ev(95, 105)]), "saccade", 100, "w")
 
 
 def test_fixation_concept_size_tracks_ground_truth():

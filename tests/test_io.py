@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import sys
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from gazeconcepts import io as gio
 
 from gazeconcepts.binning import BinnedInfluence, read_binned, write_binned
-from gazeconcepts.detect import GazeEvent
 from gazeconcepts.errors import (
     AlignmentError,
     ConfigError,
@@ -43,7 +44,7 @@ from gazeconcepts.io import (
     write_topk,
     write_windows,
 )
-from gazeconcepts.dissect import SubEvent
+from reference import GazeEvent, SubEvent, _cells, event_rows, event_table, subevent_table
 from gazeconcepts.synth import random_plan, gen_scanpath
 
 from conftest import build_window
@@ -592,25 +593,25 @@ def _events(n=100):
 
 def test_events_empty_header_only(tmp_path):
     p = tmp_path / "e.csv"
-    write_events([], p)
+    write_events(event_table([]), p)
     text = p.read_text()
     assert text.count("\n") == 1
-    assert read_events(p) == []
+    assert event_rows(read_events(p)) == []
 
 
 def test_events_write_deterministic(tmp_path):
     events = _events(40)
     p1, p2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    write_events(events, p1)
-    write_events(list(reversed(events)), p2)  # order-insensitive
+    write_events(event_table(events), p1)
+    write_events(event_table(reversed(events)), p2)  # order-insensitive
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_events_roundtrip_100(tmp_path):
     events = _events(100)
     p = tmp_path / "e.csv"
-    write_events(events, p)
-    back = read_events(p)
+    write_events(event_table(events), p)
+    back = event_rows(read_events(p))
     assert len(back) == 100
     key = lambda e: e.event_id
     for a, b in zip(sorted(events, key=key), sorted(back, key=key)):
@@ -623,10 +624,17 @@ def test_events_roundtrip_100(tmp_path):
 
 def test_events_sorted_by_window_then_onset(tmp_path):
     p = tmp_path / "e.csv"
-    write_events(_events(50), p)
-    back = read_events(p)
+    write_events(event_table(_events(50)), p)
+    back = event_rows(read_events(p))
     keys = [(e.window_id, e.onset) for e in back]
     assert keys == sorted(keys)
+
+
+def _saccades():
+    """Retained saccades to hang sub-events on."""
+    return event_table([GazeEvent("w0001:sac000", "saccade", "w0001", 400, 420),
+                        GazeEvent("w0000:sac001", "saccade", "w0000", 100, 120),
+                        GazeEvent("w0:sac000", "saccade", "w0", 4, 9)])
 
 
 def test_subevents_roundtrip(tmp_path):
@@ -636,13 +644,16 @@ def test_subevents_roundtrip(tmp_path):
         SubEvent("w0000:sac001", "pre", 90, 99),
     ]
     p = tmp_path / "s.csv"
-    write_subevents(subs, p)
-    back = read_subevents(p)
+    parents = _saccades()
+    write_subevents(subevent_table(subs, parents), p)
+    back = read_subevents(p, parents, 1000)
     assert len(back) == 3
-    assert back[0].parent_event_id == "w0000:sac001"  # sorted by window
-    assert {(s.phase, s.onset, s.offset) for s in back} == {
-        ("peak", 410, 420), ("rise", 400, 409), ("pre", 90, 99)
-    }
+    ids = parents.event_id[back.parent].tolist()
+    assert ids[0] == "w0000:sac001"  # sorted by window
+    assert {(phase, onset, offset) for phase, onset, offset in zip(
+        (["pre", "rise", "peak", "fall", "post"][p] for p in back.phase.tolist()),
+        back.onset.tolist(), back.offset.tolist(),
+    )} == {("peak", 410, 420), ("rise", 400, 409), ("pre", 90, 99)}
 
 
 def _results():
@@ -739,17 +750,61 @@ def test_topk_roundtrip_exact(tmp_path):
 def test_table_cell_rule(tmp_path):
     p = tmp_path / "t.csv"
     write_table(p, ("s", "i", "x", "y", "b", "n"), [
-        ("a b", 3, 0.1 + 0.2, np.float64(1e-7), True, None),
-        ("", np.int64(-4), math.inf, math.nan, np.bool_(False), -math.inf),
+        ["a b", ""], [3, np.int64(-4)], [0.1 + 0.2, math.inf], [np.float64(1e-7), math.nan],
+        [True, np.bool_(False)], [None, -math.inf],
     ])
     assert p.read_text() == "s,i,x,y,b,n\na b,3,0.3,1e-07,true,\n,-4,,,false,\n"
+
+
+REALS = st.one_of(
+    st.floats(), st.floats(width=32), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals among them
+)
+TEXT = st.text(alphabet=st.sampled_from('ab 1.,"\n\r\t;'), max_size=6)
+CELLS = st.one_of(REALS, st.integers(-(2**70), 2**70), st.booleans(),
+                  st.booleans().map(np.bool_), st.none(), TEXT)
+
+
+@st.composite
+def table_columns(draw):
+    """Header and columns for write_table: numpy arrays of every dtype the
+    package writes, and lists of any mix of cells."""
+    n = draw(st.integers(0, 6))
+
+    def column(kind):
+        if kind == "mixed":
+            return draw(st.lists(CELLS, min_size=n, max_size=n))
+        values = {"float64": REALS, "int64": st.integers(-(2**63), 2**63 - 1),
+                  "bool": st.booleans(), "object": TEXT}[kind]
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
+
+    kinds = draw(st.lists(st.sampled_from(["mixed", "float64", "int64", "bool", "object"]),
+                          min_size=1, max_size=4))
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, [column(kind) for kind in kinds]
+
+
+@given(table_columns())
+@settings(max_examples=300, deadline=None)
+def test_column_writer_matches_csv_writer_over_cell_rule_rows(tmp_path_factory, table):
+    """write_table formats a column at a time; the bytes must be those of
+    csv.writer writing the cell rule's rows (tests/reference.py:_cells)."""
+    header, columns = table
+    p = tmp_path_factory.mktemp("t") / "t.csv"
+    write_table(p, header, columns)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(_cells(row) for row in zip(*columns))
+    assert p.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def _tables(tmp_path):
     """Per table reader: (reader, valid file from its writer, an int column)."""
     events, subs, report, binned = (tmp_path / n for n in ("e.csv", "s.csv", "r.csv", "b.csv"))
-    write_events(_events(3), events)
-    write_subevents([SubEvent("w0:sac000", "peak", 4, 9)], subs)
+    write_events(event_table(_events(3)), events)
+    parents = _saccades()
+    write_subevents(subevent_table([SubEvent("w0:sac000", "peak", 4, 9)], parents), subs)
     write_report(_results(), report)
     write_binned({"saccade_duration_ms": [
         BinnedInfluence("saccade_duration_ms", 9.0, 30.0, "bin", 1, 20, _results()[0]),
@@ -757,7 +812,7 @@ def _tables(tmp_path):
     ]}, binned)
     return {
         "events": (read_events, events, "onset"),
-        "subevents": (read_subevents, subs, "offset"),
+        "subevents": (lambda p: read_subevents(p, parents, 1000), subs, "offset"),
         "report": (read_report, report, "n_windows"),
         "binned": (read_binned, binned, "event_count"),
     }
@@ -801,7 +856,7 @@ def test_table_readers_reject_malformed_rows(tmp_path, table):
 
 def test_event_reader_rejects_bad_boolean_and_real(tmp_path):
     p = tmp_path / "e.csv"
-    write_events(_events(3), p)
+    write_events(event_table(_events(3)), p)
     good = p.read_text()
     p.write_text(good.replace(",false,", ",no,", 1))
     with pytest.raises(FormatError, match="e.csv: line .*: cannot parse excluded 'no'"):
@@ -813,6 +868,29 @@ def test_event_reader_rejects_bad_boolean_and_real(tmp_path):
         read_events(p)
 
 
+@pytest.mark.parametrize("lineno, edit, message", [
+    (3, lambda line: line.replace(",saccade,", ",blink,"), "line 3: cannot parse kind 'blink'"),
+    (2, lambda line: line.replace("min duration", "too short"),
+     "line 2: cannot parse exclusion_reason 'too short'"),
+    (2, lambda line: line.replace("min duration", "max dispersion; min duration"),
+     "line 2: cannot parse exclusion_reason 'max dispersion; min duration'"),
+    (3, lambda line: line.replace(",false,", ",true,"),
+     "line 3: excluded is true but exclusion_reason is ''"),
+    (3, lambda line: "w0000:fix000" + line[line.index(","):],
+     "line 3: event_id 'w0000:fix000' repeats"),
+])
+def test_event_reader_rejects_codes_it_cannot_hold(tmp_path, lineno, edit, message):
+    """Kinds and exclusion reasons are read into codes: only the names the
+    detectors write parse, the excluded flag must agree with the reason,
+    and event ids must be unique (sub-events name their parent by id)."""
+    p = tmp_path / "e.csv"
+    write_events(event_table(_events(3)), p)
+    assert p.read_text().splitlines()[1].startswith("w0000:fix000,")
+    _edit_line(p, lineno, edit)
+    with pytest.raises(FormatError, match=f"e.csv: {message}"):
+        read_events(p)
+
+
 def test_read_table_parses_optional_cells(tmp_path):
     p = tmp_path / "b.csv"
     write_binned({"saccade_duration_ms": [
@@ -820,9 +898,9 @@ def test_read_table_parses_optional_cells(tmp_path):
     ]}, p)
     (row,) = read_binned(p)["saccade_duration_ms"]
     assert (row.lo, row.hi, row.influence) == (-math.inf, 9.0, None)
-    rows = read_table(p, ("property", "label", "lo", "hi", "event_count",
-                          "segmentation_size", "intersection", "c", "c_mean"), {})
-    assert rows[0]["lo"] == "" and rows[0]["event_count"] == "0"
+    table, lines = read_table(p, ("property", "label", "lo", "hi", "event_count",
+                                  "segmentation_size", "intersection", "c", "c_mean"), {})
+    assert table["lo"] == [""] and table["event_count"] == ["0"] and lines == [2]
 
 
 def test_json_report_rejects_other_keys(tmp_path):
