@@ -40,7 +40,7 @@ def main():
     manifest = load_manifest(manifest_path)
     result = run(manifest, RunConfig(), root / "out")
 
-    print(f"windows evaluated: {len(result.window_results)}")
+    print(f"windows evaluated: {len(result.influence)}")
     print(f"{'concept':<18} {'c_pooled':>9} {'c_mean':>9} {'top-k hits':>10} {'|S|/L':>7}")
     for concept in sorted(result.corpus_results):
         agg, skipped = result.corpus_results[concept]

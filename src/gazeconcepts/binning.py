@@ -15,7 +15,7 @@ import numpy as np
 
 from .detect import FIXATION, KINDS, SACCADE, EventTable
 from .errors import ConfigError
-from .influence import InfluenceResult, aggregate_influence, influence_rows, segment_masks
+from .influence import InfluenceResult, influence_table, segment_masks
 from .io import OPT_REAL, one_of, optional, read_table, write_table
 
 PROPERTIES = {
@@ -170,39 +170,33 @@ def read_binned(path) -> dict:
     return out
 
 
-def binned_influence(bins, spec: BinSpec, topk_by_window) -> list[BinnedInfluence]:
+def binned_influence(bins, spec: BinSpec, topk, k: int) -> list[BinnedInfluence]:
     """Aggregate concept influence per bin.
 
-    Each bin's events form their own concept segmentation per window,
-    evaluated against that window's top-k mask and pooled across
-    windows exactly like an unbinned concept. The windows of one bin are
-    scored together, in window id order, as one (windows, L) mask.
+    ``topk`` holds the (n, L) top-k masks, of k steps each, of the
+    bins' windows (events.window_ids), row for row. Each bin's events
+    form their own concept segmentation per window, evaluated against
+    that window's top-k mask and pooled across windows exactly like an
+    unbinned concept. The windows of one bin are scored together, in
+    window id order, as one table.
     """
-    row_of = {window_id: i for i, window_id in enumerate(topk_by_window)}
-    topks = list(topk_by_window.values())
-    topk_stack = np.array([t.mask for t in topks], dtype=bool)
-    length = topk_stack.shape[1] if topks else 0
     ids = bins[0].events.window_ids if bins else []  # bin_events' bins share them
-    by_rank = sorted(range(len(ids)), key=ids.__getitem__)
+    if len(topk) != len(ids):
+        raise ConfigError(f"{len(topk)} top-k masks for {len(ids)} windows")
+    by_rank = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     rank = np.empty(len(ids), dtype=np.int64)  # of each window row in window id order
     rank[by_rank] = np.arange(len(ids))
     out = []
     for b in bins:
         # the bin's windows in id order, and each event's place among them
         ranks, group = np.unique(rank[b.events.row], return_inverse=True)
-        window_ids = [ids[by_rank[r]] for r in ranks.tolist()]
-        for window_id in window_ids:
-            if window_id not in row_of:
-                raise ConfigError(f"no top-k segmentation for window {window_id!r}")
-        masks = segment_masks(group, b.events.onset, b.events.offset, len(window_ids), length)
-        topk_rows = [row_of[w] for w in window_ids]
-        results = influence_rows(
-            [spec.property] * len(window_ids), masks, topk_stack[topk_rows],
-            [topks[r].k for r in topk_rows], window_ids,
+        rows = by_rank[ranks]
+        masks = segment_masks(group, b.events.onset, b.events.offset, len(rows), topk.shape[1])
+        table = influence_table(
+            [spec.property], masks[:, None], topk[rows], k, [ids[r] for r in rows.tolist()]
         )
-        results = [r for r in results if r is not None]  # |S| = 0 cannot occur here
         out.append(BinnedInfluence(
             spec.property, b.lo, b.hi, b.label, b.event_count, int(masks.sum()),
-            aggregate_influence(results) if results else None,
+            table.pooled()[spec.property][0],
         ))
     return out

@@ -174,7 +174,7 @@ def cmd_run(args) -> int:
     manifest, cfg, out = _context(args)
     result = run(manifest, cfg, out)
     print(
-        f"run complete: {len(result.window_results)} windows, {len(result.events)} "
+        f"run complete: {len(result.influence)} windows, {len(result.events)} "
         f"events, artifacts in {out}"
     )
     return 0
@@ -246,23 +246,22 @@ def cmd_influence(args) -> int:
     windows, attribution_paths = _manifest_windows(manifest, out)
     events = gio.read_events(out / "events.csv", windows)
     subs = gio.read_subevents(out / "subevents.csv", events, windows.length)
-    topks, window_results, corpus_results = score_windows(
-        windows, attribution_paths, events, subs, cfg
-    )
+    topk, table = score_windows(windows, attribution_paths, events, subs, cfg)
     written = [out / "topk.npz"]
-    gio.write_topk(topks, written[0], cfg.squash)
-    written.append(write_influence(window_results, corpus_results, out, cfg))
-    written += write_charts(out, cfg, corpus_results=corpus_results)
+    gio.write_topk(table.window_ids, topk, written[0], cfg.squash)
+    written.append(write_influence(table, out, cfg))
+    written += write_charts(out, cfg, corpus_results=table.pooled())
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 
 
-def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
-    """topk.npz by window id. DataError naming the file if `influence`
-    wrote it for other windows, another k or another squash mode."""
+def _read_topk(path: Path, windows, cfg: RunConfig):
+    """topk.npz's (n, L) masks, rows aligned with `windows`, and k.
+    DataError naming the file if `influence` wrote it for other windows,
+    another k or another squash mode."""
     length = windows.length
-    topks, k, squash = gio.read_topk(path, length)
-    if [t.window_id for t in topks] != windows.window_ids:
+    window_ids, topk, k, squash = gio.read_topk(path, length)
+    if window_ids != windows.window_ids:
         raise DataError(f"{path}: window ids differ from the manifest's; rerun influence")
     want_k = default_k(length, cfg.top_frac)
     if windows and k != want_k:
@@ -274,7 +273,7 @@ def _read_topk(path: Path, windows, cfg: RunConfig) -> dict:
         raise DataError(
             f"{path}: squash {squash!r}, but this run uses {cfg.squash!r}; rerun influence"
         )
-    return {t.window_id: t for t in topks}
+    return topk, k
 
 
 def cmd_bin(args) -> int:
@@ -283,7 +282,7 @@ def cmd_bin(args) -> int:
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
     kept = event_properties(retained(gio.read_events(out / "events.csv", windows)), windows)
-    binned = _bin_all(kept, _read_topk(out / "topk.npz", windows, cfg), cfg)
+    binned = _bin_all(kept, *_read_topk(out / "topk.npz", windows, cfg), cfg)
     written = [out / "binned.csv"]
     binning_mod.write_binned(binned, written[0])
     written += write_charts(out, cfg, binned=binned)

@@ -200,6 +200,27 @@ def _interval_reduce(ufunc, flat, starts, stops):
     return ufunc.reduceat(flat, bounds)[0::2]
 
 
+def _velocity_std(stack: WindowStack, starts, stops, all_valid) -> np.ndarray:
+    """np.std of the speed over the valid samples of flat intervals
+    [starts[i], stops[i]) of a stack. Intervals with only valid samples
+    are taken one length at a time, copied as the rows of one (m, length)
+    array from a sliding-window view (no index array); np.std along its
+    rows is bit-identical to np.std of each row."""
+    speed, valid = stack.speed.ravel(), stack.valid.ravel()
+    out = np.empty(len(starts))
+    full = np.flatnonzero(all_valid)
+    n = stops[full] - starts[full]
+    order = np.argsort(n, kind="stable")
+    lengths, first = np.unique(n[order], return_index=True)
+    for length, group in zip(lengths.tolist(), np.split(full[order], first[1:])):
+        rows = np.lib.stride_tricks.sliding_window_view(speed, length)[starts[group]]
+        out[group] = rows.std(axis=1)
+    for i in np.flatnonzero(~all_valid).tolist():
+        lo, hi = starts[i], stops[i]
+        out[i] = speed[lo:hi][valid[lo:hi]].std()
+    return out
+
+
 def _properties(stack: WindowStack, rows, onsets, offsets, kinds):
     """(values, computed): PROPERTY_FIELDS of intervals of a stack (events
     of the given kind codes) as float64 arrays aligned with the intervals,
@@ -209,8 +230,8 @@ def _properties(stack: WindowStack, rows, onsets, offsets, kinds):
     Saccade amplitude is the onset-to-offset displacement, taken with
     math.hypot; fixation dispersion is x-range plus y-range over valid
     samples; fixation velocity_std is the population standard deviation
-    of the speed magnitude, taken with np.std per fixation (a segmented
-    sum, or np.hypot, would round differently).
+    of the speed magnitude, taken with np.std per fixation, grouped by
+    length (a segmented sum, or np.hypot, would round differently).
     """
     m = len(rows)
     values = {name: np.full(m, math.nan) for name in PROPERTY_FIELDS}
@@ -251,11 +272,7 @@ def _properties(stack: WindowStack, rows, onsets, offsets, kinds):
             for pos in (stack.px, stack.py)
         ]
         values["dispersion_deg"][fix] = extent[0] + extent[1]
-        speed, vmask = stack.speed.ravel(), valid.ravel()
-        values["velocity_std"][fix] = [
-            speed[lo:hi].std() if full else speed[lo:hi][vmask[lo:hi]].std()
-            for lo, hi, full in zip(a.tolist(), b.tolist(), all_valid[fix].tolist())
-        ]
+        values["velocity_std"][fix] = _velocity_std(stack, a, b, all_valid[fix])
         computed["dispersion_deg"] = computed["velocity_std"] = fix
     return values, computed
 

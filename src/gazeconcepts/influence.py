@@ -12,12 +12,15 @@ which is 1 in expectation for attribution placement that ignores the
 concept, and above 1 for concepts the attributions concentrate on.
 
 Masks of many windows are computed at once as (n, L) arrays (segment_masks,
-topk_masks, influence_rows); the one-window functions are batches of one.
+topk_masks), and a whole stack of windows is scored at once into one
+InfluenceTable: |S| and |S and T| per window and concept as integer
+arrays, from which c and the pooled corpus results are derived. The
+one-window functions are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,7 +111,7 @@ def topk_masks(squashed, k: int) -> np.ndarray:
         raise ConfigError(f"k must be in [1, {length}], got {k}")
     order = np.argsort(-squashed, axis=1, kind="stable")[:, :k]
     mask = np.zeros(squashed.shape, dtype=bool)
-    np.put_along_axis(mask, order, True, axis=1)
+    mask[np.arange(len(order))[:, None], order] = True
     return mask
 
 
@@ -148,28 +151,110 @@ def concept_segmentation(items, concept: str, length: int, window_id: str = ""):
     return ConceptSegmentation(window_id=window_id, concept=concept, mask=mask)
 
 
-def influence_rows(concepts, masks, topk, ks, window_ids) -> list:
-    """Window-scope influence of concept masks: row r of the (n, L) masks
-    is concept concepts[r] on window window_ids[r], scored against row r
-    of the top-k masks ``topk`` (one row broadcasts) with k = ks[r], as
-    (L * intersection) / (|S| * k); None where the concept is absent
-    (|S| = 0)."""
-    length = masks.shape[1]
-    sizes = masks.sum(axis=1).tolist()
-    intersections = (masks & topk).sum(axis=1).tolist()
-    return [
-        None if size == 0 else InfluenceResult(
-            concept, "window", inter, (length * inter) / (size * k), length, size, k, window_id
-        )
-        for concept, size, inter, k, window_id in zip(
-            concepts, sizes, intersections, ks, window_ids
-        )
-    ]
+@dataclass
+class InfluenceTable:
+    """Window-scope influence of concepts over a stack of windows: row i
+    is window window_ids[i], column j concept concepts[j]. Every window
+    has `length` steps and a top-k mask of k steps; |S| and |S and T| are
+    (n, len(concepts)) integer arrays, and c and the corpus results are
+    derived from them."""
+
+    concepts: tuple
+    window_ids: list
+    length: int
+    k: int
+    sizes: np.ndarray  # |S|
+    intersections: np.ndarray  # |S and T|
+
+    def __len__(self) -> int:
+        return len(self.window_ids)
+
+    @property
+    def present(self) -> np.ndarray:
+        """Where a concept occurs in a window (|S| > 0)."""
+        return self.sizes > 0
+
+    @property
+    def c(self) -> np.ndarray:
+        """(L * intersection) / (|S| * k) per window and concept, NaN where
+        the concept is absent. For windows under 2**26 steps the integer
+        products stay below 2**53, so the float division is bit-identical
+        to Python's int / int."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.length * self.intersections) / (self.sizes * self.k)
+
+    def pooled(self) -> dict:
+        """concept -> (corpus result or None, windows where it is absent).
+
+        A corpus result pools the windows where the concept is present
+        like aggregate_influence: the formula over column sums, and the
+        unweighted mean of their c, in row order, as c_mean."""
+        present = self.present
+        n_present = present.sum(axis=0).tolist()
+        sizes = self.sizes.sum(axis=0).tolist()
+        intersections = self.intersections.sum(axis=0).tolist()
+        c = self.c
+        out = {}
+        for j, concept in enumerate(self.concepts):
+            n, skipped = n_present[j], len(self) - n_present[j]
+            if n == 0:
+                out[concept] = None, skipped
+                continue
+            L, S, k, inter = self.length * n, sizes[j], self.k * n, intersections[j]
+            out[concept] = InfluenceResult(
+                concept, "corpus", inter, (L * inter) / (S * k), L, S, k,
+                c_mean=float(np.mean(c[present[:, j], j])), n_windows=n, n_skipped=skipped,
+            ), skipped
+        return out
+
+    def rows(self) -> dict:
+        """Every result as one list per InfluenceResult field, sorted by
+        (concept, scope, window_id): per concept in label order its
+        corpus row, then its window rows in window id order; absent
+        concepts have no row."""
+        ids = np.array(self.window_ids, dtype=object)
+        by_id = np.array(sorted(range(len(self)), key=self.window_ids.__getitem__), dtype=np.intp)
+        c = self.c
+        pooled = self.pooled()
+        cols = {f.name: [] for f in fields(InfluenceResult)}
+        for j in sorted(range(len(self.concepts)), key=self.concepts.__getitem__):
+            corpus, _ = pooled[self.concepts[j]]
+            if corpus is None:
+                continue
+            rows = by_id[self.present[by_id, j]]
+            n = len(rows)
+            for name, values in cols.items():
+                values.append(getattr(corpus, name))
+            cols["concept"] += [corpus.concept] * n
+            cols["scope"] += ["window"] * n
+            cols["window_id"] += ids[rows].tolist()
+            cols["L_total"] += [self.length] * n
+            cols["S_total"] += self.sizes[rows, j].tolist()
+            cols["k_total"] += [self.k] * n
+            cols["intersection"] += self.intersections[rows, j].tolist()
+            cols["c"] += c[rows, j].tolist()
+            cols["c_mean"] += [None] * n
+            cols["n_windows"] += [1] * n
+            cols["n_skipped"] += [0] * n
+        return cols
+
+
+def influence_table(concepts, masks, topk, k: int, window_ids) -> InfluenceTable:
+    """Score the (n, len(concepts), L) concept masks of n windows against
+    their (n, L) top-k masks of k steps each, one concept at a time (no
+    (n, len(concepts), L) temporary)."""
+    n, m, length = masks.shape
+    sizes = np.empty((n, m), dtype=np.int64)
+    intersections = np.empty((n, m), dtype=np.int64)
+    for j in range(m):
+        sizes[:, j] = np.count_nonzero(masks[:, j], axis=1)
+        intersections[:, j] = np.count_nonzero(masks[:, j] & topk, axis=1)
+    return InfluenceTable(tuple(concepts), list(window_ids), length, k, sizes, intersections)
 
 
 def concept_influence(S: ConceptSegmentation, T: TopKSegmentation) -> InfluenceResult:
-    """Top-k intersection and concept influence for one window (a batch of
-    one for influence_rows).
+    """Top-k intersection and concept influence for one window (a table
+    of one window and one concept).
 
     The influence is evaluated as (L * intersection) / (|S| * k), which
     equals the defining formula exactly and keeps the arithmetic exact
@@ -185,7 +270,11 @@ def concept_influence(S: ConceptSegmentation, T: TopKSegmentation) -> InfluenceR
         raise EmptyConceptError(
             f"concept {S.concept!r} absent from window {S.window_id!r}"
         )
-    return influence_rows([S.concept], S.mask[None], T.mask[None], [T.k], [S.window_id])[0]
+    table = influence_table([S.concept], S.mask[None, None], T.mask[None], T.k, [S.window_id])
+    size, inter = int(table.sizes[0, 0]), int(table.intersections[0, 0])
+    return InfluenceResult(
+        S.concept, "window", inter, float(table.c[0, 0]), S.length, size, T.k, S.window_id
+    )
 
 
 def aggregate_influence(per_window) -> InfluenceResult:

@@ -11,8 +11,9 @@ sparse CSV with header ``channel,index,value`` covering the full grid.
 
 Gaze rows and dense attribution rows that numpy's C text reader
 (``np.loadtxt``) reads row for row, as the line parser would, are parsed
-by it in one call; all others are parsed line by line, with the same
-values and the same errors.
+by it in one call (gaze rows with empty or "." coordinate cells after
+they are rewritten as "nan"); all others are parsed line by line, with
+the same values and the same errors.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
@@ -28,12 +29,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import threading
 import warnings
 import zipfile
 from dataclasses import dataclass, field, replace
 from io import StringIO
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from .detect import (
 )
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
-from .influence import ALL_CONCEPTS, InfluenceResult, TopKSegmentation
+from .influence import ALL_CONCEPTS, InfluenceResult
 from .preprocess import WindowStack, outside_window
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
@@ -331,6 +332,25 @@ def _file_stamp(path):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
+# An empty or "." cell after a comma: missing-value tokens numpy's text
+# reader declines, which the line parser reads as NaN.
+_MISSING_CELL = re.compile(r"(?m)(?<=,)\.?(?=,|$)")
+
+
+def _loadtxt_strict(source, dtype):
+    """np.loadtxt of the gaze rows (header skipped), every warning raised
+    as an error; None where it declines them."""
+    with _STRICT_LOADTXT, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(
+                source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                skiprows=1, encoding="utf-8", ndmin=1,
+            )
+        except (ValueError, Warning):
+            return None
+
+
 def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
     coordinate columns) or None.
@@ -343,9 +363,12 @@ def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     space-padded run of ASCII digits in the int64 range, valued as int()
     values it; its float64 columns take a subset of what float() takes,
     with the same values (NaN and inf are coupled into missing samples
-    later, as in the line parser). Anything loadtxt declines (empty or "."
-    cells, quoted cells, wrong field counts, out-of-range timestamps, ...)
-    and a file that changed after `raw` was read return None: the line
+    later, as in the line parser). When loadtxt declines the file, it is
+    tried once more on `raw` with its empty and "." cells after a comma
+    written as "nan" (a clean file is never rewritten): a timestamp cell
+    so rewritten is still declined. Anything loadtxt then declines
+    (quoted cells, wrong field counts, out-of-range timestamps, ...) and
+    a file that changed after `raw` was read return None: the line
     parser then parses `raw`.
     """
     if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
@@ -354,19 +377,16 @@ def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     if end < 0 or raw[end + 1:end + 2] in ("", "\n"):
         return None  # no rows, or a blank line that loadtxt would skip
     dtype = np.dtype([(str(i), np.int64 if i == idx[0] else np.float64) for i in range(ncol)])
-    with _STRICT_LOADTXT, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                skiprows=1, encoding="utf-8", ndmin=1,
-            )
-        except (ValueError, Warning):
+    table = _loadtxt_strict(path, dtype)
+    if table is None:
+        filled, missing = _MISSING_CELL.subn("nan", raw)
+        table = _loadtxt_strict(StringIO(filled), dtype) if missing else None
+        if table is None:
             return None
+    elif _file_stamp(path) != stamp:
+        return None  # loadtxt read another text than `raw`
     if len(table) != raw.count("\n") - raw.endswith("\n"):
         return None  # loadtxt skipped blank lines, which the line parser counts
-    if _file_stamp(path) != stamp:
-        return None  # loadtxt read another text than `raw`
     return table[str(idx[0])].copy(), [table[str(i)] for i in idx[1:]]
 
 
@@ -542,9 +562,9 @@ def write_manifest(manifest: RunManifest, path):
 
 
 def _require_finite(values: np.ndarray, path):
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        ch, i = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        ch, i = np.argwhere(~finite)[0]
         raise DataError(f"{path}: non-finite attribution value at channel {ch}, index {i}")
 
 
@@ -743,21 +763,20 @@ def read_windows(path) -> WindowStack:
 TOPK_ARRAYS = ("window_id", "indices", "k", "squash")
 
 
-def write_topk(topks, path, squash: str):
-    """Store top-k segmentations as one ``.npz`` stage file: the window
-    ids, the k masked steps of each window as ascending int32 indices,
-    k, and the squash mode the attributions were collapsed with. The
-    file is written to exactly ``path``, whatever its suffix.
+def write_topk(window_ids, masks, path, squash: str):
+    """Store the (n, L) top-k masks of the windows `window_ids` as one
+    ``.npz`` stage file: the window ids, the k masked steps of each
+    window as ascending int32 indices, k, and the squash mode the
+    attributions were collapsed with. The file is written to exactly
+    ``path``, whatever its suffix.
     """
-    ks = {t.k for t in topks}
+    ks = np.unique(np.count_nonzero(masks, axis=1)).tolist()
     if len(ks) > 1:
-        raise DataError(f"top-k segmentations of mixed k {sorted(ks)} cannot be stacked")
-    k = ks.pop() if ks else 0
+        raise DataError(f"top-k segmentations of mixed k {ks} cannot be stacked")
+    k = ks[0] if ks else 0
     arrays = {
-        "window_id": np.array([t.window_id for t in topks], dtype=str),
-        "indices": np.array(
-            [np.flatnonzero(t.mask) for t in topks], dtype=np.int32
-        ).reshape(-1, k),
+        "window_id": np.array(window_ids, dtype=str),
+        "indices": np.nonzero(masks)[1].astype(np.int32).reshape(len(masks), k),
         "k": np.array(k, dtype=np.int64),
         "squash": np.array(squash, dtype=str),
     }
@@ -766,9 +785,10 @@ def write_topk(topks, path, squash: str):
 
 
 def read_topk(path, length: int):
-    """Inverse of write_topk for windows of `length` steps: (top-k
-    segmentations in file order, k, squash mode). Rejects anything but a
-    top-k file, and indices that are not k ascending steps of a window."""
+    """Inverse of write_topk for windows of `length` steps: (window ids
+    in file order, (n, length) top-k masks, k, squash mode). Rejects
+    anything but a top-k file, and indices that are not k ascending
+    steps of a window."""
     a = _load_npz(path, TOPK_ARRAYS, "top-k file")
     ids, indices, k, squash = (a[name] for name in TOPK_ARRAYS)
     if (
@@ -784,8 +804,7 @@ def read_topk(path, length: int):
         raise FormatError(f"{path}: indices are not {k} ascending steps of {length}")
     masks = np.zeros((ids.size, length), dtype=bool)
     np.put_along_axis(masks, indices, True, axis=1)
-    topks = [TopKSegmentation(str(w), k, mask) for w, mask in zip(ids, masks)]
-    return topks, k, str(squash)
+    return ids.tolist(), masks, k, str(squash)
 
 
 EVENT_COLUMNS = (
@@ -922,19 +941,22 @@ _REPORT_PARSERS = {
 }
 
 
-def write_report(results, path, format: str = "csv"):
-    """Write influence results as CSV or JSON, deterministically ordered."""
-    results = sorted(results, key=attrgetter("concept", "scope", "window_id"))
+def write_report(columns: dict, path, format: str = "csv"):
+    """Write influence results, one sequence of values per REPORT_COLUMNS
+    name (InfluenceTable.rows), as CSV or JSON, sorted by (concept,
+    scope, window_id) whatever order the rows come in."""
+    keys = list(zip(columns["concept"], columns["scope"], columns["window_id"]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    data = [list(columns[name]) for name in REPORT_COLUMNS]
+    if order != list(range(len(keys))):
+        data = [[values[i] for i in order] for values in data]
     if format == "csv":
-        write_table(path, REPORT_COLUMNS, [
-            list(map(attrgetter(name), results)) for name in REPORT_COLUMNS
-        ])
+        write_table(path, REPORT_COLUMNS, data)
     elif format == "json":
-        doc = [
-            dict(zip(REPORT_COLUMNS, row), c=round9(r.c),
-                 c_mean=None if r.c_mean is None else round9(r.c_mean))
-            for r, row in zip(results, map(attrgetter(*REPORT_COLUMNS), results))
-        ]
+        at = REPORT_COLUMNS.index
+        data[at("c")] = list(map(round9, data[at("c")]))
+        data[at("c_mean")] = [None if v is None else round9(v) for v in data[at("c_mean")]]
+        doc = [dict(zip(REPORT_COLUMNS, row)) for row in zip(*data)]
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
         raise ConfigError(f"unknown report format {format!r}")

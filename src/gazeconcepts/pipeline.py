@@ -8,8 +8,12 @@ score_windows and _bin_all. The evaluation windows are stacked into
 (detect.EventTable, dissect.SubEventTable): equal-length arrays with a
 window row, a kind or phase code and an interval per entry, which every
 later step (dissection, concept masks, binning, counts, the CSV writers)
-reads column by column. Each window's attribution map is parsed and
-scored by process_window. Every reduction happens in manifest order, so
+reads column by column. What is per window stays per window:
+process_window parses a window's attribution map, validates it and takes
+its top-k mask. Scoring is per stack: score_windows stacks the top-k
+masks into one (n, L) array and counts every concept against it at once
+into one InfluenceTable, from which influence.csv, the corpus results and
+the binned influence are read. Every reduction happens in manifest order, so
 outputs do not depend on the accepted but unused --jobs value. All
 artifacts are written at the end of a run; if that fails, partial files
 are removed and an INCOMPLETE marker is left."""
@@ -42,10 +46,10 @@ from .influence import (
     EVENT_CONCEPTS,
     PHASE_CONCEPTS,
     ConceptSegmentation,
+    InfluenceTable,
     TopKSegmentation,
-    aggregate_influence,
     default_k,
-    influence_rows,
+    influence_table,
     segment_masks,
     squash_channels,
     topk_segmentation,
@@ -186,8 +190,8 @@ class RunResult:
     preprocess: PreprocessResult
     events: EventTable  # every window's fixations then saccades, manifest order
     subevents: SubEventTable  # phases of the retained saccades, manifest order
-    topks: list  # TopKSegmentation per window
-    window_results: list  # per window: concept -> InfluenceResult | None
+    topk: np.ndarray  # (n, L) top-k masks, manifest order
+    influence: InfluenceTable  # every window and concept, manifest order
     corpus_results: dict  # concept -> (InfluenceResult | None, skipped count)
     binned: dict  # property -> list[BinnedInfluence]
     counts: dict
@@ -316,55 +320,30 @@ def dissect_windows(windows, events: EventTable, cfg: RunConfig) -> SubEventTabl
     return dissect_saccades(saccades, windows, cfg.peak_ratio, cfg.flank_ratio)
 
 
-def window_influence(masks, topk: TopKSegmentation) -> dict:
-    """Influence of every concept on one window from its concept masks
-    (concept_masks' row) and top-k mask; None where a concept is absent."""
-    n = len(ALL_CONCEPTS)
-    results = influence_rows(
-        ALL_CONCEPTS, masks, topk.mask[None], [topk.k] * n, [topk.window_id] * n
-    )
-    return dict(zip(ALL_CONCEPTS, results))
-
-
-def process_window(window, attribution_path, cfg: RunConfig, masks):
-    """(top-k mask, concept -> InfluenceResult or None) of one window:
-    its attribution map parsed and scored against its concept masks."""
+def process_window(window, attribution_path, cfg: RunConfig) -> TopKSegmentation:
+    """The top-k mask of one window: its attribution map parsed,
+    validated against the window and squashed."""
     attr = gio.load_attribution(attribution_path, window_id=window.window_id)
     gio.validate_attribution(attr, window)
-    topk = topk_segmentation(
+    return topk_segmentation(
         squash_channels(attr, cfg.squash),
         default_k(window.length, cfg.top_frac),
         window.window_id,
     )
-    return topk, window_influence(masks, topk)
 
 
 def score_windows(windows, attribution_paths, events: EventTable, subs: SubEventTable,
                   cfg: RunConfig):
-    """(top-k masks, per-window results, corpus results) of every window:
-    the concept masks of the whole stack in one batched pass, then one
-    process_window call per window, in order."""
+    """((n, L) top-k masks, InfluenceTable) of every window: the concept
+    masks of the whole stack in one batched pass, one process_window call
+    per window, in order, then every concept scored on the whole stack."""
     windows = WindowStack.of(windows)
     masks = concept_masks(events, subs, windows.length)
-    topks, window_results = [], []
-    for window, path, row in zip(windows, attribution_paths, masks):
-        topk, results = process_window(window, path, cfg, row)
-        topks.append(topk)
-        window_results.append(results)
-    return topks, window_results, _reduce_concepts(window_results)
-
-
-def _reduce_concepts(window_results) -> dict:
-    """Per concept: (corpus result or None, windows where it is absent)."""
-    out = {}
-    for concept in ALL_CONCEPTS:
-        present = [r[concept] for r in window_results if r[concept] is not None]
-        skipped = len(window_results) - len(present)
-        corpus = aggregate_influence(present) if present else None
-        if corpus is not None:
-            corpus.n_skipped = skipped
-        out[concept] = (corpus, skipped)
-    return out
+    topk = np.zeros((len(windows), windows.length), dtype=bool)
+    for row, (window, path) in enumerate(zip(windows, attribution_paths)):
+        topk[row] = process_window(window, path, cfg).mask
+    k = default_k(windows.length, cfg.top_frac)
+    return topk, influence_table(ALL_CONCEPTS, masks, topk, k, windows.window_ids)
 
 
 def _exclusion_counts(events: EventTable) -> dict:
@@ -376,8 +355,9 @@ def _exclusion_counts(events: EventTable) -> dict:
     }
 
 
-def _bin_all(events: EventTable, topk_by_window, cfg: RunConfig) -> dict:
-    """Binned influence per configured property over retained events."""
+def _bin_all(events: EventTable, topk, k: int, cfg: RunConfig) -> dict:
+    """Binned influence per configured property over retained events,
+    against the (n, L) top-k masks of k steps of events.window_ids."""
     binned = {}
     for prop in cfg.properties:
         kind, attr = binning_mod.PROPERTIES[prop]
@@ -390,7 +370,7 @@ def _bin_all(events: EventTable, topk_by_window, cfg: RunConfig) -> dict:
         )
         validity = VALIDITY_RANGES[prop](cfg) if cfg.bin_mode == "width" else None
         bins = binning_mod.bin_events(pool, spec, validity_range=validity)
-        binned[prop] = binning_mod.binned_influence(bins, spec, topk_by_window)
+        binned[prop] = binning_mod.binned_influence(bins, spec, topk, k)
     return binned
 
 
@@ -442,12 +422,10 @@ def _counts(preprocess_counts: dict, events: EventTable, dissection_counts: dict
     }
 
 
-def write_influence(window_results, corpus_results, out_dir, cfg: RunConfig) -> Path:
-    """Write the per-window and corpus influence table."""
-    rows = [r for per_window in window_results for r in per_window.values() if r is not None]
-    rows += [corpus for corpus, _ in corpus_results.values() if corpus is not None]
+def write_influence(table: InfluenceTable, out_dir, cfg: RunConfig) -> Path:
+    """Write the per-window and corpus influence table, a column at a time."""
     path = Path(out_dir) / f"influence.{cfg.format}"
-    gio.write_report(rows, path, cfg.format)
+    gio.write_report(table.rows(), path, cfg.format)
     return path
 
 
@@ -498,12 +476,11 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         for p in attr_paths:
             if not p.exists():
                 raise OSError(f"attribution file not found: {p}")
-        topks, window_results, corpus_results = score_windows(
-            pre.windows, attr_paths, events, subs, cfg
-        )
+        topk, table = score_windows(pre.windows, attr_paths, events, subs, cfg)
+        corpus_results = table.pooled()
 
     with _stage("binning"):
-        binned = _bin_all(retained(events), {t.window_id: t for t in topks}, cfg)
+        binned = _bin_all(retained(events), topk, table.k, cfg)
 
     with _stage("report"):
         counts = _counts(
@@ -514,7 +491,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         )
 
     result = RunResult(
-        cfg, pre, events, subs, topks, window_results, corpus_results, binned,
+        cfg, pre, events, subs, topk, table, corpus_results, binned,
         counts, report_doc,
     )
     write_artifacts(result, out_dir)
@@ -537,9 +514,7 @@ def write_artifacts(result: RunResult, out_dir: Path):
 
             write("events.csv", gio.write_events, result.events)
             write("subevents.csv", gio.write_subevents, result.subevents)
-            written.append(
-                write_influence(result.window_results, result.corpus_results, out_dir, cfg)
-            )
+            written.append(write_influence(result.influence, out_dir, cfg))
             write("binned.csv", binning_mod.write_binned, result.binned)
             write("report.json", report_mod.write_report_json, result.report_doc)
             written += write_charts(out_dir, cfg, result.corpus_results, result.binned)

@@ -3,8 +3,9 @@
 These are the loops the package ran before window compute was batched
 over stacked (n, L) arrays: one window, one event, one interval at a
 time, with one object per event (GazeEvent), per phase segment
-(SubEvent) and per dissected saccade (SaccadeDissection).
-tests/test_batched.py requires the package's batched kernels to
+(SubEvent) and per dissected saccade (SaccadeDissection), and one
+InfluenceResult per window and concept (window_influence), pooled per
+concept by reduce_concepts. tests/test_batched.py requires the package's batched kernels to
 reproduce them field for field, bit for bit, turning the package's
 columnar EventTable and SubEventTable into these rows (event_rows,
 events_by_row, dissections) and back (event_table, subevent_table).
@@ -31,6 +32,7 @@ from gazeconcepts.detect import (
 from gazeconcepts.dissect import PHASES, SubEventTable, check_ratios, round_half_away
 from gazeconcepts.errors import ConfigError, DegenerateDataError, EmptyConceptError
 from gazeconcepts.influence import (
+    ALL_CONCEPTS,
     EVENT_CONCEPTS,
     ConceptSegmentation,
     InfluenceResult,
@@ -415,6 +417,20 @@ def window_influence(window, events, sub_events, topk):
         concept: concept_influence(seg, topk) if seg.mask.any() else None
         for concept, seg in window_segmentations(window, events, sub_events).items()
     }
+
+
+def reduce_concepts(window_results):
+    """Per concept: (corpus result or None, windows where it is absent),
+    pooled from window_influence's per-window results in window order."""
+    out = {}
+    for concept in ALL_CONCEPTS:
+        present = [r[concept] for r in window_results if r[concept] is not None]
+        skipped = len(window_results) - len(present)
+        corpus = aggregate_influence(present) if present else None
+        if corpus is not None:
+            corpus.n_skipped = skipped
+        out[concept] = (corpus, skipped)
+    return out
 
 
 def binned_influence(bins, spec, topk_by_window):

@@ -292,7 +292,7 @@ def test_criterion_7_binning_consistency():
             )
             cursor += width + int(rng.integers(2, 20))
         spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(4.0, 10.0, 16.0, 25.0))
-        out = binned_influence(bin_events(ref.event_table(events), spec), spec, {"w0": topk})
+        out = binned_influence(bin_events(ref.event_table(events), spec), spec, topk.mask[None], topk.k)
         union = concept_influence(
             concept_segmentation(ref.event_table(events), "saccade", L, "w0"), topk
         )

@@ -3,11 +3,13 @@ tests/reference.py: every GazeEvent, SubEvent, SaccadeDissection,
 InfluenceResult and BinnedInfluence field must be equal bit for bit
 (NaN equals NaN), and a failing input must raise the same exception type
 with the same message. The kernels' EventTable and SubEventTable are
-turned into those rows (and rows into tables) by tests/reference.py."""
+turned into those rows (and rows into tables) by tests/reference.py, and
+the cells of an InfluenceTable into per-window InfluenceResults here."""
 
 import math
 import struct
 from dataclasses import fields, is_dataclass
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -26,9 +28,16 @@ from gazeconcepts.detect import (
 )
 from gazeconcepts.dissect import dissect_saccades
 from gazeconcepts.errors import ConfigError, DegenerateDataError, FormatError
-from gazeconcepts.influence import TopKSegmentation, concept_segmentation, topk_masks
-from gazeconcepts.io import read_events, write_events
-from gazeconcepts.pipeline import concept_masks, window_influence
+from gazeconcepts.influence import (
+    ALL_CONCEPTS,
+    InfluenceResult,
+    TopKSegmentation,
+    concept_segmentation,
+    influence_table,
+    topk_masks,
+)
+from gazeconcepts.io import REPORT_COLUMNS, read_events, write_events
+from gazeconcepts.pipeline import concept_masks
 from gazeconcepts.preprocess import WindowStack
 
 from conftest import build_window
@@ -37,11 +46,46 @@ MISSING = ("none", "mid", "start", "end", "two_valid")
 GazeEvent = ref.GazeEvent
 
 
-def windows_influence(windows, events, subs, topks) -> list:
-    """Influence per window as run and staged influence compute it: concept
-    masks in one batched pass, then each window scored on its own."""
-    masks = concept_masks(events, subs, WindowStack.of(windows).length)
-    return [window_influence(m, topk) for m, topk in zip(masks, topks)]
+def windows_influence(windows, events, subs, topk, k):
+    """The InfluenceTable of a stack as run and staged influence compute
+    it: concept masks in one batched pass, scored against the (n, L)
+    top-k masks of k steps all at once."""
+    stack = WindowStack.of(windows)
+    masks = concept_masks(events, subs, stack.length)
+    return influence_table(ALL_CONCEPTS, masks, topk, k, stack.window_ids)
+
+
+def table_rows(table) -> list:
+    """Per window, concept -> InfluenceResult or None (absent concept),
+    each field read from the table's cells."""
+    c, sizes, inter = table.c.tolist(), table.sizes.tolist(), table.intersections.tolist()
+    return [
+        {
+            concept: InfluenceResult(
+                concept, "window", inter[i][j], c[i][j], table.length, sizes[i][j],
+                table.k, window_id,
+            ) if sizes[i][j] else None
+            for j, concept in enumerate(table.concepts)
+        }
+        for i, window_id in enumerate(table.window_ids)
+    ]
+
+
+def assert_table_matches(want, table):
+    """An InfluenceTable against the reference's per-window results: every
+    cell, the corpus results (reference.reduce_concepts) and the rows
+    influence.csv is written from, field by field, c and c_mean by bits."""
+    assert same(want, table_rows(table))
+    assert np.isnan(table.c[~table.present]).all()
+    corpus = ref.reduce_concepts(want)
+    assert same(corpus, table.pooled())
+    rows = [r for per_window in want for r in per_window.values() if r is not None]
+    rows += [r for r, _ in corpus.values() if r is not None]
+    rows.sort(key=attrgetter("concept", "scope", "window_id"))
+    got = table.rows()
+    assert sorted(got) == sorted(REPORT_COLUMNS)
+    assert same({name: [getattr(r, name) for r in rows] for name in REPORT_COLUMNS},
+                {name: got[name] for name in REPORT_COLUMNS})
 
 
 def table(events_by_row, windows):
@@ -218,15 +262,16 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
     squashed = rng.integers(0, 4, (len(windows), length)).astype(float)
     k = max(1, round(top_frac * length))
     ref_topk = [ref.topk_segmentation(row, k, w.window_id) for row, w in zip(squashed, windows)]
-    topks = [TopKSegmentation(w.window_id, k, m) for w, m in zip(windows, topk_masks(squashed, k))]
-    assert same(ref_topk, topks)
+    topk = topk_masks(squashed, k)
+    assert same(ref_topk, [TopKSegmentation(w.window_id, k, m) for w, m in zip(windows, topk)])
     subs_by_row = [[sub for d in row for sub in d.sub_events] for row in want_d]
     want_i = [ref.window_influence(w, e, s, t)
               for w, e, s, t in zip(windows, events, subs_by_row, ref_topk)]
-    assert same(want_i, windows_influence(stack, table(events, stack), subs, topks))
+    assert_table_matches(want_i, windows_influence(stack, table(events, stack), subs, topk, k))
 
-    # binned influence per property, over the retained detected events
-    topk_by_window = {t.window_id: t for t in topks}
+    # binned influence per property, over the retained detected events,
+    # against the reference's top-k segmentations by window id
+    topk_by_window = {t.window_id: t for t in ref_topk}
     for prop, (kind, attr) in PROPERTIES.items():
         pool = [e for row in events for e in row if e.kind == kind and not e.excluded
                 and math.isfinite(getattr(e, attr))]
@@ -235,7 +280,50 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
         spec = BinSpec(prop, "width", n_bins=1 + seed % 5)
         bins = bin_events(ref.event_table(pool, stack.window_ids), spec)
         assert same(ref.binned_influence(bins, spec, topk_by_window),
-                    binned_influence(bins, spec, topk_by_window))
+                    binned_influence(bins, spec, topk, k))
+
+
+def test_absent_concepts_and_cutoff_ties_match_reference():
+    """A concept absent from a window is skipped there, one absent from
+    every window (here the pre phase) has no corpus result and no row,
+    and ties at the top-k cutoff go to the lower index, as in the
+    reference; binning scores the same stacked masks."""
+    windows = make_windows(6, 40, ["none"] * 3, [1000.0] * 3)
+    ids = [w.window_id for w in windows]
+    events = [
+        [GazeEvent("a:fix000", FIXATION, ids[0], 0, 9, dispersion_deg=0.5),
+         GazeEvent("a:sac000", SACCADE, ids[0], 10, 17, duration_ms=8.0)],
+        [GazeEvent("b:fix000", FIXATION, ids[1], 20, 39, dispersion_deg=1.5)],
+        [GazeEvent("c:sac000", SACCADE, ids[2], 5, 8, duration_ms=4.0, excluded=True,
+                   exclusion_reason="min duration")],
+    ]
+    subs = [ref.SubEvent("a:sac000", phase, lo, hi)
+            for phase, lo, hi in (("rise", 10, 11), ("peak", 12, 14), ("fall", 15, 17),
+                                  ("post", 18, 20))]
+    squashed = np.zeros((3, 40))
+    squashed[:, 8:16] = 1.0  # eight tied maxima for five top-k steps
+    ref_topk = [ref.topk_segmentation(row, 5, w) for row, w in zip(squashed, ids)]
+    topk = topk_masks(squashed, 5)
+    assert same([t.mask for t in ref_topk], list(topk))
+    assert topk[0].nonzero()[0].tolist() == [8, 9, 10, 11, 12]
+    want = [ref.window_influence(w, e, s, t)
+            for w, e, s, t in zip(windows, events, [subs, [], []], ref_topk)]
+    event_tab = table(events, windows)
+    got = windows_influence(windows, event_tab, ref.subevent_table(subs, event_tab), topk, 5)
+    assert_table_matches(want, got)
+    pooled = got.pooled()
+    assert pooled["saccade_pre"] == (None, 3)
+    assert pooled["fixation"][1] == 1 and pooled["saccade"][1] == 2
+    assert "saccade_pre" not in got.rows()["concept"]
+
+    topk_by_window = dict(zip(ids, ref_topk))
+    kept = [e for row in events for e in row if not e.excluded]
+    for prop in ("fixation_dispersion_deg", "saccade_duration_ms"):
+        kind = PROPERTIES[prop][0]
+        spec = BinSpec(prop, "explicit", edges=(0.0, 1.0, 10.0))
+        bins = bin_events(ref.event_table([e for e in kept if e.kind == kind], ids), spec)
+        assert same(ref.binned_influence(bins, spec, topk_by_window),
+                    binned_influence(bins, spec, topk, 5))
 
 
 def test_properties_of_many_intervals_match_reference():
@@ -302,12 +390,13 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
         outcome(ref.concept_segmentation, [sub], "saccade_post", 30, "w"),
         outcome(concept_segmentation, ref.subevent_table([sub], parent), "saccade_post", 30, "w"),
     )
-    topks = [TopKSegmentation(w.window_id, 3, m)
-             for w, m in zip(windows, topk_masks(np.ones((2, 30)), 3))]
+    topk = topk_masks(np.ones((2, 30)), 3)
+    topks = [TopKSegmentation(w.window_id, 3, m) for w, m in zip(windows, topk)]
     assert_same_outcome(
         outcome(ref.window_influence, windows[1], [], [sub], topks[1]),
-        outcome(windows_influence, windows, ref.event_table([inside], ids),
-                ref.subevent_table([sub], parent), topks),
+        outcome(lambda: table_rows(windows_influence(
+            windows, ref.event_table([inside], ids), ref.subevent_table([sub], parent), topk, 3
+        ))[1]),
     )
     spec = BinSpec("fixation_dispersion_deg", "explicit", edges=(0.0, 1.0))
     inside.dispersion_deg = outside.dispersion_deg = 0.5
@@ -315,7 +404,7 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
     topk_by_window = {t.window_id: t for t in topks}
     assert_same_outcome(
         outcome(ref.binned_influence, bins, spec, topk_by_window),
-        outcome(binned_influence, bins, spec, topk_by_window),
+        outcome(binned_influence, bins, spec, topk, 3),
     )
     saccade = GazeEvent("w:sac000", SACCADE, windows[0].window_id, onset, offset)
     assert_same_outcome(
@@ -340,8 +429,8 @@ def test_saccade_without_valid_samples_raises_as_reference():
 def test_bounds_are_checked_before_samples_or_masks():
     """The one order that differs from the reference loops, when two
     faults meet: dissect_saccades checks every saccade's interval before
-    it reads a sample, and binned_influence every window's top-k before
-    it builds a mask."""
+    it reads a sample, and binned_influence that every window has a top-k
+    mask before it builds a mask."""
     windows = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
     windows[0].vx[5:12] = np.nan
     windows[0].valid_mask[5:12] = False
@@ -356,11 +445,12 @@ def test_bounds_are_checked_before_samples_or_masks():
     spec = BinSpec("fixation_dispersion_deg", "explicit", edges=(0.0, 1.0))
     beyond = GazeEvent("a:fix000", FIXATION, "a", 20, 30, dispersion_deg=0.5)
     unscored = GazeEvent("b:fix000", FIXATION, "b", 0, 4, dispersion_deg=0.5)
-    topk_by_window = {"a": TopKSegmentation("a", 3, topk_masks(np.ones((1, 30)), 3)[0])}
+    topk = topk_masks(np.ones((1, 30)), 3)  # for window "a" only
+    topk_by_window = {"a": TopKSegmentation("a", 3, topk[0])}
     bins = bin_events(ref.event_table([beyond, unscored]), spec)
     assert outcome(ref.binned_influence, bins, spec, topk_by_window)[2].startswith("interval")
-    assert outcome(binned_influence, bins, spec, topk_by_window) == (
-        "raised", ConfigError, "no top-k segmentation for window 'b'"
+    assert outcome(binned_influence, bins, spec, topk, 3) == (
+        "raised", ConfigError, "1 top-k masks for 2 windows"
     )
 
 

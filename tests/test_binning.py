@@ -99,7 +99,7 @@ def test_single_bin_equals_unbinned():
     events = [_sacc(10, 29, 20.0), _sacc(60, 99, 40.0), _sacc(150, 169, 20.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(0.0, 100.0))
     bins = bin_events(table(events), spec)
-    out = binned_influence(bins, spec, {"w0": topk})
+    out = binned_influence(bins, spec, topk.mask[None], topk.k)
     full = concept_influence(
         concept_segmentation(table(events), "saccade", 200, "w0"), topk
     )
@@ -112,7 +112,7 @@ def test_disjoint_bins_sum_to_union_intersection():
     topk = _window_setup(seed=8)
     events = [_sacc(10, 29, 15.0), _sacc(60, 99, 40.0), _sacc(150, 169, 95.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 60.0, 100.0))
-    out = binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
+    out = binned_influence(bin_events(table(events), spec), spec, topk.mask[None], topk.k)
     union = concept_influence(concept_segmentation(table(events), "saccade", 200, "w0"), topk)
     per_bin = sum(b.influence.intersection for b in out if b.influence is not None)
     assert per_bin == union.intersection
@@ -125,7 +125,7 @@ def test_refinement_preserves_total_intersection():
     fine = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 25.0, 50.0, 70.0, 100.0))
     total = lambda spec: sum(
         b.influence.intersection
-        for b in binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
+        for b in binned_influence(bin_events(table(events), spec), spec, topk.mask[None], topk.k)
         if b.influence is not None
     )
     assert total(coarse) == total(fine)
@@ -138,7 +138,7 @@ def test_concentrated_bin_dominates():
     topk = topk_segmentation(v, k, "w0")
     events = [_sacc(10, 19, 15.0), _sacc(100, 139, 45.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
-    out = [b for b in binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
+    out = [b for b in binned_influence(bin_events(table(events), spec), spec, topk.mask[None], topk.k)
            if b.label == "bin"]
     assert out[0].influence.c >= out[1].influence.c
 
@@ -147,7 +147,7 @@ def test_empty_bin_influence_omitted():
     topk = _window_setup()
     events = [_sacc(10, 29, 15.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
-    out = binned_influence(bin_events(table(events), spec), spec, {"w0": topk})
+    out = binned_influence(bin_events(table(events), spec), spec, topk.mask[None], topk.k)
     regular = [b for b in out if b.label == "bin"]
     assert regular[0].event_count == 1 and regular[0].influence is not None
     assert regular[1].event_count == 0 and regular[1].influence is None
@@ -158,7 +158,7 @@ def test_binned_roundtrip(tmp_path):
     events = [_sacc(10, 29, 15.0), _sacc(60, 99, 40.0)]
     spec = BinSpec("saccade_duration_ms", mode="explicit", edges=(9.0, 30.0, 100.0))
     bins = bin_events(table(events), spec)
-    binned = {"saccade_duration_ms": binned_influence(bins, spec, {"w0": topk})}
+    binned = {"saccade_duration_ms": binned_influence(bins, spec, topk.mask[None], topk.k)}
     path = tmp_path / "binned.csv"
     write_binned(binned, path)
     back = read_binned(path)

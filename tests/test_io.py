@@ -21,7 +21,7 @@ from gazeconcepts.errors import (
     DataError,
     FormatError,
 )
-from gazeconcepts.influence import InfluenceResult, topk_segmentation
+from gazeconcepts.influence import InfluenceResult, topk_masks
 from gazeconcepts.io import (
     AttributionMap,
     load_attribution,
@@ -258,7 +258,11 @@ EXTRA_TOKENS = st.sampled_from(['"x', '"', '"q,r"', 'b"c', ""])
 # str.splitlines breaks other than "\n" and "\r\n" (read_text turns a bare
 # "\r" into "\n"; numpy's text reader splits on none of the others)
 LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-PERTURBATIONS = ("coord", "time", "extra", "short", "long", "shift", "break", "blank")
+# the missing-value cells numpy's text reader declines ("", ".") or takes ("NaN")
+MISSING_TOKENS = st.sampled_from(["", ".", "NaN"])
+PERTURBATIONS = (
+    "coord", "missing", "time", "extra", "short", "long", "shift", "break", "blank"
+)
 
 
 @st.composite
@@ -266,7 +270,8 @@ def gaze_files(draw):
     """(file text, schema): a well-formed gaze file (monocular or
     binocular, optionally renamed through a schema, optionally with an
     extra column, lines ended by "\n", "\r\n", "\r" or "\x0b") with up
-    to three perturbed lines: a missing-value, whitespace, quoted,
+    to three perturbations: a run of rows with "", "." or "NaN" cells in
+    one coordinate column, or one line with a missing-value, whitespace, quoted,
     full-width, hex, infinite, overflowing or unparseable coordinate, a
     non-integer, overflowing or non-monotone timestamp, a quoted extra
     cell, a short or long row, a short row offset by a long one, a line
@@ -295,6 +300,10 @@ def gaze_files(draw):
         cells = rows[i]
         if kind == "coord":
             cells[draw(st.sampled_from(coord_cols))] = draw(COORD_TOKENS)
+        elif kind == "missing":
+            col = draw(st.sampled_from(coord_cols))
+            for row in rows[i:i + draw(st.integers(1, 4))]:
+                row[col] = draw(MISSING_TOKENS)
         elif kind == "time":
             cells[time_col] = draw(TIME_TOKENS)
         elif kind == "extra" and extra is not None:
@@ -334,6 +343,8 @@ def _gaze_paths_agree(gaze_path, case):
 @example(("t_ms,note,x_deg,y_deg\n0,n,1.0\n1,n,1.0,2.0,3.0\n", None))  # short row offset by long
 @example(("t_ms,x_deg,y_deg\n0,1.0,2.0\x0b\n1,1.0,2.0\n", None))  # a blank line to splitlines only
 @example(("t_ms,x_deg,y_deg\n\n", None))  # no rows for numpy's text reader
+@example(("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n", None))  # missing cells, retried
+@example(("t_ms,x_deg,y_deg\n0,1.0,2.0\n,1.0,2.0\n", None))  # a missing timestamp
 @example(("a,b\n0,1.5\n1,2.5\n", {"t_ms": "a", "x_deg": "a", "y_deg": "b"}))  # t_ms is x_deg
 def test_columnar_parse_matches_line_parser(gaze_path, case):
     _gaze_paths_agree(gaze_path, case)
@@ -355,6 +366,27 @@ def test_plain_rows_take_columnar_path(tmp_path):
     np.testing.assert_array_equal(rec.x_deg, [1.5, np.nan, np.nan])
     np.testing.assert_array_equal(rec.y_deg, [-2000.0, np.nan, np.nan])
     assert rec.source_meta["skipped_rows"] == "0"
+
+
+def test_missing_cells_take_columnar_path(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n0,,\n1,.,2.5\n2,1.5,\n3,NaN,.\n4,1.0,2.0")
+    with mock.patch.object(gio, "_gaze_lines", side_effect=AssertionError("line parser")):
+        rec = load_gaze_csv(p)
+    np.testing.assert_array_equal(rec.t_ms, [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(rec.x_deg, [np.nan] * 4 + [1.0])
+    np.testing.assert_array_equal(rec.y_deg, [np.nan] * 4 + [2.0])
+
+
+def test_clean_file_is_not_rewritten(tmp_path):
+    """A file numpy's reader takes as it is is read once, never searched
+    for missing cells."""
+    p = tmp_path / "g.csv"
+    p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,NaN,nan\n")
+    with mock.patch.object(gio, "_MISSING_CELL") as pattern:
+        rec = load_gaze_csv(p)
+    assert pattern.mock_calls == []
+    np.testing.assert_array_equal(rec.x_deg, [1.0, np.nan])
 
 
 def _binocular_file(tmp_path):
@@ -665,10 +697,15 @@ def _results():
     ]
 
 
+def _report(results):
+    """Influence rows as write_report takes them: one list per column."""
+    return {name: [getattr(r, name) for r in results] for name in gio.REPORT_COLUMNS}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_roundtrip(tmp_path, fmt):
     p = tmp_path / f"r.{fmt}"
-    write_report(_results(), p, fmt)
+    write_report(_report(_results()), p, fmt)
     back = read_report(p, fmt)
     assert len(back) == 3
     by_key = {(r.concept, r.scope): r for r in back}
@@ -682,8 +719,8 @@ def test_report_roundtrip(tmp_path, fmt):
 
 def test_report_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_report(_results(), p1)
-    write_report(list(reversed(_results())), p2)
+    write_report(_report(_results()), p1)
+    write_report(_report(list(reversed(_results()))), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -722,16 +759,16 @@ def test_windows_roundtrip_exact(tmp_path):
 
 def test_topk_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(5)
-    topks = [topk_segmentation(rng.normal(size=50), 4, f"r-w{i:04d}") for i in range(3)]
+    ids = [f"r-w{i:04d}" for i in range(3)]
+    masks = topk_masks(rng.normal(size=(3, 50)), 4)
     p = tmp_path / "t.stage"  # written to exactly this path, no .npz added
-    write_topk(topks, p, "abs")
+    write_topk(ids, masks, p, "abs")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["t.stage"]
-    back, k, squash = read_topk(p, 50)
+    back_ids, back, k, squash = read_topk(p, 50)
     assert (k, squash) == (4, "abs")
-    assert [t.window_id for t in back] == ["r-w0000", "r-w0001", "r-w0002"]
-    for t, b in zip(topks, back):
-        np.testing.assert_array_equal(b.mask, t.mask)
-        assert b.k == 4
+    assert back_ids == ["r-w0000", "r-w0001", "r-w0002"]
+    assert back.dtype == bool
+    np.testing.assert_array_equal(back, masks)
     with pytest.raises(FormatError, match="t.stage: indices are not 4 ascending steps of 40"):
         read_topk(p, 40)
 
@@ -743,8 +780,16 @@ def test_topk_roundtrip_exact(tmp_path):
     for bad, message in ((windows, "not a top-k file"), (duplicated, "indices are not 2 ascending")):
         with pytest.raises(FormatError, match=f"{bad.name}: {message}"):
             read_topk(bad, 50)
+    mixed = np.vstack([masks, topk_masks(np.zeros((1, 50)), 5)])
     with pytest.raises(DataError, match="mixed k"):
-        write_topk(topks + [topk_segmentation(np.zeros(50), 5)], tmp_path / "m.npz", "abs")
+        write_topk(ids + ["r-w0003"], mixed, tmp_path / "m.npz", "abs")
+
+
+def test_topk_of_no_windows_roundtrips(tmp_path):
+    p = tmp_path / "t.npz"
+    write_topk([], np.zeros((0, 50), dtype=bool), p, "signed")
+    ids, masks, k, squash = read_topk(p, 50)
+    assert (ids, masks.shape, k, squash) == ([], (0, 50), 0, "signed")
 
 
 def test_table_cell_rule(tmp_path):
@@ -805,7 +850,7 @@ def _tables(tmp_path):
     write_events(event_table(_events(3)), events)
     parents = _saccades()
     write_subevents(subevent_table([SubEvent("w0:sac000", "peak", 4, 9)], parents), subs)
-    write_report(_results(), report)
+    write_report(_report(_results()), report)
     write_binned({"saccade_duration_ms": [
         BinnedInfluence("saccade_duration_ms", 9.0, 30.0, "bin", 1, 20, _results()[0]),
         BinnedInfluence("saccade_duration_ms", 30.0, math.inf, "overflow", 0, 0, None),
@@ -905,7 +950,7 @@ def test_read_table_parses_optional_cells(tmp_path):
 
 def test_json_report_rejects_other_keys(tmp_path):
     p = tmp_path / "r.json"
-    write_report(_results(), p, "json")
+    write_report(_report(_results()), p, "json")
     doc = json.loads(p.read_text())
     doc[1]["extra"] = 1
     p.write_text(json.dumps(doc))
