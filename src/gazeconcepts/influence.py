@@ -208,24 +208,22 @@ class InfluenceTable:
         return out
 
     def rows(self) -> dict:
-        """Every result as one list per InfluenceResult field, sorted by
-        (concept, scope, window_id): per concept in label order its
-        corpus row, then its window rows in window id order; absent
-        concepts have no row."""
+        """Every result as one list per InfluenceResult field, in table
+        order: per concept its corpus row, then its window rows; absent
+        concepts have no row. io.write_report puts them in report order."""
         ids = np.array(self.window_ids, dtype=object)
-        by_id = np.array(sorted(range(len(self)), key=self.window_ids.__getitem__), dtype=np.intp)
         c = self.c
         pooled = self.pooled()
         cols = {f.name: [] for f in fields(InfluenceResult)}
-        for j in sorted(range(len(self.concepts)), key=self.concepts.__getitem__):
-            corpus, _ = pooled[self.concepts[j]]
+        for j, concept in enumerate(self.concepts):
+            corpus, _ = pooled[concept]
             if corpus is None:
                 continue
-            rows = by_id[self.present[by_id, j]]
+            rows = np.flatnonzero(self.present[:, j])
             n = len(rows)
             for name, values in cols.items():
                 values.append(getattr(corpus, name))
-            cols["concept"] += [corpus.concept] * n
+            cols["concept"] += [concept] * n
             cols["scope"] += ["window"] * n
             cols["window_id"] += ids[rows].tolist()
             cols["L_total"] += [self.length] * n

@@ -11,9 +11,8 @@ sparse CSV with header ``channel,index,value`` covering the full grid.
 
 Gaze rows and dense attribution rows that numpy's C text reader
 (``np.loadtxt``) reads row for row, as the line parser would, are parsed
-by it in one call (gaze rows with empty or "." coordinate cells after
-they are rewritten as "nan"); all others are parsed line by line, with
-the same values and the same errors.
+by it in one call; all others are parsed line by line, with the same
+values and the same errors.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
@@ -29,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import threading
 import warnings
 import zipfile
@@ -332,25 +330,6 @@ def _file_stamp(path):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-# An empty or "." cell after a comma: missing-value tokens numpy's text
-# reader declines, which the line parser reads as NaN.
-_MISSING_CELL = re.compile(r"(?m)(?<=,)\.?(?=,|$)")
-
-
-def _loadtxt_strict(source, dtype):
-    """np.loadtxt of the gaze rows (header skipped), every warning raised
-    as an error; None where it declines them."""
-    with _STRICT_LOADTXT, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(
-                source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                skiprows=1, encoding="utf-8", ndmin=1,
-            )
-        except (ValueError, Warning):
-            return None
-
-
 def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
     coordinate columns) or None.
@@ -363,12 +342,9 @@ def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     space-padded run of ASCII digits in the int64 range, valued as int()
     values it; its float64 columns take a subset of what float() takes,
     with the same values (NaN and inf are coupled into missing samples
-    later, as in the line parser). When loadtxt declines the file, it is
-    tried once more on `raw` with its empty and "." cells after a comma
-    written as "nan" (a clean file is never rewritten): a timestamp cell
-    so rewritten is still declined. Anything loadtxt then declines
-    (quoted cells, wrong field counts, out-of-range timestamps, ...) and
-    a file that changed after `raw` was read return None: the line
+    later, as in the line parser). Anything loadtxt declines (empty or "."
+    cells, quoted cells, wrong field counts, out-of-range timestamps, ...)
+    and a file that changed after `raw` was read return None: the line
     parser then parses `raw`.
     """
     if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
@@ -377,16 +353,19 @@ def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
     if end < 0 or raw[end + 1:end + 2] in ("", "\n"):
         return None  # no rows, or a blank line that loadtxt would skip
     dtype = np.dtype([(str(i), np.int64 if i == idx[0] else np.float64) for i in range(ncol)])
-    table = _loadtxt_strict(path, dtype)
-    if table is None:
-        filled, missing = _MISSING_CELL.subn("nan", raw)
-        table = _loadtxt_strict(StringIO(filled), dtype) if missing else None
-        if table is None:
+    with _STRICT_LOADTXT, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                skiprows=1, encoding="utf-8", ndmin=1,
+            )
+        except (ValueError, Warning):
             return None
-    elif _file_stamp(path) != stamp:
-        return None  # loadtxt read another text than `raw`
     if len(table) != raw.count("\n") - raw.endswith("\n"):
         return None  # loadtxt skipped blank lines, which the line parser counts
+    if _file_stamp(path) != stamp:
+        return None  # loadtxt read another text than `raw`
     return table[str(idx[0])].copy(), [table[str(i)] for i in idx[1:]]
 
 
@@ -944,12 +923,10 @@ _REPORT_PARSERS = {
 def write_report(columns: dict, path, format: str = "csv"):
     """Write influence results, one sequence of values per REPORT_COLUMNS
     name (InfluenceTable.rows), as CSV or JSON, sorted by (concept,
-    scope, window_id) whatever order the rows come in."""
+    scope, window_id)."""
     keys = list(zip(columns["concept"], columns["scope"], columns["window_id"]))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    data = [list(columns[name]) for name in REPORT_COLUMNS]
-    if order != list(range(len(keys))):
-        data = [[values[i] for i in order] for values in data]
+    data = [[values[i] for i in order] for values in map(columns.__getitem__, REPORT_COLUMNS)]
     if format == "csv":
         write_table(path, REPORT_COLUMNS, data)
     elif format == "json":

@@ -84,8 +84,10 @@ def assert_table_matches(want, table):
     rows.sort(key=attrgetter("concept", "scope", "window_id"))
     got = table.rows()
     assert sorted(got) == sorted(REPORT_COLUMNS)
+    keys = list(zip(got["concept"], got["scope"], got["window_id"]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     assert same({name: [getattr(r, name) for r in rows] for name in REPORT_COLUMNS},
-                {name: got[name] for name in REPORT_COLUMNS})
+                {name: [got[name][i] for i in order] for name in REPORT_COLUMNS})
 
 
 def table(events_by_row, windows):

@@ -343,7 +343,7 @@ def _gaze_paths_agree(gaze_path, case):
 @example(("t_ms,note,x_deg,y_deg\n0,n,1.0\n1,n,1.0,2.0,3.0\n", None))  # short row offset by long
 @example(("t_ms,x_deg,y_deg\n0,1.0,2.0\x0b\n1,1.0,2.0\n", None))  # a blank line to splitlines only
 @example(("t_ms,x_deg,y_deg\n\n", None))  # no rows for numpy's text reader
-@example(("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n", None))  # missing cells, retried
+@example(("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n", None))  # missing-value cells
 @example(("t_ms,x_deg,y_deg\n0,1.0,2.0\n,1.0,2.0\n", None))  # a missing timestamp
 @example(("a,b\n0,1.5\n1,2.5\n", {"t_ms": "a", "x_deg": "a", "y_deg": "b"}))  # t_ms is x_deg
 def test_columnar_parse_matches_line_parser(gaze_path, case):
@@ -366,27 +366,6 @@ def test_plain_rows_take_columnar_path(tmp_path):
     np.testing.assert_array_equal(rec.x_deg, [1.5, np.nan, np.nan])
     np.testing.assert_array_equal(rec.y_deg, [-2000.0, np.nan, np.nan])
     assert rec.source_meta["skipped_rows"] == "0"
-
-
-def test_missing_cells_take_columnar_path(tmp_path):
-    p = tmp_path / "g.csv"
-    p.write_text("t_ms,x_deg,y_deg\n0,,\n1,.,2.5\n2,1.5,\n3,NaN,.\n4,1.0,2.0")
-    with mock.patch.object(gio, "_gaze_lines", side_effect=AssertionError("line parser")):
-        rec = load_gaze_csv(p)
-    np.testing.assert_array_equal(rec.t_ms, [0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(rec.x_deg, [np.nan] * 4 + [1.0])
-    np.testing.assert_array_equal(rec.y_deg, [np.nan] * 4 + [2.0])
-
-
-def test_clean_file_is_not_rewritten(tmp_path):
-    """A file numpy's reader takes as it is is read once, never searched
-    for missing cells."""
-    p = tmp_path / "g.csv"
-    p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,NaN,nan\n")
-    with mock.patch.object(gio, "_MISSING_CELL") as pattern:
-        rec = load_gaze_csv(p)
-    assert pattern.mock_calls == []
-    np.testing.assert_array_equal(rec.x_deg, [1.0, np.nan])
 
 
 def _binocular_file(tmp_path):
