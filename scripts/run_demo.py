@@ -18,7 +18,7 @@ from gazeconcepts.pipeline import RunConfig, run
 from gazeconcepts.synth import CorpusSpec, write_demo_corpus
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="working directory (default: temp)")
     ap.add_argument("--seed", type=int, default=20230403)
@@ -26,7 +26,7 @@ def main():
     ap.add_argument("--duration-s", type=float, default=30.0)
     ap.add_argument("--attr-mode", default="speed",
                     choices=("speed", "uniform_random", "fixation_biased"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="gazeconcepts_"))
     corpus = root / "corpus"

@@ -27,7 +27,7 @@ from . import io as gio
 from . import report as report_mod
 from .detect import event_properties, retained
 from .errors import ConfigError, DataError, FormatError, GazeError
-from .influence import default_k
+from .influence import InfluenceResult, default_k
 from .pipeline import (
     ALL_CONCEPTS,
     CHOICES,
@@ -44,7 +44,6 @@ from .pipeline import (
     write_charts,
     write_influence,
 )
-from .preprocess import WindowStack
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 ENV_OUT = "GAZECONCEPTS_OUT"
@@ -191,7 +190,7 @@ def _manifest_windows(manifest, out: Path):
             raise DataError(f"manifest window {entry.window_id!r} not in windows file")
         rows.append(row_of[entry.window_id])
     if rows != list(range(len(windows))):
-        windows = WindowStack.of([windows[row] for row in rows])
+        windows = windows.take(rows)
     return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
 
 
@@ -300,8 +299,10 @@ def cmd_report(args) -> int:
     )
     # a concept absent from every window is skipped in all of them
     corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
-    for r in gio.read_report(out / f"influence.{cfg.format}", cfg.format):
-        if r.scope == "corpus":
+    table = gio.read_report(out / f"influence.{cfg.format}", cfg.format)
+    for i, scope in enumerate(table["scope"]):
+        if scope == "corpus":
+            r = InfluenceResult(**{name: values[i] for name, values in table.items()})
             corpus[r.concept] = (r, r.n_skipped)
     binned = binning_mod.read_binned(out / "binned.csv")
     binned = {prop: binned.get(prop, []) for prop in cfg.properties}

@@ -10,7 +10,7 @@ from evaluation while reports still account for them.
 Both detectors run on a whole WindowStack at once: thresholds, runs,
 properties and exclusions are computed over the stacked (n, L) arrays,
 and the events come back as one EventTable of equal-length columns (no
-object per event). The per-window functions are batches of one.
+object per event). The per-window functions take a stack of one row.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
-from .preprocess import VelocityWindow, WindowStack, outside_window
+from .preprocess import WindowStack, outside_window
 
 FIXATION = "fixation"
 SACCADE = "saccade"
@@ -129,11 +129,13 @@ class EventTable:
 
 
 def _ek_thresholds(vx, vy, valid, lam: float, eta_floor: float) -> np.ndarray:
-    """Per-row (eta_x, eta_y) of (n, L) velocity stacks, shape (n, 2).
+    """Adaptive per-component saccade thresholds (eta_x, eta_y) in deg/s
+    of each row of (n, L) velocity stacks, shape (n, 2).
 
-    Rows without missing samples take their medians in one call per
-    component; the others take them over their valid samples, as
-    ek_noise_threshold describes.
+    Per component the noise scale is the median estimator
+    sigma = sqrt(median(v^2) - median(v)^2) over a row's valid samples,
+    and the threshold is lambda * sigma, floored at eta_floor. Rows
+    without missing samples take their medians in one call per component.
     """
     n_valid = valid.sum(axis=1)
     if (n_valid < 2).any():
@@ -154,21 +156,6 @@ def _ek_thresholds(vx, vy, valid, lam: float, eta_floor: float) -> np.ndarray:
         sigma = np.sqrt(np.where(var > 0, var, 0.0))
         etas[:, j] = np.maximum(lam * sigma, eta_floor)
     return etas
-
-
-def ek_noise_threshold(vx, vy, lam: float, eta_floor: float = 1e-6, valid=None):
-    """Adaptive per-component saccade thresholds (eta_x, eta_y) in deg/s.
-
-    Per component the noise scale is the median estimator
-    sigma = sqrt(median(v^2) - median(v)^2) over valid samples, and the
-    threshold is lambda * sigma, floored at eta_floor.
-    """
-    vx = np.asarray(vx, dtype=float)
-    vy = np.asarray(vy, dtype=float)
-    if valid is None:
-        valid = np.isfinite(vx) & np.isfinite(vy)
-    eta_x, eta_y = _ek_thresholds(vx[None], vy[None], valid[None], lam, eta_floor)[0]
-    return float(eta_x), float(eta_y)
 
 
 def _runs(candidates: np.ndarray):
@@ -277,7 +264,7 @@ def _properties(stack: WindowStack, rows, onsets, offsets, kinds):
     return values, computed
 
 
-def event_properties(events: EventTable, windows) -> EventTable:
+def event_properties(events: EventTable, windows: WindowStack) -> EventTable:
     """The events with duration, peak velocity and kind-specific
     properties recomputed from the windows, in one batched pass.
 
@@ -286,14 +273,14 @@ def event_properties(events: EventTable, windows) -> EventTable:
     event's value; every other column is kept. ConfigError for the first
     event outside its window.
     """
-    stack = WindowStack.of(windows)
-    outside = outside_window(events.onset, events.offset, stack.length)
+    outside = outside_window(events.onset, events.offset, windows.length)
     if outside.any():
         i = int(np.argmax(outside))
         raise ConfigError(
-            f"event [{events.onset[i]}, {events.offset[i]}] outside window of length {stack.length}"
+            f"event [{events.onset[i]}, {events.offset[i]}] outside window of length "
+            f"{windows.length}"
         )
-    values, computed = _properties(stack, events.row, events.onset, events.offset, events.kind)
+    values, computed = _properties(windows, events.row, events.onset, events.offset, events.kind)
     return replace(events, **{
         name: np.where(computed[name], values[name], getattr(events, name))
         for name in PROPERTY_FIELDS
@@ -347,16 +334,15 @@ def _detect(stack: WindowStack, params: DetectionParams, kind: str) -> dict:
     )
 
 
-def detect_events(windows, params: DetectionParams, kinds=KINDS) -> EventTable:
+def detect_events(windows: WindowStack, params: DetectionParams, kinds=KINDS) -> EventTable:
     """The events of the given kinds in every window, excluded events
     included, in one batched pass over the stacked windows: ordered by
     window row, then kind in `kinds` order, then onset, with ids
     "<window id>:fix003" or "<window id>:sac000"."""
-    stack = WindowStack.of(windows)
-    parts = [_detect(stack, params, kind) for kind in kinds]
+    parts = [_detect(windows, params, kind) for kind in kinds]
     order = np.argsort(np.concatenate([p["row"] for p in parts]), kind="stable")
     columns = {name: np.concatenate([p[name] for p in parts])[order] for name in parts[0]}
-    ids, tags = stack.window_ids, ("fix", "sac")
+    ids, tags = windows.window_ids, ("fix", "sac")
     columns["event_id"] = np.array([
         f"{ids[r]}:{tags[k]}{n:03d}" for r, k, n in zip(
             columns["row"].tolist(), columns["kind"].tolist(), columns.pop("number").tolist()
@@ -365,25 +351,25 @@ def detect_events(windows, params: DetectionParams, kinds=KINDS) -> EventTable:
     return EventTable(window_ids=ids, **columns)
 
 
-def detect_saccades_ek(window: VelocityWindow, params: DetectionParams) -> EventTable:
-    """Engbert-Kliegl saccade detection on one window.
+def detect_saccades_ek(window: WindowStack, params: DetectionParams) -> EventTable:
+    """Engbert-Kliegl saccade detection on a stack of one window.
 
     Candidate samples satisfy (vx/eta_x)^2 + (vy/eta_y)^2 > 1; missing
     samples are never candidates and break runs. Every maximal run
     becomes an event; runs violating the duration or peak-velocity
     bounds are marked excluded rather than dropped.
     """
-    return detect_events([window], params, (SACCADE,))
+    return detect_events(window, params, (SACCADE,))
 
 
-def detect_fixations_ivt(window: VelocityWindow, params: DetectionParams) -> EventTable:
-    """I-VT fixation detection on one window.
+def detect_fixations_ivt(window: WindowStack, params: DetectionParams) -> EventTable:
+    """I-VT fixation detection on a stack of one window.
 
     Candidate samples have speed at or below fix_max_velocity; maximal
     runs become fixations, and runs that are too short or too dispersed
     are marked excluded with the failed bound as reason.
     """
-    return detect_events([window], params, (FIXATION,))
+    return detect_events(window, params, (FIXATION,))
 
 
 def retained(events: EventTable) -> EventTable:

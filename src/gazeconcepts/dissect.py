@@ -11,7 +11,7 @@ window bounds.
 
 All saccades of an EventTable are dissected in one batched pass over
 their samples, into one SubEventTable of equal-length columns;
-dissect_all is a batch of one window.
+dissect_all takes a stack of one window.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .detect import EventTable, retained
 from .errors import ConfigError
-from .preprocess import VelocityWindow, WindowStack, outside_window
+from .preprocess import WindowStack, outside_window
 
 PHASES = ("pre", "rise", "peak", "fall", "post")  # a sub-event's phase code indexes this
 
@@ -75,7 +75,7 @@ def check_ratios(peak_ratio: float, flank_ratio: float):
 
 def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=1.0 / 3.0):
     """Every saccade of a table dissected into its five phases, all in one
-    batched pass; saccades.row indexes the rows of ``windows``.
+    batched pass; saccades.row indexes the rows of the stack ``windows``.
 
     Membership in the peak phase is decided on speed relative to the
     saccade's peak speed, taken from the window's speed (never from a
@@ -91,8 +91,7 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
     empty = np.zeros(0, dtype=np.int64)
     if m == 0:
         return SubEventTable(saccades, empty, empty.astype(np.int8), empty, empty, empty)
-    stack = WindowStack.of(windows)
-    length, rows = stack.length, saccades.row
+    length, rows = windows.length, saccades.row
     onsets, offsets = saccades.onset, saccades.offset
     if outside_window(onsets, offsets, length).any():
         raise ConfigError("saccade interval outside window")
@@ -101,8 +100,8 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
     first = np.cumsum(n_samples) - n_samples
     owner = np.repeat(np.arange(m), n_samples)
     flat = np.arange(int(n_samples.sum())) + np.repeat(rows * length + onsets - first, n_samples)
-    speed = stack.speed.ravel()[flat]
-    valid = stack.valid.ravel()[flat]
+    speed = windows.speed.ravel()[flat]
+    valid = windows.valid.ravel()[flat]
     blind = ~np.logical_or.reduceat(valid, first)
     if blind.any():
         raise ConfigError(
@@ -146,7 +145,7 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
     return table.take(np.lexsort((onset, phase, parent)))
 
 
-def dissect_all(saccades: EventTable, window: VelocityWindow, peak_ratio=0.8,
+def dissect_all(saccades: EventTable, window: WindowStack, peak_ratio=0.8,
                 flank_ratio=1.0 / 3.0) -> SubEventTable:
-    """Dissect every retained saccade of one window."""
-    return dissect_saccades(retained(saccades), [window], peak_ratio, flank_ratio)
+    """Dissect every retained saccade of a stack of one window."""
+    return dissect_saccades(retained(saccades), window, peak_ratio, flank_ratio)

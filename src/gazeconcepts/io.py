@@ -47,7 +47,7 @@ from .detect import (
 )
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
-from .influence import ALL_CONCEPTS, InfluenceResult
+from .influence import ALL_CONCEPTS
 from .preprocess import WindowStack, outside_window
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
@@ -661,12 +661,13 @@ def write_attribution(attr: AttributionMap, path):
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def validate_attribution(attr: AttributionMap, window):
-    """Check that an attribution's shape matches its window exactly."""
-    if attr.length != window.length or attr.channels != 2:
+def validate_attribution(attr: AttributionMap, length: int):
+    """Check that an attribution's shape is exactly (2, length), that of
+    its window."""
+    if attr.length != length or attr.channels != 2:
         raise AlignmentError(
             f"attribution for window {attr.window_id!r} has shape "
-            f"({attr.channels}, {attr.length}), window needs (2, {window.length})"
+            f"({attr.channels}, {attr.length}), window needs (2, {length})"
         )
 
 
@@ -676,13 +677,12 @@ WINDOW_ARRAYS = (
 )
 
 
-def write_windows(windows, path):
-    """Stack equal-length velocity windows into one ``.npz`` stage file.
+def write_windows(stack: WindowStack, path):
+    """Write a stack of velocity windows as one ``.npz`` stage file.
 
     Arrays are stored in binary, so every float round-trips exactly. The
     file is written to exactly ``path``, whatever its suffix.
     """
-    stack = WindowStack.of(windows)
     arrays = {
         "window_id": np.array(stack.window_ids, dtype=str),
         "recording_id": np.array(stack.recording_ids, dtype=str),
@@ -716,8 +716,8 @@ def _load_npz(path, names, what: str) -> dict:
 
 
 def read_windows(path) -> WindowStack:
-    """Inverse of write_windows, as one stack whose windows are row views
-    of the file's arrays; rejects anything but a windows file."""
+    """Inverse of write_windows, as one stack of the file's arrays;
+    rejects anything but a windows file."""
     a = _load_npz(path, WINDOW_ARRAYS, "windows file")
     n = a["window_id"].size
     shapes = {a[name].shape for name in WINDOW_ARRAYS[4:]}
@@ -939,11 +939,12 @@ def write_report(columns: dict, path, format: str = "csv"):
         raise ConfigError(f"unknown report format {format!r}")
 
 
-def read_report(path, format: str = "csv") -> list:
+def read_report(path, format: str = "csv") -> dict:
+    """Inverse of write_report: one list of values per REPORT_COLUMNS
+    name, rows in file order."""
     if format == "csv":
-        table, _ = read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)
-        rows = [dict(zip(REPORT_COLUMNS, row)) for row in zip(*table.values())]
-    elif format == "json":
+        return read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)[0]
+    if format == "json":
         rows = read_json(path)
         if not isinstance(rows, list):
             raise FormatError(f"{path}: expected a list of influence rows")
@@ -952,6 +953,5 @@ def read_report(path, format: str = "csv") -> list:
                 raise FormatError(f"{path}: row {i} keys are not {','.join(REPORT_COLUMNS)}")
             if row["concept"] not in ALL_CONCEPTS:
                 raise FormatError(f"{path}: row {i}: unknown concept {row['concept']!r}")
-    else:
-        raise ConfigError(f"unknown report format {format!r}")
-    return [InfluenceResult(**row) for row in rows]
+        return {name: [row[name] for row in rows] for name in REPORT_COLUMNS}
+    raise ConfigError(f"unknown report format {format!r}")

@@ -253,8 +253,6 @@ def _gather(stacks: dict, order, length: int) -> WindowStack:
     """Rows of per-recording stacks, ``order`` [(recording id, row)], as one
     stack, built one array field at a time; each field of ``stacks`` is
     dropped once gathered."""
-    if not order:
-        return WindowStack.of([])
     picked = [(stacks[rec_id], row) for rec_id, row in order]
 
     def gather(name):
@@ -263,23 +261,22 @@ def _gather(stacks: dict, order, length: int) -> WindowStack:
     columns = {name: gather(name) for name in ("window_ids", "recording_ids", "start_index")}
     columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
     for name in ("vx", "vy", "px", "py", "valid"):
-        columns[name] = np.array(gather(name)).reshape(len(order), length)
+        dtype = bool if name == "valid" else float
+        columns[name] = np.array(gather(name), dtype=dtype).reshape(len(order), length)
         for stack in stacks.values():
             setattr(stack, name, None)
     return WindowStack(**columns)
 
 
-def normalized_windows(pre: PreprocessResult, cfg: RunConfig):
-    """Z-scored copies of the evaluation windows (model-input parity)."""
+def normalized_windows(pre: PreprocessResult, cfg: RunConfig) -> WindowStack:
+    """A z-scored copy of the evaluation windows (model-input parity), or
+    the windows themselves under norm_scope "none"."""
     if cfg.norm_scope == "none":
-        return list(pre.windows)
-    out = []
-    for w in pre.windows:
-        stats = pre.channel_stats[
-            "corpus" if cfg.norm_scope == "corpus" else w.recording_id
-        ]
-        out.append(zscore_normalize(w, stats))
-    return out
+        return pre.windows
+    scopes = pre.windows.recording_ids
+    if cfg.norm_scope == "corpus":
+        scopes = ["corpus"] * len(pre.windows)
+    return zscore_normalize(pre.windows, [pre.channel_stats[scope] for scope in scopes])
 
 
 def concept_masks(events: EventTable, subs: SubEventTable, length: int) -> np.ndarray:
@@ -296,52 +293,51 @@ def concept_masks(events: EventTable, subs: SubEventTable, length: int) -> np.nd
     return masks
 
 
-def window_segmentations(window, events: EventTable, sub_events: SubEventTable) -> dict:
-    """Concept masks for one window from its retained events and the
-    phase segments of its dissected saccades (a batch of one for
+def window_segmentations(window: WindowStack, events: EventTable,
+                         sub_events: SubEventTable) -> dict:
+    """Concept masks for a stack of one window from its retained events
+    and the phase segments of its dissected saccades (a batch of one for
     concept_masks)."""
     masks = concept_masks(events, sub_events, window.length)[0]
     return {
-        concept: ConceptSegmentation(window.window_id, concept, mask)
+        concept: ConceptSegmentation(window.window_ids[0], concept, mask)
         for concept, mask in zip(ALL_CONCEPTS, masks)
     }
 
 
-def detect_windows(windows, cfg: RunConfig) -> EventTable:
+def detect_windows(windows: WindowStack, cfg: RunConfig) -> EventTable:
     """Every window's fixations then its saccades, excluded events
     included: both detectors in one batched pass over the stack."""
     return detect_events(windows, cfg.detection_params())
 
 
-def dissect_windows(windows, events: EventTable, cfg: RunConfig) -> SubEventTable:
+def dissect_windows(windows: WindowStack, events: EventTable, cfg: RunConfig) -> SubEventTable:
     """The phase segments of every retained saccade, all in one batched
     pass; events.row indexes the rows of ``windows``."""
     saccades = events.take(events.is_kind(SACCADE) & ~events.excluded)
     return dissect_saccades(saccades, windows, cfg.peak_ratio, cfg.flank_ratio)
 
 
-def process_window(window, attribution_path, cfg: RunConfig) -> TopKSegmentation:
-    """The top-k mask of one window: its attribution map parsed,
-    validated against the window and squashed."""
-    attr = gio.load_attribution(attribution_path, window_id=window.window_id)
-    gio.validate_attribution(attr, window)
+def process_window(window_id: str, length: int, attribution_path,
+                   cfg: RunConfig) -> TopKSegmentation:
+    """The top-k mask of one window of `length` samples: its attribution
+    map parsed, validated against the window's length and squashed."""
+    attr = gio.load_attribution(attribution_path, window_id=window_id)
+    gio.validate_attribution(attr, length)
     return topk_segmentation(
-        squash_channels(attr, cfg.squash),
-        default_k(window.length, cfg.top_frac),
-        window.window_id,
+        squash_channels(attr, cfg.squash), default_k(length, cfg.top_frac), window_id
     )
 
 
-def score_windows(windows, attribution_paths, events: EventTable, subs: SubEventTable,
-                  cfg: RunConfig):
+def score_windows(windows: WindowStack, attribution_paths, events: EventTable,
+                  subs: SubEventTable, cfg: RunConfig):
     """((n, L) top-k masks, InfluenceTable) of every window: the concept
     masks of the whole stack in one batched pass, one process_window call
     per window, in order, then every concept scored on the whole stack."""
-    windows = WindowStack.of(windows)
     masks = concept_masks(events, subs, windows.length)
     topk = np.zeros((len(windows), windows.length), dtype=bool)
-    for row, (window, path) in enumerate(zip(windows, attribution_paths)):
-        topk[row] = process_window(window, path, cfg).mask
+    for row, (window_id, path) in enumerate(zip(windows.window_ids, attribution_paths)):
+        topk[row] = process_window(window_id, windows.length, path, cfg).mask
     k = default_k(windows.length, cfg.top_frac)
     return topk, influence_table(ALL_CONCEPTS, masks, topk, k, windows.window_ids)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateDataError, SizeError
+from .errors import ConfigError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -58,44 +58,15 @@ class ChannelStats:
 
 
 @dataclass
-class VelocityWindow:
-    """One fixed-length two-channel velocity subsequence.
-
-    Velocities are yaw (vx) and pitch (vy) in deg/s; positions px/py are
-    kept in degrees for dispersion and amplitude computation. valid_mask
-    is False wherever a sample has no usable velocity, i.e. the source
-    position was missing or the differentiation window touched one.
-    """
-
-    window_id: str
-    recording_id: str
-    start_index: int
-    vx: np.ndarray
-    vy: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-    valid_mask: np.ndarray
-    sampling_rate_hz: float = 1000.0
-    normalized: bool = False
-    norm_stats: ChannelStats | None = None
-
-    @property
-    def length(self) -> int:
-        return len(self.vx)
-
-    def speed(self) -> np.ndarray:
-        """Velocity magnitude per sample (NaN where invalid)."""
-        return np.hypot(self.vx, self.vy)
-
-
-@dataclass
 class WindowStack:
     """Equal-length velocity windows as (n, L) arrays, one row per window.
 
-    The batched stages compute on the arrays. The stack is also the
-    sequence of its windows: each VelocityWindow it yields is a set of row
-    views, so a window's data is stored once. ``speed`` is computed once,
-    on first use.
+    Velocities are yaw (vx) and pitch (vy) in deg/s; positions px/py are
+    kept in degrees for dispersion and amplitude computation. valid is
+    False wherever a sample has no usable velocity, i.e. the source
+    position was missing or the differentiation window touched one.
+    Every stage computes on the whole stack; a single window is a stack
+    of one row. ``speed`` is computed once, on first use.
     """
 
     window_ids: list
@@ -108,36 +79,6 @@ class WindowStack:
     py: np.ndarray
     valid: np.ndarray  # (n, L) bool
 
-    @classmethod
-    def of(cls, windows) -> "WindowStack":
-        """``windows`` itself if it is a stack, else its windows stacked:
-        a copy, or views of the arrays of a lone window; DataError if
-        their lengths differ."""
-        if isinstance(windows, cls):
-            return windows
-        windows = list(windows)
-        lengths = {w.length for w in windows}
-        if len(lengths) > 1:
-            raise DataError(f"windows of mixed lengths {sorted(lengths)} cannot be stacked")
-        length = lengths.pop() if lengths else 0
-
-        def stack(name, dtype):
-            if len(windows) == 1:
-                return np.asarray(getattr(windows[0], name), dtype=dtype)[None]
-            return np.array([getattr(w, name) for w in windows], dtype=dtype).reshape(-1, length)
-
-        return cls(
-            window_ids=[w.window_id for w in windows],
-            recording_ids=[w.recording_id for w in windows],
-            start_index=[w.start_index for w in windows],
-            sampling_rate_hz=np.array([w.sampling_rate_hz for w in windows], dtype=float),
-            vx=stack("vx", float),
-            vy=stack("vy", float),
-            px=stack("px", float),
-            py=stack("py", float),
-            valid=stack("valid_mask", bool),
-        )
-
     @property
     def length(self) -> int:
         return self.vx.shape[1]
@@ -147,24 +88,16 @@ class WindowStack:
         """Velocity magnitude per sample (NaN where a component is)."""
         return np.hypot(self.vx, self.vy)
 
-    @cached_property
-    def windows(self) -> list:
-        return [
-            VelocityWindow(wid, rec, start, self.vx[i], self.vy[i], self.px[i], self.py[i],
-                           self.valid[i], float(self.sampling_rate_hz[i]))
-            for i, (wid, rec, start) in enumerate(
-                zip(self.window_ids, self.recording_ids, self.start_index)
-            )
-        ]
-
     def __len__(self) -> int:
         return len(self.window_ids)
 
-    def __getitem__(self, i) -> VelocityWindow:
-        return self.windows[i]
-
-    def __iter__(self):
-        return iter(self.windows)
+    def take(self, rows) -> "WindowStack":
+        """The windows at index sequence ``rows``, in that order: a copy."""
+        return WindowStack(
+            [self.window_ids[i] for i in rows], [self.recording_ids[i] for i in rows],
+            [self.start_index[i] for i in rows], self.sampling_rate_hz[rows],
+            *(getattr(self, name)[rows] for name in ("vx", "vy", "px", "py", "valid")),
+        )
 
 
 def outside_window(onsets, offsets, length: int) -> np.ndarray:
@@ -287,17 +220,16 @@ def window_sequence(
     return stack, summary
 
 
-def compute_channel_stats(windows) -> ChannelStats:
+def compute_channel_stats(windows: WindowStack) -> ChannelStats:
     """Mean and std per velocity channel over valid samples of all windows.
 
-    Windows are reduced in list order so the result does not depend on
+    Windows are reduced in row order so the result does not depend on
     any parallel evaluation schedule.
     """
-    stack = WindowStack.of(windows)
-    if not len(stack):
+    if not len(windows):
         raise DegenerateDataError("no windows to compute statistics over")
-    vxs = stack.vx[stack.valid]
-    vys = stack.vy[stack.valid]
+    vxs = windows.vx[windows.valid]
+    vys = windows.vy[windows.valid]
     if len(vxs) == 0:
         raise DegenerateDataError("all samples missing; no statistics")
     return ChannelStats(
@@ -309,14 +241,15 @@ def compute_channel_stats(windows) -> ChannelStats:
     )
 
 
-def zscore_normalize(window: VelocityWindow, stats: ChannelStats) -> VelocityWindow:
-    """Z-score a window's velocities; missing samples become exactly 0."""
-    for name, std in (("x", stats.std_x), ("y", stats.std_y)):
-        if not std > 0:
+def zscore_normalize(windows: WindowStack, stats) -> WindowStack:
+    """Z-score each row's velocities by its ChannelStats in ``stats`` (one
+    per row); missing samples become exactly 0."""
+    scaled = {}
+    for name in ("x", "y"):
+        mean = np.array([getattr(s, "mean_" + name) for s in stats])[:, None]
+        std = np.array([getattr(s, "std_" + name) for s in stats])[:, None]
+        if not (std > 0).all():
             raise DegenerateDataError(f"channel {name} has zero standard deviation")
-    valid = window.valid_mask
-    vx = np.zeros_like(window.vx)
-    vy = np.zeros_like(window.vy)
-    vx[valid] = (window.vx[valid] - stats.mean_x) / stats.std_x
-    vy[valid] = (window.vy[valid] - stats.mean_y) / stats.std_y
-    return replace(window, vx=vx, vy=vy, normalized=True, norm_stats=stats)
+        v = getattr(windows, "v" + name)
+        scaled["v" + name] = np.where(windows.valid, (v - mean) / std, 0.0)
+    return replace(windows, **scaled)

@@ -14,7 +14,7 @@ in for model-derived saliency when exercising the influence pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .io import (
 )
 from .preprocess import (
     SavGolParams,
-    VelocityWindow,
+    WindowStack,
     clamp_velocities,
     savgol_derivative,
     savgol_weights,
@@ -236,18 +236,12 @@ def positional_noise_sigma(velocity_sigma_dps: float, params: SavGolParams) -> f
     return velocity_sigma_dps * params.dt_s / float(np.linalg.norm(w))
 
 
-def ground_truth_in_window(truth, start: int, length: int):
-    """Ground-truth events fully contained in [start, start+length), in
-    window coordinates."""
-    return [replace(e, onset=e.onset - start, offset=e.offset - start)
-            for e in truth if e.onset >= start and e.offset < start + length]
-
-
 ATTRIBUTION_MODES = ("speed", "uniform_random", "fixation_biased")
 
 
-def gen_proxy_attributions(window: VelocityWindow, mode: str, seed: int = 0) -> AttributionMap:
-    """A stand-in attribution map for one window.
+def gen_proxy_attributions(windows: WindowStack, row: int, mode: str,
+                           seed: int = 0) -> AttributionMap:
+    """A stand-in attribution map for the window at `row` of a stack.
 
     "speed" sets both channels to the velocity magnitude per step,
     "uniform_random" draws i.i.d. values from [0, 1), and
@@ -255,19 +249,19 @@ def gen_proxy_attributions(window: VelocityWindow, mode: str, seed: int = 0) -> 
     high). Missing samples always get attribution 0 so values stay
     finite.
     """
-    speed = np.hypot(window.vx, window.vy)
-    speed = np.where(window.valid_mask, speed, 0.0)
+    valid = windows.valid[row]
+    speed = np.where(valid, np.hypot(windows.vx[row], windows.vy[row]), 0.0)
     if mode == "speed":
         values = np.stack([speed, speed])
     elif mode == "uniform_random":
         rng = np.random.default_rng(seed)
-        values = rng.random((2, window.length))
+        values = rng.random((2, windows.length))
     elif mode == "fixation_biased":
-        inverted = np.where(window.valid_mask, speed.max() - speed, 0.0)
+        inverted = np.where(valid, speed.max() - speed, 0.0)
         values = np.stack([inverted, inverted])
     else:
         raise ConfigError(f"unknown attribution mode {mode!r}; use {ATTRIBUTION_MODES}")
-    return AttributionMap(window_id=window.window_id, values=values)
+    return AttributionMap(window_id=windows.window_ids[row], values=values)
 
 
 GROUND_TRUTH_COLUMNS = (
@@ -343,12 +337,12 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
             vx, vy, rec.x_deg, rec.y_deg, spec.window_len,
             recording_id=rec_id, sampling_rate_hz=spec.sampling_rate_hz,
         )
-        for w in windows:
-            attr = gen_proxy_attributions(w, spec.attribution_mode, seed=attr_seed)
+        for row, window_id in enumerate(windows.window_ids):
+            attr = gen_proxy_attributions(windows, row, spec.attribution_mode, seed=attr_seed)
             attr_seed += 1
-            write_attribution(attr, out / "attributions" / f"{w.window_id}.csv")
+            write_attribution(attr, out / "attributions" / f"{window_id}.csv")
             entries.append(ManifestEntry(
-                f"recordings/{rec_id}.csv", f"attributions/{w.window_id}.csv", w.window_id
+                f"recordings/{rec_id}.csv", f"attributions/{window_id}.csv", window_id
             ))
 
     write_ground_truth(truth_by_rec, out / "gt_events.csv")

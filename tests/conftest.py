@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gazeconcepts.detect import _ek_thresholds
 from gazeconcepts.preprocess import (
     SavGolParams,
-    VelocityWindow,
+    WindowStack,
     clamp_velocities,
     savgol_derivative,
     window_sequence,
@@ -14,24 +16,53 @@ from gazeconcepts.preprocess import (
 
 def build_window(vx, vy=None, px=None, py=None, window_id="w0000", valid=None,
                  sampling_rate_hz=1000.0):
-    """VelocityWindow straight from arrays (bypasses the SG chain)."""
+    """A stack of one window straight from arrays (bypasses the SG chain)."""
     vx = np.asarray(vx, dtype=float)
     vy = np.zeros_like(vx) if vy is None else np.asarray(vy, dtype=float)
     px = np.zeros_like(vx) if px is None else np.asarray(px, dtype=float)
     py = np.zeros_like(vx) if py is None else np.asarray(py, dtype=float)
     if valid is None:
         valid = np.isfinite(vx) & np.isfinite(vy)
-    return VelocityWindow(
-        window_id=window_id,
-        recording_id="rec",
-        start_index=0,
-        vx=vx,
-        vy=vy,
-        px=px,
-        py=py,
-        valid_mask=np.asarray(valid, dtype=bool),
-        sampling_rate_hz=sampling_rate_hz,
+    return WindowStack(
+        window_ids=[window_id],
+        recording_ids=["rec"],
+        start_index=[0],
+        sampling_rate_hz=np.array([sampling_rate_hz]),
+        vx=vx[None],
+        vy=vy[None],
+        px=px[None],
+        py=py[None],
+        valid=np.asarray(valid, dtype=bool)[None],
     )
+
+
+def join_windows(*stacks):
+    """One stack of the rows of equal-length stacks, in order (a copy)."""
+    lists = ("window_ids", "recording_ids", "start_index")
+    arrays = ("sampling_rate_hz", "vx", "vy", "px", "py", "valid")
+    return WindowStack(
+        *(sum((getattr(s, name) for s in stacks), []) for name in lists),
+        *(np.concatenate([getattr(s, name) for s in stacks]) for name in arrays),
+    )
+
+
+def ek_thresholds(vx, vy, lam, eta_floor=1e-6, valid=None):
+    """(eta_x, eta_y) of one window's velocities, from the batched
+    thresholds of a stack of one row; valid defaults to where both
+    components are finite."""
+    vx = np.asarray(vx, dtype=float)
+    vy = np.asarray(vy, dtype=float)
+    if valid is None:
+        valid = np.isfinite(vx) & np.isfinite(vy)
+    eta_x, eta_y = _ek_thresholds(vx[None], vy[None], valid[None], lam, eta_floor)[0]
+    return float(eta_x), float(eta_y)
+
+
+def ground_truth_in_window(truth, start: int, length: int):
+    """Ground-truth events fully contained in [start, start+length), in
+    window coordinates."""
+    return [replace(e, onset=e.onset - start, offset=e.offset - start)
+            for e in truth if e.onset >= start and e.offset < start + length]
 
 
 def pipeline_windows(rec, window_len=1000, clamp=1000.0, sg=None):

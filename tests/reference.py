@@ -8,7 +8,9 @@ InfluenceResult per window and concept (window_influence), pooled per
 concept by reduce_concepts. tests/test_batched.py requires the package's batched kernels to
 reproduce them field for field, bit for bit, turning the package's
 columnar EventTable and SubEventTable into these rows (event_rows,
-events_by_row, dissections) and back (event_table, subevent_table).
+events_by_row, dissections) and back (event_table, subevent_table). The
+loops read one window at a time as a Window, row i of the package's
+WindowStack (window_rows).
 _cells is the row-wise cell rule the column-wise table writer must
 reproduce byte for byte.
 """
@@ -85,6 +87,36 @@ class SaccadeDissection:
 
     def phase_samples(self, phase: str) -> int:
         return sum(s.n_samples for s in self.sub_events if s.phase == phase)
+
+
+@dataclass
+class Window:
+    """One window as the per-window loops read it: views of one row of a
+    WindowStack."""
+
+    window_id: str
+    vx: np.ndarray
+    vy: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    valid_mask: np.ndarray
+    sampling_rate_hz: float
+
+    @property
+    def length(self) -> int:
+        return len(self.vx)
+
+    def speed(self) -> np.ndarray:
+        return np.hypot(self.vx, self.vy)
+
+
+def window_rows(stack) -> list:
+    """The rows of a WindowStack as Windows of views of its arrays."""
+    return [
+        Window(stack.window_ids[i], stack.vx[i], stack.vy[i], stack.px[i], stack.py[i],
+               stack.valid[i], float(stack.sampling_rate_hz[i]))
+        for i in range(len(stack))
+    ]
 
 
 PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",

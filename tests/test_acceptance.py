@@ -37,13 +37,18 @@ from gazeconcepts.synth import (
     ScanpathSpec,
     gen_proxy_attributions,
     gen_scanpath,
-    ground_truth_in_window,
     positional_noise_sigma,
     random_plan,
     write_demo_corpus,
 )
 
-from conftest import build_window, match_events, pipeline_windows, raised_cosine_speeds
+from conftest import (
+    build_window,
+    ground_truth_in_window,
+    match_events,
+    pipeline_windows,
+    raised_cosine_speeds,
+)
 
 PARAMS = DetectionParams()
 GazeEvent = ref.GazeEvent
@@ -64,13 +69,14 @@ def _evaluate(recordings, attr_mode, attr_seed=0, cfg_params=PARAMS):
     window_count = 0
     for rec in recordings:
         windows, _ = pipeline_windows(rec)
-        for w in windows:
+        for row, window_id in enumerate(windows.window_ids):
+            w = windows.take([row])
             window_count += 1
-            events = detect_events([w], cfg_params)
+            events = detect_events(w, cfg_params)
             subs = dissect_all(events.take(events.is_kind(SACCADE)), w)
-            attr = gen_proxy_attributions(w, attr_mode, seed=attr_seed + window_count)
+            attr = gen_proxy_attributions(windows, row, attr_mode, seed=attr_seed + window_count)
             topk = topk_segmentation(
-                attr.values.max(axis=0), default_k(w.length), w.window_id
+                attr.values.max(axis=0), default_k(w.length), window_id
             )
             for concept, seg in window_segmentations(w, events, subs).items():
                 if seg.size:
@@ -115,8 +121,9 @@ def test_criterion_2_detector_fidelity():
         )
         rec, truth = gen_scanpath(plan, seed, recording_id=f"sp{seed:03d}")
         windows, _ = pipeline_windows(rec)
-        for w in windows:
-            gt = ground_truth_in_window(truth, w.start_index, w.length)
+        for row, start in enumerate(windows.start_index):
+            w = windows.take([row])
+            gt = ground_truth_in_window(truth, start, w.length)
             detected = {
                 "fixation": ref.event_rows(detect_fixations_ivt(w, PARAMS)),
                 "saccade": ref.event_rows(detect_saccades_ek(w, PARAMS)),
@@ -137,7 +144,10 @@ def test_criterion_2_detector_fidelity():
     rec, _ = gen_scanpath(noise_plan, seed=424242, recording_id="noise")
     windows, _ = pipeline_windows(rec)
     assert len(windows) == 100
-    noise_saccades = sum(len(retained(detect_saccades_ek(w, PARAMS))) for w in windows)
+    noise_saccades = sum(
+        len(retained(detect_saccades_ek(windows.take([row]), PARAMS)))
+        for row in range(len(windows))
+    )
     assert noise_saccades == 0
 
     # Table-2 style validity filters on injected bursts
@@ -206,7 +216,7 @@ def test_criterion_4_dissection_partition():
         vy[margin : margin + n] += profile * np.sin(theta)
         w = build_window(vx, vy)
         sacc = GazeEvent(f"s{i}", "saccade", "w0000", margin, margin + n - 1)
-        d = ref.dissections(dissect_saccades(ref.event_table([sacc]), [w]))[0][0]
+        d = ref.dissections(dissect_saccades(ref.event_table([sacc]), w))[0][0]
         counted = sum(d.phase_samples(p) for p in ("rise", "peak", "fall"))
         assert counted + d.disregarded == n, f"saccade {i}: partition broken"
         total_samples += n

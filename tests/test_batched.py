@@ -2,9 +2,11 @@
 tests/reference.py: every GazeEvent, SubEvent, SaccadeDissection,
 InfluenceResult and BinnedInfluence field must be equal bit for bit
 (NaN equals NaN), and a failing input must raise the same exception type
-with the same message. The kernels' EventTable and SubEventTable are
-turned into those rows (and rows into tables) by tests/reference.py, and
-the cells of an InfluenceTable into per-window InfluenceResults here."""
+with the same message. The kernels compute on a WindowStack, the
+reference loops on its rows (reference.window_rows). The kernels'
+EventTable and SubEventTable are turned into those rows (and rows into
+tables) by tests/reference.py, and the cells of an InfluenceTable into
+per-window InfluenceResults here."""
 
 import math
 import struct
@@ -23,7 +25,6 @@ from gazeconcepts.detect import (
     SACCADE,
     DetectionParams,
     detect_events,
-    ek_noise_threshold,
     event_properties,
 )
 from gazeconcepts.dissect import dissect_saccades
@@ -38,19 +39,17 @@ from gazeconcepts.influence import (
 )
 from gazeconcepts.io import REPORT_COLUMNS, read_events, write_events
 from gazeconcepts.pipeline import concept_masks
-from gazeconcepts.preprocess import WindowStack
 
-from conftest import build_window
+from conftest import build_window, ek_thresholds, join_windows
 
 MISSING = ("none", "mid", "start", "end", "two_valid")
 GazeEvent = ref.GazeEvent
 
 
-def windows_influence(windows, events, subs, topk, k):
+def windows_influence(stack, events, subs, topk, k):
     """The InfluenceTable of a stack as run and staged influence compute
     it: concept masks in one batched pass, scored against the (n, L)
     top-k masks of k steps all at once."""
-    stack = WindowStack.of(windows)
     masks = concept_masks(events, subs, stack.length)
     return influence_table(ALL_CONCEPTS, masks, topk, k, stack.window_ids)
 
@@ -90,10 +89,9 @@ def assert_table_matches(want, table):
                 {name: [got[name][i] for i in order] for name in REPORT_COLUMNS})
 
 
-def table(events_by_row, windows):
-    """Per-window GazeEvent lists as one table over the windows."""
-    ids = WindowStack.of(windows).window_ids
-    return ref.event_table([e for row in events_by_row for e in row], ids)
+def table(events_by_row, stack):
+    """Per-window GazeEvent lists as one table over the windows of a stack."""
+    return ref.event_table([e for row in events_by_row for e in row], stack.window_ids)
 
 
 def same(a, b) -> bool:
@@ -157,6 +155,7 @@ def scanpath(rng, length, rate):
 
 
 def make_windows(seed, length, missing, rates):
+    """A stack of scanpath windows, one per entry of `missing`."""
     rng = np.random.default_rng(seed)
     windows = []
     for i, (kind, rate) in enumerate(zip(missing, rates)):
@@ -178,7 +177,7 @@ def make_windows(seed, length, missing, rates):
         window_id = f"r{(i * 7) % len(missing)}-w{i:04d}"
         windows.append(build_window(vx, vy, px, py, window_id=window_id,
                                     sampling_rate_hz=rate))
-    return windows
+    return join_windows(*windows)
 
 
 def reference_detect(windows, params):
@@ -220,7 +219,8 @@ params_strategy = st.builds(
 def test_batched_kernels_match_reference(seed, length, missing, rate, params, nan_px, top_frac):
     rng = np.random.default_rng(seed + 1)
     rates = [rate if i % 2 == 0 else 1000.0 for i in range(len(missing))]
-    windows = make_windows(seed, length, missing, rates)
+    stack = make_windows(seed, length, missing, rates)
+    windows = ref.window_rows(stack)
     want = outcome(reference_detect, windows, params)
     if nan_px and want[0] == "ok":
         nan_px_at_saccade_ends(windows, want[1], rng)
@@ -228,8 +228,7 @@ def test_batched_kernels_match_reference(seed, length, missing, rate, params, na
     for w in windows:
         args = (w.vx, w.vy, params.sacc_lambda, params.eta_floor, w.valid_mask)
         assert_same_outcome(outcome(ref.ek_noise_threshold, *args),
-                            outcome(ek_noise_threshold, *args))
-    stack = WindowStack.of(windows)
+                            outcome(ek_thresholds, *args))
     got = outcome(lambda: ref.events_by_row(detect_events(stack, params)))
     assert_same_outcome(("ok", [f + s for f, s in want[1]]) if want[0] == "ok" else want, got)
     if want[0] == "raised":
@@ -290,8 +289,8 @@ def test_absent_concepts_and_cutoff_ties_match_reference():
     every window (here the pre phase) has no corpus result and no row,
     and ties at the top-k cutoff go to the lower index, as in the
     reference; binning scores the same stacked masks."""
-    windows = make_windows(6, 40, ["none"] * 3, [1000.0] * 3)
-    ids = [w.window_id for w in windows]
+    stack = make_windows(6, 40, ["none"] * 3, [1000.0] * 3)
+    windows, ids = ref.window_rows(stack), stack.window_ids
     events = [
         [GazeEvent("a:fix000", FIXATION, ids[0], 0, 9, dispersion_deg=0.5),
          GazeEvent("a:sac000", SACCADE, ids[0], 10, 17, duration_ms=8.0)],
@@ -310,8 +309,8 @@ def test_absent_concepts_and_cutoff_ties_match_reference():
     assert topk[0].nonzero()[0].tolist() == [8, 9, 10, 11, 12]
     want = [ref.window_influence(w, e, s, t)
             for w, e, s, t in zip(windows, events, [subs, [], []], ref_topk)]
-    event_tab = table(events, windows)
-    got = windows_influence(windows, event_tab, ref.subevent_table(subs, event_tab), topk, 5)
+    event_tab = table(events, stack)
+    got = windows_influence(stack, event_tab, ref.subevent_table(subs, event_tab), topk, 5)
     assert_table_matches(want, got)
     pooled = got.pooled()
     assert pooled["saccade_pre"] == (None, 3)
@@ -333,7 +332,8 @@ def test_properties_of_many_intervals_match_reference():
     np.hypot and math.hypot round differently (about 0.5% of pairs), or
     where a segmented sum would differ from np.std, are certain to occur."""
     rng = np.random.default_rng(8)
-    windows = make_windows(8, 120, ["none", "mid", "end"], [1000.0, 500.0, 1000.0])
+    stack = make_windows(8, 120, ["none", "mid", "end"], [1000.0, 500.0, 1000.0])
+    windows = ref.window_rows(stack)
     by_row = [[] for _ in windows]
     for i in range(3000):
         row = int(rng.integers(len(windows)))
@@ -342,17 +342,18 @@ def test_properties_of_many_intervals_match_reference():
         by_row[row].append(GazeEvent(f"e{i}", (FIXATION, SACCADE)[i % 2],
                                      windows[row].window_id, onset, offset))
     want = [[ref.compute_event_properties(e, w) for e in row] for row, w in zip(by_row, windows)]
-    assert same(want, ref.events_by_row(event_properties(table(by_row, windows), windows)))
+    assert same(want, ref.events_by_row(event_properties(table(by_row, stack), stack)))
 
 
 def test_degenerate_window_in_a_stack_raises_as_reference():
-    windows = make_windows(3, 40, ["none", "none", "none"], [1000.0] * 3)
+    stack = make_windows(3, 40, ["none", "none", "none"], [1000.0] * 3)
+    windows = ref.window_rows(stack)
     windows[1].vx[1:] = np.nan
     windows[1].valid_mask[1:] = False
     params = DetectionParams()
     want = outcome(reference_detect, windows, params)
     assert want[:2] == ("raised", DegenerateDataError)
-    assert_same_outcome(want, outcome(detect_events, windows, params))
+    assert_same_outcome(want, outcome(detect_events, stack, params))
 
 
 INT64 = range(-(2**63), 2**63)
@@ -364,8 +365,8 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
     """Indices beyond int64 cannot enter a table: the reference rejects
     them as outside the window, and the event table reader as unparseable,
     naming the line."""
-    windows = make_windows(4, 30, ["none", "mid"], [1000.0, 500.0])
-    ids = [w.window_id for w in windows]
+    stack = make_windows(4, 30, ["none", "mid"], [1000.0, 500.0])
+    windows, ids = ref.window_rows(stack), stack.window_ids
     outside = GazeEvent("w:fix000", FIXATION, windows[1].window_id, onset, offset)
     inside = GazeEvent("w:fix001", FIXATION, windows[0].window_id, 0, 4)
     want = outcome(lambda: [ref.compute_event_properties(e, windows[r])
@@ -377,14 +378,14 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
         text = path.read_text().replace(",0,4,", f",{onset},{offset},")
         path.write_text(text)
         with pytest.raises(FormatError, match="events.csv: line 2: cannot parse (onset|offset)"):
-            read_events(path, WindowStack.of(windows))
+            read_events(path, stack)
         return
     assert_same_outcome(want, outcome(event_properties, ref.event_table([inside, outside], ids),
-                                      windows))
+                                      stack))
     assert_same_outcome(
         outcome(lambda: [ref.compute_event_properties(outside, windows[1])]),
         outcome(lambda: ref.event_rows(event_properties(ref.event_table([outside]),
-                                                        [windows[1]]))),
+                                                        stack.take([1])))),
     )
     sub = ref.SubEvent("w:sac000", "post", onset, offset)
     parent = ref.event_table([GazeEvent("w:sac000", SACCADE, windows[1].window_id, 0, 4)], ids)
@@ -397,7 +398,7 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
     assert_same_outcome(
         outcome(ref.window_influence, windows[1], [], [sub], topks[1]),
         outcome(lambda: table_rows(windows_influence(
-            windows, ref.event_table([inside], ids), ref.subevent_table([sub], parent), topk, 3
+            stack, ref.event_table([inside], ids), ref.subevent_table([sub], parent), topk, 3
         ))[1]),
     )
     spec = BinSpec("fixation_dispersion_deg", "explicit", edges=(0.0, 1.0))
@@ -412,12 +413,13 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
     assert_same_outcome(
         outcome(ref.dissect_saccade, saccade, windows[0]),
         outcome(lambda: ref.dissections(dissect_saccades(ref.event_table([saccade], ids),
-                                                         windows))[0][0]),
+                                                         stack))[0][0]),
     )
 
 
 def test_saccade_without_valid_samples_raises_as_reference():
-    windows = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
+    stack = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
+    windows = ref.window_rows(stack)
     windows[1].vx[5:12] = np.nan
     windows[1].valid_mask[5:12] = False
     good = GazeEvent("a:sac000", SACCADE, windows[0].window_id, 2, 6)
@@ -425,7 +427,7 @@ def test_saccade_without_valid_samples_raises_as_reference():
     want = outcome(lambda: [ref.dissect_saccade(good, windows[0]),
                             ref.dissect_saccade(blind, windows[1])])
     assert want[:2] == ("raised", ConfigError)
-    assert_same_outcome(want, outcome(dissect_saccades, table([[good], [blind]], windows), windows))
+    assert_same_outcome(want, outcome(dissect_saccades, table([[good], [blind]], stack), stack))
 
 
 def test_bounds_are_checked_before_samples_or_masks():
@@ -433,14 +435,15 @@ def test_bounds_are_checked_before_samples_or_masks():
     faults meet: dissect_saccades checks every saccade's interval before
     it reads a sample, and binned_influence that every window has a top-k
     mask before it builds a mask."""
-    windows = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
+    stack = make_windows(5, 30, ["none", "none"], [1000.0] * 2)
+    windows = ref.window_rows(stack)
     windows[0].vx[5:12] = np.nan
     windows[0].valid_mask[5:12] = False
     blind = GazeEvent("a:sac000", SACCADE, windows[0].window_id, 6, 10)
     outside = GazeEvent("b:sac000", SACCADE, windows[1].window_id, 20, 30)
     want = outcome(ref.dissect_saccade, blind, windows[0])
     assert want[2] == "saccade a:sac000 has no valid samples"
-    assert outcome(dissect_saccades, table([[blind], [outside]], windows), windows) == (
+    assert outcome(dissect_saccades, table([[blind], [outside]], stack), stack) == (
         "raised", ConfigError, "saccade interval outside window"
     )
 

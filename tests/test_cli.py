@@ -171,11 +171,12 @@ def test_staged_matches_run_with_absent_concepts(tmp_path):
     corpus.mkdir()
     write_gaze_csv(rec, corpus / "noiseonly.csv")
     entries = []
-    for w in pipeline_windows(rec)[0]:
-        write_attribution(gen_proxy_attributions(w, "uniform_random", seed=3),
-                          corpus / f"{w.window_id}.csv")
+    windows, _ = pipeline_windows(rec)
+    for row, window_id in enumerate(windows.window_ids):
+        write_attribution(gen_proxy_attributions(windows, row, "uniform_random", seed=3),
+                          corpus / f"{window_id}.csv")
         entries.append({"recording": "noiseonly.csv",
-                        "attribution": f"{w.window_id}.csv", "window_id": w.window_id})
+                        "attribution": f"{window_id}.csv", "window_id": window_id})
     manifest = corpus / "manifest.json"
     manifest.write_text(json.dumps({"entries": entries}))
 
@@ -185,6 +186,17 @@ def test_staged_matches_run_with_absent_concepts(tmp_path):
     assert doc["bins"]["saccade_duration_ms"] == []
     for rel in _run_artifacts(run_out):
         assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"entries": []}')
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+    assert "manifest yields no evaluation windows" in capsys.readouterr().err
+    out = tmp_path / "staged"
+    assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 0
+    windows = gio.read_windows(out / "windows.npz")
+    assert len(windows) == 0 and windows.length == 1000 and windows.valid.dtype == bool
 
 
 def test_synth_subcommand(tmp_path, capsys):
@@ -393,6 +405,23 @@ def test_bin_rejects_topk_of_other_windows(tiny_corpus, staged_out, tmp_path, ca
     manifest.write_text(json.dumps(doc))
     assert _bin(manifest, staged_out, tmp_path)[0] == 2
     assert re.search(r"topk\.npz: window ids differ", capsys.readouterr().err)
+
+
+def test_influence_in_another_window_order_writes_the_same_table(tiny_corpus, staged_out,
+                                                                  tmp_path):
+    """Staged influence takes the windows file's rows in manifest order;
+    influence.csv is sorted, so only topk.npz's row order changes."""
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"].reverse()
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    assert main(["influence", "--out", str(out), "--manifest", str(manifest)]) == 0
+    assert (out / "influence.csv").read_bytes() == (staged_out / "influence.csv").read_bytes()
+    ids, masks, _, _ = gio.read_topk(out / "topk.npz", 1000)
+    want_ids, want, _, _ = gio.read_topk(staged_out / "topk.npz", 1000)
+    assert ids == want_ids[::-1] and (masks == want[::-1]).all()
 
 
 def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys):

@@ -10,7 +10,6 @@ from gazeconcepts.detect import (
     DetectionParams,
     detect_fixations_ivt,
     detect_saccades_ek,
-    ek_noise_threshold,
     event_properties,
     retained,
 )
@@ -24,7 +23,13 @@ from gazeconcepts.synth import (
 )
 from gazeconcepts.preprocess import SavGolParams
 
-from conftest import build_window, match_events, pipeline_windows, raised_cosine_speeds
+from conftest import (
+    build_window,
+    ek_thresholds,
+    match_events,
+    pipeline_windows,
+    raised_cosine_speeds,
+)
 
 PARAMS = DetectionParams()
 GazeEvent = ref.GazeEvent
@@ -44,7 +49,7 @@ def fixations(window, params, kept=False):
 
 def compute_event_properties(event, window):
     """One event's properties, recomputed as a table of one."""
-    return ref.event_rows(event_properties(ref.event_table([event]), [window]))[0]
+    return ref.event_rows(event_properties(ref.event_table([event]), window))[0]
 
 
 def median_oracle(values):
@@ -63,13 +68,13 @@ def ek_sigma_oracle(v):
 
 def test_ek_threshold_constant_hits_floor():
     v = np.full(100, 7.5)
-    eta_x, eta_y = ek_noise_threshold(v, v, 6.0, eta_floor=1e-6)
+    eta_x, eta_y = ek_thresholds(v, v, 6.0, eta_floor=1e-6)
     assert eta_x == 1e-6 and eta_y == 1e-6
 
 
 def test_ek_threshold_alternating_hand_case():
     v = np.tile([-1.0, 1.0], 50)
-    eta_x, eta_y = ek_noise_threshold(v, v, 6.0)
+    eta_x, eta_y = ek_thresholds(v, v, 6.0)
     # median(v^2)=1, median(v)=0 -> sigma = 1 -> eta = 6
     assert eta_x == pytest.approx(6.0, abs=1e-12)
     assert eta_y == pytest.approx(6.0, abs=1e-12)
@@ -79,7 +84,7 @@ def test_ek_threshold_gaussian_matches_median_oracle():
     rng = np.random.default_rng(99)
     vx = rng.normal(0, 2.0, 501)
     vy = rng.normal(0, 0.7, 501)
-    eta_x, eta_y = ek_noise_threshold(vx, vy, 6.0)
+    eta_x, eta_y = ek_thresholds(vx, vy, 6.0)
     assert eta_x == pytest.approx(6.0 * ek_sigma_oracle(vx), rel=1e-12)
     assert eta_y == pytest.approx(6.0 * ek_sigma_oracle(vy), rel=1e-12)
 
@@ -87,7 +92,7 @@ def test_ek_threshold_gaussian_matches_median_oracle():
 def test_ek_threshold_all_missing_errors():
     v = np.full(10, np.nan)
     with pytest.raises(DegenerateDataError):
-        ek_noise_threshold(v, v, 6.0)
+        ek_thresholds(v, v, 6.0)
 
 
 def test_no_saccades_on_pure_noise():
@@ -107,7 +112,7 @@ def test_single_injected_saccade_recovered():
     )
     rec, truth = gen_scanpath(spec, seed=21)
     windows, _ = pipeline_windows(rec)
-    events = saccades(windows[0], PARAMS, kept=True)
+    events = saccades(windows.take([0]), PARAMS, kept=True)
     assert len(events) == 1
     gt = [t for t in truth if t.kind == "saccade"]
     assert abs(events[0].onset - gt[0].onset) <= 2
@@ -204,7 +209,7 @@ def test_scanpath_fixations_recovered():
     )
     rec, truth = gen_scanpath(spec, seed=8)
     windows, _ = pipeline_windows(rec)
-    events = fixations(windows[0], PARAMS)
+    events = fixations(windows.take([0]), PARAMS)
     gt = [t for t in truth if t.kind == "fixation"]
     assert match_events(gt, events, tol=2) >= math.ceil(0.95 * len(gt))
 
@@ -284,9 +289,7 @@ def test_events_sorted_disjoint_and_within_threshold(seed):
             assert a.offset < b.onset
     for e in fixations(w, PARAMS, kept=True):
         assert (speed[e.onset : e.offset + 1] <= PARAMS.fix_max_velocity).all()
-    from gazeconcepts.detect import ek_noise_threshold as _th
-
-    eta_x, eta_y = _th(vx, vy, PARAMS.sacc_lambda, PARAMS.eta_floor)
+    eta_x, eta_y = ek_thresholds(vx, vy, PARAMS.sacc_lambda, PARAMS.eta_floor)
     for e in saccades(w, PARAMS, kept=True):
         crit = (vx[e.onset : e.offset + 1] / eta_x) ** 2 + (
             vy[e.onset : e.offset + 1] / eta_y

@@ -15,7 +15,7 @@ def _saccade(onset, offset, window_id="w0000"):
 
 def dissect_saccade(saccade, window, **kw):
     """The dissection of one saccade, as a table of one."""
-    return ref.dissections(dissect_saccades(ref.event_table([saccade]), [window], **kw))[0][0]
+    return ref.dissections(dissect_saccades(ref.event_table([saccade]), window, **kw))[0][0]
 
 
 def _dissect_speeds(speeds, onset, offset, n=None, **kw):

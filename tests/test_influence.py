@@ -123,9 +123,8 @@ def test_fixation_concept_size_tracks_ground_truth():
         PlannedSaccade,
         ScanpathSpec,
         gen_scanpath,
-        ground_truth_in_window,
     )
-    from conftest import pipeline_windows
+    from conftest import ground_truth_in_window, pipeline_windows
 
     segments = []
     for _ in range(5):
@@ -133,11 +132,11 @@ def test_fixation_concept_size_tracks_ground_truth():
     segments.append(PlannedFixation(110.0))
     rec, truth = gen_scanpath(ScanpathSpec(segments=segments), seed=0, recording_id="z")
     windows, _ = pipeline_windows(rec)
-    w = windows[0]
+    w = windows.take([0])
     gt_fix = [t for t in ground_truth_in_window(truth, 0, w.length) if t.kind == "fixation"]
     gt_size = sum(t.n_samples for t in gt_fix)
     fx = retained(detect_fixations_ivt(w, DetectionParams()))
-    seg = concept_segmentation(fx, "fixation", w.length, w.window_id)
+    seg = concept_segmentation(fx, "fixation", w.length, w.window_ids[0])
     assert len(fx) == len(gt_fix)
     junctions = 2 * 5
     assert abs(seg.size - gt_size) <= 2 * junctions

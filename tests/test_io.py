@@ -47,7 +47,7 @@ from gazeconcepts.io import (
 from reference import GazeEvent, SubEvent, _cells, event_rows, event_table, subevent_table
 from gazeconcepts.synth import random_plan, gen_scanpath
 
-from conftest import build_window
+from conftest import build_window, join_windows
 
 
 def test_trivial_three_rows(tmp_path):
@@ -545,12 +545,11 @@ def test_plain_dense_rows_take_columnar_path(tmp_path):
 
 
 def test_attribution_window_alignment():
-    w = build_window(np.zeros(100), np.zeros(100))
     good = AttributionMap("w0000", np.zeros((2, 100)))
-    validate_attribution(good, w)
+    validate_attribution(good, 100)
     bad = AttributionMap("w0000", np.zeros((2, 99)))
     with pytest.raises(AlignmentError, match="w0000"):
-        validate_attribution(bad, w)
+        validate_attribution(bad, 100)
 
 
 def test_manifest_load_and_errors(tmp_path):
@@ -685,7 +684,9 @@ def _report(results):
 def test_report_roundtrip(tmp_path, fmt):
     p = tmp_path / f"r.{fmt}"
     write_report(_report(_results()), p, fmt)
-    back = read_report(p, fmt)
+    columns = read_report(p, fmt)
+    assert list(columns) == list(gio.REPORT_COLUMNS)
+    back = [InfluenceResult(**dict(zip(columns, row))) for row in zip(*columns.values())]
     assert len(back) == 3
     by_key = {(r.concept, r.scope): r for r in back}
     corpus = by_key[("saccade", "corpus")]
@@ -708,32 +709,37 @@ def test_windows_roundtrip_exact(tmp_path):
     w1 = build_window(rng.normal(0, 5, 50), rng.normal(0, 5, 50),
                       px=rng.normal(0, 1, 50), py=rng.normal(0, 1, 50),
                       window_id="r-w0000")
-    w1.vx[7] = np.nan
-    w1.valid_mask[7] = False
+    w1.vx[0, 7] = np.nan
+    w1.valid[0, 7] = False
     w2 = build_window(rng.normal(0, 5, 50), rng.normal(0, 5, 50), window_id="r-w0001")
+    stack = join_windows(w1, w2)
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
-    write_windows([w1, w2], p)
+    write_windows(stack, p)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
     back = read_windows(p)
-    assert [w.window_id for w in back] == ["r-w0000", "r-w0001"]
-    for w, b in ((w1, back[0]), (w2, back[1])):
-        for name in ("vx", "vy", "px", "py", "valid_mask"):
-            np.testing.assert_array_equal(getattr(b, name), getattr(w, name))
-        assert (b.recording_id, b.start_index) == (w.recording_id, w.start_index)
-    assert back[0].sampling_rate_hz == 1000.0
+    assert back.window_ids == ["r-w0000", "r-w0001"]
+    for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(stack, name))
+    assert (back.recording_ids, back.start_index) == (stack.recording_ids, stack.start_index)
+    assert back.sampling_rate_hz[0] == 1000.0
 
     not_windows = tmp_path / "events.csv"
     not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
     other_npz = tmp_path / "other.npz"
     np.savez(other_npz, vx=w1.vx)
     repeated = tmp_path / "repeated.npz"
-    write_windows([w1, w1], repeated)
-    for bad in (not_windows, other_npz, repeated):
+    write_windows(join_windows(w1, w1), repeated)
+    mixed = tmp_path / "mixed.npz"  # every array but vx of windows of 10 samples
+    write_windows(build_window(np.zeros(10), window_id="r-w0002"), mixed)
+    with np.load(mixed) as npz:
+        arrays = dict(npz)
+    arrays["vx"] = w1.vx
+    np.savez(mixed, **arrays)
+    for bad in (not_windows, other_npz, repeated, mixed):
         with pytest.raises(FormatError, match=bad.name):
             read_windows(bad)
-    short = build_window(np.zeros(10), window_id="r-w0002")
-    with pytest.raises(DataError, match="mixed lengths"):
-        write_windows([w1, short], tmp_path / "mixed.npz")
+    with pytest.raises(FormatError, match="disagree in shape"):
+        read_windows(mixed)
 
 
 def test_topk_roundtrip_exact(tmp_path):
@@ -752,7 +758,7 @@ def test_topk_roundtrip_exact(tmp_path):
         read_topk(p, 40)
 
     windows = tmp_path / "w.npz"
-    write_windows([build_window(np.zeros(50))], windows)
+    write_windows(build_window(np.zeros(50)), windows)
     duplicated = tmp_path / "dup.npz"
     np.savez(duplicated, window_id=np.array(["a"]), k=np.array(2), squash=np.array("abs"),
              indices=np.array([[3, 3]], dtype=np.int32))

@@ -17,7 +17,7 @@ from gazeconcepts.pipeline import (
     preprocess_manifest,
     run,
 )
-from gazeconcepts.preprocess import SavGolParams
+from gazeconcepts.preprocess import SavGolParams, zscore_normalize
 from gazeconcepts.synth import (
     PlannedFixation,
     ScanpathSpec,
@@ -42,10 +42,10 @@ def _corpus_from_recording(tmp_path, rec, attr_mode="speed"):
     write_gaze_csv(rec, tmp_path / f"{rec.recording_id}.csv")
     windows, _ = pipeline_windows(rec)
     entries = []
-    for w in windows:
-        attr = gen_proxy_attributions(w, attr_mode, seed=3)
-        write_attribution(attr, tmp_path / f"{w.window_id}.csv")
-        entries.append((f"{rec.recording_id}.csv", f"{w.window_id}.csv", w.window_id))
+    for row, window_id in enumerate(windows.window_ids):
+        attr = gen_proxy_attributions(windows, row, attr_mode, seed=3)
+        write_attribution(attr, tmp_path / f"{window_id}.csv")
+        entries.append((f"{rec.recording_id}.csv", f"{window_id}.csv", window_id))
     return _write_manifest(tmp_path / "m.json", entries)
 
 
@@ -62,14 +62,14 @@ def test_binocular_recording_uses_right_eye(tmp_path):
     write_gaze_csv(bino, tmp_path / "bino.csv")
     windows, _ = pipeline_windows(mono)
     entries = []
-    for w in windows:
-        attr = gen_proxy_attributions(w, "speed")
-        write_attribution(attr, tmp_path / f"{w.window_id}.csv")
-        entries.append(("bino.csv", f"{w.window_id}.csv", w.window_id))
+    for row, window_id in enumerate(windows.window_ids):
+        attr = gen_proxy_attributions(windows, row, "speed")
+        write_attribution(attr, tmp_path / f"{window_id}.csv")
+        entries.append(("bino.csv", f"{window_id}.csv", window_id))
     manifest = _write_manifest(tmp_path / "m.json", entries)
     pre = preprocess_manifest(manifest, RunConfig())
     # right-eye data equals the mono source, so windows match exactly
-    np.testing.assert_array_equal(pre.windows[0].px, windows[0].px)
+    np.testing.assert_array_equal(pre.windows.px[0], windows.px[0])
     assert len(pre.windows) == len(windows)
 
 
@@ -109,12 +109,12 @@ def test_norm_scope_recording_stats_per_recording(tmp_path):
     for rec in recs:
         write_gaze_csv(rec, tmp_path / f"{rec.recording_id}.csv")
         windows, _ = pipeline_windows(rec)
-        for w in windows:
+        for row, window_id in enumerate(windows.window_ids):
             write_attribution(
-                gen_proxy_attributions(w, "speed"), tmp_path / f"{w.window_id}.csv"
+                gen_proxy_attributions(windows, row, "speed"), tmp_path / f"{window_id}.csv"
             )
             entries.append(
-                (f"{rec.recording_id}.csv", f"{w.window_id}.csv", w.window_id)
+                (f"{rec.recording_id}.csv", f"{window_id}.csv", window_id)
             )
     manifest = _write_manifest(tmp_path / "m.json", entries)
     pre = preprocess_manifest(manifest, RunConfig(norm_scope="recording"))
@@ -123,6 +123,10 @@ def test_norm_scope_recording_stats_per_recording(tmp_path):
     assert set(pre_corpus.channel_stats) == {"corpus"}
     pre_none = preprocess_manifest(manifest, RunConfig(norm_scope="none"))
     assert pre_none.channel_stats == {}
+    normed = normalized_windows(pre, RunConfig(norm_scope="recording"))
+    for row, rec_id in enumerate(pre.windows.recording_ids):
+        alone = zscore_normalize(pre.windows.take([row]), [pre.channel_stats[rec_id]])
+        np.testing.assert_array_equal(normed.vx[row], alone.vx[0])
 
 
 def test_normalized_windows_zscore_valid_samples(tmp_path):
@@ -132,19 +136,16 @@ def test_normalized_windows_zscore_valid_samples(tmp_path):
     cfg = RunConfig(norm_scope="corpus")
     pre = preprocess_manifest(manifest, cfg)
     normed = normalized_windows(pre, cfg)
-    assert [w.window_id for w in normed] == [w.window_id for w in pre.windows]
+    assert normed.window_ids == pre.windows.window_ids
     for channel in ("vx", "vy"):
-        values = np.concatenate([getattr(w, channel)[w.valid_mask] for w in normed])
+        values = getattr(normed, channel)[normed.valid]
         assert abs(values.mean()) < 1e-9
         assert abs(values.std() - 1.0) < 1e-9
-    assert all(w.normalized for w in normed)
+    assert normed is not pre.windows
 
     cfg_none = RunConfig(norm_scope="none")
     pre_none = preprocess_manifest(manifest, cfg_none)
-    same = normalized_windows(pre_none, cfg_none)
-    assert len(same) == len(pre_none.windows)
-    assert all(a is b for a, b in zip(same, pre_none.windows))
-    assert not any(w.normalized for w in same)
+    assert normalized_windows(pre_none, cfg_none) is pre_none.windows
 
 
 def test_duplicate_window_ids_across_recordings_rejected(tmp_path):

@@ -138,7 +138,7 @@ def test_window_counts_5500():
     assert len(windows) == 5
     assert summary.retained == 5
     assert summary.tail_samples == 500
-    assert [w.window_id for w in windows] == [f"r-w{i:04d}" for i in range(5)]
+    assert windows.window_ids == [f"r-w{i:04d}" for i in range(5)]
 
 
 def test_window_missing_exclusion_boundary():
@@ -150,7 +150,7 @@ def test_window_missing_exclusion_boundary():
     assert summary.excluded == 1 and summary.retained == 1
     windows2, summary2 = window_sequence(v2, np.zeros(2000), v2, v2, 1000)
     assert summary2.excluded == 0 and summary2.retained == 2
-    assert int((~windows2[1].valid_mask).sum()) == 500
+    assert int((~windows2.valid[1]).sum()) == 500
 
 
 @given(
@@ -166,20 +166,33 @@ def test_window_partition_property(n, window_len, missing_frac):
     windows, s = window_sequence(v, v, v, v, window_len)
     assert s.retained * window_len + s.excluded * window_len + s.tail_samples == n
     assert len(windows) == s.retained
-    for w in windows:
-        assert (~w.valid_mask).sum() <= 0.5 * window_len
+    assert ((~windows.valid).sum(axis=1) <= 0.5 * window_len).all()
+
+
+def test_take_reorders_rows_into_a_copy():
+    v = np.arange(3000, dtype=float)
+    windows, _ = window_sequence(v, -v, v, v, 1000, recording_id="r", sampling_rate_hz=500.0)
+    taken = windows.take([2, 0])
+    assert taken.window_ids == ["r-w0002", "r-w0000"]
+    assert taken.start_index == [2000, 0] and taken.recording_ids == ["r", "r"]
+    for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
+        np.testing.assert_array_equal(getattr(taken, name), getattr(windows, name)[[2, 0]])
+    taken.vx[0, 0] = -1.0
+    assert windows.vx[2, 0] == 2000.0
+    empty = windows.take([])
+    assert len(empty) == 0 and empty.length == 1000 and empty.valid.dtype == bool
 
 
 def test_zscore_identity_stats_and_missing_zero():
     vx = np.array([1.0, np.nan, -2.0, 3.0])
     w = build_window(vx, vx.copy())
-    stats = compute_channel_stats([w])
+    stats = compute_channel_stats(w)
     stats.mean_x = stats.mean_y = 0.0
     stats.std_x = stats.std_y = 1.0
-    normed = zscore_normalize(w, stats)
-    assert normed.normalized
-    np.testing.assert_array_equal(normed.vx[[0, 2, 3]], vx[[0, 2, 3]])
-    assert normed.vx[1] == 0.0 and normed.vy[1] == 0.0
+    normed = zscore_normalize(w, [stats])
+    assert normed is not w and np.isnan(w.vx[0, 1])  # a copy; the input is kept
+    np.testing.assert_array_equal(normed.vx[0, [0, 2, 3]], vx[[0, 2, 3]])
+    assert normed.vx[0, 1] == 0.0 and normed.vy[0, 1] == 0.0
 
 
 def test_zscore_moments_oracle():
@@ -188,30 +201,30 @@ def test_zscore_moments_oracle():
     vy = rng.normal(-1.0, 0.5, 500)
     vx[::13] = np.nan
     w = build_window(vx, vy)
-    stats = compute_channel_stats([w])
-    normed = zscore_normalize(w, stats)
-    valid = normed.valid_mask
+    stats = compute_channel_stats(w)
+    normed = zscore_normalize(w, [stats])
+    valid = normed.valid
     assert abs(np.mean(normed.vx[valid])) < 1e-9
     assert abs(np.std(normed.vx[valid]) - 1.0) < 1e-9
     assert abs(np.mean(normed.vy[valid])) < 1e-9
     assert abs(np.std(normed.vy[valid]) - 1.0) < 1e-9
     # invertible on valid samples
     np.testing.assert_allclose(
-        normed.vx[valid] * stats.std_x + stats.mean_x, vx[valid], rtol=1e-9
+        normed.vx[valid] * stats.std_x + stats.mean_x, vx[valid[0]], rtol=1e-9
     )
 
 
 def test_zscore_zero_variance_errors():
     w = build_window(np.full(10, 2.0), np.arange(10, dtype=float))
-    stats = compute_channel_stats([w])
+    stats = compute_channel_stats(w)
     with pytest.raises(DegenerateDataError, match="channel x"):
-        zscore_normalize(w, stats)
+        zscore_normalize(w, [stats])
 
 
 def test_stats_cover_valid_samples_only():
     vx = np.array([1.0, np.nan, 3.0])
     w = build_window(vx, np.array([2.0, np.nan, 4.0]))
-    stats = compute_channel_stats([w])
+    stats = compute_channel_stats(w)
     assert stats.n == 2
     assert stats.mean_x == 2.0
     assert stats.mean_y == 3.0

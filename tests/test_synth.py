@@ -11,13 +11,12 @@ from gazeconcepts.synth import (
     ScanpathSpec,
     gen_proxy_attributions,
     gen_scanpath,
-    ground_truth_in_window,
     positional_noise_sigma,
     raised_cosine_peak,
     random_plan,
 )
 
-from conftest import build_window, pipeline_windows
+from conftest import build_window, ground_truth_in_window, pipeline_windows
 
 
 def simpson(y, dx):
@@ -113,9 +112,9 @@ def test_speed_attribution_argmax_in_topk():
     vx = rng.normal(0, 0.5, 1000)
     vx[300:330] += 200.0
     w = build_window(vx, rng.normal(0, 0.5, 1000))
-    attr = gen_proxy_attributions(w, "speed")
+    attr = gen_proxy_attributions(w, 0, "speed")
     assert attr.channels == 2 and attr.length == 1000
-    speed = np.hypot(w.vx, w.vy)
+    speed = np.hypot(w.vx[0], w.vy[0])
     top1 = np.argsort(-attr.values.max(axis=0), kind="stable")[0]
     assert top1 == np.argmax(speed)
 
@@ -125,8 +124,8 @@ def test_fixation_biased_inverts_ranking():
     vx = rng.normal(0, 0.5, 100)
     vx[40:60] += 150.0
     w = build_window(vx, rng.normal(0, 0.5, 100))
-    speed_attr = gen_proxy_attributions(w, "speed")
-    biased = gen_proxy_attributions(w, "fixation_biased")
+    speed_attr = gen_proxy_attributions(w, 0, "speed")
+    biased = gen_proxy_attributions(w, 0, "fixation_biased")
     order_speed = np.argsort(-speed_attr.values[0], kind="stable")
     order_biased = np.argsort(biased.values[0], kind="stable")
     # inverted ranking: ascending biased order equals descending speed order
@@ -154,21 +153,22 @@ def test_fixation_biased_flips_concept_influence():
     rec, _ = gen_scanpath(plan, 77, recording_id="fb")
     windows, _ = pipeline_windows(rec)
     c_fix, c_sacc = [], []
-    for w in windows:
+    for row, window_id in enumerate(windows.window_ids):
+        w = windows.take([row])
         fx = retained(detect_fixations_ivt(w, params))
         sc = retained(detect_saccades_ek(w, params))
-        attr = gen_proxy_attributions(w, "fixation_biased", seed=1)
-        topk = topk_segmentation(attr.values.max(axis=0), default_k(w.length), w.window_id)
+        attr = gen_proxy_attributions(windows, row, "fixation_biased", seed=1)
+        topk = topk_segmentation(attr.values.max(axis=0), default_k(w.length), window_id)
         if fx:
             c_fix.append(
                 concept_influence(
-                    concept_segmentation(fx, "fixation", w.length, w.window_id), topk
+                    concept_segmentation(fx, "fixation", w.length, window_id), topk
                 ).c
             )
         if sc:
             c_sacc.append(
                 concept_influence(
-                    concept_segmentation(sc, "saccade", w.length, w.window_id), topk
+                    concept_segmentation(sc, "saccade", w.length, window_id), topk
                 ).c
             )
     assert np.mean(c_fix) > np.mean(c_sacc)
@@ -176,9 +176,9 @@ def test_fixation_biased_flips_concept_influence():
 
 def test_uniform_random_deterministic_and_in_range():
     w = build_window(np.zeros(50), np.zeros(50))
-    a1 = gen_proxy_attributions(w, "uniform_random", seed=9)
-    a2 = gen_proxy_attributions(w, "uniform_random", seed=9)
-    a3 = gen_proxy_attributions(w, "uniform_random", seed=10)
+    a1 = gen_proxy_attributions(w, 0, "uniform_random", seed=9)
+    a2 = gen_proxy_attributions(w, 0, "uniform_random", seed=9)
+    a3 = gen_proxy_attributions(w, 0, "uniform_random", seed=10)
     np.testing.assert_array_equal(a1.values, a2.values)
     assert not np.array_equal(a1.values, a3.values)
     assert (a1.values >= 0).all() and (a1.values < 1).all()
@@ -188,10 +188,10 @@ def test_missing_samples_get_zero_attribution():
     vx = np.zeros(30)
     vx[5] = np.nan
     w = build_window(vx + 10.0 * (np.arange(30) % 3), np.zeros(30))
-    w.vx[5] = np.nan
-    w.valid_mask[5] = False
+    w.vx[0, 5] = np.nan
+    w.valid[0, 5] = False
     for mode in ("speed", "fixation_biased"):
-        attr = gen_proxy_attributions(w, mode)
+        attr = gen_proxy_attributions(w, 0, mode)
         assert attr.values[0, 5] == 0.0 and attr.values[1, 5] == 0.0
         assert np.isfinite(attr.values).all()
 
@@ -199,7 +199,7 @@ def test_missing_samples_get_zero_attribution():
 def test_unknown_attribution_mode():
     w = build_window(np.zeros(10), np.zeros(10))
     with pytest.raises(ConfigError):
-        gen_proxy_attributions(w, "nope")
+        gen_proxy_attributions(w, 0, "nope")
 
 
 def test_random_plan_peaks_in_requested_range():
@@ -217,6 +217,6 @@ def test_generated_peak_speed_near_planned():
     )
     rec, truth = gen_scanpath(spec, seed=2)
     windows, _ = pipeline_windows(rec)
-    speed = windows[0].speed()
+    speed = windows.speed[0]
     planned = truth[1].peak_velocity
     assert np.nanmax(speed) == pytest.approx(planned, rel=0.01)
