@@ -212,7 +212,7 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pre = preprocess_manifest(manifest, cfg)
     path = out / "windows.npz"
-    gio.write_windows(pre.windows, path)
+    gio.write_windows(pre.windows, path, cfg.sg_window, cfg.sg_order, cfg.clamp)
     report_mod.write_report_json(_preprocess_counts(pre), out / "preprocess_stats.json")
     print(f"wrote {len(pre.windows)} windows to {path}")
     return 0

@@ -128,6 +128,23 @@ class EventTable:
         return replace(self, **{name: getattr(self, name)[index] for name in EVENT_ARRAYS})
 
 
+def _median(v) -> np.ndarray:
+    """np.median(v, axis=-1) of finite values, bit for bit: the middle
+    value, or the mean of the two middle values when the count is even.
+
+    np.median's NaN check imports numpy.ma (about 10 ms a process); this
+    partitions at the same positions and skips the check.
+    """
+    n = v.shape[-1]
+    mid = n // 2
+    kth = [mid - 1, mid] if n % 2 == 0 else [mid]
+    part = np.partition(v, kth + [-1], axis=-1)
+    # np.mean's sum starts from +0.0, which turns a -0.0 middle into 0.0
+    if n % 2:
+        return 0.0 + part[..., mid]
+    return (0.0 + part[..., mid - 1] + part[..., mid]) / 2
+
+
 def _ek_thresholds(vx, vy, valid, lam: float, eta_floor: float) -> np.ndarray:
     """Adaptive per-component saccade thresholds (eta_x, eta_y) in deg/s
     of each row of (n, L) velocity stacks, shape (n, 2).
@@ -146,12 +163,12 @@ def _ek_thresholds(vx, vy, valid, lam: float, eta_floor: float) -> np.ndarray:
         med, med_sq = np.empty(len(v)), np.empty(len(v))
         if full.any():
             vf = v if full.all() else v[full]
-            med[full] = np.median(vf, axis=1)
-            med_sq[full] = np.median(vf * vf, axis=1)
+            med[full] = _median(vf)
+            med_sq[full] = _median(vf * vf)
         for r in np.flatnonzero(~full):
             vr = v[r][valid[r]]
-            med[r] = np.median(vr)
-            med_sq[r] = np.median(vr * vr)
+            med[r] = _median(vr)
+            med_sq[r] = _median(vr * vr)
         var = med_sq - med * med
         sigma = np.sqrt(np.where(var > 0, var, 0.0))
         etas[:, j] = np.maximum(lam * sigma, eta_floor)

@@ -15,7 +15,9 @@ by it in one call; all others are parsed line by line, with the same
 values and the same errors.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
-as do the binary ``.npz`` windows and top-k stage files. Every other
+as do the binary ``.npz`` windows and top-k stage files; the windows
+file stores positions and edge velocities and rebuilds the other
+velocities on read, as preprocess derives them. Every other
 CSV table (events, sub-events, influence, binned influence, synth
 ground truth) is written by ``write_table`` and read back by
 ``read_table``, a column at a time, with reals at 9 significant digits.
@@ -48,7 +50,13 @@ from .detect import (
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
-from .preprocess import WindowStack, outside_window
+from .preprocess import (
+    SavGolParams,
+    WindowStack,
+    clamp_velocities,
+    outside_window,
+    savgol_derivative,
+)
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
 BINOCULAR_COLUMNS = ("t_ms", "x_left_deg", "y_left_deg", "x_right_deg", "y_right_deg")
@@ -673,34 +681,108 @@ def validate_attribution(attr: AttributionMap, length: int):
 
 WINDOW_ARRAYS = (
     "window_id", "recording_id", "start_index", "sampling_rate_hz",
+    "px", "py", "edges", "sg_window", "sg_order", "clamp",
+)
+# a windows file that stores every velocity, as written before velocities
+# were rebuilt on read
+OLD_WINDOW_ARRAYS = (
+    "window_id", "recording_id", "start_index", "sampling_rate_hz",
     "vx", "vy", "px", "py", "valid",
 )
+REBUILD_SAMPLES = 1 << 16  # samples per channel rebuilt at a time
 
 
-def write_windows(stack: WindowStack, path):
+def _velocity_chunks(px, py, edges, rates, sg_window: int, sg_order: int, clamp: float):
+    """(rows, vx, vy, valid) for every row of the (n, L) positions, a
+    bounded chunk of rows at a time: the velocities preprocess derives.
+
+    The rows of one sampling rate are differentiated end to end, so a
+    sample at least sg_window // 2 steps from its row's ends is the
+    centred derivative of its own row's positions, as in the recording.
+    ``edges`` (4, n, e) holds the first and last e samples of vx and of
+    vy, which the recording's neighbouring samples set. valid is where
+    both components are finite, as in window_sequence.
+    """
+    length = px.shape[1]
+    e = edges.shape[2]
+    per_chunk = max(1, REBUILD_SAMPLES // max(length, 1))
+    for rate in dict.fromkeys(rates.tolist()):  # np.unique would import numpy.ma
+        sg = SavGolParams(sg_window, sg_order, 1.0 / rate)
+        group = np.flatnonzero(rates == rate)
+        for start in range(0, len(group), per_chunk):
+            rows = group[start : start + per_chunk]
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)  # a view, not a copy
+            v = []
+            for p, first, last in ((px, edges[0], edges[1]), (py, edges[2], edges[3])):
+                p = p[rows]
+                if length < sg_window:  # every sample is an edge sample
+                    vel = np.empty(p.shape)
+                else:
+                    vel = clamp_velocities(savgol_derivative(p.ravel(), sg), clamp)
+                    vel = vel.reshape(p.shape)
+                vel[:, :e] = first[rows]
+                vel[:, length - e :] = last[rows]
+                v.append(vel)
+            yield rows, v[0], v[1], np.isfinite(v[0]) & np.isfinite(v[1])
+
+
+def write_windows(stack: WindowStack, path, sg_window: int, sg_order: int, clamp: float):
     """Write a stack of velocity windows as one ``.npz`` stage file.
 
-    Arrays are stored in binary, so every float round-trips exactly. The
-    file is written to exactly ``path``, whatever its suffix.
+    The file holds the positions and, of the velocities, only each row's
+    first and last min(sg_window // 2, L) samples; read_windows rebuilds the
+    rest from the positions with the recorded SG parameters and clamp.
+    A stack whose velocities or valid flags differ from the rebuilt ones
+    in any bit is refused (DataError naming its first such row) and
+    nothing is written. Arrays are stored in binary, so every float
+    round-trips exactly. The file is written to exactly ``path``,
+    whatever its suffix.
     """
+    SavGolParams(sg_window, sg_order).validate()
+    if not clamp > 0:
+        raise ConfigError(f"clamp must be positive, got {clamp}")
+    rates = stack.sampling_rate_hz
+    if not (np.isfinite(rates) & (rates > 0)).all():
+        raise DataError(f"{path}: sampling rates must be positive and finite")
+    length = stack.length
+    e = min(sg_window // 2, length)
+    edges = np.stack([stack.vx[:, :e], stack.vx[:, length - e :],
+                      stack.vy[:, :e], stack.vy[:, length - e :]])
+    chunks = _velocity_chunks(stack.px, stack.py, edges, rates, sg_window, sg_order, clamp)
+    for rows, vx, vy, valid in chunks:
+        for name, rebuilt in (("vx", vx), ("vy", vy), ("valid", valid)):
+            kept = getattr(stack, name)[rows]
+            if name != "valid":  # every bit: NaN payloads and the sign of zero too
+                kept, rebuilt = kept.view(np.int64), rebuilt.view(np.int64)
+            differs = (kept != rebuilt).any(axis=1)
+            if differs.any():
+                row = int(np.arange(len(stack))[rows][np.argmax(differs)])
+                raise DataError(
+                    f"{path}: window {stack.window_ids[row]!r} (row {row}): {name} is not "
+                    f"what sg_window {sg_window}, sg_order {sg_order} and clamp {clamp} "
+                    f"rebuild from its positions; not written"
+                )
     arrays = {
         "window_id": np.array(stack.window_ids, dtype=str),
         "recording_id": np.array(stack.recording_ids, dtype=str),
         "start_index": np.array(stack.start_index, dtype=np.int64),
-        "sampling_rate_hz": stack.sampling_rate_hz,
-        "vx": stack.vx,
-        "vy": stack.vy,
+        "sampling_rate_hz": rates,
         "px": stack.px,
         "py": stack.py,
-        "valid": stack.valid,
+        "edges": edges,
+        "sg_window": np.array(sg_window, dtype=np.int64),
+        "sg_order": np.array(sg_order, dtype=np.int64),
+        "clamp": np.array(clamp, dtype=float),
     }
     with Path(path).open("wb") as fh:
         np.savez(fh, **arrays)
 
 
-def _load_npz(path, names, what: str) -> dict:
+def _load_npz(path, names, what: str, older=()) -> dict:
     """The arrays of a stage ``.npz`` file that holds exactly `names`;
-    FormatError naming the path for any other file."""
+    FormatError naming the path for any other file, one that says so
+    for a file of the `older` arrays."""
     path = Path(path)
     with path.open("rb") as fh:
         try:
@@ -708,6 +790,8 @@ def _load_npz(path, names, what: str) -> dict:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
+                if older and set(npz.files) == set(older):
+                    raise FormatError(f"{path}: a {what} in an older format; rerun preprocess")
                 if set(npz.files) != set(names):
                     raise ValueError(f"not the {what} arrays")
                 return {name: npz[name] for name in names}
@@ -715,27 +799,61 @@ def _load_npz(path, names, what: str) -> dict:
             raise FormatError(f"{path}: not a {what}") from None
 
 
+def _is(array, dtype, shape) -> bool:
+    """Whether `array` has `shape` and dtype `dtype` ("U": any string)."""
+    return array.shape == shape and (
+        array.dtype.kind == "U" if dtype == "U" else array.dtype == dtype
+    )
+
+
 def read_windows(path) -> WindowStack:
-    """Inverse of write_windows, as one stack of the file's arrays;
-    rejects anything but a windows file."""
-    a = _load_npz(path, WINDOW_ARRAYS, "windows file")
+    """Inverse of write_windows: one stack of the file's windows, their
+    velocities rebuilt from the positions and edge samples; rejects
+    anything but a windows file, and a windows file in the older format
+    that stored every velocity."""
+    a = _load_npz(path, WINDOW_ARRAYS, "windows file", older=OLD_WINDOW_ARRAYS)
+    px, py, edges = a["px"], a["py"], a["edges"]
     n = a["window_id"].size
-    shapes = {a[name].shape for name in WINDOW_ARRAYS[4:]}
-    if len(shapes) != 1 or len(shapes.pop()) != 2 or any(a[k].shape[:1] != (n,) for k in a):
-        raise FormatError(f"{path}: windows file arrays disagree in shape")
+    shape = (n, px.shape[1] if px.ndim == 2 else -1)
+    if not (
+        all(_is(a[name], dtype, (n,)) for name, dtype in (
+            ("window_id", "U"), ("recording_id", "U"),
+            ("start_index", np.int64), ("sampling_rate_hz", np.float64),
+        ))
+        and _is(px, np.float64, shape) and _is(py, np.float64, shape)
+        and _is(a["sg_window"], np.int64, ()) and _is(a["sg_order"], np.int64, ())
+        and _is(a["clamp"], np.float64, ())
+    ):
+        raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
+    sg_window, sg_order, clamp = int(a["sg_window"]), int(a["sg_order"]), float(a["clamp"])
+    rates = a["sampling_rate_hz"]
+    try:
+        SavGolParams(sg_window, sg_order).validate()
+    except ConfigError as e:
+        raise FormatError(f"{path}: sg_window/sg_order: {e}") from None
+    if not clamp > 0:
+        raise FormatError(f"{path}: clamp must be positive, got {clamp}")
+    if not (np.isfinite(rates) & (rates > 0)).all():
+        raise FormatError(f"{path}: sampling rates must be positive and finite")
+    if not _is(edges, np.float64, (4, n, min(sg_window // 2, shape[1]))):
+        raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
     window_ids = [str(w) for w in a["window_id"]]
     if len(set(window_ids)) != n:
         raise FormatError(f"{path}: window ids are not unique")
+    vx, vy = np.empty(shape), np.empty(shape)
+    valid = np.empty(shape, dtype=bool)
+    for rows, *rebuilt in _velocity_chunks(px, py, edges, rates, sg_window, sg_order, clamp):
+        vx[rows], vy[rows], valid[rows] = rebuilt
     return WindowStack(
         window_ids=window_ids,
         recording_ids=[str(r) for r in a["recording_id"]],
         start_index=a["start_index"].tolist(),
-        sampling_rate_hz=a["sampling_rate_hz"].astype(float),
-        vx=a["vx"],
-        vy=a["vy"],
-        px=a["px"],
-        py=a["py"],
-        valid=a["valid"],
+        sampling_rate_hz=rates,
+        vx=vx,
+        vy=vy,
+        px=px,
+        py=py,
+        valid=valid,
     )
 
 
@@ -749,7 +867,7 @@ def write_topk(window_ids, masks, path, squash: str):
     attributions were collapsed with. The file is written to exactly
     ``path``, whatever its suffix.
     """
-    ks = np.unique(np.count_nonzero(masks, axis=1)).tolist()
+    ks = sorted(set(np.count_nonzero(masks, axis=1).tolist()))  # np.unique imports numpy.ma
     if len(ks) > 1:
         raise DataError(f"top-k segmentations of mixed k {ks} cannot be stacked")
     k = ks[0] if ks else 0

@@ -11,7 +11,7 @@ clamped velocities in deg/s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,18 +120,23 @@ class WindowingSummary:
     excluded_window_ids: list = field(default_factory=list)
 
 
+@lru_cache(maxsize=256)
 def savgol_weights(window_length: int, poly_order: int, pos: int) -> np.ndarray:
     """First-derivative filter weights for one evaluation position.
 
     A polynomial of degree poly_order is least-squares fitted to the
     window samples; the returned weights produce the fitted polynomial's
     derivative (per sample step) at offset ``pos`` within the window.
+    The weights are computed once per argument triple and shared, so
+    the array is read-only.
     """
     if not 0 <= pos < window_length:
         raise ConfigError(f"evaluation position {pos} outside window")
     offsets = np.arange(window_length, dtype=float) - pos
     design = np.vander(offsets, poly_order + 1, increasing=True)
-    return np.linalg.pinv(design)[1]
+    weights = np.linalg.pinv(design)[1]
+    weights.flags.writeable = False
+    return weights
 
 
 def savgol_derivative(positions, params: SavGolParams) -> np.ndarray:

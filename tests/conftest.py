@@ -1,16 +1,25 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gazeconcepts.detect import _ek_thresholds
+from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import (
     SavGolParams,
     WindowStack,
     clamp_velocities,
     savgol_derivative,
     window_sequence,
+)
+from gazeconcepts.synth import (
+    gen_proxy_attributions,
+    gen_scanpath,
+    positional_noise_sigma,
+    random_plan,
 )
 
 
@@ -34,6 +43,15 @@ def build_window(vx, vy=None, px=None, py=None, window_id="w0000", valid=None,
         py=py[None],
         valid=np.asarray(valid, dtype=bool)[None],
     )
+
+
+def derived_window(px, py=None, window_id="w0000", clamp=1000.0):
+    """A stack of one 1 kHz window whose velocities are the default SG
+    derivative of its positions, clamped, as preprocess derives them."""
+    px = np.asarray(px, dtype=float)
+    py = np.zeros_like(px) if py is None else np.asarray(py, dtype=float)
+    vx, vy = (clamp_velocities(savgol_derivative(p, SavGolParams()), clamp) for p in (px, py))
+    return build_window(vx, vy, px, py, window_id=window_id)
 
 
 def join_windows(*stacks):
@@ -75,6 +93,49 @@ def pipeline_windows(rec, window_len=1000, clamp=1000.0, sg=None):
         recording_id=rec.recording_id, sampling_rate_hz=rec.sampling_rate_hz,
     )
     return windows, summary
+
+
+# (first sample, length) of the runs of missing samples in a gappy recording
+MISSING_RUNS = ((0, 3), (57, 1), (118, 5), (200, 60), (399, 2), (520, 30), (1497, 3))
+
+
+def write_gappy_recordings(root, n_recordings=2, seed=3, duration_s=1.5):
+    """Monocular 1 kHz scanpath recordings rec00, rec01, ... in `root`
+    whose coordinates are missing over MISSING_RUNS, written as empty
+    cells; returns the recordings as written."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    recs = []
+    for i in range(n_recordings):
+        sigma = positional_noise_sigma(0.5, SavGolParams())
+        rec, _ = gen_scanpath(random_plan(seed + i, duration_s, noise_sigma_deg=sigma),
+                              seed + i, recording_id=f"rec{i:02d}")
+        x, y = rec.x_deg.copy(), rec.y_deg.copy()
+        for start, n in MISSING_RUNS:
+            x[start : start + n] = y[start : start + n] = np.nan
+        rec = replace(rec, eyes={"mono": (x, y)})
+        path = root / f"{rec.recording_id}.csv"
+        write_gaze_csv(rec, path)
+        path.write_text(path.read_text().replace(",NaN,NaN", ",,"))
+        recs.append(rec)
+    return recs
+
+
+def gappy_corpus(root, window_len=40):
+    """A manifest over write_gappy_recordings with a uniform-random
+    attribution map for each window the default preprocessing retains."""
+    root = Path(root)
+    entries = []
+    for rec in write_gappy_recordings(root):
+        windows, _ = pipeline_windows(rec, window_len)
+        for row, window_id in enumerate(windows.window_ids):
+            attr = gen_proxy_attributions(windows, row, "uniform_random", seed=len(entries))
+            write_attribution(attr, root / f"{window_id}.csv")
+            entries.append({"recording": f"{rec.recording_id}.csv",
+                            "attribution": f"{window_id}.csv", "window_id": window_id})
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+    return manifest
 
 
 def raised_cosine_speeds(n, peak):

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shutil
 from pathlib import Path
@@ -21,7 +20,7 @@ from gazeconcepts.synth import (
     write_demo_corpus,
 )
 
-from conftest import pipeline_windows
+from conftest import gappy_corpus, pipeline_windows
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +183,18 @@ def test_staged_matches_run_with_absent_concepts(tmp_path):
     doc = json.loads((run_out / "report.json").read_text())
     assert doc["concepts"]["saccade"] == {"windows": 0, "windows_skipped": 3}
     assert doc["bins"]["saccade_duration_ms"] == []
+    for rel in _run_artifacts(run_out):
+        assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def test_staged_matches_run_with_missing_samples(tmp_path):
+    """Runs of missing samples, written as empty cells, reach the edges
+    and the interiors of windows of 40 samples; the windows file rebuilds
+    their velocities and valid flags exactly."""
+    manifest = gappy_corpus(tmp_path / "corpus", window_len=40)
+    assert ",,\n" in (tmp_path / "corpus" / "rec00.csv").read_text()
+    run_out, staged = _run_and_staged(manifest, tmp_path, ["--window-len", "40"])
+    assert not gio.read_windows(staged / "windows.npz").valid.all()
     for rel in _run_artifacts(run_out):
         assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference as ref
 from gazeconcepts.detect import (
     DetectionParams,
+    _median,
     detect_fixations_ivt,
     detect_saccades_ek,
     event_properties,
@@ -93,6 +95,18 @@ def test_ek_threshold_all_missing_errors():
     v = np.full(10, np.nan)
     with pytest.raises(DegenerateDataError):
         ek_thresholds(v, v, 6.0)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))))
+@settings(max_examples=300, deadline=None)
+def test_median_is_numpy_median_bit_for_bit(values):
+    with np.errstate(over="ignore"):  # both sum the two middle values
+        want = np.asarray(np.median(values, axis=-1))
+        got = np.asarray(_median(values))
+    assert got.shape == want.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all(), (values, got, want)
 
 
 def test_no_saccades_on_pure_noise():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,9 @@ from gazeconcepts.synth import (
     random_plan,
 )
 
-from conftest import pipeline_windows
+import gazeconcepts
+
+from conftest import gappy_corpus, pipeline_windows
 
 
 def _write_manifest(path, entries, base=""):
@@ -177,3 +183,29 @@ def test_run_names_the_stage_a_detection_error_comes_from(tmp_path):
     cfg = RunConfig(window_len=200, missing_max_frac=1.0, charts=False)
     with pytest.raises(DegenerateDataError, match=r"^\[stage detect\] need at least 2 valid"):
         run(manifest, cfg, tmp_path / "out")
+
+
+def test_run_and_stages_leave_numpy_ma_unimported(tmp_path):
+    """np.median's NaN check and np.unique import numpy.ma, about 10 ms
+    in every fresh process; run and the staged subcommands use neither."""
+    manifest = gappy_corpus(tmp_path / "corpus", window_len=40)
+    code = f"""
+import sys
+from gazeconcepts import io as gio
+from gazeconcepts.cli import main
+from gazeconcepts.pipeline import RunConfig, run
+run(gio.load_manifest({str(manifest)!r}), RunConfig(window_len=40), {str(tmp_path / "run")!r})
+imported = ["run"] if "numpy.ma" in sys.modules else []
+for stage in ("preprocess", "detect", "dissect", "influence", "bin", "report"):
+    argv = [stage, "--manifest", {str(manifest)!r}, "--out", {str(tmp_path / "staged")!r}]
+    assert main(argv + ["--window-len", "40"]) == 0, stage
+    if "numpy.ma" in sys.modules and not imported:
+        imported.append(stage)
+print(imported)
+"""
+    src = str(Path(gazeconcepts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

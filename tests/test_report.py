@@ -1,4 +1,3 @@
-import json
 import re
 import xml.etree.ElementTree as ET
 
