@@ -15,7 +15,7 @@ from pathlib import Path
 
 from gazeconcepts.io import load_manifest
 from gazeconcepts.pipeline import RunConfig, run
-from gazeconcepts.synth import CorpusSpec, write_demo_corpus
+from gazeconcepts.synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 
 def main(argv=None):
@@ -24,8 +24,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=20230403)
     ap.add_argument("--recordings", type=int, default=2)
     ap.add_argument("--duration-s", type=float, default=30.0)
-    ap.add_argument("--attr-mode", default="speed",
-                    choices=("speed", "uniform_random", "fixation_biased"))
+    ap.add_argument("--attr-mode", default="speed", choices=ATTRIBUTION_MODES)
     args = ap.parse_args(argv)
 
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="gazeconcepts_"))

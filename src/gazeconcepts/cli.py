@@ -4,12 +4,12 @@ bin, report, and run.
 The analysis flags are the RunConfig fields (sg_window is --sg-window)
 and take the same values as config-file keys. Precedence for every
 parameter is CLI flag over config file over built-in default. The config
-file is INI-style; keys may live in any section and must name RunConfig
-fields. It is --config, else the manifest's `config`, resolved next to
-the manifest. Every subcommand but synth takes --manifest; preprocess,
-influence, bin and run require it. The output directory is --out, else
-$GAZECONCEPTS_OUT, else the manifest's `output_dir`, else ./out. --jobs
-is accepted and has no effect.
+file is INI-style; keys may live in any section, [DEFAULT] too, and must
+name RunConfig fields. It is --config, else the manifest's `config`,
+resolved next to the manifest. Every subcommand but synth takes
+--manifest; preprocess, influence, bin and run require it. The output
+directory is --out, else $GAZECONCEPTS_OUT, else the manifest's
+`output_dir`, else ./out. --jobs is accepted and has no effect.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -26,7 +26,7 @@ from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
 from .detect import event_properties, retained
-from .errors import ConfigError, DataError, FormatError, GazeError
+from .errors import AlignmentError, ConfigError, DataError, FormatError, GazeError
 from .influence import InfluenceResult, default_k
 from .pipeline import (
     ALL_CONCEPTS,
@@ -44,6 +44,7 @@ from .pipeline import (
     write_charts,
     write_influence,
 )
+from .preprocess import gather_windows
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 ENV_OUT = "GAZECONCEPTS_OUT"
@@ -82,15 +83,16 @@ def _coerce(name: str, raw: str, default):
 
 
 def _load_ini(path) -> dict:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise OSError(f"config file not found: {path}")
-    flat = {}
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            flat[key] = value
-    return flat
+    """Every key of every section, later sections winning; [DEFAULT] is
+    one of them, as no section is named "". ConfigError naming the file
+    if it does not parse."""
+    cp = configparser.ConfigParser(default_section="")
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise OSError(f"config file not found: {path}")
+        return {key: value for section in cp.sections() for key, value in cp.items(section)}
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path}: {' '.join(str(e).split())}") from None
 
 
 def resolve_config(args, config_path) -> RunConfig:
@@ -183,14 +185,12 @@ def _manifest_windows(manifest, out: Path):
     """The windows file's windows in manifest order (the file's own stack
     when the orders agree) and each one's attribution path."""
     windows = gio.read_windows(out / "windows.npz")
-    row_of = {window_id: row for row, window_id in enumerate(windows.window_ids)}
-    rows = []
-    for entry in manifest.entries:
-        if entry.window_id not in row_of:
-            raise DataError(f"manifest window {entry.window_id!r} not in windows file")
-        rows.append(row_of[entry.window_id])
-    if rows != list(range(len(windows))):
-        windows = windows.take(rows)
+    ids = [entry.window_id for entry in manifest.entries]
+    if ids != windows.window_ids:
+        try:
+            windows = gather_windows([windows], ids, windows.length)
+        except AlignmentError as e:
+            raise DataError(f"{out / 'windows.npz'}: {e}; rerun preprocess") from None
     return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
 
 
@@ -210,9 +210,13 @@ def _read_stats(path: Path, *keys) -> dict:
 def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     out.mkdir(parents=True, exist_ok=True)
-    pre = preprocess_manifest(manifest, cfg)
     path = out / "windows.npz"
-    gio.write_windows(pre.windows, path, cfg.sg_window, cfg.sg_order, cfg.clamp)
+    try:
+        pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
+            positions, path, [e.window_id for e in manifest.entries], cfg.window_params()))
+    except BaseException:  # the file is written before the windows are gathered
+        path.unlink(missing_ok=True)
+        raise
     report_mod.write_report_json(_preprocess_counts(pre), out / "preprocess_stats.json")
     print(f"wrote {len(pre.windows)} windows to {path}")
     return 0

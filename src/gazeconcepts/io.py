@@ -16,8 +16,8 @@ values and the same errors.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files; the windows
-file stores positions and edge velocities and rebuilds the other
-velocities on read, as preprocess derives them. Every other
+file keeps the positions preprocess parsed and windows them on read
+with preprocess's own code. Every other
 CSV table (events, sub-events, influence, binned influence, synth
 ground truth) is written by ``write_table`` and read back by
 ``read_table``, a column at a time, with reals at 9 significant digits.
@@ -33,7 +33,7 @@ import math
 import threading
 import warnings
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from io import StringIO
 from pathlib import Path
 
@@ -51,11 +51,11 @@ from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
 from .preprocess import (
-    SavGolParams,
+    WindowParams,
     WindowStack,
-    clamp_velocities,
+    gather_windows,
     outside_window,
-    savgol_derivative,
+    window_recording,
 )
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
@@ -420,7 +420,7 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     """
     path = Path(path)
     stamp = _file_stamp(path)
-    raw = path.read_text(encoding="utf-8")
+    raw = read_text(path)
     if not raw or raw.isspace():
         raise DataError(f"{path}: empty file")
     header = next(csv.reader([_first_line(raw)]))
@@ -505,25 +505,41 @@ def select_eye(rec: GazeRecording, eye: str = "right") -> GazeRecording:
     )
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; FormatError naming the path if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def read_json(path):
     """A JSON document; FormatError naming the path if it does not parse."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON: {e}") from None
 
 
 def load_manifest(path) -> RunManifest:
+    """An object whose "entries" list holds an object of ManifestEntry's
+    string fields per window, and optional string "config" and
+    "output_dir"; FormatError naming the path for any other document."""
     path = Path(path)
     doc = read_json(path)
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise FormatError(f"{path}: manifest must be an object with 'entries'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise FormatError(f"{path}: manifest must be an object with an 'entries' list")
+    for key in ("config", "output_dir"):
+        if not isinstance(doc.get(key, ""), (str, type(None))):
+            raise FormatError(f"{path}: {key!r} must be a string")
     entries = []
     seen = set()
     for i, e in enumerate(doc["entries"]):
-        missing = {"recording", "attribution", "window_id"} - set(e)
-        if missing:
-            raise FormatError(f"{path}: entry {i} missing fields {sorted(missing)}")
+        if not isinstance(e, dict):
+            raise FormatError(f"{path}: entry {i} is not an object")
+        bad = [f.name for f in fields(ManifestEntry) if not isinstance(e.get(f.name), str)]
+        if bad:
+            raise FormatError(f"{path}: entry {i}: {', '.join(bad)} missing or not a string")
         if e["window_id"] in seen:
             raise DataError(f"{path}: duplicate window_id {e['window_id']!r}")
         seen.add(e["window_id"])
@@ -610,7 +626,7 @@ def _sparse_values(path, rows) -> np.ndarray:
 def load_attribution(path, window_id: str | None = None) -> AttributionMap:
     """Load one attribution file (dense or sparse form)."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not rows:
         raise DataError(f"{path}: empty attribution file")
@@ -680,109 +696,36 @@ def validate_attribution(attr: AttributionMap, length: int):
 
 
 WINDOW_ARRAYS = (
-    "window_id", "recording_id", "start_index", "sampling_rate_hz",
-    "px", "py", "edges", "sg_window", "sg_order", "clamp",
+    "recording_id", "sampling_rate_hz", "n_samples", "x", "y", "window_id",
+    *(f.name for f in fields(WindowParams)),
 )
-# a windows file that stores every velocity, as written before velocities
-# were rebuilt on read
-OLD_WINDOW_ARRAYS = (
-    "window_id", "recording_id", "start_index", "sampling_rate_hz",
-    "vx", "vy", "px", "py", "valid",
-)
-REBUILD_SAMPLES = 1 << 16  # samples per channel rebuilt at a time
 
 
-def _velocity_chunks(px, py, edges, rates, sg_window: int, sg_order: int, clamp: float):
-    """(rows, vx, vy, valid) for every row of the (n, L) positions, a
-    bounded chunk of rows at a time: the velocities preprocess derives.
-
-    The rows of one sampling rate are differentiated end to end, so a
-    sample at least sg_window // 2 steps from its row's ends is the
-    centred derivative of its own row's positions, as in the recording.
-    ``edges`` (4, n, e) holds the first and last e samples of vx and of
-    vy, which the recording's neighbouring samples set. valid is where
-    both components are finite, as in window_sequence.
-    """
-    length = px.shape[1]
-    e = edges.shape[2]
-    per_chunk = max(1, REBUILD_SAMPLES // max(length, 1))
-    for rate in dict.fromkeys(rates.tolist()):  # np.unique would import numpy.ma
-        sg = SavGolParams(sg_window, sg_order, 1.0 / rate)
-        group = np.flatnonzero(rates == rate)
-        for start in range(0, len(group), per_chunk):
-            rows = group[start : start + per_chunk]
-            if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)  # a view, not a copy
-            v = []
-            for p, first, last in ((px, edges[0], edges[1]), (py, edges[2], edges[3])):
-                p = p[rows]
-                if length < sg_window:  # every sample is an edge sample
-                    vel = np.empty(p.shape)
-                else:
-                    vel = clamp_velocities(savgol_derivative(p.ravel(), sg), clamp)
-                    vel = vel.reshape(p.shape)
-                vel[:, :e] = first[rows]
-                vel[:, length - e :] = last[rows]
-                v.append(vel)
-            yield rows, v[0], v[1], np.isfinite(v[0]) & np.isfinite(v[1])
-
-
-def write_windows(stack: WindowStack, path, sg_window: int, sg_order: int, clamp: float):
-    """Write a stack of velocity windows as one ``.npz`` stage file.
-
-    The file holds the positions and, of the velocities, only each row's
-    first and last min(sg_window // 2, L) samples; read_windows rebuilds the
-    rest from the positions with the recorded SG parameters and clamp.
-    A stack whose velocities or valid flags differ from the rebuilt ones
-    in any bit is refused (DataError naming its first such row) and
-    nothing is written. Arrays are stored in binary, so every float
-    round-trips exactly. The file is written to exactly ``path``,
-    whatever its suffix.
-    """
-    SavGolParams(sg_window, sg_order).validate()
-    if not clamp > 0:
-        raise ConfigError(f"clamp must be positive, got {clamp}")
-    rates = stack.sampling_rate_hz
-    if not (np.isfinite(rates) & (rates > 0)).all():
-        raise DataError(f"{path}: sampling rates must be positive and finite")
-    length = stack.length
-    e = min(sg_window // 2, length)
-    edges = np.stack([stack.vx[:, :e], stack.vx[:, length - e :],
-                      stack.vy[:, :e], stack.vy[:, length - e :]])
-    chunks = _velocity_chunks(stack.px, stack.py, edges, rates, sg_window, sg_order, clamp)
-    for rows, vx, vy, valid in chunks:
-        for name, rebuilt in (("vx", vx), ("vy", vy), ("valid", valid)):
-            kept = getattr(stack, name)[rows]
-            if name != "valid":  # every bit: NaN payloads and the sign of zero too
-                kept, rebuilt = kept.view(np.int64), rebuilt.view(np.int64)
-            differs = (kept != rebuilt).any(axis=1)
-            if differs.any():
-                row = int(np.arange(len(stack))[rows][np.argmax(differs)])
-                raise DataError(
-                    f"{path}: window {stack.window_ids[row]!r} (row {row}): {name} is not "
-                    f"what sg_window {sg_window}, sg_order {sg_order} and clamp {clamp} "
-                    f"rebuild from its positions; not written"
-                )
+def write_windows(recordings, path, window_ids, params: WindowParams):
+    """Write the windows stage file: what preprocess windowed, not the
+    windows. ``recordings`` holds each recording's (id, sampling rate, x,
+    y), its eye-selected positions in degrees; ``window_ids`` are the
+    evaluation windows in manifest order, ``params`` what cut them.
+    Binary, so every float round-trips; written to exactly ``path``."""
+    ids, rates, xs, ys = zip(*recordings) if recordings else ((),) * 4
     arrays = {
-        "window_id": np.array(stack.window_ids, dtype=str),
-        "recording_id": np.array(stack.recording_ids, dtype=str),
-        "start_index": np.array(stack.start_index, dtype=np.int64),
-        "sampling_rate_hz": rates,
-        "px": stack.px,
-        "py": stack.py,
-        "edges": edges,
-        "sg_window": np.array(sg_window, dtype=np.int64),
-        "sg_order": np.array(sg_order, dtype=np.int64),
-        "clamp": np.array(clamp, dtype=float),
+        "recording_id": np.array(ids, dtype=str),
+        "sampling_rate_hz": np.array(rates, dtype=float),
+        "n_samples": np.array(list(map(len, xs)), dtype=np.int64),
+        "x": np.concatenate([np.empty(0), *xs]),
+        "y": np.concatenate([np.empty(0), *ys]),
+        "window_id": np.array(window_ids, dtype=str),
+        **{f.name: np.array(getattr(params, f.name), dtype=type(f.default))
+           for f in fields(WindowParams)},
     }
     with Path(path).open("wb") as fh:
         np.savez(fh, **arrays)
 
 
-def _load_npz(path, names, what: str, older=()) -> dict:
+def _load_npz(path, names, what: str, older: str = "") -> dict:
     """The arrays of a stage ``.npz`` file that holds exactly `names`;
     FormatError naming the path for any other file, one that says so
-    for a file of the `older` arrays."""
+    for a file of an older format, which holds an array `older`."""
     path = Path(path)
     with path.open("rb") as fh:
         try:
@@ -790,7 +733,7 @@ def _load_npz(path, names, what: str, older=()) -> dict:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                if older and set(npz.files) == set(older):
+                if older and older in npz.files:
                     raise FormatError(f"{path}: a {what} in an older format; rerun preprocess")
                 if set(npz.files) != set(names):
                     raise ValueError(f"not the {what} arrays")
@@ -807,54 +750,40 @@ def _is(array, dtype, shape) -> bool:
 
 
 def read_windows(path) -> WindowStack:
-    """Inverse of write_windows: one stack of the file's windows, their
-    velocities rebuilt from the positions and edge samples; rejects
-    anything but a windows file, and a windows file in the older format
-    that stored every velocity."""
-    a = _load_npz(path, WINDOW_ARRAYS, "windows file", older=OLD_WINDOW_ARRAYS)
-    px, py, edges = a["px"], a["py"], a["edges"]
-    n = a["window_id"].size
-    shape = (n, px.shape[1] if px.ndim == 2 else -1)
-    if not (
-        all(_is(a[name], dtype, (n,)) for name, dtype in (
-            ("window_id", "U"), ("recording_id", "U"),
-            ("start_index", np.int64), ("sampling_rate_hz", np.float64),
-        ))
-        and _is(px, np.float64, shape) and _is(py, np.float64, shape)
-        and _is(a["sg_window"], np.int64, ()) and _is(a["sg_order"], np.int64, ())
-        and _is(a["clamp"], np.float64, ())
-    ):
+    """Inverse of write_windows: the evaluation windows, in the file's
+    order, windowed from the stored positions and parameters as
+    preprocess windows them. FormatError naming the file for anything
+    else, a windows file of an older format included."""
+    a = _load_npz(path, WINDOW_ARRAYS, "windows file", older="px")
+    r, total = a["recording_id"].size, a["x"].size
+    layout = {
+        "recording_id": ("U", (r,)), "sampling_rate_hz": (np.float64, (r,)),
+        "n_samples": (np.int64, (r,)), "x": (np.float64, (total,)),
+        "y": (np.float64, (total,)), "window_id": ("U", (a["window_id"].size,)),
+        **{f.name: (type(f.default), ()) for f in fields(WindowParams)},
+    }
+    if not all(_is(a[name], *spec) for name, spec in layout.items()):
         raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
-    sg_window, sg_order, clamp = int(a["sg_window"]), int(a["sg_order"]), float(a["clamp"])
-    rates = a["sampling_rate_hz"]
-    try:
-        SavGolParams(sg_window, sg_order).validate()
-    except ConfigError as e:
-        raise FormatError(f"{path}: sg_window/sg_order: {e}") from None
-    if not clamp > 0:
-        raise FormatError(f"{path}: clamp must be positive, got {clamp}")
+    counts, rates = a["n_samples"], a["sampling_rate_hz"]
+    if (counts < 0).any() or counts.sum() != total:
+        raise FormatError(f"{path}: n_samples do not sum to the {total} positions")
+    recording_ids, window_ids = a["recording_id"].tolist(), a["window_id"].tolist()
+    if len(set(recording_ids)) < r or len(set(window_ids)) < len(window_ids):
+        raise FormatError(f"{path}: recording or window ids are not unique")
     if not (np.isfinite(rates) & (rates > 0)).all():
         raise FormatError(f"{path}: sampling rates must be positive and finite")
-    if not _is(edges, np.float64, (4, n, min(sg_window // 2, shape[1]))):
-        raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
-    window_ids = [str(w) for w in a["window_id"]]
-    if len(set(window_ids)) != n:
-        raise FormatError(f"{path}: window ids are not unique")
-    vx, vy = np.empty(shape), np.empty(shape)
-    valid = np.empty(shape, dtype=bool)
-    for rows, *rebuilt in _velocity_chunks(px, py, edges, rates, sg_window, sg_order, clamp):
-        vx[rows], vy[rows], valid[rows] = rebuilt
-    return WindowStack(
-        window_ids=window_ids,
-        recording_ids=[str(r) for r in a["recording_id"]],
-        start_index=a["start_index"].tolist(),
-        sampling_rate_hz=rates,
-        vx=vx,
-        vy=vy,
-        px=px,
-        py=py,
-        valid=valid,
-    )
+    params = WindowParams(**{f.name: a[f.name].item() for f in fields(WindowParams)})
+    starts = np.cumsum(counts)[:-1]
+    try:
+        params.validate()
+        # popped: only the windows' views keep the positions, until gathered
+        stacks = [window_recording(*rec, params)[0] for rec in zip(
+            recording_ids, rates.tolist(), np.split(a.pop("x"), starts),
+            np.split(a.pop("y"), starts),
+        )]
+        return gather_windows(stacks, window_ids, params.window_len)
+    except (ConfigError, DataError) as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 TOPK_ARRAYS = ("window_id", "indices", "k", "squash")

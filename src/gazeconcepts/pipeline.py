@@ -40,7 +40,7 @@ from .detect import (
     retained,
 )
 from .dissect import PHASES, SubEventTable, check_ratios, dissect_saccades
-from .errors import AlignmentError, ConfigError, DataError, GazeError
+from .errors import ConfigError, DataError, GazeError
 from .influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
@@ -55,12 +55,11 @@ from .influence import (
     topk_segmentation,
 )
 from .preprocess import (
-    SavGolParams,
+    WindowParams,
     WindowStack,
-    clamp_velocities,
     compute_channel_stats,
-    savgol_derivative,
-    window_sequence,
+    gather_windows,
+    window_recording,
     zscore_normalize,
 )
 
@@ -122,8 +121,8 @@ class RunConfig:
     # execution (accepted, no effect)
     jobs: int = 1
 
-    def savgol_params(self, sampling_rate_hz: float) -> SavGolParams:
-        return SavGolParams(self.sg_window, self.sg_order, 1.0 / sampling_rate_hz)
+    def window_params(self) -> WindowParams:
+        return WindowParams(**{f.name: getattr(self, f.name) for f in fields(WindowParams)})
 
     def detection_params(self) -> DetectionParams:
         return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
@@ -133,18 +132,9 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be {'/'.join(allowed)}, got {value!r}")
-        for name, ok, rule in (
-            ("clamp", self.clamp > 0, "positive"),
-            ("window_len", self.window_len >= 1, ">= 1"),
-            ("missing_max_frac", 0 <= self.missing_max_frac <= 1, "in [0, 1]"),
-            ("jobs", self.jobs >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        try:
-            SavGolParams(self.sg_window, self.sg_order).validate()
-        except ConfigError as e:
-            raise ConfigError(f"sg_window/sg_order: {e}") from None
+        if not self.jobs >= 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        self.window_params().validate()
         self.detection_params().validate()
         check_ratios(self.peak_ratio, self.flank_ratio)
         default_k(self.window_len, self.top_frac)
@@ -200,72 +190,33 @@ class RunResult:
     written: list = field(default_factory=list)
 
 
-def preprocess_manifest(manifest, cfg: RunConfig) -> PreprocessResult:
-    """Load manifest recordings, differentiate, clamp, and window them.
-
-    Recordings are loaded one at a time and released once windowed. The
-    evaluation windows are then gathered, in manifest order, into one
-    stack one field at a time, each field of the per-recording windows
-    released once gathered: at most one field is ever held twice.
-    """
-    located = {}  # window id -> (recording id, row)
-    summaries = {}
-    per_recording = {}
-    channel_stats = {}
+def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResult:
+    """Load the manifest recordings one at a time, window each and gather
+    the evaluation windows in manifest order. Positions are released once
+    windowed, unless ``parsed`` is given: it is called with every
+    recording's (recording id, sampling rate, x, y) before the gathering,
+    so no position outlives its windows (the windows stage file)."""
+    params = cfg.window_params()
+    summaries, stacks, channel_stats, positions = {}, [], {}, []
     for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
         rec = gio.load_gaze_csv(manifest.resolve(relpath))
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
-        sg = cfg.savgol_params(mono.sampling_rate_hz)
-        stack, summary = window_sequence(
-            clamp_velocities(savgol_derivative(mono.x_deg, sg), cfg.clamp),
-            clamp_velocities(savgol_derivative(mono.y_deg, sg), cfg.clamp),
-            mono.x_deg, mono.y_deg, cfg.window_len,
-            recording_id=mono.recording_id,
-            sampling_rate_hz=mono.sampling_rate_hz,
-            missing_max_frac=cfg.missing_max_frac,
-        )
-        rec_id = mono.recording_id
+        positions.append((mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg))
         del rec, mono
-        summaries[rec_id] = summary
-        per_recording[rec_id] = stack
-        for row, window_id in enumerate(stack.window_ids):
-            if window_id in located:
-                raise DataError(f"window id {window_id!r} produced twice")
-            located[window_id] = (rec_id, row)
+        rec_id = positions[-1][0]
+        stack, summaries[rec_id] = window_recording(*positions[-1], params)
+        if parsed is None:
+            positions.clear()
+        stacks.append(stack)
         if cfg.norm_scope == "recording" and len(stack):
             channel_stats[rec_id] = compute_channel_stats(stack)
-
-    order = []
-    for entry in manifest.entries:
-        if entry.window_id not in located:
-            raise AlignmentError(
-                f"window_id {entry.window_id!r} does not resolve to any window "
-                f"produced from the manifest recordings"
-            )
-        order.append(located[entry.window_id])
-    windows = _gather(per_recording, order, cfg.window_len)
+    if parsed is not None:
+        parsed(positions)
+    del positions
+    windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
     if cfg.norm_scope == "corpus" and len(windows):
         channel_stats["corpus"] = compute_channel_stats(windows)
     return PreprocessResult(windows, summaries, dict(sorted(channel_stats.items())))
-
-
-def _gather(stacks: dict, order, length: int) -> WindowStack:
-    """Rows of per-recording stacks, ``order`` [(recording id, row)], as one
-    stack, built one array field at a time; each field of ``stacks`` is
-    dropped once gathered."""
-    picked = [(stacks[rec_id], row) for rec_id, row in order]
-
-    def gather(name):
-        return [getattr(stack, name)[row] for stack, row in picked]
-
-    columns = {name: gather(name) for name in ("window_ids", "recording_ids", "start_index")}
-    columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
-    for name in ("vx", "vy", "px", "py", "valid"):
-        dtype = bool if name == "valid" else float
-        columns[name] = np.array(gather(name), dtype=dtype).reshape(len(order), length)
-        for stack in stacks.values():
-            setattr(stack, name, None)
-    return WindowStack(**columns)
 
 
 def normalized_windows(pre: PreprocessResult, cfg: RunConfig) -> WindowStack:

@@ -1,21 +1,21 @@
 """Turn positional gaze recordings into clamped, windowed velocity sequences.
 
-The pipeline is: differentiate positions with a Savitzky-Golay filter,
-clamp the velocities to a physical limit, cut the sequence into
-non-overlapping fixed-length windows, drop windows with too many missing
-samples, and (optionally) z-score the retained windows for model-input
-parity. Event detection downstream always consumes the unnormalized,
-clamped velocities in deg/s.
+window_recording differentiates a recording's positions with a
+Savitzky-Golay filter, clamps the velocities to a physical limit, cuts
+non-overlapping fixed-length windows and drops those with too many
+missing samples; gather_windows stacks a corpus's evaluation windows.
+preprocess, the windows stage file reader and synth all use these two.
+Detection consumes the unnormalized, clamped velocities in deg/s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, SizeError
+from .errors import AlignmentError, ConfigError, DataError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,31 @@ class SavGolParams:
             )
         if not self.dt_s > 0:
             raise ConfigError(f"dt_s must be positive, got {self.dt_s}")
+
+
+@dataclass(frozen=True)
+class WindowParams:
+    """What shapes a recording's windows: SG differentiation, the clamp
+    (deg/s), the length and the largest missing fraction a window keeps."""
+
+    sg_window: int = 7
+    sg_order: int = 2
+    clamp: float = 1000.0
+    window_len: int = 1000
+    missing_max_frac: float = 0.5
+
+    def validate(self):
+        for name, ok, rule in (
+            ("clamp", self.clamp > 0, "positive"),
+            ("window_len", self.window_len >= 1, ">= 1"),
+            ("missing_max_frac", 0 <= self.missing_max_frac <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        try:
+            SavGolParams(self.sg_window, self.sg_order).validate()
+        except ConfigError as e:
+            raise ConfigError(f"sg_window/sg_order: {e}") from None
 
 
 @dataclass
@@ -117,7 +142,6 @@ class WindowingSummary:
     retained: int = 0
     excluded: int = 0
     tail_samples: int = 0
-    excluded_window_ids: list = field(default_factory=list)
 
 
 @lru_cache(maxsize=256)
@@ -213,7 +237,6 @@ def window_sequence(
         retained=int(keep.sum()),
         excluded=int(n_slots - keep.sum()),
         tail_samples=n % window_len,
-        excluded_window_ids=[wid for wid, k in zip(ids, keep.tolist()) if not k],
     )
     take = slice(None) if keep.all() else keep
     stack = WindowStack(
@@ -225,25 +248,62 @@ def window_sequence(
     return stack, summary
 
 
+def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
+                     params: WindowParams) -> tuple[WindowStack, WindowingSummary]:
+    """The windows of one recording's positions (deg, NaN where missing):
+    SG velocities at its sampling rate, clamped, cut by window_sequence."""
+    sg = SavGolParams(params.sg_window, params.sg_order, 1.0 / sampling_rate_hz)
+    vx, vy = (clamp_velocities(savgol_derivative(p, sg), params.clamp) for p in (x, y))
+    return window_sequence(vx, vy, x, y, params.window_len, recording_id, sampling_rate_hz,
+                           params.missing_max_frac)
+
+
+def gather_windows(stacks: list, window_ids, length: int) -> WindowStack:
+    """The windows ``window_ids`` of the per-recording stacks, in order, as one
+    stack built a field at a time, dropping each field of ``stacks`` once gathered.
+    DataError if two windows share an id; AlignmentError for one no stack holds."""
+    located = {}  # window id -> (stack, row)
+    for stack in stacks:
+        for row, window_id in enumerate(stack.window_ids):
+            if window_id in located:
+                raise DataError(f"window id {window_id!r} produced twice")
+            located[window_id] = (stack, row)
+    picked = []
+    for window_id in window_ids:
+        if window_id not in located:
+            raise AlignmentError(f"window_id {window_id!r} is not among the windows")
+        picked.append(located[window_id])
+
+    def gather(name):
+        return [getattr(stack, name)[row] for stack, row in picked]
+
+    columns = {name: gather(name) for name in ("window_ids", "recording_ids", "start_index")}
+    columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
+    for name in ("vx", "vy", "px", "py", "valid"):
+        dtype = bool if name == "valid" else float
+        columns[name] = np.array(gather(name), dtype=dtype).reshape(len(picked), length)
+        for stack in stacks:
+            setattr(stack, name, None)
+    return WindowStack(**columns)
+
+
 def compute_channel_stats(windows: WindowStack) -> ChannelStats:
     """Mean and std per velocity channel over valid samples of all windows.
 
     Windows are reduced in row order so the result does not depend on
-    any parallel evaluation schedule.
+    any parallel evaluation schedule. The channels are reduced one at a
+    time, so only one channel's valid samples are ever copied.
     """
     if not len(windows):
         raise DegenerateDataError("no windows to compute statistics over")
-    vxs = windows.vx[windows.valid]
-    vys = windows.vy[windows.valid]
-    if len(vxs) == 0:
+    n = int(windows.valid.sum())
+    if n == 0:
         raise DegenerateDataError("all samples missing; no statistics")
-    return ChannelStats(
-        mean_x=float(np.mean(vxs)),
-        std_x=float(np.std(vxs)),
-        mean_y=float(np.mean(vys)),
-        std_y=float(np.std(vys)),
-        n=int(len(vxs)),
-    )
+    moments = {}
+    for name in ("x", "y"):
+        values = getattr(windows, "v" + name)[windows.valid]
+        moments["mean_" + name], moments["std_" + name] = np.mean(values), np.std(values)
+    return ChannelStats(**{k: float(v) for k, v in moments.items()}, n=n)
 
 
 def zscore_normalize(windows: WindowStack, stats) -> WindowStack:

@@ -33,11 +33,10 @@ from .io import (
 )
 from .preprocess import (
     SavGolParams,
+    WindowParams,
     WindowStack,
-    clamp_velocities,
-    savgol_derivative,
     savgol_weights,
-    window_sequence,
+    window_recording,
 )
 
 
@@ -313,6 +312,8 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
         if spec.noise_velocity_sigma_dps > 0
         else 0.0
     )
+    params = WindowParams(spec.sg.window_length, spec.sg.poly_order, spec.clamp_dps,
+                          spec.window_len)
     entries = []
     truth_by_rec = {}
     attr_seed = spec.seed + 7919
@@ -331,12 +332,7 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
         write_gaze_csv(rec, out / "recordings" / f"{rec_id}.csv")
         truth_by_rec[rec_id] = truth
 
-        vx = clamp_velocities(savgol_derivative(rec.x_deg, spec.sg), spec.clamp_dps)
-        vy = clamp_velocities(savgol_derivative(rec.y_deg, spec.sg), spec.clamp_dps)
-        windows, _ = window_sequence(
-            vx, vy, rec.x_deg, rec.y_deg, spec.window_len,
-            recording_id=rec_id, sampling_rate_hz=spec.sampling_rate_hz,
-        )
+        windows, _ = window_recording(rec_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg, params)
         for row, window_id in enumerate(windows.window_ids):
             attr = gen_proxy_attributions(windows, row, spec.attribution_mode, seed=attr_seed)
             attr_seed += 1

@@ -10,10 +10,9 @@ from gazeconcepts.detect import _ek_thresholds
 from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import (
     SavGolParams,
+    WindowParams,
     WindowStack,
-    clamp_velocities,
-    savgol_derivative,
-    window_sequence,
+    window_recording,
 )
 from gazeconcepts.synth import (
     gen_proxy_attributions,
@@ -45,15 +44,6 @@ def build_window(vx, vy=None, px=None, py=None, window_id="w0000", valid=None,
     )
 
 
-def derived_window(px, py=None, window_id="w0000", clamp=1000.0):
-    """A stack of one 1 kHz window whose velocities are the default SG
-    derivative of its positions, clamped, as preprocess derives them."""
-    px = np.asarray(px, dtype=float)
-    py = np.zeros_like(px) if py is None else np.asarray(py, dtype=float)
-    vx, vy = (clamp_velocities(savgol_derivative(p, SavGolParams()), clamp) for p in (px, py))
-    return build_window(vx, vy, px, py, window_id=window_id)
-
-
 def join_windows(*stacks):
     """One stack of the rows of equal-length stacks, in order (a copy)."""
     lists = ("window_ids", "recording_ids", "start_index")
@@ -83,16 +73,11 @@ def ground_truth_in_window(truth, start: int, length: int):
             for e in truth if e.onset >= start and e.offset < start + length]
 
 
-def pipeline_windows(rec, window_len=1000, clamp=1000.0, sg=None):
+def pipeline_windows(rec, window_len=1000, missing_max_frac=0.5):
     """The production preprocess chain for a monocular recording."""
-    sg = sg or SavGolParams(dt_s=1.0 / rec.sampling_rate_hz)
-    vx = clamp_velocities(savgol_derivative(rec.x_deg, sg), clamp)
-    vy = clamp_velocities(savgol_derivative(rec.y_deg, sg), clamp)
-    windows, summary = window_sequence(
-        vx, vy, rec.x_deg, rec.y_deg, window_len,
-        recording_id=rec.recording_id, sampling_rate_hz=rec.sampling_rate_hz,
-    )
-    return windows, summary
+    return window_recording(rec.recording_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg,
+                            WindowParams(window_len=window_len,
+                                         missing_max_frac=missing_max_frac))
 
 
 # (first sample, length) of the runs of missing samples in a gappy recording

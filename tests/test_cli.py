@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gazeconcepts.synth import (
     gen_proxy_attributions,
     gen_scanpath,
     positional_noise_sigma,
+    random_plan,
     write_demo_corpus,
 )
 
@@ -120,6 +122,35 @@ def test_unknown_config_key_rejected(tiny_corpus, tmp_path, capsys):
                  "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[DEFAULT]\nbogus_key = 1\nsg_window = 4\n", "unknown config key 'bogus_key'"),
+    ("[DEFAULT]\nsg_window = 4\n", "sg_window/sg_order: window_length must be"),
+    ("sg_window = 9\n", "cfg.ini: File contains no section headers"),
+    ("[detect]\nsacc_lambda = 8\n[detect]\nbins = 5\n", "cfg.ini: .*section 'detect' already"),
+    ("[run]\nbins = 5\nbins = 6\n", "cfg.ini: .*option 'bins' in section 'run' already"),
+    ("[run]\nformat = %(x)s\n", "cfg.ini: .*interpolation"),
+    ("[run]\nformat = \xe9\n", "cfg.ini: .*can't decode"),
+])
+def test_bad_config_file_exits_1(tiny_corpus, tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(text.encode("latin-1"))
+    assert main(["run", "--manifest", str(tiny_corpus), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(message, err.splitlines()[-1]) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_section_keys_are_read(tiny_corpus, tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[DEFAULT]\nsg_window = 9\nbins = 7\n[binning]\nbins = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out),
+                 "--config", str(cfg), "--no-charts"]) == 0
+    log = json.loads((out / "run_log.json").read_text())
+    assert (log["parameters"]["sg_window"], log["parameters"]["bins"]) == (9, 5)
+
+
 def test_env_var_default_out(tiny_corpus, tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("GAZECONCEPTS_OUT", str(out))
@@ -197,6 +228,74 @@ def test_staged_matches_run_with_missing_samples(tmp_path):
     assert not gio.read_windows(staged / "windows.npz").valid.all()
     for rel in _run_artifacts(run_out):
         assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def _assert_staged_matches(run_out, staged):
+    written = _run_artifacts(run_out)
+    assert written
+    for rel in written:
+        assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def test_staged_matches_run_on_every_other_window_in_reverse(tiny_corpus, tmp_path):
+    """The windows file stores every sample of both recordings; the
+    manifest asks for half their windows, last first."""
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"] = doc["entries"][::-2]
+    assert len({e["recording"] for e in doc["entries"]}) == 2
+    manifest.write_text(json.dumps(doc))
+    run_out, staged = _run_and_staged(manifest, tmp_path)
+    assert gio.read_windows(staged / "windows.npz").window_ids == [
+        e["window_id"] for e in doc["entries"]]
+    _assert_staged_matches(run_out, staged)
+
+
+def test_staged_matches_run_on_the_left_eye_of_binocular_recordings(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    rng = np.random.default_rng(8)
+    sigma = positional_noise_sigma(0.5, SavGolParams())
+    entries = []
+    for i in range(2):
+        mono, _ = gen_scanpath(random_plan(20 + i, 3.0, noise_sigma_deg=sigma), 20 + i,
+                               recording_id=f"bino{i}")
+        right = tuple(c + rng.normal(0.0, 0.05, len(c)) for c in (mono.x_deg, mono.y_deg))
+        write_gaze_csv(replace(mono, eyes={"left": (mono.x_deg, mono.y_deg), "right": right},
+                               eye="binocular"), corpus / f"bino{i}.csv")
+        windows, _ = pipeline_windows(mono)
+        for row, window_id in enumerate(windows.window_ids):
+            write_attribution(gen_proxy_attributions(windows, row, "speed"),
+                              corpus / f"{window_id}.csv")
+            entries.append({"recording": f"bino{i}.csv",
+                            "attribution": f"{window_id}.csv", "window_id": window_id})
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+    run_out, staged = _run_and_staged(manifest, tmp_path, ["--eye", "left"])
+    _assert_staged_matches(run_out, staged)
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "right")]) == 0
+    right_events = (tmp_path / "right" / "events.csv").read_bytes()
+    assert right_events != (run_out / "events.csv").read_bytes()
+
+
+def test_staged_matches_run_with_recording_norm_scope(tiny_corpus, tmp_path):
+    run_out, staged = _run_and_staged(tiny_corpus, tmp_path, ["--norm-scope", "recording"])
+    stats = json.loads((run_out / "report.json").read_text())["counts"]["channel_stats"]
+    assert sorted(stats) == ["rec00", "rec01"]
+    _assert_staged_matches(run_out, staged)
+
+
+def test_failed_preprocess_leaves_no_windows_file(tiny_corpus, tmp_path, capsys):
+    """The windows file is written before the windows are gathered; a
+    manifest window that windowing does not produce removes it again."""
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"][-1]["window_id"] = "rec01-w9999"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "window_id 'rec01-w9999' is not among the windows" in capsys.readouterr().err
+    assert out.is_dir() and not (out / "windows.npz").exists()
 
 
 def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
@@ -383,6 +482,52 @@ def test_malformed_stage_file_exits_2(tiny_corpus, staged_out, tmp_path, capsys,
     assert re.search(message, capsys.readouterr().err.splitlines()[-1])
 
 
+NOT_UTF8 = b"\xff\xfe not UTF-8\n"
+
+
+def _entry(**fields):
+    return {"recording": "r.csv", "attribution": "a.csv", "window_id": "r-w0000", **fields}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"entries": 5}, "manifest must be an object with an 'entries' list"),
+    ([], "manifest must be an object with an 'entries' list"),
+    ({"entries": [5]}, "entry 0 is not an object"),
+    ({"entries": [_entry(window_id=["r-w0000"])]}, "entry 0: window_id missing or not a string"),
+    ({"entries": [_entry(recording=3)]}, "entry 0: recording missing or not a string"),
+    ({"entries": [_entry(attribution=None)]}, "entry 0: attribution missing or not a string"),
+    ({"entries": [], "config": ["cfg.ini"]}, "'config' must be a string"),
+    ({"entries": [], "output_dir": 1}, "'output_dir' must be a string"),
+    (NOT_UTF8, "not UTF-8 text"),
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, doc, message):
+    manifest = tmp_path / "manifest.json"
+    if isinstance(doc, bytes):
+        manifest.write_bytes(doc)
+    else:
+        manifest.write_text(json.dumps(doc))
+    for argv in (["run"], ["preprocess"], ["report"]):
+        assert main([*argv, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {manifest}: {message}"), err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["recording", "attribution"])
+def test_undecodable_input_exits_2(tiny_corpus, tmp_path, capsys, which):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    bad = tmp_path / "m" / "bad.csv"
+    bad.write_bytes(NOT_UTF8 if which == "recording" else b"D=2\nL=1000\n" + NOT_UTF8)
+    doc["entries"][0][which] = str(bad)
+    if which == "recording":
+        doc["entries"] = doc["entries"][:1]
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err.splitlines()[-1] and "Traceback" not in err
+
+
 def _bin(manifest, staged_out, tmp_path, *flags):
     """Exit code of `bin` on a copy of the staged outputs, and the copy."""
     out = tmp_path / "out"
@@ -433,6 +578,20 @@ def test_influence_in_another_window_order_writes_the_same_table(tiny_corpus, st
     ids, masks, _, _ = gio.read_topk(out / "topk.npz", 1000)
     want_ids, want, _, _ = gio.read_topk(staged_out / "topk.npz", 1000)
     assert ids == want_ids[::-1] and (masks == want[::-1]).all()
+
+
+def test_influence_rejects_a_manifest_window_the_windows_file_lacks(tiny_corpus, staged_out,
+                                                                    tmp_path, capsys):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"][0]["window_id"] = "rec00-w9999"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    assert main(["influence", "--out", str(out), "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {out / 'windows.npz'}: window_id 'rec00-w9999' is not among the windows; "
+        f"rerun preprocess")
 
 
 def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys):

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import threading
 import warnings
@@ -51,9 +50,10 @@ from gazeconcepts.io import (
 )
 from reference import GazeEvent, SubEvent, _cells, event_rows, event_table, subevent_table
 from gazeconcepts.pipeline import RunConfig, preprocess_manifest
+from gazeconcepts.preprocess import WindowParams, gather_windows, window_recording
 from gazeconcepts.synth import random_plan, gen_scanpath
 
-from conftest import derived_window, join_windows, write_gappy_recordings
+from conftest import pipeline_windows, write_gappy_recordings
 
 
 def test_trivial_three_rows(tmp_path):
@@ -712,79 +712,76 @@ def test_report_deterministic(tmp_path):
 
 def test_windows_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(4)
-    px = rng.normal(0, 1, 50)
-    px[7] = np.nan  # no velocity at samples 4-10
-    w1 = derived_window(px, rng.normal(0, 1, 50), window_id="r-w0000")
-    assert not w1.valid[0, 4:11].any() and w1.valid.sum() == 43
-    w2 = derived_window(rng.normal(0, 0.01, 50), rng.normal(0, 0.01, 50), window_id="r-w0001")
-    stack = join_windows(w1, w2)
+    x = rng.normal(0, 1, 130)
+    x[57] = np.nan  # no velocity at samples 54-60
+    recordings = [("r", 1000.0, x, rng.normal(0, 1, 130)),
+                  ("s", 500.0, rng.normal(0, 0.01, 60), rng.normal(0, 0.01, 60))]
+    params = WindowParams(window_len=50)
+    ids = ["s-w0000", "r-w0001", "r-w0000"]
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
-    write_windows(stack, p, 7, 2, 1000.0)
+    write_windows(recordings, p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
     back = read_windows(p)
-    assert back.window_ids == ["r-w0000", "r-w0001"]
+    want = gather_windows([window_recording(*r, params)[0] for r in recordings], ids, 50)
+    assert back.window_ids == ids
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(stack, name))
-    assert (back.recording_ids, back.start_index) == (stack.recording_ids, stack.start_index)
-    assert back.sampling_rate_hz[0] == 1000.0
+        np.testing.assert_array_equal(getattr(back, name), getattr(want, name))
+    assert (back.recording_ids, back.start_index) == (["s", "r", "r"], [0, 50, 0])
+    assert back.sampling_rate_hz.tolist() == [500.0, 1000.0, 1000.0]
+    assert not back.valid[1, 4:11].any() and back.valid[1].sum() == 43
 
     not_windows = tmp_path / "events.csv"
     not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
     other_npz = tmp_path / "other.npz"
-    np.savez(other_npz, vx=w1.vx)
-    repeated = tmp_path / "repeated.npz"
-    write_windows(join_windows(w1, w1), repeated, 7, 2, 1000.0)
-    mixed = tmp_path / "mixed.npz"  # every array but px of windows of 10 samples
-    write_windows(derived_window(np.zeros(10), window_id="r-w0002"), mixed, 7, 2, 1000.0)
-    with np.load(mixed) as npz:
-        arrays = dict(npz)
-    arrays["px"] = w1.px
-    np.savez(mixed, **arrays)
-    for bad in (not_windows, other_npz, repeated, mixed):
-        with pytest.raises(FormatError, match=bad.name):
+    np.savez(other_npz, vx=want.vx)
+    for bad in (not_windows, other_npz):
+        with pytest.raises(FormatError, match=f"{bad.name}: not a windows file"):
             read_windows(bad)
-    with pytest.raises(FormatError, match="disagree in shape"):
-        read_windows(mixed)
 
 
-def _interleaved_stack(root, window_len, **config):
-    """preprocess_manifest's stack of every window of two gappy
-    recordings, the recordings' windows taken in turn."""
+def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
+    """(preprocess_manifest's stack, windows file written from what it
+    parsed) for every window of two gappy recordings that windowing
+    retains, the recordings' windows taken in turn."""
     recs = write_gappy_recordings(root)
-    slots = [rec.n_samples // window_len for rec in recs]
-    entries = [ManifestEntry(f"{rec.recording_id}.csv", "unused.csv",
-                             f"{rec.recording_id}-w{slot:04d}")
-               for slot in range(max(slots)) for rec, n in zip(recs, slots) if slot < n]
-    cfg = RunConfig(window_len=window_len, missing_max_frac=1.0, **config)
-    return preprocess_manifest(RunManifest(entries, Path(root)), cfg).windows, cfg
+    cfg = RunConfig(window_len=window_len, missing_max_frac=missing_max_frac, **config)
+    retained = [pipeline_windows(rec, window_len, missing_max_frac)[0].window_ids
+                for rec in recs]
+    entries = [ManifestEntry(f"{rec.recording_id}.csv", "unused.csv", ids[slot])
+               for slot in range(max(map(len, retained)))
+               for rec, ids in zip(recs, retained) if slot < len(ids)]
+    p = Path(root) / "windows.npz"
+    stack = preprocess_manifest(RunManifest(entries, Path(root)), cfg, lambda positions: (
+        write_windows(positions, p, [e.window_id for e in entries], cfg.window_params())
+    )).windows
+    return stack, p
 
 
 def _bits(a):
     return a.view(np.int64) if a.dtype == np.float64 else a
 
 
-@pytest.mark.parametrize("window_len,sg_window,sg_order,clamp,rate,chunk", [
-    (40, 7, 2, 1000.0, 1000.0, 1 << 16),  # runs of missing samples, one chunk
-    (40, 9, 3, 150.0, 500.0, 100),  # two rates, clamped, chunks of 2 rows
-    (3, 7, 2, 1000.0, 1000.0, 1 << 16),  # window_len <= sg_window // 2
-    (5, 7, 2, 1000.0, 250.0, 64),  # window_len < sg_window
-    (7, 7, 2, 1000.0, 1000.0, 1 << 16),  # one centred sample per window
+@pytest.mark.parametrize("window_len,sg_window,sg_order,clamp,rate,missing_max_frac", [
+    (40, 7, 2, 1000.0, 1000.0, 1.0),  # runs of missing samples
+    (40, 9, 3, 150.0, 500.0, 1.0),  # two rates, clamped
+    (40, 7, 2, 1000.0, 1000.0, 0.5),  # excluded windows left out
+    (3, 7, 2, 1000.0, 1000.0, 1.0),  # window_len <= sg_window // 2
+    (5, 7, 2, 1000.0, 250.0, 1.0),  # window_len < sg_window
+    (7, 7, 2, 1000.0, 1000.0, 1.0),  # one centred sample per window
 ])
 def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
-    tmp_path, monkeypatch, window_len, sg_window, sg_order, clamp, rate, chunk
+    tmp_path, monkeypatch, window_len, sg_window, sg_order, clamp, rate, missing_max_frac
 ):
     load = gio.load_gaze_csv
     monkeypatch.setattr(gio, "load_gaze_csv", lambda path: replace(
         load(path), sampling_rate_hz=rate if path.stem == "rec01" else 1000.0))
-    monkeypatch.setattr(gio, "REBUILD_SAMPLES", chunk)
-    stack, cfg = _interleaved_stack(tmp_path, window_len, sg_window=sg_window,
-                                    sg_order=sg_order, clamp=clamp)
+    stack, p = _preprocessed(tmp_path, window_len, missing_max_frac, sg_window=sg_window,
+                             sg_order=sg_order, clamp=clamp)
     assert not stack.valid.all() and (np.abs(stack.vx) == clamp).any() == (clamp < 1000)
-    p = tmp_path / "windows.npz"
-    write_windows(stack, p, cfg.sg_window, cfg.sg_order, cfg.clamp)
+    assert stack.valid.mean(axis=1).min() < 0.5 or missing_max_frac == 0.5
     with np.load(p) as npz:
         assert sorted(npz.files) == sorted(gio.WINDOW_ARRAYS)
-        assert npz["edges"].shape == (4, len(stack), min(sg_window // 2, window_len))
+        assert npz["x"].shape == (npz["n_samples"].sum(),) and npz["n_samples"].min() > 1500
     back = read_windows(p)
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         got, want = getattr(back, name), getattr(stack, name)
@@ -796,64 +793,57 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
 
 def test_windows_file_of_no_windows_roundtrips(tmp_path):
     cfg = RunConfig(window_len=40)
-    stack = preprocess_manifest(RunManifest([], tmp_path), cfg).windows
     p = tmp_path / "windows.npz"
-    write_windows(stack, p, cfg.sg_window, cfg.sg_order, cfg.clamp)
+    preprocess_manifest(RunManifest([], tmp_path), cfg,
+                        lambda positions: write_windows(positions, p, [], cfg.window_params()))
     back = read_windows(p)
     assert (len(back), back.length, back.valid.dtype, back.vx.dtype) == (0, 40, bool, float)
 
 
-def test_write_windows_refuses_velocities_its_positions_do_not_give(tmp_path):
-    stack, _ = _interleaved_stack(tmp_path, 40)
-    p = tmp_path / "windows.npz"
-    assert np.isfinite(stack.vy[1, 30]) and stack.valid[2, 30]
-    nudged = stack.take(range(len(stack)))
-    nudged.vy[1, 30] = np.nextafter(nudged.vy[1, 30], np.inf)
-    flagged = stack.take(range(len(stack)))
-    flagged.valid[2, 30] = False
-    for bad, sg, row, name in ((nudged, (7, 2, 1000.0), 1, "vy"),
-                               (flagged, (7, 2, 1000.0), 2, "valid"),
-                               (stack, (9, 2, 1000.0), 0, "vx")):
-        window_id = re.escape(repr(stack.window_ids[row]))
-        with pytest.raises(DataError, match=rf"windows\.npz: window {window_id} \(row {row}\): "
-                                            rf"{name} is not what sg_window {sg[0]}"):
-            write_windows(bad, p, *sg)
-        assert not p.exists()
-    with pytest.raises(ConfigError, match="window_length must be an odd"):
-        write_windows(stack, p, 4, 2, 1000.0)
-    for rate in (np.nan, 0.0):
-        unrated = stack.take(range(len(stack)))
-        unrated.sampling_rate_hz[3] = rate
-        with pytest.raises(DataError, match=r"windows\.npz: sampling rates must be positive"):
-            write_windows(unrated, p, 7, 2, 1000.0)
-    assert not p.exists()
-
-
-def test_read_windows_rejects_old_format_wrong_arrays_and_bad_parameters(tmp_path):
-    stack, _ = _interleaved_stack(tmp_path, 40)
-    good = tmp_path / "good.npz"
-    write_windows(stack, good, 7, 2, 1000.0)
+def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path):
+    stack, good = _preprocessed(tmp_path, 40)
     with np.load(good) as npz:
         arrays = dict(npz)
-    old = {name: arrays[name] for name in arrays if name in gio.OLD_WINDOW_ARRAYS}
-    old.update(vx=stack.vx, vy=stack.vy, valid=stack.valid)
+    n, total = len(stack), arrays["x"].size
+    rows = {"window_id": arrays["window_id"], "recording_id": np.array(stack.recording_ids),
+            "start_index": np.array(stack.start_index), "sampling_rate_hz": stack.sampling_rate_hz,
+            "px": stack.px, "py": stack.py}
+    older = {  # the two earlier formats: every velocity, then edge velocities only
+        "every_velocity": {**rows, "vx": stack.vx, "vy": stack.vy, "valid": stack.valid},
+        "edge_velocities": {**rows, "edges": np.zeros((4, n, 3)), "sg_window": np.array(7),
+                            "sg_order": np.array(2), "clamp": np.array(1000.0)},
+    }
     shape = "windows file arrays disagree in shape or dtype"
+    unique = "recording or window ids are not unique"
+    counts = arrays["n_samples"]
     for name, change, message in (
-        ("old", old, "a windows file in an older format; rerun preprocess"),
-        ("float32", {"px": arrays["px"].astype(np.float32)}, shape),
+        ("float32", {"x": arrays["x"].astype(np.float32)}, shape),
         ("rate_dtype", {"sampling_rate_hz": arrays["sampling_rate_hz"].astype(np.float32)}, shape),
-        ("index_dtype", {"start_index": arrays["start_index"].astype(float)}, shape),
+        ("count_dtype", {"n_samples": counts.astype(float)}, shape),
         ("clamp_dtype", {"clamp": np.array(1000)}, shape),
-        ("edges_shape", {"edges": arrays["edges"][:, :, :2]}, shape),
-        ("edges_other_sg", {"sg_window": np.array(9)}, shape),
-        ("py_shape", {"py": arrays["py"][:-1]}, shape),
+        ("len_dtype", {"window_len": np.array(40.0)}, shape),
+        ("y_shape", {"y": arrays["y"][:-1]}, shape),
+        ("ids_shape", {"window_id": arrays["window_id"][None]}, shape),
+        ("count_sum", {"n_samples": counts + [1, 0]}, f"n_samples do not sum to the {total}"),
+        ("count_sign", {"n_samples": counts + [total, -total]}, "n_samples do not sum"),
+        ("same_window", {"window_id": arrays["window_id"][[0, *range(n - 1)]]}, unique),
+        ("same_recording", {"recording_id": np.array(["rec00", "rec00"])}, unique),
         ("even_window", {"sg_window": np.array(4)}, "sg_window/sg_order: window_length must be"),
         ("order", {"sg_order": np.array(7)}, r"sg_window/sg_order: poly_order \(7\) must be"),
         ("clamp", {"clamp": np.array(0.0)}, "clamp must be positive, got 0.0"),
-        ("rate", {"sampling_rate_hz": np.zeros(len(stack))}, "sampling rates must be positive"),
+        ("window_len", {"window_len": np.array(0)}, "window_len must be >= 1, got 0"),
+        ("missing", {"missing_max_frac": np.array(1.5)}, r"missing_max_frac must be in \[0, 1\]"),
+        ("rate", {"sampling_rate_hz": np.zeros(2)}, "sampling rates must be positive"),
+        ("short", {"sg_window": np.array(4001)}, r"need at least 4001 samples, got \d+"),
+        ("unknown", {"window_id": np.array(["rec00-w9999"])},
+         "window_id 'rec00-w9999' is not among the windows"),
+        ("excluded", {"missing_max_frac": np.array(0.5)},
+         "window_id 'rec0[01]-w0005' is not among the windows"),  # samples 200-239 are missing
+        *((key, older[key], "a windows file in an older format; rerun preprocess")
+          for key in older),
     ):
         bad = tmp_path / f"{name}.npz"
-        np.savez(bad, **(change if name == "old" else {**arrays, **change}))
+        np.savez(bad, **(change if name in older else {**arrays, **change}))
         with pytest.raises(FormatError, match=rf"{bad.name}: {message}"):
             read_windows(bad)
 
@@ -874,7 +864,8 @@ def test_topk_roundtrip_exact(tmp_path):
         read_topk(p, 40)
 
     windows = tmp_path / "w.npz"
-    write_windows(derived_window(np.zeros(50)), windows, 7, 2, 1000.0)
+    write_windows([("r", 1000.0, np.zeros(50), np.zeros(50))], windows, ["r-w0000"],
+                  WindowParams(window_len=50))
     duplicated = tmp_path / "dup.npz"
     np.savez(duplicated, window_id=np.array(["a"]), k=np.array(2), squash=np.array("abs"),
              indices=np.array([[3, 3]], dtype=np.int32))
