@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -88,7 +89,7 @@ def _load_ini(path) -> dict:
     if it does not parse."""
     cp = configparser.ConfigParser(default_section="")
     try:
-        if not cp.read(path, encoding="utf-8"):
+        if not cp.read(path, encoding="utf-8-sig"):
             raise OSError(f"config file not found: {path}")
         return {key: value for section in cp.sections() for key, value in cp.items(section)}
     except (configparser.Error, UnicodeDecodeError) as e:
@@ -207,9 +208,19 @@ def _read_stats(path: Path, *keys) -> dict:
     return doc
 
 
+# the files the stages write; preprocess removes them and charts/ before it writes
+STAGE_FILES = ("windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
+               "dissect_stats.json", "topk.npz", "influence.csv", "influence.json",
+               "binned.csv", "report.json")
+
+
 def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     out.mkdir(parents=True, exist_ok=True)
+    for name in STAGE_FILES:  # a failed preprocess leaves no earlier run's files
+        (out / name).unlink(missing_ok=True)
+    if (out / "charts").is_dir():
+        shutil.rmtree(out / "charts")
     path = out / "windows.npz"
     try:
         pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
@@ -296,7 +307,7 @@ def cmd_bin(args) -> int:
 def cmd_report(args) -> int:
     _, cfg, out = _context(args)
     counts = _counts(
-        _read_stats(out / "preprocess_stats.json", "windows.evaluated", "channel_stats"),
+        _read_stats(out / "preprocess_stats.json", "windows.evaluated"),
         gio.read_events(out / "events.csv"),
         _read_stats(out / "dissect_stats.json", "saccades_dissected",
                     "disregarded_samples", "disregarded_fraction"),

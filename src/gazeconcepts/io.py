@@ -410,13 +410,12 @@ def _gaze_lines(body, header, idx, path):
     return t, coords.T, kept_lines, skipped
 
 
-def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
+def load_gaze_csv(path) -> GazeRecording:
     """Load a gaze recording, normalizing missing-value encodings.
 
-    ``schema`` optionally maps the logical column names to the file's
-    actual header names. Every row must have exactly as many fields as
-    the header. Blank lines are skipped and counted in
-    ``source_meta['skipped_rows']``; no other row is ever dropped.
+    Every row must have exactly as many fields as the header. Blank
+    lines are skipped and counted in ``source_meta['skipped_rows']``; no
+    other row is ever dropped.
     """
     path = Path(path)
     stamp = _file_stamp(path)
@@ -426,29 +425,16 @@ def load_gaze_csv(path, schema: dict | None = None) -> GazeRecording:
     header = next(csv.reader([_first_line(raw)]))
     header = [h.strip() for h in header]
 
-    schema = schema or {}
-    for logical in schema:
-        if logical not in MONO_COLUMNS and logical not in BINOCULAR_COLUMNS:
-            raise ConfigError(f"unknown logical column {logical!r} in schema")
-
-    def col(logical):
-        name = schema.get(logical, logical)
-        if name not in header:
-            return None
-        return header.index(name)
-
-    if all(col(c) is not None for c in BINOCULAR_COLUMNS):
-        columns = BINOCULAR_COLUMNS
-        eye = "binocular"
-    elif all(col(c) is not None for c in MONO_COLUMNS):
-        columns = MONO_COLUMNS
-        eye = "mono"
+    if set(BINOCULAR_COLUMNS) <= set(header):
+        columns, eye = BINOCULAR_COLUMNS, "binocular"
+    elif set(MONO_COLUMNS) <= set(header):
+        columns, eye = MONO_COLUMNS, "mono"
     else:
         raise FormatError(
             f"{path}: header {header!r} matches neither the monocular nor "
             f"the binocular gaze schema"
         )
-    idx = [col(c) for c in columns]
+    idx = [header.index(c) for c in columns]
 
     parsed = _gaze_columns(path, raw, len(header), idx, stamp)
     if parsed is not None:
@@ -506,9 +492,10 @@ def select_eye(rec: GazeRecording, eye: str = "right") -> GazeRecording:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; FormatError naming the path if not UTF-8."""
+    """A UTF-8 file's text, less a leading byte order mark (as utf-8-sig
+    reads it); FormatError naming the path and byte if not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
@@ -651,17 +638,20 @@ def load_attribution(path, window_id: str | None = None) -> AttributionMap:
             raise FormatError(f"{path}: expected {d} channel rows, found {len(body)}")
         values = _dense_rows(body, l) if body else None
         if values is None:
-            values = np.empty((d, l), dtype=float)
+            parsed = []  # checked against L before any (D, L) array exists
             for ch, row in enumerate(body):
                 try:
-                    vals = np.array(row.split(","), dtype=float)
+                    parsed.append(np.array(row.split(","), dtype=float))
                 except ValueError:
                     raise FormatError(f"{path}: channel {ch} has a non-numeric value") from None
-                if len(vals) != l:
+                if len(parsed[ch]) != l:
                     raise FormatError(
-                        f"{path}: channel {ch} has {len(vals)} values, declared L={l}"
+                        f"{path}: channel {ch} has {len(parsed[ch])} values, declared L={l}"
                     )
-                values[ch] = vals
+            try:
+                values = np.array(parsed).reshape(d, l)
+            except ValueError:  # D=0, and no array dimension holds L
+                raise FormatError(f"{path}: declared L={l} is too large") from None
     elif lines[0].replace(" ", "") == "channel,index,value":
         values = _sparse_values(path, rows[1:])
     else:

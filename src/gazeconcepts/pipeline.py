@@ -40,7 +40,7 @@ from .detect import (
     retained,
 )
 from .dissect import PHASES, SubEventTable, check_ratios, dissect_saccades
-from .errors import ConfigError, DataError, GazeError
+from .errors import ConfigError, DataError, GazeError, SizeError
 from .influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
@@ -72,7 +72,6 @@ VALIDITY_RANGES = {
 
 # allowed values of RunConfig's string fields
 CHOICES = {
-    "norm_scope": ("corpus", "recording", "none"),
     "eye": ("left", "right"),
     "squash": ("signed", "abs"),
     "aggregate": ("pooled", "mean", "both"),
@@ -91,7 +90,6 @@ class RunConfig:
     clamp: float = 1000.0
     window_len: int = 1000
     missing_max_frac: float = 0.5
-    norm_scope: str = "corpus"
     eye: str = "right"  # eye picked from binocular recordings
     # detect
     fix_max_velocity: float = 20.0
@@ -171,7 +169,6 @@ def _stage(name: str):
 class PreprocessResult:
     windows: WindowStack  # evaluation windows, manifest order
     summaries: dict  # recording_id -> WindowingSummary
-    channel_stats: dict  # scope label -> ChannelStats
 
 
 @dataclass
@@ -197,37 +194,33 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
     recording's (recording id, sampling rate, x, y) before the gathering,
     so no position outlives its windows (the windows stage file)."""
     params = cfg.window_params()
-    summaries, stacks, channel_stats, positions = {}, [], {}, []
+    summaries, stacks, positions = {}, [], []
     for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
-        rec = gio.load_gaze_csv(manifest.resolve(relpath))
+        path = manifest.resolve(relpath)
+        rec = gio.load_gaze_csv(path)
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
         positions.append((mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg))
         del rec, mono
         rec_id = positions[-1][0]
-        stack, summaries[rec_id] = window_recording(*positions[-1], params)
+        try:
+            stack, summaries[rec_id] = window_recording(*positions[-1], params)
+        except SizeError as e:
+            raise SizeError(f"{path}: {e}") from None
         if parsed is None:
             positions.clear()
         stacks.append(stack)
-        if cfg.norm_scope == "recording" and len(stack):
-            channel_stats[rec_id] = compute_channel_stats(stack)
     if parsed is not None:
         parsed(positions)
     del positions
     windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
-    if cfg.norm_scope == "corpus" and len(windows):
-        channel_stats["corpus"] = compute_channel_stats(windows)
-    return PreprocessResult(windows, summaries, dict(sorted(channel_stats.items())))
+    return PreprocessResult(windows, summaries)
 
 
-def normalized_windows(pre: PreprocessResult, cfg: RunConfig) -> WindowStack:
-    """A z-scored copy of the evaluation windows (model-input parity), or
-    the windows themselves under norm_scope "none"."""
-    if cfg.norm_scope == "none":
-        return pre.windows
-    scopes = pre.windows.recording_ids
-    if cfg.norm_scope == "corpus":
-        scopes = ["corpus"] * len(pre.windows)
-    return zscore_normalize(pre.windows, [pre.channel_stats[scope] for scope in scopes])
+def normalized_windows(pre: PreprocessResult) -> WindowStack:
+    """A copy of the evaluation windows z-scored by their corpus channel
+    stats (model-input parity; no stage uses it)."""
+    stats = compute_channel_stats(pre.windows)
+    return zscore_normalize(pre.windows, [stats] * len(pre.windows))
 
 
 def concept_masks(events: EventTable, subs: SubEventTable, length: int) -> np.ndarray:
@@ -322,22 +315,12 @@ def _bin_all(events: EventTable, topk, k: int, cfg: RunConfig) -> dict:
 
 
 def _preprocess_counts(pre: PreprocessResult) -> dict:
-    """The windows and channel_stats blocks of the counts."""
+    """The windows block of the counts."""
     return {
         "windows": {
             "evaluated": len(pre.windows),
             "excluded_missing": sum(s.excluded for s in pre.summaries.values()),
             "tail_samples_discarded": sum(s.tail_samples for s in pre.summaries.values()),
-        },
-        "channel_stats": {
-            scope: {
-                "mean_x": stats.mean_x,
-                "std_x": stats.std_x,
-                "mean_y": stats.mean_y,
-                "std_y": stats.std_y,
-                "n": stats.n,
-            }
-            for scope, stats in sorted(pre.channel_stats.items())
         },
     }
 
@@ -365,7 +348,6 @@ def _counts(preprocess_counts: dict, events: EventTable, dissection_counts: dict
             for kind in EVENT_CONCEPTS
         },
         "dissection": dissection_counts,
-        "channel_stats": preprocess_counts["channel_stats"],
     }
 
 

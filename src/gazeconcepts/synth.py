@@ -14,7 +14,7 @@ in for model-derived saliency when exercising the influence pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,8 +291,6 @@ class CorpusSpec:
     saccade_ms: tuple = (20.0, 60.0)
     peak_velocity_dps: tuple = (100.0, 400.0)
     fixation_ms: tuple = (80.0, 250.0)
-    sg: SavGolParams = field(default_factory=SavGolParams)
-    clamp_dps: float = 1000.0
 
 
 def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
@@ -307,13 +305,12 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     (out / "recordings").mkdir(parents=True, exist_ok=True)
     (out / "attributions").mkdir(parents=True, exist_ok=True)
 
-    sigma_pos = (
-        positional_noise_sigma(spec.noise_velocity_sigma_dps, spec.sg)
-        if spec.noise_velocity_sigma_dps > 0
-        else 0.0
-    )
-    params = WindowParams(spec.sg.window_length, spec.sg.poly_order, spec.clamp_dps,
-                          spec.window_len)
+    if not spec.sampling_rate_hz > 0:
+        raise ConfigError("sampling_rate_hz must be positive")
+    params = WindowParams(window_len=spec.window_len)
+    sg = SavGolParams(params.sg_window, params.sg_order, 1 / spec.sampling_rate_hz)
+    noise = spec.noise_velocity_sigma_dps
+    sigma_pos = positional_noise_sigma(noise, sg) if noise > 0 else 0.0
     entries = []
     truth_by_rec = {}
     attr_seed = spec.seed + 7919

@@ -151,6 +151,15 @@ def test_default_section_keys_are_read(tiny_corpus, tmp_path):
     assert (log["parameters"]["sg_window"], log["parameters"]["bins"]) == (9, 5)
 
 
+def test_config_file_with_byte_order_mark_is_read(tiny_corpus, tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("\ufeff[detect]\nsacc_lambda = 8\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out),
+                 "--config", str(cfg), "--no-charts"]) == 0
+    assert json.loads((out / "run_log.json").read_text())["parameters"]["sacc_lambda"] == 8.0
+
+
 def test_env_var_default_out(tiny_corpus, tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("GAZECONCEPTS_OUT", str(out))
@@ -278,13 +287,6 @@ def test_staged_matches_run_on_the_left_eye_of_binocular_recordings(tmp_path):
     assert right_events != (run_out / "events.csv").read_bytes()
 
 
-def test_staged_matches_run_with_recording_norm_scope(tiny_corpus, tmp_path):
-    run_out, staged = _run_and_staged(tiny_corpus, tmp_path, ["--norm-scope", "recording"])
-    stats = json.loads((run_out / "report.json").read_text())["counts"]["channel_stats"]
-    assert sorted(stats) == ["rec00", "rec01"]
-    _assert_staged_matches(run_out, staged)
-
-
 def test_failed_preprocess_leaves_no_windows_file(tiny_corpus, tmp_path, capsys):
     """The windows file is written before the windows are gathered; a
     manifest window that windowing does not produce removes it again."""
@@ -296,6 +298,54 @@ def test_failed_preprocess_leaves_no_windows_file(tiny_corpus, tmp_path, capsys)
     assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "window_id 'rec01-w9999' is not among the windows" in capsys.readouterr().err
     assert out.is_dir() and not (out / "windows.npz").exists()
+
+
+def test_failed_preprocess_leaves_no_earlier_stage_files(tiny_corpus, staged_out, tmp_path,
+                                                         capsys):
+    """A failed preprocess over a finished staged chain removes every
+    stage file and the charts, so `report` cannot build from them."""
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    assert (out / "charts").is_dir() and (out / "report.json").exists()
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["entries"][-1]["window_id"] = "rec01-w9999"
+    manifest.write_text(json.dumps(doc))
+    assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not any(out.iterdir())
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) != 0
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: ") and str(out / "preprocess_stats.json") in err, err
+    assert not (out / "report.json").exists()
+
+
+def test_run_artifacts_do_not_depend_on_manifest_order(tmp_path):
+    manifest = write_demo_corpus(tmp_path / "corpus",
+                                 CorpusSpec(seed=3, n_recordings=2, duration_s=30))
+    doc = json.loads(manifest.read_text())
+    doc["entries"].reverse()
+    reversed_manifest = manifest.with_name("reversed.json")
+    reversed_manifest.write_text(json.dumps(doc))
+    outs = [tmp_path / "forward", tmp_path / "reversed"]
+    for m, out in zip((manifest, reversed_manifest), outs):
+        assert main(["run", "--manifest", str(m), "--out", str(out)]) == 0
+    written = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert Path("run_log.json") in written
+    assert written == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for rel in written:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_removed_norm_scope_option_exits_1(tiny_corpus, tmp_path, capsys):
+    base = ["run", "--manifest", str(tiny_corpus), "--out", str(tmp_path / "o")]
+    assert main(base + ["--norm-scope", "corpus"]) == 1
+    assert "--norm-scope" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[preprocess]\nnorm_scope = corpus\n")
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert "unknown config key 'norm_scope'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
@@ -526,6 +576,27 @@ def test_undecodable_input_exits_2(tiny_corpus, tmp_path, capsys, which):
     assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: not UTF-8 text" in err.splitlines()[-1] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which,text,message", [
+    ("recording", "t_ms,x_deg,y_deg\n", "need at least 7 samples, got 0"),
+    ("recording", "t_ms,x_deg,y_deg\n0,1,2\n1,1,2\n2,1,2\n", "need at least 7 samples, got 3"),
+    ("attribution", "D=2\nL=99999999999999999999\n1,2\n3,4\n",
+     "channel 0 has 2 values, declared L=99999999999999999999"),
+    ("attribution", "D=2\nL=9999999999\n1,2\n3,4\n",
+     "channel 0 has 2 values, declared L=9999999999"),
+])
+def test_unusable_input_error_names_the_file(tiny_corpus, tmp_path, capsys, which, text,
+                                            message):
+    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    bad = tmp_path / "m" / "bad.csv"
+    bad.write_text(text)
+    doc["entries"][0][which] = str(bad)
+    manifest.write_text(json.dumps(doc))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err.splitlines()[-1] and "Traceback" not in err
 
 
 def _bin(manifest, staged_out, tmp_path, *flags):

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -127,9 +129,6 @@ def test_empty_file_and_bad_header(tmp_path):
     p2.write_text("time,x,y\n0,0,0\n")
     with pytest.raises(FormatError):
         load_gaze_csv(p2)
-    # but a schema mapping makes it loadable
-    rec = load_gaze_csv(p2, schema={"t_ms": "time", "x_deg": "x", "y_deg": "y"})
-    assert rec.n_samples == 1
 
 
 def test_row_conservation_with_blank_lines(tmp_path):
@@ -238,11 +237,11 @@ def test_extra_field_is_format_error(tmp_path):
         load_gaze_csv(p)
 
 
-def _load_outcome(path, schema):
+def _load_outcome(path):
     """What load_gaze_csv gives: the exception's type and message, or
     the eye, t_ms, every eye's coordinates (bitwise) and skipped rows."""
     try:
-        rec = load_gaze_csv(path, schema)
+        rec = load_gaze_csv(path)
     except Exception as e:  # compared, not handled
         return type(e), str(e)
     eyes = {k: (x.tobytes(), y.tobytes()) for k, (x, y) in rec.eyes.items()}
@@ -273,9 +272,8 @@ PERTURBATIONS = (
 
 @st.composite
 def gaze_files(draw):
-    """(file text, schema): a well-formed gaze file (monocular or
-    binocular, optionally renamed through a schema, optionally with an
-    extra column, lines ended by "\n", "\r\n", "\r" or "\x0b") with up
+    """A well-formed gaze file (monocular or binocular, optionally with
+    an extra column, lines ended by "\n", "\r\n", "\r" or "\x0b") with up
     to three perturbations: a run of rows with "", "." or "NaN" cells in
     one coordinate column, or one line with a missing-value, whitespace, quoted,
     full-width, hex, infinite, overflowing or unparseable coordinate, a
@@ -283,14 +281,10 @@ def gaze_files(draw):
     cell, a short or long row, a short row offset by a long one, a line
     break that only str.splitlines knows, a blank line."""
     columns = list(draw(st.sampled_from([gio.MONO_COLUMNS, gio.BINOCULAR_COLUMNS])))
-    schema = None
-    if draw(st.booleans()):
-        schema = {c: c.upper() for c in columns}
-        columns = [c.upper() for c in columns]
     extra = draw(st.one_of(st.none(), st.integers(0, len(columns))))
     if extra is not None:
         columns.insert(extra, "note")
-    time_col = columns.index("T_MS" if schema else "t_ms")
+    time_col = columns.index("t_ms")
     coord_cols = [i for i in range(len(columns)) if i not in (time_col, extra)]
     t0 = draw(st.integers(-5, 5))
     rows = []
@@ -326,7 +320,7 @@ def gaze_files(draw):
             rows.insert(i, [draw(st.sampled_from(["", "  ", "\t"]))])
     lines = [",".join(columns)] + [",".join(cells) for cells in rows]
     newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
-    return newline.join(lines) + draw(st.sampled_from([newline, ""])), schema
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @pytest.fixture(scope="module")
@@ -334,24 +328,23 @@ def gaze_path(tmp_path_factory):
     return tmp_path_factory.mktemp("gaze") / "g.csv"
 
 
-def _gaze_paths_agree(gaze_path, case):
-    text, schema = case
+def _gaze_paths_agree(gaze_path, text):
     gaze_path.write_bytes(text.encode())
-    fast = _load_outcome(gaze_path, schema)
+    fast = _load_outcome(gaze_path)
     with mock.patch.object(gio, "_gaze_columns", return_value=None):
-        lines = _load_outcome(gaze_path, schema)
+        lines = _load_outcome(gaze_path)
     assert fast == lines
 
 
 @settings(max_examples=400, deadline=None)
 @given(gaze_files())
-@example(('t_ms,note,x_deg,y_deg\n0,"x,1.0,2.0\n', None))  # csv quoting swallows commas
-@example(("t_ms,note,x_deg,y_deg\n0,n,1.0\n1,n,1.0,2.0,3.0\n", None))  # short row offset by long
-@example(("t_ms,x_deg,y_deg\n0,1.0,2.0\x0b\n1,1.0,2.0\n", None))  # a blank line to splitlines only
-@example(("t_ms,x_deg,y_deg\n\n", None))  # no rows for numpy's text reader
-@example(("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n", None))  # missing-value cells
-@example(("t_ms,x_deg,y_deg\n0,1.0,2.0\n,1.0,2.0\n", None))  # a missing timestamp
-@example(("a,b\n0,1.5\n1,2.5\n", {"t_ms": "a", "x_deg": "a", "y_deg": "b"}))  # t_ms is x_deg
+@example('t_ms,note,x_deg,y_deg\n0,"x,1.0,2.0\n')  # csv quoting swallows commas
+@example("t_ms,note,x_deg,y_deg\n0,n,1.0\n1,n,1.0,2.0,3.0\n")  # short row offset by long
+@example("t_ms,x_deg,y_deg\n0,1.0,2.0\x0b\n1,1.0,2.0\n")  # a blank line to splitlines only
+@example("t_ms,x_deg,y_deg\n\n")  # no rows for numpy's text reader
+@example("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n")  # missing-value cells
+@example("t_ms,x_deg,y_deg\n0,1.0,2.0\n,1.0,2.0\n")  # a missing timestamp
+@example("t_ms,x_deg,t_ms,y_deg\n0,1.5,9,2.5\n1,2.5,x,3.5\n")  # a repeated column
 def test_columnar_parse_matches_line_parser(gaze_path, case):
     _gaze_paths_agree(gaze_path, case)
 
@@ -444,6 +437,28 @@ def test_attribution_shape_declaration_mismatch(tmp_path):
     p.write_text("D=1\nL=-1\n1\n")
     with pytest.raises(FormatError, match="malformed dense header"):
         load_attribution(p)
+
+
+@pytest.mark.parametrize("text", [
+    "D=2\nL=99999999999999999999\n1,2\n3,4\n",  # beyond any array dimension
+    "D=2\nL=9999999999\n1,2\n3,4\n",  # 149 GiB as a (D, L) array
+    "D=2\nL=9999999999\n1,2\n3,x\n",
+    "D=2\nL=9999999999\n1_0,2\n3,4\n",  # declined by numpy's text reader
+    "D=0\nL=99999999999999999999\n",
+])
+def test_attribution_huge_declared_length_is_a_format_error(tmp_path, text):
+    """Rows are checked against L before any (D, L) array is made: a
+    FormatError naming the file, with nothing near L allocated."""
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: "):
+            load_attribution(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_attribution_non_finite_named(tmp_path):
@@ -580,6 +595,40 @@ def test_manifest_load_and_errors(tmp_path):
     p.write_text('{"no_entries": 1}')
     with pytest.raises(FormatError):
         load_manifest(p)
+
+
+def _loaded(path):
+    """What a text input loads as, bitwise and without its own path:
+    a manifest (.json), an attribution file (attr*) or a gaze CSV."""
+    if path.suffix == ".json":
+        m = load_manifest(path)
+        return m.entries, m.config, m.output_dir
+    if path.stem.startswith("attr"):
+        a = load_attribution(path)
+        return a.window_id, a.target_label, a.values.shape, a.values.tobytes()
+    outcome = _load_outcome(path)
+    assert len(outcome) == 5, outcome  # loaded, not an error
+    return outcome[:4], outcome[4]["skipped_rows"]
+
+
+@pytest.mark.parametrize("name,text", [
+    ("plain.csv", "t_ms,x_left_deg,y_left_deg,x_right_deg,y_right_deg\n0,1,2,3,4\n1,1,2,3,5\n"),
+    ("missing.csv", "t_ms,x_deg,y_deg\n0,1.5,2\n\n1,,2\n2,.,3\n"),
+    ("attr_dense.csv", "D=2\nL=3\ntarget=s01\n1,2,3\n4,5,6\n"),
+    ("attr_sparse.csv", "channel,index,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"),
+    ("manifest.json", '{"entries": [{"recording": "r.csv", "attribution": "a.csv", '
+                      '"window_id": "w0"}], "output_dir": "o"}'),
+])
+def test_byte_order_mark_is_dropped_from_text_inputs(tmp_path, name, text):
+    """A gaze CSV (read by numpy's text reader or line by line), an
+    attribution file or a manifest that starts with a UTF-8 byte order
+    mark loads as the same file without one."""
+    plain, marked = tmp_path / "plain" / name, tmp_path / "bom" / name
+    for path, prefix in ((plain, ""), (marked, "\ufeff")):
+        path.parent.mkdir()
+        path.write_text(prefix + text, encoding="utf-8")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert _loaded(marked) == _loaded(plain)
 
 
 def _events(n=100):

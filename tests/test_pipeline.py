@@ -21,7 +21,7 @@ from gazeconcepts.pipeline import (
     preprocess_manifest,
     run,
 )
-from gazeconcepts.preprocess import SavGolParams, zscore_normalize
+from gazeconcepts.preprocess import SavGolParams
 from gazeconcepts.synth import (
     PlannedFixation,
     ScanpathSpec,
@@ -105,53 +105,18 @@ def test_run_counts_skipped_empty_concepts(tmp_path):
     assert doc["bins"]["saccade_duration_ms"] == []
 
 
-def test_norm_scope_recording_stats_per_recording(tmp_path):
-    recs = []
-    for i in range(2):
-        plan = random_plan(10 + i, 2.0, noise_sigma_deg=0.002)
-        rec, _ = gen_scanpath(plan, seed=10 + i, recording_id=f"r{i}")
-        recs.append(rec)
-    entries = []
-    for rec in recs:
-        write_gaze_csv(rec, tmp_path / f"{rec.recording_id}.csv")
-        windows, _ = pipeline_windows(rec)
-        for row, window_id in enumerate(windows.window_ids):
-            write_attribution(
-                gen_proxy_attributions(windows, row, "speed"), tmp_path / f"{window_id}.csv"
-            )
-            entries.append(
-                (f"{rec.recording_id}.csv", f"{window_id}.csv", window_id)
-            )
-    manifest = _write_manifest(tmp_path / "m.json", entries)
-    pre = preprocess_manifest(manifest, RunConfig(norm_scope="recording"))
-    assert set(pre.channel_stats) == {"r0", "r1"}
-    pre_corpus = preprocess_manifest(manifest, RunConfig(norm_scope="corpus"))
-    assert set(pre_corpus.channel_stats) == {"corpus"}
-    pre_none = preprocess_manifest(manifest, RunConfig(norm_scope="none"))
-    assert pre_none.channel_stats == {}
-    normed = normalized_windows(pre, RunConfig(norm_scope="recording"))
-    for row, rec_id in enumerate(pre.windows.recording_ids):
-        alone = zscore_normalize(pre.windows.take([row]), [pre.channel_stats[rec_id]])
-        np.testing.assert_array_equal(normed.vx[row], alone.vx[0])
-
-
 def test_normalized_windows_zscore_valid_samples(tmp_path):
     plan = random_plan(12, 4.0, noise_sigma_deg=0.002)
     rec, _ = gen_scanpath(plan, seed=12, recording_id="z")
     manifest = _corpus_from_recording(tmp_path, rec)
-    cfg = RunConfig(norm_scope="corpus")
-    pre = preprocess_manifest(manifest, cfg)
-    normed = normalized_windows(pre, cfg)
+    pre = preprocess_manifest(manifest, RunConfig())
+    normed = normalized_windows(pre)
     assert normed.window_ids == pre.windows.window_ids
     for channel in ("vx", "vy"):
         values = getattr(normed, channel)[normed.valid]
         assert abs(values.mean()) < 1e-9
         assert abs(values.std() - 1.0) < 1e-9
     assert normed is not pre.windows
-
-    cfg_none = RunConfig(norm_scope="none")
-    pre_none = preprocess_manifest(manifest, cfg_none)
-    assert normalized_windows(pre_none, cfg_none) is pre_none.windows
 
 
 def test_duplicate_window_ids_across_recordings_rejected(tmp_path):

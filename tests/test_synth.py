@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from gazeconcepts.errors import ConfigError
+from gazeconcepts.io import load_gaze_csv
 from gazeconcepts.preprocess import SavGolParams, savgol_derivative
 from gazeconcepts.synth import (
+    CorpusSpec,
     PlannedFixation,
     PlannedSaccade,
     ScanpathSpec,
@@ -12,6 +16,7 @@ from gazeconcepts.synth import (
     positional_noise_sigma,
     raised_cosine_peak,
     random_plan,
+    write_demo_corpus,
 )
 
 from conftest import build_window, ground_truth_in_window, pipeline_windows
@@ -218,3 +223,30 @@ def test_generated_peak_speed_near_planned():
     speed = windows.speed[0]
     planned = truth[1].peak_velocity
     assert np.nanmax(speed) == pytest.approx(planned, rel=0.01)
+
+
+@pytest.mark.parametrize("rate", [1000.0, 500.0, 250.0])
+def test_demo_corpus_velocity_noise_at_its_sampling_rate(tmp_path, rate):
+    """The SG velocity noise inside the fixations of a demo recording is
+    the requested sigma per component, whatever the sampling rate."""
+    spec = CorpusSpec(seed=11, n_recordings=1, duration_s=20.0, sampling_rate_hz=rate)
+    write_demo_corpus(tmp_path, spec)
+    rec = load_gaze_csv(tmp_path / "recordings" / "rec00.csv")
+    sg = SavGolParams(dt_s=1 / rate)
+    half = sg.window_length // 2
+    velocities = [savgol_derivative(c, sg) for c in (rec.x_deg, rec.y_deg)]
+    with open(tmp_path / "gt_events.csv", newline="") as f:
+        fixations = [r for r in csv.DictReader(f) if r["kind"] == "fixation"]
+    # samples whose filter window lies inside one fixation
+    inner = np.concatenate([np.arange(int(r["onset"]) + half, int(r["offset"]) - half)
+                            for r in fixations])
+    assert len(inner) > 2000
+    for v in velocities:
+        assert np.std(v[inner]) == pytest.approx(spec.noise_velocity_sigma_dps, rel=0.1)
+
+
+@pytest.mark.parametrize("rate", [0.0, -250.0])
+def test_demo_corpus_rejects_a_non_positive_rate(tmp_path, rate):
+    with pytest.raises(ConfigError, match="sampling_rate_hz must be positive"):
+        write_demo_corpus(tmp_path, CorpusSpec(n_recordings=1, duration_s=1.0,
+                                               sampling_rate_hz=rate))
