@@ -210,8 +210,7 @@ def _read_stats(path: Path, *keys) -> dict:
 
 # the files the stages write; preprocess removes them and charts/ before it writes
 STAGE_FILES = ("windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
-               "dissect_stats.json", "topk.npz", "influence.csv", "influence.json",
-               "binned.csv", "report.json")
+               "dissect_stats.json", "topk.npz", "influence.csv", "binned.csv", "report.json")
 
 
 def cmd_preprocess(args) -> int:
@@ -263,7 +262,7 @@ def cmd_influence(args) -> int:
     topk, table = score_windows(windows, attribution_paths, events, subs, cfg)
     written = [out / "topk.npz"]
     gio.write_topk(table.window_ids, topk, written[0], cfg.squash)
-    written.append(write_influence(table, out, cfg))
+    written.append(write_influence(table, out))
     written += write_charts(out, cfg, corpus_results=table.pooled())
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
@@ -314,7 +313,7 @@ def cmd_report(args) -> int:
     )
     # a concept absent from every window is skipped in all of them
     corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
-    table = gio.read_report(out / f"influence.{cfg.format}", cfg.format)
+    table = gio.read_report(out / "influence.csv")
     for i, scope in enumerate(table["scope"]):
         if scope == "corpus":
             r = InfluenceResult(**{name: values[i] for name, values in table.items()})

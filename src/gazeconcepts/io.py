@@ -415,7 +415,8 @@ def load_gaze_csv(path) -> GazeRecording:
 
     Every row must have exactly as many fields as the header. Blank
     lines are skipped and counted in ``source_meta['skipped_rows']``; no
-    other row is ever dropped.
+    other row is ever dropped. The sampling rate is 1000 / the median
+    step of t_ms (1000 Hz for fewer than two samples).
     """
     path = Path(path)
     stamp = _file_stamp(path)
@@ -451,7 +452,9 @@ def load_gaze_csv(path) -> GazeRecording:
         xl, yl = _couple_missing(coords[0], coords[1])
         xr, yr = _couple_missing(coords[2], coords[3])
         eyes = {"left": (xl, yl), "right": (xr, yr)}
-    return GazeRecording(path.stem, t, eyes, eye,
+    steps = np.sort(np.diff(t)).astype(float)  # a median without np.median's numpy.ma import
+    step = (steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]) / 2 if len(steps) else 1.0
+    return GazeRecording(path.stem, t, eyes, eye, float(1000.0 / step),
                          source_meta={"path": str(path), "skipped_rows": str(skipped)})
 
 
@@ -957,38 +960,17 @@ _REPORT_PARSERS = {
 }
 
 
-def write_report(columns: dict, path, format: str = "csv"):
-    """Write influence results, one sequence of values per REPORT_COLUMNS
-    name (InfluenceTable.rows), as CSV or JSON, sorted by (concept,
-    scope, window_id)."""
+def write_report(columns: dict, path):
+    """Write influence results as CSV, one sequence of values per
+    REPORT_COLUMNS name (InfluenceTable.rows), sorted by (concept, scope,
+    window_id)."""
     keys = list(zip(columns["concept"], columns["scope"], columns["window_id"]))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     data = [[values[i] for i in order] for values in map(columns.__getitem__, REPORT_COLUMNS)]
-    if format == "csv":
-        write_table(path, REPORT_COLUMNS, data)
-    elif format == "json":
-        at = REPORT_COLUMNS.index
-        data[at("c")] = list(map(round9, data[at("c")]))
-        data[at("c_mean")] = [None if v is None else round9(v) for v in data[at("c_mean")]]
-        doc = [dict(zip(REPORT_COLUMNS, row)) for row in zip(*data)]
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown report format {format!r}")
+    write_table(path, REPORT_COLUMNS, data)
 
 
-def read_report(path, format: str = "csv") -> dict:
+def read_report(path) -> dict:
     """Inverse of write_report: one list of values per REPORT_COLUMNS
     name, rows in file order."""
-    if format == "csv":
-        return read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)[0]
-    if format == "json":
-        rows = read_json(path)
-        if not isinstance(rows, list):
-            raise FormatError(f"{path}: expected a list of influence rows")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict) or set(row) != set(REPORT_COLUMNS):
-                raise FormatError(f"{path}: row {i} keys are not {','.join(REPORT_COLUMNS)}")
-            if row["concept"] not in ALL_CONCEPTS:
-                raise FormatError(f"{path}: row {i}: unknown concept {row['concept']!r}")
-        return {name: [row[name] for row in rows] for name in REPORT_COLUMNS}
-    raise ConfigError(f"unknown report format {format!r}")
+    return read_table(path, REPORT_COLUMNS, _REPORT_PARSERS)[0]

@@ -40,7 +40,7 @@ from .detect import (
     retained,
 )
 from .dissect import PHASES, SubEventTable, check_ratios, dissect_saccades
-from .errors import ConfigError, DataError, GazeError, SizeError
+from .errors import AlignmentError, ConfigError, DataError, GazeError, SizeError
 from .influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
@@ -74,9 +74,7 @@ VALIDITY_RANGES = {
 CHOICES = {
     "eye": ("left", "right"),
     "squash": ("signed", "abs"),
-    "aggregate": ("pooled", "mean", "both"),
     "bin_mode": ("width", "quantile", "explicit"),
-    "format": ("csv", "json"),
 }
 
 
@@ -107,14 +105,12 @@ class RunConfig:
     # influence
     top_frac: float = 0.02
     squash: str = "signed"
-    aggregate: str = "both"
     # binning
     bins: int = 20
     bin_mode: str = "width"
     bin_edges: tuple = ()
     properties: tuple = tuple(sorted(binning_mod.PROPERTIES))
     # report
-    format: str = "csv"  # influence table
     charts: bool = True
     # execution (accepted, no effect)
     jobs: int = 1
@@ -194,14 +190,20 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
     recording's (recording id, sampling rate, x, y) before the gathering,
     so no position outlives its windows (the windows stage file)."""
     params = cfg.window_params()
-    summaries, stacks, positions = {}, [], []
+    summaries, stacks, positions, sources = {}, [], [], {}
+    paths = {}  # each file once, however the manifest spells its path
     for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
+        paths.setdefault(manifest.resolve(relpath).resolve(), relpath)
+    for relpath in paths.values():
         path = manifest.resolve(relpath)
         rec = gio.load_gaze_csv(path)
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
         positions.append((mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg))
         del rec, mono
         rec_id = positions[-1][0]
+        if rec_id in sources:
+            raise DataError(f"{sources[rec_id]} and {path} have one recording id {rec_id!r}")
+        sources[rec_id] = path
         try:
             stack, summaries[rec_id] = window_recording(*positions[-1], params)
         except SizeError as e:
@@ -209,6 +211,11 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
         if parsed is None:
             positions.clear()
         stacks.append(stack)
+    produced = {window_id for stack in stacks for window_id in stack.window_ids}
+    for entry in manifest.entries:
+        if entry.window_id not in produced:
+            raise AlignmentError(f"{manifest.resolve(entry.recording)}: window_id "
+                                 f"{entry.window_id!r} is not among the windows")
     if parsed is not None:
         parsed(positions)
     del positions
@@ -267,7 +274,10 @@ def process_window(window_id: str, length: int, attribution_path,
     """The top-k mask of one window of `length` samples: its attribution
     map parsed, validated against the window's length and squashed."""
     attr = gio.load_attribution(attribution_path, window_id=window_id)
-    gio.validate_attribution(attr, length)
+    try:
+        gio.validate_attribution(attr, length)
+    except AlignmentError as e:
+        raise AlignmentError(f"{attribution_path}: {e}") from None
     return topk_segmentation(
         squash_channels(attr, cfg.squash), default_k(length, cfg.top_frac), window_id
     )
@@ -351,10 +361,10 @@ def _counts(preprocess_counts: dict, events: EventTable, dissection_counts: dict
     }
 
 
-def write_influence(table: InfluenceTable, out_dir, cfg: RunConfig) -> Path:
+def write_influence(table: InfluenceTable, out_dir) -> Path:
     """Write the per-window and corpus influence table, a column at a time."""
-    path = Path(out_dir) / f"influence.{cfg.format}"
-    gio.write_report(table.rows(), path, cfg.format)
+    path = Path(out_dir) / "influence.csv"
+    gio.write_report(table.rows(), path)
     return path
 
 
@@ -366,7 +376,6 @@ def write_charts(out_dir, cfg: RunConfig, corpus_results=None, binned=None):
         return
     charts_dir = Path(out_dir) / "charts"
     charts_dir.mkdir(exist_ok=True)
-    value_attr = "c_mean" if cfg.aggregate == "mean" else "c"
     corpus_results = corpus_results or {}
     for name, concepts, title in (
         ("concepts.svg", EVENT_CONCEPTS, "concept influence"),
@@ -375,12 +384,12 @@ def write_charts(out_dir, cfg: RunConfig, corpus_results=None, binned=None):
         results = [corpus_results.get(c, (None, 0))[0] for c in concepts]
         results = [r for r in results if r is not None]
         if results:
-            report_mod.render_bar_chart(results, charts_dir / name, value_attr, title=title)
+            report_mod.render_bar_chart(results, charts_dir / name, title=title)
             yield charts_dir / name
     for prop, rows in sorted((binned or {}).items()):
         if any(b.label == "bin" and b.influence is not None for b in rows):
             path = charts_dir / f"by_{prop}.svg"
-            report_mod.render_line_chart(rows, path, value_attr)
+            report_mod.render_line_chart(rows, path)
             yield path
 
 
@@ -443,7 +452,7 @@ def write_artifacts(result: RunResult, out_dir: Path):
 
             write("events.csv", gio.write_events, result.events)
             write("subevents.csv", gio.write_subevents, result.subevents)
-            written.append(write_influence(result.influence, out_dir, cfg))
+            written.append(write_influence(result.influence, out_dir))
             write("binned.csv", binning_mod.write_binned, result.binned)
             write("report.json", report_mod.write_report_json, result.report_doc)
             written += write_charts(out_dir, cfg, result.corpus_results, result.binned)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DataError, DegenerateDataError, SizeError
+from .errors import AlignmentError, ConfigError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,8 @@ def savgol_derivative(positions, params: SavGolParams) -> np.ndarray:
         out[i] = savgol_weights(w, params.poly_order, i) @ x[:w]
         j = len(x) - half + i
         out[j] = savgol_weights(w, params.poly_order, w - half + i) @ x[-w:]
-    return out / params.dt_s
+    with np.errstate(over="ignore"):  # beyond the float range is inf, then clamped
+        return out / params.dt_s
 
 
 def clamp_velocities(v, limit: float = 1000.0) -> np.ndarray:
@@ -261,13 +262,9 @@ def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
 def gather_windows(stacks: list, window_ids, length: int) -> WindowStack:
     """The windows ``window_ids`` of the per-recording stacks, in order, as one
     stack built a field at a time, dropping each field of ``stacks`` once gathered.
-    DataError if two windows share an id; AlignmentError for one no stack holds."""
-    located = {}  # window id -> (stack, row)
-    for stack in stacks:
-        for row, window_id in enumerate(stack.window_ids):
-            if window_id in located:
-                raise DataError(f"window id {window_id!r} produced twice")
-            located[window_id] = (stack, row)
+    The stacks' window ids are unique (their recording ids are); AlignmentError
+    for a window no stack holds."""
+    located = {wid: (stack, row) for stack in stacks for row, wid in enumerate(stack.window_ids)}
     picked = []
     for window_id in window_ids:
         if window_id not in located:

@@ -124,12 +124,12 @@ def _reference_line(parts, to_y, y_hi):
         )
 
 
-def render_bar_chart(results, path, value_attr: str = "c", title: str = "concept influence"):
+def render_bar_chart(results, path, title: str = "concept influence"):
     """Bar chart of corpus influence per concept."""
     results = list(results)
     if not results:
         raise ConfigError("no results to chart")
-    values = [getattr(r, value_attr) for r in results]
+    values = [r.c for r in results]
     to_y, y_hi = _y_scale(values)
     parts = _svg_open(title)
     _axes(parts, "concept", "concept influence", to_y, y_hi)
@@ -157,7 +157,7 @@ def render_bar_chart(results, path, value_attr: str = "c", title: str = "concept
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def render_line_chart(binned, path, value_attr: str = "c", title: str = ""):
+def render_line_chart(binned, path, title: str = ""):
     """Per-bin influence over a property, with a reference line at c = 1.
 
     Underflow/overflow and empty bins are not plotted.
@@ -166,7 +166,7 @@ def render_line_chart(binned, path, value_attr: str = "c", title: str = ""):
     if not rows:
         raise ConfigError("no non-empty bins to chart")
     prop = rows[0].property
-    values = [getattr(b.influence, value_attr) for b in rows]
+    values = [b.influence.c for b in rows]
     centers = [(b.lo + b.hi) / 2.0 for b in rows]
     to_y, y_hi = _y_scale(values)
     parts = _svg_open(title or f"concept influence by {prop}")

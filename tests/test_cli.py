@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from gazeconcepts import io as gio
-from gazeconcepts.cli import main
+from gazeconcepts.cli import build_parser, main
 from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import SavGolParams
 from gazeconcepts.synth import (
@@ -219,7 +220,7 @@ def test_staged_matches_run_with_absent_concepts(tmp_path):
     manifest = corpus / "manifest.json"
     manifest.write_text(json.dumps({"entries": entries}))
 
-    run_out, staged = _run_and_staged(manifest, tmp_path, ["--format", "json"])
+    run_out, staged = _run_and_staged(manifest, tmp_path)
     doc = json.loads((run_out / "report.json").read_text())
     assert doc["concepts"]["saccade"] == {"windows": 0, "windows_skipped": 3}
     assert doc["bins"]["saccade_duration_ms"] == []
@@ -288,8 +289,8 @@ def test_staged_matches_run_on_the_left_eye_of_binocular_recordings(tmp_path):
 
 
 def test_failed_preprocess_leaves_no_windows_file(tiny_corpus, tmp_path, capsys):
-    """The windows file is written before the windows are gathered; a
-    manifest window that windowing does not produce removes it again."""
+    """A manifest window that windowing does not produce leaves no
+    windows file."""
     manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
     doc = json.loads(manifest.read_text())
     doc["entries"][-1]["window_id"] = "rec01-w9999"
@@ -346,6 +347,33 @@ def test_removed_norm_scope_option_exits_1(tiny_corpus, tmp_path, capsys):
     assert main(base + ["--config", str(cfg)]) == 1
     assert "unknown config key 'norm_scope'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    ("--format", "format", "json"),
+    ("--aggregate", "aggregate", "mean"),
+])
+def test_removed_chart_and_table_options_exit_1(tiny_corpus, tmp_path, capsys, flag, key,
+                                                 value):
+    base = ["run", "--manifest", str(tiny_corpus), "--out", str(tmp_path / "o")]
+    assert main(base + [flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[report]\n{key} = {value}\n")
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_flag_table_lists_every_run_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("The flags, by stage")[1].split("\n\n")[1]
+    listed = {flag for cell in re.findall(r"`(--[^`]*)`", table)
+              for flag in cell.split()[0].split("/")}
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for a in subparsers.choices["run"]._actions for s in a.option_strings}
+    assert listed == flags - {"-h", "--help", "--manifest", "--out", "--config"}
 
 
 def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
@@ -672,3 +700,108 @@ def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys
         np.savez(fh, indices=np.zeros((2, 20), dtype=np.int32))
     assert _bin(tiny_corpus, foreign, tmp_path)[0] == 2
     assert re.search(r"topk\.npz: not a top-k file", capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """One 4 s recording in 16 windows of 250 samples."""
+    spec = CorpusSpec(seed=7, n_recordings=1, duration_s=4.0, window_len=250)
+    return write_demo_corpus(tmp_path_factory.mktemp("small") / "corpus", spec).parent
+
+
+def _cells(*changes):
+    """Gaze text with (data row, column) set to a token, per change."""
+    def edit(text):
+        lines = text.split("\n")
+        for row, column, token in changes:
+            fields = lines[row].split(",")
+            fields[column] = token
+            lines[row] = ",".join(fields)
+        return "\n".join(lines)
+    return edit
+
+
+def _each_row(make, header=None):
+    """Gaze text with every data row's fields replaced by make(fields),
+    and the header line by `header` if given."""
+    def edit(text):
+        lines = text.rstrip("\n").split("\n")
+        rows = [",".join(make(line.split(","))) for line in lines[1:]]
+        return "\n".join([header or lines[0], *rows]) + "\n"
+    return edit
+
+
+def _gaze(edit):
+    def mutate(root, doc):
+        path = root / doc["entries"][0]["recording"]
+        path.write_text(edit(path.read_text()))
+        return [path]
+    return mutate
+
+
+def _attribution(text):
+    def mutate(root, doc):
+        path = root / doc["entries"][0]["attribution"]
+        path.write_text(text)
+        return [path]
+    return mutate
+
+
+def _recording(*spellings):
+    """The first entries' recordings spelled as given; a spelling under
+    other/ is a copy of the recording there."""
+    def mutate(root, doc):
+        named = []
+        for entry, spelling in zip(doc["entries"], spellings):
+            if spelling.startswith("other/"):
+                (root / "other").mkdir(exist_ok=True)
+                shutil.copy(root / entry["recording"], root / spelling)
+            entry["recording"] = spelling
+            named.append(root / spelling)
+        return named
+    return mutate
+
+
+def _dense(values):
+    return "D=2\nL=250\n" + "\n".join(",".join([values] * 250) for _ in range(2)) + "\n"
+
+
+@pytest.mark.parametrize("mutate,clean", [
+    (_gaze(_cells((100, 1, "1e308"))), False),
+    (_gaze(_cells((100, 1, "1e308"), (101, 1, "-1e308"), (102, 2, "-1e308"))), False),
+    (_gaze(_cells((100, 1, "inf"))), False),
+    (_gaze(_each_row(lambda f: [f[0], "", ""])), False),
+    (_gaze(_cells((100, 0, '"99"'))), False),
+    (_gaze(_cells((100, 1, "1.0\x00"))), False),
+    (_gaze(_each_row(lambda f: [*f, f[1]], header="t_ms,x_deg,y_deg,x_deg")), True),
+    (_gaze(_each_row(lambda f: [f[0], "1.5", "-2.0"])), False),
+    (_attribution("D=2\nL=2.5\n1,2\n3,4\n"), False),
+    (_attribution("D=-1\nL=250\n"), False),
+    (_attribution("D=2\nL=250\ntarget=\n"), False),
+    (_attribution("channel,index,value\n0,99999999999999999999,1.0\n"), False),
+    (_attribution("channel,index,value\n0,-3,1.0\n"), False),
+    (_attribution("channel,index,value\n"), False),
+    (_attribution(_dense("1e308")), False),
+    (_recording("recordings"), False),
+    (_recording("recordings/rec00.csv", "other/rec00.csv"), False),
+    (_recording("recordings/rec00.csv", "./recordings/rec00.csv"), True),
+], ids=["1e308", "pm1e308", "inf", "all-missing", "quoted-time", "nul", "repeated-column",
+        "constant", "L=2.5", "D=-1", "target-only", "huge-index", "negative-index",
+        "empty-sparse", "1e308-values", "directory", "same-stem", "two-spellings"])
+def test_malformed_inputs_exit_cleanly(small_corpus, tmp_path, capsys, mutate, clean):
+    """Nothing escapes main: the exit code is one of 0-3, and a non-zero
+    exit prints one error line that names the offending path(s)."""
+    root = tmp_path / "corpus"
+    shutil.copytree(small_corpus, root)
+    doc = json.loads((root / "manifest.json").read_text())
+    named = mutate(root, doc)
+    (root / "manifest.json").write_text(json.dumps(doc))
+    code = main(["run", "--manifest", str(root / "manifest.json"), "--out",
+                 str(tmp_path / "out"), "--window-len", "250"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if clean:
+        assert code == 0, err
+    if code:
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert all(str(path) in line for path in named), line

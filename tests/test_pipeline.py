@@ -23,12 +23,14 @@ from gazeconcepts.pipeline import (
 )
 from gazeconcepts.preprocess import SavGolParams
 from gazeconcepts.synth import (
+    CorpusSpec,
     PlannedFixation,
     ScanpathSpec,
     gen_proxy_attributions,
     gen_scanpath,
     positional_noise_sigma,
     random_plan,
+    write_demo_corpus,
 )
 
 import gazeconcepts
@@ -130,8 +132,27 @@ def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
         tmp_path / "m.json",
         [("a/same.csv", "x.csv", "same-w0000"), ("b/same.csv", "y.csv", "same-w0001")],
     )
-    with pytest.raises(DataError, match="produced twice"):
+    with pytest.raises(DataError) as e:
         preprocess_manifest(manifest, RunConfig())
+    assert str(e.value) == (f"{tmp_path / 'a' / 'same.csv'} and {tmp_path / 'b' / 'same.csv'} "
+                            f"have one recording id 'same'")
+
+
+def test_sampling_rate_is_derived_from_timestamps(tmp_path):
+    """Velocities are in deg/s at any integer-ms rate: a corpus written at
+    500 or 250 Hz retains about the saccades it does at 1 kHz, none
+    excluded as too fast."""
+    retained = {}
+    for rate in (1000.0, 500.0, 250.0):
+        spec = CorpusSpec(seed=11, n_recordings=1, duration_s=40, sampling_rate_hz=rate)
+        manifest = load_manifest(write_demo_corpus(tmp_path / str(rate), spec))
+        result = run(manifest, RunConfig(), tmp_path / f"out{rate}")
+        assert (result.preprocess.windows.sampling_rate_hz == rate).all()
+        saccades = result.counts["events"]["saccade"]
+        assert not any("max peak velocity" in reason for reason in saccades["excluded"])
+        retained[rate] = saccades["retained"]
+    for rate in (500.0, 250.0):
+        assert abs(retained[rate] - retained[1000.0]) <= 0.05 * retained[1000.0], retained
 
 
 def test_run_names_the_stage_a_detection_error_comes_from(tmp_path):
