@@ -17,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_golden import GOLDEN, STAGE_ONLY, files_under, inputs_digest, produce  # noqa: E402
+from test_golden import GOLDEN, files_under, inputs_digest, produce  # noqa: E402
 
 
 def snapshot() -> dict:
@@ -28,12 +28,9 @@ def snapshot() -> dict:
 def main():
     before = snapshot()
     with tempfile.TemporaryDirectory(prefix="gazeconcepts_golden_") as tmp:
-        corpus, run_out, staged = produce(Path(tmp))
+        corpus, run_out, _ = produce(Path(tmp))
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(run_out, GOLDEN / "run")
-        (GOLDEN / "staged").mkdir()
-        for name in STAGE_ONLY:
-            shutil.copy2(staged / name, GOLDEN / "staged" / name)
         shutil.copy2(corpus / "gt_events.csv", GOLDEN / "gt_events.csv")
         digest = inputs_digest(corpus)
         (GOLDEN / "inputs.sha256").write_text(f"{digest}  corpus inputs\n")

@@ -27,7 +27,7 @@ from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
 from .detect import event_properties, retained
-from .errors import AlignmentError, ConfigError, DataError, FormatError, GazeError
+from .errors import AlignmentError, ConfigError, DataError, GazeError
 from .influence import InfluenceResult, default_k
 from .pipeline import (
     ALL_CONCEPTS,
@@ -35,8 +35,6 @@ from .pipeline import (
     RunConfig,
     _bin_all,
     _counts,
-    _dissection_counts,
-    _preprocess_counts,
     detect_windows,
     dissect_windows,
     preprocess_manifest,
@@ -185,7 +183,7 @@ def cmd_run(args) -> int:
 def _manifest_windows(manifest, out: Path):
     """The windows file's windows in manifest order (the file's own stack
     when the orders agree) and each one's attribution path."""
-    windows = gio.read_windows(out / "windows.npz")
+    windows = gio.read_windows(out / "windows.npz").windows
     ids = [entry.window_id for entry in manifest.entries]
     if ids != windows.window_ids:
         try:
@@ -195,22 +193,9 @@ def _manifest_windows(manifest, out: Path):
     return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
 
 
-def _read_stats(path: Path, *keys) -> dict:
-    """A stage's JSON stats file, which must hold every key in `keys`
-    ("a.b" is key b inside block a); FormatError naming the file if not."""
-    doc = gio.read_json(path)
-    for key in keys:
-        block = doc
-        for part in key.split("."):
-            if not isinstance(block, dict) or part not in block:
-                raise FormatError(f"{path}: no {key!r} entry")
-            block = block[part]
-    return doc
-
-
 # the files the stages write; preprocess removes them and charts/ before it writes
-STAGE_FILES = ("windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
-               "dissect_stats.json", "topk.npz", "influence.csv", "binned.csv", "report.json")
+STAGE_FILES = ("windows.npz", "events.csv", "subevents.csv", "topk.npz", "influence.csv",
+               "binned.csv", "report.json")
 
 
 def cmd_preprocess(args) -> int:
@@ -227,15 +212,13 @@ def cmd_preprocess(args) -> int:
     except BaseException:  # the file is written before the windows are gathered
         path.unlink(missing_ok=True)
         raise
-    report_mod.write_report_json(_preprocess_counts(pre), out / "preprocess_stats.json")
     print(f"wrote {len(pre.windows)} windows to {path}")
     return 0
 
 
 def cmd_detect(args) -> int:
     _, cfg, out = _context(args)
-    windows = gio.read_windows(out / "windows.npz")
-    events = detect_windows(windows, cfg)
+    events = detect_windows(gio.read_windows(out / "windows.npz").windows, cfg)
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -244,12 +227,11 @@ def cmd_detect(args) -> int:
 
 def cmd_dissect(args) -> int:
     _, cfg, out = _context(args)
-    windows = gio.read_windows(out / "windows.npz")
+    windows = gio.read_windows(out / "windows.npz").windows
     events = gio.read_events(out / "events.csv", windows)
     # peaks come from the windows' exact speeds, not events.csv's 9 digits
     subs = dissect_windows(windows, events, cfg)
     gio.write_subevents(subs, out / "subevents.csv")
-    report_mod.write_report_json(_dissection_counts(subs), out / "dissect_stats.json")
     print(f"wrote {len(subs)} sub-events to {out / 'subevents.csv'}")
     return 0
 
@@ -305,12 +287,10 @@ def cmd_bin(args) -> int:
 
 def cmd_report(args) -> int:
     _, cfg, out = _context(args)
-    counts = _counts(
-        _read_stats(out / "preprocess_stats.json", "windows.evaluated"),
-        gio.read_events(out / "events.csv"),
-        _read_stats(out / "dissect_stats.json", "saccades_dissected",
-                    "disregarded_samples", "disregarded_fraction"),
-    )
+    pre = gio.read_windows(out / "windows.npz")
+    events = gio.read_events(out / "events.csv", pre.windows)
+    counts = _counts(pre, events, gio.read_subevents(out / "subevents.csv", events,
+                                                     pre.windows.length))
     # a concept absent from every window is skipped in all of them
     corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
     table = gio.read_report(out / "influence.csv")

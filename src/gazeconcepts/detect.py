@@ -389,6 +389,6 @@ def detect_fixations_ivt(window: WindowStack, params: DetectionParams) -> EventT
     return detect_events(window, params, (FIXATION,))
 
 
-def retained(events: EventTable) -> EventTable:
-    """The events that survived the validity filters."""
-    return events.take(~events.excluded)
+def retained(events: EventTable, kind: str | None = None) -> EventTable:
+    """The events (of ``kind``, if given) that survived the validity filters."""
+    return events.take(~events.excluded & (True if kind is None else events.is_kind(kind)))

@@ -42,12 +42,24 @@ class SubEventTable:
     phase: np.ndarray  # int8 index into PHASES
     onset: np.ndarray  # int64
     offset: np.ndarray  # int64
-    # per event of `events`: the samples its dissection left out (None
-    # when read from subevents.csv, which does not hold them)
-    disregarded: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.parent)
+
+    @property
+    def disregarded(self) -> np.ndarray:
+        """Per event of ``events``: the samples from its first to its last
+        peak sample that no peak segment holds (0 without a peak segment;
+        every dissected saccade has one, holding its peak sample)."""
+        peak = self.phase == PHASES.index("peak")
+        parent, onset, offset = self.parent[peak], self.onset[peak], self.offset[peak]
+        m = len(self.events)
+        first = np.full(m, np.iinfo(np.int64).max)
+        last, held = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        np.minimum.at(first, parent, onset)
+        np.maximum.at(last, parent, offset)
+        np.add.at(held, parent, offset - onset + 1)
+        return np.where(held > 0, last - first + 1 - held, 0)
 
     @property
     def row(self) -> np.ndarray:
@@ -90,7 +102,7 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
     m = len(saccades)
     empty = np.zeros(0, dtype=np.int64)
     if m == 0:
-        return SubEventTable(saccades, empty, empty.astype(np.int8), empty, empty, empty)
+        return SubEventTable(saccades, empty, empty.astype(np.int8), empty, empty)
     length, rows = windows.length, saccades.row
     onsets, offsets = saccades.onset, saccades.offset
     if outside_window(onsets, offsets, length).any():
@@ -121,7 +133,6 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
     bounds = np.searchsorted(owner[run_lo], np.arange(m + 1))  # runs per saccade
     first_peak = window_pos[run_lo[bounds[:-1]]]
     last_peak = window_pos[run_hi[bounds[1:] - 1]]
-    disregarded = (last_peak - first_peak + 1) - np.add.reduceat(supra.astype(np.int64), first)
 
     flank = np.maximum(1, np.floor(flank_ratio * n_samples + 0.5).astype(np.int64))
     pre_lo = np.maximum(0, onsets - flank)
@@ -141,7 +152,7 @@ def dissect_saccades(saccades: EventTable, windows, peak_ratio=0.8, flank_ratio=
             for code, parents, lo, hi, present in segments
         ))
     )
-    table = SubEventTable(saccades, parent, phase, onset, offset, disregarded)
+    table = SubEventTable(saccades, parent, phase, onset, offset)
     return table.take(np.lexsort((onset, phase, parent)))
 
 

@@ -15,14 +15,19 @@ by it in one call; all others are parsed line by line, with the same
 values and the same errors.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
-as do the binary ``.npz`` windows and top-k stage files; the windows
-file keeps the positions preprocess parsed and windows them on read
-with preprocess's own code. Every other
+as do the binary ``.npz`` windows and top-k stage files. Every other
 CSV table (events, sub-events, influence, binned influence, synth
 ground truth) is written by ``write_table`` and read back by
 ``read_table``, a column at a time, with reals at 9 significant digits.
-Events and sub-events are read into the columnar EventTable and
-SubEventTable, checked against the windows they belong to.
+
+A stage file holds no value that another stage file already gives. The
+windows file keeps the positions preprocess parsed and windows them on
+read with preprocess's own code, which also yields each recording's
+windowing summary; the top-k file's k is the width of its indices.
+Events are read into the columnar EventTable, checked against the
+windows they belong to, and sub-events into a SubEventTable over the
+retained saccades of those events, whose peak segments give the
+samples dissection disregarded.
 """
 
 from __future__ import annotations
@@ -46,11 +51,13 @@ from .detect import (
     EventTable,
     exclusion_code,
     exclusion_reason,
+    retained,
 )
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
 from .preprocess import (
+    PreprocessResult,
     WindowParams,
     WindowStack,
     gather_windows,
@@ -715,10 +722,11 @@ def write_windows(recordings, path, window_ids, params: WindowParams):
         np.savez(fh, **arrays)
 
 
-def _load_npz(path, names, what: str, older: str = "") -> dict:
+def _load_npz(path, names, what: str, older: str, stage: str) -> dict:
     """The arrays of a stage ``.npz`` file that holds exactly `names`;
     FormatError naming the path for any other file, one that says so
-    for a file of an older format, which holds an array `older`."""
+    for a file of an older format, which holds an array `older`, and
+    asks for `stage` to be rerun."""
     path = Path(path)
     with path.open("rb") as fh:
         try:
@@ -726,8 +734,8 @@ def _load_npz(path, names, what: str, older: str = "") -> dict:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                if older and older in npz.files:
-                    raise FormatError(f"{path}: a {what} in an older format; rerun preprocess")
+                if older in npz.files:
+                    raise FormatError(f"{path}: a {what} in an older format; rerun {stage}")
                 if set(npz.files) != set(names):
                     raise ValueError(f"not the {what} arrays")
                 return {name: npz[name] for name in names}
@@ -742,12 +750,13 @@ def _is(array, dtype, shape) -> bool:
     )
 
 
-def read_windows(path) -> WindowStack:
+def read_windows(path) -> PreprocessResult:
     """Inverse of write_windows: the evaluation windows, in the file's
-    order, windowed from the stored positions and parameters as
-    preprocess windows them. FormatError naming the file for anything
-    else, a windows file of an older format included."""
-    a = _load_npz(path, WINDOW_ARRAYS, "windows file", older="px")
+    order, and each recording's windowing summary, windowed from the
+    stored positions and parameters as preprocess windows them.
+    FormatError naming the file for anything else, a windows file of an
+    older format included."""
+    a = _load_npz(path, WINDOW_ARRAYS, "windows file", "px", "preprocess")
     r, total = a["recording_id"].size, a["x"].size
     layout = {
         "recording_id": ("U", (r,)), "sampling_rate_hz": (np.float64, (r,)),
@@ -770,24 +779,26 @@ def read_windows(path) -> WindowStack:
     try:
         params.validate()
         # popped: only the windows' views keep the positions, until gathered
-        stacks = [window_recording(*rec, params)[0] for rec in zip(
+        windowed = [window_recording(*rec, params) for rec in zip(
             recording_ids, rates.tolist(), np.split(a.pop("x"), starts),
             np.split(a.pop("y"), starts),
         )]
-        return gather_windows(stacks, window_ids, params.window_len)
+        windows = gather_windows([stack for stack, _ in windowed], window_ids, params.window_len)
+        return PreprocessResult(windows, {rec_id: summary for rec_id, (_, summary)
+                                          in zip(recording_ids, windowed)})
     except (ConfigError, DataError) as e:
         raise FormatError(f"{path}: {e}") from None
 
 
-TOPK_ARRAYS = ("window_id", "indices", "k", "squash")
+TOPK_ARRAYS = ("window_id", "indices", "squash")
 
 
 def write_topk(window_ids, masks, path, squash: str):
     """Store the (n, L) top-k masks of the windows `window_ids` as one
     ``.npz`` stage file: the window ids, the k masked steps of each
-    window as ascending int32 indices, k, and the squash mode the
-    attributions were collapsed with. The file is written to exactly
-    ``path``, whatever its suffix.
+    window as an (n, k) array of ascending int32 indices, and the squash
+    mode the attributions were collapsed with. The file is written to
+    exactly ``path``, whatever its suffix.
     """
     ks = sorted(set(np.count_nonzero(masks, axis=1).tolist()))  # np.unique imports numpy.ma
     if len(ks) > 1:
@@ -796,7 +807,6 @@ def write_topk(window_ids, masks, path, squash: str):
     arrays = {
         "window_id": np.array(window_ids, dtype=str),
         "indices": np.nonzero(masks)[1].astype(np.int32).reshape(len(masks), k),
-        "k": np.array(k, dtype=np.int64),
         "squash": np.array(squash, dtype=str),
     }
     with Path(path).open("wb") as fh:
@@ -805,18 +815,18 @@ def write_topk(window_ids, masks, path, squash: str):
 
 def read_topk(path, length: int):
     """Inverse of write_topk for windows of `length` steps: (window ids
-    in file order, (n, length) top-k masks, k, squash mode). Rejects
-    anything but a top-k file, and indices that are not k ascending
-    steps of a window."""
-    a = _load_npz(path, TOPK_ARRAYS, "top-k file")
-    ids, indices, k, squash = (a[name] for name in TOPK_ARRAYS)
+    in file order, (n, length) top-k masks, k, squash mode); k is the
+    width of the (n, k) indices. Rejects anything but a top-k file, one
+    of an older format that stored k, and indices that are not k
+    ascending steps of a window."""
+    a = _load_npz(path, TOPK_ARRAYS, "top-k file", "k", "influence")
+    ids, indices, squash = (a[name] for name in TOPK_ARRAYS)
     if (
-        ids.ndim != 1 or k.shape != () or k.dtype.kind != "i"
-        or squash.shape != () or squash.dtype.kind != "U"
-        or indices.dtype.kind != "i" or indices.shape != (ids.size, int(k))
+        ids.ndim != 1 or squash.shape != () or squash.dtype.kind != "U"
+        or indices.dtype.kind != "i" or indices.ndim != 2 or len(indices) != ids.size
     ):
         raise FormatError(f"{path}: top-k file arrays disagree in shape")
-    k = int(k)
+    k = indices.shape[1]
     if indices.size and (
         indices.min() < 0 or indices.max() >= length or (np.diff(indices, axis=1) <= 0).any()
     ):
@@ -874,13 +884,12 @@ def _check_intervals(path, lines, onset, offset, length, window_ids):
     ))
 
 
-def read_events(path, windows=None) -> EventTable:
-    """Inverse of write_events. With ``windows`` (a WindowStack) the
-    table's rows index its windows, and an event of another window or an
-    interval outside its window is a DataError naming the file and line;
-    without, the window ids are the file's, in order of first appearance.
-    A repeated event_id, or an excluded flag that disagrees with the
-    exclusion reason, is a FormatError naming the file and line."""
+def read_events(path, windows: WindowStack) -> EventTable:
+    """Inverse of write_events, the table's rows indexing the rows of
+    ``windows``. An event of another window or an interval outside its
+    window is a DataError naming the file and line; a repeated event_id,
+    or an excluded flag that disagrees with the exclusion reason, is a
+    FormatError naming the file and line."""
     path = Path(path)
     t, lines = read_table(path, EVENT_COLUMNS, _EVENT_PARSERS)
     ids = np.array(t["event_id"], dtype=object)
@@ -893,17 +902,15 @@ def read_events(path, windows=None) -> EventTable:
         f"excluded is {str(excluded[i]).lower()} but exclusion_reason is "
         f"{exclusion_reason(exclusion[i])!r}"
     ), FormatError)
-    window_ids = list(dict.fromkeys(t["window_id"])) if windows is None else windows.window_ids
-    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
+    row_of = {window_id: row for row, window_id in enumerate(windows.window_ids)}
     rows = np.array([row_of.get(w, -1) for w in t["window_id"]], dtype=np.int64)
     _first(path, lines, rows < 0, lambda i: (
         f"event {ids[i]} references unknown window {t['window_id'][i]}"
     ))
     onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
-    if windows is not None:
-        _check_intervals(path, lines, onset, offset, windows.length, t["window_id"])
+    _check_intervals(path, lines, onset, offset, windows.length, t["window_id"])
     return EventTable(
-        window_ids, rows, np.array(t["kind"], dtype=np.int8), onset, offset,
+        windows.window_ids, rows, np.array(t["kind"], dtype=np.int8), onset, offset,
         *(np.array(t[name], dtype=float) for name in EVENT_COLUMNS[5:10]), exclusion, ids,
     )
 
@@ -926,27 +933,27 @@ def write_subevents(subs: SubEventTable, path):
 
 
 def read_subevents(path, events: EventTable, length: int) -> SubEventTable:
-    """Inverse of write_subevents, the parents found among ``events``,
-    in windows of `length` samples. A parent that is not a retained
-    saccade, a window_id other than the parent's window or an interval
-    outside the window is a DataError naming the file and line."""
+    """Inverse of write_subevents: a table over the retained saccades of
+    ``events``, in windows of `length` samples. A parent that is not a
+    retained saccade, a window_id other than the parent's window or an
+    interval outside the window is a DataError naming the file and line."""
     path = Path(path)
     t, lines = read_table(
         path, SUBEVENT_COLUMNS, {"phase": PHASES.index, "onset": int64, "offset": int64}
     )
-    saccades = np.flatnonzero(events.is_kind(SACCADE) & ~events.excluded)
-    index_of = dict(zip(events.event_id[saccades].tolist(), saccades.tolist()))
+    saccades = retained(events, SACCADE)
+    index_of = {event_id: i for i, event_id in enumerate(saccades.event_id.tolist())}
     parent = np.array([index_of.get(p, -1) for p in t["parent_event_id"]], dtype=np.int64)
     _first(path, lines, parent < 0, lambda i: (
         f"sub-event parent {t['parent_event_id'][i]!r} is not a retained saccade in events.csv"
     ))
-    window = np.array(events.window_ids, dtype=object)[events.row[parent]]
+    window = np.array(saccades.window_ids, dtype=object)[saccades.row[parent]]
     _first(path, lines, window != np.array(t["window_id"], dtype=object), lambda i: (
         f"window_id {t['window_id'][i]!r} is not {window[i]!r}, the window of its parent"
     ))
     onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
     _check_intervals(path, lines, onset, offset, length, window)
-    return SubEventTable(events, parent, np.array(t["phase"], dtype=np.int8), onset, offset)
+    return SubEventTable(saccades, parent, np.array(t["phase"], dtype=np.int8), onset, offset)
 
 
 REPORT_COLUMNS = (

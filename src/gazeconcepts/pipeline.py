@@ -55,6 +55,7 @@ from .influence import (
     topk_segmentation,
 )
 from .preprocess import (
+    PreprocessResult,
     WindowParams,
     WindowStack,
     compute_channel_stats,
@@ -162,12 +163,6 @@ def _stage(name: str):
 
 
 @dataclass
-class PreprocessResult:
-    windows: WindowStack  # evaluation windows, manifest order
-    summaries: dict  # recording_id -> WindowingSummary
-
-
-@dataclass
 class RunResult:
     config: RunConfig
     preprocess: PreprocessResult
@@ -190,10 +185,10 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
     recording's (recording id, sampling rate, x, y) before the gathering,
     so no position outlives its windows (the windows stage file)."""
     params = cfg.window_params()
-    summaries, stacks, positions, sources = {}, [], [], {}
-    paths = {}  # each file once, however the manifest spells its path
+    summaries, stacks, positions, sources, produced = {}, [], [], {}, {}
+    paths, first_spelling = {}, {}  # each file once, however the manifest spells its path
     for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
-        paths.setdefault(manifest.resolve(relpath).resolve(), relpath)
+        first_spelling[relpath] = paths.setdefault(manifest.resolve(relpath).resolve(), relpath)
     for relpath in paths.values():
         path = manifest.resolve(relpath)
         rec = gio.load_gaze_csv(path)
@@ -211,11 +206,15 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
         if parsed is None:
             positions.clear()
         stacks.append(stack)
-    produced = {window_id for stack in stacks for window_id in stack.window_ids}
+        produced[relpath] = summaries[rec_id], set(stack.window_ids)
     for entry in manifest.entries:
-        if entry.window_id not in produced:
-            raise AlignmentError(f"{manifest.resolve(entry.recording)}: window_id "
-                                 f"{entry.window_id!r} is not among the windows")
+        s, window_ids = produced[first_spelling[entry.recording]]
+        if entry.window_id not in window_ids:
+            raise AlignmentError(
+                f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
+                f"among the windows of this recording ({s.retained} retained, {s.excluded} "
+                f"excluded with more than {params.missing_max_frac:g} of their samples "
+                f"missing, {s.tail_samples} tail samples)")
     if parsed is not None:
         parsed(positions)
     del positions
@@ -265,8 +264,7 @@ def detect_windows(windows: WindowStack, cfg: RunConfig) -> EventTable:
 def dissect_windows(windows: WindowStack, events: EventTable, cfg: RunConfig) -> SubEventTable:
     """The phase segments of every retained saccade, all in one batched
     pass; events.row indexes the rows of ``windows``."""
-    saccades = events.take(events.is_kind(SACCADE) & ~events.excluded)
-    return dissect_saccades(saccades, windows, cfg.peak_ratio, cfg.flank_ratio)
+    return dissect_saccades(retained(events, SACCADE), windows, cfg.peak_ratio, cfg.flank_ratio)
 
 
 def process_window(window_id: str, length: int, attribution_path,
@@ -324,40 +322,26 @@ def _bin_all(events: EventTable, topk, k: int, cfg: RunConfig) -> dict:
     return binned
 
 
-def _preprocess_counts(pre: PreprocessResult) -> dict:
-    """The windows block of the counts."""
+def _counts(pre: PreprocessResult, events: EventTable, subs: SubEventTable) -> dict:
+    """The report's counts: windows, events by kind, and the dissection
+    of every retained saccade."""
+    disregarded = int(subs.disregarded.sum())
+    saccade_samples = int((subs.events.offset - subs.events.onset + 1).sum())
     return {
         "windows": {
             "evaluated": len(pre.windows),
             "excluded_missing": sum(s.excluded for s in pre.summaries.values()),
             "tail_samples_discarded": sum(s.tail_samples for s in pre.summaries.values()),
         },
-    }
-
-
-def _dissection_counts(subs: SubEventTable) -> dict:
-    """The dissection block of the counts, from the sub-events of every
-    retained saccade."""
-    disregarded = int(subs.disregarded.sum())
-    saccade_samples = int((subs.events.offset - subs.events.onset + 1).sum())
-    return {
-        "saccades_dissected": len(subs.events),
-        "disregarded_samples": disregarded,
-        "disregarded_fraction": (
-            disregarded / saccade_samples if saccade_samples else 0.0
-        ),
-    }
-
-
-def _counts(preprocess_counts: dict, events: EventTable, dissection_counts: dict) -> dict:
-    """The report's counts from the blocks each stage produces."""
-    return {
-        "windows": preprocess_counts["windows"],
         "events": {
             kind: _exclusion_counts(events.take(events.is_kind(kind)))
             for kind in EVENT_CONCEPTS
         },
-        "dissection": dissection_counts,
+        "dissection": {
+            "saccades_dissected": len(subs.events),
+            "disregarded_samples": disregarded,
+            "disregarded_fraction": disregarded / saccade_samples if saccade_samples else 0.0,
+        },
     }
 
 
@@ -421,9 +405,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         binned = _bin_all(retained(events), topk, table.k, cfg)
 
     with _stage("report"):
-        counts = _counts(
-            _preprocess_counts(pre), events, _dissection_counts(subs)
-        )
+        counts = _counts(pre, events, subs)
         report_doc = report_mod.summarize(
             cfg.analysis_dict(), counts, corpus_results, binned
         )

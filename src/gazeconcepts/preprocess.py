@@ -144,6 +144,12 @@ class WindowingSummary:
     tail_samples: int = 0
 
 
+@dataclass
+class PreprocessResult:
+    windows: WindowStack  # evaluation windows, manifest order
+    summaries: dict  # recording_id -> WindowingSummary
+
+
 @lru_cache(maxsize=256)
 def savgol_weights(window_length: int, poly_order: int, pos: int) -> np.ndarray:
     """First-derivative filter weights for one evaluation position.

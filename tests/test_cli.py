@@ -34,6 +34,15 @@ def tiny_corpus(tmp_path_factory):
     return manifest
 
 
+@pytest.fixture(scope="module")
+def noisy_corpus(tmp_path_factory):
+    """Enough velocity noise that peak phases have gaps: its dissections
+    disregard samples."""
+    spec = CorpusSpec(seed=4, n_recordings=2, duration_s=20, window_len=250,
+                      noise_velocity_sigma_dps=20)
+    return write_demo_corpus(tmp_path_factory.mktemp("noisy") / "corpus", spec)
+
+
 def test_run_happy_path(tiny_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--manifest", str(tiny_corpus), "--out", str(out)])
@@ -193,13 +202,18 @@ def _run_artifacts(run_out):
     )
 
 
-def test_staged_pipeline_matches_run(tiny_corpus, tmp_path):
+def test_staged_pipeline_matches_run(tiny_corpus, noisy_corpus, tmp_path):
     run_out, staged = _run_and_staged(tiny_corpus, tmp_path)
     assert (staged / "windows.npz").exists()
     written = _run_artifacts(run_out)
     assert Path("charts", "by_saccade_amplitude_deg.svg") in written
     for rel in written:
         assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+    # staged report counts the disregarded samples from subevents.csv
+    run_out, staged = _run_and_staged(noisy_corpus, tmp_path / "noisy", ["--window-len", "250"])
+    dissection = json.loads((run_out / "report.json").read_text())["counts"]["dissection"]
+    assert dissection["saccades_dissected"] > 0 and dissection["disregarded_samples"] > 0
+    _assert_staged_matches(run_out, staged)
 
 
 def test_staged_matches_run_with_absent_concepts(tmp_path):
@@ -235,7 +249,9 @@ def test_staged_matches_run_with_missing_samples(tmp_path):
     manifest = gappy_corpus(tmp_path / "corpus", window_len=40)
     assert ",,\n" in (tmp_path / "corpus" / "rec00.csv").read_text()
     run_out, staged = _run_and_staged(manifest, tmp_path, ["--window-len", "40"])
-    assert not gio.read_windows(staged / "windows.npz").valid.all()
+    assert not gio.read_windows(staged / "windows.npz").windows.valid.all()
+    counts = json.loads((run_out / "report.json").read_text())["counts"]["windows"]
+    assert counts["excluded_missing"] > 0
     for rel in _run_artifacts(run_out):
         assert (staged / rel).read_bytes() == (run_out / rel).read_bytes(), rel
 
@@ -256,7 +272,7 @@ def test_staged_matches_run_on_every_other_window_in_reverse(tiny_corpus, tmp_pa
     assert len({e["recording"] for e in doc["entries"]}) == 2
     manifest.write_text(json.dumps(doc))
     run_out, staged = _run_and_staged(manifest, tmp_path)
-    assert gio.read_windows(staged / "windows.npz").window_ids == [
+    assert gio.read_windows(staged / "windows.npz").windows.window_ids == [
         e["window_id"] for e in doc["entries"]]
     _assert_staged_matches(run_out, staged)
 
@@ -317,7 +333,7 @@ def test_failed_preprocess_leaves_no_earlier_stage_files(tiny_corpus, staged_out
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) != 0
     err = capsys.readouterr().err.splitlines()[-1]
-    assert err.startswith("error: ") and str(out / "preprocess_stats.json") in err, err
+    assert err.startswith("error: ") and str(out / "windows.npz") in err, err
     assert not (out / "report.json").exists()
 
 
@@ -383,7 +399,7 @@ def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
     assert "manifest yields no evaluation windows" in capsys.readouterr().err
     out = tmp_path / "staged"
     assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 0
-    windows = gio.read_windows(out / "windows.npz")
+    windows = gio.read_windows(out / "windows.npz").windows
     assert len(windows) == 0 and windows.length == 1000 and windows.valid.dtype == bool
 
 
@@ -440,9 +456,8 @@ def test_staged_chain_writes_to_manifest_output_dir(tiny_corpus, tmp_path, monke
     for sub, _ in STAGES:
         assert main([sub, "--manifest", str(manifest)]) == 0, sub
     written = {p.name for p in (tmp_path / "m" / "results").iterdir()}
-    assert {"windows.npz", "preprocess_stats.json", "events.csv", "subevents.csv",
-            "dissect_stats.json", "topk.npz", "influence.csv", "binned.csv",
-            "report.json"} <= written
+    assert {"windows.npz", "events.csv", "subevents.csv", "topk.npz", "influence.csv",
+            "binned.csv", "report.json"} <= written
     assert not any((tmp_path / "elsewhere").iterdir())
 
 
@@ -541,10 +556,10 @@ def _set_cell(column, value, predicate=lambda fields: True):
      r"subevents\.csv: line \d+: interval \[\d+, 5000\] outside window '[^']+' of length 1000"),
     ("influence", "subevents.csv", _set_cell("window_id", "rec00-w9999"),
      r"subevents\.csv: line 2: window_id 'rec00-w9999' is not '[^']+', the window of its parent"),
-    ("report", "preprocess_stats.json", lambda t: '{"windows": 1}',
-     r"preprocess_stats\.json: no 'windows\.evaluated'"),
-    ("report", "preprocess_stats.json", lambda t: t[:-5], r"preprocess_stats\.json: not valid"),
-    ("report", "dissect_stats.json", lambda t: "{}", r"dissect_stats\.json: no"),
+    ("report", "subevents.csv", lambda t: t.replace(",peak,", ",peek,", 1),
+     r"subevents\.csv: line \d+: cannot parse phase 'peek'"),
+    ("report", "events.csv", _set_cell("offset", "5000"),
+     r"events\.csv: line 2: interval \[\d+, 5000\] outside window '[^']+' of length 1000"),
     ("report", "influence.csv", lambda t: t + "bogus,corpus,,1000,10,20,5,25,25,1,0\n",
      r"influence\.csv: line \d+: cannot parse concept 'bogus'"),
     ("report", "binned.csv", lambda t: t.replace("\nsaccade_duration_ms,", "\nbogus,", 1),
@@ -766,31 +781,38 @@ def _dense(values):
     return "D=2\nL=250\n" + "\n".join(",".join([values] * 250) for _ in range(2)) + "\n"
 
 
-@pytest.mark.parametrize("mutate,clean", [
-    (_gaze(_cells((100, 1, "1e308"))), False),
-    (_gaze(_cells((100, 1, "1e308"), (101, 1, "-1e308"), (102, 2, "-1e308"))), False),
-    (_gaze(_cells((100, 1, "inf"))), False),
-    (_gaze(_each_row(lambda f: [f[0], "", ""])), False),
-    (_gaze(_cells((100, 0, '"99"'))), False),
-    (_gaze(_cells((100, 1, "1.0\x00"))), False),
-    (_gaze(_each_row(lambda f: [*f, f[1]], header="t_ms,x_deg,y_deg,x_deg")), True),
-    (_gaze(_each_row(lambda f: [f[0], "1.5", "-2.0"])), False),
-    (_attribution("D=2\nL=2.5\n1,2\n3,4\n"), False),
-    (_attribution("D=-1\nL=250\n"), False),
-    (_attribution("D=2\nL=250\ntarget=\n"), False),
-    (_attribution("channel,index,value\n0,99999999999999999999,1.0\n"), False),
-    (_attribution("channel,index,value\n0,-3,1.0\n"), False),
-    (_attribution("channel,index,value\n"), False),
-    (_attribution(_dense("1e308")), False),
-    (_recording("recordings"), False),
-    (_recording("recordings/rec00.csv", "other/rec00.csv"), False),
-    (_recording("recordings/rec00.csv", "./recordings/rec00.csv"), True),
+@pytest.mark.parametrize("mutate,want_code,want_text", [
+    (_gaze(_cells((100, 1, "1e308"))), None, None),
+    (_gaze(_cells((100, 1, "1e308"), (101, 1, "-1e308"), (102, 2, "-1e308"))), None, None),
+    (_gaze(_cells((100, 1, "inf"))), None, None),
+    (_gaze(_each_row(lambda f: [f[0], "", ""])), 2,
+     "window_id 'rec00-w0000' is not among the windows of this recording (0 retained, "
+     "16 excluded with more than 0.5 of their samples missing, 44 tail samples)"),
+    (_gaze(_cells((100, 0, '"99"'))), None, None),
+    (_gaze(_cells((100, 1, "1.0\x00"))), None, None),
+    (_gaze(_each_row(lambda f: [*f, f[1]], header="t_ms,x_deg,y_deg,x_deg")), 0, None),
+    (_gaze(_each_row(lambda f: [f[0], "1.5", "-2.0"])), None, None),
+    (_attribution("D=2\nL=2.5\n1,2\n3,4\n"), None, None),
+    (_attribution("D=-1\nL=250\n"), None, None),
+    (_attribution("D=2\nL=250\ntarget=\n"), None, None),
+    (_attribution("channel,index,value\n0,99999999999999999999,1.0\n"), None, None),
+    (_attribution("channel,index,value\n0,-3,1.0\n"), None, None),
+    (_attribution("channel,index,value\n"), None, None),
+    (_attribution(_dense("1e308")), None, None),
+    (_recording("recordings"), None, None),
+    (_recording("recordings/rec00.csv", "other/rec00.csv"), None, None),
+    (_recording("recordings/rec00.csv", "./recordings/rec00.csv"), 0, None),
+    (_recording("other/rec01.csv"), 2,
+     "window_id 'rec00-w0000' is not among the windows of this recording (16 retained"),
 ], ids=["1e308", "pm1e308", "inf", "all-missing", "quoted-time", "nul", "repeated-column",
         "constant", "L=2.5", "D=-1", "target-only", "huge-index", "negative-index",
-        "empty-sparse", "1e308-values", "directory", "same-stem", "two-spellings"])
-def test_malformed_inputs_exit_cleanly(small_corpus, tmp_path, capsys, mutate, clean):
-    """Nothing escapes main: the exit code is one of 0-3, and a non-zero
-    exit prints one error line that names the offending path(s)."""
+        "empty-sparse", "1e308-values", "directory", "same-stem", "two-spellings",
+        "other-recordings-window"])
+def test_malformed_inputs_exit_cleanly(small_corpus, tmp_path, capsys, mutate, want_code,
+                                      want_text):
+    """Nothing escapes main: the exit code is one of 0-3 (want_code, if
+    given), and a non-zero exit prints one error line that names the
+    offending path(s) (and holds want_text, if given)."""
     root = tmp_path / "corpus"
     shutil.copytree(small_corpus, root)
     doc = json.loads((root / "manifest.json").read_text())
@@ -800,8 +822,9 @@ def test_malformed_inputs_exit_cleanly(small_corpus, tmp_path, capsys, mutate, c
                  str(tmp_path / "out"), "--window-len", "250"])
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3) and "Traceback" not in err
-    if clean:
-        assert code == 0, err
+    if want_code is not None:
+        assert code == want_code, err
     if code:
         (line,) = [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert all(str(path) in line for path in named), line
+        assert want_text is None or want_text in line, line

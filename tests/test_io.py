@@ -54,7 +54,7 @@ from gazeconcepts.pipeline import RunConfig, preprocess_manifest
 from gazeconcepts.preprocess import WindowParams, gather_windows, window_recording
 from gazeconcepts.synth import random_plan, gen_scanpath
 
-from conftest import pipeline_windows, write_gappy_recordings
+from conftest import build_window, join_windows, pipeline_windows, write_gappy_recordings
 
 
 def test_trivial_three_rows(tmp_path):
@@ -655,12 +655,17 @@ def _events(n=100):
     return out
 
 
+# the windows of _events, which its events are read against
+EVENT_WINDOWS = join_windows(*(build_window(np.zeros(1000), window_id=f"w{i:04d}")
+                               for i in range(7)))
+
+
 def test_events_empty_header_only(tmp_path):
     p = tmp_path / "e.csv"
     write_events(event_table([]), p)
     text = p.read_text()
     assert text.count("\n") == 1
-    assert event_rows(read_events(p)) == []
+    assert event_rows(read_events(p, EVENT_WINDOWS)) == []
 
 
 def test_events_write_deterministic(tmp_path):
@@ -675,7 +680,7 @@ def test_events_roundtrip_100(tmp_path):
     events = _events(100)
     p = tmp_path / "e.csv"
     write_events(event_table(events), p)
-    back = event_rows(read_events(p))
+    back = event_rows(read_events(p, EVENT_WINDOWS))
     assert len(back) == 100
     key = lambda e: e.event_id
     for a, b in zip(sorted(events, key=key), sorted(back, key=key)):
@@ -689,7 +694,7 @@ def test_events_roundtrip_100(tmp_path):
 def test_events_sorted_by_window_then_onset(tmp_path):
     p = tmp_path / "e.csv"
     write_events(event_table(_events(50)), p)
-    back = event_rows(read_events(p))
+    back = event_rows(read_events(p, EVENT_WINDOWS))
     keys = [(e.window_id, e.onset) for e in back]
     assert keys == sorted(keys)
 
@@ -710,9 +715,14 @@ def test_subevents_roundtrip(tmp_path):
     p = tmp_path / "s.csv"
     parents = _saccades()
     write_subevents(subevent_table(subs, parents), p)
-    back = read_subevents(p, parents, 1000)
+    # the table is over the retained saccades, as dissection's is
+    events = event_table([GazeEvent("w0:fix000", "fixation", "w0", 0, 3), *event_rows(parents),
+                          GazeEvent("w0:sac009", "saccade", "w0", 20, 21, excluded=True,
+                                    exclusion_reason="min duration")])
+    back = read_subevents(p, events, 1000)
+    assert back.events.event_id.tolist() == parents.event_id.tolist()
     assert len(back) == 3
-    ids = parents.event_id[back.parent].tolist()
+    ids = back.events.event_id[back.parent].tolist()
     assert ids[0] == "w0000:sac001"  # sorted by window
     assert {(phase, onset, offset) for phase, onset, offset in zip(
         (["pre", "rise", "peak", "fall", "post"][p] for p in back.phase.tolist()),
@@ -768,7 +778,8 @@ def test_windows_roundtrip_exact(tmp_path):
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
     write_windows(recordings, p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
-    back = read_windows(p)
+    pre = read_windows(p)
+    back = pre.windows
     want = gather_windows([window_recording(*r, params)[0] for r in recordings], ids, 50)
     assert back.window_ids == ids
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
@@ -776,6 +787,8 @@ def test_windows_roundtrip_exact(tmp_path):
     assert (back.recording_ids, back.start_index) == (["s", "r", "r"], [0, 50, 0])
     assert back.sampling_rate_hz.tolist() == [500.0, 1000.0, 1000.0]
     assert not back.valid[1, 4:11].any() and back.valid[1].sum() == 43
+    assert {rec_id: (s.retained, s.excluded, s.tail_samples)
+            for rec_id, s in pre.summaries.items()} == {"r": (2, 0, 30), "s": (1, 0, 10)}
 
     not_windows = tmp_path / "events.csv"
     not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
@@ -787,7 +800,7 @@ def test_windows_roundtrip_exact(tmp_path):
 
 
 def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
-    """(preprocess_manifest's stack, windows file written from what it
+    """(preprocess_manifest's result, windows file written from what it
     parsed) for every window of two gappy recordings that windowing
     retains, the recordings' windows taken in turn."""
     recs = write_gappy_recordings(root)
@@ -798,10 +811,10 @@ def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
                for slot in range(max(map(len, retained)))
                for rec, ids in zip(recs, retained) if slot < len(ids)]
     p = Path(root) / "windows.npz"
-    stack = preprocess_manifest(RunManifest(entries, Path(root)), cfg, lambda positions: (
+    pre = preprocess_manifest(RunManifest(entries, Path(root)), cfg, lambda positions: (
         write_windows(positions, p, [e.window_id for e in entries], cfg.window_params())
-    )).windows
-    return stack, p
+    ))
+    return pre, p
 
 
 def _bits(a):
@@ -822,14 +835,17 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
     load = gio.load_gaze_csv
     monkeypatch.setattr(gio, "load_gaze_csv", lambda path: replace(
         load(path), sampling_rate_hz=rate if path.stem == "rec01" else 1000.0))
-    stack, p = _preprocessed(tmp_path, window_len, missing_max_frac, sg_window=sg_window,
-                             sg_order=sg_order, clamp=clamp)
+    pre, p = _preprocessed(tmp_path, window_len, missing_max_frac, sg_window=sg_window,
+                           sg_order=sg_order, clamp=clamp)
+    stack = pre.windows
     assert not stack.valid.all() and (np.abs(stack.vx) == clamp).any() == (clamp < 1000)
     assert stack.valid.mean(axis=1).min() < 0.5 or missing_max_frac == 0.5
     with np.load(p) as npz:
         assert sorted(npz.files) == sorted(gio.WINDOW_ARRAYS)
         assert npz["x"].shape == (npz["n_samples"].sum(),) and npz["n_samples"].min() > 1500
-    back = read_windows(p)
+    back_pre = read_windows(p)
+    assert back_pre.summaries == pre.summaries
+    back = back_pre.windows
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         got, want = getattr(back, name), getattr(stack, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -844,11 +860,14 @@ def test_windows_file_of_no_windows_roundtrips(tmp_path):
     preprocess_manifest(RunManifest([], tmp_path), cfg,
                         lambda positions: write_windows(positions, p, [], cfg.window_params()))
     back = read_windows(p)
+    assert back.summaries == {}
+    back = back.windows
     assert (len(back), back.length, back.valid.dtype, back.vx.dtype) == (0, 40, bool, float)
 
 
 def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path):
-    stack, good = _preprocessed(tmp_path, 40)
+    pre, good = _preprocessed(tmp_path, 40)
+    stack = pre.windows
     with np.load(good) as npz:
         arrays = dict(npz)
     n, total = len(stack), arrays["x"].size
@@ -902,6 +921,8 @@ def test_topk_roundtrip_exact(tmp_path):
     p = tmp_path / "t.stage"  # written to exactly this path, no .npz added
     write_topk(ids, masks, p, "abs")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["t.stage"]
+    with np.load(p) as npz:  # k is the width of the indices
+        assert sorted(npz.files) == sorted(gio.TOPK_ARRAYS) and npz["indices"].shape == (3, 4)
     back_ids, back, k, squash = read_topk(p, 50)
     assert (k, squash) == (4, "abs")
     assert back_ids == ["r-w0000", "r-w0001", "r-w0002"]
@@ -913,10 +934,16 @@ def test_topk_roundtrip_exact(tmp_path):
     windows = tmp_path / "w.npz"
     write_windows([("r", 1000.0, np.zeros(50), np.zeros(50))], windows, ["r-w0000"],
                   WindowParams(window_len=50))
-    duplicated = tmp_path / "dup.npz"
-    np.savez(duplicated, window_id=np.array(["a"]), k=np.array(2), squash=np.array("abs"),
+    duplicated, flat, older = (tmp_path / f"{name}.npz" for name in ("dup", "flat", "older"))
+    np.savez(duplicated, window_id=np.array(["a"]), squash=np.array("abs"),
              indices=np.array([[3, 3]], dtype=np.int32))
-    for bad, message in ((windows, "not a top-k file"), (duplicated, "indices are not 2 ascending")):
+    np.savez(flat, window_id=np.array(["a"]), squash=np.array("abs"),
+             indices=np.array([3, 4], dtype=np.int32))
+    with np.load(p) as npz:  # the format that also stored k
+        np.savez(older, **npz, k=np.array(4))
+    for bad, message in ((windows, "not a top-k file"), (duplicated, "indices are not 2 ascending"),
+                         (flat, "top-k file arrays disagree in shape"),
+                         (older, "a top-k file in an older format; rerun influence")):
         with pytest.raises(FormatError, match=f"{bad.name}: {message}"):
             read_topk(bad, 50)
     mixed = np.vstack([masks, topk_masks(np.zeros((1, 50)), 5)])
@@ -995,7 +1022,7 @@ def _tables(tmp_path):
         BinnedInfluence("saccade_duration_ms", 30.0, math.inf, "overflow", 0, 0, None),
     ]}, binned)
     return {
-        "events": (read_events, events, "onset"),
+        "events": (lambda p: read_events(p, EVENT_WINDOWS), events, "onset"),
         "subevents": (lambda p: read_subevents(p, parents, 1000), subs, "offset"),
         "report": (read_report, report, "n_windows"),
         "binned": (read_binned, binned, "event_count"),
@@ -1044,12 +1071,12 @@ def test_event_reader_rejects_bad_boolean_and_real(tmp_path):
     good = p.read_text()
     p.write_text(good.replace(",false,", ",no,", 1))
     with pytest.raises(FormatError, match="e.csv: line .*: cannot parse excluded 'no'"):
-        read_events(p)
+        read_events(p, EVENT_WINDOWS)
     lines = good.splitlines()
     lines[1] = lines[1].replace(lines[1].split(",")[5], "fast", 1)
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="e.csv: line 2: cannot parse duration_ms 'fast'"):
-        read_events(p)
+        read_events(p, EVENT_WINDOWS)
 
 
 @pytest.mark.parametrize("lineno, edit, message", [
@@ -1072,7 +1099,7 @@ def test_event_reader_rejects_codes_it_cannot_hold(tmp_path, lineno, edit, messa
     assert p.read_text().splitlines()[1].startswith("w0000:fix000,")
     _edit_line(p, lineno, edit)
     with pytest.raises(FormatError, match=f"e.csv: {message}"):
-        read_events(p)
+        read_events(p, EVENT_WINDOWS)
 
 
 def test_read_table_parses_optional_cells(tmp_path):
