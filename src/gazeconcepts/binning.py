@@ -27,6 +27,7 @@ PROPERTIES = {
 
 UNDERFLOW = "underflow"
 OVERFLOW = "overflow"
+MAX_BINS = 10_000  # resolve_edges builds a Python list of n_bins + 1 edges
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,12 @@ class BinSpec:
         if self.mode == "explicit":
             if len(self.edges) < 2:
                 raise ConfigError("explicit binning needs at least 2 edges")
+            if not all(math.isfinite(e) for e in self.edges):
+                raise ConfigError(f"bin_edges must be finite, got {list(self.edges)}")
             if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
                 raise ConfigError("edges must be strictly increasing")
-        elif self.n_bins < 1:
-            raise ConfigError(f"n_bins must be >= 1, got {self.n_bins}")
+        elif not 1 <= self.n_bins <= MAX_BINS:
+            raise ConfigError(f"bins must be between 1 and {MAX_BINS}, got {self.n_bins}")
 
 
 @dataclass

@@ -936,7 +936,9 @@ def read_subevents(path, events: EventTable, length: int) -> SubEventTable:
     """Inverse of write_subevents: a table over the retained saccades of
     ``events``, in windows of `length` samples. A parent that is not a
     retained saccade, a window_id other than the parent's window or an
-    interval outside the window is a DataError naming the file and line."""
+    interval outside the window is a DataError naming the file and line;
+    so is a retained saccade without a peak segment, which dissection
+    always writes (its peak sample is supra-threshold)."""
     path = Path(path)
     t, lines = read_table(
         path, SUBEVENT_COLUMNS, {"phase": PHASES.index, "onset": int64, "offset": int64}
@@ -953,7 +955,14 @@ def read_subevents(path, events: EventTable, length: int) -> SubEventTable:
     ))
     onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
     _check_intervals(path, lines, onset, offset, length, window)
-    return SubEventTable(saccades, parent, np.array(t["phase"], dtype=np.int8), onset, offset)
+    phase = np.array(t["phase"], dtype=np.int8)
+    has_peak = np.zeros(len(saccades), dtype=bool)
+    has_peak[parent[phase == PHASES.index("peak")]] = True
+    if not has_peak.all():
+        event_id = saccades.event_id[np.argmin(has_peak)]
+        raise DataError(f"{path}: retained saccade {event_id!r} has no peak segment; "
+                        "rerun dissect")
+    return SubEventTable(saccades, parent, phase, onset, offset)
 
 
 REPORT_COLUMNS = (

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import ConfigError
 from .io import fmt_sig9, round9
 
 CHART_W, CHART_H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 30, 60
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape without its import, which loads the
+    urllib/http/ssl/email stack (43 modules) into every process."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def summarize(parameters: dict, counts: dict, concepts: dict, binned: dict) -> dict:
@@ -74,7 +79,7 @@ def _svg_open(title: str) -> list:
     return [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{CHART_W}" height="{CHART_H}" viewBox="0 0 {CHART_W} {CHART_H}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<rect x="0" y="0" width="{CHART_W}" height="{CHART_H}" fill="white"/>',
     ]
 
@@ -99,11 +104,11 @@ def _axes(parts, x_label, y_label, to_y, y_hi):
     )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.2f}" y="{CHART_H - 12}" text-anchor="middle" '
-        f'font-size="14">{escape(x_label)}</text>'
+        f'font-size="14">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">{_escape(y_label)}</text>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = y_hi * frac
@@ -147,7 +152,7 @@ def render_bar_chart(results, path, title: str = "concept influence"):
         )
         parts.append(
             f'<text x="{x + width / 2:.2f}" y="{y_base + 16}" text-anchor="middle" '
-            f'font-size="11">{escape(r.concept)}</text>'
+            f'font-size="11">{_escape(r.concept)}</text>'
         )
         parts.append(
             f'<text x="{x + width / 2:.2f}" y="{y - 4:.2f}" text-anchor="middle" '

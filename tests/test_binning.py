@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gazeconcepts.binning import (
+    MAX_BINS,
     BinSpec,
     bin_events,
     binned_influence,
@@ -13,6 +14,7 @@ from gazeconcepts.binning import (
 )
 from gazeconcepts.errors import ConfigError
 from gazeconcepts.influence import concept_influence, concept_segmentation, topk_segmentation
+from gazeconcepts.pipeline import RunConfig
 from reference import GazeEvent
 from reference import event_table as table
 
@@ -86,6 +88,16 @@ def test_bad_specs_rejected():
         BinSpec("saccade_duration_ms", mode="explicit", edges=(1.0,)).validate()
     with pytest.raises(ConfigError):
         BinSpec("saccade_duration_ms", mode="explicit", edges=(2.0, 1.0)).validate()
+    # validation alone: a huge `bins` is never sent through binning, which
+    # would build a list of bins + 1 edges
+    RunConfig(bins=MAX_BINS).validate()
+    for bins in (10**9, MAX_BINS + 1, 0):
+        message = f"bins must be between 1 and {MAX_BINS}, got {bins}$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(bins=bins).validate()
+    for edges in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ConfigError, match="bin_edges must be finite"):
+            RunConfig(bin_mode="explicit", bin_edges=edges).validate()
 
 
 def _window_setup(L=200, k=10, seed=5):

@@ -140,6 +140,10 @@ def test_unknown_config_key_rejected(tiny_corpus, tmp_path, capsys):
     ("[run]\nbins = 5\nbins = 6\n", "cfg.ini: .*option 'bins' in section 'run' already"),
     ("[run]\nformat = %(x)s\n", "cfg.ini: .*interpolation"),
     ("[run]\nformat = \xe9\n", "cfg.ini: .*can't decode"),
+    ("[run]\nbin_mode = explicit\nbin_edges = nan,1\n",
+     r"bin_edges must be finite, got \[nan, 1\.0\]"),
+    ("[run]\nbin_mode = explicit\nbin_edges = 0,inf\n",
+     r"bin_edges must be finite, got \[0\.0, inf\]"),
 ])
 def test_bad_config_file_exits_1(tiny_corpus, tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.ini"
@@ -537,6 +541,20 @@ def _set_cell(column, value, predicate=lambda fields: True):
     return damage
 
 
+def _drop_parent(event_id):
+    """Damage: every sub-event row of the saccade `event_id` deleted."""
+    def damage(text):
+        lines = text.split("\n")
+        kept = [line for line in lines if not line.startswith(f"{event_id},")]
+        assert len(lines) - len(kept) == 5
+        return "\n".join(kept)
+    return damage
+
+
+NO_PEAK = (r"subevents\.csv: retained saccade 'rec00-w0000:sac000' has no peak segment; "
+           "rerun dissect")
+
+
 @pytest.mark.parametrize("stage,name,damage,message", [
     ("dissect", "events.csv", _truncate_events, r"events\.csv: line \d+: \d+ fields"),
     ("report", "binned.csv", lambda t: t.replace("label", "kind", 1), r"binned\.csv: header"),
@@ -558,6 +576,8 @@ def _set_cell(column, value, predicate=lambda fields: True):
      r"subevents\.csv: line 2: window_id 'rec00-w9999' is not '[^']+', the window of its parent"),
     ("report", "subevents.csv", lambda t: t.replace(",peak,", ",peek,", 1),
      r"subevents\.csv: line \d+: cannot parse phase 'peek'"),
+    ("influence", "subevents.csv", _drop_parent("rec00-w0000:sac000"), NO_PEAK),
+    ("report", "subevents.csv", _drop_parent("rec00-w0000:sac000"), NO_PEAK),
     ("report", "events.csv", _set_cell("offset", "5000"),
      r"events\.csv: line 2: interval \[\d+, 5000\] outside window '[^']+' of length 1000"),
     ("report", "influence.csv", lambda t: t + "bogus,corpus,,1000,10,20,5,25,25,1,0\n",

@@ -711,6 +711,8 @@ def test_subevents_roundtrip(tmp_path):
         SubEvent("w0001:sac000", "peak", 410, 420),
         SubEvent("w0001:sac000", "rise", 400, 409),
         SubEvent("w0000:sac001", "pre", 90, 99),
+        SubEvent("w0000:sac001", "peak", 100, 120),
+        SubEvent("w0:sac000", "peak", 4, 9),
     ]
     p = tmp_path / "s.csv"
     parents = _saccades()
@@ -721,13 +723,18 @@ def test_subevents_roundtrip(tmp_path):
                                     exclusion_reason="min duration")])
     back = read_subevents(p, events, 1000)
     assert back.events.event_id.tolist() == parents.event_id.tolist()
-    assert len(back) == 3
+    assert len(back) == 5
     ids = back.events.event_id[back.parent].tolist()
-    assert ids[0] == "w0000:sac001"  # sorted by window
+    assert ids == ["w0:sac000", *["w0000:sac001"] * 2, *["w0001:sac000"] * 2]  # by window
     assert {(phase, onset, offset) for phase, onset, offset in zip(
         (["pre", "rise", "peak", "fall", "post"][p] for p in back.phase.tolist()),
         back.onset.tolist(), back.offset.tolist(),
-    )} == {("peak", 410, 420), ("rise", 400, 409), ("pre", 90, 99)}
+    )} == {(sub.phase, sub.onset, sub.offset) for sub in subs}
+    # every retained saccade has a peak segment, as dissection writes one
+    write_subevents(subevent_table(subs[:-1], parents), p)
+    with pytest.raises(DataError, match="retained saccade 'w0:sac000' has no peak segment; "
+                                        "rerun dissect"):
+        read_subevents(p, events, 1000)
 
 
 def _results():
@@ -1014,7 +1021,7 @@ def _tables(tmp_path):
     """Per table reader: (reader, valid file from its writer, an int column)."""
     events, subs, report, binned = (tmp_path / n for n in ("e.csv", "s.csv", "r.csv", "b.csv"))
     write_events(event_table(_events(3)), events)
-    parents = _saccades()
+    parents = event_table([GazeEvent("w0:sac000", "saccade", "w0", 4, 9)])
     write_subevents(subevent_table([SubEvent("w0:sac000", "peak", 4, 9)], parents), subs)
     write_report(_report(_results()), report)
     write_binned({"saccade_duration_ms": [

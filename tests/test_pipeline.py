@@ -171,27 +171,46 @@ def test_run_names_the_stage_a_detection_error_comes_from(tmp_path):
         run(manifest, cfg, tmp_path / "out")
 
 
-def test_run_and_stages_leave_numpy_ma_unimported(tmp_path):
-    """np.median's NaN check and np.unique import numpy.ma, about 10 ms
-    in every fresh process; run and the staged subcommands use neither."""
+# Never imported by a gazeconcepts process: np.median's NaN check and
+# np.unique load numpy.ma (about 10 ms a process), and xml.sax.saxutils loads
+# the urllib/http/ssl/email stack (43 modules, about 7 MB resident).
+UNIMPORTED = ("numpy.ma", "ssl", "socket", "http.client", "urllib.request", "email",
+              "xml.sax")
+
+
+def test_entry_points_leave_numpy_ma_and_network_stack_unimported(tmp_path):
+    """In one fresh process: import, run and every staged subcommand with
+    charts on, and synth; each module of UNIMPORTED is reported against the
+    entry point after which it first appears in sys.modules."""
     manifest = gappy_corpus(tmp_path / "corpus", window_len=40)
+    staged = ["--manifest", str(manifest), "--out", str(tmp_path / "staged"),
+              "--window-len", "40", "--charts"]
     code = f"""
-import sys
-from gazeconcepts import io as gio
+import json, sys
+first = {{}}
+def entry(name):
+    first.update({{m: name for m in {UNIMPORTED!r} if m in sys.modules and m not in first}})
+import gazeconcepts
+entry("import gazeconcepts")
 from gazeconcepts.cli import main
-from gazeconcepts.pipeline import RunConfig, run
-run(gio.load_manifest({str(manifest)!r}), RunConfig(window_len=40), {str(tmp_path / "run")!r})
-imported = ["run"] if "numpy.ma" in sys.modules else []
+entry("import gazeconcepts.cli")
+assert main(["run", "--manifest", {str(manifest)!r}, "--out", {str(tmp_path / "run")!r},
+             "--window-len", "40", "--charts"]) == 0
+entry("run")
 for stage in ("preprocess", "detect", "dissect", "influence", "bin", "report"):
-    argv = [stage, "--manifest", {str(manifest)!r}, "--out", {str(tmp_path / "staged")!r}]
-    assert main(argv + ["--window-len", "40"]) == 0, stage
-    if "numpy.ma" in sys.modules and not imported:
-        imported.append(stage)
-print(imported)
+    assert main([stage] + {staged!r}) == 0, stage
+    entry(stage)
+assert main(["synth", "--out", {str(tmp_path / "synth")!r}, "--recordings", "1",
+             "--duration-s", "2", "--window-len", "250"]) == 0
+entry("synth")
+print(json.dumps(first))
 """
     src = str(Path(gazeconcepts.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    for out in ("run", "staged"):
+        assert list((tmp_path / out / "charts").glob("*.svg")), out
+    first = json.loads(done.stdout.splitlines()[-1])
+    assert first == {}, "; ".join(f"{e} imported {m}" for m, e in first.items())

@@ -1,13 +1,17 @@
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazeconcepts.binning import BinnedInfluence
 from gazeconcepts.errors import ConfigError
 from gazeconcepts.influence import InfluenceResult
 from gazeconcepts.report import (
+    _escape,
     render_bar_chart,
     render_line_chart,
     summarize,
@@ -127,3 +131,18 @@ def test_bar_chart_identical_bytes(tmp_path):
     render_bar_chart(results, p1)
     render_bar_chart(results, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@given(st.text() | st.text(alphabet="&<>;amplt#x "))
+@settings(max_examples=500, deadline=None)
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
+
+
+def test_chart_with_markup_in_labels_parses(tmp_path):
+    p = tmp_path / "bar.svg"
+    title = "a & b <c> d &amp;"
+    render_bar_chart([_corpus("sac<&>cade", 4.5), _corpus("fixation", 0.02)], p, title=title)
+    root = ET.fromstring(p.read_text())
+    texts = [e.text for e in root.iter() if e.tag.endswith(("title", "text"))]
+    assert title in texts and "sac<&>cade" in texts
