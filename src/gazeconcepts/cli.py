@@ -7,9 +7,11 @@ parameter is CLI flag over config file over built-in default. The config
 file is INI-style; keys may live in any section, [DEFAULT] too, and must
 name RunConfig fields. It is --config, else the manifest's `config`,
 resolved next to the manifest. Every subcommand but synth takes
---manifest; preprocess, influence, bin and run require it. The output
-directory is --out, else $GAZECONCEPTS_OUT, else the manifest's
-`output_dir`, else ./out. --jobs is accepted and has no effect.
+--manifest; preprocess, influence and run require it. A manifest given
+to a stage that reads windows.npz must name the file's windows, in the
+file's order. The output directory is --out, else $GAZECONCEPTS_OUT,
+else the manifest's `output_dir`, else ./out. --jobs is accepted and
+has no effect.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -27,7 +29,7 @@ from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
 from .detect import event_properties, retained
-from .errors import AlignmentError, ConfigError, DataError, GazeError
+from .errors import ConfigError, DataError, GazeError
 from .influence import InfluenceResult, default_k
 from .pipeline import (
     ALL_CONCEPTS,
@@ -38,12 +40,12 @@ from .pipeline import (
     detect_windows,
     dissect_windows,
     preprocess_manifest,
+    require_windows,
     run,
     score_windows,
     write_charts,
     write_influence,
 )
-from .preprocess import gather_windows
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 ENV_OUT = "GAZECONCEPTS_OUT"
@@ -157,7 +159,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         n_recordings=args.recordings,
         duration_s=args.duration_s,
-        window_len=args.window_len if args.window_len else 1000,
+        window_len=args.window_len,
         noise_velocity_sigma_dps=args.noise_vel_sigma,
         attribution_mode=args.attr_mode,
         saccade_ms=tuple(args.saccade_ms),
@@ -177,20 +179,23 @@ def cmd_run(args) -> int:
         f"run complete: {len(result.influence)} windows, {len(result.events)} "
         f"events, artifacts in {out}"
     )
+    print(f"{'concept':<18} {'c_pooled':>9} {'c_mean':>9} {'top-k hits':>10} {'|S|/L':>7}")
+    for concept, (r, _) in sorted(result.corpus_results.items()):
+        if r is not None:
+            print(f"{concept:<18} {r.c:>9.3f} {r.c_mean:>9.3f} {r.intersection:>10d} "
+                  f"{r.S_total / r.L_total:>7.3f}")
     return 0
 
 
-def _manifest_windows(manifest, out: Path):
-    """The windows file's windows in manifest order (the file's own stack
-    when the orders agree) and each one's attribution path."""
-    windows = gio.read_windows(out / "windows.npz").windows
-    ids = [entry.window_id for entry in manifest.entries]
-    if ids != windows.window_ids:
-        try:
-            windows = gather_windows([windows], ids, windows.length)
-        except AlignmentError as e:
-            raise DataError(f"{out / 'windows.npz'}: {e}; rerun preprocess") from None
-    return windows, [manifest.resolve(entry.attribution) for entry in manifest.entries]
+def _read_windows(out: Path, manifest=None):
+    """windows.npz's PreprocessResult. DataError naming the file if a
+    given manifest's window ids are not the file's, in its order."""
+    path = out / "windows.npz"
+    pre = gio.read_windows(path)
+    ids = pre.windows.window_ids
+    if manifest is not None and [entry.window_id for entry in manifest.entries] != ids:
+        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
+    return pre
 
 
 # the files the stages write; preprocess removes them and charts/ before it writes
@@ -205,6 +210,7 @@ def cmd_preprocess(args) -> int:
         (out / name).unlink(missing_ok=True)
     if (out / "charts").is_dir():
         shutil.rmtree(out / "charts")
+    require_windows(manifest)
     path = out / "windows.npz"
     try:
         pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
@@ -217,8 +223,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _, cfg, out = _context(args)
-    events = detect_windows(gio.read_windows(out / "windows.npz").windows, cfg)
+    manifest, cfg, out = _context(args)
+    events = detect_windows(_read_windows(out, manifest).windows, cfg)
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -226,8 +232,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    _, cfg, out = _context(args)
-    windows = gio.read_windows(out / "windows.npz").windows
+    manifest, cfg, out = _context(args)
+    windows = _read_windows(out, manifest).windows
     events = gio.read_events(out / "events.csv", windows)
     # peaks come from the windows' exact speeds, not events.csv's 9 digits
     subs = dissect_windows(windows, events, cfg)
@@ -238,9 +244,10 @@ def cmd_dissect(args) -> int:
 
 def cmd_influence(args) -> int:
     manifest, cfg, out = _context(args)
-    windows, attribution_paths = _manifest_windows(manifest, out)
+    windows = _read_windows(out, manifest).windows
     events = gio.read_events(out / "events.csv", windows)
     subs = gio.read_subevents(out / "subevents.csv", events, windows.length)
+    attribution_paths = [manifest.resolve(entry.attribution) for entry in manifest.entries]
     topk, table = score_windows(windows, attribution_paths, events, subs, cfg)
     written = [out / "topk.npz"]
     gio.write_topk(table.window_ids, topk, written[0], cfg.squash)
@@ -257,7 +264,7 @@ def _read_topk(path: Path, windows, cfg: RunConfig):
     length = windows.length
     window_ids, topk, k, squash = gio.read_topk(path, length)
     if window_ids != windows.window_ids:
-        raise DataError(f"{path}: window ids differ from the manifest's; rerun influence")
+        raise DataError(f"{path}: window ids differ from the windows file's; rerun influence")
     want_k = default_k(length, cfg.top_frac)
     if windows and k != want_k:
         raise DataError(
@@ -273,7 +280,7 @@ def _read_topk(path: Path, windows, cfg: RunConfig):
 
 def cmd_bin(args) -> int:
     manifest, cfg, out = _context(args)
-    windows, _ = _manifest_windows(manifest, out)
+    windows = _read_windows(out, manifest).windows
     # events.csv keeps 9 digits; bin on properties recomputed from the
     # exact windows, as `run` does
     kept = event_properties(retained(gio.read_events(out / "events.csv", windows)), windows)
@@ -286,8 +293,8 @@ def cmd_bin(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _, cfg, out = _context(args)
-    pre = gio.read_windows(out / "windows.npz")
+    manifest, cfg, out = _context(args)
+    pre = _read_windows(out, manifest)
     events = gio.read_events(out / "events.csv", pre.windows)
     counts = _counts(pre, events, gio.read_subevents(out / "subevents.csv", events,
                                                      pre.windows.length))
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20230403)
     p.add_argument("--recordings", type=int, default=4)
     p.add_argument("--duration-s", type=float, default=130.0)
-    p.add_argument("--window-len", type=int, default=None)
+    p.add_argument("--window-len", type=int, default=1000)
     p.add_argument("--noise-vel-sigma", type=float, default=0.5,
                    help="velocity noise sigma in deg/s")
     p.add_argument("--attr-mode", choices=ATTRIBUTION_MODES, default="speed")
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage("detect", "windows to fixation/saccade events", cmd_detect, False)
     stage("dissect", "saccades to phase sub-events", cmd_dissect, False)
     stage("influence", "concept influence per window and corpus", cmd_influence, True)
-    stage("bin", "per-property binned influence", cmd_bin, True)
+    stage("bin", "per-property binned influence", cmd_bin, False)
     stage("report", "summary document", cmd_report, False)
     stage("run", "full pipeline from a manifest", cmd_run, True).add_argument(
         "--jobs", help="accepted for compatibility; has no effect"

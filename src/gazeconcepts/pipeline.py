@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +174,13 @@ class RunResult:
     binned: dict  # property -> list[BinnedInfluence]
     counts: dict
     report_doc: dict
-    out_dir: Path | None = None
-    written: list = field(default_factory=list)
+
+
+def require_windows(manifest):
+    """DataError for a manifest of no entries: it yields no evaluation
+    windows, as each entry names one window or fails preprocessing."""
+    if not manifest.entries:
+        raise DataError("manifest yields no evaluation windows")
 
 
 def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResult:
@@ -383,9 +388,8 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     out_dir = Path(out_dir)
 
     with _stage("preprocess"):
+        require_windows(manifest)
         pre = preprocess_manifest(manifest, cfg)
-        if not pre.windows:
-            raise DataError("manifest yields no evaluation windows")
 
     with _stage("detect"):
         events = detect_windows(pre.windows, cfg)
@@ -458,5 +462,3 @@ def write_artifacts(result: RunResult, out_dir: Path):
         except OSError:
             pass
         raise
-    result.out_dir = out_dir
-    result.written = written

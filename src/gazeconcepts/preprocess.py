@@ -95,8 +95,6 @@ class WindowStack:
     """
 
     window_ids: list
-    recording_ids: list
-    start_index: list
     sampling_rate_hz: np.ndarray  # (n,)
     vx: np.ndarray  # (n, L) deg/s
     vy: np.ndarray
@@ -119,8 +117,7 @@ class WindowStack:
     def take(self, rows) -> "WindowStack":
         """The windows at index sequence ``rows``, in that order: a copy."""
         return WindowStack(
-            [self.window_ids[i] for i in rows], [self.recording_ids[i] for i in rows],
-            [self.start_index[i] for i in rows], self.sampling_rate_hz[rows],
+            [self.window_ids[i] for i in rows], self.sampling_rate_hz[rows],
             *(getattr(self, name)[rows] for name in ("vx", "vy", "px", "py", "valid")),
         )
 
@@ -247,8 +244,7 @@ def window_sequence(
     )
     take = slice(None) if keep.all() else keep
     stack = WindowStack(
-        [wid for wid, k in zip(ids, keep.tolist()) if k], [recording_id] * summary.retained,
-        (np.flatnonzero(keep) * window_len).tolist(),
+        [wid for wid, k in zip(ids, keep.tolist()) if k],
         np.full(summary.retained, sampling_rate_hz, dtype=float),
         *(a[take] for a in (vx, vy, px, py, valid)),
     )
@@ -280,7 +276,7 @@ def gather_windows(stacks: list, window_ids, length: int) -> WindowStack:
     def gather(name):
         return [getattr(stack, name)[row] for stack, row in picked]
 
-    columns = {name: gather(name) for name in ("window_ids", "recording_ids", "start_index")}
+    columns = {"window_ids": gather("window_ids")}
     columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
     for name in ("vx", "vy", "px", "py", "valid"):
         dtype = bool if name == "valid" else float

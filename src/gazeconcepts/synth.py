@@ -292,6 +292,24 @@ class CorpusSpec:
     peak_velocity_dps: tuple = (100.0, 400.0)
     fixation_ms: tuple = (80.0, 250.0)
 
+    def validate(self):
+        """ConfigError naming the first field out of its range."""
+        checks = [
+            ("seed", self.seed >= 0, ">= 0"),
+            ("n_recordings", self.n_recordings >= 1, ">= 1"),
+            ("duration_s", math.isfinite(self.duration_s) and self.duration_s > 0,
+             "finite and positive"),
+            ("window_len", self.window_len >= 1, ">= 1"),
+            ("noise_velocity_sigma_dps", self.noise_velocity_sigma_dps >= 0, ">= 0"),
+            ("sampling_rate_hz", self.sampling_rate_hz > 0, "positive"),
+        ]
+        for name in ("saccade_ms", "peak_velocity_dps", "fixation_ms"):
+            lo, hi = getattr(self, name)
+            checks.append((name, 0 < lo <= hi, "a range 0 < lo <= hi"))
+        for name, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+
 
 def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     """Generate and write the demo corpus; returns the manifest path.
@@ -301,12 +319,11 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     manifest.json tying each attribution to its window.
     """
     spec = spec or CorpusSpec()
+    spec.validate()
     out = Path(out_dir)
     (out / "recordings").mkdir(parents=True, exist_ok=True)
     (out / "attributions").mkdir(parents=True, exist_ok=True)
 
-    if not spec.sampling_rate_hz > 0:
-        raise ConfigError("sampling_rate_hz must be positive")
     params = WindowParams(window_len=spec.window_len)
     sg = SavGolParams(params.sg_window, params.sg_order, 1 / spec.sampling_rate_hz)
     noise = spec.noise_velocity_sigma_dps

@@ -33,8 +33,6 @@ def build_window(vx, vy=None, px=None, py=None, window_id="w0000", valid=None,
         valid = np.isfinite(vx) & np.isfinite(vy)
     return WindowStack(
         window_ids=[window_id],
-        recording_ids=["rec"],
-        start_index=[0],
         sampling_rate_hz=np.array([sampling_rate_hz]),
         vx=vx[None],
         vy=vy[None],
@@ -46,10 +44,9 @@ def build_window(vx, vy=None, px=None, py=None, window_id="w0000", valid=None,
 
 def join_windows(*stacks):
     """One stack of the rows of equal-length stacks, in order (a copy)."""
-    lists = ("window_ids", "recording_ids", "start_index")
     arrays = ("sampling_rate_hz", "vx", "vy", "px", "py", "valid")
     return WindowStack(
-        *(sum((getattr(s, name) for s in stacks), []) for name in lists),
+        sum((s.window_ids for s in stacks), []),
         *(np.concatenate([getattr(s, name) for s in stacks]) for name in arrays),
     )
 

@@ -121,8 +121,9 @@ def test_criterion_2_detector_fidelity():
         )
         rec, truth = gen_scanpath(plan, seed, recording_id=f"sp{seed:03d}")
         windows, _ = pipeline_windows(rec)
-        for row, start in enumerate(windows.start_index):
+        for row, window_id in enumerate(windows.window_ids):
             w = windows.take([row])
+            start = int(window_id.rsplit("-w", 1)[1]) * w.length
             gt = ground_truth_in_window(truth, start, w.length)
             detected = {
                 "fixation": ref.event_rows(detect_fixations_ivt(w, PARAMS)),

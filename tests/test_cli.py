@@ -10,6 +10,7 @@ import pytest
 
 from gazeconcepts import io as gio
 from gazeconcepts.cli import build_parser, main
+from gazeconcepts.influence import ALL_CONCEPTS
 from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import SavGolParams
 from gazeconcepts.synth import (
@@ -57,6 +58,24 @@ def test_run_happy_path(tiny_corpus, tmp_path, capsys):
     # every effective parameter echoed, defaults included
     for key in ("sg_window", "sacc_lambda", "top_frac", "jobs", "peak_ratio"):
         assert key in log["parameters"]
+
+
+def test_run_prints_each_present_concept(tiny_corpus, tmp_path, capsys):
+    """After its summary line `run` prints one row per concept present:
+    c_pooled, c_mean, top-k hits and |S|/L, as report.json has them."""
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("run complete: 12 windows")
+    assert lines[1].split() == ["concept", "c_pooled", "c_mean", "top-k", "hits", "|S|/L"]
+    concepts = json.loads((out / "report.json").read_text())["concepts"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == sorted(ALL_CONCEPTS) == sorted(concepts)
+    for concept, c_pooled, c_mean, hits, relative in rows:
+        doc = concepts[concept]
+        assert c_pooled == f"{doc['c_pooled']:.3f}" and c_mean == f"{doc['c_mean']:.3f}"
+        assert int(hits) == doc["top_k_intersection"]
+        assert relative == f"{doc['relative_size']:.3f}"
 
 
 def test_run_deterministic_across_jobs(tiny_corpus, tmp_path):
@@ -182,7 +201,7 @@ def test_env_var_default_out(tiny_corpus, tmp_path, monkeypatch):
 
 
 STAGES = (("preprocess", True), ("detect", False), ("dissect", False),
-          ("influence", True), ("bin", True), ("report", False))
+          ("influence", True), ("bin", False), ("report", False))
 
 
 def _run_and_staged(manifest, tmp_path, flags=(), manifest_everywhere=False):
@@ -402,9 +421,10 @@ def test_empty_manifest_is_a_data_error_for_run(tmp_path, capsys):
     assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
     assert "manifest yields no evaluation windows" in capsys.readouterr().err
     out = tmp_path / "staged"
-    assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 0
-    windows = gio.read_windows(out / "windows.npz").windows
-    assert len(windows) == 0 and windows.length == 1000 and windows.valid.dtype == bool
+    assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: manifest yields no evaluation windows"]
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_synth_subcommand(tmp_path, capsys):
@@ -415,6 +435,32 @@ def test_synth_subcommand(tmp_path, capsys):
     assert (out / "gt_events.csv").exists()
     assert any((out / "recordings").iterdir())
     assert any((out / "attributions").iterdir())
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--saccade-ms", "60", "20"], "saccade_ms"),
+    (["--fixation-ms", "100", "50"], "fixation_ms"),
+    (["--peak-dps", "400", "100"], "peak_velocity_dps"),
+    (["--peak-dps", "0", "100"], "peak_velocity_dps"),
+    (["--seed", "-1"], "seed"),
+    (["--window-len", "0"], "window_len"),
+    (["--recordings", "0"], "n_recordings"),
+    (["--recordings", "-1"], "n_recordings"),
+    (["--noise-vel-sigma", "-1"], "noise_velocity_sigma_dps"),
+    (["--duration-s", "0"], "duration_s"),
+    (["--duration-s", "nan"], "duration_s"),
+])
+def test_synth_rejects_bad_arguments(tmp_path, capsys, flags, field):
+    """Each argument out of range is a configuration error naming its
+    CorpusSpec field, before anything is written."""
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out), "--recordings", "1", "--duration-s", "3", *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {field} must be "), line
+    assert not out.exists()
 
 
 def test_run_rerun_from_logged_parameters(tiny_corpus, tmp_path):
@@ -663,17 +709,20 @@ def test_unusable_input_error_names_the_file(tiny_corpus, tmp_path, capsys, whic
 
 
 def _bin(manifest, staged_out, tmp_path, *flags):
-    """Exit code of `bin` on a copy of the staged outputs, and the copy."""
+    """Exit code of `bin` on a copy of the staged outputs, and the copy;
+    `bin` is given `manifest` unless it is None."""
     out = tmp_path / "out"
     shutil.copytree(staged_out, out)
-    return main(["bin", "--out", str(out), "--manifest", str(manifest), *flags]), out
+    flags += ("--manifest", str(manifest)) if manifest is not None else ()
+    return main(["bin", "--out", str(out), *flags]), out
 
 
-def test_bin_reads_topk_not_attributions(tiny_corpus, staged_out, tmp_path, monkeypatch):
+def test_bin_reads_topk_not_attributions(staged_out, tmp_path, monkeypatch):
+    """`bin` reads no manifest: without one it rewrites binned.csv."""
     def parse(*args, **kwargs):
         raise AssertionError("bin parsed an attribution file")
     monkeypatch.setattr(gio, "load_attribution", parse)
-    code, out = _bin(tiny_corpus, staged_out, tmp_path)
+    code, out = _bin(None, staged_out, tmp_path)
     assert code == 0
     assert (out / "binned.csv").read_bytes() == (staged_out / "binned.csv").read_bytes()
 
@@ -688,44 +737,45 @@ def test_bin_rejects_stale_topk(tiny_corpus, staged_out, tmp_path, capsys, flags
     assert re.search(message, err) and err.endswith("rerun influence")
 
 
-def test_bin_rejects_topk_of_other_windows(tiny_corpus, staged_out, tmp_path, capsys):
-    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
-    doc = json.loads(manifest.read_text())
-    doc["entries"].reverse()
-    manifest.write_text(json.dumps(doc))
-    assert _bin(manifest, staged_out, tmp_path)[0] == 2
-    assert re.search(r"topk\.npz: window ids differ", capsys.readouterr().err)
+def test_bin_rejects_topk_of_other_windows(staged_out, tmp_path, capsys):
+    """A topk.npz whose window ids are windows.npz's in another order."""
+    other = tmp_path / "other"
+    shutil.copytree(staged_out, other)
+    ids, masks, _, squash = gio.read_topk(other / "topk.npz", 1000)
+    gio.write_topk(ids[::-1], masks[::-1], other / "topk.npz", squash)
+    assert _bin(None, other, tmp_path)[0] == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(r"topk\.npz: window ids differ from the windows file's", err)
+    assert err.endswith("rerun influence")
 
 
-def test_influence_in_another_window_order_writes_the_same_table(tiny_corpus, staged_out,
-                                                                  tmp_path):
-    """Staged influence takes the windows file's rows in manifest order;
-    influence.csv is sorted, so only topk.npz's row order changes."""
+def _snapshot(out):
+    return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("variant", ["reversed", "renamed"])
+@pytest.mark.parametrize("stage", ["detect", "dissect", "influence", "bin", "report"])
+def test_stage_rejects_a_manifest_other_than_the_windows_file(tiny_corpus, staged_out,
+                                                              tmp_path, capsys, stage,
+                                                              variant):
+    """A manifest given to a stage must name windows.npz's windows in the
+    file's order: the reversed manifest, and one with a window renamed,
+    make each stage exit 2 before it writes anything."""
     manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
     doc = json.loads(manifest.read_text())
-    doc["entries"].reverse()
+    if variant == "reversed":
+        doc["entries"].reverse()
+    else:
+        doc["entries"][0]["window_id"] = "rec00-w9999"
     manifest.write_text(json.dumps(doc))
     out = tmp_path / "out"
     shutil.copytree(staged_out, out)
-    assert main(["influence", "--out", str(out), "--manifest", str(manifest)]) == 0
-    assert (out / "influence.csv").read_bytes() == (staged_out / "influence.csv").read_bytes()
-    ids, masks, _, _ = gio.read_topk(out / "topk.npz", 1000)
-    want_ids, want, _, _ = gio.read_topk(staged_out / "topk.npz", 1000)
-    assert ids == want_ids[::-1] and (masks == want[::-1]).all()
-
-
-def test_influence_rejects_a_manifest_window_the_windows_file_lacks(tiny_corpus, staged_out,
-                                                                    tmp_path, capsys):
-    manifest = _relocated_manifest(tiny_corpus, tmp_path / "m")
-    doc = json.loads(manifest.read_text())
-    doc["entries"][0]["window_id"] = "rec00-w9999"
-    manifest.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    shutil.copytree(staged_out, out)
-    assert main(["influence", "--out", str(out), "--manifest", str(manifest)]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"error: {out / 'windows.npz'}: window_id 'rec00-w9999' is not among the windows; "
-        f"rerun preprocess")
+    before = _snapshot(out)
+    assert main([stage, "--out", str(out), "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {out / 'windows.npz'}: window ids differ from the manifest's; "
+                   "rerun preprocess"]
+    assert _snapshot(out) == before
 
 
 def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys):

@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SPEC = CorpusSpec(seed=1, n_recordings=2, duration_s=20, window_len=250)
 FLAGS = ("--window-len", "250")
 STAGES = (("preprocess", True), ("detect", False), ("dissect", False),
-          ("influence", True), ("bin", True), ("report", False))
+          ("influence", True), ("bin", False), ("report", False))
 
 
 def inputs_digest(corpus: Path) -> str:

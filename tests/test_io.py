@@ -791,7 +791,11 @@ def test_windows_roundtrip_exact(tmp_path):
     assert back.window_ids == ids
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         np.testing.assert_array_equal(getattr(back, name), getattr(want, name))
-    assert (back.recording_ids, back.start_index) == (["s", "r", "r"], [0, 50, 0])
+    positions = {rec_id: x for rec_id, _, x, _ in recordings}
+    for row, window_id in enumerate(back.window_ids):  # the start from the window id
+        rec_id, slot = window_id.rsplit("-w", 1)
+        start = int(slot) * 50
+        np.testing.assert_array_equal(back.px[row], positions[rec_id][start:start + 50])
     assert back.sampling_rate_hz.tolist() == [500.0, 1000.0, 1000.0]
     assert not back.valid[1, 4:11].any() and back.valid[1].sum() == 43
     assert {rec_id: (s.retained, s.excluded, s.tail_samples)
@@ -857,8 +861,7 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
         got, want = getattr(back, name), getattr(stack, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert (_bits(got) == _bits(want)).all(), name
-    for name in ("window_ids", "recording_ids", "start_index"):
-        assert getattr(back, name) == getattr(stack, name)
+    assert back.window_ids == stack.window_ids
 
 
 def test_windows_file_of_no_windows_roundtrips(tmp_path):
@@ -878,9 +881,10 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
     with np.load(good) as npz:
         arrays = dict(npz)
     n, total = len(stack), arrays["x"].size
-    rows = {"window_id": arrays["window_id"], "recording_id": np.array(stack.recording_ids),
-            "start_index": np.array(stack.start_index), "sampling_rate_hz": stack.sampling_rate_hz,
-            "px": stack.px, "py": stack.py}
+    rec_ids, slots = zip(*(window_id.rsplit("-w", 1) for window_id in stack.window_ids))
+    rows = {"window_id": arrays["window_id"], "recording_id": np.array(rec_ids),
+            "start_index": np.array([int(slot) * 40 for slot in slots]),
+            "sampling_rate_hz": stack.sampling_rate_hz, "px": stack.px, "py": stack.py}
     older = {  # the two earlier formats: every velocity, then edge velocities only
         "every_velocity": {**rows, "vx": stack.vx, "vy": stack.vy, "valid": stack.valid},
         "edge_velocities": {**rows, "edges": np.zeros((4, n, 3)), "sg_window": np.array(7),

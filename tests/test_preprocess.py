@@ -174,7 +174,8 @@ def test_take_reorders_rows_into_a_copy():
     windows, _ = window_sequence(v, -v, v, v, 1000, recording_id="r", sampling_rate_hz=500.0)
     taken = windows.take([2, 0])
     assert taken.window_ids == ["r-w0002", "r-w0000"]
-    assert taken.start_index == [2000, 0] and taken.recording_ids == ["r", "r"]
+    starts = [int(window_id.rsplit("-w", 1)[1]) * 1000 for window_id in taken.window_ids]
+    assert taken.px[:, 0].tolist() == [v[start] for start in starts] == [2000.0, 0.0]
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         np.testing.assert_array_equal(getattr(taken, name), getattr(windows, name)[[2, 0]])
     taken.vx[0, 0] = -1.0
