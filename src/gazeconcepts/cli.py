@@ -22,13 +22,13 @@ import configparser
 import os
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
-from .detect import event_properties, retained
+from .detect import detect_events, event_properties, retained
 from .errors import ConfigError, DataError, GazeError
 from .influence import InfluenceResult, default_k
 from .pipeline import (
@@ -37,7 +37,6 @@ from .pipeline import (
     RunConfig,
     _bin_all,
     _counts,
-    detect_windows,
     dissect_windows,
     preprocess_manifest,
     require_windows,
@@ -214,7 +213,7 @@ def cmd_preprocess(args) -> int:
     path = out / "windows.npz"
     try:
         pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
-            positions, path, [e.window_id for e in manifest.entries], cfg.window_params()))
+            positions, path, [e.window_id for e in manifest.entries], cfg))
     except BaseException:  # the file is written before the windows are gathered
         path.unlink(missing_ok=True)
         raise
@@ -224,7 +223,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_detect(args) -> int:
     manifest, cfg, out = _context(args)
-    events = detect_windows(_read_windows(out, manifest).windows, cfg)
+    events = detect_events(_read_windows(out, manifest).windows, cfg)
     gio.write_events(events, out / "events.csv")
     kept = len(retained(events))
     print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
@@ -307,7 +306,9 @@ def cmd_report(args) -> int:
             corpus[r.concept] = (r, r.n_skipped)
     binned = binning_mod.read_binned(out / "binned.csv")
     binned = {prop: binned.get(prop, []) for prop in cfg.properties}
-    doc = report_mod.summarize(cfg.analysis_dict(), counts, corpus, binned)
+    # echo the window parameters windows.npz was cut with, which detect to bin also use
+    params = {**cfg.analysis_dict(), **asdict(pre.params)}
+    doc = report_mod.summarize(params, counts, corpus, binned)
     report_mod.write_report_json(doc, out / "report.json")
     print(f"wrote {out / 'report.json'}")
     return 0

@@ -722,11 +722,10 @@ def write_windows(recordings, path, window_ids, params: WindowParams):
         np.savez(fh, **arrays)
 
 
-def _load_npz(path, names, what: str, older: str, stage: str) -> dict:
+def _load_npz(path, names, what: str, stage: str) -> dict:
     """The arrays of a stage ``.npz`` file that holds exactly `names`;
-    FormatError naming the path for any other file, one that says so
-    for a file of an older format, which holds an array `older`, and
-    asks for `stage` to be rerun."""
+    for any other file, one of an older format included, FormatError
+    naming the path and asking for `stage` to be rerun."""
     path = Path(path)
     with path.open("rb") as fh:
         try:
@@ -734,13 +733,11 @@ def _load_npz(path, names, what: str, older: str, stage: str) -> dict:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                if older in npz.files:
-                    raise FormatError(f"{path}: a {what} in an older format; rerun {stage}")
                 if set(npz.files) != set(names):
                     raise ValueError(f"not the {what} arrays")
                 return {name: npz[name] for name in names}
         except (ValueError, EOFError, zipfile.BadZipFile):
-            raise FormatError(f"{path}: not a {what}") from None
+            raise FormatError(f"{path}: not a {what} this version writes; rerun {stage}") from None
 
 
 def _is(array, dtype, shape) -> bool:
@@ -751,18 +748,19 @@ def _is(array, dtype, shape) -> bool:
 
 
 def read_windows(path) -> PreprocessResult:
-    """Inverse of write_windows: the evaluation windows, in the file's
-    order, and each recording's windowing summary, windowed from the
-    stored positions and parameters as preprocess windows them.
+    """Inverse of write_windows: the evaluation windows in the file's
+    order, each recording's windowing summary and the stored parameters,
+    the windows cut from the stored positions as preprocess cuts them.
     FormatError naming the file for anything else, a windows file of an
     older format included."""
-    a = _load_npz(path, WINDOW_ARRAYS, "windows file", "px", "preprocess")
+    a = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess")
     r, total = a["recording_id"].size, a["x"].size
     layout = {
         "recording_id": ("U", (r,)), "sampling_rate_hz": (np.float64, (r,)),
         "n_samples": (np.int64, (r,)), "x": (np.float64, (total,)),
         "y": (np.float64, (total,)), "window_id": ("U", (a["window_id"].size,)),
-        **{f.name: (type(f.default), ()) for f in fields(WindowParams)},
+        **{f.name: ("U" if isinstance(f.default, str) else type(f.default), ())
+           for f in fields(WindowParams)},
     }
     if not all(_is(a[name], *spec) for name, spec in layout.items()):
         raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
@@ -785,7 +783,7 @@ def read_windows(path) -> PreprocessResult:
         )]
         windows = gather_windows([stack for stack, _ in windowed], window_ids, params.window_len)
         return PreprocessResult(windows, {rec_id: summary for rec_id, (_, summary)
-                                          in zip(recording_ids, windowed)})
+                                          in zip(recording_ids, windowed)}, params)
     except (ConfigError, DataError) as e:
         raise FormatError(f"{path}: {e}") from None
 
@@ -819,7 +817,7 @@ def read_topk(path, length: int):
     width of the (n, k) indices. Rejects anything but a top-k file, one
     of an older format that stored k, and indices that are not k
     ascending steps of a window."""
-    a = _load_npz(path, TOPK_ARRAYS, "top-k file", "k", "influence")
+    a = _load_npz(path, TOPK_ARRAYS, "top-k file", "influence")
     ids, indices, squash = (a[name] for name in TOPK_ARRAYS)
     if (
         ids.ndim != 1 or squash.shape != () or squash.dtype.kind != "U"

@@ -2,18 +2,20 @@
 report.
 
 Each stage has one function, which `run` chains and the staged
-subcommands call: preprocess_manifest, detect_windows, dissect_windows,
-score_windows and _bin_all. The evaluation windows are stacked into
-(n, L) arrays once. Events and sub-events are columnar tables
-(detect.EventTable, dissect.SubEventTable): equal-length arrays with a
-window row, a kind or phase code and an interval per entry, which every
-later step (dissection, concept masks, binning, counts, the CSV writers)
-reads column by column. What is per window stays per window:
-process_window parses a window's attribution map, validates it and takes
-its top-k mask. Scoring is per stack: score_windows stacks the top-k
-masks into one (n, L) array and counts every concept against it at once
-into one InfluenceTable, from which influence.csv, the corpus results and
-the binned influence are read. Every reduction happens in manifest order, so
+subcommands call: preprocess_manifest, detect.detect_events,
+dissect_windows, score_windows and _bin_all. Each takes the RunConfig
+whole, which extends preprocess.WindowParams and detect.DetectionParams.
+The evaluation windows are stacked into (n, L) arrays once. Events and
+sub-events are columnar tables (detect.EventTable,
+dissect.SubEventTable): equal-length arrays with a window row, a kind or
+phase code and an interval per entry, which every later step
+(dissection, concept masks, binning, counts, the CSV writers) reads
+column by column. What is per window stays per window: process_window
+parses a window's attribution map, validates it and takes its top-k
+mask. Scoring is per stack: score_windows stacks the top-k masks into
+one (n, L) array and counts every concept against it at once into one
+InfluenceTable, from which influence.csv, the corpus results and the
+binned influence are read. Every reduction happens in manifest order, so
 outputs do not depend on the accepted but unused --jobs value. All
 artifacts are written at the end of a run; if that fails, partial files
 are removed and an INCOMPLETE marker is left."""
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,7 @@ from .influence import (
     topk_segmentation,
 )
 from .preprocess import (
+    EYES,
     PreprocessResult,
     WindowParams,
     WindowStack,
@@ -73,33 +76,18 @@ VALIDITY_RANGES = {
 
 # allowed values of RunConfig's string fields
 CHOICES = {
-    "eye": ("left", "right"),
+    "eye": EYES,
     "squash": ("signed", "abs"),
     "bin_mode": ("width", "quantile", "explicit"),
 }
 
 
-@dataclass
-class RunConfig:
-    """Every tunable parameter of the pipeline, with its default."""
+# fields are collected from the last base first: WindowParams', then DetectionParams'
+@dataclass(frozen=True)
+class RunConfig(DetectionParams, WindowParams):
+    """Every tunable parameter of the pipeline, with its default: the
+    preprocess and detect ones from its bases, then its own."""
 
-    # preprocess
-    sg_window: int = 7
-    sg_order: int = 2
-    clamp: float = 1000.0
-    window_len: int = 1000
-    missing_max_frac: float = 0.5
-    eye: str = "right"  # eye picked from binocular recordings
-    # detect
-    fix_max_velocity: float = 20.0
-    fix_min_duration_ms: float = 40.0
-    fix_max_dispersion_deg: float = 2.7
-    sacc_lambda: float = 6.0
-    sacc_min_duration_ms: float = 9.0
-    sacc_max_duration_ms: float = 100.0
-    sacc_min_peak_velocity: float = 35.0
-    sacc_max_peak_velocity: float = 1000.0
-    eta_floor: float = 1e-6
     # dissect
     peak_ratio: float = 0.8
     flank_ratio: float = 1.0 / 3.0
@@ -116,12 +104,6 @@ class RunConfig:
     # execution (accepted, no effect)
     jobs: int = 1
 
-    def window_params(self) -> WindowParams:
-        return WindowParams(**{f.name: getattr(self, f.name) for f in fields(WindowParams)})
-
-    def detection_params(self) -> DetectionParams:
-        return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
-
     def validate(self):
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
@@ -129,24 +111,18 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {'/'.join(allowed)}, got {value!r}")
         if not self.jobs >= 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        self.window_params().validate()
-        self.detection_params().validate()
+        WindowParams.validate(self)
+        DetectionParams.validate(self)
         check_ratios(self.peak_ratio, self.flank_ratio)
         default_k(self.window_len, self.top_frac)
         for prop in self.properties:
             binning_mod.BinSpec(prop, self.bin_mode, self.bins, self.bin_edges).validate()
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["bin_edges"] = list(self.bin_edges)
-        d["properties"] = list(self.properties)
-        return d
-
     def analysis_dict(self) -> dict:
         """Parameter echo for the report: everything that shapes results
         (the execution-only jobs count is excluded so parallel runs stay
         byte-identical)."""
-        d = self.as_dict()
+        d = asdict(self)
         d.pop("jobs")
         return d
 
@@ -189,7 +165,6 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
     windowed, unless ``parsed`` is given: it is called with every
     recording's (recording id, sampling rate, x, y) before the gathering,
     so no position outlives its windows (the windows stage file)."""
-    params = cfg.window_params()
     summaries, stacks, positions, sources, produced = {}, [], [], {}, {}
     paths, first_spelling = {}, {}  # each file once, however the manifest spells its path
     for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
@@ -205,7 +180,7 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
             raise DataError(f"{sources[rec_id]} and {path} have one recording id {rec_id!r}")
         sources[rec_id] = path
         try:
-            stack, summaries[rec_id] = window_recording(*positions[-1], params)
+            stack, summaries[rec_id] = window_recording(*positions[-1], cfg)
         except SizeError as e:
             raise SizeError(f"{path}: {e}") from None
         if parsed is None:
@@ -218,13 +193,13 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
             raise AlignmentError(
                 f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
                 f"among the windows of this recording ({s.retained} retained, {s.excluded} "
-                f"excluded with more than {params.missing_max_frac:g} of their samples "
+                f"excluded with more than {cfg.missing_max_frac:g} of their samples "
                 f"missing, {s.tail_samples} tail samples)")
     if parsed is not None:
         parsed(positions)
     del positions
     windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
-    return PreprocessResult(windows, summaries)
+    return PreprocessResult(windows, summaries, cfg)
 
 
 def normalized_windows(pre: PreprocessResult) -> WindowStack:
@@ -258,12 +233,6 @@ def window_segmentations(window: WindowStack, events: EventTable,
         concept: ConceptSegmentation(window.window_ids[0], concept, mask)
         for concept, mask in zip(ALL_CONCEPTS, masks)
     }
-
-
-def detect_windows(windows: WindowStack, cfg: RunConfig) -> EventTable:
-    """Every window's fixations then its saccades, excluded events
-    included: both detectors in one batched pass over the stack."""
-    return detect_events(windows, cfg.detection_params())
 
 
 def dissect_windows(windows: WindowStack, events: EventTable, cfg: RunConfig) -> SubEventTable:
@@ -392,7 +361,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
         pre = preprocess_manifest(manifest, cfg)
 
     with _stage("detect"):
-        events = detect_windows(pre.windows, cfg)
+        events = detect_events(pre.windows, cfg)
 
     with _stage("dissect"):
         subs = dissect_windows(pre.windows, events, cfg)
@@ -444,7 +413,7 @@ def write_artifacts(result: RunResult, out_dir: Path):
             written += write_charts(out_dir, cfg, result.corpus_results, result.binned)
 
             run_log = {
-                "parameters": cfg.as_dict(),
+                "parameters": asdict(cfg),
                 "counts": result.counts,
                 "outputs": [str(p.relative_to(out_dir)) for p in written],
             }

@@ -46,18 +46,25 @@ class SavGolParams:
             raise ConfigError(f"dt_s must be positive, got {self.dt_s}")
 
 
+EYES = ("left", "right")
+
+
 @dataclass(frozen=True)
 class WindowParams:
     """What shapes a recording's windows: SG differentiation, the clamp
-    (deg/s), the length and the largest missing fraction a window keeps."""
+    (deg/s), the length, the largest missing fraction a window keeps and
+    the eye picked from binocular recordings."""
 
     sg_window: int = 7
     sg_order: int = 2
     clamp: float = 1000.0
     window_len: int = 1000
     missing_max_frac: float = 0.5
+    eye: str = "right"
 
     def validate(self):
+        if self.eye not in EYES:
+            raise ConfigError(f"eye must be {'/'.join(EYES)}, got {self.eye!r}")
         for name, ok, rule in (
             ("clamp", self.clamp > 0, "positive"),
             ("window_len", self.window_len >= 1, ">= 1"),
@@ -145,6 +152,7 @@ class WindowingSummary:
 class PreprocessResult:
     windows: WindowStack  # evaluation windows, manifest order
     summaries: dict  # recording_id -> WindowingSummary
+    params: WindowParams  # what cut the windows
 
 
 @lru_cache(maxsize=256)

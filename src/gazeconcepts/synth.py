@@ -277,6 +277,11 @@ def write_ground_truth(events_by_recording: dict, path):
     ])
 
 
+# synth's peak RSS grows by ~430 B per sample of its longest recording (1 x 130 s
+# at 1 kHz: 92 MB, 1 x 520 s: 253 MB), so a corpus of this many samples stays near 1 GB
+MAX_CORPUS_SAMPLES = 2_500_000
+
+
 @dataclass
 class CorpusSpec:
     """Settings for the bundled demo corpus."""
@@ -309,6 +314,10 @@ class CorpusSpec:
         for name, ok, rule in checks:
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        samples = self.n_recordings * self.duration_s * self.sampling_rate_hz
+        if samples > MAX_CORPUS_SAMPLES:
+            raise ConfigError(f"n_recordings x duration_s x sampling_rate_hz must be at most "
+                              f"{MAX_CORPUS_SAMPLES} samples, got {samples:g}")
 
 
 def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
@@ -321,8 +330,6 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     spec = spec or CorpusSpec()
     spec.validate()
     out = Path(out_dir)
-    (out / "recordings").mkdir(parents=True, exist_ok=True)
-    (out / "attributions").mkdir(parents=True, exist_ok=True)
 
     params = WindowParams(window_len=spec.window_len)
     sg = SavGolParams(params.sg_window, params.sg_order, 1 / spec.sampling_rate_hz)
@@ -343,10 +350,16 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
             sampling_rate_hz=spec.sampling_rate_hz,
         )
         rec, truth = gen_scanpath(plan, spec.seed + i, recording_id=rec_id)
+        windows, _ = window_recording(rec_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg, params)
+        if not len(windows):
+            raise ConfigError(
+                f"duration_s {spec.duration_s:g} gives {rec_id} {len(rec.t_ms)} samples, "
+                f"fewer than window_len {spec.window_len}: no evaluation window")
+        for name in ("recordings", "attributions"):
+            (out / name).mkdir(parents=True, exist_ok=True)
         write_gaze_csv(rec, out / "recordings" / f"{rec_id}.csv")
         truth_by_rec[rec_id] = truth
 
-        windows, _ = window_recording(rec_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg, params)
         for row, window_id in enumerate(windows.window_ids):
             attr = gen_proxy_attributions(windows, row, spec.attribution_mode, seed=attr_seed)
             attr_seed += 1

@@ -10,6 +10,7 @@ import pytest
 
 from gazeconcepts import io as gio
 from gazeconcepts.cli import build_parser, main
+from gazeconcepts.errors import ConfigError
 from gazeconcepts.influence import ALL_CONCEPTS
 from gazeconcepts.io import write_attribution, write_gaze_csv
 from gazeconcepts.preprocess import SavGolParams
@@ -463,6 +464,29 @@ def test_synth_rejects_bad_arguments(tmp_path, capsys, flags, field):
     assert not out.exists()
 
 
+def test_synth_refuses_a_corpus_without_evaluation_windows(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out), "--recordings", "1", "--duration-s", "0.5"]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"error: duration_s 0\.5 gives rec00 \d+ samples, fewer than "
+                        r"window_len 1000: no evaluation window", line), line
+    assert not out.exists()
+
+
+def test_synth_refuses_a_corpus_over_the_sample_cap(tmp_path, capsys):
+    """Checked on the spec before synth runs: at a version without the cap
+    this synth call would not return."""
+    with pytest.raises(ConfigError, match=r"must be at most 2500000 samples, got 4e\+12"):
+        CorpusSpec(duration_s=1e9).validate()
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--duration-s", "1e9"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: n_recordings x duration_s x sampling_rate_hz must be at most "
+                    "2500000 samples, got 4e+12")
+    assert not out.exists()
+
+
 def test_run_rerun_from_logged_parameters(tiny_corpus, tmp_path):
     out1 = tmp_path / "o1"
     assert main(["run", "--manifest", str(tiny_corpus), "--out", str(out1),
@@ -776,6 +800,39 @@ def test_stage_rejects_a_manifest_other_than_the_windows_file(tiny_corpus, stage
     assert err == [f"error: {out / 'windows.npz'}: window ids differ from the manifest's; "
                    "rerun preprocess"]
     assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("stage", ["detect", "dissect", "influence", "bin", "report"])
+def test_stage_rejects_a_windows_file_without_eye(tiny_corpus, staged_out, tmp_path, capsys,
+                                                  stage):
+    """A windows file of the format before `eye` was stored is refused by
+    every stage that reads it, asking for preprocess to be rerun."""
+    out = tmp_path / "out"
+    shutil.copytree(staged_out, out)
+    with np.load(out / "windows.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "eye"}
+    with (out / "windows.npz").open("wb") as fh:
+        np.savez(fh, **arrays)
+    assert main([stage, "--out", str(out), "--manifest", str(tiny_corpus)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / 'windows.npz'}: not a windows file this version writes; "
+        "rerun preprocess"]
+
+
+def test_staged_report_echoes_the_window_parameters_of_the_windows_file(tmp_path):
+    """Window flags given to preprocess alone reach every staged artifact,
+    report.json's parameter echo included, as `run` given them writes it."""
+    spec = CorpusSpec(seed=5, n_recordings=2, duration_s=6, window_len=250)
+    manifest = str(write_demo_corpus(tmp_path / "corpus", spec))
+    flags = ["--window-len", "250", "--sg-window", "11"]
+    run_out, staged = tmp_path / "direct", tmp_path / "staged"
+    assert main(["run", "--manifest", manifest, "--out", str(run_out), *flags]) == 0
+    for sub, needs_manifest in STAGES:
+        argv = [sub, "--out", str(staged)] + (flags if sub == "preprocess" else [])
+        assert main(argv + (["--manifest", manifest] if needs_manifest else [])) == 0, sub
+    echo = json.loads((staged / "report.json").read_text())["parameters"]
+    assert (echo["sg_window"], echo["window_len"]) == (11, 250)
+    _assert_staged_matches(run_out, staged)
 
 
 def test_bin_rejects_foreign_topk_file(tiny_corpus, staged_out, tmp_path, capsys):

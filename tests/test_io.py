@@ -823,7 +823,7 @@ def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
                for rec, ids in zip(recs, retained) if slot < len(ids)]
     p = Path(root) / "windows.npz"
     pre = preprocess_manifest(RunManifest(entries, Path(root)), cfg, lambda positions: (
-        write_windows(positions, p, [e.window_id for e in entries], cfg.window_params())
+        write_windows(positions, p, [e.window_id for e in entries], cfg)
     ))
     return pre, p
 
@@ -868,7 +868,7 @@ def test_windows_file_of_no_windows_roundtrips(tmp_path):
     cfg = RunConfig(window_len=40)
     p = tmp_path / "windows.npz"
     preprocess_manifest(RunManifest([], tmp_path), cfg,
-                        lambda positions: write_windows(positions, p, [], cfg.window_params()))
+                        lambda positions: write_windows(positions, p, [], cfg))
     back = read_windows(p)
     assert back.summaries == {}
     back = back.windows
@@ -885,10 +885,11 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
     rows = {"window_id": arrays["window_id"], "recording_id": np.array(rec_ids),
             "start_index": np.array([int(slot) * 40 for slot in slots]),
             "sampling_rate_hz": stack.sampling_rate_hz, "px": stack.px, "py": stack.py}
-    older = {  # the two earlier formats: every velocity, then edge velocities only
+    older = {  # earlier formats: every velocity, edge velocities only, positions without eye
         "every_velocity": {**rows, "vx": stack.vx, "vy": stack.vy, "valid": stack.valid},
         "edge_velocities": {**rows, "edges": np.zeros((4, n, 3)), "sg_window": np.array(7),
                             "sg_order": np.array(2), "clamp": np.array(1000.0)},
+        "no_eye": {key: value for key, value in arrays.items() if key != "eye"},
     }
     shape = "windows file arrays disagree in shape or dtype"
     unique = "recording or window ids are not unique"
@@ -899,6 +900,7 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
         ("count_dtype", {"n_samples": counts.astype(float)}, shape),
         ("clamp_dtype", {"clamp": np.array(1000)}, shape),
         ("len_dtype", {"window_len": np.array(40.0)}, shape),
+        ("eye_dtype", {"eye": np.array(1)}, shape),
         ("y_shape", {"y": arrays["y"][:-1]}, shape),
         ("ids_shape", {"window_id": arrays["window_id"][None]}, shape),
         ("count_sum", {"n_samples": counts + [1, 0]}, f"n_samples do not sum to the {total}"),
@@ -910,13 +912,14 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
         ("clamp", {"clamp": np.array(0.0)}, "clamp must be positive, got 0.0"),
         ("window_len", {"window_len": np.array(0)}, "window_len must be >= 1, got 0"),
         ("missing", {"missing_max_frac": np.array(1.5)}, r"missing_max_frac must be in \[0, 1\]"),
+        ("eye", {"eye": np.array("up")}, "eye must be left/right, got 'up'"),
         ("rate", {"sampling_rate_hz": np.zeros(2)}, "sampling rates must be positive"),
         ("short", {"sg_window": np.array(4001)}, r"need at least 4001 samples, got \d+"),
         ("unknown", {"window_id": np.array(["rec00-w9999"])},
          "window_id 'rec00-w9999' is not among the windows"),
         ("excluded", {"missing_max_frac": np.array(0.5)},
          "window_id 'rec0[01]-w0005' is not among the windows"),  # samples 200-239 are missing
-        *((key, older[key], "a windows file in an older format; rerun preprocess")
+        *((key, older[key], "not a windows file this version writes; rerun preprocess")
           for key in older),
     ):
         bad = tmp_path / f"{name}.npz"
@@ -954,7 +957,7 @@ def test_topk_roundtrip_exact(tmp_path):
         np.savez(older, **npz, k=np.array(4))
     for bad, message in ((windows, "not a top-k file"), (duplicated, "indices are not 2 ascending"),
                          (flat, "top-k file arrays disagree in shape"),
-                         (older, "a top-k file in an older format; rerun influence")):
+                         (older, "not a top-k file this version writes; rerun influence")):
         with pytest.raises(FormatError, match=f"{bad.name}: {message}"):
             read_topk(bad, 50)
     mixed = np.vstack([masks, topk_masks(np.zeros((1, 50)), 5)])
