@@ -1,6 +1,11 @@
 """Subcommand front-end: synth, preprocess, detect, dissect, influence,
 bin, report, and run.
 
+`preprocess` clears the output directory and writes windows.npz. Each
+later staged subcommand reads its inputs back from the stage files and
+calls the step and the writer of pipeline.py that `run` calls; if
+writing fails, it removes what it wrote.
+
 The analysis flags are the RunConfig fields (sg_window is --sg-window)
 and take the same values as config-file keys. Precedence for every
 parameter is CLI flag over config file over built-in default. The config
@@ -20,30 +25,26 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
-import shutil
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import binning as binning_mod
 from . import io as gio
-from . import report as report_mod
-from .detect import detect_events, event_properties, retained
+from .detect import event_properties, retained
 from .errors import ConfigError, DataError, GazeError
 from .influence import InfluenceResult, default_k
 from .pipeline import (
     ALL_CONCEPTS,
     CHOICES,
+    STEPS,
     RunConfig,
-    _bin_all,
-    _counts,
-    dissect_windows,
+    clear_outputs,
     preprocess_manifest,
+    removed_on_failure,
     require_windows,
     run,
-    score_windows,
-    write_charts,
-    write_influence,
+    write_stage,
 )
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
@@ -154,17 +155,9 @@ def _context(args):
 
 
 def cmd_synth(args) -> int:
-    spec = CorpusSpec(
-        seed=args.seed,
-        n_recordings=args.recordings,
-        duration_s=args.duration_s,
-        window_len=args.window_len,
-        noise_velocity_sigma_dps=args.noise_vel_sigma,
-        attribution_mode=args.attr_mode,
-        saccade_ms=tuple(args.saccade_ms),
-        peak_velocity_dps=tuple(args.peak_dps),
-        fixation_ms=tuple(args.fixation_ms),
-    )
+    given = {name: tuple(value) if isinstance(value, list) else value
+             for name, value in vars(args).items() if name not in ("cmd", "func", "out")}
+    spec = CorpusSpec(**given)
     out = _out_dir(args)
     manifest_path = write_demo_corpus(out, spec)
     print(f"wrote corpus with manifest {manifest_path}")
@@ -186,80 +179,22 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_windows(out: Path, manifest=None):
-    """windows.npz's PreprocessResult. DataError naming the file if a
-    given manifest's window ids are not the file's, in its order."""
-    path = out / "windows.npz"
-    pre = gio.read_windows(path)
-    ids = pre.windows.window_ids
-    if manifest is not None and [entry.window_id for entry in manifest.entries] != ids:
-        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
-    return pre
-
-
-# the files the stages write; preprocess removes them and charts/ before it writes
-STAGE_FILES = ("windows.npz", "events.csv", "subevents.csv", "topk.npz", "influence.csv",
-               "binned.csv", "report.json")
-
-
 def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in STAGE_FILES:  # a failed preprocess leaves no earlier run's files
-        (out / name).unlink(missing_ok=True)
-    if (out / "charts").is_dir():
-        shutil.rmtree(out / "charts")
+    clear_outputs(out)  # a failed preprocess leaves no earlier run's files
     require_windows(manifest)
     path = out / "windows.npz"
-    try:
+    with removed_on_failure([path]):  # written before the windows are gathered
         pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
             positions, path, [e.window_id for e in manifest.entries], cfg))
-    except BaseException:  # the file is written before the windows are gathered
-        path.unlink(missing_ok=True)
-        raise
     print(f"wrote {len(pre.windows)} windows to {path}")
     return 0
 
 
-def cmd_detect(args) -> int:
-    manifest, cfg, out = _context(args)
-    events = detect_events(_read_windows(out, manifest).windows, cfg)
-    gio.write_events(events, out / "events.csv")
-    kept = len(retained(events))
-    print(f"wrote {len(events)} events ({kept} retained) to {out / 'events.csv'}")
-    return 0
-
-
-def cmd_dissect(args) -> int:
-    manifest, cfg, out = _context(args)
-    windows = _read_windows(out, manifest).windows
-    events = gio.read_events(out / "events.csv", windows)
-    # peaks come from the windows' exact speeds, not events.csv's 9 digits
-    subs = dissect_windows(windows, events, cfg)
-    gio.write_subevents(subs, out / "subevents.csv")
-    print(f"wrote {len(subs)} sub-events to {out / 'subevents.csv'}")
-    return 0
-
-
-def cmd_influence(args) -> int:
-    manifest, cfg, out = _context(args)
-    windows = _read_windows(out, manifest).windows
-    events = gio.read_events(out / "events.csv", windows)
-    subs = gio.read_subevents(out / "subevents.csv", events, windows.length)
-    attribution_paths = [manifest.resolve(entry.attribution) for entry in manifest.entries]
-    topk, table = score_windows(windows, attribution_paths, events, subs, cfg)
-    written = [out / "topk.npz"]
-    gio.write_topk(table.window_ids, topk, written[0], cfg.squash)
-    written.append(write_influence(table, out))
-    written += write_charts(out, cfg, corpus_results=table.pooled())
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    return 0
-
-
 def _read_topk(path: Path, windows, cfg: RunConfig):
-    """topk.npz's (n, L) masks, rows aligned with `windows`, and k.
-    DataError naming the file if `influence` wrote it for other windows,
-    another k or another squash mode."""
+    """topk.npz's (n, L) masks, rows aligned with `windows`. DataError
+    naming the file if `influence` wrote it for other windows, another k
+    or another squash mode."""
     length = windows.length
     window_ids, topk, k, squash = gio.read_topk(path, length)
     if window_ids != windows.window_ids:
@@ -274,62 +209,96 @@ def _read_topk(path: Path, windows, cfg: RunConfig):
         raise DataError(
             f"{path}: squash {squash!r}, but this run uses {cfg.squash!r}; rerun influence"
         )
-    return topk, k
+    return topk
+
+
+def _read_inputs(stage: str, out: Path, manifest, cfg: RunConfig) -> dict:
+    """What `stage` computes from, read back from the stage files and
+    keyed by RunResult's field names. DataError naming windows.npz if a
+    given manifest's window ids are not the file's, in its order."""
+    path = out / "windows.npz"
+    pre = gio.read_windows(path)
+    windows = pre.windows
+    if manifest is not None and [e.window_id for e in manifest.entries] != windows.window_ids:
+        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
+    if stage == "detect":
+        return {"preprocess": pre}
+    events = gio.read_events(out / "events.csv", windows)
+    if stage == "bin":
+        # events.csv keeps 9 digits; bin on properties recomputed from the
+        # exact windows, as `run` does
+        return {"preprocess": pre, "events": event_properties(retained(events), windows),
+                "topk": _read_topk(out / "topk.npz", windows, cfg)}
+    v = {"preprocess": pre, "events": events}
+    if stage != "dissect":
+        v["subevents"] = gio.read_subevents(out / "subevents.csv", events, windows.length)
+    if stage == "report":
+        # a concept absent from every window is skipped in all of them
+        v["corpus_results"] = {c: (None, len(windows)) for c in ALL_CONCEPTS}
+        table = gio.read_report(out / "influence.csv")
+        for i, scope in enumerate(table["scope"]):
+            if scope == "corpus":
+                r = InfluenceResult(**{name: values[i] for name, values in table.items()})
+                v["corpus_results"][r.concept] = (r, r.n_skipped)
+        binned = binning_mod.read_binned(out / "binned.csv")
+        v["binned"] = {prop: binned.get(prop, []) for prop in cfg.properties}
+    return v
+
+
+def _staged(stage: str, args) -> int:
+    """A staged stage after preprocess: its inputs read back from the
+    stage files, then run's step and writer; a failed write removes every
+    file the stage wrote."""
+    manifest, cfg, out = _context(args)
+    v = _read_inputs(stage, out, manifest, cfg)
+    v.update(STEPS[stage](v, cfg, manifest))
+    with removed_on_failure([]) as written:
+        if stage == "influence":  # only a staged bin reads the top-k masks
+            written.append(out / "topk.npz")
+            gio.write_topk(v["influence"].window_ids, v["topk"], written[0], cfg.squash)
+        write_stage(stage, v, cfg, out, written)
+    print(f"wrote {', '.join(map(str, written))}")
+    return 0
+
+
+def cmd_detect(args) -> int:
+    return _staged("detect", args)
+
+
+def cmd_dissect(args) -> int:
+    return _staged("dissect", args)
+
+
+def cmd_influence(args) -> int:
+    return _staged("influence", args)
 
 
 def cmd_bin(args) -> int:
-    manifest, cfg, out = _context(args)
-    windows = _read_windows(out, manifest).windows
-    # events.csv keeps 9 digits; bin on properties recomputed from the
-    # exact windows, as `run` does
-    kept = event_properties(retained(gio.read_events(out / "events.csv", windows)), windows)
-    binned = _bin_all(kept, *_read_topk(out / "topk.npz", windows, cfg), cfg)
-    written = [out / "binned.csv"]
-    binning_mod.write_binned(binned, written[0])
-    written += write_charts(out, cfg, binned=binned)
-    print(f"wrote {', '.join(str(p) for p in written)}")
-    return 0
+    return _staged("bin", args)
 
 
 def cmd_report(args) -> int:
-    manifest, cfg, out = _context(args)
-    pre = _read_windows(out, manifest)
-    events = gio.read_events(out / "events.csv", pre.windows)
-    counts = _counts(pre, events, gio.read_subevents(out / "subevents.csv", events,
-                                                     pre.windows.length))
-    # a concept absent from every window is skipped in all of them
-    corpus = {c: (None, counts["windows"]["evaluated"]) for c in ALL_CONCEPTS}
-    table = gio.read_report(out / "influence.csv")
-    for i, scope in enumerate(table["scope"]):
-        if scope == "corpus":
-            r = InfluenceResult(**{name: values[i] for name, values in table.items()})
-            corpus[r.concept] = (r, r.n_skipped)
-    binned = binning_mod.read_binned(out / "binned.csv")
-    binned = {prop: binned.get(prop, []) for prop in cfg.properties}
-    # echo the window parameters windows.npz was cut with, which detect to bin also use
-    params = {**cfg.analysis_dict(), **asdict(pre.params)}
-    doc = report_mod.summarize(params, counts, corpus, binned)
-    report_mod.write_report_json(doc, out / "report.json")
-    print(f"wrote {out / 'report.json'}")
-    return 0
+    return _staged("report", args)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gazeconcepts", description=__doc__)
     sub = parser.add_subparsers(dest="cmd")
 
-    p = sub.add_parser("synth", help="generate the synthetic demo corpus")
+    # no defaults here: what is not given takes CorpusSpec's
+    p = sub.add_parser("synth", help="generate the synthetic demo corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./out)")
-    p.add_argument("--seed", type=int, default=20230403)
-    p.add_argument("--recordings", type=int, default=4)
-    p.add_argument("--duration-s", type=float, default=130.0)
-    p.add_argument("--window-len", type=int, default=1000)
-    p.add_argument("--noise-vel-sigma", type=float, default=0.5,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--recordings", dest="n_recordings", type=int)
+    p.add_argument("--duration-s", type=float)
+    p.add_argument("--window-len", type=int)
+    p.add_argument("--noise-vel-sigma", dest="noise_velocity_sigma_dps", type=float,
                    help="velocity noise sigma in deg/s")
-    p.add_argument("--attr-mode", choices=ATTRIBUTION_MODES, default="speed")
-    p.add_argument("--saccade-ms", nargs=2, type=float, default=[20.0, 60.0])
-    p.add_argument("--peak-dps", nargs=2, type=float, default=[100.0, 400.0])
-    p.add_argument("--fixation-ms", nargs=2, type=float, default=[80.0, 250.0])
+    p.add_argument("--attr-mode", dest="attribution_mode", choices=ATTRIBUTION_MODES)
+    p.add_argument("--saccade-ms", nargs=2, type=float)
+    p.add_argument("--peak-dps", dest="peak_velocity_dps", nargs=2, type=float)
+    p.add_argument("--fixation-ms", nargs=2, type=float)
     p.set_defaults(func=cmd_synth)
 
     def stage(name, help_, func, manifest_required):

@@ -1,30 +1,33 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-Each stage has one function, which `run` chains and the staged
-subcommands call: preprocess_manifest, detect.detect_events,
-dissect_windows, score_windows and _bin_all. Each takes the RunConfig
-whole, which extends preprocess.WindowParams and detect.DetectionParams.
-The evaluation windows are stacked into (n, L) arrays once. Events and
-sub-events are columnar tables (detect.EventTable,
-dissect.SubEventTable): equal-length arrays with a window row, a kind or
-phase code and an interval per entry, which every later step
-(dissection, concept masks, binning, counts, the CSV writers) reads
-column by column. What is per window stays per window: process_window
-parses a window's attribution map, validates it and takes its top-k
-mask. Scoring is per stack: score_windows stacks the top-k masks into
-one (n, L) array and counts every concept against it at once into one
-InfluenceTable, from which influence.csv, the corpus results and the
-binned influence are read. Every reduction happens in manifest order, so
-outputs do not depend on the accepted but unused --jobs value. All
-artifacts are written at the end of a run; if that fails, partial files
-are removed and an INCOMPLETE marker is left."""
+preprocess_manifest windows the recordings. Every later stage is one
+step of STEPS, which takes the values of the earlier stages keyed by
+RunResult's field names and returns its own, and one branch of
+write_stage, which writes the stage's table and charts. `run` chains
+them in memory; a staged subcommand reads its inputs back from the stage
+files. Every step takes the RunConfig whole, which extends
+preprocess.WindowParams and detect.DetectionParams. The evaluation
+windows are stacked into (n, L) arrays once. Events and sub-events are
+columnar tables (detect.EventTable, dissect.SubEventTable):
+equal-length arrays with a window row, a kind or phase code and an
+interval per entry, read column by column. process_window parses a
+window's attribution map, validates it and takes its top-k mask;
+score_windows stacks the masks into one (n, L) array and counts every
+concept against it at once into one InfluenceTable, from which
+influence.csv, the corpus results and the binned influence are read.
+Every reduction happens in manifest order, so outputs do not depend on
+the accepted but unused --jobs value. `run` first clears OUTPUT_FILES
+and charts/ from the output directory, as preprocess does. A failed
+write removes the files it began, and `run` then leaves an INCOMPLETE
+marker."""
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+import shutil
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +202,8 @@ def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResu
         parsed(positions)
     del positions
     windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
-    return PreprocessResult(windows, summaries, cfg)
+    params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
+    return PreprocessResult(windows, summaries, params)
 
 
 def normalized_windows(pre: PreprocessResult) -> WindowStack:
@@ -319,115 +323,139 @@ def _counts(pre: PreprocessResult, events: EventTable, subs: SubEventTable) -> d
     }
 
 
-def write_influence(table: InfluenceTable, out_dir) -> Path:
-    """Write the per-window and corpus influence table, a column at a time."""
-    path = Path(out_dir) / "influence.csv"
-    gio.write_report(table.rows(), path)
-    return path
+def detect_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """Every window's fixations then saccades."""
+    return {"events": detect_events(v["preprocess"].windows, cfg)}
 
 
-def write_charts(out_dir, cfg: RunConfig, corpus_results=None, binned=None):
-    """Draw the charts that the given results support, yielding each path:
-    concept and phase bar charts from corpus results, one line chart per
-    binned property."""
-    if not cfg.charts:
-        return
-    charts_dir = Path(out_dir) / "charts"
-    charts_dir.mkdir(exist_ok=True)
-    corpus_results = corpus_results or {}
-    for name, concepts, title in (
-        ("concepts.svg", EVENT_CONCEPTS, "concept influence"),
-        ("phases.svg", PHASE_CONCEPTS, "saccade phase influence"),
-    ):
-        results = [corpus_results.get(c, (None, 0))[0] for c in concepts]
-        results = [r for r in results if r is not None]
-        if results:
-            report_mod.render_bar_chart(results, charts_dir / name, title=title)
-            yield charts_dir / name
-    for prop, rows in sorted((binned or {}).items()):
-        if any(b.label == "bin" and b.influence is not None for b in rows):
-            path = charts_dir / f"by_{prop}.svg"
-            report_mod.render_line_chart(rows, path)
-            yield path
+def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The phase segments of every retained saccade."""
+    return {"subevents": dissect_windows(v["preprocess"].windows, v["events"], cfg)}
+
+
+def influence_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The top-k masks and every concept's influence, per window and
+    pooled, after checking that every attribution file exists."""
+    attribution_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
+    for p in attribution_paths:
+        if not p.exists():
+            raise OSError(f"attribution file not found: {p}")
+    topk, table = score_windows(v["preprocess"].windows, attribution_paths, v["events"],
+                                v["subevents"], cfg)
+    return {"topk": topk, "influence": table, "corpus_results": table.pooled()}
+
+
+def bin_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The binned influence of every configured property."""
+    k = default_k(v["preprocess"].windows.length, cfg.top_frac)
+    return {"binned": _bin_all(retained(v["events"]), v["topk"], k, cfg)}
+
+
+def report_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The counts and the report document, which echoes the window
+    parameters that cut the windows."""
+    counts = _counts(v["preprocess"], v["events"], v["subevents"])
+    params = {**cfg.analysis_dict(), **asdict(v["preprocess"].params)}
+    return {"counts": counts,
+            "report_doc": report_mod.summarize(params, counts, v["corpus_results"], v["binned"])}
+
+
+# the step of each stage after preprocess, in chain order
+STEPS = {"detect": detect_step, "dissect": dissect_step, "influence": influence_step,
+         "bin": bin_step, "report": report_step}
+# the table of each stage; charts go to charts/
+TABLES = {"preprocess": "windows.npz", "detect": "events.csv", "dissect": "subevents.csv",
+          "influence": "influence.csv", "bin": "binned.csv", "report": "report.json"}
+# every file run and the staged chain write but the charts; topk.npz is
+# written by staged influence alone, as only staged bin reads it
+OUTPUT_FILES = (*TABLES.values(), "topk.npz", "run_log.json", "INCOMPLETE")
+
+
+def clear_outputs(out_dir: Path):
+    """Create out_dir if need be and remove every OUTPUT_FILES file and
+    charts/ from it, so nothing of an earlier run outlives a new one."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in OUTPUT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
+    if (out_dir / "charts").is_dir():
+        shutil.rmtree(out_dir / "charts")
+
+
+def write_stage(stage: str, v: dict, cfg: RunConfig, out_dir: Path, written: list):
+    """Write the table and then the charts of `stage` from its values
+    into out_dir. Each path joins `written` before its file is begun, so
+    that removed_on_failure can remove every file of a failed stage."""
+    def write(name, writer, value, *more):
+        path = out_dir / name
+        path.parent.mkdir(exist_ok=True)
+        written.append(path)
+        writer(value, path, *more)
+
+    if stage == "influence":
+        write(TABLES[stage], gio.write_report, v["influence"].rows())
+        for name, concepts, title in (("concepts.svg", EVENT_CONCEPTS, "concept influence"),
+                                      ("phases.svg", PHASE_CONCEPTS, "saccade phase influence")):
+            results = [r for r, _ in map(v["corpus_results"].get, concepts) if r is not None]
+            if cfg.charts and results:
+                write(f"charts/{name}", report_mod.render_bar_chart, results, title)
+    elif stage == "bin":
+        write(TABLES[stage], binning_mod.write_binned, v["binned"])
+        for prop, rows in sorted(v["binned"].items()):
+            if cfg.charts and any(b.label == "bin" and b.influence is not None for b in rows):
+                write(f"charts/by_{prop}.svg", report_mod.render_line_chart, rows)
+    else:
+        writer, key = {"detect": (gio.write_events, "events"),
+                       "dissect": (gio.write_subevents, "subevents"),
+                       "report": (report_mod.write_report_json, "report_doc")}[stage]
+        write(TABLES[stage], writer, v[key])
+
+
+@contextmanager
+def removed_on_failure(written: list):
+    """Remove every path of `written` if the block raises."""
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        raise
 
 
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     """Execute the full pipeline for a manifest and write all artifacts."""
     cfg.validate()
-    out_dir = Path(out_dir)
-
     with _stage("preprocess"):
         require_windows(manifest)
-        pre = preprocess_manifest(manifest, cfg)
-
-    with _stage("detect"):
-        events = detect_events(pre.windows, cfg)
-
-    with _stage("dissect"):
-        subs = dissect_windows(pre.windows, events, cfg)
-
-    with _stage("influence"):
-        attr_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
-        for p in attr_paths:
-            if not p.exists():
-                raise OSError(f"attribution file not found: {p}")
-        topk, table = score_windows(pre.windows, attr_paths, events, subs, cfg)
-        corpus_results = table.pooled()
-
-    with _stage("binning"):
-        binned = _bin_all(retained(events), topk, table.k, cfg)
-
-    with _stage("report"):
-        counts = _counts(pre, events, subs)
-        report_doc = report_mod.summarize(
-            cfg.analysis_dict(), counts, corpus_results, binned
-        )
-
-    result = RunResult(
-        cfg, pre, events, subs, topk, table, corpus_results, binned,
-        counts, report_doc,
-    )
+        values = {"preprocess": preprocess_manifest(manifest, cfg)}
+    for stage, step in STEPS.items():
+        with _stage(stage):
+            values.update(step(values, cfg, manifest))
+    result = RunResult(cfg, **values)
     write_artifacts(result, out_dir)
     return result
 
 
 def write_artifacts(result: RunResult, out_dir: Path):
-    """Write every run artifact; on failure remove partial outputs and
-    leave an INCOMPLETE marker naming the error."""
+    """Clear out_dir, write every stage's table and charts and then the
+    run log, which lists the tables before the charts; on failure remove
+    what was written and leave an INCOMPLETE marker naming the error."""
     out_dir = Path(out_dir)
-    cfg = result.config
-    written = []
     try:
-        with _stage("report"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-
-            def write(name, writer, value):
-                writer(value, out_dir / name)
-                written.append(out_dir / name)
-
-            write("events.csv", gio.write_events, result.events)
-            write("subevents.csv", gio.write_subevents, result.subevents)
-            written.append(write_influence(result.influence, out_dir))
-            write("binned.csv", binning_mod.write_binned, result.binned)
-            write("report.json", report_mod.write_report_json, result.report_doc)
-            written += write_charts(out_dir, cfg, result.corpus_results, result.binned)
-
+        with _stage("report"), removed_on_failure([]) as written:
+            clear_outputs(out_dir)
+            for stage in STEPS:
+                write_stage(stage, vars(result), result.config, out_dir, written)
             run_log = {
-                "parameters": asdict(cfg),
+                "parameters": asdict(result.config),
                 "counts": result.counts,
-                "outputs": [str(p.relative_to(out_dir)) for p in written],
+                "outputs": [str(p.relative_to(out_dir))
+                            for p in sorted(written, key=lambda p: p.parent != out_dir)],
             }
             path = out_dir / "run_log.json"
-            path.write_text(json.dumps(run_log, indent=2, default=float) + "\n", encoding="utf-8")
             written.append(path)
+            path.write_text(json.dumps(run_log, indent=2, default=float) + "\n", encoding="utf-8")
     except BaseException as e:
-        for p in written:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        try:
+        with suppress(OSError):
             (out_dir / "INCOMPLETE").write_text(f"{e}\n", encoding="utf-8")
-        except OSError:
-            pass
         raise

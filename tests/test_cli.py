@@ -361,6 +361,82 @@ def test_failed_preprocess_leaves_no_earlier_stage_files(tiny_corpus, staged_out
     assert not (out / "report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def short_windows(tmp_path_factory):
+    """Two 6 s recordings in windows of 250 samples (run with W250)."""
+    spec = CorpusSpec(seed=5, n_recordings=2, duration_s=6, window_len=250)
+    return write_demo_corpus(tmp_path_factory.mktemp("short") / "corpus", spec)
+
+
+W250 = ["--window-len", "250"]
+
+
+def _blocked_charts(out):
+    """An output directory holding a regular file named charts, so that
+    the first chart written into it fails."""
+    out.mkdir()
+    (out / "charts").write_text("not a directory\n")
+    return out
+
+
+def test_failed_staged_stage_leaves_none_of_its_files(short_windows, tmp_path, capsys):
+    """influence writes topk.npz and influence.csv before its charts fail;
+    it removes both, so bin cannot go on from them."""
+    out = _blocked_charts(tmp_path / "out")
+    m = ["--manifest", str(short_windows)]
+    for stage in ("preprocess", "detect", "dissect"):
+        assert main([stage, "--out", str(out), *W250, *m]) == 0, stage
+    capsys.readouterr()
+    assert main(["influence", "--out", str(out), *W250, *m]) == 3
+    assert str(out / "charts") in capsys.readouterr().err
+    assert not (out / "topk.npz").exists() and not (out / "influence.csv").exists()
+    assert main(["bin", "--out", str(out), *W250, "--no-charts"]) != 0
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert str(out / "topk.npz") in err, err
+    assert not (out / "binned.csv").exists()
+
+
+def test_failed_run_write_leaves_only_an_incomplete_marker(short_windows, tmp_path, capsys):
+    out = _blocked_charts(tmp_path / "out")
+    assert main(["run", "--manifest", str(short_windows), "--out", str(out), *W250]) == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: [stage report] "), err
+    assert sorted(p.name for p in out.iterdir()) == ["INCOMPLETE", "charts"]
+    assert (out / "INCOMPLETE").read_text() == err.removeprefix("error: ") + "\n"
+
+
+def test_run_removes_the_marker_of_an_earlier_failed_run(short_windows, tmp_path):
+    out = _blocked_charts(tmp_path / "out")
+    argv = ["run", "--manifest", str(short_windows), "--out", str(out), *W250]
+    assert main(argv) == 3 and (out / "INCOMPLETE").exists()
+    (out / "charts").unlink()
+    assert main(argv) == 0
+    assert not (out / "INCOMPLETE").exists() and (out / "run_log.json").exists()
+
+
+def test_preprocess_removes_the_run_log_of_an_earlier_run(short_windows, tmp_path):
+    out, m = tmp_path / "out", ["--manifest", str(short_windows)]
+    assert main(["run", "--out", str(out), *W250, *m, "--sacc-lambda", "9"]) == 0
+    assert main(["preprocess", "--out", str(out), *W250, *m]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["windows.npz"]
+
+
+def test_bin_cannot_mix_an_earlier_chain_with_a_later_run(short_windows, tmp_path, capsys):
+    """`run` removes the stage files of a staged chain through influence,
+    so a later bin fails instead of binning run's events against the
+    chain's top-k masks."""
+    out, m = tmp_path / "out", ["--manifest", str(short_windows)]
+    for stage in ("preprocess", "detect", "dissect", "influence"):
+        assert main([stage, "--out", str(out), *W250, *m]) == 0, stage
+    assert main(["run", "--out", str(out), *W250, *m, "--top-frac", "0.04"]) == 0
+    binned = (out / "binned.csv").read_bytes()
+    assert not (out / "topk.npz").exists() and not (out / "windows.npz").exists()
+    capsys.readouterr()
+    assert main(["bin", "--out", str(out), *W250]) != 0
+    assert str(out / "windows.npz") in capsys.readouterr().err.splitlines()[-1]
+    assert (out / "binned.csv").read_bytes() == binned
+
+
 def test_run_artifacts_do_not_depend_on_manifest_order(tmp_path):
     manifest = write_demo_corpus(tmp_path / "corpus",
                                  CorpusSpec(seed=3, n_recordings=2, duration_s=30))
