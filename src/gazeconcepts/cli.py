@@ -214,22 +214,23 @@ def _read_topk(path: Path, windows, cfg: RunConfig):
 
 def _read_inputs(stage: str, out: Path, manifest, cfg: RunConfig) -> dict:
     """What `stage` computes from, read back from the stage files and
-    keyed by RunResult's field names. DataError naming windows.npz if a
+    keyed as the steps take it: "windows", the whole stack, and
+    RunResult's field names. DataError naming windows.npz if a
     given manifest's window ids are not the file's, in its order."""
     path = out / "windows.npz"
-    pre = gio.read_windows(path)
-    windows = pre.windows
+    v = dict(vars(gio.read_windows(path)))  # windows, summaries, params
+    windows = v["windows"]
     if manifest is not None and [e.window_id for e in manifest.entries] != windows.window_ids:
         raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
     if stage == "detect":
-        return {"preprocess": pre}
+        return v
     events = gio.read_events(out / "events.csv", windows)
     if stage == "bin":
         # events.csv keeps 9 digits; bin on properties recomputed from the
         # exact windows, as `run` does
-        return {"preprocess": pre, "events": event_properties(retained(events), windows),
+        return {**v, "events": event_properties(retained(events), windows),
                 "topk": _read_topk(out / "topk.npz", windows, cfg)}
-    v = {"preprocess": pre, "events": events}
+    v["events"] = events
     if stage != "dissect":
         v["subevents"] = gio.read_subevents(out / "subevents.csv", events, windows.length)
     if stage == "report":

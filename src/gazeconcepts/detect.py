@@ -333,9 +333,13 @@ def _detect(stack: WindowStack, params: DetectionParams, kind: str) -> dict:
     valid = stack.valid
     with np.errstate(invalid="ignore"):
         if kind == SACCADE:
-            etas = _ek_thresholds(
-                stack.vx, stack.vy, valid, params.sacc_lambda, params.eta_floor
-            )
+            try:
+                etas = _ek_thresholds(
+                    stack.vx, stack.vy, valid, params.sacc_lambda, params.eta_floor
+                )
+            except DegenerateDataError as e:  # named after the first such window
+                row = int(np.argmax(valid.sum(axis=1) < 2))
+                raise DegenerateDataError(f"{stack.window_ids[row]}: {e}") from None
             candidates = (
                 (stack.vx / etas[:, :1]) ** 2 + (stack.vy / etas[:, 1:]) ** 2 > 1
             )

@@ -1,33 +1,42 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-preprocess_manifest windows the recordings. Every later stage is one
-step of STEPS, which takes the values of the earlier stages keyed by
-RunResult's field names and returns its own, and one branch of
-write_stage, which writes the stage's table and charts. `run` chains
-them in memory; a staged subcommand reads its inputs back from the stage
-files. Every step takes the RunConfig whole, which extends
-preprocess.WindowParams and detect.DetectionParams. The evaluation
-windows are stacked into (n, L) arrays once. Events and sub-events are
-columnar tables (detect.EventTable, dissect.SubEventTable):
-equal-length arrays with a window row, a kind or phase code and an
-interval per entry, read column by column. process_window parses a
-window's attribution map, validates it and takes its top-k mask;
-score_windows stacks the masks into one (n, L) array and counts every
-concept against it at once into one InfluenceTable, from which
-influence.csv, the corpus results and the binned influence are read.
-Every reduction happens in manifest order, so outputs do not depend on
-the accepted but unused --jobs value. `run` first clears OUTPUT_FILES
-and charts/ from the output directory, as preprocess does. A failed
-write removes the files it began, and `run` then leaves an INCOMPLETE
-marker."""
+windowed_recordings loads and windows the manifest's recordings one at a
+time, each once, and gathers the windows the manifest names of each in
+manifest order; preprocess_manifest stacks them all for the staged
+preprocess. Every later stage is one step of STEPS, which takes the
+values of the earlier stages keyed by RunResult's field names and
+returns its own, and one branch of write_stage, which writes the stage's
+table and charts. A staged subcommand reads its inputs back from the
+stage files and runs its step on the whole stack. `run` takes one
+recording at a time: detect_step, dissect_step and score_step (the
+scoring half of influence_step) run on that recording's windows, which
+are dropped before the next recording is loaded, so run's peak memory
+follows the largest recording, not the corpus. merge_recordings then
+puts every recording's results into manifest order, as the steps give
+them on the whole stack, and pool_step, bin_step and report_step run
+once. An error therefore comes from the first failing recording in
+manifest order. Every step takes the RunConfig whole, which extends
+preprocess.WindowParams and detect.DetectionParams. Windows are stacked
+into (n, L) arrays. Events and sub-events are columnar tables
+(detect.EventTable, dissect.SubEventTable): equal-length arrays with a
+window row, a kind or phase code and an interval per entry, read column
+by column. process_window parses a window's attribution map, validates
+it and takes its top-k mask; score_windows stacks the masks into one
+(n, L) array and counts every concept against it at once into one
+InfluenceTable, from which influence.csv, the corpus results and the
+binned influence are read. Every reduction happens in manifest order, so
+outputs do not depend on the accepted but unused --jobs value. `run`
+first clears OUTPUT_FILES and charts/ from the output directory, as
+preprocess does. A failed write removes the files it began, and `run`
+then leaves an INCOMPLETE marker."""
 
 from __future__ import annotations
 
 import json
 import shutil
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +45,7 @@ from . import binning as binning_mod
 from . import io as gio
 from . import report as report_mod
 from .detect import (
+    EVENT_ARRAYS,
     KINDS,
     SACCADE,
     DetectionParams,
@@ -63,6 +73,7 @@ from .preprocess import (
     EYES,
     PreprocessResult,
     WindowParams,
+    WindowingSummary,
     WindowStack,
     compute_channel_stats,
     gather_windows,
@@ -143,12 +154,16 @@ def _stage(name: str):
 
 @dataclass
 class RunResult:
+    """What a run computed; it holds no window arrays, only the per-window
+    results, every table in manifest order."""
+
     config: RunConfig
-    preprocess: PreprocessResult
-    events: EventTable  # every window's fixations then saccades, manifest order
-    subevents: SubEventTable  # phases of the retained saccades, manifest order
-    topk: np.ndarray  # (n, L) top-k masks, manifest order
-    influence: InfluenceTable  # every window and concept, manifest order
+    summaries: dict  # recording_id -> WindowingSummary, in manifest order of first use
+    params: WindowParams  # what cut the windows
+    events: EventTable  # every window's fixations then saccades
+    subevents: SubEventTable  # phases of the retained saccades
+    topk: np.ndarray  # (n, L) top-k masks
+    influence: InfluenceTable  # every window and concept
     corpus_results: dict  # concept -> (InfluenceResult | None, skipped count)
     binned: dict  # property -> list[BinnedInfluence]
     counts: dict
@@ -162,48 +177,80 @@ def require_windows(manifest):
         raise DataError("manifest yields no evaluation windows")
 
 
-def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResult:
-    """Load the manifest recordings one at a time, window each and gather
-    the evaluation windows in manifest order. Positions are released once
-    windowed, unless ``parsed`` is given: it is called with every
-    recording's (recording id, sampling rate, x, y) before the gathering,
-    so no position outlives its windows (the windows stage file)."""
-    summaries, stacks, positions, sources, produced = {}, [], [], {}, {}
-    paths, first_spelling = {}, {}  # each file once, however the manifest spells its path
-    for relpath in dict.fromkeys(entry.recording for entry in manifest.entries):
-        first_spelling[relpath] = paths.setdefault(manifest.resolve(relpath).resolve(), relpath)
-    for relpath in paths.values():
-        path = manifest.resolve(relpath)
+@dataclass
+class RecordingWindows:
+    """One recording as windowed_recordings yields it."""
+
+    positions: tuple  # (recording id, sampling rate, x, y), eye-selected, in deg
+    summary: WindowingSummary
+    rows: np.ndarray  # ascending manifest indices of the entries naming this recording
+    windows: WindowStack  # the windows of those entries, in their order
+
+
+def windowed_recordings(manifest, cfg: RunConfig):
+    """The manifest's recordings one at a time, in the order the manifest
+    first names them: each file loaded once however the manifest spells
+    its path, its eye selected and windowed, and the windows its entries
+    name gathered in manifest order. DataError if two files have one
+    recording id, AlignmentError for an entry naming a window the
+    recording does not have. Nothing of a recording is held here once the
+    next one is asked for."""
+    keys = {relpath: manifest.resolve(relpath).resolve()
+            for relpath in dict.fromkeys(entry.recording for entry in manifest.entries)}
+    naming = {}  # resolved path -> the manifest indices naming it; the first spelling loads
+    for i, entry in enumerate(manifest.entries):
+        naming.setdefault(keys[entry.recording], []).append(i)
+    sources = {}
+    for indices in naming.values():
+        path = manifest.resolve(manifest.entries[indices[0]].recording)
         rec = gio.load_gaze_csv(path)
         mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
-        positions.append((mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg))
+        positions = (mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg)
         del rec, mono
-        rec_id = positions[-1][0]
+        rec_id = positions[0]
         if rec_id in sources:
             raise DataError(f"{sources[rec_id]} and {path} have one recording id {rec_id!r}")
         sources[rec_id] = path
         try:
-            stack, summaries[rec_id] = window_recording(*positions[-1], cfg)
+            stack, s = window_recording(*positions, cfg)
         except SizeError as e:
             raise SizeError(f"{path}: {e}") from None
-        if parsed is None:
-            positions.clear()
-        stacks.append(stack)
-        produced[relpath] = summaries[rec_id], set(stack.window_ids)
-    for entry in manifest.entries:
-        s, window_ids = produced[first_spelling[entry.recording]]
-        if entry.window_id not in window_ids:
-            raise AlignmentError(
-                f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
-                f"among the windows of this recording ({s.retained} retained, {s.excluded} "
-                f"excluded with more than {cfg.missing_max_frac:g} of their samples "
-                f"missing, {s.tail_samples} tail samples)")
+        produced = set(stack.window_ids)
+        for entry in (manifest.entries[i] for i in indices):
+            if entry.window_id not in produced:
+                raise AlignmentError(
+                    f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
+                    f"among the windows of this recording ({s.retained} retained, {s.excluded} "
+                    f"excluded with more than {cfg.missing_max_frac:g} of their samples "
+                    f"missing, {s.tail_samples} tail samples)")
+        ids = [manifest.entries[i].window_id for i in indices]
+        yield RecordingWindows(positions, s, np.array(indices),
+                               gather_windows([stack], ids, cfg.window_len))
+        del positions, stack
+
+
+def _window_params(cfg: RunConfig) -> WindowParams:
+    return WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
+
+
+def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResult:
+    """Every window the manifest names, one stack in manifest order, from
+    windowed_recordings. Positions are released once windowed, unless
+    ``parsed`` is given: it is called with every recording's (recording
+    id, sampling rate, x, y) before the windows are stacked, so no
+    position outlives its windows (the windows stage file)."""
+    summaries, stacks, positions = {}, [], []
+    for recording in windowed_recordings(manifest, cfg):
+        summaries[recording.positions[0]] = recording.summary
+        stacks.append(recording.windows)
+        if parsed is not None:
+            positions.append(recording.positions)
+        del recording
     if parsed is not None:
         parsed(positions)
     del positions
     windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
-    params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
-    return PreprocessResult(windows, summaries, params)
+    return PreprocessResult(windows, summaries, _window_params(cfg))
 
 
 def normalized_windows(pre: PreprocessResult) -> WindowStack:
@@ -300,16 +347,17 @@ def _bin_all(events: EventTable, topk, k: int, cfg: RunConfig) -> dict:
     return binned
 
 
-def _counts(pre: PreprocessResult, events: EventTable, subs: SubEventTable) -> dict:
-    """The report's counts: windows, events by kind, and the dissection
-    of every retained saccade."""
+def _counts(summaries: dict, events: EventTable, subs: SubEventTable) -> dict:
+    """The report's counts: windows (those of events.window_ids, and per
+    recording summary), events by kind, and the dissection of every
+    retained saccade."""
     disregarded = int(subs.disregarded.sum())
     saccade_samples = int((subs.events.offset - subs.events.onset + 1).sum())
     return {
         "windows": {
-            "evaluated": len(pre.windows),
-            "excluded_missing": sum(s.excluded for s in pre.summaries.values()),
-            "tail_samples_discarded": sum(s.tail_samples for s in pre.summaries.values()),
+            "evaluated": len(events.window_ids),
+            "excluded_missing": sum(s.excluded for s in summaries.values()),
+            "tail_samples_discarded": sum(s.tail_samples for s in summaries.values()),
         },
         "events": {
             kind: _exclusion_counts(events.take(events.is_kind(kind)))
@@ -325,37 +373,49 @@ def _counts(pre: PreprocessResult, events: EventTable, subs: SubEventTable) -> d
 
 def detect_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """Every window's fixations then saccades."""
-    return {"events": detect_events(v["preprocess"].windows, cfg)}
+    return {"events": detect_events(v["windows"], cfg)}
 
 
 def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """The phase segments of every retained saccade."""
-    return {"subevents": dissect_windows(v["preprocess"].windows, v["events"], cfg)}
+    return {"subevents": dissect_windows(v["windows"], v["events"], cfg)}
 
 
-def influence_step(v: dict, cfg: RunConfig, manifest) -> dict:
-    """The top-k masks and every concept's influence, per window and
-    pooled, after checking that every attribution file exists."""
+def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The top-k masks and every concept's influence per window, after
+    checking that every attribution file exists; the manifest's entries
+    name the windows, in order."""
     attribution_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
     for p in attribution_paths:
         if not p.exists():
             raise OSError(f"attribution file not found: {p}")
-    topk, table = score_windows(v["preprocess"].windows, attribution_paths, v["events"],
-                                v["subevents"], cfg)
-    return {"topk": topk, "influence": table, "corpus_results": table.pooled()}
+    topk, table = score_windows(v["windows"], attribution_paths, v["events"], v["subevents"],
+                                cfg)
+    return {"topk": topk, "influence": table}
+
+
+def pool_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """Every concept's influence pooled over the windows."""
+    return {"corpus_results": v["influence"].pooled()}
+
+
+def influence_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """score_step, then pool_step."""
+    scored = score_step(v, cfg, manifest)
+    return {**scored, **pool_step(scored, cfg, manifest)}
 
 
 def bin_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """The binned influence of every configured property."""
-    k = default_k(v["preprocess"].windows.length, cfg.top_frac)
+    k = default_k(v["topk"].shape[1], cfg.top_frac)
     return {"binned": _bin_all(retained(v["events"]), v["topk"], k, cfg)}
 
 
 def report_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """The counts and the report document, which echoes the window
     parameters that cut the windows."""
-    counts = _counts(v["preprocess"], v["events"], v["subevents"])
-    params = {**cfg.analysis_dict(), **asdict(v["preprocess"].params)}
+    counts = _counts(v["summaries"], v["events"], v["subevents"])
+    params = {**cfg.analysis_dict(), **asdict(v["params"])}
     return {"counts": counts,
             "report_doc": report_mod.summarize(params, counts, v["corpus_results"], v["binned"])}
 
@@ -363,6 +423,45 @@ def report_step(v: dict, cfg: RunConfig, manifest) -> dict:
 # the step of each stage after preprocess, in chain order
 STEPS = {"detect": detect_step, "dissect": dissect_step, "influence": influence_step,
          "bin": bin_step, "report": report_step}
+# what `run` takes on each recording's windows, then once on the merged results
+RECORDING_STEPS = {"detect": detect_step, "dissect": dissect_step, "influence": score_step}
+CORPUS_STEPS = {"influence": pool_step, "bin": bin_step, "report": report_step}
+
+
+def merge_recordings(parts: list, window_ids: list) -> dict:
+    """The RECORDING_STEPS values of each recording's windows, merged into
+    what those steps give on the stack of all windows ``window_ids``, in
+    manifest order. parts[i]["rows"] holds the ascending manifest index of
+    each of its windows, and each index is in exactly one part: events go by
+    window row, then as detected; sub-events by saccade, then as
+    dissected."""
+    def joined(tables, name):
+        return np.concatenate([getattr(t, name) for t in tables])
+
+    at = np.argsort(np.concatenate([p["rows"] for p in parts]))  # manifest -> joined row
+    tables = [p["influence"] for p in parts]
+    influence = replace(tables[0], window_ids=window_ids, sizes=joined(tables, "sizes")[at],
+                        intersections=joined(tables, "intersections")[at])
+    # the parts' events and sub-events joined, with manifest rows and joined parents
+    events = EventTable(window_ids, **{name: joined([p["events"] for p in parts], name)
+                                       for name in EVENT_ARRAYS})
+    events.row = np.concatenate([p["rows"][p["events"].row] for p in parts])
+    subs = [p["subevents"] for p in parts]
+    first = np.cumsum([0] + [len(s.events) for s in subs[:-1]])
+    subevents = SubEventTable(
+        retained(events, SACCADE), np.concatenate([s.parent + f for s, f in zip(subs, first)]),
+        *(joined(subs, name) for name in ("phase", "onset", "offset")))
+    # then every table in window row order
+    order = np.argsort(subevents.events.row, kind="stable")
+    parent = np.empty_like(order)
+    parent[order] = np.arange(len(order))
+    subevents = replace(subevents, events=subevents.events.take(order),
+                        parent=parent[subevents.parent])
+    return {"events": events.take(np.argsort(events.row, kind="stable")),
+            "subevents": subevents.take(np.argsort(subevents.parent, kind="stable")),
+            "topk": np.concatenate([p["topk"] for p in parts])[at], "influence": influence}
+
+
 # the table of each stage; charts go to charts/
 TABLES = {"preprocess": "windows.npz", "detect": "events.csv", "dissect": "subevents.csv",
           "influence": "influence.csv", "bin": "binned.csv", "report": "report.json"}
@@ -423,12 +522,31 @@ def removed_on_failure(written: list):
 
 
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
-    """Execute the full pipeline for a manifest and write all artifacts."""
+    """Execute the full pipeline for a manifest and write all artifacts,
+    holding the windows of one recording at a time (module doc)."""
     cfg.validate()
     with _stage("preprocess"):
         require_windows(manifest)
-        values = {"preprocess": preprocess_manifest(manifest, cfg)}
-    for stage, step in STEPS.items():
+    recordings = windowed_recordings(manifest, cfg)
+    summaries, parts = {}, []
+    while True:
+        with _stage("preprocess"):
+            recording = next(recordings, None)
+        if recording is None:
+            break
+        summaries[recording.positions[0]] = recording.summary
+        part = {"rows": recording.rows, "windows": recording.windows}
+        its_entries = replace(manifest, entries=[manifest.entries[i] for i in recording.rows])
+        del recording  # and then the windows, once scored
+        for stage, step in RECORDING_STEPS.items():
+            with _stage(stage):
+                part.update(step(part, cfg, its_entries))
+        del part["windows"]
+        parts.append(part)
+    values = {"summaries": summaries, "params": _window_params(cfg),
+              **merge_recordings(parts, [e.window_id for e in manifest.entries])}
+    del parts
+    for stage, step in CORPUS_STEPS.items():
         with _stage(stage):
             values.update(step(values, cfg, manifest))
     result = RunResult(cfg, **values)

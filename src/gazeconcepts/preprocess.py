@@ -271,9 +271,12 @@ def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
 
 def gather_windows(stacks: list, window_ids, length: int) -> WindowStack:
     """The windows ``window_ids`` of the per-recording stacks, in order, as one
-    stack built a field at a time, dropping each field of ``stacks`` once gathered.
-    The stacks' window ids are unique (their recording ids are); AlignmentError
-    for a window no stack holds."""
+    stack built a field at a time, dropping each field of ``stacks`` once gathered;
+    a single stack that already holds exactly those windows in that order is
+    returned as it is, uncopied. The stacks' window ids are unique (their
+    recording ids are); AlignmentError for a window no stack holds."""
+    if len(stacks) == 1 and stacks[0].window_ids == list(window_ids):
+        return stacks[0]
     located = {wid: (stack, row) for stack in stacks for row, wid in enumerate(stack.window_ids)}
     picked = []
     for window_id in window_ids:

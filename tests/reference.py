@@ -289,9 +289,12 @@ def _filter_fixation(event, params):
 
 def detect_saccades_ek(window, params):
     params.validate()
-    eta_x, eta_y = ek_noise_threshold(
-        window.vx, window.vy, params.sacc_lambda, params.eta_floor, window.valid_mask
-    )
+    try:
+        eta_x, eta_y = ek_noise_threshold(
+            window.vx, window.vy, params.sacc_lambda, params.eta_floor, window.valid_mask
+        )
+    except DegenerateDataError as e:
+        raise DegenerateDataError(f"{window.window_id}: {e}") from None
     with np.errstate(invalid="ignore"):
         crit = (window.vx / eta_x) ** 2 + (window.vy / eta_y) ** 2 > 1
     candidates = crit & window.valid_mask

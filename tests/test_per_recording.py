@@ -1,0 +1,144 @@
+"""`run` holds one recording's windows at a time: its results equal the
+whole-stack steps' in manifest order, its memory is bounded by one
+recording, and an error comes from the first failing recording in
+manifest order."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gazeconcepts.cli import main
+from gazeconcepts.detect import EVENT_ARRAYS
+from gazeconcepts.io import load_manifest
+from gazeconcepts.pipeline import STEPS, RunConfig, preprocess_manifest, run
+from gazeconcepts.synth import CorpusSpec, write_demo_corpus
+
+W250 = ["--window-len", "250", "--missing-max-frac", "1.0"]
+NOISE = "need at least 2 valid samples for noise estimate"
+
+
+def _probe_corpus(root, blank=None, bad_timestamp=None):
+    """Two 6 s recordings in windows of 250, with x and y blanked in the
+    first 300 samples of recording `blank`, and line 5's timestamp of
+    recording `bad_timestamp` set to x3."""
+    manifest = write_demo_corpus(root, CorpusSpec(seed=5, n_recordings=2, duration_s=6,
+                                                  window_len=250))
+    for rec_id, edit in ((blank, "blank"), (bad_timestamp, "timestamp")):
+        if rec_id is None:
+            continue
+        path = root / "recordings" / f"{rec_id}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "blank":
+            lines[1:301] = [line.split(",")[0] + ",,\n" for line in lines[1:301]]
+        else:
+            lines[4] = "x3," + lines[4].split(",", 1)[1]
+        path.write_text("".join(lines))
+    return str(manifest)
+
+
+def test_noise_estimate_error_names_the_window(tmp_path, capsys):
+    manifest = _probe_corpus(tmp_path / "corpus", blank="rec01")
+    assert main(["run", "--manifest", manifest, "--out", str(tmp_path / "run"), *W250]) == 2
+    assert capsys.readouterr().err == f"error: [stage detect] rec01-w0000: {NOISE}\n"
+    staged = ["--out", str(tmp_path / "staged"), *W250]
+    assert main(["preprocess", "--manifest", manifest, *staged]) == 0
+    capsys.readouterr()
+    assert main(["detect", *staged]) == 2
+    assert capsys.readouterr().err == f"error: rec01-w0000: {NOISE}\n"
+
+
+def test_run_reports_the_first_failing_recording_in_manifest_order(tmp_path, capsys):
+    """rec00 fails detection and rec01 does not parse: rec00 is loaded,
+    detected and failed before rec01 is read."""
+    manifest = _probe_corpus(tmp_path / "corpus", blank="rec00", bad_timestamp="rec01")
+    assert main(["run", "--manifest", manifest, "--out", str(tmp_path / "run"), *W250]) == 2
+    assert capsys.readouterr().err == f"error: [stage detect] rec00-w0000: {NOISE}\n"
+    # the manifest's order of recordings decides, not the files' names
+    doc = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+    doc["entries"].reverse()
+    (tmp_path / "corpus" / "reversed.json").write_text(json.dumps(doc))
+    reversed_manifest = str(tmp_path / "corpus" / "reversed.json")
+    assert main(["run", "--manifest", reversed_manifest, "--out", str(tmp_path / "r"),
+                 *W250]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [stage preprocess] ") and err.endswith(
+        "rec01.csv: line 5: timestamp 'x3' is not an integer\n")
+
+
+def _interleaved(manifest_path):
+    """A manifest over the same corpus that alternates its recordings'
+    windows."""
+    doc = json.loads(manifest_path.read_text())
+    by_recording = {}
+    for entry in doc["entries"]:
+        by_recording.setdefault(entry["recording"], []).append(entry)
+    first, second = by_recording.values()
+    doc["entries"] = [e for pair in zip(first, second) for e in pair]
+    path = manifest_path.with_name("interleaved.json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_interleaved_manifest_gives_the_whole_stack_tables(tmp_path):
+    manifest = write_demo_corpus(tmp_path / "corpus", CorpusSpec(
+        seed=5, n_recordings=2, duration_s=6, window_len=250))
+    interleaved = _interleaved(manifest)
+    recordings = [e["recording"] for e in json.loads(interleaved.read_text())["entries"]]
+    assert recordings[:4] == ["recordings/rec00.csv", "recordings/rec01.csv"] * 2
+    cfg = RunConfig(window_len=250)
+    outs = tmp_path / "ordered", tmp_path / "interleaved"
+    run(load_manifest(manifest), cfg, outs[0])
+    m = load_manifest(interleaved)
+    result = run(m, cfg, outs[1])
+    written = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for rel in written:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    # the staged path's computation: every step on preprocess_manifest's stack
+    want = dict(vars(preprocess_manifest(m, cfg)))
+    for stage in ("detect", "dissect", "influence"):
+        want.update(STEPS[stage](want, cfg, m))
+    ids = [e.window_id for e in m.entries]
+    assert want["windows"].window_ids == ids == result.events.window_ids
+    for got, expected in ((result.events, want["events"]),
+                          (result.subevents.events, want["subevents"].events)):
+        assert got.window_ids == expected.window_ids
+        for name in EVENT_ARRAYS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), name)
+    for name in ("parent", "phase", "onset", "offset"):
+        np.testing.assert_array_equal(getattr(result.subevents, name),
+                                      getattr(want["subevents"], name), name)
+    np.testing.assert_array_equal(result.topk, want["topk"])
+    assert result.influence.window_ids == ids
+    np.testing.assert_array_equal(result.influence.sizes, want["influence"].sizes)
+    np.testing.assert_array_equal(result.influence.intersections,
+                                  want["influence"].intersections)
+    assert result.corpus_results == want["corpus_results"]
+
+
+@pytest.fixture(scope="module")
+def run_peak(tmp_path_factory):
+    """The tracemalloc peak of `run` on n 20 s recordings in windows of 250."""
+    root = tmp_path_factory.mktemp("peak")
+
+    def peak(n):
+        manifest = write_demo_corpus(root / str(n), CorpusSpec(
+            seed=5, n_recordings=n, duration_s=20, window_len=250))
+        m, cfg = load_manifest(manifest), RunConfig(window_len=250)
+        run(m, cfg, root / f"warm{n}")  # caches and lazy imports are not counted
+        tracemalloc.start()
+        try:
+            run(m, cfg, root / f"out{n}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
+
+
+def test_run_memory_is_bounded_by_one_recording(run_peak):
+    one, four = run_peak(1), run_peak(4)
+    assert four <= 1.6 * one, (one, four)

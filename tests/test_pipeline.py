@@ -147,7 +147,11 @@ def test_sampling_rate_is_derived_from_timestamps(tmp_path):
         spec = CorpusSpec(seed=11, n_recordings=1, duration_s=40, sampling_rate_hz=rate)
         manifest = load_manifest(write_demo_corpus(tmp_path / str(rate), spec))
         result = run(manifest, RunConfig(), tmp_path / f"out{rate}")
-        assert (result.preprocess.windows.sampling_rate_hz == rate).all()
+        windows = preprocess_manifest(manifest, RunConfig()).windows
+        assert (windows.sampling_rate_hz == rate).all()
+        events = result.events  # run's durations come from its windows' rate
+        np.testing.assert_array_equal(events.duration_ms,
+                                      (events.offset - events.onset + 1) * 1000.0 / rate)
         saccades = result.counts["events"]["saccade"]
         assert not any("max peak velocity" in reason for reason in saccades["excluded"])
         retained[rate] = saccades["retained"]
@@ -167,7 +171,8 @@ def test_run_names_the_stage_a_detection_error_comes_from(tmp_path):
         entries.append(("gap.csv", f"{i}.csv", window_id))
     manifest = _write_manifest(tmp_path / "m.json", entries)
     cfg = RunConfig(window_len=200, missing_max_frac=1.0, charts=False)
-    with pytest.raises(DegenerateDataError, match=r"^\[stage detect\] need at least 2 valid"):
+    with pytest.raises(DegenerateDataError,
+                       match=r"^\[stage detect\] gap-w0001: need at least 2 valid"):
         run(manifest, cfg, tmp_path / "out")
 
 
