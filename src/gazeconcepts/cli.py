@@ -2,9 +2,10 @@
 bin, report, and run.
 
 `preprocess` clears the output directory and writes windows.npz. Each
-later staged subcommand reads its inputs back from the stage files and
-calls the step and the writer of pipeline.py that `run` calls; if
-writing fails, it removes what it wrote.
+later staged subcommand reads its inputs back from the stage files, runs
+`run`'s per-recording loop (pipeline.compute) with its own stage's steps
+and writes with `run`'s writer; if writing fails, it removes what it
+wrote.
 
 The analysis flags are the RunConfig fields (sg_window is --sg-window)
 and take the same values as config-file keys. Precedence for every
@@ -40,6 +41,7 @@ from .pipeline import (
     STEPS,
     RunConfig,
     clear_outputs,
+    compute,
     preprocess_manifest,
     removed_on_failure,
     require_windows,
@@ -183,24 +185,23 @@ def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     clear_outputs(out)  # a failed preprocess leaves no earlier run's files
     require_windows(manifest)
+    positions = [recording.positions for recording in preprocess_manifest(manifest, cfg)]
     path = out / "windows.npz"
-    with removed_on_failure([path]):  # written before the windows are gathered
-        pre = preprocess_manifest(manifest, cfg, lambda positions: gio.write_windows(
-            positions, path, [e.window_id for e in manifest.entries], cfg))
-    print(f"wrote {len(pre.windows)} windows to {path}")
+    with removed_on_failure([path]):
+        gio.write_windows(positions, path, [e.window_id for e in manifest.entries], cfg)
+    print(f"wrote {len(manifest.entries)} windows to {path}")
     return 0
 
 
-def _read_topk(path: Path, windows, cfg: RunConfig):
-    """topk.npz's (n, L) masks, rows aligned with `windows`. DataError
+def _read_topk(path: Path, window_ids: list, length: int, cfg: RunConfig):
+    """topk.npz's (n, L) masks, rows aligned with `window_ids`. DataError
     naming the file if `influence` wrote it for other windows, another k
     or another squash mode."""
-    length = windows.length
-    window_ids, topk, k, squash = gio.read_topk(path, length)
-    if window_ids != windows.window_ids:
+    ids, topk, k, squash = gio.read_topk(path, length)
+    if ids != window_ids:
         raise DataError(f"{path}: window ids differ from the windows file's; rerun influence")
     want_k = default_k(length, cfg.top_frac)
-    if windows and k != want_k:
+    if k != want_k:
         raise DataError(
             f"{path}: k={k}, but top_frac {cfg.top_frac} of {length} steps gives "
             f"k={want_k}; rerun influence"
@@ -212,30 +213,22 @@ def _read_topk(path: Path, windows, cfg: RunConfig):
     return topk
 
 
-def _read_inputs(stage: str, out: Path, manifest, cfg: RunConfig) -> dict:
-    """What `stage` computes from, read back from the stage files and
-    keyed as the steps take it: "windows", the whole stack, and
-    RunResult's field names. DataError naming windows.npz if a
-    given manifest's window ids are not the file's, in its order."""
-    path = out / "windows.npz"
-    v = dict(vars(gio.read_windows(path)))  # windows, summaries, params
-    windows = v["windows"]
-    if manifest is not None and [e.window_id for e in manifest.entries] != windows.window_ids:
-        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
+def _read_inputs(stage: str, out: Path, window_ids: list, params, cfg: RunConfig) -> dict:
+    """What `stage` computes from besides the windows, keyed by RunResult's
+    field names: the window parameters and the earlier stage files' tables."""
+    v = {"params": params}
     if stage == "detect":
         return v
-    events = gio.read_events(out / "events.csv", windows)
+    length = params.window_len
+    v["events"] = gio.read_events(out / "events.csv", window_ids, length)
     if stage == "bin":
-        # events.csv keeps 9 digits; bin on properties recomputed from the
-        # exact windows, as `run` does
-        return {**v, "events": event_properties(retained(events), windows),
-                "topk": _read_topk(out / "topk.npz", windows, cfg)}
-    v["events"] = events
+        v["topk"] = _read_topk(out / "topk.npz", window_ids, length, cfg)
+        return v
     if stage != "dissect":
-        v["subevents"] = gio.read_subevents(out / "subevents.csv", events, windows.length)
+        v["subevents"] = gio.read_subevents(out / "subevents.csv", v["events"], length)
     if stage == "report":
         # a concept absent from every window is skipped in all of them
-        v["corpus_results"] = {c: (None, len(windows)) for c in ALL_CONCEPTS}
+        v["corpus_results"] = {c: (None, len(window_ids)) for c in ALL_CONCEPTS}
         table = gio.read_report(out / "influence.csv")
         for i, scope in enumerate(table["scope"]):
             if scope == "corpus":
@@ -246,13 +239,27 @@ def _read_inputs(stage: str, out: Path, manifest, cfg: RunConfig) -> dict:
     return v
 
 
+def _exact_properties(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The retained events with their properties recomputed from the
+    exact windows, as `run` bins them: events.csv keeps 9 digits."""
+    return {"events": event_properties(retained(v["events"]), v["windows"])}
+
+
 def _staged(stage: str, args) -> int:
-    """A staged stage after preprocess: its inputs read back from the
-    stage files, then run's step and writer; a failed write removes every
-    file the stage wrote."""
+    """A stage after preprocess: its inputs read back from the stage files,
+    then run's per-recording loop (pipeline.compute) with its steps on the
+    recordings of windows.npz, which a given manifest must name in order,
+    and run's writer; a failed write removes every file the stage wrote."""
     manifest, cfg, out = _context(args)
-    v = _read_inputs(stage, out, manifest, cfg)
-    v.update(STEPS[stage](v, cfg, manifest))
+    path = out / "windows.npz"
+    window_ids, params, recordings = gio.read_windows(path)
+    if manifest is not None and [e.window_id for e in manifest.entries] != window_ids:
+        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
+    given = _read_inputs(stage, out, window_ids, params, cfg)
+    step, once = STEPS[stage]
+    if stage == "bin":
+        step = _exact_properties
+    v = compute(recordings, window_ids, {stage: (step, once)}, cfg, manifest, given)
     with removed_on_failure([]) as written:
         if stage == "influence":  # only a staged bin reads the top-k masks
             written.append(out / "topk.npz")

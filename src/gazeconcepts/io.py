@@ -22,8 +22,9 @@ ground truth) is written by ``write_table`` and read back by
 
 A stage file holds no value that another stage file already gives. The
 windows file keeps the positions preprocess parsed and windows them on
-read with preprocess's own code, which also yields each recording's
-windowing summary; the top-k file's k is the width of its indices.
+read, one recording at a time, with preprocess's own code, which also
+yields each recording's windowing summary; the top-k file's k is the
+width of its indices.
 Events are read into the columnar EventTable, checked against the
 windows they belong to, and sub-events into a SubEventTable over the
 retained saccades of those events, whose peak segments give the
@@ -57,9 +58,8 @@ from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
 from .preprocess import (
-    PreprocessResult,
+    RecordingWindows,
     WindowParams,
-    WindowStack,
     gather_windows,
     outside_window,
     window_recording,
@@ -747,12 +747,13 @@ def _is(array, dtype, shape) -> bool:
     )
 
 
-def read_windows(path) -> PreprocessResult:
-    """Inverse of write_windows: the evaluation windows in the file's
-    order, each recording's windowing summary and the stored parameters,
-    the windows cut from the stored positions as preprocess cuts them.
-    FormatError naming the file for anything else, a windows file of an
-    older format included."""
+def read_windows(path):
+    """Inverse of write_windows: (the evaluation window ids in the file's
+    order, the stored WindowParams, an iterator of RecordingWindows, each
+    recording windowed from its stored positions as preprocess windows it
+    when the iterator reaches it). FormatError naming the file for
+    anything else, a window id no recording produces included; DataError
+    for a file of no windows, which preprocess never writes."""
     a = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess")
     r, total = a["recording_id"].size, a["x"].size
     layout = {
@@ -773,18 +774,31 @@ def read_windows(path) -> PreprocessResult:
     if not (np.isfinite(rates) & (rates > 0)).all():
         raise FormatError(f"{path}: sampling rates must be positive and finite")
     params = WindowParams(**{f.name: a[f.name].item() for f in fields(WindowParams)})
-    starts = np.cumsum(counts)[:-1]
     try:
         params.validate()
-        # popped: only the windows' views keep the positions, until gathered
-        windowed = [window_recording(*rec, params) for rec in zip(
-            recording_ids, rates.tolist(), np.split(a.pop("x"), starts),
-            np.split(a.pop("y"), starts),
-        )]
-        windows = gather_windows([stack for stack, _ in windowed], window_ids, params.window_len)
-        return PreprocessResult(windows, {rec_id: summary for rec_id, (_, summary)
-                                          in zip(recording_ids, windowed)}, params)
-    except (ConfigError, DataError) as e:
+    except ConfigError as e:
+        raise FormatError(f"{path}: {e}") from None
+    if not window_ids:
+        raise DataError(f"{path}: holds no evaluation windows; rerun preprocess")
+    starts = np.cumsum(counts)[:-1]
+    recordings = zip(recording_ids, rates.tolist(), np.split(a["x"], starts),
+                     np.split(a["y"], starts))
+    return window_ids, params, _windowed(path, recordings, window_ids, params)
+
+
+def _windowed(path, recordings, window_ids, params: WindowParams):
+    """read_windows' iterator, each recording's windows gathered in order."""
+    unclaimed = {window_id: row for row, window_id in enumerate(window_ids)}
+    try:
+        for positions in recordings:
+            stack, summary = window_recording(*positions, params)
+            rows = sorted(unclaimed.pop(w) for w in stack.window_ids if w in unclaimed)
+            yield RecordingWindows(positions, summary, np.array(rows, dtype=np.int64),
+                                   gather_windows(stack, [window_ids[i] for i in rows]))
+            del positions, stack
+        if unclaimed:
+            raise AlignmentError(f"window_id {next(iter(unclaimed))!r} is not among the windows")
+    except DataError as e:
         raise FormatError(f"{path}: {e}") from None
 
 
@@ -882,12 +896,12 @@ def _check_intervals(path, lines, onset, offset, length, window_ids):
     ))
 
 
-def read_events(path, windows: WindowStack) -> EventTable:
-    """Inverse of write_events, the table's rows indexing the rows of
-    ``windows``. An event of another window or an interval outside its
-    window is a DataError naming the file and line; a repeated event_id,
-    or an excluded flag that disagrees with the exclusion reason, is a
-    FormatError naming the file and line."""
+def read_events(path, window_ids: list, length: int) -> EventTable:
+    """Inverse of write_events, the table's rows indexing ``window_ids``,
+    windows of `length` samples. An event of another window or an
+    interval outside its window is a DataError naming the file and line;
+    a repeated event_id, or an excluded flag that disagrees with the
+    exclusion reason, is a FormatError naming the file and line."""
     path = Path(path)
     t, lines = read_table(path, EVENT_COLUMNS, _EVENT_PARSERS)
     ids = np.array(t["event_id"], dtype=object)
@@ -900,15 +914,15 @@ def read_events(path, windows: WindowStack) -> EventTable:
         f"excluded is {str(excluded[i]).lower()} but exclusion_reason is "
         f"{exclusion_reason(exclusion[i])!r}"
     ), FormatError)
-    row_of = {window_id: row for row, window_id in enumerate(windows.window_ids)}
+    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
     rows = np.array([row_of.get(w, -1) for w in t["window_id"]], dtype=np.int64)
     _first(path, lines, rows < 0, lambda i: (
         f"event {ids[i]} references unknown window {t['window_id'][i]}"
     ))
     onset, offset = (np.array(t[name], dtype=np.int64) for name in ("onset", "offset"))
-    _check_intervals(path, lines, onset, offset, windows.length, t["window_id"])
+    _check_intervals(path, lines, onset, offset, length, t["window_id"])
     return EventTable(
-        windows.window_ids, rows, np.array(t["kind"], dtype=np.int8), onset, offset,
+        window_ids, rows, np.array(t["kind"], dtype=np.int8), onset, offset,
         *(np.array(t[name], dtype=float) for name in EVENT_COLUMNS[5:10]), exclusion, ids,
     )
 

@@ -1,35 +1,24 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-windowed_recordings loads and windows the manifest's recordings one at a
-time, each once, and gathers the windows the manifest names of each in
-manifest order; preprocess_manifest stacks them all for the staged
-preprocess. Every later stage is one step of STEPS, which takes the
-values of the earlier stages keyed by RunResult's field names and
-returns its own, and one branch of write_stage, which writes the stage's
-table and charts. A staged subcommand reads its inputs back from the
-stage files and runs its step on the whole stack. `run` takes one
-recording at a time: detect_step, dissect_step and score_step (the
-scoring half of influence_step) run on that recording's windows, which
-are dropped before the next recording is loaded, so run's peak memory
-follows the largest recording, not the corpus. merge_recordings then
-puts every recording's results into manifest order, as the steps give
-them on the whole stack, and pool_step, bin_step and report_step run
-once. An error therefore comes from the first failing recording in
-manifest order. Every step takes the RunConfig whole, which extends
-preprocess.WindowParams and detect.DetectionParams. Windows are stacked
-into (n, L) arrays. Events and sub-events are columnar tables
-(detect.EventTable, dissect.SubEventTable): equal-length arrays with a
-window row, a kind or phase code and an interval per entry, read column
-by column. process_window parses a window's attribution map, validates
-it and takes its top-k mask; score_windows stacks the masks into one
-(n, L) array and counts every concept against it at once into one
-InfluenceTable, from which influence.csv, the corpus results and the
-binned influence are read. Every reduction happens in manifest order, so
-outputs do not depend on the accepted but unused --jobs value. `run`
-first clears OUTPUT_FILES and charts/ from the output directory, as
-preprocess does. A failed write removes the files it began, and `run`
-then leaves an INCOMPLETE marker."""
+compute drives every stage after preprocess, for `run` and the staged
+subcommands alike. It takes the recordings one at a time, as
+preprocess_manifest or the windows stage file yields them, and runs each
+stage's per-recording step of STEPS on that recording's windows, which
+are dropped before the next recording is windowed. merge_recordings puts
+the results into manifest order, as the steps give them on the whole
+stack, and each stage's once-per-corpus step runs on them. A staged
+subcommand gives compute the tables of the earlier stage files, which
+split_recording splits by recording. Peak memory thus follows the largest
+recording, and an error comes from the first failing recording. A step
+takes the earlier values keyed by RunResult's field names and the
+RunConfig whole. Events and sub-events are columnar tables
+(detect.EventTable, dissect.SubEventTable). Every reduction happens in
+manifest order, so outputs do not depend on the accepted but unused
+--jobs value. write_stage writes one stage's table and charts; `run`
+first clears OUTPUT_FILES and charts/ from the output directory, and
+leaves an INCOMPLETE marker if a write fails, once the files it began
+are removed."""
 
 from __future__ import annotations
 
@@ -71,9 +60,8 @@ from .influence import (
 )
 from .preprocess import (
     EYES,
-    PreprocessResult,
+    RecordingWindows,
     WindowParams,
-    WindowingSummary,
     WindowStack,
     compute_channel_stats,
     gather_windows,
@@ -177,24 +165,14 @@ def require_windows(manifest):
         raise DataError("manifest yields no evaluation windows")
 
 
-@dataclass
-class RecordingWindows:
-    """One recording as windowed_recordings yields it."""
-
-    positions: tuple  # (recording id, sampling rate, x, y), eye-selected, in deg
-    summary: WindowingSummary
-    rows: np.ndarray  # ascending manifest indices of the entries naming this recording
-    windows: WindowStack  # the windows of those entries, in their order
-
-
-def windowed_recordings(manifest, cfg: RunConfig):
-    """The manifest's recordings one at a time, in the order the manifest
-    first names them: each file loaded once however the manifest spells
-    its path, its eye selected and windowed, and the windows its entries
-    name gathered in manifest order. DataError if two files have one
-    recording id, AlignmentError for an entry naming a window the
-    recording does not have. Nothing of a recording is held here once the
-    next one is asked for."""
+def preprocess_manifest(manifest, cfg: RunConfig):
+    """The manifest's recordings as RecordingWindows, one at a time, in
+    the order the manifest first names them: each file loaded once however
+    the manifest spells its path, its eye selected and windowed, and the
+    windows its entries name gathered in manifest order. DataError if two
+    files have one recording id, AlignmentError for an entry naming a
+    window the recording does not have. Nothing of a recording is held
+    here once the next one is asked for."""
     keys = {relpath: manifest.resolve(relpath).resolve()
             for relpath in dict.fromkeys(entry.recording for entry in manifest.entries)}
     naming = {}  # resolved path -> the manifest indices naming it; the first spelling loads
@@ -224,40 +202,15 @@ def windowed_recordings(manifest, cfg: RunConfig):
                     f"excluded with more than {cfg.missing_max_frac:g} of their samples "
                     f"missing, {s.tail_samples} tail samples)")
         ids = [manifest.entries[i].window_id for i in indices]
-        yield RecordingWindows(positions, s, np.array(indices),
-                               gather_windows([stack], ids, cfg.window_len))
+        yield RecordingWindows(positions, s, np.array(indices), gather_windows(stack, ids))
         del positions, stack
 
 
-def _window_params(cfg: RunConfig) -> WindowParams:
-    return WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
-
-
-def preprocess_manifest(manifest, cfg: RunConfig, parsed=None) -> PreprocessResult:
-    """Every window the manifest names, one stack in manifest order, from
-    windowed_recordings. Positions are released once windowed, unless
-    ``parsed`` is given: it is called with every recording's (recording
-    id, sampling rate, x, y) before the windows are stacked, so no
-    position outlives its windows (the windows stage file)."""
-    summaries, stacks, positions = {}, [], []
-    for recording in windowed_recordings(manifest, cfg):
-        summaries[recording.positions[0]] = recording.summary
-        stacks.append(recording.windows)
-        if parsed is not None:
-            positions.append(recording.positions)
-        del recording
-    if parsed is not None:
-        parsed(positions)
-    del positions
-    windows = gather_windows(stacks, [e.window_id for e in manifest.entries], cfg.window_len)
-    return PreprocessResult(windows, summaries, _window_params(cfg))
-
-
-def normalized_windows(pre: PreprocessResult) -> WindowStack:
-    """A copy of the evaluation windows z-scored by their corpus channel
-    stats (model-input parity; no stage uses it)."""
-    stats = compute_channel_stats(pre.windows)
-    return zscore_normalize(pre.windows, [stats] * len(pre.windows))
+def normalized_windows(windows: WindowStack) -> WindowStack:
+    """A copy of the windows z-scored by their channel stats (model-input
+    parity; no stage uses it)."""
+    stats = compute_channel_stats(windows)
+    return zscore_normalize(windows, [stats] * len(windows))
 
 
 def concept_masks(events: EventTable, subs: SubEventTable, length: int) -> np.ndarray:
@@ -384,8 +337,8 @@ def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
 def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """The top-k masks and every concept's influence per window, after
     checking that every attribution file exists; the manifest's entries
-    name the windows, in order."""
-    attribution_paths = [manifest.resolve(e.attribution) for e in manifest.entries]
+    at v["rows"] name the windows, in order."""
+    attribution_paths = [manifest.resolve(manifest.entries[i].attribution) for i in v["rows"]]
     for p in attribution_paths:
         if not p.exists():
             raise OSError(f"attribution file not found: {p}")
@@ -397,12 +350,6 @@ def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
 def pool_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """Every concept's influence pooled over the windows."""
     return {"corpus_results": v["influence"].pooled()}
-
-
-def influence_step(v: dict, cfg: RunConfig, manifest) -> dict:
-    """score_step, then pool_step."""
-    scored = score_step(v, cfg, manifest)
-    return {**scored, **pool_step(scored, cfg, manifest)}
 
 
 def bin_step(v: dict, cfg: RunConfig, manifest) -> dict:
@@ -420,46 +367,101 @@ def report_step(v: dict, cfg: RunConfig, manifest) -> dict:
             "report_doc": report_mod.summarize(params, counts, v["corpus_results"], v["binned"])}
 
 
-# the step of each stage after preprocess, in chain order
-STEPS = {"detect": detect_step, "dissect": dissect_step, "influence": influence_step,
-         "bin": bin_step, "report": report_step}
-# what `run` takes on each recording's windows, then once on the merged results
-RECORDING_STEPS = {"detect": detect_step, "dissect": dissect_step, "influence": score_step}
-CORPUS_STEPS = {"influence": pool_step, "bin": bin_step, "report": report_step}
+# each stage after preprocess, in chain order: (its step on one recording's
+# windows, its step once on every recording's merged results), None for none
+STEPS = {"detect": (detect_step, None), "dissect": (dissect_step, None),
+         "influence": (score_step, pool_step), "bin": (None, bin_step),
+         "report": (None, report_step)}
+
+
+def split_recording(v: dict, rows) -> dict:
+    """Inverse of merge_recordings: the events and sub-events of ``v`` on
+    the windows at the ascending manifest indices ``rows``, in their order,
+    renumbered as the steps give them on those windows alone."""
+    if "events" not in v:
+        return {}
+    events = v["events"]
+    local = np.full(len(events.window_ids), -1)  # manifest index -> row among `rows`
+    local[rows] = np.arange(len(rows))
+    part = events.take(local[events.row] >= 0)
+    part = replace(part, window_ids=[events.window_ids[i] for i in rows], row=local[part.row])
+    if "subevents" not in v:
+        return {"events": part}
+    subs = v["subevents"]
+    ours = local[subs.events.row] >= 0  # of the parents
+    kept = subs.take(ours[subs.parent])
+    return {"events": part, "subevents": replace(
+        kept, events=retained(part, SACCADE), parent=(np.cumsum(ours) - 1)[kept.parent])}
 
 
 def merge_recordings(parts: list, window_ids: list) -> dict:
-    """The RECORDING_STEPS values of each recording's windows, merged into
-    what those steps give on the stack of all windows ``window_ids``, in
-    manifest order. parts[i]["rows"] holds the ascending manifest index of
-    each of its windows, and each index is in exactly one part: events go by
-    window row, then as detected; sub-events by saccade, then as
-    dissected."""
+    """The values the parts hold (events, sub-events, top-k masks,
+    influence) merged into what the steps give on the stack of all windows
+    ``window_ids``. parts[i]["rows"] holds the ascending manifest index of
+    each of its windows, each index in one part: events go by window row,
+    sub-events by saccade, then each in their part's order."""
     def joined(tables, name):
         return np.concatenate([getattr(t, name) for t in tables])
 
     at = np.argsort(np.concatenate([p["rows"] for p in parts]))  # manifest -> joined row
-    tables = [p["influence"] for p in parts]
-    influence = replace(tables[0], window_ids=window_ids, sizes=joined(tables, "sizes")[at],
-                        intersections=joined(tables, "intersections")[at])
+    merged = {}
+    if "influence" in parts[0]:
+        tables = [p["influence"] for p in parts]
+        merged["influence"] = replace(
+            tables[0], window_ids=window_ids, sizes=joined(tables, "sizes")[at],
+            intersections=joined(tables, "intersections")[at])
+        merged["topk"] = np.concatenate([p["topk"] for p in parts])[at]
     # the parts' events and sub-events joined, with manifest rows and joined parents
     events = EventTable(window_ids, **{name: joined([p["events"] for p in parts], name)
                                        for name in EVENT_ARRAYS})
     events.row = np.concatenate([p["rows"][p["events"].row] for p in parts])
-    subs = [p["subevents"] for p in parts]
-    first = np.cumsum([0] + [len(s.events) for s in subs[:-1]])
-    subevents = SubEventTable(
-        retained(events, SACCADE), np.concatenate([s.parent + f for s, f in zip(subs, first)]),
-        *(joined(subs, name) for name in ("phase", "onset", "offset")))
-    # then every table in window row order
-    order = np.argsort(subevents.events.row, kind="stable")
-    parent = np.empty_like(order)
-    parent[order] = np.arange(len(order))
-    subevents = replace(subevents, events=subevents.events.take(order),
-                        parent=parent[subevents.parent])
-    return {"events": events.take(np.argsort(events.row, kind="stable")),
-            "subevents": subevents.take(np.argsort(subevents.parent, kind="stable")),
-            "topk": np.concatenate([p["topk"] for p in parts])[at], "influence": influence}
+    merged["events"] = events.take(np.argsort(events.row, kind="stable"))
+    if "subevents" in parts[0]:
+        subs = [p["subevents"] for p in parts]
+        first = np.cumsum([0] + [len(s.events) for s in subs[:-1]])
+        subevents = SubEventTable(
+            retained(events, SACCADE), np.concatenate([s.parent + f for s, f in zip(subs, first)]),
+            *(joined(subs, name) for name in ("phase", "onset", "offset")))
+        # then in window row order
+        order = np.argsort(subevents.events.row, kind="stable")
+        parent = np.empty_like(order)
+        parent[order] = np.arange(len(order))
+        subevents = replace(subevents, events=subevents.events.take(order),
+                            parent=parent[subevents.parent])
+        merged["subevents"] = subevents.take(np.argsort(subevents.parent, kind="stable"))
+    return merged
+
+
+def compute(recordings, window_ids: list, steps: dict, cfg: RunConfig, manifest,
+            given: dict) -> dict:
+    """The values of ``steps``, a table like STEPS, on the windows
+    ``window_ids``, which ``recordings`` yields as RecordingWindows, with
+    the tables of ``given`` split to each recording (module doc). An error
+    is prefixed with its stage; ``manifest``, if given, names the windows'
+    attributions."""
+    summaries, parts = {}, []
+    while True:
+        with _stage("preprocess"):
+            recording = next(recordings, None)
+        if recording is None:
+            break
+        summaries[recording.positions[0]] = recording.summary
+        part = {"rows": recording.rows, "windows": recording.windows,
+                **split_recording(given, recording.rows)}
+        del recording  # and then the windows, once its steps are done
+        for stage, (step, _) in steps.items():
+            if step is not None:
+                with _stage(stage):
+                    part.update(step(part, cfg, manifest))
+        del part["windows"]
+        parts.append(part)
+    values = {**given, "summaries": summaries, **merge_recordings(parts, window_ids)}
+    del parts
+    for stage, (_, once) in steps.items():
+        if once is not None:
+            with _stage(stage):
+                values.update(once(values, cfg, manifest))
+    return values
 
 
 # the table of each stage; charts go to charts/
@@ -523,32 +525,13 @@ def removed_on_failure(written: list):
 
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     """Execute the full pipeline for a manifest and write all artifacts,
-    holding the windows of one recording at a time (module doc)."""
+    holding the windows of one recording at a time (compute)."""
     cfg.validate()
     with _stage("preprocess"):
         require_windows(manifest)
-    recordings = windowed_recordings(manifest, cfg)
-    summaries, parts = {}, []
-    while True:
-        with _stage("preprocess"):
-            recording = next(recordings, None)
-        if recording is None:
-            break
-        summaries[recording.positions[0]] = recording.summary
-        part = {"rows": recording.rows, "windows": recording.windows}
-        its_entries = replace(manifest, entries=[manifest.entries[i] for i in recording.rows])
-        del recording  # and then the windows, once scored
-        for stage, step in RECORDING_STEPS.items():
-            with _stage(stage):
-                part.update(step(part, cfg, its_entries))
-        del part["windows"]
-        parts.append(part)
-    values = {"summaries": summaries, "params": _window_params(cfg),
-              **merge_recordings(parts, [e.window_id for e in manifest.entries])}
-    del parts
-    for stage, step in CORPUS_STEPS.items():
-        with _stage(stage):
-            values.update(step(values, cfg, manifest))
+    params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
+    values = compute(preprocess_manifest(manifest, cfg), [e.window_id for e in manifest.entries],
+                     STEPS, cfg, manifest, {"params": params})
     result = RunResult(cfg, **values)
     write_artifacts(result, out_dir)
     return result

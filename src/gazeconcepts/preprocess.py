@@ -3,9 +3,11 @@
 window_recording differentiates a recording's positions with a
 Savitzky-Golay filter, clamps the velocities to a physical limit, cuts
 non-overlapping fixed-length windows and drops those with too many
-missing samples; gather_windows stacks a corpus's evaluation windows.
-preprocess, the windows stage file reader and synth all use these two.
-Detection consumes the unnormalized, clamped velocities in deg/s.
+missing samples; gather_windows takes the windows a manifest names of
+one recording, in manifest order. preprocess and the windows stage file
+reader both yield a corpus as RecordingWindows, one recording at a time,
+built with these two. Detection consumes the unnormalized, clamped
+velocities in deg/s.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DegenerateDataError, SizeError
+from .errors import ConfigError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,13 @@ class WindowingSummary:
 
 
 @dataclass
-class PreprocessResult:
-    windows: WindowStack  # evaluation windows, manifest order
-    summaries: dict  # recording_id -> WindowingSummary
-    params: WindowParams  # what cut the windows
+class RecordingWindows:
+    """One recording's evaluation windows, as preprocess yields them."""
+
+    positions: tuple  # (recording id, sampling rate, x, y), eye-selected, in deg
+    summary: WindowingSummary
+    rows: np.ndarray  # ascending manifest indices of the entries naming this recording
+    windows: WindowStack  # the windows of those entries, in their order
 
 
 @lru_cache(maxsize=256)
@@ -269,31 +274,19 @@ def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
                            params.missing_max_frac)
 
 
-def gather_windows(stacks: list, window_ids, length: int) -> WindowStack:
-    """The windows ``window_ids`` of the per-recording stacks, in order, as one
-    stack built a field at a time, dropping each field of ``stacks`` once gathered;
-    a single stack that already holds exactly those windows in that order is
-    returned as it is, uncopied. The stacks' window ids are unique (their
-    recording ids are); AlignmentError for a window no stack holds."""
-    if len(stacks) == 1 and stacks[0].window_ids == list(window_ids):
-        return stacks[0]
-    located = {wid: (stack, row) for stack in stacks for row, wid in enumerate(stack.window_ids)}
-    picked = []
-    for window_id in window_ids:
-        if window_id not in located:
-            raise AlignmentError(f"window_id {window_id!r} is not among the windows")
-        picked.append(located[window_id])
-
-    def gather(name):
-        return [getattr(stack, name)[row] for stack, row in picked]
-
-    columns = {"window_ids": gather("window_ids")}
-    columns["sampling_rate_hz"] = np.array(gather("sampling_rate_hz"), dtype=float)
-    for name in ("vx", "vy", "px", "py", "valid"):
-        dtype = bool if name == "valid" else float
-        columns[name] = np.array(gather(name), dtype=dtype).reshape(len(picked), length)
-        for stack in stacks:
-            setattr(stack, name, None)
+def gather_windows(stack: WindowStack, window_ids) -> WindowStack:
+    """The windows ``window_ids`` of one recording's ``stack``, which holds
+    each of them, in that order, built a field at a time, dropping each
+    field of ``stack`` once gathered; a stack that already holds exactly
+    those windows in that order is returned as it is, uncopied."""
+    if stack.window_ids == list(window_ids):
+        return stack
+    row_of = {wid: row for row, wid in enumerate(stack.window_ids)}
+    rows = [row_of[wid] for wid in window_ids]
+    columns = {"window_ids": list(window_ids)}
+    for name in ("sampling_rate_hz", "vx", "vy", "px", "py", "valid"):
+        columns[name] = getattr(stack, name)[rows]
+        setattr(stack, name, None)
     return WindowStack(**columns)
 
 

@@ -10,7 +10,9 @@ reproduce them field for field, bit for bit, turning the package's
 columnar EventTable and SubEventTable into these rows (event_rows,
 events_by_row, dissections) and back (event_table, subevent_table). The
 loops read one window at a time as a Window, row i of the package's
-WindowStack (window_rows).
+WindowStack (window_rows). whole_stack is the gather the package ran
+before it computed one recording at a time: every recording's windows
+stacked in manifest order.
 _cells is the row-wise cell rule the column-wise table writer must
 reproduce byte for byte.
 """
@@ -41,6 +43,7 @@ from gazeconcepts.influence import (
     TopKSegmentation,
     aggregate_influence,
 )
+from gazeconcepts.preprocess import WindowStack
 
 
 @dataclass
@@ -117,6 +120,32 @@ def window_rows(stack) -> list:
                stack.valid[i], float(stack.sampling_rate_hz[i]))
         for i in range(len(stack))
     ]
+
+
+def stacked(stacks, window_ids) -> WindowStack:
+    """The windows ``window_ids`` of the stacks, in that order, as one
+    stack, each window located by its id."""
+    located = {wid: (stack, row) for stack in stacks for row, wid in enumerate(stack.window_ids)}
+    picked = [located[window_id] for window_id in window_ids]
+
+    def column(name, dtype):
+        return np.array([getattr(stack, name)[row] for stack, row in picked], dtype=dtype)
+
+    return WindowStack(list(window_ids), column("sampling_rate_hz", float),
+                       *(column(name, float) for name in ("vx", "vy", "px", "py")),
+                       column("valid", bool))
+
+
+def whole_stack(recordings, window_ids) -> tuple:
+    """(the windows ``window_ids`` stacked from an iterator of the
+    package's RecordingWindows, {recording id: WindowingSummary}). Each
+    recording's rows must name its windows."""
+    summaries, stacks = {}, []
+    for recording in recordings:
+        assert recording.windows.window_ids == [window_ids[i] for i in recording.rows.tolist()]
+        summaries[recording.positions[0]] = recording.summary
+        stacks.append(recording.windows)
+    return stacked(stacks, window_ids), summaries
 
 
 PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",

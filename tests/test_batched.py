@@ -378,7 +378,7 @@ def test_interval_outside_window_raises_as_reference(tmp_path, onset, offset):
         text = path.read_text().replace(",0,4,", f",{onset},{offset},")
         path.write_text(text)
         with pytest.raises(FormatError, match="events.csv: line 2: cannot parse (onset|offset)"):
-            read_events(path, stack)
+            read_events(path, stack.window_ids, stack.length)
         return
     assert_same_outcome(want, outcome(event_properties, ref.event_table([inside, outside], ids),
                                       stack))

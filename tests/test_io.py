@@ -49,12 +49,22 @@ from gazeconcepts.io import (
     write_topk,
     write_windows,
 )
-from reference import GazeEvent, SubEvent, _cells, event_rows, event_table, subevent_table
+from reference import (
+    GazeEvent,
+    SubEvent,
+    _cells,
+    event_rows,
+    event_table,
+    stacked,
+    subevent_table,
+    whole_stack,
+)
+from gazeconcepts.cli import main
 from gazeconcepts.pipeline import RunConfig, preprocess_manifest
-from gazeconcepts.preprocess import WindowParams, gather_windows, window_recording
+from gazeconcepts.preprocess import WindowParams, window_recording
 from gazeconcepts.synth import random_plan, gen_scanpath
 
-from conftest import build_window, join_windows, pipeline_windows, write_gappy_recordings
+from conftest import pipeline_windows, write_gappy_recordings
 
 
 def test_trivial_three_rows(tmp_path):
@@ -656,8 +666,7 @@ def _events(n=100):
 
 
 # the windows of _events, which its events are read against
-EVENT_WINDOWS = join_windows(*(build_window(np.zeros(1000), window_id=f"w{i:04d}")
-                               for i in range(7)))
+EVENT_WINDOWS = ([f"w{i:04d}" for i in range(7)], 1000)  # window ids, length
 
 
 def test_events_empty_header_only(tmp_path):
@@ -665,7 +674,7 @@ def test_events_empty_header_only(tmp_path):
     write_events(event_table([]), p)
     text = p.read_text()
     assert text.count("\n") == 1
-    assert event_rows(read_events(p, EVENT_WINDOWS)) == []
+    assert event_rows(read_events(p, *EVENT_WINDOWS)) == []
 
 
 def test_events_write_deterministic(tmp_path):
@@ -680,7 +689,7 @@ def test_events_roundtrip_100(tmp_path):
     events = _events(100)
     p = tmp_path / "e.csv"
     write_events(event_table(events), p)
-    back = event_rows(read_events(p, EVENT_WINDOWS))
+    back = event_rows(read_events(p, *EVENT_WINDOWS))
     assert len(back) == 100
     key = lambda e: e.event_id
     for a, b in zip(sorted(events, key=key), sorted(back, key=key)):
@@ -694,7 +703,7 @@ def test_events_roundtrip_100(tmp_path):
 def test_events_sorted_by_window_then_onset(tmp_path):
     p = tmp_path / "e.csv"
     write_events(event_table(_events(50)), p)
-    back = event_rows(read_events(p, EVENT_WINDOWS))
+    back = event_rows(read_events(p, *EVENT_WINDOWS))
     keys = [(e.window_id, e.onset) for e in back]
     assert keys == sorted(keys)
 
@@ -785,9 +794,10 @@ def test_windows_roundtrip_exact(tmp_path):
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
     write_windows(recordings, p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
-    pre = read_windows(p)
-    back = pre.windows
-    want = gather_windows([window_recording(*r, params)[0] for r in recordings], ids, 50)
+    window_ids, back_params, back_recordings = read_windows(p)
+    assert (window_ids, back_params) == (ids, params)
+    back, summaries = whole_stack(back_recordings, window_ids)
+    want = stacked([window_recording(*r, params)[0] for r in recordings], ids)
     assert back.window_ids == ids
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         np.testing.assert_array_equal(getattr(back, name), getattr(want, name))
@@ -799,7 +809,7 @@ def test_windows_roundtrip_exact(tmp_path):
     assert back.sampling_rate_hz.tolist() == [500.0, 1000.0, 1000.0]
     assert not back.valid[1, 4:11].any() and back.valid[1].sum() == 43
     assert {rec_id: (s.retained, s.excluded, s.tail_samples)
-            for rec_id, s in pre.summaries.items()} == {"r": (2, 0, 30), "s": (1, 0, 10)}
+            for rec_id, s in summaries.items()} == {"r": (2, 0, 30), "s": (1, 0, 10)}
 
     not_windows = tmp_path / "events.csv"
     not_windows.write_text("t_ms,x_deg,y_deg\n0,1,2\n")
@@ -811,9 +821,10 @@ def test_windows_roundtrip_exact(tmp_path):
 
 
 def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
-    """(preprocess_manifest's result, windows file written from what it
-    parsed) for every window of two gappy recordings that windowing
-    retains, the recordings' windows taken in turn."""
+    """(preprocess_manifest's windows stacked in manifest order, their
+    summaries, windows file written from what it parsed) for every window
+    of two gappy recordings that windowing retains, the recordings'
+    windows taken in turn."""
     recs = write_gappy_recordings(root)
     cfg = RunConfig(window_len=window_len, missing_max_frac=missing_max_frac, **config)
     retained = [pipeline_windows(rec, window_len, missing_max_frac)[0].window_ids
@@ -822,10 +833,10 @@ def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
                for slot in range(max(map(len, retained)))
                for rec, ids in zip(recs, retained) if slot < len(ids)]
     p = Path(root) / "windows.npz"
-    pre = preprocess_manifest(RunManifest(entries, Path(root)), cfg, lambda positions: (
-        write_windows(positions, p, [e.window_id for e in entries], cfg)
-    ))
-    return pre, p
+    ids = [e.window_id for e in entries]
+    recordings = list(preprocess_manifest(RunManifest(entries, Path(root)), cfg))
+    write_windows([recording.positions for recording in recordings], p, ids, cfg)
+    return (*whole_stack(recordings, ids), p)
 
 
 def _bits(a):
@@ -846,17 +857,16 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
     load = gio.load_gaze_csv
     monkeypatch.setattr(gio, "load_gaze_csv", lambda path: replace(
         load(path), sampling_rate_hz=rate if path.stem == "rec01" else 1000.0))
-    pre, p = _preprocessed(tmp_path, window_len, missing_max_frac, sg_window=sg_window,
-                           sg_order=sg_order, clamp=clamp)
-    stack = pre.windows
+    stack, summaries, p = _preprocessed(tmp_path, window_len, missing_max_frac,
+                                        sg_window=sg_window, sg_order=sg_order, clamp=clamp)
     assert not stack.valid.all() and (np.abs(stack.vx) == clamp).any() == (clamp < 1000)
     assert stack.valid.mean(axis=1).min() < 0.5 or missing_max_frac == 0.5
     with np.load(p) as npz:
         assert sorted(npz.files) == sorted(gio.WINDOW_ARRAYS)
         assert npz["x"].shape == (npz["n_samples"].sum(),) and npz["n_samples"].min() > 1500
-    back_pre = read_windows(p)
-    assert back_pre.summaries == pre.summaries
-    back = back_pre.windows
+    window_ids, _, recordings = read_windows(p)
+    back, back_summaries = whole_stack(recordings, window_ids)
+    assert back_summaries == summaries
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
         got, want = getattr(back, name), getattr(stack, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -864,20 +874,28 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
     assert back.window_ids == stack.window_ids
 
 
-def test_windows_file_of_no_windows_roundtrips(tmp_path):
+def test_windows_file_of_no_windows_is_refused(tmp_path, capsys):
+    """preprocess never writes a windows file of no windows: its first
+    reader refuses one, so every stage that reads it exits 2 naming the
+    file, and writes nothing."""
     cfg = RunConfig(window_len=40)
     p = tmp_path / "windows.npz"
-    preprocess_manifest(RunManifest([], tmp_path), cfg,
-                        lambda positions: write_windows(positions, p, [], cfg))
-    back = read_windows(p)
-    assert back.summaries == {}
-    back = back.windows
-    assert (len(back), back.length, back.valid.dtype, back.vx.dtype) == (0, 40, bool, float)
+    write_windows([], p, [], cfg)
+    message = f"{p}: holds no evaluation windows; rerun preprocess"
+    with pytest.raises(DataError) as e:
+        read_windows(p)
+    assert str(e.value) == message
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"entries": []}')
+    for stage in ("detect", "dissect", "influence", "bin", "report"):
+        argv = [stage, "--out", str(tmp_path), "--manifest", str(manifest)]
+        assert main(argv) == 2, stage
+        assert capsys.readouterr().err == f"error: {message}\n", stage
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "windows.npz"]
 
 
 def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path):
-    pre, good = _preprocessed(tmp_path, 40)
-    stack = pre.windows
+    stack, _, good = _preprocessed(tmp_path, 40)
     with np.load(good) as npz:
         arrays = dict(npz)
     n, total = len(stack), arrays["x"].size
@@ -925,7 +943,7 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
         bad = tmp_path / f"{name}.npz"
         np.savez(bad, **(change if name in older else {**arrays, **change}))
         with pytest.raises(FormatError, match=rf"{bad.name}: {message}"):
-            read_windows(bad)
+            list(read_windows(bad)[2])  # windowed as each recording is reached
 
 
 def test_topk_roundtrip_exact(tmp_path):
@@ -1036,7 +1054,7 @@ def _tables(tmp_path):
         BinnedInfluence("saccade_duration_ms", 30.0, math.inf, "overflow", 0, 0, None),
     ]}, binned)
     return {
-        "events": (lambda p: read_events(p, EVENT_WINDOWS), events, "onset"),
+        "events": (lambda p: read_events(p, *EVENT_WINDOWS), events, "onset"),
         "subevents": (lambda p: read_subevents(p, parents, 1000), subs, "offset"),
         "report": (read_report, report, "n_windows"),
         "binned": (read_binned, binned, "event_count"),
@@ -1085,12 +1103,12 @@ def test_event_reader_rejects_bad_boolean_and_real(tmp_path):
     good = p.read_text()
     p.write_text(good.replace(",false,", ",no,", 1))
     with pytest.raises(FormatError, match="e.csv: line .*: cannot parse excluded 'no'"):
-        read_events(p, EVENT_WINDOWS)
+        read_events(p, *EVENT_WINDOWS)
     lines = good.splitlines()
     lines[1] = lines[1].replace(lines[1].split(",")[5], "fast", 1)
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="e.csv: line 2: cannot parse duration_ms 'fast'"):
-        read_events(p, EVENT_WINDOWS)
+        read_events(p, *EVENT_WINDOWS)
 
 
 @pytest.mark.parametrize("lineno, edit, message", [
@@ -1113,7 +1131,7 @@ def test_event_reader_rejects_codes_it_cannot_hold(tmp_path, lineno, edit, messa
     assert p.read_text().splitlines()[1].startswith("w0000:fix000,")
     _edit_line(p, lineno, edit)
     with pytest.raises(FormatError, match=f"e.csv: {message}"):
-        read_events(p, EVENT_WINDOWS)
+        read_events(p, *EVENT_WINDOWS)
 
 
 def test_read_table_parses_optional_cells(tmp_path):

@@ -36,6 +36,7 @@ from gazeconcepts.synth import (
 import gazeconcepts
 
 from conftest import gappy_corpus, pipeline_windows
+from reference import whole_stack
 
 
 def _write_manifest(path, entries, base=""):
@@ -57,6 +58,12 @@ def _corpus_from_recording(tmp_path, rec, attr_mode="speed"):
     return _write_manifest(tmp_path / "m.json", entries)
 
 
+def _stacked(manifest, cfg=RunConfig()):
+    """preprocess_manifest's windows, stacked in manifest order."""
+    return whole_stack(preprocess_manifest(manifest, cfg),
+                       [e.window_id for e in manifest.entries])[0]
+
+
 def test_binocular_recording_uses_right_eye(tmp_path):
     plan = random_plan(2, 3.0, noise_sigma_deg=0.002)
     mono, _ = gen_scanpath(plan, seed=2, recording_id="bino")
@@ -75,10 +82,10 @@ def test_binocular_recording_uses_right_eye(tmp_path):
         write_attribution(attr, tmp_path / f"{window_id}.csv")
         entries.append(("bino.csv", f"{window_id}.csv", window_id))
     manifest = _write_manifest(tmp_path / "m.json", entries)
-    pre = preprocess_manifest(manifest, RunConfig())
+    stacked = _stacked(manifest)
     # right-eye data equals the mono source, so windows match exactly
-    np.testing.assert_array_equal(pre.windows.px[0], windows.px[0])
-    assert len(pre.windows) == len(windows)
+    np.testing.assert_array_equal(stacked.px[0], windows.px[0])
+    assert len(stacked) == len(windows)
 
 
 def test_unresolvable_window_id_is_alignment_error(tmp_path):
@@ -87,7 +94,7 @@ def test_unresolvable_window_id_is_alignment_error(tmp_path):
     write_gaze_csv(rec, tmp_path / "r.csv")
     manifest = _write_manifest(tmp_path / "m.json", [("r.csv", "a.csv", "r-w9999")])
     with pytest.raises(AlignmentError, match="r-w9999"):
-        preprocess_manifest(manifest, RunConfig())
+        list(preprocess_manifest(manifest, RunConfig()))
 
 
 def test_run_counts_skipped_empty_concepts(tmp_path):
@@ -111,14 +118,14 @@ def test_normalized_windows_zscore_valid_samples(tmp_path):
     plan = random_plan(12, 4.0, noise_sigma_deg=0.002)
     rec, _ = gen_scanpath(plan, seed=12, recording_id="z")
     manifest = _corpus_from_recording(tmp_path, rec)
-    pre = preprocess_manifest(manifest, RunConfig())
-    normed = normalized_windows(pre)
-    assert normed.window_ids == pre.windows.window_ids
+    stacked = _stacked(manifest)
+    normed = normalized_windows(stacked)
+    assert normed.window_ids == stacked.window_ids
     for channel in ("vx", "vy"):
         values = getattr(normed, channel)[normed.valid]
         assert abs(values.mean()) < 1e-9
         assert abs(values.std() - 1.0) < 1e-9
-    assert normed is not pre.windows
+    assert normed is not stacked
 
 
 def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
@@ -133,7 +140,7 @@ def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
         [("a/same.csv", "x.csv", "same-w0000"), ("b/same.csv", "y.csv", "same-w0001")],
     )
     with pytest.raises(DataError) as e:
-        preprocess_manifest(manifest, RunConfig())
+        list(preprocess_manifest(manifest, RunConfig()))
     assert str(e.value) == (f"{tmp_path / 'a' / 'same.csv'} and {tmp_path / 'b' / 'same.csv'} "
                             f"have one recording id 'same'")
 
@@ -147,7 +154,7 @@ def test_sampling_rate_is_derived_from_timestamps(tmp_path):
         spec = CorpusSpec(seed=11, n_recordings=1, duration_s=40, sampling_rate_hz=rate)
         manifest = load_manifest(write_demo_corpus(tmp_path / str(rate), spec))
         result = run(manifest, RunConfig(), tmp_path / f"out{rate}")
-        windows = preprocess_manifest(manifest, RunConfig()).windows
+        windows = _stacked(manifest)
         assert (windows.sampling_rate_hz == rate).all()
         events = result.events  # run's durations come from its windows' rate
         np.testing.assert_array_equal(events.duration_ms,
