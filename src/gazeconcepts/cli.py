@@ -16,8 +16,10 @@ resolved next to the manifest. Every subcommand but synth takes
 --manifest; preprocess, influence and run require it. A manifest given
 to a stage that reads windows.npz must name the file's windows, in the
 file's order. The output directory is --out, else $GAZECONCEPTS_OUT,
-else the manifest's `output_dir`, else ./out. --jobs is accepted and
-has no effect.
+else the manifest's `output_dir`, else ./out. `run --jobs N` with N > 1
+does each recording's gaze side in a fork pool (pipeline.pool_size), with
+the same outputs as --jobs 1; without fork it runs as --jobs 1. The
+staged subcommands run in one process and ignore a config file's jobs.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     stage("bin", "per-property binned influence", cmd_bin, False)
     stage("report", "summary document", cmd_report, False)
     stage("run", "full pipeline from a manifest", cmd_run, True).add_argument(
-        "--jobs", help="accepted for compatibility; has no effect"
+        "--jobs", help="processes (default 1): above 1, a fork pool does each recording's "
+        "gaze side while run parses the attributions; the same outputs as 1"
     )
     return parser
 

@@ -1,31 +1,35 @@
 """End-to-end orchestration: preprocess, detect, dissect, influence, bin,
 report.
 
-compute drives every stage after preprocess, for `run` and the staged
-subcommands alike. It takes the recordings one at a time, as
-preprocess_manifest or the windows stage file yields them, and runs each
-stage's per-recording step of STEPS on that recording's windows, which
-are dropped before the next recording is windowed. merge_recordings puts
-the results into manifest order, as the steps give them on the whole
-stack, and each stage's once-per-corpus step runs on them. A staged
-subcommand gives compute the tables of the earlier stage files, which
-split_recording splits by recording. Peak memory thus follows the largest
-recording, and an error comes from the first failing recording. A step
-takes the earlier values keyed by RunResult's field names and the
-RunConfig whole. Events and sub-events are columnar tables
-(detect.EventTable, dissect.SubEventTable). Every reduction happens in
-manifest order, so outputs do not depend on the accepted but unused
---jobs value. write_stage writes one stage's table and charts; `run`
-first clears OUTPUT_FILES and charts/ from the output directory, and
-leaves an INCOMPLETE marker if a write fails, once the files it began
-are removed."""
+The work is done one recording at a time. A recording's per-recording
+step of each stage (STEPS) runs on its windows, which are dropped before
+the next recording is windowed. merge_recordings puts the results into
+manifest order, as the steps give them on the whole stack, and each
+stage's once-per-corpus step runs on them. Peak memory thus follows the
+largest recording, and an error comes from the first failing recording,
+in stage order within it. `run` drives this loop for the whole chain; with
+--jobs N above 1 and fork available, a fork pool does each recording's
+gaze side (load, window, detect, dissect: gaze_side) while this process
+parses its attributions (pool_size, recording_map). compute drives it
+for a staged subcommand, in this process, on the recordings of the
+windows stage file and the tables of the earlier stage files, which
+split_recording splits by recording. A step takes the earlier values
+keyed by RunResult's field names and the RunConfig whole. Events and
+sub-events are columnar tables (detect.EventTable, dissect.SubEventTable).
+Every reduction happens in manifest order, so outputs do not depend on
+--jobs. write_stage writes one stage's table and charts; `run` first
+clears OUTPUT_FILES and charts/ from the output directory, and leaves an
+INCOMPLETE marker if a write fails, once the files it began are
+removed."""
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +107,7 @@ class RunConfig(DetectionParams, WindowParams):
     properties: tuple = tuple(sorted(binning_mod.PROPERTIES))
     # report
     charts: bool = True
-    # execution (accepted, no effect)
+    # execution: run's processes (pool_size); the staged subcommands ignore it
     jobs: int = 1
 
     def validate(self):
@@ -165,45 +169,65 @@ def require_windows(manifest):
         raise DataError("manifest yields no evaluation windows")
 
 
-def preprocess_manifest(manifest, cfg: RunConfig):
-    """The manifest's recordings as RecordingWindows, one at a time, in
-    the order the manifest first names them: each file loaded once however
-    the manifest spells its path, its eye selected and windowed, and the
-    windows its entries name gathered in manifest order. DataError if two
-    files have one recording id, AlignmentError for an entry naming a
-    window the recording does not have. Nothing of a recording is held
-    here once the next one is asked for."""
+def recording_files(manifest) -> list:
+    """(path, manifest indices) of each recording file, in the order the
+    manifest first names it: one per file however the manifest spells its
+    path, loaded through its first spelling, with the ascending indices of
+    every entry naming it."""
     keys = {relpath: manifest.resolve(relpath).resolve()
             for relpath in dict.fromkeys(entry.recording for entry in manifest.entries)}
-    naming = {}  # resolved path -> the manifest indices naming it; the first spelling loads
+    naming = {}  # resolved path -> the manifest indices naming it
     for i, entry in enumerate(manifest.entries):
         naming.setdefault(keys[entry.recording], []).append(i)
+    return [(manifest.resolve(manifest.entries[indices[0]].recording), indices)
+            for indices in naming.values()]
+
+
+def window_file(manifest, cfg: RunConfig, path, indices) -> RecordingWindows:
+    """The recording at `path` as RecordingWindows: loaded, its eye
+    selected and windowed, and the windows that the manifest's entries at
+    `indices` name gathered in that order. AlignmentError for an entry
+    naming a window the recording does not have."""
+    rec = gio.load_gaze_csv(path)
+    mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
+    positions = (mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg)
+    del rec, mono
+    try:
+        stack, s = window_recording(*positions, cfg)
+    except SizeError as e:
+        raise SizeError(f"{path}: {e}") from None
+    produced = set(stack.window_ids)
+    for entry in (manifest.entries[i] for i in indices):
+        if entry.window_id not in produced:
+            raise AlignmentError(
+                f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
+                f"among the windows of this recording ({s.retained} retained, {s.excluded} "
+                f"excluded with more than {cfg.missing_max_frac:g} of their samples "
+                f"missing, {s.tail_samples} tail samples)")
+    ids = [manifest.entries[i].window_id for i in indices]
+    return RecordingWindows(positions, s, np.array(indices), gather_windows(stack, ids))
+
+
+def claim_source(sources: dict, recording_id: str, path):
+    """Note in `sources` that the file at `path` holds `recording_id`;
+    DataError naming both files if an earlier one holds it too."""
+    if recording_id in sources:
+        raise DataError(f"{sources[recording_id]} and {path} have one recording id "
+                        f"{recording_id!r}")
+    sources[recording_id] = path
+
+
+def preprocess_manifest(manifest, cfg: RunConfig):
+    """The manifest's recordings as RecordingWindows (window_file), one at
+    a time, in recording_files' order. DataError if two files have one
+    recording id. Nothing of a recording is held here once the next one is
+    asked for."""
     sources = {}
-    for indices in naming.values():
-        path = manifest.resolve(manifest.entries[indices[0]].recording)
-        rec = gio.load_gaze_csv(path)
-        mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
-        positions = (mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg)
-        del rec, mono
-        rec_id = positions[0]
-        if rec_id in sources:
-            raise DataError(f"{sources[rec_id]} and {path} have one recording id {rec_id!r}")
-        sources[rec_id] = path
-        try:
-            stack, s = window_recording(*positions, cfg)
-        except SizeError as e:
-            raise SizeError(f"{path}: {e}") from None
-        produced = set(stack.window_ids)
-        for entry in (manifest.entries[i] for i in indices):
-            if entry.window_id not in produced:
-                raise AlignmentError(
-                    f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
-                    f"among the windows of this recording ({s.retained} retained, {s.excluded} "
-                    f"excluded with more than {cfg.missing_max_frac:g} of their samples "
-                    f"missing, {s.tail_samples} tail samples)")
-        ids = [manifest.entries[i].window_id for i in indices]
-        yield RecordingWindows(positions, s, np.array(indices), gather_windows(stack, ids))
-        del positions, stack
+    for path, indices in recording_files(manifest):
+        recording = window_file(manifest, cfg, path, indices)
+        claim_source(sources, recording.positions[0], path)
+        yield recording
+        del recording
 
 
 def normalized_windows(windows: WindowStack) -> WindowStack:
@@ -259,17 +283,28 @@ def process_window(window_id: str, length: int, attribution_path,
     )
 
 
-def score_windows(windows: WindowStack, attribution_paths, events: EventTable,
-                  subs: SubEventTable, cfg: RunConfig):
-    """((n, L) top-k masks, InfluenceTable) of every window: the concept
-    masks of the whole stack in one batched pass, one process_window call
-    per window, in order, then every concept scored on the whole stack."""
-    masks = concept_masks(events, subs, windows.length)
-    topk = np.zeros((len(windows), windows.length), dtype=bool)
-    for row, (window_id, path) in enumerate(zip(windows.window_ids, attribution_paths)):
-        topk[row] = process_window(window_id, windows.length, path, cfg).mask
-    k = default_k(windows.length, cfg.top_frac)
-    return topk, influence_table(ALL_CONCEPTS, masks, topk, k, windows.window_ids)
+def topk_masks(rows, length: int, cfg: RunConfig, manifest) -> np.ndarray:
+    """(n, length) top-k masks of the windows that the manifest's entries
+    at `rows` name, in order, after checking that every attribution file
+    exists: one process_window call per window."""
+    entries = [manifest.entries[i] for i in rows]
+    paths = [manifest.resolve(entry.attribution) for entry in entries]
+    for p in paths:
+        if not p.exists():
+            raise OSError(f"attribution file not found: {p}")
+    topk = np.zeros((len(entries), length), dtype=bool)
+    for row, (entry, path) in enumerate(zip(entries, paths)):
+        topk[row] = process_window(entry.window_id, length, path, cfg).mask
+    return topk
+
+
+def scored(events: EventTable, subs: SubEventTable, topk, cfg: RunConfig) -> InfluenceTable:
+    """Every concept's influence on each window of events.window_ids,
+    whose (n, L) top-k masks are `topk`: the concept masks of the whole
+    stack in one batched pass, then every concept scored on it."""
+    length = topk.shape[1]
+    return influence_table(ALL_CONCEPTS, concept_masks(events, subs, length), topk,
+                           default_k(length, cfg.top_frac), events.window_ids)
 
 
 def _exclusion_counts(events: EventTable) -> dict:
@@ -335,16 +370,10 @@ def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
 
 
 def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
-    """The top-k masks and every concept's influence per window, after
-    checking that every attribution file exists; the manifest's entries
-    at v["rows"] name the windows, in order."""
-    attribution_paths = [manifest.resolve(manifest.entries[i].attribution) for i in v["rows"]]
-    for p in attribution_paths:
-        if not p.exists():
-            raise OSError(f"attribution file not found: {p}")
-    topk, table = score_windows(v["windows"], attribution_paths, v["events"], v["subevents"],
-                                cfg)
-    return {"topk": topk, "influence": table}
+    """The top-k masks and every concept's influence per window; the
+    manifest's entries at v["rows"] name the windows, in order."""
+    topk = topk_masks(v["rows"], v["windows"].length, cfg, manifest)
+    return {"topk": topk, "influence": scored(v["events"], v["subevents"], topk, cfg)}
 
 
 def pool_step(v: dict, cfg: RunConfig, manifest) -> dict:
@@ -432,6 +461,32 @@ def merge_recordings(parts: list, window_ids: list) -> dict:
     return merged
 
 
+def steps_on(part: dict, steps: dict, cfg: RunConfig, manifest) -> dict:
+    """`part`, one recording's values and windows, updated by the
+    per-recording step of each stage of `steps` in order (an error is
+    prefixed with its stage), its windows then dropped."""
+    for stage, (step, _) in steps.items():
+        if step is not None:
+            with _stage(stage):
+                part.update(step(part, cfg, manifest))
+    del part["windows"]
+    return part
+
+
+def completed(parts: list, summaries: dict, window_ids: list, steps: dict, cfg: RunConfig,
+              manifest, given: dict) -> dict:
+    """The values of `given` and of the recordings' parts, merged into
+    manifest order (emptying `parts`), then those of each stage's
+    once-per-corpus step."""
+    values = {**given, "summaries": summaries, **merge_recordings(parts, window_ids)}
+    parts.clear()
+    for stage, (_, once) in steps.items():
+        if once is not None:
+            with _stage(stage):
+                values.update(once(values, cfg, manifest))
+    return values
+
+
 def compute(recordings, window_ids: list, steps: dict, cfg: RunConfig, manifest,
             given: dict) -> dict:
     """The values of ``steps``, a table like STEPS, on the windows
@@ -449,19 +504,59 @@ def compute(recordings, window_ids: list, steps: dict, cfg: RunConfig, manifest,
         part = {"rows": recording.rows, "windows": recording.windows,
                 **split_recording(given, recording.rows)}
         del recording  # and then the windows, once its steps are done
-        for stage, (step, _) in steps.items():
-            if step is not None:
-                with _stage(stage):
-                    part.update(step(part, cfg, manifest))
-        del part["windows"]
-        parts.append(part)
-    values = {**given, "summaries": summaries, **merge_recordings(parts, window_ids)}
-    del parts
-    for stage, (_, once) in steps.items():
-        if once is not None:
-            with _stage(stage):
-                values.update(once(values, cfg, manifest))
-    return values
+        parts.append(steps_on(part, steps, cfg, manifest))
+    return completed(parts, summaries, window_ids, steps, cfg, manifest, given)
+
+
+# the stages of a recording's gaze side, which run's pool workers take
+GAZE_STAGES = ("detect", "dissect")
+
+
+def gaze_side(manifest, cfg: RunConfig, file: tuple) -> dict:
+    """The gaze side of one recording_files entry for run: window_file,
+    then the steps of GAZE_STAGES. It returns only small tables: the
+    recording's id, summary, rows, events and sub-events."""
+    with _stage("preprocess"):
+        recording = window_file(manifest, cfg, *file)
+    part = {"id": recording.positions[0], "summary": recording.summary,
+            "rows": recording.rows, "windows": recording.windows}
+    del recording
+    return steps_on(part, {stage: STEPS[stage] for stage in GAZE_STAGES}, cfg, manifest)
+
+
+def pool_size(jobs: int, n_recordings: int) -> int:
+    """run's worker processes for --jobs `jobs`: the jobs beyond the
+    parent's own, capped by the CPUs and by the recordings the parent does
+    not take; none where fork is unavailable."""
+    if not hasattr(os, "fork"):
+        return 0
+    return max(0, min(jobs, os.cpu_count() or 1, n_recordings + 1) - 1)
+
+
+@contextmanager
+def recording_map(workers: int):
+    """map for no workers, else the map of a pool of `workers` forked
+    processes, which yields results in order and raises a task's error
+    when its result is reached. The pool is shut down when the block ends:
+    the tasks not begun are cancelled and the workers joined. A worker
+    that dies raises BrokenProcessPool, where a multiprocessing.Pool would
+    wait for its result forever. Fork, not spawn: a spawned worker imports
+    numpy and this package anew (about 0.1 s) and reruns the caller's main
+    module, which fails in a script without a __main__ guard. The workers
+    are forked before the pool starts its own thread; a caller that runs
+    other threads forks with them."""
+    if not workers:
+        yield map
+        return
+    # here, as they load socket: a run of one job never imports them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # the table of each stage; charts go to charts/
@@ -524,14 +619,40 @@ def removed_on_failure(written: list):
 
 
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
-    """Execute the full pipeline for a manifest and write all artifacts,
-    holding the windows of one recording at a time (compute)."""
+    """Execute the full pipeline for a manifest and write all artifacts.
+    Each recording's gaze side (gaze_side) runs through recording_map: in
+    this process for one job, else in a pool. This process parses the
+    recording's attributions into top-k masks, then takes its gaze side and
+    scores it. An error comes from the first failing recording, in stage
+    order within it."""
     cfg.validate()
     with _stage("preprocess"):
         require_windows(manifest)
     params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
-    values = compute(preprocess_manifest(manifest, cfg), [e.window_id for e in manifest.entries],
-                     STEPS, cfg, manifest, {"params": params})
+    files = recording_files(manifest)
+    summaries, sources, parts = {}, {}, []
+    with recording_map(pool_size(cfg.jobs, len(files))) as map_:
+        gazes = map_(partial(gaze_side, manifest, cfg), files)
+        for path, indices in files:
+            late = None  # an attribution error, raised after the earlier stages' errors
+            try:
+                with _stage("influence"):
+                    topk = topk_masks(indices, cfg.window_len, cfg, manifest)
+            except (GazeError, OSError) as e:
+                late = e
+            part = next(gazes)
+            recording_id = part.pop("id")
+            with _stage("preprocess"):
+                claim_source(sources, recording_id, path)
+            if late is not None:
+                raise late
+            summaries[recording_id] = part.pop("summary")
+            with _stage("influence"):
+                part.update(topk=topk, influence=scored(part["events"], part["subevents"],
+                                                        topk, cfg))
+            parts.append(part)
+    values = completed(parts, summaries, [e.window_id for e in manifest.entries], STEPS, cfg,
+                       manifest, {"params": params})
     result = RunResult(cfg, **values)
     write_artifacts(result, out_dir)
     return result
