@@ -20,6 +20,11 @@ else the manifest's `output_dir`, else ./out. `run --jobs N` with N > 1
 does each recording's gaze side in a fork pool (pipeline.pool_size), with
 the same outputs as --jobs 1; without fork it runs as --jobs 1. The
 staged subcommands run in one process and ignore a config file's jobs.
+synth writes its recordings in a fork pool of one process per CPU,
+capped by the recordings, with the same bytes as one process; it writes
+in one process for one recording, one CPU or no fork. A pool worker that
+dies fails the command with one error line naming the stages it did (or
+synth), exit 3.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 

@@ -10,10 +10,11 @@ largest recording, and an error comes from the first failing recording,
 in stage order within it. `run` drives this loop for the whole chain; with
 --jobs N above 1 and fork available, a fork pool does each recording's
 gaze side (load, window, detect, dissect: gaze_side) while this process
-parses its attributions (pool_size, recording_map). compute drives it
-for a staged subcommand, in this process, on the recordings of the
-windows stage file and the tables of the earlier stage files, which
-split_recording splits by recording. A step takes the earlier values
+parses its attributions (pool_size, recording_map; synth writes its
+recordings through the same pool, with the same bytes as one process).
+compute drives it for a staged subcommand, in this process, on the
+recordings of the windows stage file and the tables of the earlier stage
+files, which split_recording splits by recording. A step takes the earlier values
 keyed by RunResult's field names and the RunConfig whole. Events and
 sub-events are columnar tables (detect.EventTable, dissect.SubEventTable).
 Every reduction happens in manifest order, so outputs do not depend on
@@ -524,37 +525,67 @@ def gaze_side(manifest, cfg: RunConfig, file: tuple) -> dict:
     return steps_on(part, {stage: STEPS[stage] for stage in GAZE_STAGES}, cfg, manifest)
 
 
-def pool_size(jobs: int, n_recordings: int) -> int:
-    """run's worker processes for --jobs `jobs`: the jobs beyond the
-    parent's own, capped by the CPUs and by the recordings the parent does
-    not take; none where fork is unavailable."""
+def pool_size(jobs: int, n_recordings: int, parent_waits: bool = False) -> int:
+    """Worker processes for `jobs` processes over `n_recordings`
+    recordings, capped by the CPUs and by the recordings; none where fork
+    is unavailable. run's parent parses attributions meanwhile, so its
+    pool takes the jobs beyond the parent's own. synth's parent waits
+    (parent_waits), so its pool takes every job, or none where one process
+    would do: synth writes its recordings in a fork pool, with the same
+    bytes as in one process."""
     if not hasattr(os, "fork"):
         return 0
-    return max(0, min(jobs, os.cpu_count() or 1, n_recordings + 1) - 1)
+    processes = min(jobs, os.cpu_count() or 1, n_recordings + (not parent_waits))
+    if parent_waits:
+        return processes if processes > 1 else 0
+    return max(0, processes - 1)
+
+
+_task = None  # a pool worker's function of one item, set as the worker starts
+
+
+def _hold(fn):
+    global _task
+    _task = fn
+
+
+def _call(item):
+    return _task(item)
 
 
 @contextmanager
-def recording_map(workers: int):
-    """map for no workers, else the map of a pool of `workers` forked
-    processes, which yields results in order and raises a task's error
-    when its result is reached. The pool is shut down when the block ends:
-    the tasks not begun are cancelled and the workers joined. A worker
-    that dies raises BrokenProcessPool, where a multiprocessing.Pool would
-    wait for its result forever. Fork, not spawn: a spawned worker imports
-    numpy and this package anew (about 0.1 s) and reruns the caller's main
-    module, which fails in a script without a __main__ guard. The workers
-    are forked before the pool starts its own thread; a caller that runs
-    other threads forks with them."""
+def recording_map(fn, items, workers: int, name: str):
+    """The results of fn on each of items, in order: through map for no
+    workers, else through a pool of `workers` forked processes (run's gaze
+    side, synth's recordings). A task's error is raised when its result
+    is reached. Each worker holds fn from its fork, so a task pickles only
+    its item. A worker that dies raises ChildProcessError (an OSError)
+    prefixed with [name]; a multiprocessing.Pool would wait for its result
+    forever. The pool is shut down when the block ends: the tasks not
+    begun are cancelled and the workers joined. Fork, not spawn: a spawned
+    worker imports numpy and this package anew (about 0.1 s) and reruns
+    the caller's main module, which fails in a script without a __main__
+    guard. The workers are forked before the pool starts its own thread; a
+    caller that runs other threads forks with them."""
     if not workers:
-        yield map
+        yield map(fn, items)
         return
-    # here, as they load socket: a run of one job never imports them
+    # here, as they load socket: a process that starts no pool never imports them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    def results(mapped):
+        try:
+            yield from mapped
+        except BrokenProcessPool as e:
+            raise ChildProcessError(f"[{name}] a worker process died (killed, or out of "
+                                    f"memory?) before every recording was done") from e
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold, initargs=(fn,))
     try:
-        yield pool.map
+        yield results(pool.map(_call, items))  # every task submitted now
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -631,8 +662,8 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
     files = recording_files(manifest)
     summaries, sources, parts = {}, {}, []
-    with recording_map(pool_size(cfg.jobs, len(files))) as map_:
-        gazes = map_(partial(gaze_side, manifest, cfg), files)
+    with recording_map(partial(gaze_side, manifest, cfg), files, pool_size(cfg.jobs, len(files)),
+                       "stage preprocess, detect or dissect") as gazes:
         for path, indices in files:
             late = None  # an attribution error, raised after the earlier stages' errors
             try:

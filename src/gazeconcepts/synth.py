@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .io import (
     write_manifest,
     write_table,
 )
+from .pipeline import pool_size, recording_map
 from .preprocess import (
     SavGolParams,
     WindowParams,
@@ -277,8 +279,13 @@ def write_ground_truth(events_by_recording: dict, path):
     ])
 
 
-# synth's peak RSS grows by ~430 B per sample of its longest recording (1 x 130 s
-# at 1 kHz: 92 MB, 1 x 520 s: 253 MB), so a corpus of this many samples stays near 1 GB
+# synth's peak RSS is about 430 B per sample of each recording being written at once,
+# plus about 32 MB per process that writes: in one process 1 x 130 s at 1 kHz peaks at
+# 95 MB and 1 x 520 s at 262 MB; 2 x 130 s in a pool of two workers at 42 MB in the
+# parent and 88 MB in each worker (2 x 520 s: 53 MB and 258 MB), most of each worker's
+# first 32 MB being the parent's pages, shared since the fork. The recordings written at
+# once hold at most every sample of the corpus, so one of this many samples stays near
+# 1 GB, plus those 32 MB per worker
 MAX_CORPUS_SAMPLES = 2_500_000
 
 
@@ -320,12 +327,42 @@ class CorpusSpec:
                               f"{MAX_CORPUS_SAMPLES} samples, got {samples:g}")
 
 
+def write_recording(out: Path, spec: CorpusSpec, params: WindowParams, task: tuple) -> tuple:
+    """Generate recording `index` of the corpus from its plan and write its
+    gaze CSV and the attribution file of each of its `n_windows` windows,
+    the first seeded `attr_seed`, the next one more; returns its truth
+    events and manifest entries."""
+    index, plan, attr_seed, n_windows = task
+    rec_id = f"rec{index:02d}"
+    rec, truth = gen_scanpath(plan, spec.seed + index, recording_id=rec_id)
+    windows, _ = window_recording(rec_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg, params)
+    if len(windows) != n_windows:  # the seeds of every later recording would shift
+        raise AssertionError(f"{rec_id}: {len(windows)} windows, not the {n_windows} planned")
+    write_gaze_csv(rec, out / "recordings" / f"{rec_id}.csv")
+    entries = []
+    for row, window_id in enumerate(windows.window_ids):
+        attr = gen_proxy_attributions(windows, row, spec.attribution_mode, seed=attr_seed + row)
+        write_attribution(attr, out / "attributions" / f"{window_id}.csv")
+        entries.append(ManifestEntry(
+            f"recordings/{rec_id}.csv", f"attributions/{window_id}.csv", window_id
+        ))
+    return truth, entries
+
+
 def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     """Generate and write the demo corpus; returns the manifest path.
 
     Layout: recordings/*.csv, attributions/<window_id>.csv (aligned to
     the windows the default preprocessing produces), gt_events.csv, and
     manifest.json tying each attribution to its window.
+
+    Each recording is written by write_recording, in a fork pool of one
+    process per CPU, capped by the recordings (pipeline.pool_size), or in
+    this process for one recording, one CPU or no fork; the bytes are the
+    same either way. As positions are never missing, a recording has its
+    plan's samples // window_len windows, so each recording's first
+    attribution seed is fixed before any is generated. gt_events.csv and
+    manifest.json are written in recording order once every recording is.
     """
     spec = spec or CorpusSpec()
     spec.validate()
@@ -335,11 +372,9 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     sg = SavGolParams(params.sg_window, params.sg_order, 1 / spec.sampling_rate_hz)
     noise = spec.noise_velocity_sigma_dps
     sigma_pos = positional_noise_sigma(noise, sg) if noise > 0 else 0.0
-    entries = []
-    truth_by_rec = {}
+    tasks = []
     attr_seed = spec.seed + 7919
     for i in range(spec.n_recordings):
-        rec_id = f"rec{i:02d}"
         plan = random_plan(
             spec.seed + i,
             spec.duration_s,
@@ -349,27 +384,26 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
             noise_sigma_deg=sigma_pos,
             sampling_rate_hz=spec.sampling_rate_hz,
         )
-        rec, truth = gen_scanpath(plan, spec.seed + i, recording_id=rec_id)
-        windows, _ = window_recording(rec_id, rec.sampling_rate_hz, rec.x_deg, rec.y_deg, params)
-        if not len(windows):
+        samples = sum(_segment_samples(seg.duration_ms, spec.sampling_rate_hz)
+                      for seg in plan.segments)
+        if samples < spec.window_len:
             raise ConfigError(
-                f"duration_s {spec.duration_s:g} gives {rec_id} {len(rec.t_ms)} samples, "
+                f"duration_s {spec.duration_s:g} gives rec{i:02d} {samples} samples, "
                 f"fewer than window_len {spec.window_len}: no evaluation window")
-        for name in ("recordings", "attributions"):
-            (out / name).mkdir(parents=True, exist_ok=True)
-        write_gaze_csv(rec, out / "recordings" / f"{rec_id}.csv")
-        truth_by_rec[rec_id] = truth
+        n_windows = samples // spec.window_len
+        tasks.append((i, plan, attr_seed, n_windows))
+        attr_seed += n_windows
+    for name in ("recordings", "attributions"):
+        (out / name).mkdir(parents=True, exist_ok=True)
 
-        for row, window_id in enumerate(windows.window_ids):
-            attr = gen_proxy_attributions(windows, row, spec.attribution_mode, seed=attr_seed)
-            attr_seed += 1
-            write_attribution(attr, out / "attributions" / f"{window_id}.csv")
-            entries.append(ManifestEntry(
-                f"recordings/{rec_id}.csv", f"attributions/{window_id}.csv", window_id
-            ))
-
-    write_ground_truth(truth_by_rec, out / "gt_events.csv")
-    manifest = RunManifest(entries=entries, base_dir=out, output_dir="out")
+    workers = pool_size(spec.n_recordings, spec.n_recordings, parent_waits=True)
+    with recording_map(partial(write_recording, out, spec, params), tasks, workers,
+                       "synth") as results:
+        written = list(results)
+    write_ground_truth({f"rec{i:02d}": truth for i, (truth, _) in enumerate(written)},
+                       out / "gt_events.csv")
+    manifest = RunManifest(entries=[e for _, entries in written for e in entries],
+                           base_dir=out, output_dir="out")
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path

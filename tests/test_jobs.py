@@ -1,24 +1,32 @@
-"""`run --jobs N`: above 1 a fork pool does each recording's gaze side
-(pipeline.gaze_side) while the calling process parses the attributions.
-The outputs and the errors equal --jobs 1's, no worker outlives `run`,
-a worker that dies fails `run` rather than hanging it, and the pool's
-size is bounded without starting one."""
+"""The fork pools. `run --jobs N`: above 1 a fork pool does each
+recording's gaze side (pipeline.gaze_side) while the calling process
+parses the attributions. `synth`: a fork pool writes the recordings
+(synth.write_recording). The outputs and the errors equal those of one
+process, no worker outlives the call, a worker that dies fails it with
+one error line rather than hanging it, a task pickles only its item, and
+the pool's size is bounded without starting one."""
 
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
+import subprocess
+import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gazeconcepts import pipeline
+import gazeconcepts
+from gazeconcepts import pipeline, synth
 from gazeconcepts.cli import main
-from gazeconcepts.io import load_gaze_csv, load_manifest, write_gaze_csv
-from gazeconcepts.synth import CorpusSpec, write_demo_corpus
+from gazeconcepts.io import load_attribution, load_gaze_csv, load_manifest, write_gaze_csv
+from gazeconcepts.synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 W250 = ["--window-len", "250"]
 
@@ -200,12 +208,50 @@ def test_a_killed_worker_fails_run_instead_of_hanging(corpus, tmp_path, monkeypa
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError) as died:
             pipeline.run(load_manifest(corpus), pipeline.RunConfig(jobs=2, window_len=250),
                          tmp_path / "out")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert isinstance(died.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_a_killed_worker_gives_one_error_line_and_exit_3(corpus, tmp_path, monkeypatch,
+                                                          capsys, two_cpus, command):
+    """Exit 3 (I/O) with one error line that names what the worker did,
+    no traceback, nothing of the run's report or the corpus's manifest."""
+    if command == "run":
+        monkeypatch.setattr(pipeline, "gaze_side", _killed)
+        argv = ["run", "--manifest", str(corpus), "--jobs", "2", *W250]
+        prefix, done = "[stage preprocess, detect or dissect] ", "report.json"
+    else:
+        monkeypatch.setattr(synth, "write_recording", _killed)
+        argv = ["synth", "--recordings", "3", "--duration-s", "6", *W250]
+        prefix, done = "[synth] ", "manifest.json"
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}a worker process died") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / done).exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_task_pickles_only_its_item(corpus, tmp_path, two_cpus):
+    """The workers hold the function, manifest and config from their fork:
+    a manifest that cannot be pickled still runs in the pool, as a lambda
+    does."""
+    manifest = load_manifest(corpus)
+    cfg = pipeline.RunConfig(window_len=250)
+    manifest.lock = threading.Lock()
+    with pytest.raises(TypeError, match="pickle"):
+        pickle.dumps(manifest)
+    for jobs in (1, 2):
+        pipeline.run(manifest, replace(cfg, jobs=jobs), tmp_path / f"jobs{jobs}")
+    assert _outputs(tmp_path / "jobs1") == _outputs(tmp_path / "jobs2")
+    with pipeline.recording_map(lambda item: -item, [3, 1, 2], 2, "test") as results:
+        assert list(results) == [-3, -1, -2]
     assert multiprocessing.active_children() == []
 
 
@@ -225,3 +271,115 @@ def test_pool_size_is_bounded_by_cpus_and_recordings(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.delattr(os, "fork")
     assert pipeline.pool_size(10**9, 4) == 0
+
+
+SYNTH = {"seed": 5, "n_recordings": 3, "duration_s": 6, "window_len": 250}
+SYNTH_FLAGS = ["--seed", "5", "--recordings", "3", "--duration-s", "6", *W250]
+
+
+def _noting_writers(monkeypatch, log):
+    """synth.write_recording, noting in `log` the pid of the process that
+    writes each recording."""
+    write = synth.write_recording
+
+    def noted(*args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return write(*args)
+
+    monkeypatch.setattr(synth, "write_recording", noted)
+
+
+def _tree(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("mode", ATTRIBUTION_MODES)
+def test_pooled_synth_writes_the_bytes_of_one_process(tmp_path, monkeypatch, mode):
+    spec = CorpusSpec(**SYNTH, attribution_mode=mode)
+    log = tmp_path / "pids"
+    _noting_writers(monkeypatch, log)
+    trees, writers = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        write_demo_corpus(tmp_path / f"cpus{cpus}", spec)
+        trees.append(_tree(tmp_path / f"cpus{cpus}"))
+        writers.append([int(pid) for pid in log.read_text().split()])
+        log.unlink()
+        assert multiprocessing.active_children() == []
+    assert writers[0] == [os.getpid()] * 3
+    assert len(writers[1]) == 3 and os.getpid() not in writers[1]
+    assert len(trees[0]) == 3 + 72 + 2 and "manifest.json" in trees[0]
+    assert sorted(trees[0]) == sorted(trees[1])
+    for name, content in trees[0].items():
+        assert trees[1][name] == content, name
+
+
+def test_pooled_attribution_seeds_count_the_windows_of_every_earlier_recording(
+        tmp_path, two_cpus):
+    """A uniform-random map is default_rng(seed).random((2, L)), and the
+    seed of the corpus's j-th window is seed + 7919 + j, as when one
+    process wrote the recordings in turn."""
+    spec = CorpusSpec(**SYNTH, attribution_mode="uniform_random")
+    manifest = load_manifest(write_demo_corpus(tmp_path / "corpus", spec))
+    assert len(manifest.entries) == 72
+    for j, entry in enumerate(manifest.entries):
+        values = load_attribution(manifest.resolve(entry.attribution)).values
+        expected = np.random.default_rng(spec.seed + 7919 + j).random((2, 250))
+        assert np.array_equal(values, expected), entry.window_id
+
+
+def test_synth_of_one_recording_starts_no_pool(tmp_path, monkeypatch, two_cpus):
+    log = tmp_path / "pids"
+    _noting_writers(monkeypatch, log)
+    assert pipeline.pool_size(1, 1, parent_waits=True) == 0
+    assert pipeline.pool_size(3, 3, parent_waits=True) == 2
+    write_demo_corpus(tmp_path / "corpus", CorpusSpec(**{**SYNTH, "n_recordings": 1}))
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_synth_in_one_process_never_imports_the_pool():
+    """In one fresh process: synth of one recording, of three on one CPU
+    and of three without fork imports neither multiprocessing nor
+    concurrent.futures; three on two CPUs, the control, imports both."""
+    code = f"""
+import os, sys, tempfile
+from gazeconcepts.synth import CorpusSpec, write_demo_corpus
+POOL = ("multiprocessing", "concurrent.futures")
+spec = {SYNTH!r}
+with tempfile.TemporaryDirectory() as tmp:
+    def synth(name, cpus, **fields):
+        os.cpu_count = lambda: cpus
+        write_demo_corpus(os.path.join(tmp, name), CorpusSpec(**{{**spec, **fields}}))
+        return [m for m in POOL if m in sys.modules]
+    assert synth("one", 2, n_recordings=1) == [], "one recording"
+    assert synth("one_cpu", 1) == [], "one CPU"
+    fork = os.fork
+    del os.fork
+    assert synth("no_fork", 2) == [], "no fork"
+    os.fork = fork
+    assert synth("pool", 2) == list(POOL), "control"
+"""
+    src = str(Path(gazeconcepts.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_failing_recording_gives_the_first_error_in_order(tmp_path, capsys, monkeypatch):
+    """rec01 fails at its fourth attribution and rec02 at its gaze file,
+    which a pool may meet first: rec01's error either way, and neither
+    gt_events.csv nor manifest.json."""
+    out = tmp_path / "corpus"
+    (out / "attributions" / "rec01-w0003.csv").mkdir(parents=True)
+    (out / "recordings" / "rec02.csv").mkdir(parents=True)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["synth", "--out", str(out), *SYNTH_FLAGS]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not (out / "manifest.json").exists() and not (out / "gt_events.csv").exists()
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and "rec01-w0003.csv" in errors[0], errors[0]
