@@ -19,12 +19,12 @@ file's order. The output directory is --out, else $GAZECONCEPTS_OUT,
 else the manifest's `output_dir`, else ./out. `run --jobs N` with N > 1
 does each recording's gaze side in a fork pool (pipeline.pool_size), with
 the same outputs as --jobs 1; without fork it runs as --jobs 1. The
-staged subcommands run in one process and ignore a config file's jobs.
-synth writes its recordings in a fork pool of one process per CPU,
-capped by the recordings, with the same bytes as one process; it writes
-in one process for one recording, one CPU or no fork. A pool worker that
-dies fails the command with one error line naming the stages it did (or
-synth), exit 3.
+staged subcommands ignore a config file's jobs: each windows and computes
+its recordings, and synth writes them, in a fork pool of one process per
+usable CPU, capped by the recordings, with the same bytes as one process,
+and in one process for one recording, one usable CPU or no fork. A pool
+worker that dies fails the command with one error line naming the stages
+it did (or synth), exit 3.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -192,7 +192,7 @@ def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     clear_outputs(out)  # a failed preprocess leaves no earlier run's files
     require_windows(manifest)
-    positions = [recording.positions for recording in preprocess_manifest(manifest, cfg)]
+    positions = preprocess_manifest(manifest, cfg)
     path = out / "windows.npz"
     with removed_on_failure([path]):
         gio.write_windows(positions, path, [e.window_id for e in manifest.entries], cfg)
@@ -254,19 +254,20 @@ def _exact_properties(v: dict, cfg: RunConfig, manifest) -> dict:
 
 def _staged(stage: str, args) -> int:
     """A stage after preprocess: its inputs read back from the stage files,
-    then run's per-recording loop (pipeline.compute) with its steps on the
-    recordings of windows.npz, which a given manifest must name in order,
-    and run's writer; a failed write removes every file the stage wrote."""
+    then run's per-recording loop, in a fork pool (pipeline.compute), with
+    its steps on the recordings of windows.npz, which a given manifest must
+    name in order, and run's writer; a failed write removes every file the
+    stage wrote."""
     manifest, cfg, out = _context(args)
     path = out / "windows.npz"
-    window_ids, params, recordings = gio.read_windows(path)
+    window_ids, params, stored = gio.read_windows(path)
     if manifest is not None and [e.window_id for e in manifest.entries] != window_ids:
         raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
     given = _read_inputs(stage, out, window_ids, params, cfg)
     step, once = STEPS[stage]
     if stage == "bin":
         step = _exact_properties
-    v = compute(recordings, window_ids, {stage: (step, once)}, cfg, manifest, given)
+    v = compute(path, stored, window_ids, {stage: (step, once)}, cfg, manifest, given)
     with removed_on_failure([]) as written:
         if stage == "influence":  # only a staged bin reads the top-k masks
             written.append(out / "topk.npz")

@@ -749,11 +749,12 @@ def _is(array, dtype, shape) -> bool:
 
 def read_windows(path):
     """Inverse of write_windows: (the evaluation window ids in the file's
-    order, the stored WindowParams, an iterator of RecordingWindows, each
-    recording windowed from its stored positions as preprocess windows it
-    when the iterator reaches it). FormatError naming the file for
-    anything else, a window id no recording produces included; DataError
-    for a file of no windows, which preprocess never writes."""
+    order, the stored WindowParams, each recording's stored positions as
+    (id, sampling rate, x, y), which window_stored windows as preprocess
+    windows them). FormatError naming the file for anything else; a
+    window id no recording produces is found once every recording is
+    windowed (check_claimed). DataError for a file of no windows, which
+    preprocess never writes."""
     a = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess")
     r, total = a["recording_id"].size, a["x"].size
     layout = {
@@ -781,25 +782,35 @@ def read_windows(path):
     if not window_ids:
         raise DataError(f"{path}: holds no evaluation windows; rerun preprocess")
     starts = np.cumsum(counts)[:-1]
-    recordings = zip(recording_ids, rates.tolist(), np.split(a["x"], starts),
-                     np.split(a["y"], starts))
-    return window_ids, params, _windowed(path, recordings, window_ids, params)
+    return window_ids, params, list(zip(recording_ids, rates.tolist(), np.split(a["x"], starts),
+                                        np.split(a["y"], starts)))
 
 
-def _windowed(path, recordings, window_ids, params: WindowParams):
-    """read_windows' iterator, each recording's windows gathered in order."""
-    unclaimed = {window_id: row for row, window_id in enumerate(window_ids)}
+def window_stored(path, positions, row_of: dict, params: WindowParams) -> RecordingWindows:
+    """One recording of the windows file at `path`, windowed from its
+    stored `positions` (read_windows) as preprocess windows it, with those
+    of its windows that `row_of` (window id -> row in the file's order)
+    names gathered in row order. FormatError naming the file for a
+    DataError."""
     try:
-        for positions in recordings:
-            stack, summary = window_recording(*positions, params)
-            rows = sorted(unclaimed.pop(w) for w in stack.window_ids if w in unclaimed)
-            yield RecordingWindows(positions, summary, np.array(rows, dtype=np.int64),
-                                   gather_windows(stack, [window_ids[i] for i in rows]))
-            del positions, stack
-        if unclaimed:
-            raise AlignmentError(f"window_id {next(iter(unclaimed))!r} is not among the windows")
+        stack, summary = window_recording(*positions, params)
     except DataError as e:
         raise FormatError(f"{path}: {e}") from None
+    ids = sorted((w for w in stack.window_ids if w in row_of), key=row_of.__getitem__)
+    return RecordingWindows(positions, summary, np.array([row_of[w] for w in ids], dtype=np.int64),
+                            gather_windows(stack, ids))
+
+
+def check_claimed(path, window_ids: list, rows: list):
+    """FormatError naming the windows file at `path` for the first of its
+    `window_ids` that none of the recordings' `rows` (window_stored)
+    holds."""
+    claimed = np.zeros(len(window_ids), dtype=bool)
+    for r in rows:
+        claimed[r] = True
+    if not claimed.all():
+        raise FormatError(f"{path}: window_id {window_ids[int(claimed.argmin())]!r} is not "
+                          f"among the windows")
 
 
 TOPK_ARRAYS = ("window_id", "indices", "squash")

@@ -3,18 +3,22 @@ report.
 
 The work is done one recording at a time. A recording's per-recording
 step of each stage (STEPS) runs on its windows, which are dropped before
-the next recording is windowed. merge_recordings puts the results into
-manifest order, as the steps give them on the whole stack, and each
-stage's once-per-corpus step runs on them. Peak memory thus follows the
-largest recording, and an error comes from the first failing recording,
-in stage order within it. `run` drives this loop for the whole chain; with
---jobs N above 1 and fork available, a fork pool does each recording's
-gaze side (load, window, detect, dissect: gaze_side) while this process
-parses its attributions (pool_size, recording_map; synth writes its
-recordings through the same pool, with the same bytes as one process).
-compute drives it for a staged subcommand, in this process, on the
-recordings of the windows stage file and the tables of the earlier stage
-files, which split_recording splits by recording. A step takes the earlier values
+the process that holds them windows its next recording. merge_recordings
+puts the results into manifest order, as the steps give them on the
+whole stack, and each stage's once-per-corpus step runs on them. Peak
+memory thus follows the largest recording in each process, and an error
+comes from the first failing recording, in stage order within it. `run`
+drives this loop for the whole chain; with --jobs N above 1 and fork
+available, a fork pool does each recording's gaze side (load, window,
+detect, dissect: gaze_side) while this process parses its attributions
+(pool_size, recording_map). compute drives it for a staged subcommand,
+on the recordings of the windows stage file and the tables of the
+earlier stage files, which split_recording splits by recording: a fork
+pool of one process per usable CPU, capped by the recordings, windows
+each recording and runs its steps, and this process merges. Staged
+preprocess windows its recordings in the same pool (preprocess_manifest),
+and synth writes its recordings through it. Every pool gives the bytes of
+one process. A step takes the earlier values
 keyed by RunResult's field names and the RunConfig whole. Events and
 sub-events are columnar tables (detect.EventTable, dissect.SubEventTable).
 Every reduction happens in manifest order, so outputs do not depend on
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import shutil
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
@@ -108,7 +113,8 @@ class RunConfig(DetectionParams, WindowParams):
     properties: tuple = tuple(sorted(binning_mod.PROPERTIES))
     # report
     charts: bool = True
-    # execution: run's processes (pool_size); the staged subcommands ignore it
+    # execution: run's processes (pool_size); the staged subcommands ignore
+    # it, as they and synth pool one process per usable CPU
     jobs: int = 1
 
     def validate(self):
@@ -218,17 +224,21 @@ def claim_source(sources: dict, recording_id: str, path):
     sources[recording_id] = path
 
 
-def preprocess_manifest(manifest, cfg: RunConfig):
-    """The manifest's recordings as RecordingWindows (window_file), one at
-    a time, in recording_files' order. DataError if two files have one
-    recording id. Nothing of a recording is held here once the next one is
-    asked for."""
-    sources = {}
-    for path, indices in recording_files(manifest):
-        recording = window_file(manifest, cfg, path, indices)
-        claim_source(sources, recording.positions[0], path)
-        yield recording
-        del recording
+def preprocess_manifest(manifest, cfg: RunConfig) -> list:
+    """The positions of each of the manifest's recordings, as window_file
+    stores them (recording id first), in recording_files' order. Each
+    recording is windowed in a fork pool of one process per usable CPU,
+    capped by the recordings (pool_size), where its windows stay.
+    DataError if two files have one recording id."""
+    files = recording_files(manifest)
+    sources, positions = {}, []
+    with recording_map(lambda file: window_file(manifest, cfg, *file).positions, files,
+                       pool_size(len(files), len(files), parent_waits=True),
+                       "stage preprocess") as results:
+        for (path, _), stored in zip(files, results):
+            claim_source(sources, stored[0], path)
+            positions.append(stored)
+    return positions
 
 
 def normalized_windows(windows: WindowStack) -> WindowStack:
@@ -462,6 +472,14 @@ def merge_recordings(parts: list, window_ids: list) -> dict:
     return merged
 
 
+def recording_part(recording: RecordingWindows, given: dict) -> dict:
+    """One recording's part: its id, summary, rows and windows, and the
+    tables of `given` split to its rows (split_recording)."""
+    return {"id": recording.positions[0], "summary": recording.summary,
+            "rows": recording.rows, "windows": recording.windows,
+            **split_recording(given, recording.rows)}
+
+
 def steps_on(part: dict, steps: dict, cfg: RunConfig, manifest) -> dict:
     """`part`, one recording's values and windows, updated by the
     per-recording step of each stage of `steps` in order (an error is
@@ -488,24 +506,34 @@ def completed(parts: list, summaries: dict, window_ids: list, steps: dict, cfg: 
     return values
 
 
-def compute(recordings, window_ids: list, steps: dict, cfg: RunConfig, manifest,
+def compute(path, stored: list, window_ids: list, steps: dict, cfg: RunConfig, manifest,
             given: dict) -> dict:
     """The values of ``steps``, a table like STEPS, on the windows
-    ``window_ids``, which ``recordings`` yields as RecordingWindows, with
-    the tables of ``given`` split to each recording (module doc). An error
-    is prefixed with its stage; ``manifest``, if given, names the windows'
-    attributions."""
-    summaries, parts = {}, []
-    while True:
+    ``window_ids`` of the windows file at ``path``, whose recordings'
+    positions are ``stored`` (io.read_windows), cut by ``given["params"]``,
+    with the tables of ``given`` split to each recording (module doc).
+    Each recording is windowed (io.window_stored) and its steps run in a
+    fork pool of one process per usable CPU, capped by the recordings
+    (pool_size), and its part comes back without its windows. ``stored``
+    is emptied once every recording is done. An error is prefixed with its
+    stage; ``manifest``, if given, names the windows' attributions."""
+    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
+
+    def part_of(positions):
         with _stage("preprocess"):
-            recording = next(recordings, None)
-        if recording is None:
-            break
-        summaries[recording.positions[0]] = recording.summary
-        part = {"rows": recording.rows, "windows": recording.windows,
-                **split_recording(given, recording.rows)}
-        del recording  # and then the windows, once its steps are done
-        parts.append(steps_on(part, steps, cfg, manifest))
+            part = recording_part(gio.window_stored(path, positions, row_of, given["params"]),
+                                  given)
+        return steps_on(part, steps, cfg, manifest)
+
+    summaries, parts = {}, []
+    with recording_map(part_of, stored, pool_size(len(stored), len(stored), parent_waits=True),
+                       f"stage {', '.join(steps)}") as results:
+        for part in results:
+            summaries[part.pop("id")] = part.pop("summary")
+            parts.append(part)
+    stored.clear()
+    with _stage("preprocess"):
+        gio.check_claimed(path, window_ids, [part["rows"] for part in parts])
     return completed(parts, summaries, window_ids, steps, cfg, manifest, given)
 
 
@@ -518,76 +546,109 @@ def gaze_side(manifest, cfg: RunConfig, file: tuple) -> dict:
     then the steps of GAZE_STAGES. It returns only small tables: the
     recording's id, summary, rows, events and sub-events."""
     with _stage("preprocess"):
-        recording = window_file(manifest, cfg, *file)
-    part = {"id": recording.positions[0], "summary": recording.summary,
-            "rows": recording.rows, "windows": recording.windows}
-    del recording
+        part = recording_part(window_file(manifest, cfg, *file), {})
     return steps_on(part, {stage: STEPS[stage] for stage in GAZE_STAGES}, cfg, manifest)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else os.cpu_count(), 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pool_size(jobs: int, n_recordings: int, parent_waits: bool = False) -> int:
     """Worker processes for `jobs` processes over `n_recordings`
-    recordings, capped by the CPUs and by the recordings; none where fork
-    is unavailable. run's parent parses attributions meanwhile, so its
-    pool takes the jobs beyond the parent's own. synth's parent waits
-    (parent_waits), so its pool takes every job, or none where one process
-    would do: synth writes its recordings in a fork pool, with the same
-    bytes as in one process."""
+    recordings, capped by the usable CPUs and by the recordings; none
+    where fork is unavailable. run's parent parses attributions meanwhile,
+    so its pool takes the jobs beyond the parent's own. The parent of
+    synth and of a staged subcommand waits (parent_waits), so its pool
+    takes every job, or none where one process would do; they ask for one
+    job per recording, so they pool one process per usable CPU."""
     if not hasattr(os, "fork"):
         return 0
-    processes = min(jobs, os.cpu_count() or 1, n_recordings + (not parent_waits))
+    processes = min(jobs, usable_cpus(), n_recordings + (not parent_waits))
     if parent_waits:
         return processes if processes > 1 else 0
     return max(0, processes - 1)
 
 
-_task = None  # a pool worker's function of one item, set as the worker starts
+def _serve(fn, items: list, read: int, write: int, inherited: list):
+    """A pool worker's life, after its fork: fn on each of its items in
+    turn, each result, or the error it raised, pickled into its pipe's
+    `write` end; then exit, never returning into the caller's code. It
+    closes its copies of the read ends, its own and the earlier workers'
+    (`inherited`), so that once the parent closes its own the next write
+    fails and the worker stops."""
+    code = 1
+    try:
+        os.close(read)
+        for pipe in inherited:
+            pipe.close()
+        with os.fdopen(write, "wb") as out:
+            for item in items:
+                try:
+                    message = (True, fn(item))
+                except Exception as e:
+                    message = (False, e)
+                pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _hold(fn):
-    global _task
-    _task = fn
-
-
-def _call(item):
-    return _task(item)
+def _results(pipes: list, n: int, name: str):
+    """The n results the workers send through `pipes`, in item order:
+    item i from pipe i % len(pipes). A task's error is raised here."""
+    for i in range(n):
+        try:
+            ok, value = pickle.load(pipes[i % len(pipes)])
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"[{name}] a worker process died (killed, or out of "
+                                    f"memory?) before every recording was done") from None
+        if not ok:
+            raise value
+        yield value
 
 
 @contextmanager
 def recording_map(fn, items, workers: int, name: str):
     """The results of fn on each of items, in order: through map for no
-    workers, else through a pool of `workers` forked processes (run's gaze
-    side, synth's recordings). A task's error is raised when its result
-    is reached. Each worker holds fn from its fork, so a task pickles only
-    its item. A worker that dies raises ChildProcessError (an OSError)
-    prefixed with [name]; a multiprocessing.Pool would wait for its result
-    forever. The pool is shut down when the block ends: the tasks not
-    begun are cancelled and the workers joined. Fork, not spawn: a spawned
-    worker imports numpy and this package anew (about 0.1 s) and reruns
-    the caller's main module, which fails in a script without a __main__
-    guard. The workers are forked before the pool starts its own thread; a
-    caller that runs other threads forks with them."""
+    workers, else through `workers` forked processes (run's gaze side, the
+    staged subcommands' recordings, synth's recordings). Worker w takes
+    items w, w + workers, ... and sends back each result through its own
+    pipe; a task's error is raised when its result is reached. Each worker
+    holds fn and the items from its fork, so only results are pickled. A
+    worker that dies raises ChildProcessError (an OSError) prefixed with
+    [name]. When the block ends the pipes are closed, so that each worker
+    stops once its running task is done, and every worker is reaped.
+    Plain os.fork: multiprocessing loads socket on import, and its import
+    and pool take about 20 ms of each command that pools; a spawned worker
+    would import numpy and this package anew (about 0.1 s) and rerun the
+    caller's main module. A caller that runs other threads forks with
+    them."""
     if not workers:
         yield map(fn, items)
         return
-    # here, as they load socket: a process that starts no pool never imports them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def results(mapped):
-        try:
-            yield from mapped
-        except BrokenProcessPool as e:
-            raise ChildProcessError(f"[{name}] a worker process died (killed, or out of "
-                                    f"memory?) before every recording was done") from e
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_hold, initargs=(fn,))
+    items = list(items)
+    pipes, pids = [], []
     try:
-        yield results(pool.map(_call, items))  # every task submitted now
+        for worker in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, items[worker::workers], read, write, pipes)
+            os.close(write)
+            pipes.append(os.fdopen(read, "rb"))
+            pids.append(pid)
+        yield _results(pipes, len(items), name)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 # the table of each stage; charts go to charts/

@@ -357,9 +357,9 @@ def write_demo_corpus(out_dir, spec: CorpusSpec | None = None) -> Path:
     manifest.json tying each attribution to its window.
 
     Each recording is written by write_recording, in a fork pool of one
-    process per CPU, capped by the recordings (pipeline.pool_size), or in
-    this process for one recording, one CPU or no fork; the bytes are the
-    same either way. As positions are never missing, a recording has its
+    process per usable CPU, capped by the recordings (pipeline.pool_size),
+    or in this process for one recording, one usable CPU or no fork; the
+    bytes are the same either way. As positions are never missing, a recording has its
     plan's samples // window_len windows, so each recording's first
     attribution seed is fixed before any is generated. gt_events.csv and
     manifest.json are written in recording order once every recording is.

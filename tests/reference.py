@@ -12,7 +12,9 @@ events_by_row, dissections) and back (event_table, subevent_table). The
 loops read one window at a time as a Window, row i of the package's
 WindowStack (window_rows). whole_stack is the gather the package ran
 before it computed one recording at a time: every recording's windows
-stacked in manifest order.
+stacked in manifest order, from the RecordingWindows of every recording
+file (windowed_manifest). stored_windows windows every recording of a
+windows file as the staged subcommands' workers do.
 _cells is the row-wise cell rule the column-wise table writer must
 reproduce byte for byte.
 """
@@ -43,6 +45,8 @@ from gazeconcepts.influence import (
     TopKSegmentation,
     aggregate_influence,
 )
+from gazeconcepts.io import check_claimed, read_windows, window_stored
+from gazeconcepts.pipeline import recording_files, window_file
 from gazeconcepts.preprocess import WindowStack
 
 
@@ -146,6 +150,24 @@ def whole_stack(recordings, window_ids) -> tuple:
         summaries[recording.positions[0]] = recording.summary
         stacks.append(recording.windows)
     return stacked(stacks, window_ids), summaries
+
+
+def windowed_manifest(manifest, cfg) -> list:
+    """The RecordingWindows of each of the manifest's recording files, in
+    this process, in recording_files' order (pipeline.window_file)."""
+    return [window_file(manifest, cfg, *file) for file in recording_files(manifest)]
+
+
+def stored_windows(path) -> tuple:
+    """(window ids, WindowParams, the RecordingWindows of each recording)
+    of the windows file at ``path``: every recording windowed from its
+    stored positions, then the check that each window id is among them,
+    as pipeline.compute does."""
+    window_ids, params, stored = read_windows(path)
+    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
+    recordings = [window_stored(path, positions, row_of, params) for positions in stored]
+    check_claimed(path, window_ids, [recording.rows for recording in recordings])
+    return window_ids, params, recordings
 
 
 PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",

@@ -26,7 +26,7 @@ from gazeconcepts.synth import (
 )
 
 from conftest import gappy_corpus, pipeline_windows
-from reference import whole_stack
+from reference import stored_windows, whole_stack
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +274,7 @@ def test_staged_matches_run_with_missing_samples(tmp_path):
     manifest = gappy_corpus(tmp_path / "corpus", window_len=40)
     assert ",,\n" in (tmp_path / "corpus" / "rec00.csv").read_text()
     run_out, staged = _run_and_staged(manifest, tmp_path, ["--window-len", "40"])
-    window_ids, _, recordings = gio.read_windows(staged / "windows.npz")
+    window_ids, _, recordings = stored_windows(staged / "windows.npz")
     assert not whole_stack(recordings, window_ids)[0].valid.all()
     counts = json.loads((run_out / "report.json").read_text())["counts"]["windows"]
     assert counts["excluded_missing"] > 0
@@ -298,7 +298,7 @@ def test_staged_matches_run_on_every_other_window_in_reverse(tiny_corpus, tmp_pa
     assert len({e["recording"] for e in doc["entries"]}) == 2
     manifest.write_text(json.dumps(doc))
     run_out, staged = _run_and_staged(manifest, tmp_path)
-    window_ids, _, recordings = gio.read_windows(staged / "windows.npz")
+    window_ids, _, recordings = stored_windows(staged / "windows.npz")
     assert whole_stack(recordings, window_ids)[0].window_ids == window_ids == [
         e["window_id"] for e in doc["entries"]]
     _assert_staged_matches(run_out, staged)

@@ -56,8 +56,10 @@ from reference import (
     event_rows,
     event_table,
     stacked,
+    stored_windows,
     subevent_table,
     whole_stack,
+    windowed_manifest,
 )
 from gazeconcepts.cli import main
 from gazeconcepts.pipeline import RunConfig, preprocess_manifest
@@ -794,7 +796,7 @@ def test_windows_roundtrip_exact(tmp_path):
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
     write_windows(recordings, p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
-    window_ids, back_params, back_recordings = read_windows(p)
+    window_ids, back_params, back_recordings = stored_windows(p)
     assert (window_ids, back_params) == (ids, params)
     back, summaries = whole_stack(back_recordings, window_ids)
     want = stacked([window_recording(*r, params)[0] for r in recordings], ids)
@@ -821,10 +823,10 @@ def test_windows_roundtrip_exact(tmp_path):
 
 
 def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
-    """(preprocess_manifest's windows stacked in manifest order, their
-    summaries, windows file written from what it parsed) for every window
-    of two gappy recordings that windowing retains, the recordings'
-    windows taken in turn."""
+    """(the recordings' windows stacked in manifest order, their
+    summaries, windows file written from what preprocess_manifest parsed)
+    for every window of two gappy recordings that windowing retains, the
+    recordings' windows taken in turn."""
     recs = write_gappy_recordings(root)
     cfg = RunConfig(window_len=window_len, missing_max_frac=missing_max_frac, **config)
     retained = [pipeline_windows(rec, window_len, missing_max_frac)[0].window_ids
@@ -834,9 +836,9 @@ def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
                for rec, ids in zip(recs, retained) if slot < len(ids)]
     p = Path(root) / "windows.npz"
     ids = [e.window_id for e in entries]
-    recordings = list(preprocess_manifest(RunManifest(entries, Path(root)), cfg))
-    write_windows([recording.positions for recording in recordings], p, ids, cfg)
-    return (*whole_stack(recordings, ids), p)
+    manifest = RunManifest(entries, Path(root))
+    write_windows(preprocess_manifest(manifest, cfg), p, ids, cfg)
+    return (*whole_stack(windowed_manifest(manifest, cfg), ids), p)
 
 
 def _bits(a):
@@ -864,7 +866,7 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
     with np.load(p) as npz:
         assert sorted(npz.files) == sorted(gio.WINDOW_ARRAYS)
         assert npz["x"].shape == (npz["n_samples"].sum(),) and npz["n_samples"].min() > 1500
-    window_ids, _, recordings = read_windows(p)
+    window_ids, _, recordings = stored_windows(p)
     back, back_summaries = whole_stack(recordings, window_ids)
     assert back_summaries == summaries
     for name in ("vx", "vy", "px", "py", "valid", "sampling_rate_hz"):
@@ -943,7 +945,7 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
         bad = tmp_path / f"{name}.npz"
         np.savez(bad, **(change if name in older else {**arrays, **change}))
         with pytest.raises(FormatError, match=rf"{bad.name}: {message}"):
-            list(read_windows(bad)[2])  # windowed as each recording is reached
+            stored_windows(bad)  # windowed as compute windows each recording
 
 
 def test_topk_roundtrip_exact(tmp_path):

@@ -1,13 +1,15 @@
 """The fork pools. `run --jobs N`: above 1 a fork pool does each
 recording's gaze side (pipeline.gaze_side) while the calling process
-parses the attributions. `synth`: a fork pool writes the recordings
-(synth.write_recording). The outputs and the errors equal those of one
-process, no worker outlives the call, a worker that dies fails it with
-one error line rather than hanging it, a task pickles only its item, and
-the pool's size is bounded without starting one."""
+parses the attributions. The staged subcommands: a fork pool of one
+process per usable CPU windows each recording and runs its steps
+(pipeline.compute; preprocess_manifest for preprocess). `synth`: a fork
+pool writes the recordings (synth.write_recording). The outputs and the
+errors equal those of one process, no worker outlives the call, a worker
+that dies fails it with one error line rather than hanging it, a worker
+holds its tasks from its fork, and the pool's size is bounded without
+starting one."""
 
 import json
-import multiprocessing
 import os
 import pickle
 import shutil
@@ -15,7 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,18 +25,53 @@ import numpy as np
 import pytest
 
 import gazeconcepts
+from gazeconcepts import io as gio
 from gazeconcepts import pipeline, synth
 from gazeconcepts.cli import main
 from gazeconcepts.io import load_attribution, load_gaze_csv, load_manifest, write_gaze_csv
 from gazeconcepts.synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 W250 = ["--window-len", "250"]
+STAGES = ("preprocess", "detect", "dissect", "influence", "bin", "report")
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """pool_size as on a host of two CPUs: --jobs 2 starts one worker."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """pool_size as on a host of two usable CPUs: --jobs 2 starts one
+    worker, a staged subcommand two."""
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that os.fork starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def noted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", noted)
+    return pids
+
+
+def _live(pids) -> int:
+    """How many of `pids` still exist, running or unreaped."""
+    count = 0
+    for pid in pids:
+        with suppress(ProcessLookupError):
+            os.kill(pid, 0)
+            count += 1
+    return count
+
+
+def _no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +129,43 @@ def _outputs(out) -> dict:
     return files
 
 
-@pytest.mark.parametrize("which", ["plain", "binocular_interleaved"])
-def test_jobs_1_and_2_write_the_same_files(corpus, tmp_path, two_cpus, which):
+def _noting(monkeypatch, module, name, log):
+    """module.name, noting in `log` the pid of each process that calls it."""
+    fn = getattr(module, name)
+
+    def noted(*args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, noted)
+
+
+def _chain(chain, manifest, out, flags, processes, monkeypatch) -> int:
+    """The exit code of `run --jobs processes`, or of the staged chain on
+    `processes` usable CPUs up to its first failing subcommand."""
+    if chain == "run":
+        return main(["run", "--manifest", str(manifest), "--out", str(out), "--jobs",
+                     str(processes), *flags])
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: processes)
+    for stage in STAGES:
+        code = main([stage, "--manifest", str(manifest), "--out", str(out), *flags])
+        if code:
+            return code
+    return 0
+
+
+@pytest.mark.parametrize("chain,which", [
+    pytest.param("run", "plain", id="plain"),
+    pytest.param("run", "binocular_interleaved", id="binocular_interleaved"),
+    pytest.param("staged", "plain", id="staged-plain"),
+    pytest.param("staged", "binocular_interleaved", id="staged-binocular_interleaved"),
+])
+def test_jobs_1_and_2_write_the_same_files(corpus, tmp_path, monkeypatch, two_cpus, chain,
+                                           which):
+    """run --jobs 1 and 2, or the staged chain on 1 and 2 usable CPUs:
+    the recordings are windowed in this process, then in the workers, and
+    every file is the same."""
     manifest = corpus
     flags = W250
     if which == "binocular_interleaved":
@@ -102,12 +174,19 @@ def test_jobs_1_and_2_write_the_same_files(corpus, tmp_path, two_cpus, which):
         assert recordings[:3] == [f"recordings/rec0{i}.csv" for i in range(3)]
         flags = [*W250, "--eye", "left"]
     assert pipeline.pool_size(2, 3) == 1
+    log = tmp_path / "pids"
+    _noting(monkeypatch, pipeline, "window_file", log)
+    _noting(monkeypatch, gio, "window_stored", log)
     outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs,
-                     *flags]) == 0
+    for processes in (1, 2):
+        out = tmp_path / f"jobs{processes}"
+        assert _chain(chain, manifest, out, flags, processes, monkeypatch) == 0
         outputs.append(_outputs(out))
+        pids = log.read_text().split()
+        log.unlink()
+        assert len(pids) == (3 if chain == "run" else 3 + 5 * 3)
+        assert (set(pids) == {str(os.getpid())}) == (processes == 1), pids
+        _no_children()
     assert len(outputs[0]) > 10 and any(name.startswith("charts/") for name in outputs[0])
     assert sorted(outputs[0]) == sorted(outputs[1])
     for name, content in outputs[0].items():
@@ -120,7 +199,8 @@ def _bad_gaze_in_rec01_missing_attribution_in_rec00(manifest):
     lines[4] = "x3," + lines[4].split(",", 1)[1]
     path.write_text("".join(lines))
     _edit_manifest(manifest, lambda entries: entries[3].update(attribution="gone.csv"))
-    return "[stage influence] attribution file not found: ", "gone.csv", 3
+    return (("[stage influence] attribution file not found: ", "gone.csv", 3),
+            ("", "rec01.csv: line 5: timestamp 'x3' is not an integer", 2))
 
 
 def _bad_gaze_and_missing_attribution_in_rec00(manifest):
@@ -129,7 +209,8 @@ def _bad_gaze_and_missing_attribution_in_rec00(manifest):
     lines[4] = "x3," + lines[4].split(",", 1)[1]
     path.write_text("".join(lines))
     _edit_manifest(manifest, lambda entries: entries[3].update(attribution="gone.csv"))
-    return "[stage preprocess] ", "rec00.csv: line 5: timestamp 'x3' is not an integer", 2
+    text = "rec00.csv: line 5: timestamp 'x3' is not an integer"
+    return ("[stage preprocess] ", text, 2), ("", text, 2)
 
 
 def _two_files_of_one_recording_id(manifest):
@@ -141,57 +222,95 @@ def _two_files_of_one_recording_id(manifest):
             entry["recording"] = "copy/rec00.csv"
 
     _edit_manifest(manifest, split)
-    return ("[stage preprocess] ", f"recordings/rec00.csv and {manifest.parent / 'copy'}"
-            "/rec00.csv have one recording id 'rec00'", 2)
+    text = (f"recordings/rec00.csv and {manifest.parent / 'copy'}/rec00.csv have one "
+            "recording id 'rec00'")
+    return ("[stage preprocess] ", text, 2), ("", text, 2)
 
 
 def _unknown_window_id(manifest):
     _edit_manifest(manifest, lambda entries: entries[10].update(window_id="rec01-w9999"))
-    return "[stage preprocess] ", "window_id 'rec01-w9999' is not among the windows", 2
+    text = "window_id 'rec01-w9999' is not among the windows"
+    return ("[stage preprocess] ", text, 2), ("", text, 2)
 
 
-@pytest.mark.parametrize("fault", [
-    _bad_gaze_in_rec01_missing_attribution_in_rec00,
-    _bad_gaze_and_missing_attribution_in_rec00,
-    _two_files_of_one_recording_id,
-    _unknown_window_id,
+def _missing_attribution_in_rec01_unreadable_attribution_in_rec02(manifest):
+    """Both met after preprocess, in influence, which a pool may meet in
+    rec02 first."""
+    (manifest.parent / "attributions" / "rec02-w0003.csv").write_text("not a map\n")
+    _edit_manifest(manifest, lambda entries: entries[30].update(attribution="gone.csv"))
+    error = ("[stage influence] attribution file not found: ", "gone.csv", 3)
+    return error, error
+
+
+FAULTS = (_bad_gaze_in_rec01_missing_attribution_in_rec00,
+          _bad_gaze_and_missing_attribution_in_rec00, _two_files_of_one_recording_id,
+          _unknown_window_id, _missing_attribution_in_rec01_unreadable_attribution_in_rec02)
+
+
+@pytest.mark.parametrize("fault,chain", [
+    *(pytest.param(fault, "run", id=fault.__name__) for fault in FAULTS),
+    *(pytest.param(fault, "staged", id=f"staged{fault.__name__}") for fault in FAULTS),
 ])
-def test_jobs_1_and_2_report_the_same_error(corpus, tmp_path, capsys, two_cpus, fault):
+def test_jobs_1_and_2_report_the_same_error(corpus, tmp_path, capsys, monkeypatch, two_cpus,
+                                            fault, chain):
     """The error of the first failing recording in manifest order, and
-    within it of its first failing stage, whichever process met it."""
+    within it of its first failing stage, whichever process met it: run
+    at --jobs 1 and 2, the staged chain on 1 and 2 usable CPUs."""
     manifest = _copy(corpus, tmp_path / "corpus")
-    prefix, text, code = fault(manifest)
+    prefix, text, code = fault(manifest)[chain == "staged"]
     errors = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs,
-                     *W250]) == code
+    for processes in (1, 2):
+        out = tmp_path / f"jobs{processes}"
+        assert _chain(chain, manifest, out, W250, processes, monkeypatch) == code
         errors.append(capsys.readouterr().err)
+        assert errors[-1].count("\n") == 1, errors[-1]
         assert not (out / "report.json").exists()
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"error: {prefix}") and text in errors[0], errors[0]
 
 
-def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus):
+def test_a_window_no_recording_produces_is_refused_after_the_pool(corpus, tmp_path, capsys,
+                                                                  monkeypatch):
+    """A windows file that names a window none of its recordings has: the
+    staged stage's FormatError, with its stage, on 1 and 2 usable CPUs."""
+    out = tmp_path / "out"
+    assert main(["preprocess", "--manifest", str(corpus), "--out", str(out), *W250]) == 0
+    path = out / "windows.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["window_id"][40] = "rec01-w9999"
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        assert main(["detect", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: [stage preprocess] {path}: window_id "
+                                           "'rec01-w9999' is not among the windows\n")
+        assert not (out / "events.csv").exists()
+        _no_children()
+
+
+def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus, forks):
     """The pool's one worker is alive while run parses the attributions
     and gone once run returns or raises."""
     alive = []
 
     def topk_masks(*args):
-        alive.append(len(multiprocessing.active_children()))
+        alive.append(_live(forks))
         return masks(*args)
 
     masks = pipeline.topk_masks
     monkeypatch.setattr(pipeline, "topk_masks", topk_masks)
     assert main(["run", "--manifest", str(corpus), "--out", str(tmp_path / "ok"),
                  "--jobs", "2", *W250]) == 0
-    assert alive == [1, 1, 1] and multiprocessing.active_children() == []
+    assert alive == [1, 1, 1] and len(forks) == 1
+    _no_children()
 
     broken = _copy(corpus, tmp_path / "corpus")
     _unknown_window_id(broken)
     assert main(["run", "--manifest", str(broken), "--out", str(tmp_path / "failed"),
                  "--jobs", "2", *W250]) == 2
-    assert multiprocessing.active_children() == []
+    _no_children()
 
 
 def _killed(*args):
@@ -214,19 +333,29 @@ def test_a_killed_worker_fails_run_instead_of_hanging(corpus, tmp_path, monkeypa
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert isinstance(died.value.__cause__, BrokenProcessPool)
-    assert multiprocessing.active_children() == []
+    assert str(died.value).startswith("[stage preprocess, detect or dissect] a worker process "
+                                      "died"), died.value
+    _no_children()
 
 
-@pytest.mark.parametrize("command", ["run", "synth"])
+@pytest.mark.parametrize("command", ["run", "synth", "influence"])
 def test_a_killed_worker_gives_one_error_line_and_exit_3(corpus, tmp_path, monkeypatch,
                                                           capsys, two_cpus, command):
     """Exit 3 (I/O) with one error line that names what the worker did,
-    no traceback, nothing of the run's report or the corpus's manifest."""
+    no traceback, nothing of the run's report, the corpus's manifest or
+    the staged stage's table."""
     if command == "run":
         monkeypatch.setattr(pipeline, "gaze_side", _killed)
         argv = ["run", "--manifest", str(corpus), "--jobs", "2", *W250]
         prefix, done = "[stage preprocess, detect or dissect] ", "report.json"
+    elif command == "influence":
+        for stage in STAGES[:3]:
+            assert main([stage, "--manifest", str(corpus), "--out", str(tmp_path / "out"),
+                         *W250]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(gio, "window_stored", _killed)
+        argv = ["influence", "--manifest", str(corpus), *W250]
+        prefix, done = "[stage influence] ", "influence.csv"
     else:
         monkeypatch.setattr(synth, "write_recording", _killed)
         argv = ["synth", "--recordings", "3", "--duration-s", "6", *W250]
@@ -235,7 +364,7 @@ def test_a_killed_worker_gives_one_error_line_and_exit_3(corpus, tmp_path, monke
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}a worker process died") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / done).exists()
-    assert multiprocessing.active_children() == []
+    _no_children()
 
 
 def test_a_task_pickles_only_its_item(corpus, tmp_path, two_cpus):
@@ -252,42 +381,47 @@ def test_a_task_pickles_only_its_item(corpus, tmp_path, two_cpus):
     assert _outputs(tmp_path / "jobs1") == _outputs(tmp_path / "jobs2")
     with pipeline.recording_map(lambda item: -item, [3, 1, 2], 2, "test") as results:
         assert list(results) == [-3, -1, -2]
-    assert multiprocessing.active_children() == []
+    _no_children()
 
 
 def test_pool_size_is_bounded_by_cpus_and_recordings(monkeypatch):
     """Checked without starting a pool: never more workers than CPUs or
     recordings, none for one job or without fork."""
-    cpus = os.cpu_count()
+    cpus = pipeline.usable_cpus()
     for n_recordings in (1, 4):
         workers = pipeline.pool_size(10**9, n_recordings)
         assert 0 <= workers <= min(cpus, n_recordings)
         assert workers == min(cpus - 1, n_recordings)
         assert pipeline.pool_size(1, n_recordings) == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 64)
     assert [pipeline.pool_size(jobs, 4) for jobs in (1, 2, 3, 5, 6)] == [0, 1, 2, 4, 4]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
     assert pipeline.pool_size(10**9, 4) == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 64)
     monkeypatch.delattr(os, "fork")
     assert pipeline.pool_size(10**9, 4) == 0
 
 
+def test_usable_cpus_are_those_of_the_affinity_mask(monkeypatch):
+    """Checked without starting a pool: a process pinned to one of four
+    CPUs starts no worker, for run or for synth and the staged
+    subcommands; without an affinity mask the CPU count rules, and an
+    unknown count is one CPU."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pipeline.usable_cpus() == 1
+    assert pipeline.pool_size(2, 4) == 0 and pipeline.pool_size(4, 4, parent_waits=True) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5})
+    assert pipeline.usable_cpus() == 3
+    assert pipeline.pool_size(2, 4) == 1 and pipeline.pool_size(4, 4, parent_waits=True) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline.usable_cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline.usable_cpus() == 1
+
+
 SYNTH = {"seed": 5, "n_recordings": 3, "duration_s": 6, "window_len": 250}
 SYNTH_FLAGS = ["--seed", "5", "--recordings", "3", "--duration-s", "6", *W250]
-
-
-def _noting_writers(monkeypatch, log):
-    """synth.write_recording, noting in `log` the pid of the process that
-    writes each recording."""
-    write = synth.write_recording
-
-    def noted(*args):
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()}\n")
-        return write(*args)
-
-    monkeypatch.setattr(synth, "write_recording", noted)
 
 
 def _tree(root) -> dict:
@@ -299,15 +433,15 @@ def _tree(root) -> dict:
 def test_pooled_synth_writes_the_bytes_of_one_process(tmp_path, monkeypatch, mode):
     spec = CorpusSpec(**SYNTH, attribution_mode=mode)
     log = tmp_path / "pids"
-    _noting_writers(monkeypatch, log)
+    _noting(monkeypatch, synth, "write_recording", log)
     trees, writers = [], []
     for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         write_demo_corpus(tmp_path / f"cpus{cpus}", spec)
         trees.append(_tree(tmp_path / f"cpus{cpus}"))
         writers.append([int(pid) for pid in log.read_text().split()])
         log.unlink()
-        assert multiprocessing.active_children() == []
+        _no_children()
     assert writers[0] == [os.getpid()] * 3
     assert len(writers[1]) == 3 and os.getpid() not in writers[1]
     assert len(trees[0]) == 3 + 72 + 2 and "manifest.json" in trees[0]
@@ -332,7 +466,7 @@ def test_pooled_attribution_seeds_count_the_windows_of_every_earlier_recording(
 
 def test_synth_of_one_recording_starts_no_pool(tmp_path, monkeypatch, two_cpus):
     log = tmp_path / "pids"
-    _noting_writers(monkeypatch, log)
+    _noting(monkeypatch, synth, "write_recording", log)
     assert pipeline.pool_size(1, 1, parent_waits=True) == 0
     assert pipeline.pool_size(3, 3, parent_waits=True) == 2
     write_demo_corpus(tmp_path / "corpus", CorpusSpec(**{**SYNTH, "n_recordings": 1}))
@@ -341,25 +475,36 @@ def test_synth_of_one_recording_starts_no_pool(tmp_path, monkeypatch, two_cpus):
 
 def test_synth_in_one_process_never_imports_the_pool():
     """In one fresh process: synth of one recording, of three on one CPU
-    and of three without fork imports neither multiprocessing nor
-    concurrent.futures; three on two CPUs, the control, imports both."""
+    and of three without fork forks no worker; three on two CPUs, the
+    control, forks two. None of them imports multiprocessing or
+    concurrent.futures, or socket, which they load."""
     code = f"""
 import os, sys, tempfile
+from gazeconcepts import pipeline
 from gazeconcepts.synth import CorpusSpec, write_demo_corpus
-POOL = ("multiprocessing", "concurrent.futures")
+POOL = ("multiprocessing", "concurrent.futures", "socket")
 spec = {SYNTH!r}
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
 with tempfile.TemporaryDirectory() as tmp:
     def synth(name, cpus, **fields):
-        os.cpu_count = lambda: cpus
+        pipeline.usable_cpus = lambda: cpus
+        forks.clear()
         write_demo_corpus(os.path.join(tmp, name), CorpusSpec(**{{**spec, **fields}}))
-        return [m for m in POOL if m in sys.modules]
-    assert synth("one", 2, n_recordings=1) == [], "one recording"
-    assert synth("one_cpu", 1) == [], "one CPU"
-    fork = os.fork
+        return len(forks)
+    assert synth("one", 2, n_recordings=1) == 0, "one recording"
+    assert synth("one_cpu", 1) == 0, "one CPU"
     del os.fork
-    assert synth("no_fork", 2) == [], "no fork"
-    os.fork = fork
-    assert synth("pool", 2) == list(POOL), "control"
+    assert synth("no_fork", 2) == 0, "no fork"
+    os.fork = counted
+    assert synth("pool", 2) == 2, "control"
+assert [m for m in POOL if m in sys.modules] == [], "imported the multiprocessing pool"
 """
     src = str(Path(gazeconcepts.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -376,10 +521,10 @@ def test_a_failing_recording_gives_the_first_error_in_order(tmp_path, capsys, mo
     (out / "recordings" / "rec02.csv").mkdir(parents=True)
     errors = []
     for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         assert main(["synth", "--out", str(out), *SYNTH_FLAGS]) == 3
         errors.append(capsys.readouterr().err)
         assert not (out / "manifest.json").exists() and not (out / "gt_events.csv").exists()
-        assert multiprocessing.active_children() == []
+        _no_children()
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: ") and "rec01-w0003.csv" in errors[0], errors[0]

@@ -1,5 +1,5 @@
 """`run` and the staged subcommands hold one recording's windows at a
-time (pipeline.compute): their results equal the whole-stack steps' in
+time in each process (pipeline.compute): their results equal the whole-stack steps' in
 manifest order, the split of a run's tables by recording inverts their
 merge, memory is bounded by one recording, and an error comes from the
 first failing recording in manifest order."""
@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gazeconcepts import pipeline
 from gazeconcepts.cli import main
 from gazeconcepts.detect import EVENT_ARRAYS
 from gazeconcepts.io import load_manifest
@@ -19,13 +20,12 @@ from gazeconcepts.pipeline import (
     detect_step,
     dissect_step,
     merge_recordings,
-    preprocess_manifest,
     run,
     split_recording,
 )
 from gazeconcepts.synth import CorpusSpec, write_demo_corpus
 
-from reference import whole_stack
+from reference import whole_stack, windowed_manifest
 
 W250 = ["--window-len", "250", "--missing-max-frac", "1.0"]
 NOISE = "need at least 2 valid samples for noise estimate"
@@ -121,7 +121,7 @@ def test_interleaved_manifest_gives_the_whole_stack_tables(tmp_path):
 
     # every step on the stack of every window, in manifest order
     ids = [e.window_id for e in m.entries]
-    want = {"windows": whole_stack(preprocess_manifest(m, cfg), ids)[0],
+    want = {"windows": whole_stack(windowed_manifest(m, cfg), ids)[0],
             "rows": np.arange(len(ids))}
     for stage in ("detect", "dissect", "influence"):
         for step in STEPS[stage]:
@@ -172,7 +172,7 @@ def test_merging_the_splits_of_runs_tables_gives_them_back(tmp_path):
     cfg = RunConfig(window_len=250)
     result = run(m, cfg, tmp_path / "out")
     parts = []
-    for recording in preprocess_manifest(m, cfg):
+    for recording in windowed_manifest(m, cfg):
         part = {"rows": recording.rows, **split_recording(vars(result), recording.rows)}
         want = {"windows": recording.windows}
         want.update(detect_step(want, cfg, m))
@@ -216,22 +216,25 @@ def test_staged_chain_equals_run_on_an_interleaved_reversed_partial_manifest(tmp
 @pytest.fixture(scope="module")
 def staged_peaks(tmp_path_factory):
     """The tracemalloc peak of each staged stage after preprocess but
-    report on n 20 s recordings in windows of 250."""
+    report on n 20 s recordings in windows of 250, on one usable CPU, so
+    that every recording is windowed in this process and traced."""
     root = tmp_path_factory.mktemp("staged_peak")
 
     def peaks(n):
         manifest = write_demo_corpus(root / str(n), CorpusSpec(
             seed=5, n_recordings=n, duration_s=20, window_len=250))
         out = root / f"out{n}"
-        _staged_chain(manifest, out, W250)  # caches and lazy imports are not counted
         got = {}
-        for stage in STAGES[1:-1]:
-            tracemalloc.start()
-            try:
-                _staged_chain(manifest, out, W250, [stage])
-                got[stage] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "usable_cpus", lambda: 1)
+            _staged_chain(manifest, out, W250)  # caches and lazy imports are not counted
+            for stage in STAGES[1:-1]:
+                tracemalloc.start()
+                try:
+                    _staged_chain(manifest, out, W250, [stage])
+                    got[stage] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
         return got
 
     return peaks

@@ -36,7 +36,7 @@ from gazeconcepts.synth import (
 import gazeconcepts
 
 from conftest import gappy_corpus, pipeline_windows
-from reference import whole_stack
+from reference import whole_stack, windowed_manifest
 
 
 def _write_manifest(path, entries, base=""):
@@ -59,8 +59,8 @@ def _corpus_from_recording(tmp_path, rec, attr_mode="speed"):
 
 
 def _stacked(manifest, cfg=RunConfig()):
-    """preprocess_manifest's windows, stacked in manifest order."""
-    return whole_stack(preprocess_manifest(manifest, cfg),
+    """The recordings' windows, stacked in manifest order."""
+    return whole_stack(windowed_manifest(manifest, cfg),
                        [e.window_id for e in manifest.entries])[0]
 
 
