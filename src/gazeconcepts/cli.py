@@ -192,10 +192,10 @@ def cmd_preprocess(args) -> int:
     manifest, cfg, out = _context(args)
     clear_outputs(out)  # a failed preprocess leaves no earlier run's files
     require_windows(manifest)
-    positions = preprocess_manifest(manifest, cfg)
+    recordings = preprocess_manifest(manifest, cfg)
     path = out / "windows.npz"
     with removed_on_failure([path]):
-        gio.write_windows(positions, path, [e.window_id for e in manifest.entries], cfg)
+        gio.write_windows(recordings, path, [e.window_id for e in manifest.entries], cfg)
     print(f"wrote {len(manifest.entries)} windows to {path}")
     return 0
 

@@ -20,11 +20,13 @@ CSV table (events, sub-events, influence, binned influence, synth
 ground truth) is written by ``write_table`` and read back by
 ``read_table``, a column at a time, with reals at 9 significant digits.
 
-A stage file holds no value that another stage file already gives. The
-windows file keeps the positions preprocess parsed and windows them on
-read, one recording at a time, with preprocess's own code, which also
-yields each recording's windowing summary; the top-k file's k is the
-width of its indices.
+A recording's id is its gaze file's stem (recording_id). A stage file
+holds no value that another stage file already gives. The windows file
+keeps the positions preprocess parsed; its reader gives each recording
+the evaluation windows whose ids name it (preprocess.recording_of), and
+refuses a window that names none, before anything is windowed
+(preprocess.windowed, which also yields the windowing summary); the
+top-k file's k is the width of its indices.
 Events are read into the columnar EventTable, checked against the
 windows they belong to, and sub-events into a SubEventTable over the
 retained saccades of those events, whose peak segments give the
@@ -57,13 +59,7 @@ from .detect import (
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
-from .preprocess import (
-    RecordingWindows,
-    WindowParams,
-    gather_windows,
-    outside_window,
-    window_recording,
-)
+from .preprocess import RecordingWindows, WindowParams, outside_window, recording_of
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
 BINOCULAR_COLUMNS = ("t_ms", "x_left_deg", "y_left_deg", "x_right_deg", "y_right_deg")
@@ -417,6 +413,11 @@ def _gaze_lines(body, header, idx, path):
     return t, coords.T, kept_lines, skipped
 
 
+def recording_id(path) -> str:
+    """The id of the recording in the gaze file at `path`: its stem."""
+    return Path(path).stem
+
+
 def load_gaze_csv(path) -> GazeRecording:
     """Load a gaze recording, normalizing missing-value encodings.
 
@@ -461,7 +462,7 @@ def load_gaze_csv(path) -> GazeRecording:
         eyes = {"left": (xl, yl), "right": (xr, yr)}
     steps = np.sort(np.diff(t)).astype(float)  # a median without np.median's numpy.ma import
     step = (steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]) / 2 if len(steps) else 1.0
-    return GazeRecording(path.stem, t, eyes, eye, float(1000.0 / step),
+    return GazeRecording(recording_id(path), t, eyes, eye, float(1000.0 / step),
                          source_meta={"path": str(path), "skipped_rows": str(skipped)})
 
 
@@ -703,11 +704,12 @@ WINDOW_ARRAYS = (
 
 def write_windows(recordings, path, window_ids, params: WindowParams):
     """Write the windows stage file: what preprocess windowed, not the
-    windows. ``recordings`` holds each recording's (id, sampling rate, x,
-    y), its eye-selected positions in degrees; ``window_ids`` are the
-    evaluation windows in manifest order, ``params`` what cut them.
-    Binary, so every float round-trips; written to exactly ``path``."""
-    ids, rates, xs, ys = zip(*recordings) if recordings else ((),) * 4
+    windows. ``recordings`` are RecordingWindows, whose positions (id,
+    sampling rate, x, y; eye-selected, in degrees) are stored;
+    ``window_ids`` are the evaluation windows in manifest order, ``params``
+    what cut them. Binary, so every float round-trips; written to exactly
+    ``path``."""
+    ids, rates, xs, ys = zip(*(r.positions for r in recordings)) if recordings else ((),) * 4
     arrays = {
         "recording_id": np.array(ids, dtype=str),
         "sampling_rate_hz": np.array(rates, dtype=float),
@@ -749,12 +751,11 @@ def _is(array, dtype, shape) -> bool:
 
 def read_windows(path):
     """Inverse of write_windows: (the evaluation window ids in the file's
-    order, the stored WindowParams, each recording's stored positions as
-    (id, sampling rate, x, y), which window_stored windows as preprocess
-    windows them). FormatError naming the file for anything else; a
-    window id no recording produces is found once every recording is
-    windowed (check_claimed). DataError for a file of no windows, which
-    preprocess never writes."""
+    order, the stored WindowParams, each stored recording as
+    RecordingWindows without windows, whose rows are those of the window
+    ids that name it). FormatError naming the file for anything else, a
+    window id that names no stored recording included; DataError for a
+    file of no windows, which preprocess never writes."""
     a = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess")
     r, total = a["recording_id"].size, a["x"].size
     layout = {
@@ -781,36 +782,16 @@ def read_windows(path):
         raise FormatError(f"{path}: {e}") from None
     if not window_ids:
         raise DataError(f"{path}: holds no evaluation windows; rerun preprocess")
+    index = {rec_id: i for i, rec_id in enumerate(recording_ids)}
+    owner = np.array([index.get(recording_of(w), -1) for w in window_ids])
+    if (owner < 0).any():
+        raise FormatError(f"{path}: window_id {window_ids[int(np.argmin(owner))]!r} names no "
+                          f"recording of this file")
     starts = np.cumsum(counts)[:-1]
-    return window_ids, params, list(zip(recording_ids, rates.tolist(), np.split(a["x"], starts),
-                                        np.split(a["y"], starts)))
-
-
-def window_stored(path, positions, row_of: dict, params: WindowParams) -> RecordingWindows:
-    """One recording of the windows file at `path`, windowed from its
-    stored `positions` (read_windows) as preprocess windows it, with those
-    of its windows that `row_of` (window id -> row in the file's order)
-    names gathered in row order. FormatError naming the file for a
-    DataError."""
-    try:
-        stack, summary = window_recording(*positions, params)
-    except DataError as e:
-        raise FormatError(f"{path}: {e}") from None
-    ids = sorted((w for w in stack.window_ids if w in row_of), key=row_of.__getitem__)
-    return RecordingWindows(positions, summary, np.array([row_of[w] for w in ids], dtype=np.int64),
-                            gather_windows(stack, ids))
-
-
-def check_claimed(path, window_ids: list, rows: list):
-    """FormatError naming the windows file at `path` for the first of its
-    `window_ids` that none of the recordings' `rows` (window_stored)
-    holds."""
-    claimed = np.zeros(len(window_ids), dtype=bool)
-    for r in rows:
-        claimed[r] = True
-    if not claimed.all():
-        raise FormatError(f"{path}: window_id {window_ids[int(claimed.argmin())]!r} is not "
-                          f"among the windows")
+    return window_ids, params, [
+        RecordingWindows(positions, np.flatnonzero(owner == i)) for i, positions in enumerate(
+            zip(recording_ids, rates.tolist(), np.split(a["x"], starts), np.split(a["y"], starts)))
+    ]
 
 
 TOPK_ARRAYS = ("window_id", "indices", "squash")

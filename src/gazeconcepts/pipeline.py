@@ -18,8 +18,12 @@ pool of one process per usable CPU, capped by the recordings, windows
 each recording and runs its steps, and this process merges. Staged
 preprocess windows its recordings in the same pool (preprocess_manifest),
 and synth writes its recordings through it. Every pool gives the bytes of
-one process. A step takes the earlier values
-keyed by RunResult's field names and the RunConfig whole. Events and
+one process. Names decide which recording holds which window before any
+file is loaded or worker forked: recording_files refuses two files of one
+stem, and io.read_windows gives each stored recording the windows that
+name it. Every path windows a recording with preprocess.windowed. A step
+takes the earlier values keyed by RunResult's field names and the
+RunConfig whole. Events and
 sub-events are columnar tables (detect.EventTable, dissect.SubEventTable).
 Every reduction happens in manifest order, so outputs do not depend on
 --jobs. write_stage writes one stage's table and charts; `run` first
@@ -54,7 +58,7 @@ from .detect import (
     retained,
 )
 from .dissect import PHASES, SubEventTable, check_ratios, dissect_saccades
-from .errors import AlignmentError, ConfigError, DataError, GazeError, SizeError
+from .errors import AlignmentError, ConfigError, DataError, FormatError, GazeError
 from .influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
@@ -74,8 +78,7 @@ from .preprocess import (
     WindowParams,
     WindowStack,
     compute_channel_stats,
-    gather_windows,
-    window_recording,
+    windowed,
     zscore_normalize,
 )
 
@@ -180,65 +183,49 @@ def recording_files(manifest) -> list:
     """(path, manifest indices) of each recording file, in the order the
     manifest first names it: one per file however the manifest spells its
     path, loaded through its first spelling, with the ascending indices of
-    every entry naming it."""
+    every entry naming it. DataError naming both files, before any is
+    loaded, if two have one recording id (io.recording_id)."""
     keys = {relpath: manifest.resolve(relpath).resolve()
             for relpath in dict.fromkeys(entry.recording for entry in manifest.entries)}
     naming = {}  # resolved path -> the manifest indices naming it
     for i, entry in enumerate(manifest.entries):
         naming.setdefault(keys[entry.recording], []).append(i)
-    return [(manifest.resolve(manifest.entries[indices[0]].recording), indices)
-            for indices in naming.values()]
+    files = [(manifest.resolve(manifest.entries[indices[0]].recording), indices)
+             for indices in naming.values()]
+    first = {}  # recording id -> the first file holding it
+    for path, _ in files:
+        other = first.setdefault(gio.recording_id(path), path)
+        if other != path:
+            raise DataError(f"{other} and {path} have one recording id {gio.recording_id(path)!r}")
+    return files
 
 
 def window_file(manifest, cfg: RunConfig, path, indices) -> RecordingWindows:
     """The recording at `path` as RecordingWindows: loaded, its eye
-    selected and windowed, and the windows that the manifest's entries at
-    `indices` name gathered in that order. AlignmentError for an entry
-    naming a window the recording does not have."""
+    selected, and the windows that the manifest's entries at `indices`
+    name windowed and gathered in that order (windowed). A DataError of
+    windowing names the file."""
     rec = gio.load_gaze_csv(path)
     mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
-    positions = (mono.recording_id, mono.sampling_rate_hz, mono.x_deg, mono.y_deg)
+    recording = RecordingWindows((mono.recording_id, mono.sampling_rate_hz, mono.x_deg,
+                                  mono.y_deg), np.array(indices))
     del rec, mono
     try:
-        stack, s = window_recording(*positions, cfg)
-    except SizeError as e:
-        raise SizeError(f"{path}: {e}") from None
-    produced = set(stack.window_ids)
-    for entry in (manifest.entries[i] for i in indices):
-        if entry.window_id not in produced:
-            raise AlignmentError(
-                f"{manifest.resolve(entry.recording)}: window_id {entry.window_id!r} is not "
-                f"among the windows of this recording ({s.retained} retained, {s.excluded} "
-                f"excluded with more than {cfg.missing_max_frac:g} of their samples "
-                f"missing, {s.tail_samples} tail samples)")
-    ids = [manifest.entries[i].window_id for i in indices]
-    return RecordingWindows(positions, s, np.array(indices), gather_windows(stack, ids))
-
-
-def claim_source(sources: dict, recording_id: str, path):
-    """Note in `sources` that the file at `path` holds `recording_id`;
-    DataError naming both files if an earlier one holds it too."""
-    if recording_id in sources:
-        raise DataError(f"{sources[recording_id]} and {path} have one recording id "
-                        f"{recording_id!r}")
-    sources[recording_id] = path
+        return windowed(recording, [entry.window_id for entry in manifest.entries], cfg)
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def preprocess_manifest(manifest, cfg: RunConfig) -> list:
-    """The positions of each of the manifest's recordings, as window_file
-    stores them (recording id first), in recording_files' order. Each
-    recording is windowed in a fork pool of one process per usable CPU,
-    capped by the recordings (pool_size), where its windows stay.
-    DataError if two files have one recording id."""
+    """Each of the manifest's recordings as window_file windows it, less
+    its windows, in recording_files' order: each windowed in a fork pool
+    of one process per usable CPU, capped by the recordings (pool_size),
+    where its windows stay."""
     files = recording_files(manifest)
-    sources, positions = {}, []
-    with recording_map(lambda file: window_file(manifest, cfg, *file).positions, files,
-                       pool_size(len(files), len(files), parent_waits=True),
+    with recording_map(lambda file: replace(window_file(manifest, cfg, *file), windows=None),
+                       files, pool_size(len(files), len(files), parent_waits=True),
                        "stage preprocess") as results:
-        for (path, _), stored in zip(files, results):
-            claim_source(sources, stored[0], path)
-            positions.append(stored)
-    return positions
+        return list(results)
 
 
 def normalized_windows(windows: WindowStack) -> WindowStack:
@@ -509,20 +496,22 @@ def completed(parts: list, summaries: dict, window_ids: list, steps: dict, cfg: 
 def compute(path, stored: list, window_ids: list, steps: dict, cfg: RunConfig, manifest,
             given: dict) -> dict:
     """The values of ``steps``, a table like STEPS, on the windows
-    ``window_ids`` of the windows file at ``path``, whose recordings'
-    positions are ``stored`` (io.read_windows), cut by ``given["params"]``,
-    with the tables of ``given`` split to each recording (module doc).
-    Each recording is windowed (io.window_stored) and its steps run in a
-    fork pool of one process per usable CPU, capped by the recordings
-    (pool_size), and its part comes back without its windows. ``stored``
-    is emptied once every recording is done. An error is prefixed with its
-    stage; ``manifest``, if given, names the windows' attributions."""
-    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
-
-    def part_of(positions):
+    ``window_ids`` of the windows file at ``path``, whose recordings are
+    ``stored`` (io.read_windows), cut by ``given["params"]``, with the
+    tables of ``given`` split to each recording (module doc). Each
+    recording is windowed (windowed; FormatError naming the file) and its
+    steps run in a fork pool of one process per usable CPU, capped by the
+    recordings (pool_size), and its part comes back without its windows.
+    ``stored`` is emptied once every recording is done. An error is
+    prefixed with its stage; ``manifest``, if given, names the windows'
+    attributions."""
+    def part_of(recording):
         with _stage("preprocess"):
-            part = recording_part(gio.window_stored(path, positions, row_of, given["params"]),
-                                  given)
+            try:
+                recording = windowed(recording, window_ids, given["params"])
+            except DataError as e:
+                raise FormatError(f"{path}: {e}") from None
+            part = recording_part(recording, given)
         return steps_on(part, steps, cfg, manifest)
 
     summaries, parts = {}, []
@@ -532,8 +521,6 @@ def compute(path, stored: list, window_ids: list, steps: dict, cfg: RunConfig, m
             summaries[part.pop("id")] = part.pop("summary")
             parts.append(part)
     stored.clear()
-    with _stage("preprocess"):
-        gio.check_claimed(path, window_ids, [part["rows"] for part in parts])
     return completed(parts, summaries, window_ids, steps, cfg, manifest, given)
 
 
@@ -622,7 +609,8 @@ def recording_map(fn, items, workers: int, name: str):
     pipe; a task's error is raised when its result is reached. Each worker
     holds fn and the items from its fork, so only results are pickled. A
     worker that dies raises ChildProcessError (an OSError) prefixed with
-    [name]. When the block ends the pipes are closed, so that each worker
+    [name], and a fork that fails an OSError so prefixed, its pipe closed.
+    When the block ends the pipes are closed, so that each worker
     stops once its running task is done, and every worker is reaped.
     Plain os.fork: multiprocessing loads socket on import, and its import
     and pool take about 20 ms of each command that pools; a spawned worker
@@ -637,7 +625,12 @@ def recording_map(fn, items, workers: int, name: str):
     try:
         for worker in range(workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as e:
+                os.close(read)
+                os.close(write)
+                raise OSError(f"[{name}] could not start a worker process: {e}") from e
             if pid == 0:
                 _serve(fn, items[worker::workers], read, write, pipes)
             os.close(write)
@@ -720,12 +713,12 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     cfg.validate()
     with _stage("preprocess"):
         require_windows(manifest)
+        files = recording_files(manifest)
     params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
-    files = recording_files(manifest)
-    summaries, sources, parts = {}, {}, []
+    summaries, parts = {}, []
     with recording_map(partial(gaze_side, manifest, cfg), files, pool_size(cfg.jobs, len(files)),
                        "stage preprocess, detect or dissect") as gazes:
-        for path, indices in files:
+        for _, indices in files:
             late = None  # an attribution error, raised after the earlier stages' errors
             try:
                 with _stage("influence"):
@@ -733,12 +726,9 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
             except (GazeError, OSError) as e:
                 late = e
             part = next(gazes)
-            recording_id = part.pop("id")
-            with _stage("preprocess"):
-                claim_source(sources, recording_id, path)
             if late is not None:
                 raise late
-            summaries[recording_id] = part.pop("summary")
+            summaries[part.pop("id")] = part.pop("summary")
             with _stage("influence"):
                 part.update(topk=topk, influence=scored(part["events"], part["subevents"],
                                                         topk, cfg))

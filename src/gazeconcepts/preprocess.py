@@ -3,11 +3,12 @@
 window_recording differentiates a recording's positions with a
 Savitzky-Golay filter, clamps the velocities to a physical limit, cuts
 non-overlapping fixed-length windows and drops those with too many
-missing samples; gather_windows takes the windows a manifest names of
-one recording, in manifest order. preprocess and the windows stage file
-reader both yield a corpus as RecordingWindows, one recording at a time,
-built with these two. Detection consumes the unnormalized, clamped
-velocities in deg/s.
+missing samples. Window ids name their recording: ``<id>-w<slot>``
+(window_sequence), read back by recording_of. windowed, the one
+windowing of `run`, staged preprocess and every later stage, windows a
+RecordingWindows, refuses a window it names that windowing does not
+produce and gathers the named windows. Detection consumes the
+unnormalized, clamped velocities in deg/s.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, SizeError
+from .errors import AlignmentError, ConfigError, DegenerateDataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,13 @@ class WindowingSummary:
 
 @dataclass
 class RecordingWindows:
-    """One recording's evaluation windows, as preprocess yields them."""
+    """One recording and the evaluation windows that name it; its summary
+    and windows are set once it is windowed (windowed)."""
 
     positions: tuple  # (recording id, sampling rate, x, y), eye-selected, in deg
-    summary: WindowingSummary
-    rows: np.ndarray  # ascending manifest indices of the entries naming this recording
-    windows: WindowStack  # the windows of those entries, in their order
+    rows: np.ndarray  # ascending indices of its windows among the evaluation windows
+    summary: WindowingSummary | None = None
+    windows: WindowStack | None = None  # the windows at those rows, in their order
 
 
 @lru_cache(maxsize=256)
@@ -232,8 +234,10 @@ def window_sequence(
     The trailing remainder shorter than window_len is discarded; windows
     whose missing fraction exceeds missing_max_frac (strict) are excluded
     and counted. A sample is missing when either velocity component is
-    non-finite. When no window is excluded the stack's rows are views of
-    the input traces, otherwise a copy of the retained rows.
+    non-finite. Slot i is named ``<recording_id>-w<i:04d>`` (recording_of
+    reads the id back), or ``w<i:04d>`` without an id. When no window is
+    excluded the stack's rows are views of the input traces, otherwise a
+    copy of the retained rows.
     """
     if window_len < 1:
         raise ConfigError(f"window_len must be >= 1, got {window_len}")
@@ -264,6 +268,15 @@ def window_sequence(
     return stack, summary
 
 
+def recording_of(window_id: str) -> str | None:
+    """The recording id that window_sequence names `window_id` after, or
+    None if it names none: the inverse of ``<id>-w<slot>``."""
+    head, _, slot = window_id.rpartition("-w")
+    if head and slot.isascii() and slot.isdigit() and f"{int(slot):04d}" == slot:
+        return head
+    return None
+
+
 def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
                      params: WindowParams) -> tuple[WindowStack, WindowingSummary]:
     """The windows of one recording's positions (deg, NaN where missing):
@@ -274,20 +287,28 @@ def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
                            params.missing_max_frac)
 
 
-def gather_windows(stack: WindowStack, window_ids) -> WindowStack:
-    """The windows ``window_ids`` of one recording's ``stack``, which holds
-    each of them, in that order, built a field at a time, dropping each
-    field of ``stack`` once gathered; a stack that already holds exactly
-    those windows in that order is returned as it is, uncopied."""
-    if stack.window_ids == list(window_ids):
-        return stack
-    row_of = {wid: row for row, wid in enumerate(stack.window_ids)}
-    rows = [row_of[wid] for wid in window_ids]
-    columns = {"window_ids": list(window_ids)}
-    for name in ("sampling_rate_hz", "vx", "vy", "px", "py", "valid"):
-        columns[name] = getattr(stack, name)[rows]
-        setattr(stack, name, None)
-    return WindowStack(**columns)
+def windowed(recording: RecordingWindows, window_ids, params: WindowParams) -> RecordingWindows:
+    """`recording` windowed (window_recording), with its summary and the
+    windows of `window_ids` at its rows, in that order: gathered a field
+    at a time, each field of the whole stack dropped once gathered, or the
+    stack itself if it holds exactly those. AlignmentError for the first
+    of them that windowing does not produce, with the summary."""
+    stack, s = window_recording(*recording.positions, params)
+    ids = [window_ids[i] for i in recording.rows.tolist()]
+    row_of = {window_id: row for row, window_id in enumerate(stack.window_ids)}
+    missing = [window_id for window_id in ids if window_id not in row_of]
+    if missing:
+        raise AlignmentError(
+            f"window_id {missing[0]!r} is not among the windows of this recording ({s.retained} "
+            f"retained, {s.excluded} excluded with more than {params.missing_max_frac:g} of "
+            f"their samples missing, {s.tail_samples} tail samples)")
+    if stack.window_ids != ids:
+        rows, columns = [row_of[window_id] for window_id in ids], {"window_ids": ids}
+        for name in ("sampling_rate_hz", "vx", "vy", "px", "py", "valid"):
+            columns[name] = getattr(stack, name)[rows]
+            setattr(stack, name, None)
+        stack = WindowStack(**columns)
+    return replace(recording, summary=s, windows=stack)
 
 
 def compute_channel_stats(windows: WindowStack) -> ChannelStats:

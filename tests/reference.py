@@ -14,7 +14,7 @@ WindowStack (window_rows). whole_stack is the gather the package ran
 before it computed one recording at a time: every recording's windows
 stacked in manifest order, from the RecordingWindows of every recording
 file (windowed_manifest). stored_windows windows every recording of a
-windows file as the staged subcommands' workers do.
+windows file as the staged subcommands' workers do (pipeline.compute).
 _cells is the row-wise cell rule the column-wise table writer must
 reproduce byte for byte.
 """
@@ -36,7 +36,13 @@ from gazeconcepts.detect import (
     exclusion_reason,
 )
 from gazeconcepts.dissect import PHASES, SubEventTable, check_ratios, round_half_away
-from gazeconcepts.errors import ConfigError, DegenerateDataError, EmptyConceptError
+from gazeconcepts.errors import (
+    ConfigError,
+    DataError,
+    DegenerateDataError,
+    EmptyConceptError,
+    FormatError,
+)
 from gazeconcepts.influence import (
     ALL_CONCEPTS,
     EVENT_CONCEPTS,
@@ -45,9 +51,9 @@ from gazeconcepts.influence import (
     TopKSegmentation,
     aggregate_influence,
 )
-from gazeconcepts.io import check_claimed, read_windows, window_stored
+from gazeconcepts.io import read_windows
 from gazeconcepts.pipeline import recording_files, window_file
-from gazeconcepts.preprocess import WindowStack
+from gazeconcepts.preprocess import WindowStack, windowed
 
 
 @dataclass
@@ -160,14 +166,14 @@ def windowed_manifest(manifest, cfg) -> list:
 
 def stored_windows(path) -> tuple:
     """(window ids, WindowParams, the RecordingWindows of each recording)
-    of the windows file at ``path``: every recording windowed from its
-    stored positions, then the check that each window id is among them,
-    as pipeline.compute does."""
+    of the windows file at ``path``: each recording windowed from its
+    stored positions with the windows its id names, as pipeline.compute
+    does, a windowing error a FormatError naming the file."""
     window_ids, params, stored = read_windows(path)
-    row_of = {window_id: row for row, window_id in enumerate(window_ids)}
-    recordings = [window_stored(path, positions, row_of, params) for positions in stored]
-    check_claimed(path, window_ids, [recording.rows for recording in recordings])
-    return window_ids, params, recordings
+    try:
+        return window_ids, params, [windowed(r, window_ids, params) for r in stored]
+    except DataError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 PROPERTY_FIELDS = ("duration_ms", "peak_velocity", "amplitude_deg", "dispersion_deg",

@@ -63,7 +63,7 @@ from reference import (
 )
 from gazeconcepts.cli import main
 from gazeconcepts.pipeline import RunConfig, preprocess_manifest
-from gazeconcepts.preprocess import WindowParams, window_recording
+from gazeconcepts.preprocess import RecordingWindows, WindowParams, recording_of, window_recording
 from gazeconcepts.synth import random_plan, gen_scanpath
 
 from conftest import pipeline_windows, write_gappy_recordings
@@ -785,6 +785,14 @@ def test_report_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _stored(recordings, window_ids) -> list:
+    """Each recording's (id, sampling rate, x, y) as RecordingWindows,
+    with the rows of the window ids that name it."""
+    return [RecordingWindows(r, np.array([row for row, window_id in enumerate(window_ids)
+                                          if recording_of(window_id) == r[0]], dtype=np.int64))
+            for r in recordings]
+
+
 def test_windows_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(4)
     x = rng.normal(0, 1, 130)
@@ -794,8 +802,9 @@ def test_windows_roundtrip_exact(tmp_path):
     params = WindowParams(window_len=50)
     ids = ["s-w0000", "r-w0001", "r-w0000"]
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
-    write_windows(recordings, p, ids, params)
+    write_windows(_stored(recordings, ids), p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
+    assert [r.rows.tolist() for r in read_windows(p)[2]] == [[1, 2], [0]]
     window_ids, back_params, back_recordings = stored_windows(p)
     assert (window_ids, back_params) == (ids, params)
     back, summaries = whole_stack(back_recordings, window_ids)
@@ -966,8 +975,8 @@ def test_topk_roundtrip_exact(tmp_path):
         read_topk(p, 40)
 
     windows = tmp_path / "w.npz"
-    write_windows([("r", 1000.0, np.zeros(50), np.zeros(50))], windows, ["r-w0000"],
-                  WindowParams(window_len=50))
+    write_windows(_stored([("r", 1000.0, np.zeros(50), np.zeros(50))], ["r-w0000"]), windows,
+                  ["r-w0000"], WindowParams(window_len=50))
     duplicated, flat, older = (tmp_path / f"{name}.npz" for name in ("dup", "flat", "older"))
     np.savez(duplicated, window_id=np.array(["a"]), squash=np.array("abs"),
              indices=np.array([[3, 3]], dtype=np.int32))

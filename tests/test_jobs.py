@@ -9,6 +9,7 @@ that dies fails it with one error line rather than hanging it, a worker
 holds its tasks from its fork, and the pool's size is bounded without
 starting one."""
 
+import errno
 import json
 import os
 import pickle
@@ -175,8 +176,7 @@ def test_jobs_1_and_2_write_the_same_files(corpus, tmp_path, monkeypatch, two_cp
         flags = [*W250, "--eye", "left"]
     assert pipeline.pool_size(2, 3) == 1
     log = tmp_path / "pids"
-    _noting(monkeypatch, pipeline, "window_file", log)
-    _noting(monkeypatch, gio, "window_stored", log)
+    _noting(monkeypatch, pipeline, "windowed", log)
     outputs = []
     for processes in (1, 2):
         out = tmp_path / f"jobs{processes}"
@@ -269,25 +269,52 @@ def test_jobs_1_and_2_report_the_same_error(corpus, tmp_path, capsys, monkeypatc
     assert errors[0].startswith(f"error: {prefix}") and text in errors[0], errors[0]
 
 
-def test_a_window_no_recording_produces_is_refused_after_the_pool(corpus, tmp_path, capsys,
-                                                                  monkeypatch):
-    """A windows file that names a window none of its recordings has: the
-    staged stage's FormatError, with its stage, on 1 and 2 usable CPUs."""
-    out = tmp_path / "out"
+def _windows_file_naming(corpus, out, window_id) -> Path:
+    """The corpus's windows file, preprocessed into `out`, with its 41st
+    window id replaced by `window_id`."""
     assert main(["preprocess", "--manifest", str(corpus), "--out", str(out), *W250]) == 0
     path = out / "windows.npz"
     with np.load(path) as npz:
         arrays = dict(npz)
-    arrays["window_id"][40] = "rec01-w9999"
+    arrays["window_id"][40] = window_id
     np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_window_of_no_stored_recording_is_refused_at_read(corpus, tmp_path, capsys,
+                                                            monkeypatch, forks, cpus):
+    """A windows file that names a window of a recording it does not
+    store: read_windows's FormatError, before any worker is started."""
+    path = _windows_file_naming(corpus, tmp_path / "out", "rec09-w0001")
     capsys.readouterr()
-    for cpus in (1, 2):
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-        assert main(["detect", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"error: [stage preprocess] {path}: window_id "
-                                           "'rec01-w9999' is not among the windows\n")
-        assert not (out / "events.csv").exists()
-        _no_children()
+    forks.clear()
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    assert main(["detect", "--out", str(path.parent)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: window_id 'rec09-w0001' names no "
+                                       "recording of this file\n")
+    assert forks == [] and not (path.parent / "events.csv").exists()
+    _no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_window_its_recording_does_not_produce_is_refused_by_its_worker(
+        corpus, tmp_path, capsys, monkeypatch, forks, cpus):
+    """A windows file that names a window its recording does not produce:
+    the FormatError of that recording's windowing, with its stage and the
+    windowing summary, met in a worker on 2 usable CPUs."""
+    path = _windows_file_naming(corpus, tmp_path / "out", "rec01-w9999")
+    capsys.readouterr()
+    forks.clear()
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    assert main(["detect", "--out", str(path.parent)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [stage preprocess] {path}: window_id 'rec01-w9999' is not among the windows "
+        "of this recording (24 retained, 0 excluded with more than 0.5 of their samples "
+        "missing, 147 tail samples)\n")
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert not (path.parent / "events.csv").exists()
+    _no_children()
 
 
 def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus, forks):
@@ -310,6 +337,42 @@ def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus, forks):
     _unknown_window_id(broken)
     assert main(["run", "--manifest", str(broken), "--out", str(tmp_path / "failed"),
                  "--jobs", "2", *W250]) == 2
+    _no_children()
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_reaps_the_started_workers(
+        corpus, tmp_path, monkeypatch, capsys):
+    """os.fork refused (EAGAIN) for the second of two workers of run
+    --jobs 3: exit 3 with one error line naming the stages, every pipe
+    end closed and the first worker reaped."""
+    fds, pids = [], []
+    pipe, fork = os.pipe, os.fork
+
+    def noted_pipe():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    def second_refused():
+        if pids:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "pipe", noted_pipe)
+    monkeypatch.setattr(os, "fork", second_refused)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 3)
+    assert main(["run", "--manifest", str(corpus), "--out", str(tmp_path / "out"), "--jobs", "3",
+                 *W250]) == 3
+    assert capsys.readouterr().err == (
+        "error: [stage preprocess, detect or dissect] could not start a worker process: "
+        f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
+    assert len(pids) == 1 and len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     _no_children()
 
 
@@ -353,7 +416,7 @@ def test_a_killed_worker_gives_one_error_line_and_exit_3(corpus, tmp_path, monke
             assert main([stage, "--manifest", str(corpus), "--out", str(tmp_path / "out"),
                          *W250]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(gio, "window_stored", _killed)
+        monkeypatch.setattr(pipeline, "windowed", _killed)
         argv = ["influence", "--manifest", str(corpus), *W250]
         prefix, done = "[stage influence] ", "influence.csv"
     else:

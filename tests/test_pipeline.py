@@ -34,6 +34,8 @@ from gazeconcepts.synth import (
 )
 
 import gazeconcepts
+from gazeconcepts import io as gio
+from gazeconcepts import pipeline
 
 from conftest import gappy_corpus, pipeline_windows
 from reference import whole_stack, windowed_manifest
@@ -128,7 +130,9 @@ def test_normalized_windows_zscore_valid_samples(tmp_path):
     assert normed is not stacked
 
 
-def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
+def test_duplicate_window_ids_across_recordings_rejected(tmp_path, monkeypatch):
+    """Two files of one stem, so of one recording id: preprocess and run
+    at --jobs 1 and 2 refuse them before any file is loaded."""
     plan = random_plan(3, 2.0)
     rec, _ = gen_scanpath(plan, seed=3, recording_id="same")
     (tmp_path / "a").mkdir()
@@ -139,10 +143,26 @@ def test_duplicate_window_ids_across_recordings_rejected(tmp_path):
         tmp_path / "m.json",
         [("a/same.csv", "x.csv", "same-w0000"), ("b/same.csv", "y.csv", "same-w0001")],
     )
+    loads = tmp_path / "loads"  # a line per load, in any process
+    load = gio.load_gaze_csv
+
+    def noted(path):
+        with open(loads, "a", encoding="utf-8") as f:
+            f.write(f"{path}\n")
+        return load(path)
+
+    monkeypatch.setattr(gio, "load_gaze_csv", noted)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    message = (f"{tmp_path / 'a' / 'same.csv'} and {tmp_path / 'b' / 'same.csv'} "
+               f"have one recording id 'same'")
     with pytest.raises(DataError) as e:
         list(preprocess_manifest(manifest, RunConfig()))
-    assert str(e.value) == (f"{tmp_path / 'a' / 'same.csv'} and {tmp_path / 'b' / 'same.csv'} "
-                            f"have one recording id 'same'")
+    assert str(e.value) == message
+    for jobs in (1, 2):
+        with pytest.raises(DataError) as e:
+            run(manifest, RunConfig(jobs=jobs), tmp_path / f"out{jobs}")
+        assert str(e.value) == f"[stage preprocess] {message}"
+    assert not loads.exists()
 
 
 def test_sampling_rate_is_derived_from_timestamps(tmp_path):

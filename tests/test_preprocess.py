@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazeconcepts.errors import ConfigError, DegenerateDataError, SizeError
@@ -10,6 +10,7 @@ from gazeconcepts.preprocess import (
     SavGolParams,
     clamp_velocities,
     compute_channel_stats,
+    recording_of,
     savgol_derivative,
     savgol_weights,
     window_sequence,
@@ -167,6 +168,24 @@ def test_window_partition_property(n, window_len, missing_frac):
     assert s.retained * window_len + s.excluded * window_len + s.tail_samples == n
     assert len(windows) == s.retained
     assert ((~windows.valid).sum(axis=1) <= 0.5 * window_len).all()
+
+
+@given(st.text(st.sampled_from("-w0123456789a_."), min_size=1, max_size=12),
+       st.sampled_from([1, 12, 10_003]))
+@example("rec-w0001", 10_003)
+@example("7-w-w", 12)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_recording_of_inverts_window_sequence_ids(recording_id, n):
+    """Every id window_sequence gives a recording's windows, slots past
+    9999 included, names that recording; a slot it never writes names
+    none."""
+    traces = (np.zeros(n),) * 4
+    stack, _ = window_sequence(*traces, window_len=1, recording_id=recording_id)
+    assert len(stack) == n
+    assert {recording_of(window_id) for window_id in stack.window_ids} == {recording_id}
+    for not_a_slot in ("", "-w", "-w12", "-w00012", "-w-001", "-w+123", "-w 0123",
+                       "-w\u0661\u0662\u0663\u0664"):
+        assert recording_of(recording_id + not_a_slot) != recording_id
 
 
 def test_take_reorders_rows_into_a_copy():
