@@ -1,30 +1,21 @@
 """Subcommand front-end: synth, preprocess, detect, dissect, influence,
 bin, report, and run.
 
-`preprocess` clears the output directory and writes windows.npz. Each
-later staged subcommand reads its inputs back from the stage files, runs
-`run`'s per-recording loop (pipeline.compute) with its own stage's steps
-and writes with `run`'s writer; if writing fails, it removes what it
-wrote.
-
-The analysis flags are the RunConfig fields (sg_window is --sg-window)
-and take the same values as config-file keys. Precedence for every
-parameter is CLI flag over config file over built-in default. The config
-file is INI-style; keys may live in any section, [DEFAULT] too, and must
-name RunConfig fields. It is --config, else the manifest's `config`,
-resolved next to the manifest. Every subcommand but synth takes
---manifest; preprocess, influence and run require it. A manifest given
-to a stage that reads windows.npz must name the file's windows, in the
-file's order. The output directory is --out, else $GAZECONCEPTS_OUT,
-else the manifest's `output_dir`, else ./out. `run --jobs N` with N > 1
-does each recording's gaze side in a fork pool (pipeline.pool_size), with
-the same outputs as --jobs 1; without fork it runs as --jobs 1. The
-staged subcommands ignore a config file's jobs: each windows and computes
-its recordings, and synth writes them, in a fork pool of one process per
-usable CPU, capped by the recordings, with the same bytes as one process,
-and in one process for one recording, one usable CPU or no fork. A pool
-worker that dies fails the command with one error line naming the stages
-it did (or synth), exit 3.
+Every analysis flag, such as --sg-window, is also a config-file key,
+sg_window, that takes the same values. A parameter comes from its flag,
+else from the config file, else from its built-in default. The config
+file is INI-style, with keys in any section, [DEFAULT] too; an unknown
+key is an error. It is --config, else the manifest's `config`, resolved
+next to the manifest. Every subcommand but synth takes
+--manifest; preprocess, influence and run require it. The staged
+subcommands run in the order above, each reading what the earlier ones
+wrote; a manifest given to one after preprocess must name the windows
+that preprocess wrote, in their order. The output directory is --out,
+else $GAZECONCEPTS_OUT, else the manifest's `output_dir`, else ./out.
+`run --jobs N` with N > 1, the staged subcommands and synth use more
+than one process where fork and more than one CPU are available; the
+outputs are the bytes of one process. A worker process that dies fails
+the command with one error line, exit 3.
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 I/O.
 """
 
@@ -39,22 +30,8 @@ from pathlib import Path
 
 from . import binning as binning_mod
 from . import io as gio
-from .detect import event_properties, retained
-from .errors import ConfigError, DataError, GazeError
-from .influence import InfluenceResult, default_k
-from .pipeline import (
-    ALL_CONCEPTS,
-    CHOICES,
-    STEPS,
-    RunConfig,
-    clear_outputs,
-    compute,
-    preprocess_manifest,
-    removed_on_failure,
-    require_windows,
-    run,
-    write_stage,
-)
+from .errors import ConfigError, GazeError
+from .pipeline import CHOICES, RunConfig, run, staged
 from .synth import ATTRIBUTION_MODES, CorpusSpec, write_demo_corpus
 
 ENV_OUT = "GAZECONCEPTS_OUT"
@@ -188,93 +165,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    manifest, cfg, out = _context(args)
-    clear_outputs(out)  # a failed preprocess leaves no earlier run's files
-    require_windows(manifest)
-    recordings = preprocess_manifest(manifest, cfg)
-    path = out / "windows.npz"
-    with removed_on_failure([path]):
-        gio.write_windows(recordings, path, [e.window_id for e in manifest.entries], cfg)
-    print(f"wrote {len(manifest.entries)} windows to {path}")
-    return 0
-
-
-def _read_topk(path: Path, window_ids: list, length: int, cfg: RunConfig):
-    """topk.npz's (n, L) masks, rows aligned with `window_ids`. DataError
-    naming the file if `influence` wrote it for other windows, another k
-    or another squash mode."""
-    ids, topk, k, squash = gio.read_topk(path, length)
-    if ids != window_ids:
-        raise DataError(f"{path}: window ids differ from the windows file's; rerun influence")
-    want_k = default_k(length, cfg.top_frac)
-    if k != want_k:
-        raise DataError(
-            f"{path}: k={k}, but top_frac {cfg.top_frac} of {length} steps gives "
-            f"k={want_k}; rerun influence"
-        )
-    if squash != cfg.squash:
-        raise DataError(
-            f"{path}: squash {squash!r}, but this run uses {cfg.squash!r}; rerun influence"
-        )
-    return topk
-
-
-def _read_inputs(stage: str, out: Path, window_ids: list, params, cfg: RunConfig) -> dict:
-    """What `stage` computes from besides the windows, keyed by RunResult's
-    field names: the window parameters and the earlier stage files' tables."""
-    v = {"params": params}
-    if stage == "detect":
-        return v
-    length = params.window_len
-    v["events"] = gio.read_events(out / "events.csv", window_ids, length)
-    if stage == "bin":
-        v["topk"] = _read_topk(out / "topk.npz", window_ids, length, cfg)
-        return v
-    if stage != "dissect":
-        v["subevents"] = gio.read_subevents(out / "subevents.csv", v["events"], length)
-    if stage == "report":
-        # a concept absent from every window is skipped in all of them
-        v["corpus_results"] = {c: (None, len(window_ids)) for c in ALL_CONCEPTS}
-        table = gio.read_report(out / "influence.csv")
-        for i, scope in enumerate(table["scope"]):
-            if scope == "corpus":
-                r = InfluenceResult(**{name: values[i] for name, values in table.items()})
-                v["corpus_results"][r.concept] = (r, r.n_skipped)
-        binned = binning_mod.read_binned(out / "binned.csv")
-        v["binned"] = {prop: binned.get(prop, []) for prop in cfg.properties}
-    return v
-
-
-def _exact_properties(v: dict, cfg: RunConfig, manifest) -> dict:
-    """The retained events with their properties recomputed from the
-    exact windows, as `run` bins them: events.csv keeps 9 digits."""
-    return {"events": event_properties(retained(v["events"]), v["windows"])}
-
-
 def _staged(stage: str, args) -> int:
-    """A stage after preprocess: its inputs read back from the stage files,
-    then run's per-recording loop, in a fork pool (pipeline.compute), with
-    its steps on the recordings of windows.npz, which a given manifest must
-    name in order, and run's writer; a failed write removes every file the
-    stage wrote."""
-    manifest, cfg, out = _context(args)
-    path = out / "windows.npz"
-    window_ids, params, stored = gio.read_windows(path)
-    if manifest is not None and [e.window_id for e in manifest.entries] != window_ids:
-        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
-    given = _read_inputs(stage, out, window_ids, params, cfg)
-    step, once = STEPS[stage]
-    if stage == "bin":
-        step = _exact_properties
-    v = compute(path, stored, window_ids, {stage: (step, once)}, cfg, manifest, given)
-    with removed_on_failure([]) as written:
-        if stage == "influence":  # only a staged bin reads the top-k masks
-            written.append(out / "topk.npz")
-            gio.write_topk(v["influence"].window_ids, v["topk"], written[0], cfg.squash)
-        write_stage(stage, v, cfg, out, written)
-    print(f"wrote {', '.join(map(str, written))}")
+    """A staged subcommand (pipeline.staged), then one line naming every
+    file it wrote."""
+    print(f"wrote {', '.join(map(str, staged(stage, *_context(args))))}")
     return 0
+
+
+def cmd_preprocess(args) -> int:
+    return _staged("preprocess", args)
 
 
 def cmd_detect(args) -> int:
@@ -333,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage("bin", "per-property binned influence", cmd_bin, False)
     stage("report", "summary document", cmd_report, False)
     stage("run", "full pipeline from a manifest", cmd_run, True).add_argument(
-        "--jobs", help="processes (default 1): above 1, a fork pool does each recording's "
-        "gaze side while run parses the attributions; the same outputs as 1"
+        "--jobs", help="processes (default 1); every value gives the same outputs"
     )
     return parser
 

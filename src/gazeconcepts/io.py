@@ -52,6 +52,7 @@ from .detect import (
     KINDS,
     SACCADE,
     EventTable,
+    _median,
     exclusion_code,
     exclusion_reason,
     retained,
@@ -460,8 +461,7 @@ def load_gaze_csv(path) -> GazeRecording:
         xl, yl = _couple_missing(coords[0], coords[1])
         xr, yr = _couple_missing(coords[2], coords[3])
         eyes = {"left": (xl, yl), "right": (xr, yr)}
-    steps = np.sort(np.diff(t)).astype(float)  # a median without np.median's numpy.ma import
-    step = (steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]) / 2 if len(steps) else 1.0
+    step = _median(np.diff(t)) if len(t) > 1 else 1.0
     return GazeRecording(recording_id(path), t, eyes, eye, float(1000.0 / step),
                          source_meta={"path": str(path), "skipped_rows": str(skipped)})
 

@@ -54,6 +54,7 @@ from .detect import (
     DetectionParams,
     EventTable,
     detect_events,
+    event_properties,
     exclusion_reason,
     retained,
 )
@@ -64,6 +65,7 @@ from .influence import (
     EVENT_CONCEPTS,
     PHASE_CONCEPTS,
     ConceptSegmentation,
+    InfluenceResult,
     InfluenceTable,
     TopKSegmentation,
     default_k,
@@ -172,19 +174,15 @@ class RunResult:
     report_doc: dict
 
 
-def require_windows(manifest):
-    """DataError for a manifest of no entries: it yields no evaluation
-    windows, as each entry names one window or fails preprocessing."""
-    if not manifest.entries:
-        raise DataError("manifest yields no evaluation windows")
-
-
 def recording_files(manifest) -> list:
     """(path, manifest indices) of each recording file, in the order the
     manifest first names it: one per file however the manifest spells its
     path, loaded through its first spelling, with the ascending indices of
     every entry naming it. DataError naming both files, before any is
-    loaded, if two have one recording id (io.recording_id)."""
+    loaded, if two have one recording id (io.recording_id), and for a
+    manifest of no entries, which yields no evaluation windows."""
+    if not manifest.entries:
+        raise DataError("manifest yields no evaluation windows")
     keys = {relpath: manifest.resolve(relpath).resolve()
             for relpath in dict.fromkeys(entry.recording for entry in manifest.entries)}
     naming = {}  # resolved path -> the manifest indices naming it
@@ -261,12 +259,6 @@ def window_segmentations(window: WindowStack, events: EventTable,
     }
 
 
-def dissect_windows(windows: WindowStack, events: EventTable, cfg: RunConfig) -> SubEventTable:
-    """The phase segments of every retained saccade, all in one batched
-    pass; events.row indexes the rows of ``windows``."""
-    return dissect_saccades(retained(events, SACCADE), windows, cfg.peak_ratio, cfg.flank_ratio)
-
-
 def process_window(window_id: str, length: int, attribution_path,
                    cfg: RunConfig) -> TopKSegmentation:
     """The top-k mask of one window of `length` samples: its attribution
@@ -281,7 +273,7 @@ def process_window(window_id: str, length: int, attribution_path,
     )
 
 
-def topk_masks(rows, length: int, cfg: RunConfig, manifest) -> np.ndarray:
+def attribution_topk(rows, length: int, cfg: RunConfig, manifest) -> np.ndarray:
     """(n, length) top-k masks of the windows that the manifest's entries
     at `rows` name, in order, after checking that every attribution file
     exists: one process_window call per window."""
@@ -363,14 +355,16 @@ def detect_step(v: dict, cfg: RunConfig, manifest) -> dict:
 
 
 def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
-    """The phase segments of every retained saccade."""
-    return {"subevents": dissect_windows(v["windows"], v["events"], cfg)}
+    """The phase segments of every retained saccade, all in one batched
+    pass."""
+    return {"subevents": dissect_saccades(retained(v["events"], SACCADE), v["windows"],
+                                          cfg.peak_ratio, cfg.flank_ratio)}
 
 
 def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
     """The top-k masks and every concept's influence per window; the
     manifest's entries at v["rows"] name the windows, in order."""
-    topk = topk_masks(v["rows"], v["windows"].length, cfg, manifest)
+    topk = attribution_topk(v["rows"], v["windows"].length, cfg, manifest)
     return {"topk": topk, "influence": scored(v["events"], v["subevents"], topk, cfg)}
 
 
@@ -703,6 +697,72 @@ def removed_on_failure(written: list):
         raise
 
 
+def staged(stage: str, manifest, cfg: RunConfig, out: Path) -> list:
+    """Compute `stage` (a key of TABLES) in the output directory `out`
+    and write its files there with run's writer (write_stage); return
+    their paths. If a write fails, every file the stage began is removed.
+    `preprocess` first clears out, then windows the manifest's recordings
+    (preprocess_manifest) into windows.npz. A later stage checks that a
+    given manifest names the windows of windows.npz, in order, reads back
+    the earlier stage files for those windows, and runs run's
+    per-recording loop with its own stage's steps (compute): each
+    recording is windowed and computed in a fork pool of one process per
+    usable CPU, capped by the recordings, whatever cfg.jobs says, and in
+    this process for one recording, one usable CPU or no fork. Staged bin
+    recomputes the retained events' properties on each recording's exact
+    windows, as run does, since events.csv keeps 9 digits. Staged
+    influence also writes the top-k masks that only bin reads
+    (topk.npz)."""
+    if stage == "preprocess":
+        clear_outputs(out)  # a failed preprocess leaves no earlier run's files
+        recordings = preprocess_manifest(manifest, cfg)
+        with removed_on_failure([out / TABLES[stage]]) as written:
+            gio.write_windows(recordings, written[0], [e.window_id for e in manifest.entries], cfg)
+        return written
+    path = out / TABLES["preprocess"]
+    window_ids, params, stored = gio.read_windows(path)
+    if manifest is not None and [e.window_id for e in manifest.entries] != window_ids:
+        raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
+    given, length, topk_path = {"params": params}, params.window_len, out / "topk.npz"
+    step, once = STEPS[stage]
+    if stage != "detect":
+        given["events"] = gio.read_events(out / TABLES["detect"], window_ids, length)
+    if stage in ("influence", "report"):
+        given["subevents"] = gio.read_subevents(out / TABLES["dissect"], given["events"], length)
+    if stage == "bin":
+        ids, given["topk"], k, squash = gio.read_topk(topk_path, length)
+        want_k = default_k(length, cfg.top_frac)
+        if ids != window_ids:
+            raise DataError(f"{topk_path}: window ids differ from the windows file's; "
+                            "rerun influence")
+        if k != want_k:
+            raise DataError(f"{topk_path}: k={k}, but top_frac {cfg.top_frac} of {length} steps "
+                            f"gives k={want_k}; rerun influence")
+        if squash != cfg.squash:
+            raise DataError(f"{topk_path}: squash {squash!r}, but this run uses {cfg.squash!r}; "
+                            "rerun influence")
+
+        def step(v, cfg, manifest):  # run's properties, not events.csv's 9 digits
+            return {"events": event_properties(retained(v["events"]), v["windows"])}
+    if stage == "report":
+        # a concept absent from every window is skipped in all of them
+        given["corpus_results"] = {c: (None, len(window_ids)) for c in ALL_CONCEPTS}
+        table = gio.read_report(out / TABLES["influence"])
+        for i, scope in enumerate(table["scope"]):
+            if scope == "corpus":
+                r = InfluenceResult(**{name: values[i] for name, values in table.items()})
+                given["corpus_results"][r.concept] = (r, r.n_skipped)
+        binned = binning_mod.read_binned(out / TABLES["bin"])
+        given["binned"] = {prop: binned.get(prop, []) for prop in cfg.properties}
+    v = compute(path, stored, window_ids, {stage: (step, once)}, cfg, manifest, given)
+    with removed_on_failure([]) as written:
+        if stage == "influence":
+            written.append(topk_path)
+            gio.write_topk(v["influence"].window_ids, v["topk"], topk_path, cfg.squash)
+        write_stage(stage, v, cfg, out, written)
+    return written
+
+
 def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     """Execute the full pipeline for a manifest and write all artifacts.
     Each recording's gaze side (gaze_side) runs through recording_map: in
@@ -712,7 +772,6 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
     order within it."""
     cfg.validate()
     with _stage("preprocess"):
-        require_windows(manifest)
         files = recording_files(manifest)
     params = WindowParams(**{f.name: getattr(cfg, f.name) for f in fields(WindowParams)})
     summaries, parts = {}, []
@@ -722,7 +781,7 @@ def run(manifest, cfg: RunConfig, out_dir) -> RunResult:
             late = None  # an attribution error, raised after the earlier stages' errors
             try:
                 with _stage("influence"):
-                    topk = topk_masks(indices, cfg.window_len, cfg, manifest)
+                    topk = attribution_topk(indices, cfg.window_len, cfg, manifest)
             except (GazeError, OSError) as e:
                 late = e
             part = next(gazes)

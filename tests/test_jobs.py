@@ -322,12 +322,12 @@ def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus, forks):
     and gone once run returns or raises."""
     alive = []
 
-    def topk_masks(*args):
+    def attribution_topk(*args):
         alive.append(_live(forks))
         return masks(*args)
 
-    masks = pipeline.topk_masks
-    monkeypatch.setattr(pipeline, "topk_masks", topk_masks)
+    masks = pipeline.attribution_topk
+    monkeypatch.setattr(pipeline, "attribution_topk", attribution_topk)
     assert main(["run", "--manifest", str(corpus), "--out", str(tmp_path / "ok"),
                  "--jobs", "2", *W250]) == 0
     assert alive == [1, 1, 1] and len(forks) == 1

@@ -81,3 +81,12 @@ def test_every_traced_function_is_reachable_or_allowed(scan):
     unreached = [f"{layer}.{name}" for layer, names in spans.LAYER_FUNCTIONS.items()
                  for name in names if name not in reached and name not in ALLOWED]
     assert not unreached, f"perfbench/spans.py traces code no entry point runs: {unreached}"
+
+
+def test_no_name_is_defined_in_two_modules(scan):
+    """The scan matches bare names, so a use of one definition would keep
+    a same-named one in another module reachable."""
+    where, _ = scan
+    shared = {name: sorted(str(path) for path, _ in places) for name, places in where.items()
+              if len({path for path, _ in places}) > 1}
+    assert not shared, f"top-level names defined in more than one module: {shared}"
