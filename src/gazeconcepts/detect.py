@@ -133,12 +133,16 @@ def _median(v) -> np.ndarray:
     value, or the mean of the two middle values when the count is even.
 
     np.median's NaN check imports numpy.ma (about 10 ms a process); this
-    partitions at the same positions and skips the check.
+    partitions at the same positions and skips the check. Integers are
+    sorted instead, which numpy does faster than it partitions them.
     """
     n = v.shape[-1]
     mid = n // 2
     kth = [mid - 1, mid] if n % 2 == 0 else [mid]
-    part = np.partition(v, kth + [-1], axis=-1)
+    if v.dtype.kind in "iu":
+        part = np.sort(v, axis=-1)
+    else:
+        part = np.partition(v, kth + [-1], axis=-1)
     # np.mean's sum starts from +0.0, which turns a -0.0 middle into 0.0
     if n % 2:
         return 0.0 + part[..., mid]

@@ -17,16 +17,20 @@ values and the same errors.
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
 CSV table (events, sub-events, influence, binned influence, synth
-ground truth) is written by ``write_table`` and read back by
-``read_table``, a column at a time, with reals at 9 significant digits.
+ground truth) is written by ``write_table``, a column and a chunk of
+rows at a time, and read back by ``read_table`` in one pass, with reals
+at 9 significant digits.
 
 A recording's id is its gaze file's stem (recording_id). A stage file
 holds no value that another stage file already gives. The windows file
-keeps the positions preprocess parsed; its reader gives each recording
-the evaluation windows whose ids name it (preprocess.recording_of), and
-refuses a window that names none, before anything is windowed
-(preprocess.windowed, which also yields the windowing summary); the
-top-k file's k is the width of its indices.
+keeps the positions preprocess parsed, one pair of members per
+recording, written as each recording is done, and each recording's
+windowing summary; its reader checks every member but reads no
+position, gives each recording the evaluation windows whose ids name it
+(preprocess.recording_of), and refuses a window that names none, before
+anything is windowed. read_positions loads one recording's positions
+where it is windowed (preprocess.windowed, which checks the stored
+summary). The top-k file's k is the width of its indices.
 Events are read into the columnar EventTable, checked against the
 windows they belong to, and sub-events into a SubEventTable over the
 retained saccades of those events, whose peak segments give the
@@ -60,7 +64,13 @@ from .detect import (
 from .dissect import PHASES, SubEventTable
 from .errors import AlignmentError, ConfigError, DataError, FormatError
 from .influence import ALL_CONCEPTS
-from .preprocess import RecordingWindows, WindowParams, outside_window, recording_of
+from .preprocess import (
+    RecordingWindows,
+    WindowingSummary,
+    WindowParams,
+    outside_window,
+    recording_of,
+)
 
 MONO_COLUMNS = ("t_ms", "x_deg", "y_deg")
 BINOCULAR_COLUMNS = ("t_ms", "x_left_deg", "y_left_deg", "x_right_deg", "y_right_deg")
@@ -120,22 +130,31 @@ def _column(values) -> list:
     return cells
 
 
+ROWS_PER_WRITE = 512  # write_table formats and writes this many rows at a time
+
+
 def write_table(path, columns, data):
     """Write a CSV table: the header `columns`, then one line per row.
 
     ``data`` holds one sequence of values per column (numpy arrays or
     lists), each formatted a column at a time by the cell rule (see
-    _cell). The bytes are those csv.writer (with "\\n" line ends)
-    writes for the rows.
+    _cell), ROWS_PER_WRITE rows at a time, so that the text of the whole
+    table is never held. The bytes are those csv.writer (with "\\n" line
+    ends) writes for the rows.
     """
-    body = [_column(values) for values in data]
-    if len(body) != len(columns) or len({len(cells) for cells in body}) > 1:
+    if len(data) != len(columns) or len({len(values) for values in data}) > 1:
         raise ValueError(f"{len(columns)} columns need as many equal-length sequences")
-    lines = [",".join(_column(columns)), *map(",".join, zip(*body))]
-    if len(columns) == 1:  # csv.writer quotes a record's lone empty field
-        lines = ['""' if line == "" else line for line in lines]
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+
+    def written(lines):
+        if len(columns) == 1:  # csv.writer quotes a record's lone empty field
+            lines = ['""' if line == "" else line for line in lines]
         fh.write("\n".join(lines) + "\n")
+
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        written([",".join(_column(columns))])
+        for start in range(0, len(data[0]) if data else 0, ROWS_PER_WRITE):
+            written(list(map(",".join, zip(*(_column(values[start:start + ROWS_PER_WRITE])
+                                             for values in data)))))
 
 
 def parse_bool(token: str) -> bool:
@@ -152,6 +171,17 @@ def optional(parse, missing):
 OPT_REAL = optional(float, math.nan)
 
 
+class Categorical:
+    """A cell parser for a column of few distinct tokens, which read_table
+    calls once per distinct token."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __call__(self, token: str):
+        return self.parse(token)
+
+
 def one_of(names):
     """Cell parser that accepts only the given names."""
     names = frozenset(names)
@@ -160,7 +190,7 @@ def one_of(names):
         if token not in names:
             raise ValueError(token)
         return token
-    return parse
+    return Categorical(parse)
 
 
 def int64(token: str) -> int:
@@ -171,6 +201,14 @@ def int64(token: str) -> int:
     return value
 
 
+def _parsed(parse, cells) -> list:
+    """The cells of one column converted by `parse`; a Categorical parser
+    is called once per distinct token."""
+    if isinstance(parse, Categorical):
+        parse = {token: parse(token) for token in dict.fromkeys(cells)}.__getitem__
+    return list(map(parse, cells))
+
+
 def read_table(path, columns, parsers):
     """Read a table written by write_table: ({column: list of values},
     file line of each row).
@@ -179,27 +217,31 @@ def read_table(path, columns, parsers):
     at a time; the rest stay strings. A header other than exactly
     `columns`, a row with the wrong number of fields or a cell that does
     not parse raises FormatError naming the path and the line of the
-    first fault.
+    first fault. The rows are read in one pass; where a quoted cell spans
+    lines, the file is read again for the line of each row.
     """
     path = Path(path)
-    rows, lines = [], []
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(columns):
                 raise FormatError(f"{path}: header is not {','.join(columns)}")
-            for fields in reader:
-                rows.append(fields)
-                lines.append(reader.line_num)
+            rows = list(reader)
         except (csv.Error, UnicodeDecodeError) as e:
             raise FormatError(f"{path}: line {reader.line_num}: {e}") from None
+        lines = range(2, len(rows) + 2)
+        if reader.line_num != len(rows) + 1:  # a quoted cell spans lines
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            lines = [reader.line_num for _ in reader]
     width, whole = len(columns), len(rows)  # rows before the first of another width
     if set(map(len, rows)) - {width}:
         whole = next(i for i, fields in enumerate(rows) if len(fields) != width)
     table = dict(zip(columns, map(list, zip(*rows[:whole]) if whole else [[]] * width)))
     try:
         for name, parse in parsers.items():
-            table[name] = list(map(parse, table[name]))
+            table[name] = _parsed(parse, table[name])
     except ValueError:
         for fields, line in zip(rows[:whole], lines):  # the first cell that does not parse
             for i, name in enumerate(columns):
@@ -696,50 +738,94 @@ def validate_attribution(attr: AttributionMap, length: int):
         )
 
 
+SUMMARY_FIELDS = ("retained", "excluded", "tail_samples")  # of preprocess.WindowingSummary
 WINDOW_ARRAYS = (
-    "recording_id", "sampling_rate_hz", "n_samples", "x", "y", "window_id",
+    "recording_id", "sampling_rate_hz", "n_samples", *SUMMARY_FIELDS, "window_id",
     *(f.name for f in fields(WindowParams)),
 )
+_MEMBER_TIME = (1980, 1, 1, 0, 0, 0)  # the earliest a zip member can carry
+
+
+def _write_npy(zf, name: str, array):
+    """`array` as the member ``<name>.npy`` of the zip `zf`, stored as
+    np.savez stores it, but at a fixed time, so the bytes follow from the
+    contents alone."""
+    with zf.open(zipfile.ZipInfo(f"{name}.npy", _MEMBER_TIME), "w", force_zip64=True) as fh:
+        np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
 
 
 def write_windows(recordings, path, window_ids, params: WindowParams):
     """Write the windows stage file: what preprocess windowed, not the
-    windows. ``recordings`` are RecordingWindows, whose positions (id,
-    sampling rate, x, y; eye-selected, in degrees) are stored;
-    ``window_ids`` are the evaluation windows in manifest order, ``params``
-    what cut them. Binary, so every float round-trips; written to exactly
-    ``path``."""
-    ids, rates, xs, ys = zip(*(r.positions for r in recordings)) if recordings else ((),) * 4
-    arrays = {
-        "recording_id": np.array(ids, dtype=str),
-        "sampling_rate_hz": np.array(rates, dtype=float),
-        "n_samples": np.array(list(map(len, xs)), dtype=np.int64),
-        "x": np.concatenate([np.empty(0), *xs]),
-        "y": np.concatenate([np.empty(0), *ys]),
-        "window_id": np.array(window_ids, dtype=str),
-        **{f.name: np.array(getattr(params, f.name), dtype=type(f.default))
-           for f in fields(WindowParams)},
-    }
-    with Path(path).open("wb") as fh:
-        np.savez(fh, **arrays)
+    windows. ``recordings`` are windowed RecordingWindows with their
+    positions (eye-selected, in degrees), from any iterable: the i-th
+    one's x and y are written as the float64 members ``x<i>`` and ``y<i>``
+    as it comes, and it is dropped before the next is taken. Then come
+    each recording's id, sampling rate, sample count and windowing
+    summary, ``window_ids`` (the evaluation windows in manifest order) and
+    ``params``, what cut them. An uncompressed ``.npz`` archive, so every
+    float round-trips, written to exactly ``path``."""
+    ids, rates, counts, summaries = [], [], [], []
+    with zipfile.ZipFile(path, "w") as zf:
+        for recording in recordings:
+            x, y = recording.positions
+            _write_npy(zf, f"x{len(ids)}", x)
+            _write_npy(zf, f"y{len(ids)}", y)
+            ids.append(recording.recording_id)
+            rates.append(recording.sampling_rate_hz)
+            counts.append(len(x))
+            summaries.append([getattr(recording.summary, name) for name in SUMMARY_FIELDS])
+            del recording, x, y  # not held while the next recording is made
+        arrays = {
+            "recording_id": np.array(ids, dtype=str),
+            "sampling_rate_hz": np.array(rates, dtype=float),
+            "n_samples": np.array(counts, dtype=np.int64),
+            **dict(zip(SUMMARY_FIELDS, np.array(summaries, dtype=np.int64).reshape(-1, 3).T)),
+            "window_id": np.array(window_ids, dtype=str),
+            **{f.name: np.array(getattr(params, f.name), dtype=type(f.default))
+               for f in fields(WindowParams)},
+        }
+        for name, array in arrays.items():
+            _write_npy(zf, name, array)
 
 
-def _load_npz(path, names, what: str, stage: str) -> dict:
-    """The arrays of a stage ``.npz`` file that holds exactly `names`;
-    for any other file, one of an older format included, FormatError
-    naming the path and asking for `stage` to be rerun."""
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _npy(zf, name: str, header: bool = False):
+    """The member ``<name>.npy`` of the zip `zf` read whole, or with
+    `header` only the (shape, dtype) its header gives; ValueError if it is
+    no .npy array, or holds objects."""
+    with zf.open(f"{name}.npy") as fh:
+        if not header:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+        read = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+        if read is None:
+            raise ValueError(f"{name}: unknown .npy version")
+        shape, _, dtype = read(fh)
+        return shape, dtype
+
+
+def _load_npz(path, names, what: str, stage: str, others=lambda arrays: ()) -> tuple:
+    """(the arrays `names` of a stage ``.npz`` file, each read whole;
+    the (shape, dtype) of each member that `others` names, given those
+    arrays, from its .npy header alone, its payload not read). For a file
+    of any other members, one of an older format included, or one that
+    does not load, FormatError naming the path and asking for `stage` to
+    be rerun."""
     path = Path(path)
-    with path.open("rb") as fh:
-        try:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                if set(npz.files) != set(names):
-                    raise ValueError(f"not the {what} arrays")
-                return {name: npz[name] for name in names}
-        except (ValueError, EOFError, zipfile.BadZipFile):
-            raise FormatError(f"{path}: not a {what} this version writes; rerun {stage}") from None
+    try:
+        with zipfile.ZipFile(path) as zf:
+            members = set(zf.namelist())
+            if not {f"{name}.npy" for name in names} <= members:
+                raise ValueError(f"not the {what} arrays")
+            arrays = {name: _npy(zf, name) for name in names}
+            rest = list(others(arrays))
+            if members != {f"{name}.npy" for name in (*names, *rest)}:
+                raise ValueError(f"not the {what} arrays")
+            return arrays, {name: _npy(zf, name, header=True) for name in rest}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise FormatError(f"{path}: not a {what} this version writes; rerun {stage}") from None
 
 
 def _is(array, dtype, shape) -> bool:
@@ -750,26 +836,31 @@ def _is(array, dtype, shape) -> bool:
 
 
 def read_windows(path):
-    """Inverse of write_windows: (the evaluation window ids in the file's
-    order, the stored WindowParams, each stored recording as
-    RecordingWindows without windows, whose rows are those of the window
-    ids that name it). FormatError naming the file for anything else, a
-    window id that names no stored recording included; DataError for a
-    file of no windows, which preprocess never writes."""
-    a = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess")
-    r, total = a["recording_id"].size, a["x"].size
+    """Inverse of write_windows, less the positions: (the evaluation
+    window ids in the file's order, the stored WindowParams, each stored
+    recording as RecordingWindows with its stored summary and no
+    positions or windows, whose rows are those of the window ids that
+    name it). The position members are checked by their .npy headers
+    (float64, n_samples long) but not read: read_positions loads them
+    where a recording is windowed. FormatError naming the file for
+    anything else, a window id that names no stored recording included;
+    DataError for a file of no windows, which preprocess never writes."""
+    a, positions = _load_npz(path, WINDOW_ARRAYS, "windows file", "preprocess", lambda a: [
+        f"{axis}{i}" for i in range(a["recording_id"].size) for axis in "xy"])
+    r = a["recording_id"].size
     layout = {
         "recording_id": ("U", (r,)), "sampling_rate_hz": (np.float64, (r,)),
-        "n_samples": (np.int64, (r,)), "x": (np.float64, (total,)),
-        "y": (np.float64, (total,)), "window_id": ("U", (a["window_id"].size,)),
+        **{name: (np.int64, (r,)) for name in ("n_samples", *SUMMARY_FIELDS)},
+        "window_id": ("U", (a["window_id"].size,)),
         **{f.name: ("U" if isinstance(f.default, str) else type(f.default), ())
            for f in fields(WindowParams)},
     }
-    if not all(_is(a[name], *spec) for name, spec in layout.items()):
-        raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
     counts, rates = a["n_samples"], a["sampling_rate_hz"]
-    if (counts < 0).any() or counts.sum() != total:
-        raise FormatError(f"{path}: n_samples do not sum to the {total} positions")
+    if not all(_is(a[name], *spec) for name, spec in layout.items()) or any(
+        positions[f"{axis}{i}"] != ((n,), np.float64)
+        for i, n in enumerate(counts.tolist()) for axis in "xy"
+    ):
+        raise FormatError(f"{path}: windows file arrays disagree in shape or dtype")
     recording_ids, window_ids = a["recording_id"].tolist(), a["window_id"].tolist()
     if len(set(recording_ids)) < r or len(set(window_ids)) < len(window_ids):
         raise FormatError(f"{path}: recording or window ids are not unique")
@@ -780,6 +871,11 @@ def read_windows(path):
         params.validate()
     except ConfigError as e:
         raise FormatError(f"{path}: {e}") from None
+    retained, excluded, tail = (a[name] for name in SUMMARY_FIELDS)
+    length = params.window_len
+    if ((retained < 0) | (excluded < 0) | (tail < 0) | (tail >= length)
+            | ((retained + excluded) * length + tail != counts)).any():
+        raise FormatError(f"{path}: windowing summaries do not add up to n_samples")
     if not window_ids:
         raise DataError(f"{path}: holds no evaluation windows; rerun preprocess")
     index = {rec_id: i for i, rec_id in enumerate(recording_ids)}
@@ -787,11 +883,25 @@ def read_windows(path):
     if (owner < 0).any():
         raise FormatError(f"{path}: window_id {window_ids[int(np.argmin(owner))]!r} names no "
                           f"recording of this file")
-    starts = np.cumsum(counts)[:-1]
     return window_ids, params, [
-        RecordingWindows(positions, np.flatnonzero(owner == i)) for i, positions in enumerate(
-            zip(recording_ids, rates.tolist(), np.split(a["x"], starts), np.split(a["y"], starts)))
+        RecordingWindows(rec_id, rate, np.flatnonzero(owner == i),
+                         summary=WindowingSummary(length, *summary))
+        for i, (rec_id, rate, *summary) in enumerate(zip(
+            recording_ids, rates.tolist(), retained.tolist(), excluded.tolist(), tail.tolist()))
     ]
+
+
+def read_positions(path, index: int) -> tuple:
+    """(x, y), the positions of the recording at `index` of the windows
+    file at `path` (read_windows' order), read whole. FormatError naming
+    the file if either does not load, as a truncated or corrupted member
+    does not."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            return _npy(zf, f"x{index}"), _npy(zf, f"y{index}")
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
+        raise FormatError(f"{path}: positions x{index}, y{index} do not load ({e}); "
+                          "rerun preprocess") from None
 
 
 TOPK_ARRAYS = ("window_id", "indices", "squash")
@@ -823,7 +933,7 @@ def read_topk(path, length: int):
     width of the (n, k) indices. Rejects anything but a top-k file, one
     of an older format that stored k, and indices that are not k
     ascending steps of a window."""
-    a = _load_npz(path, TOPK_ARRAYS, "top-k file", "influence")
+    a = _load_npz(path, TOPK_ARRAYS, "top-k file", "influence")[0]
     ids, indices, squash = (a[name] for name in TOPK_ARRAYS)
     if (
         ids.ndim != 1 or squash.shape != () or squash.dtype.kind != "U"
@@ -845,9 +955,10 @@ EVENT_COLUMNS = (
     "amplitude_deg", "dispersion_deg", "velocity_std", "excluded", "exclusion_reason",
 )
 _EVENT_PARSERS = {
-    "kind": KINDS.index, "onset": int64, "offset": int64, "duration_ms": OPT_REAL,
-    "peak_velocity": OPT_REAL, "amplitude_deg": OPT_REAL, "dispersion_deg": OPT_REAL,
-    "velocity_std": OPT_REAL, "excluded": parse_bool, "exclusion_reason": exclusion_code,
+    "kind": Categorical(KINDS.index), "onset": int64, "offset": int64,
+    "duration_ms": OPT_REAL, "peak_velocity": OPT_REAL, "amplitude_deg": OPT_REAL,
+    "dispersion_deg": OPT_REAL, "velocity_std": OPT_REAL, "excluded": Categorical(parse_bool),
+    "exclusion_reason": Categorical(exclusion_code),
 }
 _REASONS = np.array([exclusion_reason(c) for c in range(1 << len(EXCLUSION_BOUNDS))],
                     dtype=object)
@@ -945,7 +1056,8 @@ def read_subevents(path, events: EventTable, length: int) -> SubEventTable:
     always writes (its peak sample is supra-threshold)."""
     path = Path(path)
     t, lines = read_table(
-        path, SUBEVENT_COLUMNS, {"phase": PHASES.index, "onset": int64, "offset": int64}
+        path, SUBEVENT_COLUMNS, {"phase": Categorical(PHASES.index), "onset": int64,
+                                 "offset": int64}
     )
     saccades = retained(events, SACCADE)
     index_of = {event_id: i for i, event_id in enumerate(saccades.event_id.tolist())}

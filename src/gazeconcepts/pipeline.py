@@ -14,16 +14,20 @@ detect, dissect: gaze_side) while this process parses its attributions
 (pool_size, recording_map). compute drives it for a staged subcommand,
 on the recordings of the windows stage file and the tables of the
 earlier stage files, which split_recording splits by recording: a fork
-pool of one process per usable CPU, capped by the recordings, windows
-each recording and runs its steps, and this process merges. Staged
-preprocess windows its recordings in the same pool (preprocess_manifest),
-and synth writes its recordings through it. Every pool gives the bytes of
-one process. Names decide which recording holds which window before any
-file is loaded or worker forked: recording_files refuses two files of one
-stem, and io.read_windows gives each stored recording the windows that
-name it. Every path windows a recording with preprocess.windowed. A step
-takes the earlier values keyed by RunResult's field names and the
-RunConfig whole. Events and
+pool of one process per usable CPU, capped by the recordings, runs each
+recording's steps, and this process merges. Only for a step that reads
+windows (STEPS) does the process that runs it load the recording's
+positions from the windows file and window them; the parent of a
+staged subcommand never holds the corpus's positions. Staged preprocess
+windows its recordings in the same pool (preprocess_manifest) and
+writes each one's positions as it comes back, and synth writes its
+recordings through it. Every pool gives the bytes of one process. Names
+decide which recording holds which window before any file is loaded or
+worker forked: recording_files refuses two files of one stem, and
+io.read_windows gives each stored recording the windows that name it.
+Every path windows a recording with preprocess.windowed. A step takes
+the earlier values keyed by RunResult's field names and the RunConfig
+whole. Events and
 sub-events are columnar tables (detect.EventTable, dissect.SubEventTable).
 Every reduction happens in manifest order, so outputs do not depend on
 --jobs. write_stage writes one stage's table and charts; `run` first
@@ -37,7 +41,7 @@ import json
 import os
 import pickle
 import shutil
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -205,8 +209,8 @@ def window_file(manifest, cfg: RunConfig, path, indices) -> RecordingWindows:
     windowing names the file."""
     rec = gio.load_gaze_csv(path)
     mono = gio.select_eye(rec, cfg.eye if rec.eye == "binocular" else "mono")
-    recording = RecordingWindows((mono.recording_id, mono.sampling_rate_hz, mono.x_deg,
-                                  mono.y_deg), np.array(indices))
+    recording = RecordingWindows(mono.recording_id, mono.sampling_rate_hz, np.array(indices),
+                                 (mono.x_deg, mono.y_deg))
     del rec, mono
     try:
         return windowed(recording, [entry.window_id for entry in manifest.entries], cfg)
@@ -214,16 +218,17 @@ def window_file(manifest, cfg: RunConfig, path, indices) -> RecordingWindows:
         raise type(e)(f"{path}: {e}") from None
 
 
-def preprocess_manifest(manifest, cfg: RunConfig) -> list:
+def preprocess_manifest(manifest, cfg: RunConfig):
     """Each of the manifest's recordings as window_file windows it, less
-    its windows, in recording_files' order: each windowed in a fork pool
-    of one process per usable CPU, capped by the recordings (pool_size),
-    where its windows stay."""
+    its windows, in recording_files' order, yielded as it is done: each
+    windowed in a fork pool of one process per usable CPU, capped by the
+    recordings (pool_size), where its windows stay. Closing the generator
+    stops the pool."""
     files = recording_files(manifest)
     with recording_map(lambda file: replace(window_file(manifest, cfg, *file), windows=None),
                        files, pool_size(len(files), len(files), parent_waits=True),
                        "stage preprocess") as results:
-        return list(results)
+        yield from results
 
 
 def normalized_windows(windows: WindowStack) -> WindowStack:
@@ -362,10 +367,18 @@ def dissect_step(v: dict, cfg: RunConfig, manifest) -> dict:
 
 
 def score_step(v: dict, cfg: RunConfig, manifest) -> dict:
-    """The top-k masks and every concept's influence per window; the
-    manifest's entries at v["rows"] name the windows, in order."""
-    topk = attribution_topk(v["rows"], v["windows"].length, cfg, manifest)
+    """The top-k masks and every concept's influence per window, of
+    v["params"].window_len steps; the manifest's entries at v["rows"] name
+    the windows, in order."""
+    topk = attribution_topk(v["rows"], v["params"].window_len, cfg, manifest)
     return {"topk": topk, "influence": scored(v["events"], v["subevents"], topk, cfg)}
+
+
+def properties_step(v: dict, cfg: RunConfig, manifest) -> dict:
+    """The retained events with their properties computed on the exact
+    windows, as run computes them (staged bin: events.csv keeps 9
+    digits)."""
+    return {"events": event_properties(retained(v["events"]), v["windows"])}
 
 
 def pool_step(v: dict, cfg: RunConfig, manifest) -> dict:
@@ -389,10 +402,11 @@ def report_step(v: dict, cfg: RunConfig, manifest) -> dict:
 
 
 # each stage after preprocess, in chain order: (its step on one recording's
-# windows, its step once on every recording's merged results), None for none
-STEPS = {"detect": (detect_step, None), "dissect": (dissect_step, None),
-         "influence": (score_step, pool_step), "bin": (None, bin_step),
-         "report": (None, report_step)}
+# values, its step once on every recording's merged results, None for none;
+# whether the first reads the recording's windows)
+STEPS = {"detect": (detect_step, None, True), "dissect": (dissect_step, None, True),
+         "influence": (score_step, pool_step, False), "bin": (None, bin_step, False),
+         "report": (None, report_step, False)}
 
 
 def split_recording(v: dict, rows) -> dict:
@@ -454,9 +468,10 @@ def merge_recordings(parts: list, window_ids: list) -> dict:
 
 
 def recording_part(recording: RecordingWindows, given: dict) -> dict:
-    """One recording's part: its id, summary, rows and windows, and the
-    tables of `given` split to its rows (split_recording)."""
-    return {"id": recording.positions[0], "summary": recording.summary,
+    """One recording's part: its id, summary, rows and windows (None if
+    it was not windowed), and the tables of `given` split to its rows
+    (split_recording)."""
+    return {"id": recording.recording_id, "summary": recording.summary,
             "rows": recording.rows, "windows": recording.windows,
             **split_recording(given, recording.rows)}
 
@@ -465,7 +480,7 @@ def steps_on(part: dict, steps: dict, cfg: RunConfig, manifest) -> dict:
     """`part`, one recording's values and windows, updated by the
     per-recording step of each stage of `steps` in order (an error is
     prefixed with its stage), its windows then dropped."""
-    for stage, (step, _) in steps.items():
+    for stage, (step, _, _) in steps.items():
         if step is not None:
             with _stage(stage):
                 part.update(step(part, cfg, manifest))
@@ -475,12 +490,13 @@ def steps_on(part: dict, steps: dict, cfg: RunConfig, manifest) -> dict:
 
 def completed(parts: list, summaries: dict, window_ids: list, steps: dict, cfg: RunConfig,
               manifest, given: dict) -> dict:
-    """The values of `given` and of the recordings' parts, merged into
-    manifest order (emptying `parts`), then those of each stage's
+    """The values of `given` and of the recordings' parts, if any, merged
+    into manifest order (emptying `parts`), then those of each stage's
     once-per-corpus step."""
-    values = {**given, "summaries": summaries, **merge_recordings(parts, window_ids)}
+    values = {**given, "summaries": summaries,
+              **(merge_recordings(parts, window_ids) if parts else {})}
     parts.clear()
-    for stage, (_, once) in steps.items():
+    for stage, (_, once, _) in steps.items():
         if once is not None:
             with _stage(stage):
                 values.update(once(values, cfg, manifest))
@@ -491,30 +507,37 @@ def compute(path, stored: list, window_ids: list, steps: dict, cfg: RunConfig, m
             given: dict) -> dict:
     """The values of ``steps``, a table like STEPS, on the windows
     ``window_ids`` of the windows file at ``path``, whose recordings are
-    ``stored`` (io.read_windows), cut by ``given["params"]``, with the
-    tables of ``given`` split to each recording (module doc). Each
-    recording is windowed (windowed; FormatError naming the file) and its
-    steps run in a fork pool of one process per usable CPU, capped by the
-    recordings (pool_size), and its part comes back without its windows.
-    ``stored`` is emptied once every recording is done. An error is
-    prefixed with its stage; ``manifest``, if given, names the windows'
-    attributions."""
-    def part_of(recording):
+    ``stored`` (io.read_windows: their summaries, no positions), cut by
+    ``given["params"]``, with the tables of ``given`` split to each
+    recording (module doc). The per-recording steps of a recording run in
+    a fork pool of one process per usable CPU, capped by the recordings
+    (pool_size), and its part comes back without its windows. Only where
+    a step reads windows are the recording's positions loaded
+    (io.read_positions) and windowed (windowed; FormatError naming the
+    file), in the process that runs its steps. With no per-recording
+    step no pool is started. An error is prefixed with its stage;
+    ``manifest``, if given, names the windows' attributions."""
+    reads_windows = any(windows for _, _, windows in steps.values())
+
+    def part_of(item):
+        index, recording = item
         with _stage("preprocess"):
-            try:
-                recording = windowed(recording, window_ids, given["params"])
-            except DataError as e:
-                raise FormatError(f"{path}: {e}") from None
-            part = recording_part(recording, given)
+            if reads_windows:
+                recording = replace(recording, positions=gio.read_positions(path, index))
+                try:
+                    recording = windowed(recording, window_ids, given["params"])
+                except DataError as e:
+                    raise FormatError(f"{path}: {e}") from None
+            part = {"params": given["params"], **recording_part(recording, given)}
         return steps_on(part, steps, cfg, manifest)
 
-    summaries, parts = {}, []
-    with recording_map(part_of, stored, pool_size(len(stored), len(stored), parent_waits=True),
-                       f"stage {', '.join(steps)}") as results:
-        for part in results:
-            summaries[part.pop("id")] = part.pop("summary")
-            parts.append(part)
-    stored.clear()
+    parts = []
+    if any(each is not None for each, _, _ in steps.values()):
+        with recording_map(part_of, list(enumerate(stored)),
+                           pool_size(len(stored), len(stored), parent_waits=True),
+                           f"stage {', '.join(steps)}") as results:
+            parts.extend(results)
+    summaries = {recording.recording_id: recording.summary for recording in stored}
     return completed(parts, summaries, window_ids, steps, cfg, manifest, given)
 
 
@@ -592,6 +615,7 @@ def _results(pipes: list, n: int, name: str):
         if not ok:
             raise value
         yield value
+        del value  # not held while the next result is unpickled
 
 
 @contextmanager
@@ -702,21 +726,25 @@ def staged(stage: str, manifest, cfg: RunConfig, out: Path) -> list:
     and write its files there with run's writer (write_stage); return
     their paths. If a write fails, every file the stage began is removed.
     `preprocess` first clears out, then windows the manifest's recordings
-    (preprocess_manifest) into windows.npz. A later stage checks that a
-    given manifest names the windows of windows.npz, in order, reads back
-    the earlier stage files for those windows, and runs run's
-    per-recording loop with its own stage's steps (compute): each
-    recording is windowed and computed in a fork pool of one process per
-    usable CPU, capped by the recordings, whatever cfg.jobs says, and in
-    this process for one recording, one usable CPU or no fork. Staged bin
-    recomputes the retained events' properties on each recording's exact
-    windows, as run does, since events.csv keeps 9 digits. Staged
-    influence also writes the top-k masks that only bin reads
-    (topk.npz)."""
+    (preprocess_manifest) and writes each one's positions into
+    windows.npz as it is done, so that this process holds one recording's
+    at a time. A later stage checks that a given manifest names the
+    windows of windows.npz, in order, reads back the earlier stage files
+    for those windows, and runs run's per-recording loop with its own
+    stage's steps (compute): each recording is computed in a fork pool of
+    one process per usable CPU, capped by the recordings, whatever
+    cfg.jobs says, and in this process for one recording, one usable CPU
+    or no fork. detect, dissect and bin load and window each recording
+    there, influence reads no positions, and report, which has no
+    per-recording step, starts no pool and counts windows from the stored
+    summaries. Staged bin recomputes the retained events' properties on
+    each recording's exact windows (properties_step), as run does, since
+    events.csv keeps 9 digits. Staged influence also writes the top-k
+    masks that only bin reads (topk.npz)."""
     if stage == "preprocess":
         clear_outputs(out)  # a failed preprocess leaves no earlier run's files
-        recordings = preprocess_manifest(manifest, cfg)
-        with removed_on_failure([out / TABLES[stage]]) as written:
+        with (removed_on_failure([out / TABLES[stage]]) as written,
+              closing(preprocess_manifest(manifest, cfg)) as recordings):
             gio.write_windows(recordings, written[0], [e.window_id for e in manifest.entries], cfg)
         return written
     path = out / TABLES["preprocess"]
@@ -724,7 +752,7 @@ def staged(stage: str, manifest, cfg: RunConfig, out: Path) -> list:
     if manifest is not None and [e.window_id for e in manifest.entries] != window_ids:
         raise DataError(f"{path}: window ids differ from the manifest's; rerun preprocess")
     given, length, topk_path = {"params": params}, params.window_len, out / "topk.npz"
-    step, once = STEPS[stage]
+    each, once, windows = STEPS[stage]
     if stage != "detect":
         given["events"] = gio.read_events(out / TABLES["detect"], window_ids, length)
     if stage in ("influence", "report"):
@@ -741,9 +769,7 @@ def staged(stage: str, manifest, cfg: RunConfig, out: Path) -> list:
         if squash != cfg.squash:
             raise DataError(f"{topk_path}: squash {squash!r}, but this run uses {cfg.squash!r}; "
                             "rerun influence")
-
-        def step(v, cfg, manifest):  # run's properties, not events.csv's 9 digits
-            return {"events": event_properties(retained(v["events"]), v["windows"])}
+        each, windows = properties_step, True
     if stage == "report":
         # a concept absent from every window is skipped in all of them
         given["corpus_results"] = {c: (None, len(window_ids)) for c in ALL_CONCEPTS}
@@ -754,7 +780,7 @@ def staged(stage: str, manifest, cfg: RunConfig, out: Path) -> list:
                 given["corpus_results"][r.concept] = (r, r.n_skipped)
         binned = binning_mod.read_binned(out / TABLES["bin"])
         given["binned"] = {prop: binned.get(prop, []) for prop in cfg.properties}
-    v = compute(path, stored, window_ids, {stage: (step, once)}, cfg, manifest, given)
+    v = compute(path, stored, window_ids, {stage: (each, once, windows)}, cfg, manifest, given)
     with removed_on_failure([]) as written:
         if stage == "influence":
             written.append(topk_path)

@@ -153,11 +153,16 @@ class WindowingSummary:
 
 @dataclass
 class RecordingWindows:
-    """One recording and the evaluation windows that name it; its summary
-    and windows are set once it is windowed (windowed)."""
+    """One recording and the evaluation windows that name it. Its
+    positions are set once they are loaded, its summary and windows once
+    it is windowed (windowed); a windows stage file's reader sets the
+    summary it stores and leaves the positions to be loaded where the
+    recording is windowed (io.read_positions)."""
 
-    positions: tuple  # (recording id, sampling rate, x, y), eye-selected, in deg
+    recording_id: str
+    sampling_rate_hz: float
     rows: np.ndarray  # ascending indices of its windows among the evaluation windows
+    positions: tuple | None = None  # (x, y), eye-selected, in deg
     summary: WindowingSummary | None = None
     windows: WindowStack | None = None  # the windows at those rows, in their order
 
@@ -288,12 +293,15 @@ def window_recording(recording_id: str, sampling_rate_hz: float, x, y,
 
 
 def windowed(recording: RecordingWindows, window_ids, params: WindowParams) -> RecordingWindows:
-    """`recording` windowed (window_recording), with its summary and the
-    windows of `window_ids` at its rows, in that order: gathered a field
-    at a time, each field of the whole stack dropped once gathered, or the
-    stack itself if it holds exactly those. AlignmentError for the first
-    of them that windowing does not produce, with the summary."""
-    stack, s = window_recording(*recording.positions, params)
+    """`recording` windowed from its positions (window_recording), with
+    its summary and the windows of `window_ids` at its rows, in that
+    order: gathered a field at a time, each field of the whole stack
+    dropped once gathered, or the stack itself if it holds exactly those.
+    AlignmentError for the first of them that windowing does not produce,
+    with the summary; then for a summary the recording already has (as a
+    windows file stores it) that windowing does not give."""
+    stack, s = window_recording(recording.recording_id, recording.sampling_rate_hz,
+                                *recording.positions, params)
     ids = [window_ids[i] for i in recording.rows.tolist()]
     row_of = {window_id: row for row, window_id in enumerate(stack.window_ids)}
     missing = [window_id for window_id in ids if window_id not in row_of]
@@ -302,6 +310,12 @@ def windowed(recording: RecordingWindows, window_ids, params: WindowParams) -> R
             f"window_id {missing[0]!r} is not among the windows of this recording ({s.retained} "
             f"retained, {s.excluded} excluded with more than {params.missing_max_frac:g} of "
             f"their samples missing, {s.tail_samples} tail samples)")
+    if recording.summary not in (None, s):
+        had = recording.summary
+        raise AlignmentError(
+            f"recording {recording.recording_id!r} stores {had.retained} retained and "
+            f"{had.excluded} excluded windows and {had.tail_samples} tail samples, but "
+            f"windowing gives {s.retained}, {s.excluded} and {s.tail_samples}")
     if stack.window_ids != ids:
         rows, columns = [row_of[window_id] for window_id in ids], {"window_ids": ids}
         for name in ("sampling_rate_hz", "vx", "vy", "px", "py", "valid"):

@@ -51,7 +51,7 @@ from gazeconcepts.influence import (
     TopKSegmentation,
     aggregate_influence,
 )
-from gazeconcepts.io import read_windows
+from gazeconcepts.io import read_positions, read_windows
 from gazeconcepts.pipeline import recording_files, window_file
 from gazeconcepts.preprocess import WindowStack, windowed
 
@@ -153,7 +153,7 @@ def whole_stack(recordings, window_ids) -> tuple:
     summaries, stacks = {}, []
     for recording in recordings:
         assert recording.windows.window_ids == [window_ids[i] for i in recording.rows.tolist()]
-        summaries[recording.positions[0]] = recording.summary
+        summaries[recording.recording_id] = recording.summary
         stacks.append(recording.windows)
     return stacked(stacks, window_ids), summaries
 
@@ -171,7 +171,9 @@ def stored_windows(path) -> tuple:
     does, a windowing error a FormatError naming the file."""
     window_ids, params, stored = read_windows(path)
     try:
-        return window_ids, params, [windowed(r, window_ids, params) for r in stored]
+        return window_ids, params, [
+            windowed(replace(r, positions=read_positions(path, i)), window_ids, params)
+            for i, r in enumerate(stored)]
     except DataError as e:
         raise FormatError(f"{path}: {e}") from None
 

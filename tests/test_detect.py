@@ -109,6 +109,19 @@ def test_median_is_numpy_median_bit_for_bit(values):
     assert (got.view(np.int64) == want.view(np.int64)).all(), (values, got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 129, 130])
+def test_median_of_integers_is_numpy_median_bit_for_bit(n):
+    """Integer input is sorted, not partitioned: timestamp steps, and
+    int64 vectors of odd and even length over the whole range."""
+    rng = np.random.default_rng(n)
+    for values in (rng.integers(1, 3, n), rng.integers(-2**63, 2**63 - 1, (3, n)),
+                   rng.integers(-5, 5, (2, 4, n))):
+        want = np.asarray(np.median(values, axis=-1))
+        got = np.asarray(_median(values))
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all(), (values, got, want)
+
+
 def test_no_saccades_on_pure_noise():
     rng = np.random.default_rng(5)
     w = build_window(rng.normal(0, 0.5, 1000), rng.normal(0, 0.5, 1000))

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -63,7 +64,13 @@ from reference import (
 )
 from gazeconcepts.cli import main
 from gazeconcepts.pipeline import RunConfig, preprocess_manifest
-from gazeconcepts.preprocess import RecordingWindows, WindowParams, recording_of, window_recording
+from gazeconcepts.preprocess import (
+    RecordingWindows,
+    WindowParams,
+    recording_of,
+    window_recording,
+    windowed,
+)
 from gazeconcepts.synth import random_plan, gen_scanpath
 
 from conftest import pipeline_windows, write_gappy_recordings
@@ -785,12 +792,12 @@ def test_report_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _stored(recordings, window_ids) -> list:
+def _stored(recordings, window_ids, params) -> list:
     """Each recording's (id, sampling rate, x, y) as RecordingWindows,
-    with the rows of the window ids that name it."""
-    return [RecordingWindows(r, np.array([row for row, window_id in enumerate(window_ids)
-                                          if recording_of(window_id) == r[0]], dtype=np.int64))
-            for r in recordings]
+    with the rows of the window ids that name it, windowed by params."""
+    return [windowed(RecordingWindows(rec_id, rate, np.array(
+        [row for row, window_id in enumerate(window_ids) if recording_of(window_id) == rec_id],
+        dtype=np.int64), (x, y)), window_ids, params) for rec_id, rate, x, y in recordings]
 
 
 def test_windows_roundtrip_exact(tmp_path):
@@ -802,9 +809,14 @@ def test_windows_roundtrip_exact(tmp_path):
     params = WindowParams(window_len=50)
     ids = ["s-w0000", "r-w0001", "r-w0000"]
     p = tmp_path / "w.stage"  # written to exactly this path, no .npz added
-    write_windows(_stored(recordings, ids), p, ids, params)
+    write_windows(_stored(recordings, ids, params), p, ids, params)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.stage"]
-    assert [r.rows.tolist() for r in read_windows(p)[2]] == [[1, 2], [0]]
+    stored = read_windows(p)[2]
+    assert [r.rows.tolist() for r in stored] == [[1, 2], [0]]
+    assert [(r.positions, r.windows) for r in stored] == [(None, None)] * 2  # loaded later
+    for i, (_, _, x, y) in enumerate(recordings):
+        for got, want in zip(gio.read_positions(p, i), (x, y)):
+            assert got.dtype == np.float64 and (_bits(got) == _bits(want)).all()
     window_ids, back_params, back_recordings = stored_windows(p)
     assert (window_ids, back_params) == (ids, params)
     back, summaries = whole_stack(back_recordings, window_ids)
@@ -829,6 +841,35 @@ def test_windows_roundtrip_exact(tmp_path):
     for bad in (not_windows, other_npz):
         with pytest.raises(FormatError, match=f"{bad.name}: not a windows file"):
             read_windows(bad)
+
+
+def test_windows_written_from_a_generator_are_the_bytes_written_from_a_list(tmp_path):
+    """write_windows takes one recording at a time and drops it before it
+    takes the next; a list, a generator or a second write give the same
+    bytes, positions first."""
+    rng = np.random.default_rng(6)
+    recordings = [(f"r{i}", 1000.0, rng.normal(0, 1, 120 + i), rng.normal(0, 1, 120 + i))
+                  for i in range(3)]
+    params = WindowParams(window_len=40)
+    ids = ["r2-w0001", "r0-w0000", "r1-w0002"]
+    taken = []
+
+    def one_at_a_time():
+        for r in recordings:
+            recording, = _stored([r], ids, params)
+            taken.append(weakref.ref(recording))
+            yield recording
+            del recording
+            assert taken[-1]() is None, "held by the writer"
+
+    paths = [tmp_path / f"{name}.npz" for name in ("list", "again", "generator")]
+    write_windows(_stored(recordings, ids, params), paths[0], ids, params)
+    write_windows(_stored(recordings, ids, params), paths[1], ids, params)
+    write_windows(one_at_a_time(), paths[2], ids, params)
+    assert len(taken) == 3
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    with np.load(paths[2]) as npz:
+        assert npz.files == ["x0", "y0", "x1", "y1", "x2", "y2", *gio.WINDOW_ARRAYS]
 
 
 def _preprocessed(root, window_len, missing_max_frac=1.0, **config):
@@ -873,8 +914,13 @@ def test_windows_file_rebuilds_preprocess_stack_bit_for_bit(
     assert not stack.valid.all() and (np.abs(stack.vx) == clamp).any() == (clamp < 1000)
     assert stack.valid.mean(axis=1).min() < 0.5 or missing_max_frac == 0.5
     with np.load(p) as npz:
-        assert sorted(npz.files) == sorted(gio.WINDOW_ARRAYS)
-        assert npz["x"].shape == (npz["n_samples"].sum(),) and npz["n_samples"].min() > 1500
+        assert npz.files == ["x0", "y0", "x1", "y1", *gio.WINDOW_ARRAYS]  # positions first
+        counts = npz["n_samples"].tolist()
+        assert [npz[f"{axis}{i}"].shape for i in range(2) for axis in "xy"] == [
+            (n,) for n in counts for _ in "xy"] and min(counts) > 1500
+        assert {rec_id: tuple(npz[name][i] for name in gio.SUMMARY_FIELDS)
+                for i, rec_id in enumerate(npz["recording_id"].tolist())} == {
+            rec_id: (s.retained, s.excluded, s.tail_samples) for rec_id, s in summaries.items()}
     window_ids, _, recordings = stored_windows(p)
     back, back_summaries = whole_stack(recordings, window_ids)
     assert back_summaries == summaries
@@ -909,31 +955,52 @@ def test_read_windows_rejects_old_formats_wrong_arrays_and_bad_contents(tmp_path
     stack, _, good = _preprocessed(tmp_path, 40)
     with np.load(good) as npz:
         arrays = dict(npz)
-    n, total = len(stack), arrays["x"].size
+    n, counts = len(stack), arrays["n_samples"]
+    total = counts.sum()
     rec_ids, slots = zip(*(window_id.rsplit("-w", 1) for window_id in stack.window_ids))
     rows = {"window_id": arrays["window_id"], "recording_id": np.array(rec_ids),
             "start_index": np.array([int(slot) * 40 for slot in slots]),
             "sampling_rate_hz": stack.sampling_rate_hz, "px": stack.px, "py": stack.py}
-    older = {  # earlier formats: every velocity, edge velocities only, positions without eye
+    concatenated = {key: value for key, value in arrays.items()
+                    if key in gio.WINDOW_ARRAYS and key not in gio.SUMMARY_FIELDS}
+    older = {  # earlier formats: every velocity, edge velocities only, positions without eye,
+        # every recording's positions in one x and one y, without summaries
         "every_velocity": {**rows, "vx": stack.vx, "vy": stack.vy, "valid": stack.valid},
         "edge_velocities": {**rows, "edges": np.zeros((4, n, 3)), "sg_window": np.array(7),
                             "sg_order": np.array(2), "clamp": np.array(1000.0)},
         "no_eye": {key: value for key, value in arrays.items() if key != "eye"},
+        "concatenated": {**concatenated, "x": np.concatenate([arrays["x0"], arrays["x1"]]),
+                         "y": np.concatenate([arrays["y0"], arrays["y1"]])},
+        "with_x": {**arrays, "x": np.concatenate([arrays["x0"], arrays["x1"]])},
+        "third_x": {**arrays, "x2": arrays["x0"]},
+        "no_y1": {key: value for key, value in arrays.items() if key != "y1"},
     }
     shape = "windows file arrays disagree in shape or dtype"
     unique = "recording or window ids are not unique"
-    counts = arrays["n_samples"]
+    summed = "windowing summaries do not add up to n_samples"
+    retained, excluded, tail = (arrays[name] for name in gio.SUMMARY_FIELDS)
     for name, change, message in (
-        ("float32", {"x": arrays["x"].astype(np.float32)}, shape),
+        ("float32", {"x0": arrays["x0"].astype(np.float32)}, shape),
+        ("big_endian", {"y1": arrays["y1"].astype(">f8")}, shape),
+        ("x_2d", {"x1": arrays["x1"][None]}, shape),
         ("rate_dtype", {"sampling_rate_hz": arrays["sampling_rate_hz"].astype(np.float32)}, shape),
         ("count_dtype", {"n_samples": counts.astype(float)}, shape),
         ("clamp_dtype", {"clamp": np.array(1000)}, shape),
         ("len_dtype", {"window_len": np.array(40.0)}, shape),
         ("eye_dtype", {"eye": np.array(1)}, shape),
-        ("y_shape", {"y": arrays["y"][:-1]}, shape),
+        ("y_shape", {"y1": arrays["y1"][:-1]}, shape),
         ("ids_shape", {"window_id": arrays["window_id"][None]}, shape),
-        ("count_sum", {"n_samples": counts + [1, 0]}, f"n_samples do not sum to the {total}"),
-        ("count_sign", {"n_samples": counts + [total, -total]}, "n_samples do not sum"),
+        ("count_sum", {"n_samples": counts + [1, 0]}, shape),
+        ("count_sign", {"n_samples": counts + [total, -total]}, shape),
+        ("summary_dtype", {"excluded": excluded.astype(np.int32)}, shape),
+        ("summary_shape", {"retained": retained[:1]}, shape),
+        ("summary_sum", {"tail_samples": tail + 1}, summed),
+        ("summary_tail", {"retained": retained - 1, "tail_samples": tail + 40}, summed),
+        ("summary_sign", {"retained": retained + 1, "excluded": excluded - 1 - excluded.max()},
+         summed),
+        ("summary_split", {"retained": retained - 1, "excluded": excluded + 1},
+         r"recording 'rec00' stores \d+ retained and 1 excluded windows and \d+ tail samples, "
+         r"but windowing gives \d+, 0 and \d+"),  # found where it is windowed
         ("same_window", {"window_id": arrays["window_id"][[0, *range(n - 1)]]}, unique),
         ("same_recording", {"recording_id": np.array(["rec00", "rec00"])}, unique),
         ("even_window", {"sg_window": np.array(4)}, "sg_window/sg_order: window_length must be"),
@@ -975,8 +1042,9 @@ def test_topk_roundtrip_exact(tmp_path):
         read_topk(p, 40)
 
     windows = tmp_path / "w.npz"
-    write_windows(_stored([("r", 1000.0, np.zeros(50), np.zeros(50))], ["r-w0000"]), windows,
-                  ["r-w0000"], WindowParams(window_len=50))
+    params = WindowParams(window_len=50)
+    write_windows(_stored([("r", 1000.0, np.zeros(50), np.zeros(50))], ["r-w0000"], params),
+                  windows, ["r-w0000"], params)
     duplicated, flat, older = (tmp_path / f"{name}.npz" for name in ("dup", "flat", "older"))
     np.savez(duplicated, window_id=np.array(["a"]), squash=np.array("abs"),
              indices=np.array([[3, 3]], dtype=np.int32))
@@ -1154,4 +1222,53 @@ def test_read_table_parses_optional_cells(tmp_path):
     assert (row.lo, row.hi, row.influence) == (-math.inf, 9.0, None)
     table, lines = read_table(p, ("property", "label", "lo", "hi", "event_count",
                                   "segmentation_size", "intersection", "c", "c_mean"), {})
-    assert table["lo"] == [""] and table["event_count"] == ["0"] and lines == [2]
+    assert table["lo"] == [""] and table["event_count"] == ["0"] and list(lines) == [2]
+
+
+def test_read_table_gives_the_file_line_of_rows_after_a_quoted_line_break(tmp_path):
+    """The rows are read in one pass; where a quoted cell spans lines, each
+    row's file line (where it ends) is counted again, so a bad cell after
+    one is reported at its true line."""
+    p = tmp_path / "t.csv"
+    columns, parsers = ("s", "i"), {"i": gio.int64}
+    p.write_bytes(b's,i\na,1\n"b\nc",2\nd,3\n')
+    table, lines = read_table(p, columns, parsers)
+    assert table == {"s": ["a", "b\nc", "d"], "i": [1, 2, 3]} and list(lines) == [2, 4, 5]
+    for text, message in (
+        (b's,i\na,1\nb,x\n', "line 3: cannot parse i 'x'"),  # no cell spans lines
+        (b's,i\na,1\n"b\r\nc\rd",2\ne,x\n', "line 6: cannot parse i 'x'"),
+        (b's,i\n"b\nc",2\ne,3,4\n', "line 4: 3 fields, expected 2"),
+    ):
+        p.write_bytes(text)
+        with pytest.raises(FormatError, match=f"t.csv: {message}"):
+            read_table(p, columns, parsers)
+
+
+def test_read_table_parses_each_distinct_token_of_a_categorical_column_once(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("k\nb\na\nb\nb\na\n")
+    calls = []
+    parse = gio.Categorical(lambda token: calls.append(token) or token.upper())
+    table, _ = read_table(p, ("k",), {"k": parse})
+    assert table == {"k": ["B", "A", "B", "B", "A"]} and calls == ["b", "a"]
+    p.write_text("k\ntrue\nfalse\nyes\ntrue\n")
+    with pytest.raises(FormatError, match="t.csv: line 4: cannot parse k 'yes'"):
+        read_table(p, ("k",), {"k": gio.Categorical(gio.parse_bool)})
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 5])
+def test_table_rows_written_a_chunk_at_a_time_are_csv_writer_bytes(tmp_path, monkeypatch, rows):
+    """write_table formats ROWS_PER_WRITE rows at a time; the bytes do not
+    depend on where the chunks end, a quoted cell in one chunk only and a
+    lone empty field included."""
+    monkeypatch.setattr(gio, "ROWS_PER_WRITE", 2)
+    texts = ["a", 'b"', "", "c,d", "e"][:rows]
+    for header, columns in ((("s", "x", "i"), [texts, np.arange(rows) / 3, np.arange(rows)]),
+                            (("s",), [texts])):
+        p = tmp_path / "t.csv"
+        write_table(p, header, columns)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(_cells(row) for row in zip(*columns))
+        assert p.read_bytes() == want.getvalue().encode("utf-8"), header

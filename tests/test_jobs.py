@@ -13,11 +13,14 @@ import errno
 import json
 import os
 import pickle
+import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import threading
+import zipfile
 from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
@@ -184,7 +187,8 @@ def test_jobs_1_and_2_write_the_same_files(corpus, tmp_path, monkeypatch, two_cp
         outputs.append(_outputs(out))
         pids = log.read_text().split()
         log.unlink()
-        assert len(pids) == (3 if chain == "run" else 3 + 5 * 3)
+        # influence and report read no windows
+        assert len(pids) == (3 if chain == "run" else 3 + 3 * 3)
         assert (set(pids) == {str(os.getpid())}) == (processes == 1), pids
         _no_children()
     assert len(outputs[0]) > 10 and any(name.startswith("charts/") for name in outputs[0])
@@ -317,6 +321,76 @@ def test_a_window_its_recording_does_not_produce_is_refused_by_its_worker(
     _no_children()
 
 
+def _flip_payload_byte(path, member):
+    """The zip at `path` with one byte of `member`'s .npy payload flipped,
+    its .npy header and the zip's directory intact."""
+    with zipfile.ZipFile(path) as zf:
+        offset = zf.getinfo(member).header_offset
+    data = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", data[offset + 26:offset + 30])
+    start = offset + 30 + name_len + extra_len  # the member's .npy bytes
+    header_len, = struct.unpack("<H", data[start + 8:start + 10])
+    data[start + 10 + header_len + 100] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _cut_payload(path, member):
+    """The zip at `path` written anew with `member`'s .npy payload 8
+    bytes short of what its header gives."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    members[member] = members[member][:-8]
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fault,text", [
+    (_flip_payload_byte, "Bad CRC-32 for file 'y1.npy'"),
+    (_cut_payload, r"EOF: reading array data, expected \d+ bytes got \d+"),
+])
+def test_a_position_member_that_does_not_load_fails_its_worker_with_one_error_line(
+        corpus, tmp_path, capsys, monkeypatch, forks, cpus, fault, text):
+    """A y<i> payload corrupted or cut short behind an intact header
+    passes read_windows, which reads headers only; the worker that loads
+    it (this process on one CPU) fails detect with exit 2 and one line
+    naming windows.npz, not a ChildProcessError."""
+    out = tmp_path / "out"
+    assert main(["preprocess", "--manifest", str(corpus), "--out", str(out), *W250]) == 0
+    path = out / "windows.npz"
+    fault(path, "y1.npy")
+    assert [r.positions for r in gio.read_windows(path)[2]] == [None] * 3
+    capsys.readouterr()
+    forks.clear()
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    assert main(["detect", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[stage preprocess\] {re.escape(str(path))}: positions x1, y1 "
+                        rf"do not load \({text}\); rerun preprocess\n", err), err
+    assert len(forks) == (cpus if cpus > 1 else 0) and not (out / "events.csv").exists()
+    _no_children()
+
+
+def test_only_the_stages_that_read_windows_load_positions(corpus, tmp_path, monkeypatch,
+                                                          two_cpus, forks):
+    """detect, dissect and bin load each recording's positions in a
+    worker; influence loads none, and report, which has no per-recording
+    step, starts no pool."""
+    log = tmp_path / "pids"
+    _noting(monkeypatch, gio, "read_positions", log)
+    for stage in STAGES:
+        forks.clear()
+        assert main([stage, "--manifest", str(corpus), "--out", str(tmp_path / "out"),
+                     *W250]) == 0
+        loads = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        assert len(loads) == (3 if stage in ("detect", "dissect", "bin") else 0), stage
+        assert str(os.getpid()) not in loads, stage
+        assert len(forks) == (0 if stage == "report" else 2), stage
+    _no_children()
+
+
 def test_no_worker_outlives_run(corpus, tmp_path, monkeypatch, two_cpus, forks):
     """The pool's one worker is alive while run parses the attributions
     and gone once run returns or raises."""
@@ -377,7 +451,7 @@ def test_a_fork_that_fails_closes_its_pipe_and_reaps_the_started_workers(
 
 
 def _killed(*args):
-    """A gaze side whose worker is killed, as by the kernel's OOM killer."""
+    """A task whose worker is killed, as by the kernel's OOM killer."""
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -416,7 +490,7 @@ def test_a_killed_worker_gives_one_error_line_and_exit_3(corpus, tmp_path, monke
             assert main([stage, "--manifest", str(corpus), "--out", str(tmp_path / "out"),
                          *W250]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(pipeline, "windowed", _killed)
+        monkeypatch.setattr(pipeline, "attribution_topk", _killed)
         argv = ["influence", "--manifest", str(corpus), *W250]
         prefix, done = "[stage influence] ", "influence.csv"
     else:
