@@ -12,7 +12,8 @@ sparse CSV with header ``channel,index,value`` covering the full grid.
 Gaze rows and dense attribution rows that numpy's C text reader
 (``np.loadtxt``) reads row for row, as the line parser would, are parsed
 by it in one call; all others are parsed line by line, with the same
-values and the same errors.
+values and the same errors. A gaze file is first scanned a chunk of text
+at a time; its whole text is read only for the line parser.
 
 Recordings and attributions round-trip exactly (shortest-repr floats),
 as do the binary ``.npz`` windows and top-k stage files. Every other
@@ -142,9 +143,18 @@ def write_table(path, columns, data):
     table is never held. The bytes are those csv.writer (with "\\n" line
     ends) writes for the rows.
     """
+    _check_columns(columns, data)
+    _write_blocks(path, columns, [data])
+
+
+def _check_columns(columns, data):
     if len(data) != len(columns) or len({len(values) for values in data}) > 1:
         raise ValueError(f"{len(columns)} columns need as many equal-length sequences")
 
+
+def _write_blocks(path, columns, blocks):
+    """write_table of the rows of each `data` (checked) in the iterable
+    `blocks`, in order, one block at a time."""
     def written(lines):
         if len(columns) == 1:  # csv.writer quotes a record's lone empty field
             lines = ['""' if line == "" else line for line in lines]
@@ -152,9 +162,10 @@ def write_table(path, columns, data):
 
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         written([",".join(_column(columns))])
-        for start in range(0, len(data[0]) if data else 0, ROWS_PER_WRITE):
-            written(list(map(",".join, zip(*(_column(values[start:start + ROWS_PER_WRITE])
-                                             for values in data)))))
+        for data in blocks:
+            for start in range(0, len(data[0]) if data else 0, ROWS_PER_WRITE):
+                written(list(map(",".join, zip(*(_column(values[start:start + ROWS_PER_WRITE])
+                                                 for values in data)))))
 
 
 def parse_bool(token: str) -> bool:
@@ -349,18 +360,19 @@ def _parse_coord(token: str) -> float:
         return math.nan  # unparseable coordinates become missing samples
 
 
-def _check_monotone(t: np.ndarray, line_of_sample, path):
-    if len(t) > 1:
-        bad = np.flatnonzero(np.diff(t) <= 0)
-        if len(bad):
-            raise DataError(
-                f"{path}: timestamps not strictly increasing at line "
-                f"{line_of_sample(int(bad[0]) + 1)}"
-            )
+def _check_monotone(steps: np.ndarray, kept_lines, path):
+    """DataError naming the file line of the first sample whose timestamp
+    does not exceed its predecessor's (`steps` is np.diff of t_ms)."""
+    bad = np.flatnonzero(steps <= 0)
+    if len(bad):
+        raise DataError(
+            f"{path}: timestamps not strictly increasing at line "
+            f"{kept_lines[int(bad[0]) + 1]}"
+        )
 
 
 # str.splitlines' line breaks other than "\n": numpy's text reader does not
-# split on them (read_text has already turned "\r\n" and "\r" into "\n").
+# split on them (reading with universal newlines turns "\r\n" and "\r" into "\n").
 _OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
@@ -369,6 +381,53 @@ def _first_line(text: str) -> str:
     end = text.find("\n")
     head = text if end < 0 else text[:end]
     return head.splitlines()[0] if head else ""
+
+
+GAZE_CHUNK_CHARS = 1 << 16  # _gaze_scan reads a gaze file this many characters at a time
+
+
+@dataclass(frozen=True)
+class _GazeScan:
+    """What load_gaze_csv checks of a gaze file's text before parsing it."""
+
+    header: str  # the first line, as str.splitlines splits it ("" for none)
+    blank: bool  # the text is empty or whitespace only
+    rows: int  # lines after the header: the "\n"s, less one that ends the text
+    other_breaks: bool  # a character of _OTHER_LINE_BREAKS occurs
+    no_rows: bool  # the line after the header is blank or missing
+
+
+def _scanned(chunks) -> _GazeScan:
+    """The scan of the text that `chunks` (strings) make up, one chunk at
+    a time; the header and the line after it may straddle chunks."""
+    head = []  # the text before the first "\n"
+    after = None  # the character after the first "\n" ("" at the end of the text)
+    newlines, last, others, blank = 0, "", False, True
+    for chunk in filter(None, chunks):
+        newlines += chunk.count("\n")
+        others = others or any(b in chunk for b in _OTHER_LINE_BREAKS)
+        blank = blank and chunk.isspace()
+        if after is None:
+            end = chunk.find("\n")
+            head.append(chunk if end < 0 else chunk[:end])
+            after = None if end < 0 else chunk[end + 1:end + 2]
+        elif not after:
+            after = chunk[:1]
+        last = chunk
+    return _GazeScan(_first_line("".join(head)), blank, newlines - last.endswith("\n"),
+                     others, after in (None, "", "\n"))
+
+
+def _gaze_scan(path) -> _GazeScan | None:
+    """The scan of the text read_text gives for `path`, read
+    GAZE_CHUNK_CHARS characters at a time; None if it is not UTF-8."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            if fh.read(1) != "\ufeff":  # read_text drops a leading byte order mark
+                fh.seek(0)
+            return _scanned(iter(lambda: fh.read(GAZE_CHUNK_CHARS), ""))
+    except UnicodeDecodeError:
+        return None
 
 
 # From numpy 1.23 until that deprecation expired, loadtxt parses an int64
@@ -384,42 +443,40 @@ def _file_stamp(path):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _gaze_columns(path, raw: str, ncol: int, idx, stamp):
+def _gaze_columns(path, scan: _GazeScan, ncol: int, idx, stamp):
     """Columnar parse of the gaze rows by numpy's C text reader: (t_ms,
-    coordinate columns) or None.
+    coordinate columns, views of one table) or None.
 
-    `raw` is the file's text as read when the file had `stamp`. Applies
-    when the header's columns are the schema's, each once, and the file's
-    lines are exactly str.splitlines' lines with no blank one, so that
-    loadtxt sees the rows and fields csv.reader sees. With every warning
-    raised as an error, its int64 column takes only an optionally signed,
+    `scan` is the file's scan when it had `stamp`. Applies when the
+    header's columns are the schema's, each once, and the file's lines
+    are exactly str.splitlines' lines with no blank one, so that loadtxt
+    sees the rows and fields csv.reader sees. loadtxt fills a table of
+    the scan's row count, allocated once. With every warning raised as
+    an error, its int64 column takes only an optionally signed,
     space-padded run of ASCII digits in the int64 range, valued as int()
     values it; its float64 columns take a subset of what float() takes,
     with the same values (NaN and inf are coupled into missing samples
     later, as in the line parser). Anything loadtxt declines (empty or "."
     cells, quoted cells, wrong field counts, out-of-range timestamps, ...)
-    and a file that changed after `raw` was read return None: the line
-    parser then parses `raw`.
+    and a file that changed after `stamp` return None: the line parser
+    then reads the file again and parses that text.
     """
-    if sorted(idx) != list(range(ncol)) or any(b in raw for b in _OTHER_LINE_BREAKS):
+    if sorted(idx) != list(range(ncol)) or scan.other_breaks or scan.no_rows:
         return None
-    end = raw.find("\n")
-    if end < 0 or raw[end + 1:end + 2] in ("", "\n"):
-        return None  # no rows, or a blank line that loadtxt would skip
     dtype = np.dtype([(str(i), np.int64 if i == idx[0] else np.float64) for i in range(ncol)])
     with _STRICT_LOADTXT, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
                 path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                skiprows=1, encoding="utf-8", ndmin=1,
+                skiprows=1, max_rows=scan.rows, encoding="utf-8", ndmin=1,
             )
         except (ValueError, Warning):
             return None
-    if len(table) != raw.count("\n") - raw.endswith("\n"):
+    if len(table) != scan.rows:
         return None  # loadtxt skipped blank lines, which the line parser counts
     if _file_stamp(path) != stamp:
-        return None  # loadtxt read another text than `raw`
+        return None  # loadtxt read another text than the scan
     return table[str(idx[0])].copy(), [table[str(i)] for i in idx[1:]]
 
 
@@ -456,6 +513,25 @@ def _gaze_lines(body, header, idx, path):
     return t, coords.T, kept_lines, skipped
 
 
+def _gaze_schema(path, scan: _GazeScan):
+    """(header, eye, index of each schema column in the header) of a
+    scanned gaze file; DataError if it is blank, FormatError if its
+    header fits neither schema."""
+    if scan.blank:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([scan.header]))]
+    if set(BINOCULAR_COLUMNS) <= set(header):
+        columns, eye = BINOCULAR_COLUMNS, "binocular"
+    elif set(MONO_COLUMNS) <= set(header):
+        columns, eye = MONO_COLUMNS, "mono"
+    else:
+        raise FormatError(
+            f"{path}: header {header!r} matches neither the monocular nor "
+            f"the binocular gaze schema"
+        )
+    return header, eye, [header.index(c) for c in columns]
+
+
 def recording_id(path) -> str:
     """The id of the recording in the gaze file at `path`: its stem."""
     return Path(path).stem
@@ -468,42 +544,39 @@ def load_gaze_csv(path) -> GazeRecording:
     lines are skipped and counted in ``source_meta['skipped_rows']``; no
     other row is ever dropped. The sampling rate is 1000 / the median
     step of t_ms (1000 Hz for fewer than two samples).
+
+    The file is first scanned a chunk of text at a time (_gaze_scan) and
+    then, where numpy's text reader applies (_gaze_columns), parsed into
+    one table; its timestamps and coupled coordinates are copied out and
+    the table dropped before the timestamps are checked. Only where that
+    declines is the file's whole text read, once, and parsed line by
+    line; a file that is not UTF-8 is refused there. So at most one copy
+    of the samples and one chunk of text are held besides the result.
     """
     path = Path(path)
     stamp = _file_stamp(path)
-    raw = read_text(path)
-    if not raw or raw.isspace():
-        raise DataError(f"{path}: empty file")
-    header = next(csv.reader([_first_line(raw)]))
-    header = [h.strip() for h in header]
-
-    if set(BINOCULAR_COLUMNS) <= set(header):
-        columns, eye = BINOCULAR_COLUMNS, "binocular"
-    elif set(MONO_COLUMNS) <= set(header):
-        columns, eye = MONO_COLUMNS, "mono"
-    else:
-        raise FormatError(
-            f"{path}: header {header!r} matches neither the monocular nor "
-            f"the binocular gaze schema"
-        )
-    idx = [header.index(c) for c in columns]
-
-    parsed = _gaze_columns(path, raw, len(header), idx, stamp)
+    scan = _gaze_scan(path)
+    parsed = None
+    if scan is not None:  # else read_text names the byte that is not UTF-8
+        header, eye, idx = _gaze_schema(path, scan)
+        parsed = _gaze_columns(path, scan, len(header), idx, stamp)
     if parsed is not None:
         t, coords = parsed
         kept_lines, skipped = range(2, len(t) + 2), 0
     else:
-        t, coords, kept_lines, skipped = _gaze_lines(raw.splitlines()[1:], header, idx, path)
-    _check_monotone(t, lambda i: kept_lines[i], path)
-
+        text = read_text(path)
+        header, eye, idx = _gaze_schema(path, _scanned([text]))
+        t, coords, kept_lines, skipped = _gaze_lines(text.splitlines()[1:], header, idx, path)
+        del text
     if eye == "mono":
-        x, y = _couple_missing(coords[0], coords[1])
-        eyes = {"mono": (x, y)}
+        eyes = {"mono": _couple_missing(coords[0], coords[1])}
     else:
-        xl, yl = _couple_missing(coords[0], coords[1])
-        xr, yr = _couple_missing(coords[2], coords[3])
-        eyes = {"left": (xl, yl), "right": (xr, yr)}
-    step = _median(np.diff(t)) if len(t) > 1 else 1.0
+        eyes = {"left": _couple_missing(coords[0], coords[1]),
+                "right": _couple_missing(coords[2], coords[3])}
+    del parsed, coords  # the parsed table goes with its last view
+    steps = np.diff(t)
+    _check_monotone(steps, kept_lines, path)
+    step = _median(steps) if len(t) > 1 else 1.0
     return GazeRecording(recording_id(path), t, eyes, eye, float(1000.0 / step),
                          source_meta={"path": str(path), "skipped_rows": str(skipped)})
 
@@ -1095,11 +1168,19 @@ _REPORT_PARSERS = {
 def write_report(columns: dict, path):
     """Write influence results as CSV, one sequence of values per
     REPORT_COLUMNS name (InfluenceTable.rows), sorted by (concept, scope,
-    window_id)."""
-    keys = list(zip(columns["concept"], columns["scope"], columns["window_id"]))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    data = [[values[i] for i in order] for values in map(columns.__getitem__, REPORT_COLUMNS)]
-    write_table(path, REPORT_COLUMNS, data)
+    window_id): one concept's rows at a time, so that no reordered copy
+    of the whole table is held."""
+    _check_columns(REPORT_COLUMNS, [columns[name] for name in REPORT_COLUMNS])
+    rows_of = {}
+    for i, concept in enumerate(columns["concept"]):
+        rows_of.setdefault(concept, []).append(i)
+    scope, window_id = columns["scope"], columns["window_id"]
+
+    def blocks():
+        for concept in sorted(rows_of):
+            rows = sorted(rows_of[concept], key=lambda i: (scope[i], window_id[i]))
+            yield [[columns[name][i] for i in rows] for name in REPORT_COLUMNS]
+    _write_blocks(path, REPORT_COLUMNS, blocks())
 
 
 def read_report(path) -> dict:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import sys
@@ -197,17 +198,25 @@ def test_columnar_parse_declines_on_any_warning(tmp_path):
 
 
 def test_columnar_parse_declines_when_file_changes(tmp_path):
+    """A file rewritten after it was scanned is read again and parsed line
+    by line; the table loadtxt read from the new text is not returned."""
     p = tmp_path / "g.csv"
     p.write_text("t_ms,x_deg,y_deg\n0,1.0,2.0\n1,1.0,2.0\n")
     real_loadtxt = np.loadtxt
+    tables = []
 
     def loadtxt_after_rewrite(fname, **kwargs):
         p.write_text("t_ms,x_deg,y_deg\n0,9.0,9.0\n1,9.0,9.0\n\n")
-        return real_loadtxt(fname, **kwargs)
+        tables.append(real_loadtxt(fname, **kwargs))
+        return tables[-1]
 
-    with mock.patch.object(gio.np, "loadtxt", loadtxt_after_rewrite):
+    with mock.patch.object(gio.np, "loadtxt", loadtxt_after_rewrite), \
+            mock.patch.object(gio, "_gaze_lines", wraps=gio._gaze_lines) as lines:
         rec = load_gaze_csv(p)
-    np.testing.assert_array_equal(rec.x_deg, [1.0, 1.0])
+    assert [table["1"].tolist() for table in tables] == [[9.0, 9.0]]  # of the new text
+    assert lines.call_count == 1
+    np.testing.assert_array_equal(rec.x_deg, [9.0, 9.0])
+    assert rec.source_meta["skipped_rows"] == "1"
 
 
 def test_concurrent_gaze_loads_take_turns(tmp_path):
@@ -291,10 +300,11 @@ PERTURBATIONS = (
 @st.composite
 def gaze_files(draw):
     """A well-formed gaze file (monocular or binocular, optionally with
-    an extra column, lines ended by "\n", "\r\n", "\r" or "\x0b") with up
-    to three perturbations: a run of rows with "", "." or "NaN" cells in
-    one coordinate column, or one line with a missing-value, whitespace, quoted,
-    full-width, hex, infinite, overflowing or unparseable coordinate, a
+    an extra column and a byte order mark, lines ended by "\n", "\r\n",
+    "\r" or "\x0b") with up to three perturbations: a run of rows with
+    "", "." or "NaN" cells in one coordinate column, or one line with a
+    missing-value, whitespace, quoted, full-width, hex, infinite,
+    overflowing or unparseable coordinate, a
     non-integer, overflowing or non-monotone timestamp, a quoted extra
     cell, a short or long row, a short row offset by a long one, a line
     break that only str.splitlines knows, a blank line."""
@@ -338,7 +348,8 @@ def gaze_files(draw):
             rows.insert(i, [draw(st.sampled_from(["", "  ", "\t"]))])
     lines = [",".join(columns)] + [",".join(cells) for cells in rows]
     newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
-    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @pytest.fixture(scope="module")
@@ -346,12 +357,20 @@ def gaze_path(tmp_path_factory):
     return tmp_path_factory.mktemp("gaze") / "g.csv"
 
 
+# text chunks of these sizes end inside "\r\n", after a lone "\r", a BOM,
+# "\x85" or "\u2028", and inside the header and the line after it
+SCAN_CHUNKS = (1, 2, 3, 7)
+
+
 def _gaze_paths_agree(gaze_path, text):
+    """The columnar path, its scan read in chunks of the default size and
+    of every size in SCAN_CHUNKS, gives what the line parser gives."""
     gaze_path.write_bytes(text.encode())
-    fast = _load_outcome(gaze_path)
     with mock.patch.object(gio, "_gaze_columns", return_value=None):
         lines = _load_outcome(gaze_path)
-    assert fast == lines
+    for chunk in (gio.GAZE_CHUNK_CHARS, *SCAN_CHUNKS):
+        with mock.patch.object(gio, "GAZE_CHUNK_CHARS", chunk):
+            assert _load_outcome(gaze_path) == lines, chunk
 
 
 @settings(max_examples=400, deadline=None)
@@ -363,6 +382,8 @@ def _gaze_paths_agree(gaze_path, text):
 @example("t_ms,x_deg,y_deg\n0,,\n1,.,2.0\n2,NaN,.\n")  # missing-value cells
 @example("t_ms,x_deg,y_deg\n0,1.0,2.0\n,1.0,2.0\n")  # a missing timestamp
 @example("t_ms,x_deg,t_ms,y_deg\n0,1.5,9,2.5\n1,2.5,x,3.5\n")  # a repeated column
+@example("\ufefft_ms,x_deg,y_deg\r\n0,1.0,2.0\r\n1,1.0,2.0\r")  # a BOM, "\r\n" and "\r"
+@example("t_ms,x_deg,y_deg\r0,1.0,2.0\x85\r1,1.0,2.0\u2028")  # breaks numpy does not split on
 def test_columnar_parse_matches_line_parser(gaze_path, case):
     _gaze_paths_agree(gaze_path, case)
 
@@ -375,14 +396,56 @@ def test_columnar_parse_matches_line_parser_ignoring_warnings(gaze_path, case):
 
 
 def test_plain_rows_take_columnar_path(tmp_path):
+    """Rows of numbers only take the columnar path whatever their line
+    ends, a BOM or none, a final line break or none, and wherever the
+    scan's chunks end."""
     p = tmp_path / "g.csv"
-    p.write_text("t_ms,x_deg,y_deg\r\n0, 1.5,-2e3\r\n1,nan,+7\r\n2,inf,0\r\n")
-    with mock.patch.object(gio, "_gaze_lines", side_effect=AssertionError("line parser")):
-        rec = load_gaze_csv(p)
-    np.testing.assert_array_equal(rec.t_ms, [0, 1, 2])
-    np.testing.assert_array_equal(rec.x_deg, [1.5, np.nan, np.nan])
-    np.testing.assert_array_equal(rec.y_deg, [-2000.0, np.nan, np.nan])
-    assert rec.source_meta["skipped_rows"] == "0"
+    lines = ["t_ms,x_deg,y_deg", "0, 1.5,-2e3", "1,nan,+7", "2,inf,0"]
+    for newline, bom, end in itertools.product(["\n", "\r\n", "\r"], ["", "\ufeff"], [True, False]):
+        p.write_bytes((bom + newline.join(lines) + (newline if end else "")).encode())
+        for chunk in (gio.GAZE_CHUNK_CHARS, *SCAN_CHUNKS):
+            with mock.patch.object(gio, "_gaze_lines", side_effect=AssertionError("line parser")), \
+                    mock.patch.object(gio, "GAZE_CHUNK_CHARS", chunk):
+                rec = load_gaze_csv(p)
+            np.testing.assert_array_equal(rec.t_ms, [0, 1, 2])
+            np.testing.assert_array_equal(rec.x_deg, [1.5, np.nan, np.nan])
+            np.testing.assert_array_equal(rec.y_deg, [-2000.0, np.nan, np.nan])
+            assert rec.source_meta["skipped_rows"] == "0"
+
+
+@pytest.mark.parametrize("tail", [b"\xff,1.0,2.0\n", b"\xc3"])
+def test_a_byte_that_is_not_utf8_beyond_the_first_chunk_is_named(tmp_path, tail):
+    """The scan declines at the bad byte; read_text then names its offset
+    in the file, counted in bytes (those of the BOM and of U+2028 included)."""
+    head = "\ufefft_ms,x_deg,y_deg\r\n" + "".join(
+        f"{i},1.5,2.5{chr(0x2028) if i == 5 else ''}\r\n" for i in range(20000))
+    p = tmp_path / "g.csv"
+    p.write_bytes(head.encode() + tail)
+    assert len(head) > 3 * gio.GAZE_CHUNK_CHARS
+    byte = len(head.encode())
+    with pytest.raises(FormatError, match=rf"g\.csv: not UTF-8 text \(byte {byte}\)$"):
+        load_gaze_csv(p)
+
+
+def test_gaze_load_holds_one_copy_of_the_samples(tmp_path):
+    """A recording many text chunks long is loaded holding, besides the
+    result, at most one copy of its samples and one chunk of text: a
+    traced peak of at most 2.5 times the returned arrays (holding the
+    whole text and a table grown row by row took 4.5 times)."""
+    rec, _ = gen_scanpath(random_plan(3, 60.0, noise_sigma_deg=0.05), seed=3)
+    p = tmp_path / "g.csv"
+    write_gaze_csv(rec, p)
+    assert p.stat().st_size > 20 * gio.GAZE_CHUNK_CHARS
+    load_gaze_csv(p)  # lazy imports and caches are not counted
+    tracemalloc.start()
+    try:
+        got = load_gaze_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_samples >= 60_000
+    returned = got.t_ms.nbytes + got.x_deg.nbytes + got.y_deg.nbytes
+    assert peak <= 2.5 * returned, peak / returned
 
 
 def _binocular_file(tmp_path):
